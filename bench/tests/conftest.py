@@ -1,0 +1,10 @@
+"""``python -m pytest bench/tests -q`` from the repository root: puts
+``src`` on the path the way ``python3 -m bench`` does."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (ROOT / "src", ROOT):
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
