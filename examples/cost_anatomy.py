@@ -15,8 +15,6 @@ from repro import (
     COLORING_PROFILE,
     ExecutionSimulator,
     ExperimentSetup,
-    HourglassProvisioner,
-    SpotOnProvisioner,
     job_with_slack,
     on_demand_baseline_cost,
 )
@@ -32,14 +30,14 @@ def main() -> None:
     baseline = on_demand_baseline_cost(reference, lrc)
 
     runs = [
-        ("eager (SpotOn, full reload)", SpotOnProvisioner(), RELOAD_FULL),
-        ("hourglass (fast reload)", HourglassProvisioner(), None),
+        ("eager (SpotOn, full reload)", "spoton", RELOAD_FULL),
+        ("hourglass (fast reload)", "hourglass", None),
     ]
     # Pick a start where the market actually evicts something.
     start = 6 * HOURS
-    for label, provisioner, mode in runs:
+    for label, strategy, mode in runs:
         perf = setup.perf_model(COLORING_PROFILE, mode)
-        sim = ExecutionSimulator(setup.market, perf, setup.catalog, provisioner)
+        sim = ExecutionSimulator(setup.market, perf, setup.catalog, strategy)
         job = job_with_slack(
             COLORING_PROFILE, start, 0.5, reference.fixed_time(lrc)
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 
 from repro.core import PAPER_PROFILES
-from repro.experiments import ExperimentSetup, strategy_registry, sweep_strategy
+from repro.experiments import ExperimentSetup, sweep_strategy
 from repro.experiments.report import format_table
 
 STRATEGIES = ("hourglass", "spoton", "spoton+dp")
@@ -27,13 +27,12 @@ def main() -> None:
         raise SystemExit(f"unknown app {app!r}; options: {sorted(PAPER_PROFILES)}")
     profile = PAPER_PROFILES[app]
     setup = ExperimentSetup(seed=11)
-    registry = strategy_registry()
 
     rows = []
     for slack in SLACKS:
         for name in STRATEGIES:
             cell = sweep_strategy(
-                setup, profile, slack, registry[name](), num_simulations=SIMULATIONS
+                setup, profile, slack, name, num_simulations=SIMULATIONS
             )
             rows.append(cell.as_row())
             print(

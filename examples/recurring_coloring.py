@@ -14,12 +14,9 @@ from __future__ import annotations
 
 from repro import (
     COLORING_PROFILE,
-    DeadlineProtected,
     ExecutionSimulator,
     ExperimentSetup,
-    HourglassProvisioner,
     RecurringJobDriver,
-    SpotOnProvisioner,
     on_demand_baseline_cost,
 )
 from repro.core.perfmodel import RELOAD_FULL
@@ -37,9 +34,9 @@ def main() -> None:
     runs_per_schedule = int(DAYS * 24 * HOURS / PERIOD)
 
     strategies = [
-        ("eager (SpotOn)", SpotOnProvisioner(), RELOAD_FULL),
-        ("naive (SpotOn+DP)", DeadlineProtected(SpotOnProvisioner()), RELOAD_FULL),
-        ("hourglass", HourglassProvisioner(), None),  # micro fast reload
+        ("eager (SpotOn)", "spoton", RELOAD_FULL),
+        ("naive (SpotOn+DP)", "spoton+dp", RELOAD_FULL),
+        ("hourglass", "hourglass", None),  # micro fast reload
     ]
 
     print(f"recurrent GC: every {PERIOD / HOURS:.0f}h for {DAYS} days "
@@ -47,10 +44,10 @@ def main() -> None:
           f"{format_money(baseline)}/run\n")
     print(f"{'strategy':<20} {'cost/run':>10} {'vs od':>7} "
           f"{'missed':>7} {'evictions':>10}")
-    for label, provisioner, mode in strategies:
+    for label, strategy, mode in strategies:
         perf = setup.perf_model(COLORING_PROFILE, mode)
         simulator = ExecutionSimulator(
-            setup.market, perf, setup.catalog, provisioner, record_events=False
+            setup.market, perf, setup.catalog, strategy, record_events=False
         )
         driver = RecurringJobDriver(simulator, COLORING_PROFILE, PERIOD)
         outcome = driver.run(start_time=12 * HOURS, num_periods=runs_per_schedule)

@@ -58,7 +58,6 @@ from repro.core import (
     PerformanceModel,
     ProteusProvisioner,
     RecurringJobDriver,
-    SimulationResult,
     SlackModel,
     SpotOnProvisioner,
     job_with_slack,
@@ -79,13 +78,12 @@ from repro.exec import (
 from repro.experiments import ExperimentSetup
 from repro import obs
 from repro.obs import TracingObserver, tracing
-from repro.runtime import HourglassRuntime, RuntimeResult
+from repro.runtime import HourglassRuntime
 from repro.service import (
     PlanError,
     PlanningService,
     PlanRequest,
     PlanResult,
-    ServicePlannedProvisioner,
 )
 from repro.graph import Graph, GraphBuilder, from_edges, get_dataset
 from repro.partitioning import (
@@ -119,7 +117,6 @@ __all__ = [
     "Graph",
     "GraphBuilder",
     "HourglassRuntime",
-    "RuntimeResult",
     "HashPartitioner",
     "HourglassNaiveProvisioner",
     "HourglassProvisioner",
@@ -135,13 +132,11 @@ __all__ = [
     "PlanningService",
     "PlanRequest",
     "PlanResult",
-    "ServicePlannedProvisioner",
     "PregelEngine",
     "PriceTrace",
     "ProteusProvisioner",
     "RecurringJobDriver",
     "SSSP_PROFILE",
-    "SimulationResult",
     "SlackModel",
     "SpotMarket",
     "SpotOnProvisioner",

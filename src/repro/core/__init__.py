@@ -24,7 +24,6 @@ from repro.core.expected_cost import (
     Decision,
     DecisionBudgetExceeded,
     ExactCostEstimator,
-    RecursiveApproximateCostEstimator,
 )
 from repro.core.job import (
     COLORING_PROFILE,
@@ -53,13 +52,7 @@ from repro.core.recurring import (
     RecurringJobSpec,
     RecurringOutcome,
 )
-from repro.core.simulator import (
-    ExecutionSimulator,
-    SimEvent,
-    SimulationError,
-    SimulationResult,
-    on_demand_baseline_cost,
-)
+from repro.core.simulator import ExecutionSimulator, on_demand_baseline_cost
 from repro.core.slack import SlackModel
 from repro.core.warning import (
     EC2_TWO_MINUTE_WARNING,
@@ -84,7 +77,6 @@ __all__ = [
     "Phase",
     "PhaseModel",
     "ApproximateCostEstimator",
-    "RecursiveApproximateCostEstimator",
     "COLORING_PROFILE",
     "Decision",
     "DecisionBudgetExceeded",
@@ -108,9 +100,6 @@ __all__ = [
     "RecurringJobSpec",
     "RecurringOutcome",
     "SSSP_PROFILE",
-    "SimEvent",
-    "SimulationError",
-    "SimulationResult",
     "SlackModel",
     "SpotOnProvisioner",
     "checkpoint_overhead_fraction",

@@ -13,7 +13,7 @@ starting at time ``t`` on configuration ``c``:
   of the failure branch (all progress since the last checkpoint lost)
   and the success branch (a checkpoint lands), each recursing.
 
-Three implementations share this definition:
+Two implementations share this definition:
 
 :class:`ApproximateCostEstimator` — the paper's §5.3 simplifications
     (the success branch recurses only on the *current* configuration,
@@ -24,12 +24,9 @@ Three implementations share this definition:
     and every per-configuration quantity (rates, timings, checkpoint
     intervals, eviction-CDF tables) is precomputed into dense arrays
     over the catalogue.  No recursion, no ``sys.setrecursionlimit``;
-    decisions take milliseconds.
-
-:class:`RecursiveApproximateCostEstimator` — the direct recursive
-    transcription of the same §5.3 equations, kept as the reference
-    oracle: the DP must pick identical configurations at identical
-    costs (``tests/test_expected_cost_equivalence.py`` asserts this).
+    decisions take milliseconds.  The direct recursive transcription
+    of the same equations lives in ``tests/recursive_oracle.py`` as the
+    reference the DP is held bit-identical to.
 
 :class:`ExactCostEstimator` — the §5.2 formulation: the failure
     integral is approximated by a finite sum over a time discretisation
@@ -125,8 +122,30 @@ class CacheStats:
         }
 
 
+def adaptive_grids(
+    slack: float, slack_grid: float | None = None, work_grid: float | None = None
+) -> tuple[float, float]:
+    """Memo granularity ``(slack_grid, work_grid)`` for a job's first slack.
+
+    A grid passed in is kept; one left None is tuned.  This is the one
+    statement of the adaptive rule, shared by the estimator's own
+    tuning and the planning service's grid resolution so a
+    service-planned job lands in exactly the buckets a private
+    estimator would use.  Long-slack jobs would otherwise explore tens
+    of thousands of slack buckets; ~50 buckets across the initial slack
+    keeps decisions in the low milliseconds with no measurable
+    decision-quality change.  The 5 s floor keeps small-slack chains
+    (whose per-interval slack drain can be a few seconds) from
+    collapsing into one bucket, which the cycle guard would misread as
+    a loop; slacks under a minute tune as one minute.
+    """
+    if slack_grid is None:
+        slack_grid = max(5.0, max(slack, 60.0) / 50.0)
+    return slack_grid, 0.01 if work_grid is None else work_grid
+
+
 class _EstimatorBase:
-    """Shared plumbing: candidate enumeration and market snapshots."""
+    """Shared plumbing: market snapshots and the catalogue argmin."""
 
     def __init__(self, slack_model: SlackModel, market: SpotMarket, catalog):
         self.slack = slack_model
@@ -135,7 +154,6 @@ class _EstimatorBase:
         if not any(not c.is_transient for c in self.catalog):
             raise ValueError("catalogue needs at least one on-demand configuration")
         self._rates: dict[str, float] = {}
-        self._now = None
 
     def snapshot(self, t: float, rates=None) -> None:
         """Freeze market prices at decision time *t* for this evaluation.
@@ -146,7 +164,6 @@ class _EstimatorBase:
                 across the concurrent jobs deciding at *t* instead of
                 re-querying the market per estimator.
         """
-        self._now = t
         if rates is None:
             rates = self.market.config_rates(self.catalog, t)
         self._rates = {c.name: float(r) for c, r in zip(self.catalog, rates)}
@@ -173,6 +190,39 @@ class _EstimatorBase:
         )
         return self._rate(config) * runtime / HOURS
 
+    def _argmin(
+        self, t: float, work_left: float, current: Configuration | None, cost_of
+    ) -> Decision:
+        """cbest: the usable configuration minimising ``cost_of(config, running)``.
+
+        The one catalogue loop behind every ``best*`` entry point;
+        *running* tells the formulation that *config* is the current
+        deployment (its setup is already paid).
+        """
+        best_config = None
+        best_cost = math.inf
+        with self._evaluation_guard():
+            for config in self.catalog:
+                if config.is_transient and not self.market.usable_at(config, t):
+                    continue
+                running = current is not None and config == current
+                cost = cost_of(config, running)
+                if cost < best_cost:
+                    best_cost, best_config = cost, config
+            if best_config is None:
+                # Degenerate: nothing feasible; fall back to the last
+                # resort.  Still inside the evaluation guard — an
+                # all-infeasible catalogue must yield the lrc decision,
+                # not a RecursionError from an unprotected recursion.
+                best_config = self.slack.lrc
+                best_cost = cost_of(best_config, False)
+        return Decision(
+            config=best_config,
+            expected_cost=best_cost,
+            evaluated_at=t,
+            work_left=work_left,
+        )
+
     def best(
         self,
         t: float,
@@ -182,30 +232,13 @@ class _EstimatorBase:
     ) -> Decision:
         """Minimise EC over the catalogue; the returned config is cbest."""
         self.snapshot(t)
-        best_config = None
-        best_cost = math.inf
-        with self._evaluation_guard():
-            for config in self.catalog:
-                if config.is_transient and not self.market.usable_at(config, t):
-                    continue
-                running = current is not None and config == current
-                cost = self.config_cost(
-                    config, t, work_left, uptime if running else 0.0, running
-                )
-                if cost < best_cost:
-                    best_cost, best_config = cost, config
-            if best_config is None:
-                # Degenerate: nothing feasible; fall back to the last
-                # resort.  Still inside the evaluation guard — an
-                # all-infeasible catalogue must yield the lrc decision,
-                # not a RecursionError from an unprotected recursion.
-                best_config = self.slack.lrc
-                best_cost = self.config_cost(best_config, t, work_left, 0.0, False)
-        return Decision(
-            config=best_config,
-            expected_cost=best_cost,
-            evaluated_at=t,
-            work_left=work_left,
+        return self._argmin(
+            t,
+            work_left,
+            current,
+            lambda config, running: self.config_cost(
+                config, t, work_left, uptime if running else 0.0, running
+            ),
         )
 
     def config_cost(
@@ -220,24 +253,43 @@ class _EstimatorBase:
         raise NotImplementedError
 
 
-class _ApproximateBase(_EstimatorBase):
-    """Shared state of the §5.3 estimators: grids, memo, price drift.
+class ApproximateCostEstimator(_EstimatorBase):
+    """The §5.3 approximation as an iterative DP — milliseconds per decision.
 
     Beyond the paper's two simplifications (success branch stays on the
-    current configuration; failure branch evaluated at the MTTF), both
-    implementations exploit that — with decision-time prices frozen —
-    the expected cost depends on absolute time only through the *slack*,
-    so states are memoised on ``(config, slack, work)`` buckets.  The
-    memo survives across decisions while market prices stay within
+    current configuration; failure branch evaluated at the MTTF), the
+    estimator exploits that — with decision-time prices frozen — the
+    expected cost depends on absolute time only through the *slack*, so
+    states are memoised on ``(config, slack, work)`` buckets.  The memo
+    survives across decisions while market prices stay within
     ``price_tolerance``, which amortises the computation over a job's
     many checkpoints.  Eviction chains deeper than ``max_fail_depth``
     fall back to the last-resort cost (three consecutive evictions of a
     planned interval are already a tail event).
 
+    States are the memo buckets ``(config, slack-bucket, work-bucket,
+    running, fail-depth)``; a state's children are the success
+    continuation (same configuration, less work) and the
+    post-eviction follow-ups (every other configuration one fail-depth
+    deeper, or the last resort at the depth cap).  An explicit work
+    stack expands only the states reachable from the queried root and
+    resolves them bottom-up — children strictly before parents, a state
+    re-entered while still open reads ∞ (the cycle guard) — which is
+    exactly the evaluation order of the recursive §5.3 transcription
+    (``tests/recursive_oracle.py``), so costs and decisions are
+    bit-identical to it without any recursion.
+
+    Every quantity the transition needs is precomputed into dense
+    per-catalogue arrays at construction (execution/save/setup times,
+    Daly checkpoint intervals, MTTFs, eviction-CDF lookup tables) or at
+    snapshot time (deployment rates), so evaluating one state is pure
+    float arithmetic plus one CDF table lookup.
+
     Args:
-        slack_grid: memoisation granularity for slack, seconds (adapts
-            upward for very large slacks).
-        work_grid: memoisation granularity for remaining work.
+        slack_grid: memoisation granularity for slack, seconds (None =
+            :func:`adaptive_grids` of the first decision's slack).
+        work_grid: memoisation granularity for remaining work (None =
+            adaptive likewise).
         price_tolerance: relative price drift that invalidates the memo.
         max_fail_depth: eviction-chain depth before the lrc fallback.
     """
@@ -255,10 +307,8 @@ class _ApproximateBase(_EstimatorBase):
     ):
         super().__init__(slack_model, market, catalog)
         self.warning = warning
-        self._auto_slack_grid = slack_grid is None
-        self._auto_work_grid = work_grid is None
-        self.slack_grid = slack_grid if slack_grid is not None else 60.0
-        self.work_grid = work_grid if work_grid is not None else 0.01
+        self.slack_grid = slack_grid
+        self.work_grid = work_grid
         self.price_tolerance = price_tolerance
         self.max_fail_depth = max_fail_depth
         self._memo: dict = {}
@@ -268,22 +318,61 @@ class _ApproximateBase(_EstimatorBase):
         self._memo_misses = 0
         self._memo_invalidations = 0
         self.price_epoch = 0
+        self._lrc_exec = self.slack.lrc_exec_time
+        self._lrc_fixed = self.slack.lrc_fixed_time
+        self._warning_lead = self.warning.lead_seconds
+        self._table_cfgs: list[Configuration] = []
+        self._cfg_index: dict[str, int] = {}
+        self._exec_t: list[float] = []
+        self._save_t: list[float] = []
+        self._setup_t: list[float] = []
+        self._fixed_t: list[float] = []
+        self._is_spot: list[bool] = []
+        self._mttf: list[float] = []
+        self._daly: list[float] = []
+        self._cdf: list = []
+        self._can_salvage: list[bool] = []
+        self._rate_arr: list[float] = []
+        for config in self.catalog:
+            self._ensure_cfg(config)
+        self._catalog_idx = [self._cfg_index[c.name] for c in self.catalog]
+        self._lrc_idx = self._ensure_cfg(self._lrc)
 
     def _tune_grids(self, slack: float) -> None:
-        """Adapt bucket sizes to the problem scale on the first decision.
-
-        Long-slack jobs would otherwise explore tens of thousands of
-        slack buckets; ~50 buckets across the initial slack (and ~60
-        across the work) keeps decisions in the low milliseconds with no
-        measurable decision-quality change.
-        """
-        if self._auto_slack_grid:
-            # ~50 buckets across the initial slack; a low floor keeps
-            # small-slack chains (whose per-interval slack drain can
-            # be a few seconds) from collapsing into one bucket, which
-            # the cycle guard would misread as a loop.
-            self.slack_grid = max(5.0, slack / 50.0)
+        """Resolve grids left adaptive from the first decision's slack."""
+        self.slack_grid, self.work_grid = adaptive_grids(
+            slack, self.slack_grid, self.work_grid
+        )
         self._grids_tuned = True
+
+    def _ensure_cfg(self, config: Configuration) -> int:
+        """Index of *config* in the precomputed tables (appending it if new)."""
+        idx = self._cfg_index.get(config.name)
+        if idx is not None:
+            return idx
+        perf = self.slack.perf
+        idx = len(self._table_cfgs)
+        self._cfg_index[config.name] = idx
+        self._table_cfgs.append(config)
+        save = perf.save_time(config)
+        self._exec_t.append(perf.exec_time(config))
+        self._save_t.append(save)
+        self._setup_t.append(perf.setup_time(config))
+        self._fixed_t.append(perf.fixed_time(config))
+        self._is_spot.append(config.is_transient)
+        if config.is_transient:
+            model = self.market.eviction_model(config)
+            mttf = model.mttf
+            self._mttf.append(mttf)
+            self._daly.append(daly_interval(save, mttf))
+            self._cdf.append(model.cdf)
+        else:
+            self._mttf.append(math.inf)
+            self._daly.append(math.inf)
+            self._cdf.append(None)
+        self._can_salvage.append(self.warning.can_save(save))
+        self._rate_arr.append(self._rates.get(config.name, math.nan))
+        return idx
 
     def snapshot(self, t: float, rates=None) -> None:
         """Freeze market prices at decision time *t*.
@@ -294,10 +383,12 @@ class _ApproximateBase(_EstimatorBase):
         """
         old = dict(self._rates)
         super().snapshot(t, rates)
+        table_rates = self._rates
+        self._rate_arr = [table_rates.get(c.name, math.nan) for c in self._table_cfgs]
         if old:
             drift = max(
-                abs(self._rates[name] / old[name] - 1.0) if old[name] > 0 else 1.0
-                for name in self._rates
+                abs(table_rates[name] / old[name] - 1.0) if old[name] > 0 else 1.0
+                for name in table_rates
             )
             if drift <= self.price_tolerance:
                 return
@@ -334,7 +425,10 @@ class _ApproximateBase(_EstimatorBase):
     # across jobs with *different deadlines*: each job converts
     # (t, work) to slack with its own slack model and queries here.
     def _cost_at_slack(self, config, slack, work_left, running) -> float:
-        raise NotImplementedError
+        """EC at an explicit slack (the service-shared query path)."""
+        if not self._grids_tuned:
+            self._tune_grids(slack)
+        return self._evaluate(self._ensure_cfg(config), slack, work_left, running, 0)
 
     def cost_at_slack(
         self,
@@ -370,125 +464,18 @@ class _ApproximateBase(_EstimatorBase):
         """Minimise EC over the catalogue at an explicit slack value.
 
         Identical to :meth:`best` when ``slack == slack_model.slack(t,
-        work_left)`` (which is how :meth:`best` is implemented); *t* is
+        work_left)`` (:meth:`config_cost` converts exactly so); *t* is
         still needed for the market snapshot and spot usability.
         """
         self.snapshot(t, rates)
-        best_config = None
-        best_cost = math.inf
-        with self._evaluation_guard():
-            for config in self.catalog:
-                if config.is_transient and not self.market.usable_at(config, t):
-                    continue
-                running = current is not None and config == current
-                cost = self._cost_at_slack(config, slack, work_left, running)
-                if cost < best_cost:
-                    best_cost, best_config = cost, config
-            if best_config is None:
-                # Degenerate: nothing feasible; fall back to the last
-                # resort (see _EstimatorBase.best).
-                best_config = self.slack.lrc
-                best_cost = self._cost_at_slack(best_config, slack, work_left, False)
-        return Decision(
-            config=best_config,
-            expected_cost=best_cost,
-            evaluated_at=t,
-            work_left=work_left,
+        return self._argmin(
+            t,
+            work_left,
+            current,
+            lambda config, running: self._cost_at_slack(
+                config, slack, work_left, running
+            ),
         )
-
-    def best(
-        self,
-        t: float,
-        work_left: float,
-        current: Configuration | None = None,
-        uptime: float = 0.0,
-    ) -> Decision:
-        """Minimise EC over the catalogue; the returned config is cbest."""
-        return self.best_at_slack(
-            self.slack.slack(t, work_left), t, work_left, current, uptime
-        )
-
-
-class ApproximateCostEstimator(_ApproximateBase):
-    """The §5.3 approximation as an iterative DP — milliseconds per decision.
-
-    States are the memo buckets ``(config, slack-bucket, work-bucket,
-    running, fail-depth)``; a state's children are the success
-    continuation (same configuration, less work) and the
-    post-eviction follow-ups (every other configuration one fail-depth
-    deeper, or the last resort at the depth cap).  An explicit work
-    stack expands only the states reachable from the queried root and
-    resolves them bottom-up — children strictly before parents, a state
-    re-entered while still open reads ∞ (the cycle guard) — which is
-    exactly the evaluation order of the recursive §5.3 transcription,
-    so costs and decisions are bit-identical to
-    :class:`RecursiveApproximateCostEstimator` without any recursion.
-
-    Every quantity the transition needs is precomputed into dense
-    per-catalogue arrays at construction (execution/save/setup times,
-    Daly checkpoint intervals, MTTFs, eviction-CDF lookup tables) or at
-    snapshot time (deployment rates), so evaluating one state is pure
-    float arithmetic plus one CDF table lookup.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        perf = self.slack.perf
-        self._lrc_exec = self.slack.lrc_exec_time
-        self._lrc_fixed = self.slack.lrc_fixed_time
-        self._warning_lead = self.warning.lead_seconds
-        self._table_cfgs: list[Configuration] = []
-        self._cfg_index: dict[str, int] = {}
-        self._exec_t: list[float] = []
-        self._save_t: list[float] = []
-        self._setup_t: list[float] = []
-        self._fixed_t: list[float] = []
-        self._is_spot: list[bool] = []
-        self._mttf: list[float] = []
-        self._daly: list[float] = []
-        self._cdf: list = []
-        self._can_salvage: list[bool] = []
-        self._rate_arr: list[float] = []
-        for config in self.catalog:
-            self._ensure_cfg(config)
-        self._catalog_idx = [self._cfg_index[c.name] for c in self.catalog]
-        self._lrc_idx = self._ensure_cfg(self._lrc)
-        del perf  # tables hold everything the evaluation needs
-
-    def _ensure_cfg(self, config: Configuration) -> int:
-        """Index of *config* in the precomputed tables (appending it if new)."""
-        idx = self._cfg_index.get(config.name)
-        if idx is not None:
-            return idx
-        perf = self.slack.perf
-        idx = len(self._table_cfgs)
-        self._cfg_index[config.name] = idx
-        self._table_cfgs.append(config)
-        save = perf.save_time(config)
-        self._exec_t.append(perf.exec_time(config))
-        self._save_t.append(save)
-        self._setup_t.append(perf.setup_time(config))
-        self._fixed_t.append(perf.fixed_time(config))
-        self._is_spot.append(config.is_transient)
-        if config.is_transient:
-            model = self.market.eviction_model(config)
-            mttf = model.mttf
-            self._mttf.append(mttf)
-            self._daly.append(daly_interval(save, mttf))
-            self._cdf.append(model.cdf)
-        else:
-            self._mttf.append(math.inf)
-            self._daly.append(math.inf)
-            self._cdf.append(None)
-        self._can_salvage.append(self.warning.can_save(save))
-        self._rate_arr.append(self._rates.get(config.name, math.nan))
-        return idx
-
-    def snapshot(self, t: float, rates=None) -> None:
-        """Freeze market prices at decision time *t*."""
-        super().snapshot(t, rates)
-        table_rates = self._rates
-        self._rate_arr = [table_rates.get(c.name, math.nan) for c in self._table_cfgs]
 
     def config_cost(self, config, t, work_left, uptime, already_running) -> float:
         # The DP lives in slack space; absolute time and machine uptime
@@ -496,12 +483,6 @@ class ApproximateCostEstimator(_ApproximateBase):
         """EC(t, w)|config under this estimator's formulation."""
         slack = self.slack.slack(t, work_left)
         return self._cost_at_slack(config, slack, work_left, already_running)
-
-    def _cost_at_slack(self, config, slack, work_left, running) -> float:
-        """EC at an explicit slack (the service-shared query path)."""
-        if not self._grids_tuned:
-            self._tune_grids(max(slack, 60.0))
-        return self._evaluate(self._ensure_cfg(config), slack, work_left, running, 0)
 
     # ------------------------------------------------------------------
     # The iterative DP
@@ -649,123 +630,6 @@ class ApproximateCostEstimator(_ApproximateBase):
         return p_fail * fail_cost + (1.0 - p_fail) * success_cost
 
 
-class RecursiveApproximateCostEstimator(_ApproximateBase):
-    """Reference oracle: the §5.3 equations as a direct recursion.
-
-    This is the seed implementation, kept verbatim so tests (and the
-    decision-throughput benchmark) can hold the iterative DP to
-    bit-identical costs and configuration choices.  It needs recursion
-    headroom (``sys.setrecursionlimit``) for long-horizon jobs; never
-    use it on the production decision path.
-    """
-
-    def _evaluation_guard(self):
-        return _recursion_headroom()
-
-    def config_cost(self, config, t, work_left, uptime, already_running) -> float:
-        # The recursion lives in slack space; absolute time and machine
-        # uptime are dropped (memoryless eviction approximation).
-        """EC(t, w)|config under this estimator's formulation."""
-        slack = self.slack.slack(t, work_left)
-        return self._cost_at_slack(config, slack, work_left, already_running)
-
-    def _cost_at_slack(self, config, slack, work_left, running) -> float:
-        """EC at an explicit slack (the service-shared query path)."""
-        if not self._grids_tuned:
-            self._tune_grids(max(slack, 60.0))
-        return self._cost(config, slack, work_left, running, 0)
-
-    def _cost(self, config, slack, work_left, running, fail_depth) -> float:
-        if work_left <= _WORK_EPS:
-            return 0.0
-        key = (
-            config.name,
-            int(slack / self.slack_grid),
-            int(work_left / self.work_grid),
-            running,
-            fail_depth,
-        )
-        cached = self._memo.get(key)
-        if cached is not None:
-            self._memo_hits += 1
-            return cached
-        self._memo_misses += 1
-        self._memo[key] = math.inf  # cycle guard
-        cost = self._cost_uncached(config, slack, work_left, running, fail_depth)
-        self._memo[key] = cost
-        return cost
-
-    def _cost_uncached(self, config, slack, work_left, running, fail_depth) -> float:
-        slack_model = self.slack
-        perf = slack_model.perf
-        if not slack_model.feasible_from_slack(config, slack, work_left, running):
-            return math.inf
-        if not config.is_transient:
-            return self._on_demand_cost(config, work_left, running)
-
-        model = self.market.eviction_model(config)
-        mttf = model.mttf
-        interval = slack_model.useful_from_slack(config, slack, work_left, mttf, running)
-        if interval <= 0:
-            return math.inf
-        save = perf.save_time(config)
-        setup = 0.0 if running else perf.setup_time(config)
-        exposure = setup + interval + save
-        rate = self._rate(config)
-        p_fail = min(1.0, max(0.0, model.cdf(exposure)))
-
-        # Success branch (§5.3 #1): the checkpoint lands and the job
-        # keeps running here.  Slack drains by the elapsed time minus the
-        # progress converted back into last-resort time.
-        progress = min(work_left, interval / perf.exec_time(config))
-        slack_after_success = slack - exposure + progress * slack_model.lrc_exec_time
-        success_cost = rate * exposure / HOURS + self._cost(
-            config, slack_after_success, work_left - progress, True, fail_depth
-        )
-
-        # Failure branch (§5.3 #2): evaluated at the MTTF (clamped into
-        # the exposure window).  Without an eviction warning no work
-        # survives; with one that covers t_save (§9 extension), the
-        # computation up to the warning instant is checkpointed.
-        fail_at = min(max(mttf, self.slack_grid), exposure)
-        salvaged = 0.0
-        if self.warning.can_save(save):
-            computed = fail_at - setup - self.warning.lead_seconds
-            if computed > 0:
-                salvaged = min(
-                    work_left, computed / perf.exec_time(config)
-                )
-        work_after_fail = work_left - salvaged
-        slack_after_fail = (
-            slack - fail_at + salvaged * slack_model.lrc_exec_time
-        )
-        if work_after_fail <= _WORK_EPS:
-            follow = 0.0
-        elif fail_depth >= self.max_fail_depth:
-            follow = self._cost(
-                self._lrc, slack_after_fail, work_after_fail, False, fail_depth
-            )
-        else:
-            follow = self._min_after_eviction(
-                slack_after_fail, work_after_fail, config, fail_depth + 1
-            )
-        fail_cost = rate * fail_at / HOURS + follow
-
-        return p_fail * fail_cost + (1.0 - p_fail) * success_cost
-
-    def _min_after_eviction(self, slack, work_left, evicted, fail_depth) -> float:
-        best = math.inf
-        for config in self.catalog:
-            if config.is_transient and config == evicted:
-                # Right after an eviction this market's price exceeds the
-                # bid, so the same configuration cannot be re-provisioned.
-                continue
-            cost = self._cost(config, slack, work_left, False, fail_depth)
-            if cost < best:
-                best = cost
-        return best
-
-
 class ExactCostEstimator(_EstimatorBase):
     """The §5.2 formulation with a finite-sum failure integral.
 
@@ -872,22 +736,14 @@ class ExactCostEstimator(_EstimatorBase):
                 fail_cost += mass * (rate * mid / HOURS + follow)
 
         progress = min(work_left, interval / self.slack.perf.exec_time(config))
-        success_follow = self._min_over_catalog_continue(
+        success_follow = self._min_over_catalog(
             t + exposure, work_left - progress, config, uptime + exposure
         )
         success_cost = rate * exposure / HOURS + success_follow
         return total_fail * fail_cost + (1.0 - total_fail) * success_cost
 
-    def _min_over_catalog(self, t, work_left) -> float:
-        best = math.inf
-        for config in self.catalog:
-            cost = self.config_cost(config, t, work_left, 0.0, False)
-            if cost < best:
-                best = cost
-        return best
-
-    def _min_over_catalog_continue(self, t, work_left, current, uptime) -> float:
-        """Success follow-up: full minimisation, allowing staying put."""
+    def _min_over_catalog(self, t, work_left, current=None, uptime=0.0) -> float:
+        """Follow-up cost: full minimisation; *current* may stay put."""
         best = math.inf
         for config in self.catalog:
             running = config == current

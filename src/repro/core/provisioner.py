@@ -12,12 +12,15 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cloud.configuration import Configuration
 from repro.cloud.market import SpotMarket
-from repro.core.expected_cost import ApproximateCostEstimator, Decision
+from repro.core.expected_cost import Decision
 from repro.core.slack import SlackModel
-from repro.core.warning import NO_WARNING, WarningPolicy
+
+if TYPE_CHECKING:
+    from repro.service.planning import PlanningService, PlanTelemetry
 
 
 @dataclass(frozen=True)
@@ -78,69 +81,69 @@ class Provisioner(abc.ABC):
 class HourglassProvisioner(Provisioner):
     """The slack-aware strategy: minimise approximate expected cost.
 
-    At every decision point it evaluates ``EC(t, w)|c`` for every
-    catalogue configuration with the §5.3 approximation and picks the
-    cheapest.  The slack accounting inside the estimator makes
+    At every decision point it asks a
+    :class:`~repro.service.planning.PlanningService` for the catalogue
+    configuration minimising ``EC(t, w)|c`` under the §5.3
+    approximation.  The slack accounting inside the estimator makes
     infeasible configurations cost infinity, so as the slack drains the
     choice collapses onto the last-resort configuration exactly when
     needed — the paper's "switch when (but only if) the deadline is at
     risk".
 
+    The DP memo, catalogue tables and market snapshots live in the
+    service and stay warm across jobs.  A job *session* pins its memo
+    grids at its first decision after :meth:`reset` (resolved from that
+    decision's slack — the estimator's adaptive tuning) so every later
+    decision of the job lands in the same memo space.
+
     Args:
-        slack_grid: memoisation granularity passed to the estimator
-            (None = adaptive).
-        work_grid: work-fraction granularity (None = adaptive).
-        estimator_factory: estimator class (or factory with the
-            :class:`ApproximateCostEstimator` signature) to instantiate.
-            Defaults to the iterative DP; the decision-throughput
-            benchmark swaps in the recursive reference oracle.
+        service: the planning service to plan through (shared caches
+            across provisioners).  None = a private service over the
+            market of the first context shown to :meth:`select`.
     """
 
     name = "hourglass"
 
-    def __init__(
-        self,
-        slack_grid: float | None = None,
-        work_grid: float | None = None,
-        warning: WarningPolicy = NO_WARNING,
-        estimator_factory=ApproximateCostEstimator,
-    ):
-        self.slack_grid = slack_grid
-        self.work_grid = work_grid
-        self.warning = warning
-        self.estimator_factory = estimator_factory
-        self._estimator: ApproximateCostEstimator | None = None
-        self._estimator_key = None
+    def __init__(self, service: PlanningService | None = None):
+        self.service = service
+        self._private: PlanningService | None = None
         self.last_decision: Decision | None = None
+        self.last_telemetry: PlanTelemetry | None = None
+        self._grids: tuple[float, float] | None = None
 
     def reset(self) -> None:
-        """Clear per-job state."""
-        self._estimator = None
-        self._estimator_key = None
+        """End the job session: re-resolve grids at the next decision."""
+        self._grids = None
         self.last_decision = None
-
-    def _estimator_for(self, ctx: ProvisioningContext) -> ApproximateCostEstimator:
-        key = (id(ctx.slack_model), id(ctx.market), tuple(c.name for c in ctx.catalog))
-        if self._estimator is None or key != self._estimator_key:
-            self._estimator = self.estimator_factory(
-                ctx.slack_model,
-                ctx.market,
-                ctx.catalog,
-                slack_grid=self.slack_grid,
-                work_grid=self.work_grid,
-                warning=self.warning,
-            )
-            self._estimator_key = key
-        return self._estimator
+        self.last_telemetry = None
 
     def select(self, ctx: ProvisioningContext) -> Configuration:
-        """Pick the configuration to run next (see class docstring)."""
-        estimator = self._estimator_for(ctx)
-        decision = estimator.best(
-            ctx.t, ctx.work_left, ctx.current_config, ctx.current_uptime
+        """Route the decision through the service's shared caches."""
+        # Lazy import: the service layer sits above core.
+        from repro.service.planning import PlanningService, PlanRequest
+
+        service = self.service
+        if service is None:
+            if self._private is None or self._private.market is not ctx.market:
+                self._private = PlanningService(ctx.market)
+            service = self._private
+        if self._grids is None:
+            self._grids = service.resolved_grids(ctx.slack_model, ctx.t, ctx.work_left)
+        result = service.plan(
+            PlanRequest(
+                slack_model=ctx.slack_model,
+                catalog=tuple(ctx.catalog),
+                t=ctx.t,
+                work_left=ctx.work_left,
+                current_config=ctx.current_config,
+                current_uptime=ctx.current_uptime,
+                slack_grid=self._grids[0],
+                work_grid=self._grids[1],
+            )
         )
-        self.last_decision = decision
-        return decision.config
+        self.last_decision = result.decision
+        self.last_telemetry = result.telemetry
+        return result.decision.config
 
     def segment_limit(self, ctx: ProvisioningContext) -> float:
         """Stop computing when the slack (minus one save) is exhausted.

@@ -9,8 +9,6 @@ The event loop itself lives in the shared execution-lifecycle core
 (:mod:`repro.exec.lifecycle`); this module binds it to an
 :class:`~repro.exec.workmodel.AnalyticWorkModel` — work advances
 analytically along a phase profile, with no engine underneath.
-``SimEvent``/``SimulationResult``/``SimulationError`` are kept as
-aliases of the unified lifecycle types.
 """
 
 from __future__ import annotations
@@ -22,23 +20,11 @@ from repro.core.perfmodel import PerformanceModel, last_resort
 from repro.core.phases import ACCOUNT_TIME, PhaseModel
 from repro.core.provisioner import Provisioner
 from repro.core.warning import NO_WARNING, WarningPolicy
-from repro.exec.errors import SimulationError
-from repro.exec.events import LifecycleEvent, RunResult
+from repro.exec.events import RunResult
 from repro.exec.lifecycle import ExecutionLifecycle
 from repro.exec.workmodel import AnalyticWorkModel
 
-#: Deprecated aliases — the simulator's historical event/result types
-#: are now the unified lifecycle types.
-SimEvent = LifecycleEvent
-SimulationResult = RunResult
-
-__all__ = [
-    "ExecutionSimulator",
-    "SimEvent",
-    "SimulationError",
-    "SimulationResult",
-    "on_demand_baseline_cost",
-]
+__all__ = ["ExecutionSimulator", "on_demand_baseline_cost"]
 
 
 def on_demand_baseline_cost(perf: PerformanceModel, lrc: Configuration) -> float:
@@ -131,7 +117,7 @@ class ExecutionSimulator:
         AnalyticWorkModel(perf, work_accounting=work_accounting)
 
     # ------------------------------------------------------------------
-    def run(self, job: JobSpec) -> SimulationResult:
+    def run(self, job: JobSpec) -> RunResult:
         """Simulate *job* to completion; returns the outcome."""
         model = AnalyticWorkModel(
             self.perf,

@@ -34,7 +34,7 @@ from repro.engine.messages import (
     MinCombiner,
     SumCombiner,
 )
-from repro.engine.parallel import ParallelPregelEngine, parallel_execution_supported
+from repro.engine.parallel import parallel_execution_supported
 from repro.engine.vertex import ComputeContext, DenseComputeContext, VertexProgram
 from repro.engine.worker import Worker, build_workers
 
@@ -62,7 +62,6 @@ __all__ = [
     "MinAggregator",
     "MinCombiner",
     "OrAggregator",
-    "ParallelPregelEngine",
     "parallel_execution_supported",
     "PregelEngine",
     "StreamLoader",

@@ -59,7 +59,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.engine.engine import PregelEngine
 from repro.engine.vertex import DenseComputeContext
 from repro.obs.state import get_metrics, get_tracer
 
@@ -370,30 +369,3 @@ class ParallelBackend:
                 shm.unlink()
             except FileNotFoundError:
                 pass
-
-class ParallelPregelEngine(PregelEngine):
-    """A :class:`~repro.engine.engine.PregelEngine` pinned to parallel mode.
-
-    Convenience subclass for callers that want multiprocess execution by
-    construction instead of passing ``execution="parallel"``.  Inherits
-    the transparent serial fallback for unsupported platforms/programs.
-    """
-
-    def __init__(
-        self,
-        graph,
-        program,
-        partitioning=None,
-        max_supersteps: int = 10_000,
-        tracer=None,
-        num_processes: int | None = None,
-    ):
-        super().__init__(
-            graph,
-            program,
-            partitioning,
-            max_supersteps=max_supersteps,
-            tracer=tracer,
-            execution="parallel",
-            num_processes=num_processes,
-        )

@@ -11,7 +11,6 @@ from repro.exec.billing import BillingMeter
 from repro.exec.errors import (
     ExecutionError,
     HorizonError,
-    SimulationError,
     StepBudgetError,
 )
 from repro.exec.events import LifecycleEvent, RescaleRecord, RunResult
@@ -69,7 +68,6 @@ __all__ = [
     "RunResult",
     "frontier_for_app",
     "SegmentPlan",
-    "SimulationError",
     "SlowBootFaults",
     "StepBudgetError",
     "SuperstepWorkModel",

@@ -6,10 +6,6 @@ lifecycle loop, so they raise the same errors: :class:`ExecutionError`
 for any non-progress condition, with :class:`HorizonError` and
 :class:`StepBudgetError` narrowing the two recoverable-by-caller cases
 (trace too short; runaway decision loop).
-
-``SimulationError`` (historically raised by the simulator) is kept as
-an alias of :class:`ExecutionError`; ``RuntimeError_`` in
-:mod:`repro.runtime.runtime` is the equivalent deprecated alias.
 """
 
 from __future__ import annotations
@@ -25,9 +21,3 @@ class HorizonError(ExecutionError):
 
 class StepBudgetError(ExecutionError):
     """The decision loop exceeded its step budget (runaway strategy)."""
-
-
-#: Deprecated alias — the simulator's historical error type.  All
-#: lifecycle errors are :class:`ExecutionError` subclasses, so existing
-#: ``except SimulationError`` handlers keep working unchanged.
-SimulationError = ExecutionError

@@ -3,8 +3,7 @@
 One timeline-entry type and one result type serve both execution
 front-ends: the analytic simulator (which has no engine supersteps) and
 the engine-backed runtime (which additionally carries the computed
-vertex values).  ``SimEvent``/``SimulationResult`` and
-``RuntimeEvent``/``RuntimeResult`` are aliases of these.
+vertex values).
 """
 
 from __future__ import annotations

@@ -159,8 +159,8 @@ class ExecutionLifecycle:
             else:
                 choice = self.provisioner.select(make_ctx())
                 if self.observers:
-                    # Service-routed strategies publish per-decision
-                    # telemetry; legacy provisioners have none to publish.
+                    # Service-planned strategies publish per-decision
+                    # telemetry; baselines have none to publish.
                     telemetry = getattr(self.provisioner, "last_telemetry", None)
                     if telemetry is not None:
                         self._notify("on_decision", t, telemetry)

@@ -50,9 +50,10 @@ class LifecycleObserver:
     def on_decision(self, t: float, telemetry) -> None:
         """The provisioner answered a decision point.
 
-        Only strategies routed through the planning service publish
-        *telemetry* (a :class:`~repro.service.planning.PlanTelemetry`);
-        legacy provisioners raise no ``on_decision`` at all.
+        *telemetry* is the decision's
+        :class:`~repro.service.planning.PlanTelemetry`; baseline
+        strategies, which never plan through the service, raise no
+        ``on_decision``.
         """
 
     def on_deploy(self, t: float, config: Configuration, setup_seconds: float) -> None:
@@ -135,9 +136,8 @@ class MetricsObserver(LifecycleObserver):
     The runtime/simulator result already carries the headline counters;
     this observer adds what the result drops — failed checkpoint writes,
     forced handovers, setup/checkpoint second totals, and a typed
-    :class:`~repro.obs.events.TimelineEvent` timeline (tuple-compatible
-    with the historical ``(t, kind, config)`` entries and shared with
-    the :mod:`repro.obs` trace exporters).
+    :class:`~repro.obs.events.TimelineEvent` timeline (shared with the
+    :mod:`repro.obs` trace exporters).
     """
 
     #: Canonical counter keys: :meth:`report` always emits every one

@@ -19,7 +19,6 @@ from repro.experiments.common import (
     offline_partition_cost,
     parallel_cells,
     run_sweep_tasks,
-    strategy_registry,
     sweep_strategy,
 )
 from repro.experiments.report import format_markdown, format_table
@@ -42,7 +41,6 @@ __all__ = [
     "offline_partition_cost",
     "parallel_cells",
     "run_sweep_tasks",
-    "strategy_registry",
     "sweep_strategy",
     "table2_datasets",
 ]

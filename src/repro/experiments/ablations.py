@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.baselines import SpotOnProvisioner
 from repro.core.ckpt_policy import daly_interval
 from repro.core.job import COLORING_PROFILE, job_with_slack
 from repro.core.perfmodel import RELOAD_MICRO
-from repro.core.provisioner import HourglassProvisioner
 from repro.core.simulator import ExecutionSimulator, on_demand_baseline_cost
 from repro.core.warning import NO_WARNING, WarningPolicy
 from repro.experiments.common import ExperimentSetup
@@ -54,7 +52,7 @@ def checkpoint_interval_ablation(
     rows = []
     for scale in scales:
         sim = ExecutionSimulator(
-            setup.market, perf, setup.catalog, HourglassProvisioner(),
+            setup.market, perf, setup.catalog, "hourglass",
             record_events=False, ckpt_interval_scale=scale,
         )
         starts = setup.start_times(
@@ -123,7 +121,7 @@ def warning_ablation(
     for lead in leads:
         policy = WarningPolicy(lead_seconds=lead) if lead else NO_WARNING
         sim = ExecutionSimulator(
-            setup.market, perf, setup.catalog, SpotOnProvisioner(),
+            setup.market, perf, setup.catalog, "spoton",
             record_events=False, warning=policy,
         )
         starts = setup.start_times(
@@ -171,7 +169,7 @@ def phase_skew_ablation(
     rows = []
     for accounting in (ACCOUNT_TIME, ACCOUNT_RAW):
         sim = ExecutionSimulator(
-            setup.market, perf, setup.catalog, HourglassProvisioner(),
+            setup.market, perf, setup.catalog, "hourglass",
             record_events=False, phase_model=skewed, work_accounting=accounting,
         )
         starts = setup.start_times(num_simulations, 60 * HOURS, seed_key="phase-skew")

@@ -22,7 +22,6 @@ import numpy as np
 from repro.cloud.configuration import default_catalog, full_grid_catalog
 from repro.core.job import ApplicationProfile, COLORING_PROFILE, job_with_slack
 from repro.core.perfmodel import RELOAD_MICRO, PerformanceModel, last_resort
-from repro.core.provisioner import HourglassProvisioner
 from repro.core.simulator import ExecutionSimulator, on_demand_baseline_cost
 from repro.experiments.common import ExperimentSetup
 from repro.experiments.report import format_table
@@ -84,7 +83,7 @@ def run(
             profile=profile, reference=ref_lrc, reload_mode=RELOAD_MICRO
         )
         sim = ExecutionSimulator(
-            setup.market, perf, catalog, HourglassProvisioner(), record_events=False
+            setup.market, perf, catalog, "hourglass", record_events=False
         )
         for slack in slacks:
             starts = setup.start_times(

@@ -11,8 +11,9 @@ the generic :func:`parallel_cells`) fan cells out over a
 ``ProcessPoolExecutor`` while preserving the serial result order
 bit-for-bit — each worker process deterministically rebuilds the
 :class:`ExperimentSetup` from ``(seed, trace_days, reload_mode)``, and
-``Executor.map`` keeps submission order.  Provisioners travel as
-*registry keys*, not objects, because the registry holds lambdas.
+``Executor.map`` keeps submission order.  Strategies travel as
+:data:`~repro.service.strategies.SERVICE_STRATEGIES` *names*, not
+objects, because the registry holds lambdas.
 """
 
 from __future__ import annotations
@@ -27,14 +28,6 @@ import numpy as np
 from repro.cloud.configuration import Configuration, default_catalog
 from repro.cloud.instance import R4_8XLARGE, R4_FAMILY
 from repro.cloud.market import SpotMarket
-from repro.core.baselines import (
-    DeadlineProtected,
-    HourglassNaiveProvisioner,
-    OnDemandProvisioner,
-    ProteusProvisioner,
-    SpotOnProvisioner,
-)
-from repro.service.planning import PlanningService
 from repro.core.job import ApplicationProfile, job_with_slack
 from repro.core.perfmodel import (
     RELOAD_FULL,
@@ -42,9 +35,9 @@ from repro.core.perfmodel import (
     PerformanceModel,
     last_resort,
 )
-from repro.core.provisioner import HourglassProvisioner, Provisioner
 from repro.core.simulator import ExecutionSimulator, on_demand_baseline_cost
 from repro.exec.events import RunResult
+from repro.service.planning import PlanningService
 from repro.utils.rng import derive_rng
 from repro.utils.units import HOURS
 
@@ -93,18 +86,10 @@ class ExperimentSetup:
         )
         self.catalog = tuple(default_catalog())
         self.reload_mode = reload_mode
-        self._service: PlanningService | None = None
-
-    @property
-    def service(self) -> PlanningService:
-        """This setup's shared planning service (built lazily).
-
-        One service per setup: every figure harness resolving strategies
-        through it shares warm estimator state and market snapshots.
-        """
-        if self._service is None:
-            self._service = PlanningService(self.market)
-        return self._service
+        #: One shared planning service per setup: every figure harness
+        #: resolving strategies through it shares warm estimator state
+        #: and market snapshots.
+        self.service = PlanningService(self.market)
 
     def perf_model(
         self, profile: ApplicationProfile, reload_mode: str | None = None
@@ -130,25 +115,11 @@ class ExperimentSetup:
         return rng.uniform(self.market.start, horizon, size=count)
 
 
-#: Strategy registry used by Fig 1/5/7: name -> fresh provisioner.
-def strategy_registry() -> dict[str, Callable[[], Provisioner]]:
-    """Name -> fresh-provisioner factory for the figure harnesses."""
-    return {
-        "hourglass": HourglassProvisioner,
-        "proteus": ProteusProvisioner,
-        "spoton": SpotOnProvisioner,
-        "proteus+dp": lambda: DeadlineProtected(ProteusProvisioner()),
-        "spoton+dp": lambda: DeadlineProtected(SpotOnProvisioner()),
-        "hourglass-naive": HourglassNaiveProvisioner,
-        "on-demand": OnDemandProvisioner,
-    }
-
-
 def sweep_strategy(
     setup: ExperimentSetup,
     profile: ApplicationProfile,
     slack_fraction: float,
-    provisioner: Provisioner | str,
+    strategy: str,
     num_simulations: int = 40,
     reload_mode: str | None = None,
     offline_cost: float = 0.0,
@@ -169,11 +140,10 @@ def sweep_strategy(
             to micro for ``hourglass*`` strategies, full otherwise).
         offline_cost: per-run offline (partitioning) dollars added to
             each simulation's cost (Fig 7's METIS-vs-µMETIS ablation).
-        service: planning service resolving *provisioner* when it is a
-            strategy name (defaults to the setup's shared service).
+        service: planning service resolving the *strategy* name
+            (defaults to the setup's shared service).
     """
-    if isinstance(provisioner, str):
-        provisioner = (service or setup.service).provisioner(provisioner)
+    provisioner = (service or setup.service).provisioner(strategy)
     if reload_mode is None:
         reload_mode = (
             RELOAD_MICRO if provisioner.name.startswith("hourglass") else RELOAD_FULL
@@ -220,9 +190,8 @@ class SweepTask:
     """One (application, slack, strategy) cell of a figure grid.
 
     Serialisable description of a :func:`sweep_strategy` call: the
-    provisioner is named by its :func:`strategy_registry` key (factories
-    in the registry are not picklable; a key plus a fresh registry in
-    the worker is).
+    strategy travels by name (the registry's factories are not
+    picklable; a name resolved in the worker is).
 
     Attributes:
         label: optional :class:`CellResult` strategy-name override

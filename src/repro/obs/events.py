@@ -1,10 +1,8 @@
 """Typed timeline entries shared by metrics observers and exporters.
 
-:class:`TimelineEvent` replaces the bare ``(t, kind, config)`` tuples
-the :class:`~repro.exec.observers.MetricsObserver` used to collect.  It
-keeps full tuple back-compat (indexing, iteration, length) so existing
-consumers — and checkpointed reports — keep working, while giving the
-trace exporters a typed record to convert.
+:class:`TimelineEvent` is what the
+:class:`~repro.exec.observers.MetricsObserver` collects per lifecycle
+event, and the typed record the trace exporters convert.
 """
 
 from __future__ import annotations
@@ -26,17 +24,3 @@ class TimelineEvent:
     t: float
     kind: str
     config: str = "-"
-
-    def as_tuple(self) -> tuple[float, str, str]:
-        """The historical ``(t, kind, config)`` tuple form."""
-        return (self.t, self.kind, self.config)
-
-    # Tuple back-compat: old consumers index/unpack timeline entries.
-    def __iter__(self):
-        return iter(self.as_tuple())
-
-    def __getitem__(self, index):
-        return self.as_tuple()[index]
-
-    def __len__(self) -> int:
-        return 3

@@ -24,10 +24,6 @@ logic.  The result carries both the *systems* outcome (cost, deadline,
 evictions, spot/on-demand machine-seconds) and the *computation*
 outcome (the vertex values), letting tests assert that a job battered
 by evictions still produces exactly the undisturbed answer.
-
-``RuntimeEvent``/``RuntimeResult`` are kept as aliases of the unified
-lifecycle types; ``RuntimeError_`` is a deprecated alias of
-:class:`~repro.exec.errors.ExecutionError`.
 """
 
 from __future__ import annotations
@@ -39,21 +35,14 @@ from repro.engine.checkpoint import CheckpointManager
 from repro.engine.datastore import DataStore
 from repro.engine.engine import PregelEngine
 from repro.engine.loader import MicroLoader
-from repro.exec.errors import ExecutionError
-from repro.exec.events import LifecycleEvent, RunResult
+from repro.exec.events import RunResult
 from repro.exec.lifecycle import ExecutionLifecycle
 from repro.graph.graph import Graph
 from repro.partitioning.micro import MicroPartitioner, MicroPartitioning
 from repro.runtime.mechmodel import MechanisticPerformanceModel
 from repro.runtime.workmodel import EngineWorkModel
 
-#: Deprecated aliases — the runtime's historical event/result/error
-#: types are now the unified lifecycle types.
-RuntimeEvent = LifecycleEvent
-RuntimeResult = RunResult
-RuntimeError_ = ExecutionError
-
-__all__ = ["HourglassRuntime", "RuntimeError_", "RuntimeEvent", "RuntimeResult"]
+__all__ = ["HourglassRuntime"]
 
 
 class HourglassRuntime:
@@ -148,7 +137,7 @@ class HourglassRuntime:
         return engine.run()
 
     # ------------------------------------------------------------------
-    def execute(self, release_time: float, deadline: float) -> RuntimeResult:
+    def execute(self, release_time: float, deadline: float) -> RunResult:
         """Run the job between *release_time* and *deadline*."""
         if deadline <= release_time:
             raise ValueError("deadline must be after release_time")

@@ -24,7 +24,7 @@ from repro.service.planning import (
     PlanTelemetry,
 )
 from repro.service.pool import Autoscaler, PlannerPool, PoolConfig, PoolStats
-from repro.service.strategies import SERVICE_STRATEGIES, ServicePlannedProvisioner
+from repro.service.strategies import SERVICE_STRATEGIES
 
 __all__ = [
     "Autoscaler",
@@ -42,5 +42,4 @@ __all__ = [
     "PoolConfig",
     "PoolStats",
     "SERVICE_STRATEGIES",
-    "ServicePlannedProvisioner",
 ]

@@ -49,7 +49,12 @@ from dataclasses import dataclass, field
 
 from repro.cloud.configuration import Configuration
 from repro.cloud.market import SpotMarket
-from repro.core.expected_cost import ApproximateCostEstimator, CacheStats, Decision
+from repro.core.expected_cost import (
+    ApproximateCostEstimator,
+    CacheStats,
+    Decision,
+    adaptive_grids,
+)
 from repro.core.provisioner import ProvisioningContext
 from repro.core.slack import SlackModel
 from repro.core.warning import NO_WARNING, WarningPolicy
@@ -243,15 +248,11 @@ class PlanningService:
         price_tolerance: relative rate drift that retires a key's memo
             (the estimator's rule, now an explicit epoch).
         max_fail_depth: eviction-chain depth before the lrc fallback.
-        estimator_factory: estimator class to instantiate (tests swap
-            in the recursive reference oracle).
         snapshot_capacity: how many (catalog, t) rate snapshots to keep.
         tracer: explicit :class:`~repro.obs.trace.Tracer` for ``plan``
             spans (default: the process tracer, resolved per call).
         metrics: explicit :class:`~repro.obs.metrics.MetricsRegistry`
             (default: the process registry).
-        decision_hooks: callables ``hook(request, result)`` invoked
-            after every decision (see :meth:`add_decision_hook`).
     """
 
     def __init__(
@@ -262,22 +263,19 @@ class PlanningService:
         work_grid: float | None = None,
         price_tolerance: float = 0.05,
         max_fail_depth: int = 2,
-        estimator_factory=ApproximateCostEstimator,
         snapshot_capacity: int = 256,
         tracer=None,
         metrics=None,
-        decision_hooks=(),
     ):
         self.market = market
         self.tracer = tracer
         self.metrics = metrics
-        self._decision_hooks = list(decision_hooks)
+        self._decision_hooks: list = []
         self.warning = warning
         self.slack_grid = slack_grid
         self.work_grid = work_grid
         self.price_tolerance = price_tolerance
         self.max_fail_depth = max_fail_depth
-        self.estimator_factory = estimator_factory
         self.snapshot_capacity = snapshot_capacity
         self._mutex = threading.Lock()  # guards the dicts and counters
         self._entries: dict[tuple, _EstimatorEntry] = {}
@@ -324,19 +322,17 @@ class PlanningService:
     ) -> tuple[float, float]:
         """Memo granularity for a job whose first decision is (t, w).
 
-        Replicates the estimator's adaptive tuning exactly (~50 slack
-        buckets across the initial slack, floor 5 s; work grid 0.01), so
-        a service-planned job lands in the same buckets a private
-        estimator would have used.  The resolved values are part of the
-        estimator cache key: jobs resolving the same grids share memo.
+        Grids neither the request nor the service fixes resolve through
+        the estimator's own :func:`~repro.core.expected_cost.adaptive_grids`
+        rule, so a service-planned job lands in the same buckets a
+        private estimator would have used.  The resolved values are part
+        of the estimator cache key: jobs resolving the same grids share
+        memo.
         """
         sg = slack_grid if slack_grid is not None else self.slack_grid
         wg = work_grid if work_grid is not None else self.work_grid
-        if wg is None:
-            wg = 0.01
-        if sg is None:
-            slack0 = max(slack_model.slack(t, work_left), 60.0)
-            sg = max(5.0, slack0 / 50.0)
+        if sg is None or wg is None:
+            return adaptive_grids(slack_model.slack(t, work_left), sg, wg)
         return sg, wg
 
     def _catalog_key(self, catalog: tuple[Configuration, ...]) -> tuple:
@@ -391,6 +387,28 @@ class PlanningService:
             grids,
         )
 
+    def _keyed(
+        self, request: PlanRequest | RescaleQuery
+    ) -> tuple[tuple[Configuration, ...], tuple[float, float], tuple]:
+        """Admit *request* and resolve ``(catalog, grids, estimator key)``.
+
+        The one keying path of the service; *request* is a
+        :class:`PlanRequest` or a :class:`RescaleQuery` (both carry the
+        slack model, catalogue, decision state and grid overrides).
+
+        Raises:
+            PlanError: the catalogue fails admission.
+        """
+        catalog = self.admit(request.catalog)
+        grids = self.resolved_grids(
+            request.slack_model,
+            request.t,
+            request.work_left,
+            request.slack_grid,
+            request.work_grid,
+        )
+        return catalog, grids, self._estimator_key(catalog, request.slack_model, grids)
+
     def _entry_for(
         self,
         key: tuple,
@@ -405,7 +423,7 @@ class PlanningService:
                 return entry, True
         # Build outside the dict lock (construction precomputes the
         # per-catalogue tables); insertion rechecks for a racing build.
-        estimator = self.estimator_factory(
+        estimator = ApproximateCostEstimator(
             slack_model,
             self.market,
             catalog,
@@ -472,17 +490,10 @@ class PlanningService:
             PlanError: the request fails admission (same rule
                 :meth:`plan` applies).
         """
-        catalog = self.admit(request.catalog)
         if request.strategy != "hourglass":
+            self.admit(request.catalog)
             return None
-        grids = self.resolved_grids(
-            request.slack_model,
-            request.t,
-            request.work_left,
-            request.slack_grid,
-            request.work_grid,
-        )
-        key = self._estimator_key(catalog, request.slack_model, grids)
+        _catalog, grids, key = self._keyed(request)
         slack = request.slack_model.slack(request.t, request.work_left)
         current = (
             request.current_config.name if request.current_config is not None else None
@@ -509,7 +520,9 @@ class PlanningService:
         self._decision_hooks.append(hook)
 
     def _publish(self, request: PlanRequest, result: PlanResult) -> PlanResult:
-        """Emit the plan span/metric and fire decision hooks."""
+        """Count the plan, emit its span/metric and fire decision hooks."""
+        with self._mutex:
+            self._plans += 1
         tr = self.tracer if self.tracer is not None else get_tracer()
         if tr.enabled:
             tel = result.telemetry
@@ -541,70 +554,80 @@ class PlanningService:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
+    def _decide(
+        self,
+        entry: _EstimatorEntry,
+        warm: bool,
+        request: PlanRequest | RescaleQuery,
+        catalog: tuple[Configuration, ...],
+        started: float,
+        keyed_at: float,
+        snapshot=None,
+    ) -> PlanResult:
+        """Decide one keyed request and build its telemetry.
+
+        The service's single DP call site; the caller holds
+        ``entry.lock``.  *started* and *keyed_at* bracket the request's
+        admission and keying, so ``queue_wait_s`` is whatever passed
+        between keying and this call (lock wait, earlier batch members)
+        and ``latency_s`` is the request's own service time.
+
+        Args:
+            snapshot: a ``(rates, reused)`` pair the caller already took
+                from :meth:`_rates_for` at ``(catalog, request.t)``;
+                None = take it here.
+        """
+        service_started = time.perf_counter()
+        if snapshot is None:
+            snapshot = self._rates_for(catalog, request.t)
+        rates, snapshot_reused = snapshot
+        estimator = entry.estimator
+        before = estimator.cache_stats()
+        decision = estimator.best_at_slack(
+            request.slack_model.slack(request.t, request.work_left),
+            request.t,
+            request.work_left,
+            request.current_config,
+            request.current_uptime,
+            rates=rates,
+        )
+        after = estimator.cache_stats()
+        return PlanResult(
+            decision=decision,
+            telemetry=PlanTelemetry(
+                latency_s=(keyed_at - started)
+                + (time.perf_counter() - service_started),
+                memo_hits=after.hits - before.hits,
+                memo_misses=after.misses - before.misses,
+                memo_entries=after.entries,
+                invalidations=after.invalidations - before.invalidations,
+                epoch=after.epoch,
+                snapshot_reused=snapshot_reused,
+                estimator_reused=warm,
+                queue_wait_s=service_started - keyed_at,
+            ),
+        )
+
     def plan(self, request: PlanRequest) -> PlanResult:
         """Answer one :class:`PlanRequest`."""
         started = time.perf_counter()
-        catalog = self.admit(request.catalog)
-        with self._mutex:
-            self._plans += 1
         if request.strategy != "hourglass":
-            return self._publish(
-                request, self._plan_baseline(request, catalog, started)
-            )
-        grids = self.resolved_grids(
-            request.slack_model,
-            request.t,
-            request.work_left,
-            request.slack_grid,
-            request.work_grid,
-        )
-        key = self._estimator_key(catalog, request.slack_model, grids)
+            return self._publish(request, self._plan_baseline(request, started))
+        catalog, grids, key = self._keyed(request)
         entry, warm = self._entry_for(key, catalog, request.slack_model, grids)
-        rates, snapshot_reused = self._rates_for(catalog, request.t)
-        lock_wait_started = time.perf_counter()
-        entry.lock.acquire()
-        queue_wait = time.perf_counter() - lock_wait_started
-        try:
-            before = entry.estimator.cache_stats()
-            slack = request.slack_model.slack(request.t, request.work_left)
-            decision = entry.estimator.best_at_slack(
-                slack,
-                request.t,
-                request.work_left,
-                request.current_config,
-                request.current_uptime,
-                rates=rates,
-            )
-            after = entry.estimator.cache_stats()
-        finally:
-            entry.lock.release()
-        return self._publish(
-            request,
-            PlanResult(
-                decision=decision,
-                telemetry=PlanTelemetry(
-                    latency_s=time.perf_counter() - started - queue_wait,
-                    memo_hits=after.hits - before.hits,
-                    memo_misses=after.misses - before.misses,
-                    memo_entries=after.entries,
-                    invalidations=after.invalidations - before.invalidations,
-                    epoch=after.epoch,
-                    snapshot_reused=snapshot_reused,
-                    estimator_reused=warm,
-                    queue_wait_s=queue_wait,
-                ),
-            ),
-        )
+        keyed_at = time.perf_counter()
+        with entry.lock:
+            result = self._decide(entry, warm, request, catalog, started, keyed_at)
+        return self._publish(request, result)
 
     def plan_rescale(self, query: RescaleQuery):
         """Answer one :class:`RescaleQuery` with the slack-space DP.
 
         Computes the expected cost of *staying* on the current
         configuration (setup already paid) and the catalogue-wide
-        minimum via :meth:`~repro.core.expected_cost._ApproximateBase.best_at_slack`
-        — both against the same warm keyed estimator a
+        minimum — both against the same warm keyed estimator a
         :class:`PlanRequest` for this job would hit, under one lock
-        acquisition.  Returns a
+        acquisition and one rate snapshot.  Returns a
         :class:`~repro.exec.rescale.RescaleDecision` when moving is
         worth it (expected saving above the hysteresis threshold, or the
         current configuration can no longer meet the deadline at all),
@@ -616,40 +639,29 @@ class PlanningService:
         """
         from repro.exec.rescale import RescaleDecision, rescale_action
 
-        catalog = self.admit(query.catalog)
+        started = time.perf_counter()
+        catalog, grids, key = self._keyed(query)
         if query.current_config is None:
             raise PlanError("rescale query requires a running configuration")
-        started = time.perf_counter()
         with self._mutex:
             self._rescale_queries += 1
-        grids = self.resolved_grids(
-            query.slack_model,
-            query.t,
-            query.work_left,
-            query.slack_grid,
-            query.work_grid,
-        )
-        key = self._estimator_key(catalog, query.slack_model, grids)
-        entry, _warm = self._entry_for(key, catalog, query.slack_model, grids)
-        rates, _reused = self._rates_for(catalog, query.t)
-        slack = query.slack_model.slack(query.t, query.work_left)
+        entry, warm = self._entry_for(key, catalog, query.slack_model, grids)
+        # One snapshot lookup serves both arms: lookups are counted in
+        # ``service_stats`` (and so in load-report fingerprints).
+        snapshot = self._rates_for(catalog, query.t)
+        keyed_at = time.perf_counter()
         with entry.lock:
             stay = entry.estimator.cost_at_slack(
                 query.current_config,
-                slack,
+                query.slack_model.slack(query.t, query.work_left),
                 query.t,
                 query.work_left,
                 running=True,
-                rates=rates,
+                rates=snapshot[0],
             )
-            winner = entry.estimator.best_at_slack(
-                slack,
-                query.t,
-                query.work_left,
-                query.current_config,
-                query.current_uptime,
-                rates=rates,
-            )
+            winner = self._decide(
+                entry, warm, query, catalog, started, keyed_at, snapshot
+            ).decision
         decision = None
         if winner.config != query.current_config and math.isfinite(
             winner.expected_cost
@@ -692,15 +704,17 @@ class PlanningService:
             ).inc(action=decision.action if decision else "stay")
         return decision
 
-    def _plan_baseline(
-        self, request: PlanRequest, catalog: tuple[Configuration, ...], started: float
-    ) -> PlanResult:
+    def _plan_baseline(self, request: PlanRequest, started: float) -> PlanResult:
         """Resolve a baseline strategy for one stateless decision.
 
         Baselines keep no DP state, so a fresh instance per request is
         exact; latched state (the +DP wrapper) is re-derived from the
         request's slack.
+
+        Raises:
+            PlanError: admission failure or unknown strategy.
         """
+        catalog = self.admit(request.catalog)
         provisioner = self.provisioner(request.strategy)
         ctx = ProvisioningContext(
             t=request.t,
@@ -755,20 +769,10 @@ class PlanningService:
         for i, request in enumerate(requests):
             started = time.perf_counter()
             try:
-                catalog = self.admit(request.catalog)
-                with self._mutex:
-                    self._plans += 1
                 if request.strategy != "hourglass":
-                    results[i] = self._plan_baseline(request, catalog, started)
+                    results[i] = self._plan_baseline(request, started)
                     continue
-                grids = self.resolved_grids(
-                    request.slack_model,
-                    request.t,
-                    request.work_left,
-                    request.slack_grid,
-                    request.work_grid,
-                )
-                key = self._estimator_key(catalog, request.slack_model, grids)
+                catalog, grids, key = self._keyed(request)
             except PlanError as exc:
                 results[i] = exc
                 errors.append((i, exc))
@@ -784,33 +788,8 @@ class PlanningService:
             entry, warm = self._entry_for(key, catalog0, request0.slack_model, grids0)
             with entry.lock:
                 for i, request, catalog, _grids, started, keyed_at in members:
-                    service_started = time.perf_counter()
-                    rates, snapshot_reused = self._rates_for(catalog, request.t)
-                    before = entry.estimator.cache_stats()
-                    slack = request.slack_model.slack(request.t, request.work_left)
-                    decision = entry.estimator.best_at_slack(
-                        slack,
-                        request.t,
-                        request.work_left,
-                        request.current_config,
-                        request.current_uptime,
-                        rates=rates,
-                    )
-                    after = entry.estimator.cache_stats()
-                    done = time.perf_counter()
-                    results[i] = PlanResult(
-                        decision=decision,
-                        telemetry=PlanTelemetry(
-                            latency_s=(keyed_at - started) + (done - service_started),
-                            memo_hits=after.hits - before.hits,
-                            memo_misses=after.misses - before.misses,
-                            memo_entries=after.entries,
-                            invalidations=after.invalidations - before.invalidations,
-                            epoch=after.epoch,
-                            snapshot_reused=snapshot_reused,
-                            estimator_reused=warm,
-                            queue_wait_s=service_started - keyed_at,
-                        ),
+                    results[i] = self._decide(
+                        entry, warm, request, catalog, started, keyed_at
                     )
                     warm = True  # later members of the batch hit warm state
         with self._mutex:
@@ -832,16 +811,19 @@ class PlanningService:
         (shared caches, telemetry); baseline strategies resolve to fresh
         instances of their :mod:`repro.core.baselines` classes — the
         service is their registry, they need none of its caches.
+
+        Raises:
+            PlanError: unknown strategy name.
         """
-        from repro.service.strategies import resolve_strategy
-
-        return resolve_strategy(self, strategy)
-
-    def strategies(self) -> tuple[str, ...]:
-        """Names :meth:`provisioner` can resolve."""
         from repro.service.strategies import SERVICE_STRATEGIES
 
-        return tuple(SERVICE_STRATEGIES)
+        try:
+            factory = SERVICE_STRATEGIES[strategy]
+        except KeyError:
+            raise PlanError(
+                f"unknown strategy {strategy!r}; known: {sorted(SERVICE_STRATEGIES)}"
+            ) from None
+        return factory(self)
 
     # ------------------------------------------------------------------
     # Introspection

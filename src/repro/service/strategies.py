@@ -3,16 +3,15 @@
 The service is the strategy registry for the decision path: the
 simulator and experiment harnesses ask
 ``service.provisioner("hourglass")`` (or any baseline key) instead of
-constructing provisioner classes directly.  ``hourglass`` resolves to
-:class:`ServicePlannedProvisioner`, which routes every ``select()``
-through the service's shared caches; the baselines are stateless (or
-cheaply per-job-stateful) and resolve to fresh instances of their
-:mod:`repro.core.baselines` classes.
+constructing provisioner classes directly.  ``hourglass`` resolves to a
+:class:`~repro.core.provisioner.HourglassProvisioner` bound to the
+service, so every ``select()`` plans from its shared caches; the
+baselines are stateless (or cheaply per-job-stateful) and resolve to
+fresh instances of their :mod:`repro.core.baselines` classes.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Callable
 
 from repro.cloud.configuration import Configuration
@@ -23,77 +22,15 @@ from repro.core.baselines import (
     ProteusProvisioner,
     SpotOnProvisioner,
 )
-from repro.core.expected_cost import Decision
-from repro.core.provisioner import Provisioner, ProvisioningContext
+from repro.core.provisioner import (
+    HourglassProvisioner,
+    Provisioner,
+    ProvisioningContext,
+)
 from repro.exec.rescale import RescaleContext, RescaleDecision, RescalePolicy
 
 if TYPE_CHECKING:
-    from repro.service.planning import PlanningService, PlanTelemetry
-
-
-class ServicePlannedProvisioner(Provisioner):
-    """The hourglass strategy, served by a shared :class:`PlanningService`.
-
-    Drop-in replacement for
-    :class:`~repro.core.provisioner.HourglassProvisioner`: same
-    decisions, same segment limits — but the DP memo, catalogue tables
-    and market snapshots live in the service and stay warm across jobs.
-
-    A job *session* pins its memo grids at its first decision after
-    :meth:`reset` (resolved from that decision's slack, exactly like a
-    private estimator's adaptive tuning) so every later decision of the
-    job lands in the same memo space the legacy per-job estimator would
-    have used.
-    """
-
-    name = "hourglass"
-
-    def __init__(self, service: PlanningService):
-        self.service = service
-        self.last_decision: Decision | None = None
-        self.last_telemetry: PlanTelemetry | None = None
-        self._grids: tuple[float, float] | None = None
-
-    def reset(self) -> None:
-        """End the job session: re-resolve grids at the next decision."""
-        self._grids = None
-        self.last_decision = None
-        self.last_telemetry = None
-
-    def select(self, ctx: ProvisioningContext) -> Configuration:
-        """Route the decision through the service's shared caches."""
-        from repro.service.planning import PlanRequest
-
-        if self._grids is None:
-            self._grids = self.service.resolved_grids(
-                ctx.slack_model, ctx.t, ctx.work_left
-            )
-        result = self.service.plan(
-            PlanRequest(
-                slack_model=ctx.slack_model,
-                catalog=tuple(ctx.catalog),
-                t=ctx.t,
-                work_left=ctx.work_left,
-                current_config=ctx.current_config,
-                current_uptime=ctx.current_uptime,
-                slack_grid=self._grids[0],
-                work_grid=self._grids[1],
-            )
-        )
-        self.last_decision = result.decision
-        self.last_telemetry = result.telemetry
-        return result.decision.config
-
-    def segment_limit(self, ctx: ProvisioningContext) -> float:
-        """Stop computing when the slack (minus one save) is exhausted.
-
-        Identical to the legacy provisioner's limit: a transient segment
-        must leave room for one state save before the last resort.
-        """
-        config = ctx.current_config
-        if config is None or not config.is_transient:
-            return math.inf
-        return ctx.slack - ctx.slack_model.perf.save_time(config)
+    from repro.service.planning import PlanningService
 
 
 class PlannedRescalePolicy(RescalePolicy):
@@ -170,7 +107,7 @@ class PlannedRescalePolicy(RescalePolicy):
         return decision
 
 
-class ElasticPlannedProvisioner(ServicePlannedProvisioner):
+class ElasticPlannedProvisioner(HourglassProvisioner):
     """Hourglass planning plus frontier-driven mid-job elasticity.
 
     Two deliberate differences from the base strategy:
@@ -212,10 +149,11 @@ class ElasticPlannedProvisioner(ServicePlannedProvisioner):
         return choice
 
 
-#: Strategy key -> factory(service).  Mirrors the experiment registry's
-#: names so figure grids resolve through the service unchanged.
+#: Strategy key -> factory(service): the one strategy registry.  Figure
+#: grids, ablations, the load harness and the examples all resolve
+#: strategies by these names, through ``PlanningService.provisioner``.
 SERVICE_STRATEGIES: dict[str, Callable[..., Provisioner]] = {
-    "hourglass": ServicePlannedProvisioner,
+    "hourglass": HourglassProvisioner,
     "elastic": ElasticPlannedProvisioner,
     "proteus": lambda service: ProteusProvisioner(),
     "spoton": lambda service: SpotOnProvisioner(),
@@ -224,20 +162,3 @@ SERVICE_STRATEGIES: dict[str, Callable[..., Provisioner]] = {
     "hourglass-naive": lambda service: HourglassNaiveProvisioner(),
     "on-demand": lambda service: OnDemandProvisioner(),
 }
-
-
-def resolve_strategy(service: PlanningService, strategy: str) -> Provisioner:
-    """Fresh provisioner for *strategy*, backed by *service*.
-
-    Raises:
-        PlanError: unknown strategy name.
-    """
-    from repro.service.planning import PlanError
-
-    try:
-        factory = SERVICE_STRATEGIES[strategy]
-    except KeyError:
-        raise PlanError(
-            f"unknown strategy {strategy!r}; known: {sorted(SERVICE_STRATEGIES)}"
-        ) from None
-    return factory(service)

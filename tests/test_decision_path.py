@@ -19,7 +19,6 @@ from repro.experiments.common import (
     SweepTask,
     parallel_cells,
     run_sweep_tasks,
-    strategy_registry,
     sweep_strategy,
 )
 from repro.utils.units import HOURS
@@ -182,7 +181,7 @@ class TestParallelSweepDriver:
             setup,
             task.profile,
             task.slack_fraction,
-            strategy_registry()[task.strategy](),
+            task.strategy,
             num_simulations=task.num_simulations,
         )
         assert driven == direct

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import PAGERANK_PROFILE, SpotOnProvisioner
+from repro.core import PAGERANK_PROFILE
 from repro.experiments import ExperimentSetup, sweep_strategy
 from repro.experiments.fig8_quality import run as fig8_run
 from repro.graph import get_dataset
@@ -56,14 +56,14 @@ class TestSweepDeterminism:
             ExperimentSetup(seed=31, trace_days=8),
             PAGERANK_PROFILE,
             0.5,
-            SpotOnProvisioner(),
+            "spoton",
             num_simulations=5,
         )
         b = sweep_strategy(
             ExperimentSetup(seed=31, trace_days=8),
             PAGERANK_PROFILE,
             0.5,
-            SpotOnProvisioner(),
+            "spoton",
             num_simulations=5,
         )
         assert a.normalized_cost == b.normalized_cost

@@ -20,12 +20,13 @@ from repro.core import (
     SSSP_PROFILE,
     ApproximateCostEstimator,
     PerformanceModel,
-    RecursiveApproximateCostEstimator,
     SlackModel,
     WarningPolicy,
     job_with_slack,
     last_resort,
 )
+
+from tests.recursive_oracle import RecursiveApproximateCostEstimator
 
 PROFILES = (SSSP_PROFILE, PAGERANK_PROFILE, COLORING_PROFILE)
 FIG5_SLACKS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)

@@ -18,8 +18,9 @@ from repro.experiments import (
     fig9_decision_time,
     table2_datasets,
 )
-from repro.experiments.common import offline_partition_cost, strategy_registry, sweep_strategy
+from repro.experiments.common import offline_partition_cost, sweep_strategy
 from repro.experiments.report import format_markdown, format_table
+from repro.service import SERVICE_STRATEGIES
 from repro.utils.units import HOURS
 
 
@@ -45,18 +46,19 @@ class TestCommon:
         full_cost = offline_partition_cost(perf, 3, RELOAD_FULL)
         assert full_cost == pytest.approx(3 * micro_cost)
 
-    def test_strategy_registry_complete(self):
-        registry = strategy_registry()
-        for name in (
+    def test_strategy_registry_complete(self, setup):
+        assert set(SERVICE_STRATEGIES) == {
             "hourglass",
+            "elastic",
             "proteus",
             "spoton",
             "proteus+dp",
             "spoton+dp",
             "hourglass-naive",
             "on-demand",
-        ):
-            provisioner = registry[name]()
+        }
+        for name in SERVICE_STRATEGIES:
+            provisioner = setup.service.provisioner(name)
             assert provisioner.name in (name, name.replace("-", ""))
 
     def test_sweep_cell_fields(self, setup):
@@ -64,7 +66,7 @@ class TestCommon:
             setup,
             COLORING_PROFILE,
             0.5,
-            strategy_registry()["on-demand"](),
+            "on-demand",
             num_simulations=3,
         )
         assert cell.simulations == 3

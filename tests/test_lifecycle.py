@@ -19,28 +19,23 @@ from repro.core import (
     HourglassProvisioner,
     OnDemandProvisioner,
     PerformanceModel,
-    SimulationError,
     SpotOnProvisioner,
     job_with_slack,
     last_resort,
     on_demand_baseline_cost,
 )
-from repro.core.simulator import SimEvent, SimulationResult
 from repro.engine.algorithms import PageRank
 from repro.exec import (
     BillingMeter,
     ExecutionError,
     ExecutionLifecycle,
     HorizonError,
-    LifecycleEvent,
     MetricsObserver,
-    RunResult,
     StepBudgetError,
     SuperstepWorkModel,
 )
 from repro.graph import generators
 from repro.runtime import HourglassRuntime
-from repro.runtime.runtime import RuntimeError_, RuntimeEvent, RuntimeResult
 from repro.utils.units import HOURS
 
 
@@ -73,17 +68,7 @@ def event_key(event):
 
 
 class TestUnifiedTypes:
-    def test_event_and_result_aliases(self):
-        assert SimEvent is LifecycleEvent
-        assert RuntimeEvent is LifecycleEvent
-        assert SimulationResult is RunResult
-        assert RuntimeResult is RunResult
-
     def test_error_hierarchy(self):
-        # The historical per-front-end error names are one hierarchy:
-        # both aliases catch every lifecycle error.
-        assert SimulationError is ExecutionError
-        assert RuntimeError_ is ExecutionError
         assert issubclass(HorizonError, ExecutionError)
         assert issubclass(StepBudgetError, ExecutionError)
         assert issubclass(ExecutionError, RuntimeError)
@@ -227,9 +212,33 @@ class TestMetricsObserver:
         assert report.get("evictions", 0) == result.evictions
         assert report.get("checkpoints", 0) == result.checkpoints
         assert report["makespan_seconds"] == pytest.approx(result.makespan)
-        assert metrics.timeline[0][1] == "deploy"
-        assert metrics.timeline[-1][1] == "finish"
+        assert metrics.timeline[0].kind == "deploy"
+        assert metrics.timeline[-1].kind == "finish"
         assert "lifecycle metrics:" in metrics.format_report()
+
+    def test_standalone_runtime_reports_decisions(self, graph, long_market, catalog):
+        """A zero-arg HourglassProvisioner publishes per-decision telemetry."""
+
+        class Telemetry(MetricsObserver):
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def on_decision(self, t, telemetry):
+                super().on_decision(t, telemetry)
+                self.seen.append(telemetry)
+
+        metrics = Telemetry()
+        rt = make_runtime(graph, long_market, catalog, HourglassProvisioner())
+        rt.observers = (metrics,)
+        deadline = rt.perf.fixed_time(rt.lrc) + 1.5 * rt.perf.exec_time(rt.lrc)
+        rt.execute(0.0, deadline)
+        report = metrics.report()
+        assert report["decisions"] > 0
+        assert report["decisions"] == len(metrics.seen)
+        assert report["decisions"] == report["warm_decisions"] + report["cold_decisions"]
+        assert all(tel.latency_s > 0 for tel in metrics.seen)
+        assert sum(tel.memo_misses for tel in metrics.seen) == report["memo_misses"] > 0
 
     def test_observer_leaves_run_unchanged(self, long_market, catalog):
         lrc = last_resort(

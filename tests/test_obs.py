@@ -515,20 +515,10 @@ class TestMetricsObserverSchema:
 
 
 class TestTimelineEvent:
-    def test_tuple_compatibility(self):
-        event = TimelineEvent(t=5.0, kind="deploy", config="spot4")
-        assert event.as_tuple() == (5.0, "deploy", "spot4")
-        assert tuple(event) == (5.0, "deploy", "spot4")
-        assert event[0] == 5.0
-        assert event[1] == "deploy"
-        assert len(event) == 3
-        t, kind, config = event
-        assert (t, kind, config) == (5.0, "deploy", "spot4")
-
     def test_timeline_entries_are_typed(self, small_market, catalog):
         observer = MetricsObserver()
         sim, job = make_sim(small_market, catalog, observers=(observer,))
         sim.run(job)
         assert observer.timeline
         assert all(isinstance(e, TimelineEvent) for e in observer.timeline)
-        assert observer.timeline[0].kind == observer.timeline[0][1]
+        assert observer.timeline[0].kind == "deploy"

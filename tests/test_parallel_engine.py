@@ -14,7 +14,6 @@ import pytest
 from repro.engine import (
     CheckpointManager,
     DataStore,
-    ParallelPregelEngine,
     PregelEngine,
     parallel_execution_supported,
 )
@@ -154,13 +153,6 @@ class TestLifecycle:
         ) as engine:
             engine.run()
         assert not engine.parallel_active
-
-    def test_subclass_alias(self, graph, partitioning):
-        serial = PregelEngine(graph, ConnectedComponents(), partitioning).run()
-        with ParallelPregelEngine(graph, ConnectedComponents(), partitioning) as engine:
-            assert engine.execution == "parallel"
-            parallel = engine.run()
-        assert_identical(serial, parallel, np.int64)
 
     def test_checkpoint_across_modes(self):
         # Save mid-run from a parallel engine, restore into a serial one:

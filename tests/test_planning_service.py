@@ -1,11 +1,12 @@
 """The multi-tenant planning service: admission, equivalence, caching.
 
-The service's contract is *bit-identity with the per-job path*: routing
-decisions through shared estimator caches, shared market snapshots, a
-batched API, or a thread pool must never change what is decided — only
-how fast.  These tests pin that contract with the fig5/fig9 cells as
-oracles, plus the admission/invalidations/telemetry behaviour the
-service adds on top.
+The service's contract is *bit-identity with a private estimator*:
+routing decisions through shared estimator caches, shared market
+snapshots, a batched API, or a thread pool must never change what is
+decided — only how fast.  These tests pin that contract with fig5/fig9
+cells as oracles (``tests/test_decision_goldens.py`` holds the frozen
+outputs of the retired per-job provisioner), plus the
+admission/invalidations/telemetry behaviour the service adds on top.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.cloud.instance import R4_FAMILY
+from repro.cloud.market import SpotMarket
 from repro.core.expected_cost import ApproximateCostEstimator
 from repro.core.job import COLORING_PROFILE, PAGERANK_PROFILE, SSSP_PROFILE, job_with_slack
 from repro.core.provisioner import HourglassProvisioner, ProvisioningContext
@@ -25,19 +28,8 @@ from repro.core.recurring import (
 from repro.core.simulator import ExecutionSimulator
 from repro.core.slack import SlackModel
 from repro.exec.observers import MetricsObserver
-from repro.experiments.common import (
-    ExperimentSetup,
-    SweepTask,
-    run_sweep_tasks,
-    strategy_registry,
-    sweep_strategy,
-)
-from repro.service import (
-    PlanError,
-    PlanningService,
-    PlanRequest,
-    ServicePlannedProvisioner,
-)
+from repro.experiments.common import ExperimentSetup, sweep_strategy
+from repro.service import PlanError, PlanningService, PlanRequest
 from repro.utils.units import HOURS
 
 
@@ -74,13 +66,8 @@ class TestAdmission:
             service.plan(
                 PlanRequest(slack_model=sm, catalog=setup.catalog, strategy="nope")
             )
-
-    def test_known_strategies_match_registry(self, setup):
-        # The service mirrors the figure-harness registry, plus the
-        # service-only "elastic" strategy (its rescale vetting needs
-        # plan_rescale, so it cannot exist without a service).
-        known = set(PlanningService(setup.market).strategies())
-        assert known == set(strategy_registry()) | {"elastic"}
+        # A request that produced no PlanResult is not a plan.
+        assert service.service_stats()["plans"] == 0
 
 
 class TestSingleDecisionEquivalence:
@@ -105,51 +92,9 @@ class TestSingleDecisionEquivalence:
         assert warm.telemetry.estimator_reused
         assert warm.telemetry.snapshot_reused
 
-    def test_plan_matches_legacy_provisioner(self, setup):
-        sm = _slack_model(setup, PAGERANK_PROFILE, 0.4, start=3 * HOURS)
-        legacy = HourglassProvisioner()
-        ctx = ProvisioningContext(
-            t=3 * HOURS,
-            work_left=1.0,
-            current_config=None,
-            current_uptime=0.0,
-            slack_model=sm,
-            market=setup.market,
-            catalog=setup.catalog,
-        )
-        choice = legacy.select(ctx)
-        result = PlanningService(setup.market).plan(
-            PlanRequest(slack_model=sm, catalog=setup.catalog, t=3 * HOURS)
-        )
-        assert result.decision == legacy.last_decision
-        assert result.config == choice
-
 
 class TestSweepEquivalence:
-    """Fig 5-style oracle: whole cells, service-routed vs legacy."""
-
-    def test_cells_match_legacy_provisioners(self, setup):
-        tasks = [
-            SweepTask(
-                profile=profile, slack_fraction=slack, strategy=key, num_simulations=6
-            )
-            for profile in (SSSP_PROFILE, PAGERANK_PROFILE)
-            for slack in (0.2, 0.8)
-            for key in ("hourglass", "spoton+dp")
-        ]
-        routed = run_sweep_tasks(setup, tasks, max_workers=1)
-        registry = strategy_registry()
-        legacy = [
-            sweep_strategy(
-                setup,
-                task.profile,
-                task.slack_fraction,
-                registry[task.strategy](),
-                num_simulations=task.num_simulations,
-            )
-            for task in tasks
-        ]
-        assert routed == legacy
+    """Fig 5-style oracle: whole cells, shared vs private services."""
 
     def test_shared_service_matches_private_services(self, setup):
         """Cross-job warm state on one service never changes a cell."""
@@ -327,7 +272,8 @@ class TestTelemetryFlow:
             record_events=False,
             observers=(metrics,),
         )
-        assert isinstance(sim.provisioner, ServicePlannedProvisioner)
+        assert isinstance(sim.provisioner, HourglassProvisioner)
+        assert sim.provisioner.service is sim.service
         job = job_with_slack(profile, 0.0, 0.5, perf.fixed_time(setup.lrc(perf)))
         result = sim.run(job)
         report = metrics.report()
@@ -338,17 +284,37 @@ class TestTelemetryFlow:
         assert report["decision_seconds"] > 0
         assert result.provisioner_name == "hourglass"
 
-    def test_service_simulator_matches_legacy(self, setup):
-        profile = PAGERANK_PROFILE
-        perf = setup.perf_model(profile)
-        job = job_with_slack(profile, 0.0, 0.5, perf.fixed_time(setup.lrc(perf)))
-        legacy = ExecutionSimulator(
-            setup.market, perf, setup.catalog, HourglassProvisioner(), record_events=False
-        ).run(job)
-        routed = ExecutionSimulator(
-            setup.market, perf, setup.catalog, "hourglass", record_events=False
-        ).run(job)
-        assert routed == legacy
+    def test_private_service_follows_the_context_market(self, setup):
+        """A service-less provisioner never answers from a stale market."""
+        provisioner = HourglassProvisioner()
+        sm = _slack_model(setup, PAGERANK_PROFILE, 0.5)
+
+        def ctx(market):
+            return ProvisioningContext(
+                t=0.0,
+                work_left=1.0,
+                current_config=None,
+                current_uptime=0.0,
+                slack_model=sm,
+                market=market,
+                catalog=setup.catalog,
+            )
+
+        provisioner.select(ctx(setup.market))
+        first = provisioner._private
+        assert first.market is setup.market
+        provisioner.select(ctx(setup.market))
+        assert provisioner._private is first  # same market: stays warm
+        other = SpotMarket.synthetic(R4_FAMILY, duration=2 * 24 * HOURS, seed=8)
+        provisioner.reset()
+        provisioner.select(ctx(other))
+        assert provisioner._private.market is other
+        assert provisioner.last_decision == (
+            PlanningService(other)
+            .plan(PlanRequest(slack_model=sm, catalog=setup.catalog))
+            .decision
+        )
+        assert first.service_stats()["plans"] == 2  # untouched by the switch
 
 
 class TestInterleavedRecurring:

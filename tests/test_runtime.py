@@ -12,9 +12,9 @@ from repro.core import (
 )
 from repro.engine import PregelEngine
 from repro.engine.algorithms import ConnectedComponents, PageRank
+from repro.exec import ExecutionError
 from repro.graph import generators
 from repro.runtime import HourglassRuntime, MechanisticPerformanceModel
-from repro.runtime.runtime import RuntimeError_
 from repro.utils.units import HOURS
 
 
@@ -147,7 +147,7 @@ class TestRuntimeExecution:
 
     def test_horizon_guard(self, graph, long_market, catalog):
         rt = make_runtime(graph, long_market, catalog, OnDemandProvisioner())
-        with pytest.raises(RuntimeError_):
+        with pytest.raises(ExecutionError):
             rt.execute(long_market.horizon - 1.0, long_market.horizon + HOURS)
 
     def test_transient_only_catalog_rejected(self, graph, long_market, catalog):

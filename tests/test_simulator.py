@@ -20,7 +20,6 @@ from repro.core import (
     PerformanceModel,
     ProteusProvisioner,
     ProvisioningContext,
-    SimulationError,
     SlackModel,
     SpotOnProvisioner,
     job_with_slack,
@@ -28,6 +27,7 @@ from repro.core import (
     on_demand_baseline_cost,
 )
 from repro.core.recurring import RecurringJobDriver
+from repro.exec import ExecutionError
 from repro.utils.units import HOURS
 
 
@@ -160,7 +160,7 @@ class TestSimulatorBasics:
         job = job_with_slack(
             SSSP_PROFILE, long_market.horizon - 10.0, 0.5, perf.fixed_time(lrc)
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(ExecutionError):
             sim.run(job)
 
     def test_spot_billing_below_on_demand(self, long_market, catalog):

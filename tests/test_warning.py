@@ -12,10 +12,8 @@ from repro.core import (
     NO_WARNING,
     ApproximateCostEstimator,
     ExecutionSimulator,
-    HourglassProvisioner,
     PerformanceModel,
     SlackModel,
-    SpotOnProvisioner,
     WarningPolicy,
     job_with_slack,
     last_resort,
@@ -64,15 +62,14 @@ class TestSalvageableProgress:
 
 
 class TestWarningInSimulation:
-    def _run(self, market, catalog, warning, provisioner_factory, n=8, seed=3):
+    def _run(self, market, catalog, warning, strategy, n=8, seed=3):
         profile = COLORING_PROFILE
         lrc = last_resort(
             catalog, lambda ref: PerformanceModel(profile=profile, reference=ref)
         )
         perf = PerformanceModel(profile=profile, reference=lrc)
         sim = ExecutionSimulator(
-            market, perf, catalog, provisioner_factory(), record_events=False,
-            warning=warning,
+            market, perf, catalog, strategy, record_events=False, warning=warning
         )
         rng = np.random.default_rng(seed)
         costs, evictions, missed = [], 0, 0
@@ -87,20 +84,18 @@ class TestWarningInSimulation:
 
     def test_warning_never_hurts_costs(self, long_market, catalog):
         base_cost, base_ev, _ = self._run(
-            long_market, catalog, NO_WARNING, SpotOnProvisioner
+            long_market, catalog, NO_WARNING, "spoton"
         )
         warn_cost, warn_ev, _ = self._run(
-            long_market, catalog, EC2_TWO_MINUTE_WARNING, SpotOnProvisioner
+            long_market, catalog, EC2_TWO_MINUTE_WARNING, "spoton"
         )
         if base_ev > 0:
             assert warn_cost <= base_cost * 1.02
 
     def test_hourglass_with_warning_still_meets_deadlines(self, long_market, catalog):
+        # By name, the simulator's service bakes the warning into the DP.
         _, _, missed = self._run(
-            long_market,
-            catalog,
-            EC2_TWO_MINUTE_WARNING,
-            lambda: HourglassProvisioner(warning=EC2_TWO_MINUTE_WARNING),
+            long_market, catalog, EC2_TWO_MINUTE_WARNING, "hourglass"
         )
         assert missed == 0
 
