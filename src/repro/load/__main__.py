@@ -17,21 +17,15 @@ autoscaler both powered up and powered down.  In frontend mode the
 process also verifies the no-silent-drop invariant: every offered job
 must resolve to exactly one outcome.
 
-``--elastic`` executes with per-app frontier-decay curves under the
-``elastic`` strategy (planned mid-job rescaling on the active-vertex
-frontier); ``--require-rescale`` makes the run degenerate unless at
-least one planned shrink landed and no executed run missed its deadline
-(the CI elastic-smoke gate).
+``--strategy elastic`` plans mid-job rescaling on the active-vertex
+frontier and executes with per-app frontier-decay curves;
+``--require-rescale`` makes the run degenerate unless at least one
+planned shrink landed and no executed run missed its deadline (the CI
+elastic smoke gate).
 
-``--engine-mode parallel`` adds a real-engine exercise to the run: one
-Pregel job executed through both the serial and the shared-memory
-multiprocess engine, with the bit-identity of their results recorded in
-the report (and enforced — divergence makes the run degenerate).  Serial
-mode leaves the report fingerprint byte-identical to earlier releases.
-
-``--serve`` turns the run into a live, observable one: the ``load_*``
-series are published at event time, a background sampler maintains
-10 s / 1 m / 5 m windowed aggregates with burn-rate SLO evaluation, every
+``--serve`` turns the run into a live, observable one: a background
+sampler maintains 10 s / 1 m / 5 m windowed aggregates of the ``load_*``
+series (published at event time) with burn-rate SLO evaluation, every
 executed run is attributed to its tenant in a cost ledger, and a
 scrapeable HTTP endpoint (``/metrics``, ``/health``, ``/slo``,
 ``/tenants``) serves all of it while the harness runs::
@@ -125,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S1,S2,...",
         help="graph-size scale factors for the trace (default: the "
         "generator's 0.25,0.5,1.0; large scales give jobs long enough "
-        "to checkpoint — and, with --elastic, to rescale)",
+        "to checkpoint — and, with --strategy elastic, to rescale)",
     )
     parser.add_argument(
         "--slack-range",
@@ -152,8 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--strategy",
-        default=None,
-        help="planning strategy (default: hourglass, or elastic with --elastic)",
+        default="hourglass",
+        help="planning strategy ('elastic' adds frontier-decay curves and "
+        "planned mid-job rescaling)",
     )
     parser.add_argument("--trace-days", type=int, default=14)
     parser.add_argument(
@@ -190,30 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="frontend mode: fail unless the pool scaled up AND back down",
     )
     parser.add_argument(
-        "--elastic",
-        action="store_true",
-        help="execute with frontier-decay curves and planned mid-job "
-        "rescaling (defaults --strategy to 'elastic')",
-    )
-    parser.add_argument(
         "--require-rescale",
         action="store_true",
-        help="elastic mode: fail unless >= 1 planned shrink landed and "
+        help="elastic strategy: fail unless >= 1 planned shrink landed and "
         "no executed run missed its deadline",
-    )
-    parser.add_argument(
-        "--engine-mode",
-        choices=("serial", "parallel"),
-        default="serial",
-        help="Pregel engine execution mode; 'parallel' also runs a "
-        "serial-vs-parallel bit-identity spot check on a real engine job "
-        "(the report fingerprint is unchanged in serial mode)",
     )
     parser.add_argument(
         "--serve",
         action="store_true",
-        help="publish metrics live and expose /metrics /health /slo "
-        "/tenants over HTTP while the run is in flight",
+        help="expose /metrics /health /slo /tenants over HTTP while the "
+        "run is in flight",
     )
     parser.add_argument(
         "--port",
@@ -227,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="SECONDS",
         help="print a live status panel to stderr at this period "
-        "(0 disables; implies live metrics like --serve)",
+        "(0 disables)",
     )
     parser.add_argument(
         "--sample-interval",
@@ -258,13 +239,12 @@ def main(argv=None) -> int:
         slack_quantum=args.slack_quantum,
         **trace_kwargs,
     )
-    strategy = args.strategy or ("elastic" if args.elastic else "hourglass")
     config = HarnessConfig(
         trace=trace_config,
         window_s=args.window,
         capacity_per_window=args.capacity,
         queue_limit=args.queue_limit,
-        strategy=strategy,
+        strategy=args.strategy,
         execute=not args.plan_only,
         trace_days=args.trace_days,
         recurring_tenants=args.recurring_tenants,
@@ -273,8 +253,6 @@ def main(argv=None) -> int:
         frontend_min_workers=args.workers[0],
         frontend_max_workers=args.workers[1],
         time_scale=args.time_scale,
-        elastic=args.elastic,
-        engine_mode=args.engine_mode,
     )
     metrics = MetricsRegistry()
     trace = generate_trace(trace_config)
@@ -323,9 +301,7 @@ def main(argv=None) -> int:
             ).start()
 
     try:
-        report = LoadHarness(
-            config, metrics=metrics, ledger=ledger, live_metrics=serving
-        ).run(trace)
+        report = LoadHarness(config, metrics=metrics, ledger=ledger).run(trace)
     finally:
         if watcher is not None:
             watcher.close()
@@ -385,8 +361,6 @@ def main(argv=None) -> int:
                 problems.append("autoscaler never scaled up")
             if report.pool_scale_downs == 0:
                 problems.append("autoscaler never scaled down")
-    if args.engine_mode == "parallel" and not report.engine_parallel_match:
-        problems.append("serial and parallel engine results diverged")
     if args.require_rescale:
         if report.rescale_shrinks == 0:
             problems.append("no planned shrink landed")

@@ -7,9 +7,8 @@ production guardrail in front: per planning window it services at most
 ``capacity_per_window`` requests, holds up to ``queue_limit`` more in a
 FIFO backlog, and **rejects** (tail-drop) everything beyond that —
 raising nothing, so saturation degrades item-by-item instead of failing
-whole batches.  Rejections surface as
-:class:`~repro.service.planning.PlanError` values via
-:meth:`rejection_error`, the same error type service admission uses.
+whole batches; ``offer`` hands the rejected items back for the caller to
+count.
 
 The controller is deliberately ignorant of :class:`PlanRequest`: it
 queues opaque *items* (the harness queues :class:`TraceJob`\\ s) and the
@@ -24,8 +23,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.service.planning import PlanError
-
 
 @dataclass
 class AdmissionStats:
@@ -37,17 +34,6 @@ class AdmissionStats:
     queued: int = 0  # items that waited at least one window
     queue_peak: int = 0
     windows: int = 0
-
-    def as_dict(self) -> dict:
-        """Flat dict for reports."""
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "queued": self.queued,
-            "queue_peak": self.queue_peak,
-            "windows": self.windows,
-        }
 
 
 @dataclass(frozen=True)
@@ -120,16 +106,3 @@ class AdmissionController:
         self.stats.rejected += len(rejected)
         self.stats.queue_peak = max(self.stats.queue_peak, len(self._backlog))
         return admitted, rejected
-
-    def drain(self) -> list[AdmittedItem]:
-        """One backlog-only window (end-of-trace flushing)."""
-        admitted, _ = self.offer(())
-        return admitted
-
-    @staticmethod
-    def rejection_error(item) -> PlanError:
-        """The per-slot error recorded for a tail-dropped item."""
-        return PlanError(
-            f"admission rejected {item!r}: offered load exceeds capacity "
-            "(queue full)"
-        )

@@ -1,28 +1,39 @@
 """The load harness: an arrival trace driven through the whole stack.
 
-One :class:`LoadHarness` run is the standing macro-benchmark:
+One :class:`LoadHarness` run is the standing macro-benchmark, and it is
+one pipeline of four stages:
 
-1. :func:`~repro.load.trace.generate_trace` samples the seeded
-   multi-tenant workload.
-2. Arrivals are chopped into fixed planning windows; each window flows
-   through the :class:`~repro.load.admission.AdmissionController`
-   (bounded queue, tail-drop) and the admitted jobs are planned in one
-   :meth:`~repro.service.planning.PlanningService.plan_many` batch with
-   per-slot errors — a saturating trace degrades job-by-job, never as a
-   whole-batch :class:`~repro.service.planning.PlanError`.
-3. Planned jobs execute through :class:`ExecutionSimulator` against the
-   same market, sharing the service's warm caches; queueing delay is
-   charged in *simulated* time (a job admitted two windows late starts
-   two windows late, with that much less slack).
-4. A set of recurring tenants runs through
+1. **Windows.**  :func:`~repro.load.trace.generate_trace` samples the
+   seeded multi-tenant workload; one window iterator chops it into
+   fixed planning windows, passes each window through the
+   :class:`~repro.load.admission.AdmissionController` when there is one
+   (bounded queue, tail-drop) and drops jobs whose whole deadline has
+   already passed at the window's close.
+2. **Planner.**  Either one
+   :meth:`~repro.service.planning.PlanningService.plan_many` batch per
+   window with per-slot errors — a saturating trace degrades job-by-job,
+   never as a whole-batch :class:`~repro.service.planning.PlanError` —
+   or the async :class:`~repro.service.frontend.PlanFrontend`.  Both
+   yield ``(job, t_plan)``.
+3. **Executor.**  Planned jobs run through :class:`ExecutionSimulator`
+   against the same market, sharing the service's warm caches; queueing
+   delay is charged in *simulated* time (a job admitted two windows late
+   starts two windows late, with that much less slack).  A set of
+   recurring tenants then runs through
    :class:`~repro.core.recurring.InterleavedRecurringDriver` on the same
    service, exercising the overload-honest skipped-window accounting.
+4. **Sink.**  Every outcome lands in one place that counts it, publishes
+   its ``load_*`` series at event time (scrapeable mid-run through the
+   standard :mod:`repro.obs` pipelines) and builds the
+   :class:`LoadReport`.
 
-Everything simulated is deterministic in the seed
+The order of service calls is part of the contract: a DP memo bucket
+keeps its first visitor's cost, so the windowed path plans window *w*,
+executes window *w*'s jobs in slot order, then plans window *w+1*, and
+the frontend path executes in ``job_id`` order after all planning.
+Everything simulated is then deterministic in the seed
 (:meth:`LoadReport.fingerprint` pins it); only the wall-clock latency
-percentiles vary run to run.  Aggregates are also published to a
-:class:`~repro.obs.metrics.MetricsRegistry` (``load_*`` series) so a
-traced run exports through the standard :mod:`repro.obs` pipelines.
+percentiles vary run to run.
 """
 
 from __future__ import annotations
@@ -30,12 +41,15 @@ from __future__ import annotations
 import asyncio
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.job import PAPER_PROFILES, JobSpec
-from repro.core.recurring import InterleavedRecurringDriver, RecurringJobSpec
+from repro.core.recurring import (
+    InterleavedRecurringDriver,
+    RecurringJobSpec,
+    RecurringOutcome,
+)
 from repro.core.simulator import ExecutionSimulator
 from repro.core.slack import SlackModel
 from repro.exec.events import RunResult
@@ -56,49 +70,236 @@ from repro.utils.rng import derive_rng
 from repro.utils.units import HOURS
 
 
-@dataclass
-class _PhaseTotals:
-    """Mutable accumulator one planning phase fills in.
+class _OutcomeSink:
+    """Where every outcome of one load run lands, once.
 
-    Both phases (windowed and frontend) produce the same counters, so
-    the report assembly in :meth:`LoadHarness.run` is phase-agnostic;
-    the ``pool_*`` / ``coalesce_hits`` / ``dispatch_*`` fields stay zero
-    on the windowed path.
+    The sink counts the outcome, publishes it at event time (each
+    ``load_*`` series is declared here and nowhere else), attributes
+    executed runs to the optional ledger and finally builds the
+    :class:`LoadReport` from the same counters — so the scraped series
+    and the report cannot disagree.  The run's own totals are kept
+    beside the registry's because the registry may be process-wide and
+    outlive the run.
     """
 
-    latencies: list[float] = field(default_factory=list)
-    queue_waits: list[float] = field(default_factory=list)
-    offered: int = 0
-    admitted: int = 0
-    planned: int = 0
-    rejected_overload: int = 0
-    rejected_invalid: int = 0
-    deadline_lost: int = 0
-    queued: int = 0
-    queue_peak: int = 0
-    executed: int = 0
-    missed: int = 0
-    provider_idle: float = 0.0
-    user_cost: float = 0.0
-    service_time: float = 0.0
-    coalesce_hits: int = 0
-    pool_size_peak: int = 0
-    pool_size_low: int = 0
-    pool_scale_ups: int = 0
-    pool_scale_downs: int = 0
-    dispatch_batches: int = 0
-    dispatch_batch_max: int = 0
-    rescales: int = 0
-    rescale_shrinks: int = 0
-    rescale_seconds: float = 0.0
+    JOB_OUTCOMES = ("planned", "rejected_overload", "rejected_invalid", "deadline_lost")
 
-    def fold_rescales(self, result: RunResult) -> None:
-        """Fold one run's planned-rescale counters into the totals."""
-        self.rescales += result.rescales
-        self.rescale_shrinks += sum(
-            1 for r in result.rescale_records if r.action == "shrink"
+    def __init__(self, metrics, ledger, elastic: bool):
+        mx = metrics
+        self.ledger = ledger
+        self.elastic = elastic
+        self.frontend_stats = None  # set by the frontend planner
+        self.offered = 0
+        self.jobs = dict.fromkeys(self.JOB_OUTCOMES, 0)
+        self.queued = 0
+        self.queue_peak = 0
+        self.latencies: list[float] = []
+        self.queue_waits: list[float] = []
+        # Executed runs / deadline misses, keyed by ``recurring``.
+        self.runs = {False: 0, True: 0}
+        self.missed = {False: 0, True: 0}
+        self.recurring_tenants = 0
+        self.recurring_skipped = 0
+        self.provider_idle = 0.0
+        self.user_cost = 0.0
+        self.service_time = 0.0
+        self.rescales = 0
+        self.rescale_shrinks = 0
+        self.rescale_seconds = 0.0
+
+        self._jobs = mx.counter("load_jobs_total", "Trace jobs by admission outcome")
+        self._runs = {
+            False: mx.counter("load_runs_total", "Executed one-shot runs by outcome"),
+            True: mx.counter(
+                "load_recurring_windows_total", "Recurring windows by outcome"
+            ),
+        }
+        self._latency = mx.histogram(
+            "load_plan_latency_seconds", "Per-slot plan service time (batch path)"
         )
-        self.rescale_seconds += result.rescale_seconds
+        self._queue_wait = mx.histogram(
+            "load_plan_queue_wait_seconds", "Per-slot batch queue wait"
+        )
+        self._idle = mx.counter(
+            "load_provider_idle_machine_seconds_total",
+            "Billed machine-seconds beyond ideal compute (Granny provider cost)",
+        )
+        self._dollars = mx.counter(
+            "load_user_cost_dollars_total", "Dollars billed across executed runs"
+        )
+        self._service_time = mx.counter(
+            "load_service_time_seconds_total",
+            "Arrival-to-finish simulated seconds across executed runs",
+        )
+        self._queue_peak = mx.gauge(
+            "load_queue_peak", "Admission backlog high-water mark"
+        )
+        # Zero-touch every series so the scrape schema is stable from
+        # the first sample (a windowed ratio over a series that does not
+        # exist yet reads as no-traffic, which is correct, but a stable
+        # label set makes dashboards and tests simpler).
+        for outcome in self.JOB_OUTCOMES:
+            self._jobs.inc(0, outcome=outcome)
+        for outcome in ("met", "missed"):
+            self._runs[False].inc(0, outcome=outcome)
+            self._runs[True].inc(0, outcome=outcome)
+        self._runs[True].inc(0, outcome="skipped")
+        for counter in (self._idle, self._dollars, self._service_time):
+            counter.inc(0)
+        self._queue_peak.set(0)
+        if elastic:
+            self._rescales = mx.counter(
+                "load_rescales_total", "Planned mid-job rescales across executed runs"
+            )
+            for action in ("shrink", "other"):
+                self._rescales.inc(0, action=action)
+            self._rescale_seconds = mx.counter(
+                "load_rescale_seconds_total",
+                "Simulated reload seconds paid for planned rescales",
+            )
+            self._rescale_seconds.inc(0)
+
+    # -- admission / planning ------------------------------------------
+    def job(self, outcome: str, n: int = 1) -> None:
+        """*n* trace jobs resolved to an admission *outcome*."""
+        self.jobs[outcome] += n
+        self._jobs.inc(n, outcome=outcome)
+
+    def backlog(self, stats) -> None:
+        """The admission controller's queueing counters after a window."""
+        self.queued = stats.queued
+        self.queue_peak = stats.queue_peak
+        self._queue_peak.set(stats.queue_peak)
+
+    def plan(self, latency_s: float, queue_wait_s: float) -> None:
+        """One job planned, with its plan latency and batch queue wait."""
+        self.job("planned")
+        self.latencies.append(latency_s)
+        self.queue_waits.append(queue_wait_s)
+        self._latency.observe(latency_s)
+        self._queue_wait.observe(queue_wait_s)
+
+    # -- execution -----------------------------------------------------
+    def run(
+        self,
+        tenant: str,
+        result: RunResult,
+        ideal_s: float,
+        arrival: float,
+        recurring: bool = False,
+    ) -> None:
+        """One executed run, one-shot or recurring.
+
+        *ideal_s* is the run's ideal machine-seconds (billed time beyond
+        it is provider idle); *arrival* anchors its service time.
+        """
+        idle = max(0.0, result.spot_seconds + result.on_demand_seconds - ideal_s)
+        span = result.finish_time - arrival
+        self.runs[recurring] += 1
+        self.missed[recurring] += result.missed_deadline
+        self.provider_idle += idle
+        self.user_cost += result.cost
+        self.service_time += span
+        self._runs[recurring].inc(
+            1, outcome="missed" if result.missed_deadline else "met"
+        )
+        self._idle.inc(idle)
+        self._dollars.inc(result.cost)
+        self._service_time.inc(span)
+        if self.elastic:
+            shrinks = sum(1 for r in result.rescale_records if r.action == "shrink")
+            self.rescales += result.rescales
+            self.rescale_shrinks += shrinks
+            self.rescale_seconds += result.rescale_seconds
+            self._rescales.inc(shrinks, action="shrink")
+            self._rescales.inc(result.rescales - shrinks, action="other")
+            self._rescale_seconds.inc(result.rescale_seconds)
+        if self.ledger is not None:
+            self.ledger.record_run(tenant, result, ideal_s, arrival=arrival)
+
+    def recurring(self, name: str, outcome: RecurringOutcome, ideal_s: float) -> None:
+        """One recurring tenant's windows: its runs plus the skipped ones."""
+        self.recurring_tenants += 1
+        for result in outcome.results:
+            # Scheduled release (deadline - period) anchors service
+            # time, so an overrun-delayed run is charged its wait.
+            self.run(
+                name, result, ideal_s, result.deadline - outcome.period, recurring=True
+            )
+        self.recurring_skipped += outcome.skipped
+        self._runs[True].inc(outcome.skipped, outcome="skipped")
+
+    # -- the report ----------------------------------------------------
+    def report(self, trace: ArrivalTrace, service: PlanningService) -> LoadReport:
+        """The finished run as a :class:`LoadReport`."""
+        stats = service.cache_stats()
+        svc = service.service_stats()
+        lookups = stats.hits + stats.misses
+        snapshots = svc["snapshot_hits"] + svc["snapshot_misses"]
+        executed, missed = self.runs[False], self.missed[False]
+        rec_runs, rec_missed = self.runs[True], self.missed[True]
+        rec_skipped = self.recurring_skipped
+        rec_windows = rec_runs + rec_skipped
+        frontend = {}
+        if self.frontend_stats is not None:
+            pool = self.frontend_stats.pool
+            frontend = dict(
+                frontend=True,
+                coalesce_hits=self.frontend_stats.coalesced,
+                pool_size_peak=pool.size_peak,
+                pool_size_low=pool.size_low,
+                pool_scale_ups=pool.scale_ups,
+                pool_scale_downs=pool.scale_downs,
+                dispatch_batches=pool.batches,
+                dispatch_batch_max=pool.batch_max,
+            )
+        return LoadReport(
+            # The trace that ran, which a replayed trace makes different
+            # from the configured one.
+            seed=trace.config.seed,
+            num_jobs=len(trace.jobs),
+            num_tenants=trace.config.num_tenants,
+            trace_checksum=trace.checksum(),
+            trace_span_s=trace.span_s,
+            offered=self.offered,
+            # Nothing is left queued at the end of a run, so every
+            # offered job was released unless it was shed.
+            admitted=self.offered - self.jobs["rejected_overload"],
+            planned=self.jobs["planned"],
+            rejected_overload=self.jobs["rejected_overload"],
+            rejected_invalid=self.jobs["rejected_invalid"],
+            deadline_lost=self.jobs["deadline_lost"],
+            queued=self.queued,
+            queue_peak=self.queue_peak,
+            cache_hit_rate=stats.hits / lookups if lookups else 0.0,
+            snapshot_hit_rate=svc["snapshot_hits"] / snapshots if snapshots else 0.0,
+            plan_p50_ms=1000 * percentile(self.latencies, 50),
+            plan_p95_ms=1000 * percentile(self.latencies, 95),
+            plan_p99_ms=1000 * percentile(self.latencies, 99),
+            queue_wait_p50_ms=1000 * percentile(self.queue_waits, 50),
+            queue_wait_p95_ms=1000 * percentile(self.queue_waits, 95),
+            queue_wait_p99_ms=1000 * percentile(self.queue_waits, 99),
+            executed=executed,
+            missed=missed,
+            miss_rate=missed / executed if executed else 0.0,
+            recurring_tenants=self.recurring_tenants,
+            recurring_runs=rec_runs,
+            recurring_missed=rec_missed,
+            recurring_skipped=rec_skipped,
+            recurring_miss_rate=rec_missed / rec_runs if rec_runs else 0.0,
+            recurring_skipped_rate=rec_skipped / rec_windows if rec_windows else 0.0,
+            recurring_violation_rate=(rec_missed + rec_skipped) / rec_windows
+            if rec_windows
+            else 0.0,
+            provider_idle_machine_s=self.provider_idle,
+            user_cost_dollars=self.user_cost,
+            service_time_s=self.service_time,
+            elastic=self.elastic,
+            rescales=self.rescales,
+            rescale_shrinks=self.rescale_shrinks,
+            rescale_seconds=self.rescale_seconds,
+            **frontend,
+        )
 
 
 @dataclass(frozen=True)
@@ -112,7 +313,11 @@ class HarnessConfig:
         capacity_per_window: service capacity per window (requests the
             admission layer releases into one ``plan_many`` batch).
         queue_limit: admission backlog bound; beyond it, tail-drop.
-        strategy: planning strategy for every job.
+        strategy: planning strategy for every job.  A strategy that
+            owns a ``rescale_policy`` (``"elastic"``) executes with the
+            app's canonical frontier-decay curve and the report gains
+            the ``rescale_*`` section; any other strategy's fingerprint
+            is byte-identical to pre-elastic reports.
         execute: run planned jobs through the simulator (False = plan
             only; deadline/cost sections of the report stay zero).
         trace_days: market-trace length backing the run.
@@ -131,17 +336,6 @@ class HarnessConfig:
             frontend submissions (0 = no pacing, saturation mode).
             Pacing lets the pool see the trace's bursts and troughs as
             genuine load swings instead of one continuous flood.
-        elastic: run executions with the app's canonical frontier-decay
-            curve and a provisioner that supports planned mid-job
-            rescaling (pair with ``strategy="elastic"``); the report
-            gains the ``rescale_*`` section.  Off by default — the
-            disabled-mode fingerprint is byte-identical to pre-elastic
-            reports.
-        engine_mode: ``"serial"`` (default) or ``"parallel"``.  Parallel
-            mode additionally runs a real Pregel job through both the
-            serial and the shared-memory multiprocess engine and records
-            their bit-identity in the report; serial mode leaves the
-            fingerprint byte-identical to pre-scale-out reports.
     """
 
     trace: LoadTraceConfig = field(default_factory=LoadTraceConfig)
@@ -157,16 +351,14 @@ class HarnessConfig:
     frontend_min_workers: int = 1
     frontend_max_workers: int = 4
     time_scale: float = 0.0
-    elastic: bool = False
-    engine_mode: str = "serial"
 
     def __post_init__(self):
-        if self.engine_mode not in ("serial", "parallel"):
-            raise ValueError(
-                f"engine_mode must be 'serial' or 'parallel', got {self.engine_mode!r}"
-            )
         if self.window_s <= 0:
             raise ValueError("window_s must be positive")
+        if self.capacity_per_window < 1:
+            raise ValueError("capacity_per_window must be >= 1")
+        if self.queue_limit < 0:
+            raise ValueError("queue_limit must be >= 0")
         if self.recurring_tenants < 0 or self.recurring_periods < 1:
             raise ValueError("recurring_tenants >= 0, recurring_periods >= 1")
         if self.frontend_min_workers < 1:
@@ -183,107 +375,30 @@ class LoadHarness:
     Args:
         config: the run description.
         metrics: registry for the ``load_*`` series (default: the
-            process registry).
+            process registry); they move at event time, so a scrape
+            mid-run sees the run so far.
         ledger: optional :class:`~repro.obs.attribution.CostLedger`;
             every executed run (one-shot and recurring) is attributed
             to its trace tenant as it finishes, so per-tenant spend is
             queryable mid-run and its dollar total matches the final
             report's ``user_cost_dollars``.
-        live_metrics: publish the ``load_*`` series incrementally at
-            event time (scrapeable mid-run) instead of once at the end
-            of :meth:`run`.  The end-of-run totals published are
-            identical either way — live mode only changes *when* the
-            series move, never the simulated results or the report
-            fingerprint.
     """
 
-    def __init__(
-        self,
-        config: HarnessConfig,
-        metrics=None,
-        ledger=None,
-        live_metrics: bool = False,
-    ):
+    def __init__(self, config: HarnessConfig, metrics=None, ledger=None):
         self.config = config
         self.metrics = metrics if metrics is not None else get_metrics()
         self.ledger = ledger
-        self.live_metrics = live_metrics
         self.setup = ExperimentSetup(
             seed=config.trace.seed, trace_days=config.trace_days
         )
         self.service = PlanningService(self.setup.market)
+        # The attribute ExecutionSimulator.run keys planned rescaling on.
+        self._elastic = hasattr(
+            self.service.provisioner(config.strategy), "rescale_policy"
+        )
         self._models: dict[tuple[str, float], tuple] = {}
         self._simulators: dict[tuple[str, float], ExecutionSimulator] = {}
         self._recurring_apps: dict[str, tuple[str, float]] = {}
-        if live_metrics:
-            self._init_live_series()
-
-    def _init_live_series(self) -> None:
-        """Zero-touch every live ``load_*`` series so the scrape schema
-        is stable from the first sample (a windowed ratio over a series
-        that does not exist yet reads as no-traffic, which is correct,
-        but a stable label set makes dashboards and tests simpler)."""
-        mx = self.metrics
-        jobs = mx.counter("load_jobs_total", "Trace jobs by admission outcome")
-        for outcome in (
-            "planned", "rejected_overload", "rejected_invalid", "deadline_lost"
-        ):
-            jobs.inc(0, outcome=outcome)
-        runs = mx.counter("load_runs_total", "Executed one-shot runs by outcome")
-        runs.inc(0, outcome="met")
-        runs.inc(0, outcome="missed")
-        rec = mx.counter(
-            "load_recurring_windows_total", "Recurring windows by outcome"
-        )
-        for outcome in ("met", "missed", "skipped"):
-            rec.inc(0, outcome=outcome)
-        mx.histogram(
-            "load_plan_latency_seconds", "Per-slot plan service time (batch path)"
-        )
-        mx.histogram("load_plan_queue_wait_seconds", "Per-slot batch queue wait")
-        mx.counter(
-            "load_provider_idle_machine_seconds_total",
-            "Billed machine-seconds beyond ideal compute (Granny provider cost)",
-        ).inc(0)
-        mx.counter(
-            "load_user_cost_dollars_total", "Dollars billed across executed runs"
-        ).inc(0)
-        mx.counter(
-            "load_service_time_seconds_total",
-            "Arrival-to-finish simulated seconds across executed runs",
-        ).inc(0)
-
-    # ------------------------------------------------------------------
-    # Live publication (no-ops unless live_metrics is on)
-    # ------------------------------------------------------------------
-    def _live_job(self, outcome: str, n: int = 1) -> None:
-        if self.live_metrics and n:
-            self.metrics.counter(
-                "load_jobs_total", "Trace jobs by admission outcome"
-            ).inc(n, outcome=outcome)
-
-    def _live_plan(self, latency_s: float, queue_wait_s: float) -> None:
-        if self.live_metrics:
-            self.metrics.histogram(
-                "load_plan_latency_seconds",
-                "Per-slot plan service time (batch path)",
-            ).observe(latency_s)
-            self.metrics.histogram(
-                "load_plan_queue_wait_seconds", "Per-slot batch queue wait"
-            ).observe(queue_wait_s)
-
-    def _live_run(
-        self, counter: str, result: RunResult, idle: float, span: float
-    ) -> None:
-        if not self.live_metrics:
-            return
-        mx = self.metrics
-        mx.counter(counter, "").inc(
-            1, outcome="missed" if result.missed_deadline else "met"
-        )
-        mx.counter("load_provider_idle_machine_seconds_total", "").inc(idle)
-        mx.counter("load_user_cost_dollars_total", "").inc(result.cost)
-        mx.counter("load_service_time_seconds_total", "").inc(span)
 
     # ------------------------------------------------------------------
     # Per-(app, scale) plumbing
@@ -327,7 +442,7 @@ class LoadHarness:
                 self.config.strategy,
                 record_events=False,
                 service=self.service,
-                frontier_curve=frontier_for_app(app) if self.config.elastic else None,
+                frontier_curve=frontier_for_app(app) if self._elastic else None,
             )
         return sim
 
@@ -386,176 +501,98 @@ class LoadHarness:
                 " raise trace_days or shrink the trace"
             )
 
-        totals = _PhaseTotals()
-        if cfg.frontend:
-            self._frontend_phase(trace, totals)
-        else:
-            self._windowed_phase(trace, totals)
-
-        recurring = self._run_recurring()
-        for name, outcome in recurring.items():
-            app, scale = self._recurring_apps[name]
-            ideal = self._ideal_seconds(app, scale)
-            for result in outcome.results:
-                billed = result.spot_seconds + result.on_demand_seconds
-                idle = max(0.0, billed - ideal)
-                totals.user_cost += result.cost
-                totals.fold_rescales(result)
-                # Scheduled release (deadline - period) anchors service
-                # time, so an overrun-delayed run is charged its wait.
-                scheduled = result.deadline - outcome.period
-                span = result.finish_time - scheduled
-                totals.service_time += span
-                totals.provider_idle += idle
-                self._live_run("load_recurring_windows_total", result, idle, span)
-                if self.ledger is not None:
-                    self.ledger.record_run(name, result, ideal, arrival=scheduled)
-            if self.live_metrics and outcome.skipped:
-                self.metrics.counter(
-                    "load_recurring_windows_total", "Recurring windows by outcome"
-                ).inc(outcome.skipped, outcome="skipped")
-        rec_runs = sum(o.runs for o in recurring.values())
-        rec_missed = sum(o.missed for o in recurring.values())
-        rec_skipped = sum(o.skipped for o in recurring.values())
-        rec_windows = rec_runs + rec_skipped
-
-        engine_supersteps = 0
-        engine_parallel_match = False
-        if cfg.engine_mode == "parallel":
-            engine_supersteps, engine_parallel_match = self._engine_exercise()
-
-        stats = self.service.cache_stats()
-        svc = self.service.service_stats()
-        lookups = stats.hits + stats.misses
-        snapshots = svc["snapshot_hits"] + svc["snapshot_misses"]
-        report = LoadReport(
-            seed=cfg.trace.seed,
-            num_jobs=cfg.trace.num_jobs,
-            num_tenants=cfg.trace.num_tenants,
-            trace_checksum=trace.checksum(),
-            trace_span_s=trace.span_s,
-            offered=totals.offered,
-            admitted=totals.admitted,
-            planned=totals.planned,
-            rejected_overload=totals.rejected_overload,
-            rejected_invalid=totals.rejected_invalid,
-            deadline_lost=totals.deadline_lost,
-            queued=totals.queued,
-            queue_peak=totals.queue_peak,
-            cache_hit_rate=stats.hits / lookups if lookups else 0.0,
-            snapshot_hit_rate=svc["snapshot_hits"] / snapshots if snapshots else 0.0,
-            plan_p50_ms=1000 * percentile(totals.latencies, 50),
-            plan_p95_ms=1000 * percentile(totals.latencies, 95),
-            plan_p99_ms=1000 * percentile(totals.latencies, 99),
-            queue_wait_p50_ms=1000 * percentile(totals.queue_waits, 50),
-            queue_wait_p95_ms=1000 * percentile(totals.queue_waits, 95),
-            queue_wait_p99_ms=1000 * percentile(totals.queue_waits, 99),
-            executed=totals.executed,
-            missed=totals.missed,
-            miss_rate=totals.missed / totals.executed if totals.executed else 0.0,
-            recurring_tenants=len(recurring),
-            recurring_runs=rec_runs,
-            recurring_missed=rec_missed,
-            recurring_skipped=rec_skipped,
-            recurring_miss_rate=rec_missed / rec_runs if rec_runs else 0.0,
-            recurring_skipped_rate=rec_skipped / rec_windows if rec_windows else 0.0,
-            recurring_violation_rate=(rec_missed + rec_skipped) / rec_windows
-            if rec_windows
-            else 0.0,
-            provider_idle_machine_s=totals.provider_idle,
-            user_cost_dollars=totals.user_cost,
-            service_time_s=totals.service_time,
-            elastic=cfg.elastic,
-            rescales=totals.rescales,
-            rescale_shrinks=totals.rescale_shrinks,
-            rescale_seconds=totals.rescale_seconds,
-            frontend=cfg.frontend,
-            coalesce_hits=totals.coalesce_hits,
-            pool_size_peak=totals.pool_size_peak,
-            pool_size_low=totals.pool_size_low,
-            pool_scale_ups=totals.pool_scale_ups,
-            pool_scale_downs=totals.pool_scale_downs,
-            dispatch_batches=totals.dispatch_batches,
-            dispatch_batch_max=totals.dispatch_batch_max,
-            engine_mode=cfg.engine_mode,
-            engine_supersteps=engine_supersteps,
-            engine_parallel_match=engine_parallel_match,
-        )
-        self._publish_metrics(report, totals.latencies, totals.queue_waits)
-        return report
+        sink = _OutcomeSink(self.metrics, self.ledger, self._elastic)
+        planner = self._plan_frontend if cfg.frontend else self._plan_windowed
+        # Executor.  The planners are lazy, so on the windowed path a
+        # window's jobs execute before the next window is planned.
+        for job, t_plan in planner(trace, sink):
+            if cfg.execute:
+                sink.run(
+                    job.tenant,
+                    self._execute(job, t_plan),
+                    self._ideal_seconds(job.app, job.scale),
+                    market.start + job.arrival_s,
+                )
+        for name, outcome in self._run_recurring().items():
+            sink.recurring(
+                name, outcome, self._ideal_seconds(*self._recurring_apps[name])
+            )
+        return sink.report(trace, self.service)
 
     # ------------------------------------------------------------------
-    # Planning phases
+    # Windows
     # ------------------------------------------------------------------
-    def _windowed_phase(self, trace: ArrivalTrace, totals: "_PhaseTotals") -> None:
-        """PR 6 path: bounded admission + windowed ``plan_many`` batches."""
+    def _windows(self, trace: ArrivalTrace, sink: _OutcomeSink, controller=None):
+        """Yield ``(window_end, jobs)``: the jobs to plan at each close.
+
+        Without a *controller* those are the window's arrivals; with an
+        admission controller, what it releases of its backlog and the
+        arrivals (the rest waits or is tail-dropped).  Runs until the
+        trace is exhausted and the controller holds nothing back.
+        """
         cfg = self.config
         market = self.setup.market
+        num_windows = max(1, math.ceil(trace.span_s / cfg.window_s) + 1)
+        arrivals = deque(trace.jobs)
+        window = 0
+        while (
+            window < num_windows
+            or arrivals
+            or (controller is not None and controller.backlog)
+        ):
+            window_end = market.start + (window + 1) * cfg.window_s
+            jobs: list[TraceJob] = []
+            while arrivals and market.start + arrivals[0].arrival_s < window_end:
+                jobs.append(arrivals.popleft())
+            sink.offered += len(jobs)
+            if controller is not None:
+                admitted, rejected = controller.offer(jobs)
+                sink.job("rejected_overload", len(rejected))
+                sink.backlog(controller.stats)
+                jobs = [entry.item for entry in admitted]
+            servable = []
+            for job in jobs:
+                if self._deadline_for(job) <= window_end:
+                    # Its whole deadline has passed (queued too long, or
+                    # shorter than one window): unservable — an SLO
+                    # loss, not a planner error.
+                    sink.job("deadline_lost")
+                else:
+                    servable.append(job)
+            yield window_end, servable
+            window += 1
+
+    # ------------------------------------------------------------------
+    # Planners: both yield (job, t_plan) for every planned job
+    # ------------------------------------------------------------------
+    def _plan_windowed(self, trace: ArrivalTrace, sink: _OutcomeSink):
+        """Bounded admission, then one ``plan_many`` batch per window."""
+        cfg = self.config
         controller = AdmissionController(
             capacity_per_window=cfg.capacity_per_window, queue_limit=cfg.queue_limit
         )
-        num_windows = max(1, math.ceil(trace.span_s / cfg.window_s) + 1)
-        job_iter = iter(trace.jobs)
-        pending_job = next(job_iter, None)
-        window = 0
-        while True:
-            window_end = market.start + (window + 1) * cfg.window_s
-            arrivals: list[TraceJob] = []
-            while (
-                pending_job is not None
-                and market.start + pending_job.arrival_s < window_end
-            ):
-                arrivals.append(pending_job)
-                pending_job = next(job_iter, None)
-            admitted, rejected = controller.offer(arrivals)
-            totals.rejected_overload += len(rejected)
-            self._live_job("rejected_overload", len(rejected))
+        for window_end, jobs in self._windows(trace, sink, controller):
+            if not jobs:
+                continue
+            slots = self.service.plan_many(
+                [self._request_for(job, window_end) for job in jobs],
+                return_exceptions=True,
+            )
+            for job, slot in zip(jobs, slots):
+                if isinstance(slot, PlanResult):
+                    sink.plan(slot.telemetry.latency_s, slot.telemetry.queue_wait_s)
+                    yield job, window_end
+                else:
+                    sink.job("rejected_invalid")
 
-            requests: list[PlanRequest] = []
-            request_jobs: list[TraceJob] = []
-            for entry in admitted:
-                job: TraceJob = entry.item  # type: ignore[assignment]
-                if self._deadline_for(job) <= window_end:
-                    # Queued past its whole deadline: the window is
-                    # unservable — an SLO loss, not a planner error.
-                    totals.deadline_lost += 1
-                    self._live_job("deadline_lost")
-                    continue
-                requests.append(self._request_for(job, window_end))
-                request_jobs.append(job)
-
-            if requests:
-                slots = self.service.plan_many(requests, return_exceptions=True)
-                for job, slot in zip(request_jobs, slots):
-                    if not isinstance(slot, PlanResult):
-                        totals.rejected_invalid += 1
-                        self._live_job("rejected_invalid")
-                        continue
-                    totals.planned += 1
-                    totals.latencies.append(slot.telemetry.latency_s)
-                    totals.queue_waits.append(slot.telemetry.queue_wait_s)
-                    self._live_job("planned")
-                    self._live_plan(
-                        slot.telemetry.latency_s, slot.telemetry.queue_wait_s
-                    )
-                    self._execute_planned(job, window_end, totals)
-
-            window += 1
-            if window >= num_windows and pending_job is None and not controller.backlog:
-                break
-        totals.offered = controller.stats.offered
-        totals.admitted = controller.stats.admitted
-        totals.queued = controller.stats.queued
-        totals.queue_peak = controller.stats.queue_peak
-
-    def _frontend_phase(self, trace: ArrivalTrace, totals: "_PhaseTotals") -> None:
-        """Tentpole path: the async frontend over the autoscaled pool.
+    def _plan_frontend(self, trace: ArrivalTrace, sink: _OutcomeSink):
+        """The async frontend over the autoscaled pool.
 
         Submissions are grouped by planning window (each job's decision
         time is its arrival window's close, the same simulated-time
         bookkeeping as the windowed path) but dispatched concurrently —
         coalescing, batching and scaling happen inside the frontend.
-        Planned jobs execute afterwards in arrival order, so the
+        Planned jobs are yielded afterwards in arrival order, so the
         simulated phase is independent of wall-clock completion order.
         """
         cfg = self.config
@@ -571,27 +608,15 @@ class LoadHarness:
             ),
             metrics=self.metrics,
         )
-        outcomes = asyncio.run(self._drive_frontend(frontend, trace, totals))
-        stats = frontend.stats()
-        totals.offered = len(trace.jobs)
-        totals.admitted = totals.offered - totals.rejected_overload
-        totals.coalesce_hits = stats.coalesced
-        totals.pool_size_peak = stats.pool.size_peak
-        totals.pool_size_low = stats.pool.size_low
-        totals.pool_scale_ups = stats.pool.scale_ups
-        totals.pool_scale_downs = stats.pool.scale_downs
-        totals.dispatch_batches = stats.pool.batches
-        totals.dispatch_batch_max = stats.pool.batch_max
-        # Execute in arrival order, decoupled from resolution order.
-        for job, t_plan in sorted(outcomes, key=lambda pair: pair[0].job_id):
-            self._execute_planned(job, t_plan, totals)
+        planned = asyncio.run(self._drive_frontend(frontend, trace, sink))
+        sink.frontend_stats = frontend.stats()
+        yield from sorted(planned, key=lambda pair: pair[0].job_id)
 
     async def _drive_frontend(
-        self, frontend: PlanFrontend, trace: ArrivalTrace, totals: "_PhaseTotals"
+        self, frontend: PlanFrontend, trace: ArrivalTrace, sink: _OutcomeSink
     ) -> list[tuple[TraceJob, float]]:
         """Submit the trace through the frontend; returns planned jobs."""
         cfg = self.config
-        market = self.setup.market
         planned: list[tuple[TraceJob, float]] = []
 
         async def submit(job: TraceJob, t_plan: float) -> None:
@@ -599,47 +624,22 @@ class LoadHarness:
             try:
                 result = await frontend.plan(self._request_for(job, t_plan))
             except FrontendOverloadError:
-                totals.rejected_overload += 1
-                self._live_job("rejected_overload")
+                sink.job("rejected_overload")
                 return
             except PlanError:
-                totals.rejected_invalid += 1
-                self._live_job("rejected_invalid")
+                sink.job("rejected_invalid")
                 return
-            totals.planned += 1
-            latency = time.perf_counter() - started
-            totals.latencies.append(latency)
-            totals.queue_waits.append(result.telemetry.queue_wait_s)
-            self._live_job("planned")
-            self._live_plan(latency, result.telemetry.queue_wait_s)
+            sink.plan(time.perf_counter() - started, result.telemetry.queue_wait_s)
             planned.append((job, t_plan))
 
         async with frontend:
             tasks: list[asyncio.Task] = []
-            job_iter = iter(trace.jobs)
-            pending_job = next(job_iter, None)
-            window = 0
-            num_windows = max(1, math.ceil(trace.span_s / cfg.window_s) + 1)
-            while window < num_windows or pending_job is not None:
-                window_end = market.start + (window + 1) * cfg.window_s
-                burst = 0
-                while (
-                    pending_job is not None
-                    and market.start + pending_job.arrival_s < window_end
-                ):
-                    job = pending_job
-                    deadline = self._deadline_for(job)
-                    if deadline <= window_end:
-                        totals.deadline_lost += 1
-                        self._live_job("deadline_lost")
-                    else:
-                        tasks.append(asyncio.create_task(submit(job, window_end)))
-                        burst += 1
-                    pending_job = next(job_iter, None)
-                window += 1
+            for window_end, jobs in self._windows(trace, sink):
+                for job in jobs:
+                    tasks.append(asyncio.create_task(submit(job, window_end)))
                 if cfg.time_scale > 0:
                     await asyncio.sleep(cfg.window_s / cfg.time_scale)
-                elif burst:
+                elif jobs:
                     # Yield so the dispatcher and resolvers interleave
                     # with submission even in saturation mode.
                     await asyncio.sleep(0)
@@ -664,60 +664,7 @@ class LoadHarness:
         return planned
 
     # ------------------------------------------------------------------
-    def _engine_exercise(self) -> tuple[int, bool]:
-        """Serial-vs-parallel bit-identity spot check on a real engine.
-
-        The harness's planning/execution stack is mechanistic, so
-        parallel mode additionally runs one genuine Pregel job (SSSP on
-        a grid, whose frontier crosses many supersteps regardless of
-        the seed) through both execution modes and compares values and
-        per-superstep stats exactly.  On hosts without fork the
-        parallel engine transparently runs its serial path, so the
-        comparison still holds (and still vouches for the fallback).
-        """
-        from repro.engine.algorithms.sssp import SSSP
-        from repro.engine.engine import PregelEngine
-        from repro.graph.generators import grid_graph
-        from repro.partitioning.hashing import HashPartitioner
-
-        graph = grid_graph(16, 16)
-        partitioning = HashPartitioner().partition(graph, 4)
-        serial = PregelEngine(graph, SSSP(source=0), partitioning).run()
-        with PregelEngine(
-            graph, SSSP(source=0), partitioning, execution="parallel"
-        ) as engine:
-            parallel = engine.run()
-        match = (
-            serial.supersteps_run == parallel.supersteps_run
-            and np.array_equal(serial.values_array(), parallel.values_array())
-            and serial.stats == parallel.stats
-        )
-        return serial.supersteps_run, match
-
-    # ------------------------------------------------------------------
-    def _execute_planned(
-        self, job: TraceJob, release: float, totals: "_PhaseTotals"
-    ) -> None:
-        """Execute one planned job and fold its costs into *totals*."""
-        if not self.config.execute:
-            return
-        result = self._execute(job, release)
-        totals.executed += 1
-        totals.missed += result.missed_deadline
-        totals.fold_rescales(result)
-        idle, dollars, span = self._granny_costs(job, result)
-        totals.provider_idle += idle
-        totals.user_cost += dollars
-        totals.service_time += span
-        self._live_run("load_runs_total", result, idle, span)
-        if self.ledger is not None:
-            self.ledger.record_run(
-                job.tenant,
-                result,
-                self._ideal_seconds(job.app, job.scale),
-                arrival=self.setup.market.start + job.arrival_s,
-            )
-
+    # Executor
     # ------------------------------------------------------------------
     def _execute(self, job: TraceJob, release: float) -> RunResult:
         """Run one planned job through the simulator (release = plan time)."""
@@ -733,15 +680,7 @@ class LoadHarness:
         _, perf, lrc, _ = self._model_for(app, scale)
         return perf.exec_time(lrc) * lrc.num_workers
 
-    def _granny_costs(self, job: TraceJob, result: RunResult) -> tuple[float, float, float]:
-        """(provider idle machine-s, user dollars, service-time s)."""
-        billed = result.spot_seconds + result.on_demand_seconds
-        idle = max(0.0, billed - self._ideal_seconds(job.app, job.scale))
-        arrival = self.setup.market.start + job.arrival_s
-        return idle, result.cost, result.finish_time - arrival
-
-    # ------------------------------------------------------------------
-    def _run_recurring(self):
+    def _run_recurring(self) -> dict[str, RecurringOutcome]:
         """The interleaved recurring phase over the shared service."""
         cfg = self.config
         if cfg.recurring_tenants == 0 or not cfg.execute:
@@ -773,69 +712,3 @@ class LoadHarness:
             self._recurring_apps[specs[-1].name] = (app, scale)
         driver = InterleavedRecurringDriver(specs)
         return driver.run(self.setup.market.start, cfg.recurring_periods)
-
-    # ------------------------------------------------------------------
-    def _publish_metrics(self, report: LoadReport, latencies, queue_waits) -> None:
-        """Export the run's aggregates as ``load_*`` metrics series.
-
-        In ``live_metrics`` mode the event-time publication already
-        moved every counter/histogram below; re-adding the totals here
-        would double-count, so only the end-of-run gauge (and the
-        elastic section, which is folded from results, not events) is
-        published.
-        """
-        mx = self.metrics
-        if not self.live_metrics:
-            jobs = mx.counter("load_jobs_total", "Trace jobs by admission outcome")
-            jobs.inc(report.planned, outcome="planned")
-            jobs.inc(report.rejected_overload, outcome="rejected_overload")
-            jobs.inc(report.rejected_invalid, outcome="rejected_invalid")
-            jobs.inc(report.deadline_lost, outcome="deadline_lost")
-            lat = mx.histogram(
-                "load_plan_latency_seconds", "Per-slot plan service time (batch path)"
-            )
-            for v in latencies:
-                lat.observe(v)
-            wait = mx.histogram(
-                "load_plan_queue_wait_seconds", "Per-slot batch queue wait"
-            )
-            for v in queue_waits:
-                wait.observe(v)
-            runs = mx.counter("load_runs_total", "Executed one-shot runs by outcome")
-            runs.inc(report.executed - report.missed, outcome="met")
-            runs.inc(report.missed, outcome="missed")
-            rec = mx.counter(
-                "load_recurring_windows_total", "Recurring windows by outcome"
-            )
-            rec.inc(report.recurring_runs - report.recurring_missed, outcome="met")
-            rec.inc(report.recurring_missed, outcome="missed")
-            rec.inc(report.recurring_skipped, outcome="skipped")
-            mx.counter(
-                "load_provider_idle_machine_seconds_total",
-                "Billed machine-seconds beyond ideal compute (Granny provider cost)",
-            ).inc(report.provider_idle_machine_s)
-            mx.counter(
-                "load_user_cost_dollars_total", "Dollars billed across executed runs"
-            ).inc(report.user_cost_dollars)
-            mx.counter(
-                "load_service_time_seconds_total",
-                "Arrival-to-finish simulated seconds across executed runs",
-            ).inc(report.service_time_s)
-        mx.gauge("load_queue_peak", "Admission backlog high-water mark").set(
-            report.queue_peak
-        )
-        if report.elastic:
-            resc = mx.counter(
-                "load_rescales_total", "Planned mid-job rescales across executed runs"
-            )
-            resc.inc(report.rescale_shrinks, action="shrink")
-            resc.inc(report.rescales - report.rescale_shrinks, action="other")
-            mx.counter(
-                "load_rescale_seconds_total",
-                "Simulated reload seconds paid for planned rescales",
-            ).inc(report.rescale_seconds)
-
-
-def run_load(config: HarnessConfig, metrics=None) -> LoadReport:
-    """Convenience one-call entry point (used by the CLI and CI smoke)."""
-    return LoadHarness(config, metrics=metrics).run()

@@ -1,8 +1,8 @@
 """CI smoke for the live-operations layer (``python -m repro.load.ops_smoke``).
 
-Drives a small seeded trace through the harness **in serving mode** and
-scrapes the ops endpoint *while the run is in flight*, asserting the
-acceptance criteria of the live-operations layer:
+Drives a small seeded trace through the harness with a cost ledger
+attached and scrapes the ops endpoint *while the run is in flight*,
+asserting the acceptance criteria of the live-operations layer:
 
 1. ``/metrics`` parses with :func:`~repro.obs.export.parse_prometheus`
    both mid-run and after completion;
@@ -10,8 +10,9 @@ acceptance criteria of the live-operations layer:
    ``deadline_miss_rate`` objective with burn rates for every window;
 3. ``/tenants`` dollars sum to the final report's ``user_cost_dollars``
    within 1e-6;
-4. a second, non-serving run of the same seed produces a bit-identical
-   report fingerprint — serving mode observes, never perturbs.
+4. a second run of the same seed with no ledger and no server produces
+   a bit-identical report fingerprint — a ledger and a scraped server
+   observe, never perturb.
 
 Artifacts (scraped exposition, SLO/tenant payloads, the report) are
 written to ``--out`` for upload.  Exits non-zero on any failed check,
@@ -43,7 +44,7 @@ def _get(url: str):
 
 
 def run_smoke(jobs: int = 100, seed: int = 42, out: Path | None = None) -> list[str]:
-    """Run the serving-mode smoke; returns a list of failed checks."""
+    """Run the scraped-mid-run smoke; returns a list of failed checks."""
     problems: list[str] = []
     trace_config = LoadTraceConfig(seed=seed, num_jobs=jobs, num_tenants=8)
     config = HarnessConfig(
@@ -55,7 +56,7 @@ def run_smoke(jobs: int = 100, seed: int = 42, out: Path | None = None) -> list[
     aggregator = WindowedAggregator(metrics, WindowConfig(interval=0.05))
     monitor = SloMonitor(aggregator, default_slos(), metrics=metrics)
     ledger = CostLedger(metrics=metrics)
-    harness = LoadHarness(config, metrics=metrics, ledger=ledger, live_metrics=True)
+    harness = LoadHarness(config, metrics=metrics, ledger=ledger)
 
     mid_run: dict = {}
     with OpsServer(
@@ -129,11 +130,11 @@ def run_smoke(jobs: int = 100, seed: int = 42, out: Path | None = None) -> list[
     if report.executed and not final_tenants["tenants"]:
         problems.append("runs executed but /tenants is empty")
 
-    # -- check 4: serving never perturbs the simulated outcome ----------
+    # -- check 4: a ledger + scraped server never perturbs the outcome --
     plain = LoadHarness(config, metrics=MetricsRegistry()).run(trace)
     if plain.fingerprint() != report.fingerprint():
         problems.append(
-            "serving-mode fingerprint diverged from plain run: "
+            "ledger + scraped-server fingerprint diverged from plain run: "
             f"{report.fingerprint()} != {plain.fingerprint()}"
         )
 

@@ -124,12 +124,6 @@ class LoadReport:
     dispatch_batches: int = 0
     dispatch_batch_max: int = 0
 
-    # Engine-exercise outcomes (deterministic; serial mode drops them
-    # from the fingerprint, keeping pre-scale-out reports byte-identical).
-    engine_mode: str = "serial"
-    engine_supersteps: int = 0
-    engine_parallel_match: bool = False
-
     #: Fields excluded from :meth:`fingerprint` on top of the ``*_ms``
     #: wall-clock percentiles: everything measuring the serving layer's
     #: real-time behaviour rather than a simulated outcome.
@@ -165,11 +159,6 @@ class LoadReport:
         elastic_keys = ("elastic", "rescales", "rescale_shrinks", "rescale_seconds")
         if not any(payload[k] for k in elastic_keys):
             for k in elastic_keys:
-                payload.pop(k)
-        # Same rule for the engine exercise: a serial-mode run's
-        # fingerprint matches reports from before engine modes existed.
-        if payload["engine_mode"] == "serial":
-            for k in ("engine_mode", "engine_supersteps", "engine_parallel_match"):
                 payload.pop(k)
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
@@ -276,18 +265,6 @@ class LoadReport:
                 title="Frontend + planner pool",
             )
             if self.frontend
-            else None,
-            format_table(
-                [
-                    {
-                        "mode": self.engine_mode,
-                        "supersteps": self.engine_supersteps,
-                        "parallel_match": self.engine_parallel_match,
-                    }
-                ],
-                title="Engine exercise (serial vs parallel)",
-            )
-            if self.engine_mode != "serial"
             else None,
             format_table(
                 [

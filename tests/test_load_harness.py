@@ -347,23 +347,18 @@ class TestAdmissionController:
         assert rejected == []
         assert controller.backlog == 1  # "e" waits
 
-    def test_drain_flushes_backlog(self):
+    def test_empty_offers_flush_backlog(self):
         controller = AdmissionController(capacity_per_window=2, queue_limit=10)
         controller.offer(["a", "b", "c", "d", "e"])
         drained = []
         while controller.backlog:
-            drained.extend(a.item for a in controller.drain())
+            admitted, rejected = controller.offer(())
+            assert rejected == []
+            drained.extend(a.item for a in admitted)
         assert drained == ["c", "d", "e"]
-        stats = controller.stats.as_dict()
-        assert stats["offered"] == 5
-        assert stats["admitted"] == 5
-        assert stats["rejected"] == 0
-        assert stats["queued"] == 3
-
-    def test_rejection_error_is_plan_error(self):
-        err = AdmissionController.rejection_error("job-9")
-        assert isinstance(err, PlanError)
-        assert "capacity" in str(err)
+        stats = controller.stats
+        assert (stats.offered, stats.admitted, stats.rejected) == (5, 5, 0)
+        assert stats.queued == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -413,7 +408,15 @@ def _small_config(**overrides) -> HarnessConfig:
 class TestLoadHarness:
     def test_end_to_end_counts_and_report(self):
         metrics = MetricsRegistry()
-        report = LoadHarness(_small_config(), metrics=metrics).run()
+        harness = LoadHarness(_small_config(), metrics=metrics)
+        report = harness.run()
+        assert report.fingerprint() == (
+            "7efa9cb08e1e410e332e5854165483d210813733de9039954af53ba7ca89e2f4"
+        )
+        # hourglass owns no rescale_policy: no frontier curves, no section.
+        assert not report.elastic
+        assert all(s.frontier_curve is None for s in harness._simulators.values())
+        assert "Elastic rescaling" not in report.render()
         assert report.offered == 50
         assert report.admitted > 0
         assert report.planned > 0
@@ -464,6 +467,10 @@ class TestLoadHarness:
             recurring_tenants=0,
         )
         report = LoadHarness(config, metrics=MetricsRegistry()).run()
+        assert report.fingerprint() == (
+            "4ccddec17736ca2bc030dbc983813b656b722b96c22bc3f1837642b0a7f09def"
+        )
+        assert report.deadline_lost > 0  # queued past its whole deadline
         assert report.rejected_overload > 0  # tail-drop, not an exception
         assert report.planned > 0  # the admitted majority still planned
         assert report.queue_peak <= config.queue_limit
@@ -486,6 +493,104 @@ class TestLoadHarness:
         config = _small_config(trace_days=1, num_jobs=30)
         with pytest.raises(ValueError, match="market trace too short"):
             LoadHarness(config, metrics=MetricsRegistry()).run()
+
+    def test_report_describes_the_trace_that_ran(self, tmp_path):
+        """A replayed trace's identity wins over the configured one."""
+        replayed = generate_trace(
+            LoadTraceConfig(seed=9, num_jobs=12, num_tenants=3)
+        )
+        replayed.to_jsonl(tmp_path / "trace.jsonl")
+        loaded = ArrivalTrace.from_jsonl(tmp_path / "trace.jsonl")
+        config = HarnessConfig(
+            trace=LoadTraceConfig(seed=3, num_jobs=30, num_tenants=6),
+            trace_days=8,
+            recurring_tenants=0,
+            execute=False,
+        )
+        report = LoadHarness(config, metrics=MetricsRegistry()).run(loaded)
+        assert (report.seed, report.num_jobs, report.num_tenants) == (9, 12, 3)
+        assert report.offered == 12
+        assert report.trace_checksum == replayed.checksum()
+
+
+class TestHarnessConfigValidation:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(window_s=0.0), "window_s"),
+            (dict(capacity_per_window=0), "capacity_per_window must be >= 1"),
+            # Used to surface inside run() as FrontendConfig's "max_batch".
+            (dict(frontend=True, capacity_per_window=0), "capacity_per_window"),
+            (dict(queue_limit=-1), "queue_limit must be >= 0"),
+            (dict(recurring_tenants=-1), "recurring_tenants"),
+            (dict(recurring_periods=0), "recurring_periods"),
+            (dict(frontend_min_workers=0), "frontend_min_workers"),
+            (dict(frontend_min_workers=3, frontend_max_workers=2), "frontend_max_workers"),
+            (dict(time_scale=-1.0), "time_scale"),
+        ],
+    )
+    def test_rejected_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            HarnessConfig(**overrides)
+
+
+# ----------------------------------------------------------------------
+# Behaviour contract: fingerprints frozen before the one-pipeline
+# refactor (with the bench pin (42, 600) in bench/workloads/serve_mixed.py)
+# ----------------------------------------------------------------------
+class TestFrozenFingerprints:
+    """The windowed and saturation literals ride on
+    ``TestLoadHarness.test_end_to_end_counts_and_report`` and
+    ``test_saturation_degrades_gracefully``, which already run those
+    configs."""
+
+    def test_frontend_without_overload(self):
+        config = HarnessConfig(
+            trace=LoadTraceConfig(seed=11, num_jobs=40, num_tenants=6),
+            trace_days=8,
+            recurring_tenants=1,
+            recurring_periods=2,
+            frontend=True,
+            frontend_min_workers=1,
+            frontend_max_workers=4,
+        )
+        report = LoadHarness(config, metrics=MetricsRegistry()).run()
+        assert report.rejected_overload == 0
+        assert report.fingerprint() == (
+            "f806ddd03fed2c73fefc6203a55395bfc963133dbde83c9bf454ecbc63663f3f"
+        )
+
+    def test_elastic_strategy_needs_no_flag(self):
+        """The CI elastic smoke, shrunk to six jobs (two shrinks land)."""
+        config = HarnessConfig(
+            trace=LoadTraceConfig(
+                seed=42, num_jobs=6, scales=(16.0,), slack_range=(0.6, 1.0)
+            ),
+            strategy="elastic",
+            recurring_tenants=0,
+            trace_days=30,
+        )
+        registry = MetricsRegistry()
+        harness = LoadHarness(config, metrics=registry)
+        report = harness.run()
+        assert report.fingerprint() == (
+            "fae827ae9a2af12162c16e6b973c27f98ec113fe6b401273615692c71193cbbb"
+        )
+        # The strategy's rescale_policy alone turns the elastic path on.
+        assert report.elastic
+        assert report.rescale_shrinks == 2 and report.missed == 0
+        assert all(
+            s.frontier_curve is not None for s in harness._simulators.values()
+        )
+        assert "Elastic rescaling" in report.render()
+        rescales = registry.counter("load_rescales_total")
+        assert rescales.value(action="shrink") == report.rescale_shrinks
+        assert rescales.value(action="other") == (
+            report.rescales - report.rescale_shrinks
+        )
+        assert registry.counter("load_rescale_seconds_total").value() == (
+            report.rescale_seconds
+        )
 
 
 class TestLoadCli:

@@ -10,8 +10,9 @@ Covers the streaming side of :mod:`repro.obs`:
 * :class:`~repro.obs.attribution.CostLedger` / ``LedgerObserver``,
   including a real lifecycle run metered through the ``on_bill`` hook;
 * :class:`~repro.obs.server.OpsServer` endpoints over HTTP;
-* the harness's live-metrics mode, which must be invisible to the
-  report fingerprint.
+* the harness's ``load_*`` publication: every series equals its report
+  field, moves at event time, and a ledger never perturbs the
+  fingerprint.
 """
 
 from __future__ import annotations
@@ -748,9 +749,9 @@ class TestWatchPanel:
 
 
 # ----------------------------------------------------------------------
-# Harness live-metrics mode
+# Harness publication: one path, at event time
 # ----------------------------------------------------------------------
-def _harness_config(seed=17, num_jobs=40):
+def _harness_config(seed=17, num_jobs=40, **overrides):
     return HarnessConfig(
         trace=LoadTraceConfig(
             seed=seed, num_jobs=num_jobs, num_tenants=6, arrivals_per_hour=240.0
@@ -761,46 +762,74 @@ def _harness_config(seed=17, num_jobs=40):
         trace_days=8,
         recurring_tenants=2,
         recurring_periods=3,
+        **overrides,
     )
 
 
-class TestHarnessLiveMode:
-    def test_live_mode_matches_batch_publication(self):
+class TestHarnessPublication:
+    @pytest.mark.parametrize("frontend", [False, True], ids=["windowed", "frontend"])
+    def test_every_series_equals_its_report_field(self, frontend):
+        registry = MetricsRegistry()
+        report = LoadHarness(
+            _harness_config(frontend=frontend), metrics=registry
+        ).run()
+        assert report.planned > 0 and report.executed > 0
+        assert report.recurring_runs > 0
+
+        jobs = registry.counter("load_jobs_total")
+        for outcome in (
+            "planned", "rejected_overload", "rejected_invalid", "deadline_lost"
+        ):
+            assert jobs.value(outcome=outcome) == getattr(report, outcome), outcome
+        runs = registry.counter("load_runs_total")
+        assert runs.value(outcome="missed") == report.missed
+        assert runs.value(outcome="met") == report.executed - report.missed
+        windows = registry.counter("load_recurring_windows_total")
+        assert windows.value(outcome="missed") == report.recurring_missed
+        assert windows.value(outcome="met") == (
+            report.recurring_runs - report.recurring_missed
+        )
+        assert windows.value(outcome="skipped") == report.recurring_skipped
+        # The float totals accumulate in the same order on both sides.
+        for name, field in (
+            ("load_provider_idle_machine_seconds_total", "provider_idle_machine_s"),
+            ("load_user_cost_dollars_total", "user_cost_dollars"),
+            ("load_service_time_seconds_total", "service_time_s"),
+        ):
+            assert registry.counter(name).value() == getattr(report, field), name
+        assert registry.gauge("load_queue_peak").value() == report.queue_peak
+        for name in ("load_plan_latency_seconds", "load_plan_queue_wait_seconds"):
+            assert registry.histogram(name).snapshot()["count"] == report.planned
+        # Not an elastic strategy: no rescale series are declared.
+        assert registry.get("load_rescales_total") is None
+
+    def test_publication_is_event_time_by_default(self):
+        registry = MetricsRegistry()
+        harness = LoadHarness(_harness_config(), metrics=registry)
+        planned = registry.counter("load_jobs_total")
+        seen = []
+        harness.service.add_decision_hook(
+            lambda request, result: seen.append(planned.value(outcome="planned"))
+        )
+        report = harness.run()
+        # Some decision was taken while the planned count was partway up.
+        assert any(0 < value < report.planned for value in seen)
+        assert planned.value(outcome="planned") == report.planned
+
+    def test_ledger_matches_report(self):
         config = _harness_config()
         trace = generate_trace(config.trace)
+        plain = LoadHarness(config, metrics=MetricsRegistry()).run(trace)
 
-        batch_registry = MetricsRegistry()
-        batch = LoadHarness(config, metrics=batch_registry).run(trace)
+        registry = MetricsRegistry()
+        ledger = CostLedger(metrics=registry)
+        report = LoadHarness(config, metrics=registry, ledger=ledger).run(trace)
 
-        live_registry = MetricsRegistry()
-        ledger = CostLedger(metrics=live_registry)
-        live = LoadHarness(
-            config, metrics=live_registry, ledger=ledger, live_metrics=True
-        ).run(trace)
-
-        # Event-time publication must be invisible to the outcome...
-        assert live.fingerprint() == batch.fingerprint()
-        # ...and agree with the end-of-run counters series for series.
-        for name in ("load_jobs_total", "load_runs_total",
-                     "load_recurring_windows_total"):
-            assert (
-                live_registry.counter(name).series()
-                == batch_registry.counter(name).series()
-            ), name
-        live_hist = live_registry.histogram("load_plan_latency_seconds")
-        batch_hist = batch_registry.histogram("load_plan_latency_seconds")
-        assert sum(
-            s["count"] for s in live_hist.snapshot_all().values()
-        ) == sum(s["count"] for s in batch_hist.snapshot_all().values())
-
-        # The ledger is the report's cost section, keyed by tenant.
+        # Attribution must be invisible to the outcome...
+        assert report.fingerprint() == plain.fingerprint()
+        # ...and the ledger is the report's cost section, keyed by tenant.
         assert ledger.totals().dollars == pytest.approx(
-            live.user_cost_dollars, abs=1e-6
+            report.user_cost_dollars, abs=1e-6
         )
-        assert ledger.totals().runs == live.executed + live.recurring_runs
+        assert ledger.totals().runs == report.executed + report.recurring_runs
         assert len(ledger.snapshot()) >= 2  # real multi-tenant attribution
-
-    def test_ledger_without_live_metrics_stays_empty(self):
-        config = _harness_config(num_jobs=20)
-        report = LoadHarness(config, metrics=MetricsRegistry()).run()
-        assert report.executed > 0
