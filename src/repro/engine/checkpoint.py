@@ -10,17 +10,23 @@ Three payload formats are readable:
 
 * **format 1** (legacy) — per-worker ``{vertex: value}`` dicts;
 * **format 2** — the engine's dense state arrays pickled directly;
-* **format 3** (current) — a compressed envelope.  A ``full`` envelope
-  carries the whole format-2 state, pickled and compressed (zlib by
-  default; zstd when the optional ``zstandard`` module is installed).
-  A ``delta`` envelope carries only the vertices whose value changed
+* **format 3** (current, the only one written) — a compressed
+  envelope.  A ``full`` envelope carries the whole format-2 state; a
+  ``delta`` envelope carries only the vertices whose value changed
   since the last *full* snapshot (a packed changed-vertex mask plus the
   changed values), the packed halted flags, and the pending messages —
   restore composes ``full + delta``.  Long-running jobs with shrinking
   frontiers (SSSP, WCC) checkpoint sublinearly in supersteps: the
   datastore byte counters track the frontier, not the graph.
 
-Every format-3 envelope carries a CRC of its compressed payload; a
+The envelope's ``codec`` names how its payload was compressed.  Writes
+use ``"planes"`` — the state's arrays go through the plane-wise codec of
+:mod:`repro.engine.codec` (compress only the byte planes that compress)
+and the result is pickled; envelopes whose whole pickle was deflated
+(``"zlib"``, or ``"zstd"`` where the optional ``zstandard`` module is
+installed), written by earlier versions, stay readable.
+
+Every format-3 envelope carries a CRC of its stored payload; a
 corrupted or unreadable checkpoint makes :meth:`CheckpointManager.load_into`
 fall back to the most recent restorable snapshot (ultimately the last
 full one) instead of failing the recovery.
@@ -34,11 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine import codec
 from repro.engine.datastore import DataStore
 from repro.engine.engine import PregelEngine
 from repro.obs.state import get_metrics, get_tracer
 
-try:  # optional: not part of the baked-in toolchain
+try:  # optional: only ever needed to *read* an old zstd envelope
     import zstandard as _zstandard
 except ImportError:  # pragma: no cover - exercised where zstd is absent
     _zstandard = None
@@ -52,28 +59,19 @@ class CheckpointCorruptionError(RuntimeError):
     """A stored checkpoint failed its integrity check or cannot be read."""
 
 
-def _resolve_codec(codec: str | None) -> str | None:
-    if codec not in (None, "zlib", "zstd"):
-        raise ValueError(f"codec must be None, 'zlib' or 'zstd', got {codec!r}")
-    if codec == "zstd" and _zstandard is None:
-        return "zlib"  # graceful degradation when zstandard is not installed
-    return codec
-
-
-def _compress(codec: str, blob: bytes) -> bytes:
-    if codec == "zstd":
-        return _zstandard.ZstdCompressor().compress(blob)
-    return zlib.compress(blob, 1)
-
-
-def _decompress(codec: str, blob: bytes) -> bytes:
-    if codec == "zstd":
+def _decode_payload(codec_name: str, stored: bytes) -> dict:
+    """The payload dict behind a format-3 envelope's stored bytes."""
+    if codec_name == "planes":
+        return codec.unpack(pickle.loads(stored))
+    if codec_name == "zlib":
+        return pickle.loads(zlib.decompress(stored))
+    if codec_name == "zstd":
         if _zstandard is None:
             raise CheckpointCorruptionError(
                 "checkpoint was written with zstd but zstandard is not installed"
             )
-        return _zstandard.ZstdDecompressor().decompress(blob)
-    return zlib.decompress(blob)
+        return pickle.loads(_zstandard.ZstdDecompressor().decompress(stored))
+    raise CheckpointCorruptionError(f"unknown checkpoint codec {codec_name!r}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,6 @@ class CheckpointManager:
             vertices only, against the last full snapshot).
         full_interval: with ``delta``, force a full snapshot after this
             many consecutive deltas.
-        codec: ``"zlib"`` (default), ``"zstd"`` (falls back to zlib when
-            unavailable) or ``None`` for uncompressed legacy format-2
-            payloads (which also disables delta encoding).
     """
 
     def __init__(
@@ -114,7 +109,6 @@ class CheckpointManager:
         *,
         delta: bool = False,
         full_interval: int = 4,
-        codec: str | None = "zlib",
     ):
         if keep_last < 1:
             raise ValueError("keep_last must be >= 1")
@@ -123,8 +117,7 @@ class CheckpointManager:
         self.datastore = datastore
         self.job_id = job_id
         self.keep_last = keep_last
-        self.codec = _resolve_codec(codec)
-        self.delta = bool(delta) and self.codec is not None
+        self.delta = bool(delta)
         self.full_interval = full_interval
         self._history: list[CheckpointInfo] = []
         self._full_state: dict | None = None  # values/halted of last full save
@@ -146,27 +139,22 @@ class CheckpointManager:
         """
         state = engine.capture_state()
         key = self._key(engine.superstep)
-        kind, base_key = "full", None
-        if self.codec is None:
-            self.datastore.put_object(key, state)  # legacy format-2 write
-        else:
-            payload = state
-            if self._delta_possible(state):
-                kind = "delta"
-                base_key = self._full_info.key
-                payload = self._delta_payload(state)
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            compressed = _compress(self.codec, blob)
-            envelope = {
-                "format": 3,
-                "kind": kind,
-                "codec": self.codec,
-                "base_key": base_key,
-                "superstep": state["superstep"],
-                "crc32": zlib.crc32(compressed),
-                "payload": compressed,
-            }
-            self.datastore.put_object(key, envelope)
+        kind, base_key, payload = "full", None, state
+        if self._delta_possible(state):
+            kind = "delta"
+            base_key = self._full_info.key
+            payload = self._delta_payload(state)
+        stored = pickle.dumps(codec.pack(payload), protocol=pickle.HIGHEST_PROTOCOL)
+        envelope = {
+            "format": CHECKPOINT_FORMAT,
+            "kind": kind,
+            "codec": "planes",
+            "base_key": base_key,
+            "superstep": state["superstep"],
+            "crc32": zlib.crc32(stored),
+            "payload": stored,
+        }
+        self.datastore.put_object(key, envelope)
         nbytes = self.datastore.size_of(key)
         write_time = self.datastore.transfer_time(nbytes, num_writers)
         info = CheckpointInfo(
@@ -330,12 +318,11 @@ class CheckpointManager:
             raise CheckpointCorruptionError(f"checkpoint {key} unreadable: {exc}") from exc
 
     def _decode_envelope(self, key: str, envelope: dict) -> dict:
-        compressed = envelope["payload"]
-        if zlib.crc32(compressed) != envelope["crc32"]:
+        stored = envelope["payload"]
+        if zlib.crc32(stored) != envelope["crc32"]:
             raise CheckpointCorruptionError(f"checkpoint {key} failed its CRC check")
         try:
-            blob = _decompress(envelope["codec"], compressed)
-            return pickle.loads(blob)
+            return _decode_payload(envelope["codec"], stored)
         except CheckpointCorruptionError:
             raise
         except Exception as exc:

@@ -100,6 +100,50 @@ class ExecutionResult:
         return arr
 
 
+#: Scratch bytes the traffic meter may hold (one flag per (worker,
+#: destination) slot).  Engines whose ``workers x vertices`` exceeds it
+#: count their workers a block at a time instead of allocating more.
+_SLOT_BITMAP_BYTES = 32 << 20
+
+
+class _SlotCounter:
+    """Counts distinct (source worker, destination) pairs without sorting.
+
+    Each message marks its slot ``owner[src] * n + dst`` in a reusable
+    boolean bitmap; the marked slots are the combined network messages,
+    and those on the diagonal ``(owner[v], v)`` are the local ones.  One
+    scatter and one ``count_nonzero`` replace sorting every message.
+    """
+
+    def __init__(self, owner: np.ndarray, num_workers: int):
+        n = len(owner)
+        self._slot_base = owner * np.int64(n)  # vertex -> first slot of its worker
+        self._own_slot = self._slot_base + np.arange(n, dtype=np.int64)
+        self._num_slots = num_workers * n
+        workers_per_block = max(1, _SLOT_BITMAP_BYTES // max(1, n))
+        self._block = min(self._num_slots, workers_per_block * n)
+        self._seen = np.zeros(self._block, dtype=bool)
+
+    def count(self, src: np.ndarray, dst: np.ndarray) -> tuple[int, int]:
+        """``(local, remote)`` distinct slots among the messages."""
+        slots = self._slot_base[src] + dst
+        own = self._own_slot
+        seen = self._seen
+        one_block = self._block == self._num_slots  # the usual case: no masking
+        distinct = local = 0
+        for lo in range(0, self._num_slots, self._block):
+            slots_here, own_here = slots, own
+            if not one_block:
+                hi = lo + self._block
+                slots_here = slots[(slots >= lo) & (slots < hi)] - lo
+                own_here = own[(own >= lo) & (own < hi)] - lo
+            seen[slots_here] = True
+            distinct += int(np.count_nonzero(seen))
+            local += int(np.count_nonzero(seen[own_here]))
+            seen.fill(False)
+        return local, distinct - local
+
+
 class PregelEngine:
     """Synchronous vertex-centric engine over simulated workers.
 
@@ -150,7 +194,6 @@ class PregelEngine:
         self._parallel = None  # lazy ParallelBackend
         self._parallel_unavailable = False
         self._finalizer = None
-        self._edge_src_spill = None  # TemporaryDirectory for out-of-core src ids
         self.graph = graph
         self.program = program
         self.partitioning = partitioning
@@ -164,7 +207,7 @@ class PregelEngine:
         n = graph.num_vertices
         self._incoming = MessageStore(program.combiner, num_vertices=n)
         self._prev_aggregates: dict = {}
-        self._edge_src: np.ndarray | None = None  # lazy np.repeat over CSR
+        self._traffic: _SlotCounter | None = None  # lazy, first dense send
         self._values = np.empty(n, dtype=value_dtype_of(program))
         self._halted = np.zeros(n, dtype=bool)
         self._init_state()
@@ -196,44 +239,6 @@ class PregelEngine:
                 dtype=bool,
                 count=n,
             )
-
-    def _edge_sources(self) -> np.ndarray:
-        if self._edge_src is None:
-            from repro.graph.io import is_memmap_backed
-
-            out_degrees = np.diff(self.graph.indptr)
-            if is_memmap_backed(self.graph.indices) and self.graph.num_edges:
-                self._edge_src = self._spill_edge_sources(out_degrees)
-            else:
-                self._edge_src = np.repeat(
-                    np.arange(self.graph.num_vertices, dtype=np.int64),
-                    out_degrees,
-                )
-        return self._edge_src
-
-    def _spill_edge_sources(self, out_degrees: np.ndarray) -> np.ndarray:
-        """Per-edge source ids on disk, for memory-mapped (out-of-core)
-        graphs whose edge arrays would not fit in RAM twice."""
-        import tempfile
-        from pathlib import Path
-
-        from numpy.lib.format import open_memmap
-
-        self._edge_src_spill = tempfile.TemporaryDirectory(prefix="repro-edge-src-")
-        path = Path(self._edge_src_spill.name) / "edge_src.npy"
-        spill = open_memmap(
-            path, mode="w+", dtype=np.int64, shape=(int(self.graph.num_edges),)
-        )
-        indptr = self.graph.indptr
-        n = self.graph.num_vertices
-        chunk = 1 << 20
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            spill[indptr[lo] : indptr[hi]] = np.repeat(
-                np.arange(lo, hi, dtype=np.int64), out_degrees[lo:hi]
-            )
-        spill.flush()
-        return spill
 
     # ------------------------------------------------------------------
     # Execution
@@ -376,7 +381,6 @@ class PregelEngine:
                 num_workers=self.num_workers,
                 values=self._values,
                 halted=self._halted,
-                edge_src=self._edge_sources(),
                 num_processes=self._num_processes,
             )
             # The engine's state arrays now live in shared memory; rebind
@@ -437,7 +441,6 @@ class PregelEngine:
             active=active_mask,
             messages=inc_vals,
             has_message=inc_mask,
-            edge_src=self._edge_sources(),
             aggregators=aggregators,
             prev_aggregates=self._prev_aggregates,
         )
@@ -447,29 +450,53 @@ class PregelEngine:
         self._halted[active_mask] = False
         self._halted |= ctx._halt_mask
 
-        outgoing = MessageStore(program.combiner, num_vertices=n)
+        active = int(np.count_nonzero(active_mask))
+        return self._exchange(ctx._sends, aggregators, active)
+
+    def _exchange(
+        self, sends: list, aggregators: dict, active: int, merge_by_source: bool = False
+    ) -> bool:
+        """The superstep tail every dense step ends in, serial or parallel.
+
+        Concatenates the ``(src, dst, msg)`` batches in *sends*, delivers
+        them, meters the traffic and closes the superstep; returns True
+        while work remains.  ``merge_by_source`` stable-sorts the merged
+        batch by source vertex first — how the parallel backend turns its
+        per-worker outboxes back into the serial emission order.
+        """
+        outgoing = MessageStore(self.program.combiner, num_vertices=self.graph.num_vertices)
         sent = local = remote = 0
-        if ctx._sends:
-            if len(ctx._sends) == 1:
-                src, dst, msg = ctx._sends[0]
+        if sends:
+            if len(sends) == 1:
+                src, dst, msg = sends[0]
             else:
-                src = np.concatenate([s for s, _, _ in ctx._sends])
-                dst = np.concatenate([d for _, d, _ in ctx._sends])
-                msg = np.concatenate([m for _, _, m in ctx._sends])
+                src, dst, msg = (np.concatenate(column) for column in zip(*sends))
+            if merge_by_source:
+                order = np.argsort(src, kind="stable")
+                src, dst, msg = src[order], dst[order], msg[order]
             sent = len(dst)
             outgoing.deliver_many(dst, msg)
-            # Traffic accounting after sender-side combining: one network
-            # message per distinct (source worker, destination) pair.
-            slot_key = self._owner[src] * np.int64(n) + dst
-            slots = np.unique(slot_key)
-            slot_worker = slots // n
-            slot_dst = slots % n
-            remote = int(np.count_nonzero(self._owner[slot_dst] != slot_worker))
-            local = len(slots) - remote
-
-        active = int(np.count_nonzero(active_mask))
+            local, remote = self._count_traffic(src, dst)
         self._finish_superstep(aggregators, outgoing, active, sent, local, remote)
         return bool(outgoing) or not bool(self._halted.all())
+
+    def _count_traffic(self, src: np.ndarray, dst: np.ndarray) -> tuple[int, int]:
+        """``(local, remote)`` network messages of one superstep's sends.
+
+        The accounting rule, stated once for every dense path (the scalar
+        path applies the same rule message by message): a worker combines
+        what it sends to one destination only when the program declares a
+        combiner, so with a combiner a network message is a distinct
+        (source worker, destination) pair, and without one it is every
+        message.  It is local when the destination's owner is the sender.
+        """
+        owner = self._owner
+        if self.program.combiner is None:
+            local = int(np.count_nonzero(owner[src] == owner[dst]))
+            return local, len(dst) - local
+        if self._traffic is None:
+            self._traffic = _SlotCounter(owner, self.num_workers)
+        return self._traffic.count(src, dst)
 
     def _finish_superstep(
         self, aggregators, outgoing, active, sent, local, remote

@@ -23,6 +23,7 @@ functionally loading repro-scale graphs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,6 +200,13 @@ class MicroLoader:
 
     Requires the offline :class:`MicroPartitioning` artefact; the online
     clustering step adapts it to any worker count in milliseconds.
+
+    A clustering is a pure function of ``(artefact, num_workers, seed)``
+    for an integer seed, and §6.2 fixes the candidate worker counts up
+    front (the micro-partition count is their LCM), so a job battered by
+    evictions keeps coming back to the same handful of counts: each is
+    clustered once and kept, read-only.  ``seed=None`` (fresh entropy)
+    and ``Generator`` seeds (a consumed stream) cluster every time.
     """
 
     name = "micro"
@@ -206,6 +214,19 @@ class MicroLoader:
     def __init__(self, artefact: MicroPartitioning, timing: LoadTimingModel | None = None):
         self.artefact = artefact
         self.timing = timing or LoadTimingModel()
+        self._clusterings: dict[tuple[int, int], Partitioning] = {}
+
+    def _cluster(self, num_workers: int, seed) -> Partitioning:
+        if not isinstance(seed, numbers.Integral):
+            return self.artefact.cluster(num_workers, seed=seed)
+        key = (num_workers, int(seed))
+        partitioning = self._clusterings.get(key)
+        if partitioning is None:
+            partitioning = self.artefact.cluster(num_workers, seed=seed)
+            # Shared by every later load: a caller must not edit it.
+            partitioning.assignment.setflags(write=False)
+            self._clusterings[key] = partitioning
+        return partitioning
 
     def load(
         self, graph: Graph, num_workers: int, seed=None,
@@ -217,7 +238,7 @@ class MicroLoader:
         materialized here — clustering works on the micro-partition
         quotient graph — and is priced by its true on-disk footprint.
         """
-        partitioning = self.artefact.cluster(num_workers, seed=seed)
+        partitioning = self._cluster(num_workers, seed)
         if size_override is None and is_memmap_backed(graph.indices):
             simulated = self.timing.micro_time_bytes(csr_nbytes(graph), num_workers)
         else:

@@ -88,7 +88,6 @@ class _WorkerSetup:
     graph: object
     program: object
     own_masks: list  # worker -> bool mask over vertices
-    edge_src: np.ndarray
     values: np.ndarray
     halted: np.ndarray
     active: np.ndarray
@@ -134,7 +133,6 @@ def _run_superstep(worker_id: int, superstep: int, prev_aggregates: dict):
         active=active_w,
         messages=st.msg_vals,
         has_message=st.msg_mask,
-        edge_src=st.edge_src,
         aggregators=aggregators,
         prev_aggregates=prev_aggregates,
     )
@@ -197,10 +195,12 @@ class ParallelBackend:
         num_workers: int,
         values: np.ndarray,
         halted: np.ndarray,
-        edge_src: np.ndarray,
         num_processes: int | None = None,
     ):
         n = graph.num_vertices
+        # Derive the per-edge source ids before forking, so the pool
+        # inherits the graph's one copy instead of deriving its own.
+        graph.edge_sources()
         self.num_workers = num_workers
         value_dtype = values.dtype
 
@@ -241,13 +241,11 @@ class ParallelBackend:
         self.halted = arr["halted"]
         self._send_offsets = offsets
         self._send_caps = caps
-        self._owner = owner
 
         setup = _WorkerSetup(
             graph=graph,
             program=program,
             own_masks=[owner == w for w in range(num_workers)],
-            edge_src=edge_src,
             values=arr["values"],
             halted=arr["halted"],
             active=arr["active"],
@@ -284,8 +282,6 @@ class ParallelBackend:
     # ------------------------------------------------------------------
     def step(self, engine) -> bool:
         """Run one parallel superstep; mirrors ``PregelEngine._step_dense``."""
-        from repro.engine.messages import MessageStore
-
         arrays = self._arrays
         n = engine.graph.num_vertices
         engine._incoming.dense_view_into(n, arrays["msg_vals"], arrays["msg_mask"])
@@ -314,40 +310,23 @@ class ParallelBackend:
                 ).observe(res.compute_seconds, worker=res.worker_id)
 
         # Batched cross-worker exchange: gather each worker's outbox
-        # extent, then stable-sort by source to reproduce serial order.
-        seg_src, seg_dst, seg_msg = [], [], []
+        # extent; the engine's tail stable-sorts the merged batch by
+        # source, which reproduces the serial delivery order.
+        sends = []
         for res in results:
             if res.sent:
                 lo = int(self._send_offsets[res.worker_id])
                 hi = lo + res.sent
-                seg_src.append(arrays["send_src"][lo:hi])
-                seg_dst.append(arrays["send_dst"][lo:hi])
-                seg_msg.append(arrays["send_msg"][lo:hi])
+                sends.append(
+                    (
+                        arrays["send_src"][lo:hi],
+                        arrays["send_dst"][lo:hi],
+                        arrays["send_msg"][lo:hi],
+                    )
+                )
             if res.overflow is not None:
-                src, dst, msg = res.overflow
-                seg_src.append(src)
-                seg_dst.append(dst)
-                seg_msg.append(msg)
-
-        outgoing = MessageStore(program.combiner, num_vertices=n)
-        sent = local = remote = 0
-        if seg_src:
-            src = np.concatenate(seg_src)
-            dst = np.concatenate(seg_dst)
-            msg = np.concatenate(seg_msg)
-            order = np.argsort(src, kind="stable")
-            src, dst, msg = src[order], dst[order], msg[order]
-            sent = len(dst)
-            outgoing.deliver_many(dst, msg)
-            slot_key = self._owner[src] * np.int64(n) + dst
-            slots = np.unique(slot_key)
-            slot_worker = slots // n
-            slot_dst = slots % n
-            remote = int(np.count_nonzero(self._owner[slot_dst] != slot_worker))
-            local = len(slots) - remote
-
-        engine._finish_superstep(aggregators, outgoing, active, sent, local, remote)
-        return bool(outgoing) or not bool(self.halted.all())
+                sends.append(res.overflow)
+        return engine._exchange(sends, aggregators, active, merge_by_source=True)
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:

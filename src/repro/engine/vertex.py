@@ -131,7 +131,6 @@ class DenseComputeContext:
         active: np.ndarray,
         messages: np.ndarray,
         has_message: np.ndarray,
-        edge_src: np.ndarray,
         aggregators: dict,
         prev_aggregates: dict,
     ):
@@ -142,7 +141,7 @@ class DenseComputeContext:
         self.active = active
         self.messages = messages
         self.has_message = has_message
-        self._edge_src = edge_src
+        self._edge_src = graph.edge_sources()
         self._sends: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._halt_mask = np.zeros(graph.num_vertices, dtype=bool)
         self._aggregators = aggregators
@@ -176,11 +175,14 @@ class DenseComputeContext:
     def send_to_all_neighbors(self, src_mask: np.ndarray, message_per_vertex) -> None:
         """Broadcast ``message_per_vertex[v]`` along every out-edge of each
         vertex ``v`` selected by the boolean ``src_mask``."""
-        keep = np.asarray(src_mask, dtype=bool)[self._edge_src]
-        src = self._edge_src[keep]
-        self.send_batch(
-            src, self.graph.indices[keep], np.asarray(message_per_vertex)[src]
-        )
+        mask = np.asarray(src_mask, dtype=bool)
+        # When every vertex with out-edges sends, the CSR arrays are the
+        # batch as they stand; only a partial send pays the mask-copy.
+        src, dst = self._edge_src, self.graph.indices
+        if np.count_nonzero(self.out_degrees()[~mask]):
+            keep = mask[src]
+            src, dst = src[keep], dst[keep]
+        self.send_batch(src, dst, np.asarray(message_per_vertex)[src])
 
     # -- halting -------------------------------------------------------
     def vote_to_halt(self, who: np.ndarray) -> None:

@@ -319,6 +319,11 @@ def _grow_region(
 # ----------------------------------------------------------------------
 # Refinement
 # ----------------------------------------------------------------------
+#: Bytes one connectivity sweep of ``_refine`` may allocate (rows x parts
+#: float64); a pass over more boundary vertices sweeps them block by block.
+_SWEEP_BYTES = 8 << 20
+
+
 def _refine(
     wg: _WGraph,
     assignment: np.ndarray,
@@ -334,39 +339,91 @@ def _refine(
     also move with zero or negative gain (to the best part with room),
     which actively restores balance after coarse-level projections.
     Stops early when a pass makes no move.
+
+    The pass walks its boundary vertices a block at a time.  One
+    vectorised sweep per block computes every vertex's connectivity to
+    every part and marks the *settled* ones: strictly better connected
+    to their own part than to any other, and not in an overloaded part.
+    A settled vertex cannot move for as long as its neighbourhood is
+    what the sweep saw — its gain is negative whatever the balance cap
+    hides, and a part never *becomes* overloaded mid-pass (moves only go
+    where there is room) — so the loop skips it unless a neighbour moved
+    since.  The visit order and every float are those of the plain loop
+    kept in ``tests/refine_oracle.py``; the result is array-equal to it.
     """
     assignment = assignment.copy()
-    loads = np.zeros(num_parts)
-    np.add.at(loads, assignment, wg.vwgts)
+    indptr, indices, ewgts, vwgts = wg.indptr, wg.indices, wg.ewgts, wg.vwgts
+    loads = np.bincount(assignment, weights=vwgts, minlength=num_parts)
+    block_rows = max(1, _SWEEP_BYTES // (8 * num_parts))
     for _ in range(passes):
         boundary = _boundary_vertices(wg, assignment)
+        disturbed = np.zeros(wg.num_vertices, dtype=bool)  # a neighbour moved
         moved = 0
-        for v in boundary:
-            neigh = wg.neighbors(v)
-            wts = wg.neighbor_weights(v)
-            own = assignment[v]
-            vw = wg.vwgts[v]
-            conn = np.zeros(num_parts)
-            np.add.at(conn, assignment[neigh], wts)
-            internal = conn[own]
-            conn[own] = -np.inf
-            # Respect the balance cap; allow moves into parts with room.
-            room = loads + vw <= max_load
-            conn[~room] = -np.inf
-            best = int(np.argmax(conn))
-            if not np.isfinite(conn[best]):
-                continue
-            gain = conn[best] - internal
-            overloaded = loads[own] > max_load
-            improves_tie = gain == 0 and loads[own] > loads[best] + vw
-            if gain > 0 or improves_tie or overloaded:
-                assignment[v] = best
-                loads[own] -= vw
-                loads[best] += vw
-                moved += 1
+        for first in range(0, len(boundary), block_rows):
+            block = boundary[first : first + block_rows]
+            conn = _connectivity(wg, assignment, block, num_parts)
+            disturbed[block] = False  # the sweep saw every move so far
+            rows = np.arange(len(block))
+            own_part = assignment[block]
+            internal = conn[rows, own_part]
+            conn[rows, own_part] = -np.inf
+            settled = (conn.max(axis=1) < internal) & ~(loads > max_load)[own_part]
+            conn[rows, own_part] = internal
+            for i, v, is_settled in zip(rows.tolist(), block.tolist(), settled.tolist()):
+                if disturbed[v]:
+                    lo, hi = indptr[v], indptr[v + 1]
+                    reach = np.bincount(
+                        assignment[indices[lo:hi]],
+                        weights=ewgts[lo:hi],
+                        minlength=num_parts,
+                    )
+                elif is_settled:
+                    continue
+                else:
+                    reach = conn[i]  # visited once per pass: ours to overwrite
+                own = assignment[v]
+                vw = vwgts[v]
+                stay = reach[own]
+                reach[own] = -np.inf
+                # Respect the balance cap; allow moves into parts with room.
+                reach[loads + vw > max_load] = -np.inf
+                best = int(reach.argmax())
+                if reach[best] == -np.inf:
+                    continue
+                gain = reach[best] - stay
+                overloaded = loads[own] > max_load
+                improves_tie = gain == 0 and loads[own] > loads[best] + vw
+                if gain > 0 or improves_tie or overloaded:
+                    assignment[v] = best
+                    loads[own] -= vw
+                    loads[best] += vw
+                    disturbed[indices[indptr[v] : indptr[v + 1]]] = True
+                    moved += 1
         if moved == 0:
             break
     return assignment
+
+
+def _connectivity(
+    wg: _WGraph, assignment: np.ndarray, vertices: np.ndarray, num_parts: int
+) -> np.ndarray:
+    """``conn[i, p]``: weight of ``vertices[i]``'s edges into part ``p``.
+
+    One ``bincount`` over the vertices' concatenated CSR rows; each cell
+    sums its edges in CSR order, exactly as a per-vertex
+    ``np.bincount(assignment[neighbours], weights=...)`` would.
+    """
+    degrees = wg.indptr[vertices + 1] - wg.indptr[vertices]
+    row = np.repeat(np.arange(len(vertices)), degrees)
+    # Edge positions of the ragged rows: each row's CSR start, shifted by
+    # where the row begins in the concatenation.
+    row_start = np.cumsum(degrees) - degrees
+    edges = np.repeat(wg.indptr[vertices] - row_start, degrees) + np.arange(len(row))
+    return np.bincount(
+        row * num_parts + assignment[wg.indices[edges]],
+        weights=wg.ewgts[edges],
+        minlength=len(vertices) * num_parts,
+    ).reshape(len(vertices), num_parts)
 
 
 def _weighted_cut(wg: _WGraph, assignment: np.ndarray) -> float:
@@ -377,7 +434,8 @@ def _weighted_cut(wg: _WGraph, assignment: np.ndarray) -> float:
 
 
 def _boundary_vertices(wg: _WGraph, assignment: np.ndarray) -> np.ndarray:
-    """Vertices with at least one neighbour in a different part."""
+    """Vertices with at least one neighbour in a different part, ascending."""
     src = np.repeat(np.arange(wg.num_vertices, dtype=np.int64), np.diff(wg.indptr))
-    cross = assignment[src] != assignment[wg.indices]
-    return np.unique(src[cross])
+    on_boundary = np.zeros(wg.num_vertices, dtype=bool)
+    on_boundary[src[assignment[src] != assignment[wg.indices]]] = True
+    return np.flatnonzero(on_boundary)

@@ -132,8 +132,8 @@ class HourglassRuntime:
             )
 
     def _calibrate(self, config: Configuration) -> object:
-        partitioning = self.artefact.cluster(config.num_workers, seed=self.seed)
-        engine = PregelEngine(self.graph, self.program_factory(), partitioning)
+        load = self.loader.load(self.graph, config.num_workers, seed=self.seed)
+        engine = PregelEngine(self.graph, self.program_factory(), load.partitioning)
         return engine.run()
 
     # ------------------------------------------------------------------

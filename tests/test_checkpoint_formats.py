@@ -1,7 +1,8 @@
 """Checkpoint format back-compat, delta chains, and corruption fallback.
 
 Covers the three readable payload formats (legacy per-worker dicts,
-dense format-2 state, compressed format-3 envelopes), the delta-chain
+dense format-2 state, format-3 envelopes under the current plane-wise
+codec and the older whole-pickle zlib one), the delta-chain
 restore path (full + changed-vertex delta must equal a full-snapshot
 restore bit-exactly), corrupted-envelope fallback, and the chain-aware
 prune.  The runtime-level test reuses the fault-injection observers to
@@ -9,6 +10,9 @@ drive a real eviction/recovery cycle over delta checkpoints.
 """
 
 from __future__ import annotations
+
+import pickle
+import zlib
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from repro.engine import DataStore, PregelEngine
 from repro.engine.algorithms import SSSP, PageRank
 from repro.engine.checkpoint import (
     CheckpointCorruptionError,
+    CheckpointInfo,
     CheckpointManager,
 )
 from repro.exec import DatastoreWriteFaults, EvictionStormFaults
@@ -45,6 +50,20 @@ def make_engine(graph, partitioning, steps=0):
     return engine
 
 
+def plain_nbytes(engine) -> int:
+    """Size of the engine's state as an uncompressed format-2 pickle."""
+    return len(pickle.dumps(engine.capture_state(), protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def info_for(store, key, superstep) -> CheckpointInfo:
+    return CheckpointInfo(
+        key=key,
+        superstep=superstep,
+        nbytes=store.size_of(key),
+        simulated_write_seconds=0.0,
+    )
+
+
 def assert_state_equal(a: PregelEngine, b: PregelEngine):
     assert a.superstep == b.superstep
     assert np.array_equal(a._values, b._values)
@@ -63,52 +82,118 @@ class TestFormat3Full:
         raw, _ = store.get_object_timed(info.key)
         assert raw["format"] == 3
         assert raw["kind"] == "full"
-        assert raw["codec"] == "zlib"
+        assert raw["codec"] == "planes"
 
-        restored = make_engine(graph, partitioning)
-        manager.load_into(restored)
-        assert_state_equal(engine, restored)
-
-    def test_codec_none_writes_legacy_format2(self, graph, partitioning):
-        store = DataStore()
-        manager = CheckpointManager(store, "job", codec=None)
-        engine = make_engine(graph, partitioning, steps=2)
-        info = manager.save(engine)
-        raw, _ = store.get_object_timed(info.key)
-        assert raw["format"] == 2  # plain state dict, no envelope
         restored = make_engine(graph, partitioning)
         manager.load_into(restored)
         assert_state_equal(engine, restored)
 
     def test_compression_shrinks_payload(self, graph, partitioning):
         engine = make_engine(graph, partitioning, steps=2)
-        plain_store, packed_store = DataStore(), DataStore()
-        plain = CheckpointManager(plain_store, "job", codec=None).save(engine)
-        packed = CheckpointManager(packed_store, "job").save(engine)
-        assert packed.nbytes < plain.nbytes
+        packed = CheckpointManager(DataStore(), "job").save(engine)
+        assert packed.nbytes < plain_nbytes(engine)
 
-    def test_zstd_degrades_to_zlib_when_unavailable(self, graph, partitioning):
-        manager = CheckpointManager(DataStore(), "job", codec="zstd")
-        assert manager.codec in ("zstd", "zlib")
-        engine = make_engine(graph, partitioning, steps=1)
-        manager.save(engine)
-        restored = make_engine(graph, partitioning)
-        manager.load_into(restored)
-        assert_state_equal(engine, restored)
-
-    def test_invalid_codec_rejected(self):
-        with pytest.raises(ValueError):
-            CheckpointManager(DataStore(), "job", codec="lz4")
+    def test_invalid_codec_rejected(self, graph, partitioning):
+        # There is one write path and no codec option; an envelope naming
+        # a codec nobody ever wrote is corruption, not a crash.
+        with pytest.raises(TypeError):
+            CheckpointManager(DataStore(), "job", codec="zlib")
+        store = DataStore()
+        manager = CheckpointManager(store, "job")
+        info = manager.save(make_engine(graph, partitioning, steps=1))
+        env, _ = store.get_object_timed(info.key)
+        env["codec"] = "lz4"
+        store.put_object(info.key, env)
+        with pytest.raises(CheckpointCorruptionError, match="lz4"):
+            manager.load_into(make_engine(graph, partitioning))
 
     def test_invalid_full_interval_rejected(self):
         with pytest.raises(ValueError):
             CheckpointManager(DataStore(), "job", full_interval=0)
 
 
+class TestOlderFormat3Codecs:
+    """Envelopes whose whole pickle was deflated (what this repo wrote
+    before the plane-wise codec) must stay restorable."""
+
+    def old_envelope(self, payload, kind="full", base_key=None, codec="zlib"):
+        stored = zlib.compress(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), 1)
+        return {
+            "format": 3,
+            "kind": kind,
+            "codec": codec,
+            "base_key": base_key,
+            "superstep": payload["superstep"],
+            "crc32": zlib.crc32(stored),
+            "payload": stored,
+        }
+
+    def test_zlib_full_and_delta_envelopes_restore(self, graph, partitioning):
+        engine = make_engine(graph, partitioning, steps=2)
+        base = engine.capture_state()
+        engine.step()
+        state = engine.capture_state()
+        changed = state["values"] != base["values"]
+        delta = {
+            "kind": "delta",
+            "num_vertices": state["num_vertices"],
+            "superstep": state["superstep"],
+            "base_superstep": base["superstep"],
+            "changed_bits": np.packbits(changed),
+            "changed_values": state["values"][changed],
+            "halted_bits": np.packbits(state["halted"]),
+            "pending_messages": state["pending_messages"],
+            "prev_aggregates": state["prev_aggregates"],
+            "stats_tail": state["stats"][base["superstep"] :],
+        }
+        store = DataStore()
+        store.put_object("old-full", self.old_envelope(base))
+        store.put_object("old-delta", self.old_envelope(delta, "delta", "old-full"))
+        manager = CheckpointManager(store, "job")
+
+        from_full = make_engine(graph, partitioning)
+        manager.load_into(from_full, info_for(store, "old-full", base["superstep"]))
+        assert from_full.superstep == base["superstep"]
+        assert np.array_equal(from_full._values, base["values"])
+
+        from_delta = make_engine(graph, partitioning)
+        manager.load_into(from_delta, info_for(store, "old-delta", state["superstep"]))
+        assert_state_equal(engine, from_delta)
+
+    def test_zstd_envelope_without_the_module_is_corruption(self, graph, partitioning):
+        from repro.engine import checkpoint
+
+        if checkpoint._zstandard is not None:
+            pytest.skip("zstandard is installed here")
+        engine = make_engine(graph, partitioning, steps=1)
+        store = DataStore()
+        store.put_object(
+            "old-zstd", self.old_envelope(engine.capture_state(), codec="zstd")
+        )
+        with pytest.raises(CheckpointCorruptionError, match="zstandard"):
+            CheckpointManager(store, "job").load_into(
+                make_engine(graph, partitioning), info_for(store, "old-zstd", 1)
+            )
+
+
+class TestLegacyFormat2:
+    def test_plain_state_dict_restores_through_manager(self, graph, partitioning):
+        # Format 2 is no longer written by anything; a store may still
+        # hold one (the engine's state dict, pickled as it stands).
+        engine = make_engine(graph, partitioning, steps=2)
+        store = DataStore()
+        store.put_object("format2-key", engine.capture_state())
+        raw, _ = store.get_object_timed("format2-key")
+        assert raw["format"] == 2  # plain state dict, no envelope
+        restored = make_engine(graph, partitioning)
+        CheckpointManager(store, "job").load_into(
+            restored, info_for(store, "format2-key", engine.superstep)
+        )
+        assert_state_equal(engine, restored)
+
+
 class TestLegacyFormat1:
     def test_per_worker_dict_restore_through_manager(self, graph, partitioning):
-        from repro.engine.checkpoint import CheckpointInfo
-
         engine = make_engine(graph, partitioning)
         result = engine.run()
         legacy = {
@@ -121,15 +206,7 @@ class TestLegacyFormat1:
         store.put_object("legacy-key", legacy)
         manager = CheckpointManager(store, "job")
         restored = make_engine(graph, partitioning)
-        manager.load_into(
-            restored,
-            CheckpointInfo(
-                key="legacy-key",
-                superstep=engine.superstep,
-                nbytes=store.size_of("legacy-key"),
-                simulated_write_seconds=0.0,
-            ),
-        )
+        manager.load_into(restored, info_for(store, "legacy-key", engine.superstep))
         assert restored.superstep == engine.superstep
         assert restored.values() == result.values
 
@@ -186,8 +263,7 @@ class TestDeltaChains:
         assert (full.kind, delta.kind) == ("full", "delta")
         assert delta.nbytes < full.nbytes
         # And >= 3x smaller than the same state in plain format 2.
-        format2 = CheckpointManager(DataStore(), "job", codec=None).save(engine)
-        assert 3 * delta.nbytes <= format2.nbytes
+        assert 3 * delta.nbytes <= plain_nbytes(engine)
 
     def test_resume_and_finish_from_delta(self, graph, partitioning):
         reference = make_engine(graph, partitioning).run()

@@ -238,6 +238,82 @@ class TestEngineOverMemmap:
         assert ref.stats == got.stats
 
 
+class TestEdgeSourceSpill:
+    """Per-edge source ids of a memory-mapped graph are spilled to disk
+    once per *graph* (not per engine) and released explicitly."""
+
+    @pytest.fixture()
+    def spill_root(self, tmp_path, monkeypatch):
+        import tempfile
+
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    @staticmethod
+    def spills(root):
+        return sorted(root.glob("repro-edge-src-*"))
+
+    def test_one_spill_for_three_engines_none_after_release(self, tmp_path, spill_root):
+        import warnings
+
+        in_ram = generators.community_graph(2000, num_communities=8, seed=3)
+        save_csr(in_ram, tmp_path / "store")
+        mapped = load_csr(tmp_path / "store", mmap=True)
+        partitioning = HashPartitioner().partition(in_ram, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            for _ in range(3):
+                engine = PregelEngine(mapped, PageRank(iterations=4), partitioning)
+                engine.step()
+                engine.step()
+                engine.close()
+                assert len(self.spills(spill_root)) == 1
+                del engine
+            spill = self.spills(spill_root)[0]
+            assert (spill / "edge_src.npy").stat().st_size >= 8 * mapped.num_edges
+            assert is_memmap_backed(mapped.edge_sources())
+            assert mapped.edge_sources() is mapped.edge_sources()
+            mapped.release()
+            assert self.spills(spill_root) == []
+            mapped.release()  # idempotent
+            import gc
+
+            gc.collect()  # anything implicitly cleaned up would warn here
+
+    def test_released_graph_derives_again_on_demand(self, tmp_path, spill_root):
+        in_ram = generators.grid_graph(8, 8)
+        save_csr(in_ram, tmp_path / "store")
+        mapped = load_csr(tmp_path / "store", mmap=True)
+        first = np.array(mapped.edge_sources())
+        mapped.release()
+        assert np.array_equal(mapped.edge_sources(), first)
+        assert np.array_equal(first, in_ram.edge_sources())
+        assert len(self.spills(spill_root)) == 1
+        mapped.release()
+
+    def test_garbage_collection_is_the_backstop(self, tmp_path, spill_root):
+        import gc
+
+        save_csr(generators.grid_graph(8, 8), tmp_path / "store")
+        mapped = load_csr(tmp_path / "store", mmap=True)
+        mapped.edge_sources()
+        assert len(self.spills(spill_root)) == 1
+        del mapped
+        gc.collect()
+        assert self.spills(spill_root) == []
+
+    def test_in_ram_graph_never_touches_disk(self, spill_root):
+        graph = generators.grid_graph(8, 8)
+        sources = graph.edge_sources()
+        assert not is_memmap_backed(sources)
+        assert np.array_equal(sources, graph.edge_array()[:, 0])
+        assert self.spills(spill_root) == []
+        graph.release()
+        assert graph.edge_sources() is not sources
+
+
 class TestMemmapLoaderPricing:
     def test_micro_loader_prices_by_bytes(self, tmp_path):
         graph = generators.community_graph(400, num_communities=4, seed=3)

@@ -239,3 +239,70 @@ class TestLoaders:
         result = MicroLoader(artefact).load(graph, 4, seed=1)
         run = PregelEngine(graph, PageRank(iterations=2), result.partitioning).run()
         assert run.halted_normally
+
+
+class TestMicroLoaderKeepsItsClusterings:
+    """A clustering is a pure function of (artefact, k, integer seed);
+    the loader computes each once.  Fresh-entropy and stream seeds are
+    not functions of anything and are clustered every time."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generators.community_graph(800, num_communities=8, seed=3)
+
+    @pytest.fixture(scope="class")
+    def artefact(self, graph):
+        return MicroPartitioner(num_micro_parts=16).build(graph, seed=1)
+
+    @pytest.fixture()
+    def clusterings(self, monkeypatch):
+        """Number of quotient-graph partitionings run so far."""
+        calls = []
+        original = MultilevelPartitioner.partition
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[1])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultilevelPartitioner, "partition", counting)
+        return calls
+
+    def test_ten_loads_over_three_worker_counts_cluster_three_times(
+        self, graph, artefact, clusterings
+    ):
+        loader = MicroLoader(artefact)
+        loads = [loader.load(graph, k, seed=5) for k in [2, 4, 8] * 3 + [2]]
+        assert clusterings == [2, 4, 8]
+        for load in loads:
+            fresh = artefact.cluster(load.num_workers, seed=5)
+            assert np.array_equal(load.partitioning.assignment, fresh.assignment)
+            assert load.partitioning.num_parts == load.num_workers
+
+    def test_seeds_do_not_share_an_entry(self, graph, artefact, clusterings):
+        loader = MicroLoader(artefact)
+        loader.load(graph, 4, seed=5)
+        loader.load(graph, 4, seed=6)
+        loader.load(graph, 4, seed=np.int64(5))  # the same seed as 5
+        assert clusterings == [4, 4]
+
+    def test_fresh_entropy_and_generator_seeds_cluster_every_time(
+        self, graph, artefact, clusterings
+    ):
+        loader = MicroLoader(artefact)
+        for _ in range(3):
+            loader.load(graph, 4, seed=None)
+        assert clusterings == [4, 4, 4]
+        rng = np.random.default_rng(9)
+        for _ in range(2):
+            loader.load(graph, 4, seed=rng)
+        assert clusterings == [4] * 5
+
+    def test_a_caller_cannot_poison_the_next_load(self, graph, artefact):
+        loader = MicroLoader(artefact)
+        first = loader.load(graph, 4, seed=5).partitioning
+        with pytest.raises(ValueError, match="read-only"):
+            first.assignment[0] = (first.assignment[0] + 1) % 4
+        again = loader.load(graph, 4, seed=5).partitioning
+        assert np.array_equal(again.assignment, artefact.cluster(4, seed=5).assignment)
+        # An un-memoised clustering stays the caller's own to edit.
+        loader.load(graph, 4, seed=None).partitioning.assignment[0] = 0
