@@ -17,16 +17,18 @@ Two implementations share this definition:
 
 :class:`ApproximateCostEstimator` — the paper's §5.3 simplifications
     (the success branch recurses only on the *current* configuration,
-    the failure branch is evaluated only at the configuration's MTTF),
-    evaluated as an **iterative dynamic program**: states live on a
-    (config × slack-bucket × work-bucket × running × fail-depth) grid,
-    an explicit work stack resolves them bottom-up in dependency order,
-    and every per-configuration quantity (rates, timings, checkpoint
-    intervals, eviction-CDF tables) is precomputed into dense arrays
-    over the catalogue.  No recursion, no ``sys.setrecursionlimit``;
-    decisions take milliseconds.  The direct recursive transcription
-    of the same equations lives in ``tests/recursive_oracle.py`` as the
-    reference the DP is held bit-identical to.
+    the failure branch is evaluated only at the configuration's MTTF)
+    as a dynamic program over (config × slack-bucket × work-bucket ×
+    running × fail-depth) states.  One kernel walks a state's success
+    chain — the only unbounded dimension — forward in a loop and folds
+    it backward, recursing only into failure follow-ups, so the Python
+    stack is bounded by ``max_fail_depth`` and never by chain length
+    (the recursion limit is left alone).  Per-configuration quantities
+    (rates, timings, checkpoint intervals, eviction CDFs) are
+    precomputed into dense tables; decisions take milliseconds.  The
+    direct recursive transcription of the same equations lives in
+    ``tests/recursive_oracle.py`` as the reference the kernel is held
+    bit-identical to — costs, evaluation order and memo counters.
 
 :class:`ExactCostEstimator` — the §5.2 formulation: the failure
     integral is approximated by a finite sum over a time discretisation
@@ -49,6 +51,7 @@ from repro.core.ckpt_policy import daly_interval
 from repro.core.slack import SlackModel
 from repro.core.warning import NO_WARNING, WarningPolicy
 from repro.utils.units import HOURS
+from repro.utils.validation import check_non_negative, check_positive
 
 _WORK_EPS = 1e-6
 
@@ -64,7 +67,7 @@ def _recursion_headroom(limit: int = 100_000):
     The *recursive* EC formulations advance in (slack, work) steps whose
     count can exceed CPython's default 1000-frame limit for long-horizon
     jobs.  Only the exact estimator and the recursive reference oracle
-    need this; the production approximate estimator is iterative.
+    need this; the approximate estimator's chains cost no frames.
     """
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, limit))
@@ -144,6 +147,18 @@ def adaptive_grids(
     return slack_grid, 0.01 if work_grid is None else work_grid
 
 
+def check_dp_parameters(slack_grid, work_grid, price_tolerance, max_fail_depth) -> None:
+    """Reject (ValueError) DP parameters the bucket arithmetic cannot run on.
+
+    A grid may be None (adaptive).  Shared with the planning service's admission.
+    """
+    for name, grid in (("slack_grid", slack_grid), ("work_grid", work_grid)):
+        if grid is not None:
+            check_positive(name, grid)
+    check_non_negative("price_tolerance", price_tolerance)
+    check_non_negative("max_fail_depth", max_fail_depth)
+
+
 class _EstimatorBase:
     """Shared plumbing: market snapshots and the catalogue argmin."""
 
@@ -154,6 +169,9 @@ class _EstimatorBase:
         if not any(not c.is_transient for c in self.catalog):
             raise ValueError("catalogue needs at least one on-demand configuration")
         self._rates: dict[str, float] = {}
+        # Configurations evaluated beyond the catalogue (a last resort
+        # the catalogue does not list); every snapshot prices them too.
+        self._off_catalog = [c for c in (slack_model.lrc,) if c not in self.catalog]
 
     def snapshot(self, t: float, rates=None) -> None:
         """Freeze market prices at decision time *t* for this evaluation.
@@ -167,6 +185,8 @@ class _EstimatorBase:
         if rates is None:
             rates = self.market.config_rates(self.catalog, t)
         self._rates = {c.name: float(r) for c, r in zip(self.catalog, rates)}
+        for config in self._off_catalog:
+            self._rates[config.name] = float(self.market.config_rate(config, t))
 
     def _rate(self, config: Configuration) -> float:
         return self._rates[config.name]
@@ -175,7 +195,7 @@ class _EstimatorBase:
         """Context manager wrapping one full catalogue evaluation.
 
         Recursive estimators override this with recursion headroom; the
-        iterative estimator needs none.
+        approximate estimator needs none.
         """
         return contextlib.nullcontext()
 
@@ -212,7 +232,7 @@ class _EstimatorBase:
             if best_config is None:
                 # Degenerate: nothing feasible; fall back to the last
                 # resort.  Still inside the evaluation guard — an
-                # all-infeasible catalogue must yield the lrc decision,
+                # all-infeasible catalogue must give the lrc decision,
                 # not a RecursionError from an unprotected recursion.
                 best_config = self.slack.lrc
                 best_cost = cost_of(best_config, False)
@@ -254,7 +274,7 @@ class _EstimatorBase:
 
 
 class ApproximateCostEstimator(_EstimatorBase):
-    """The §5.3 approximation as an iterative DP — milliseconds per decision.
+    """The §5.3 approximation as a memoised DP — milliseconds per decision.
 
     Beyond the paper's two simplifications (success branch stays on the
     current configuration; failure branch evaluated at the MTTF), the
@@ -271,19 +291,22 @@ class ApproximateCostEstimator(_EstimatorBase):
     running, fail-depth)``; a state's children are the success
     continuation (same configuration, less work) and the
     post-eviction follow-ups (every other configuration one fail-depth
-    deeper, or the last resort at the depth cap).  An explicit work
-    stack expands only the states reachable from the queried root and
-    resolves them bottom-up — children strictly before parents, a state
-    re-entered while still open reads ∞ (the cycle guard) — which is
-    exactly the evaluation order of the recursive §5.3 transcription
-    (``tests/recursive_oracle.py``), so costs and decisions are
-    bit-identical to it without any recursion.
+    deeper, or the last resort at the depth cap).  :meth:`_chain`
+    resolves a spot state by walking its success chain forward, opening
+    each state with an ∞ cycle guard, and folding it backward, each
+    node's follow-ups resolved in catalogue order before the node is
+    closed.  That is the recursive transcription's evaluation order
+    (``tests/recursive_oracle.py``) — a state re-entered while open
+    reads ∞ at the same moment — so costs, decisions and hit/miss
+    counters are bit-identical to it, while recursion is spent only on
+    fail depth (at most ``max_fail_depth + 1`` kernel frames).
 
-    Every quantity the transition needs is precomputed into dense
-    per-catalogue arrays at construction (execution/save/setup times,
-    Daly checkpoint intervals, MTTFs, eviction-CDF lookup tables) or at
-    snapshot time (deployment rates), so evaluating one state is pure
-    float arithmetic plus one CDF table lookup.
+    The memo is one flat dict keyed by the state tuple (nesting it per
+    configuration measured no faster); per-configuration constants
+    (timings, Daly interval, MTTF, the failure probability of a full
+    interval) are tabled at construction and deployment rates at
+    snapshot time, so a state costs float arithmetic, its follow-ups'
+    memo lookups and — for a truncated interval only — one CDF lookup.
 
     Args:
         slack_grid: memoisation granularity for slack, seconds (None =
@@ -306,6 +329,7 @@ class ApproximateCostEstimator(_EstimatorBase):
         warning: WarningPolicy = NO_WARNING,
     ):
         super().__init__(slack_model, market, catalog)
+        check_dp_parameters(slack_grid, work_grid, price_tolerance, max_fail_depth)
         self.warning = warning
         self.slack_grid = slack_grid
         self.work_grid = work_grid
@@ -323,20 +347,12 @@ class ApproximateCostEstimator(_EstimatorBase):
         self._warning_lead = self.warning.lead_seconds
         self._table_cfgs: list[Configuration] = []
         self._cfg_index: dict[str, int] = {}
-        self._exec_t: list[float] = []
-        self._save_t: list[float] = []
-        self._setup_t: list[float] = []
-        self._fixed_t: list[float] = []
-        self._is_spot: list[bool] = []
-        self._mttf: list[float] = []
-        self._daly: list[float] = []
-        self._cdf: list = []
-        self._can_salvage: list[bool] = []
+        self._timings: list[tuple] = []  # per config: (exec, save, setup, fixed)
+        self._spot: list = []  # per-config chain constants, None = on-demand
         self._rate_arr: list[float] = []
-        for config in self.catalog:
-            self._ensure_cfg(config)
-        self._catalog_idx = [self._cfg_index[c.name] for c in self.catalog]
-        self._lrc_idx = self._ensure_cfg(self._lrc)
+        self._catalog_idx = [self._ensure_cfg(config) for config in self.catalog]
+        self._lrc_only = [self._ensure_cfg(self._lrc)]
+        self._followers: dict[int, list[int]] = {}  # per evicted config, lazily
 
     def _tune_grids(self, slack: float) -> None:
         """Resolve grids left adaptive from the first decision's slack."""
@@ -354,24 +370,23 @@ class ApproximateCostEstimator(_EstimatorBase):
         idx = len(self._table_cfgs)
         self._cfg_index[config.name] = idx
         self._table_cfgs.append(config)
-        save = perf.save_time(config)
-        self._exec_t.append(perf.exec_time(config))
-        self._save_t.append(save)
-        self._setup_t.append(perf.setup_time(config))
-        self._fixed_t.append(perf.fixed_time(config))
-        self._is_spot.append(config.is_transient)
+        exec_t, save = perf.exec_time(config), perf.save_time(config)
+        setup, fixed = perf.setup_time(config), perf.fixed_time(config)
+        self._timings.append((exec_t, save, setup, fixed))
+        spot = None
         if config.is_transient:
             model = self.market.eviction_model(config)
-            mttf = model.mttf
-            self._mttf.append(mttf)
-            self._daly.append(daly_interval(save, mttf))
-            self._cdf.append(model.cdf)
-        else:
-            self._mttf.append(math.inf)
-            self._daly.append(math.inf)
-            self._cdf.append(None)
-        self._can_salvage.append(self.warning.can_save(save))
+            daly, cdf = daly_interval(save, model.mttf), model.cdf
+            # Exposure and failure probability of a full Daly interval,
+            # warm (already running) and cold (setup first): every chain
+            # node not truncated by the work or slack left reads these.
+            full = (daly + save, setup + daly + save)
+            p_full = (min(1.0, max(0.0, cdf(x))) for x in full)
+            spot = (daly, model.mttf, self.warning.can_save(save), cdf, *full, *p_full)
+        self._spot.append(spot)
         self._rate_arr.append(self._rates.get(config.name, math.nan))
+        if config not in self.catalog and config not in self._off_catalog:
+            self._off_catalog.append(config)  # priced by the next snapshot
         return idx
 
     def snapshot(self, t: float, rates=None) -> None:
@@ -384,11 +399,11 @@ class ApproximateCostEstimator(_EstimatorBase):
         old = dict(self._rates)
         super().snapshot(t, rates)
         table_rates = self._rates
-        self._rate_arr = [table_rates.get(c.name, math.nan) for c in self._table_cfgs]
+        self._rate_arr = [table_rates[c.name] for c in self._table_cfgs]
         if old:
             drift = max(
-                abs(table_rates[name] / old[name] - 1.0) if old[name] > 0 else 1.0
-                for name in table_rates
+                abs(table_rates[name] / was - 1.0) if was > 0 else 1.0
+                for name, was in old.items()
             )
             if drift <= self.price_tolerance:
                 return
@@ -428,7 +443,24 @@ class ApproximateCostEstimator(_EstimatorBase):
         """EC at an explicit slack (the service-shared query path)."""
         if not self._grids_tuned:
             self._tune_grids(slack)
-        return self._evaluate(self._ensure_cfg(config), slack, work_left, running, 0)
+        if work_left <= _WORK_EPS:
+            return 0.0
+        ci = self._ensure_cfg(config)
+        buckets = int(slack / self.slack_grid), int(work_left / self.work_grid)
+        key = (ci, *buckets, running, 0)
+        cost = self._memo.get(key)
+        if cost is not None:
+            self._memo_hits += 1
+            return cost
+        self._memo_misses += 1
+        if self._spot[ci] is not None:
+            self._memo[key] = math.inf  # cycle guard
+            return self._chain(key, ci, slack, work_left, running, 0)
+        cost = math.inf
+        if self.slack.feasible_from_slack(config, slack, work_left, running):
+            cost = self._on_demand_cost(config, work_left, running)
+        self._memo[key] = cost
+        return cost
 
     def cost_at_slack(
         self,
@@ -448,6 +480,7 @@ class ApproximateCostEstimator(_EstimatorBase):
         the move onto it.  Infinity means the configuration cannot meet
         the deadline from this state.
         """
+        self._ensure_cfg(config)  # before the snapshot, so it is priced
         self.snapshot(t, rates)
         with self._evaluation_guard():
             return self._cost_at_slack(config, slack, work_left, running)
@@ -485,149 +518,135 @@ class ApproximateCostEstimator(_EstimatorBase):
         return self._cost_at_slack(config, slack, work_left, already_running)
 
     # ------------------------------------------------------------------
-    # The iterative DP
+    # The DP kernel
     # ------------------------------------------------------------------
-    def _evaluate(self, ci, slack, work_left, running, depth) -> float:
-        """Resolve one root state with an explicit work stack.
+    def _chain(self, key, ci, slack, work_left, running, depth) -> float:
+        """Cost of the open spot state *key*, resolving its success chain.
 
-        The stack holds one open generator per in-flight state
-        (:meth:`_transition`); a generator yields the child states it
-        needs and is resumed with their values, and its return value is
-        the state's cost.  Children are therefore fully resolved before
-        their parents — bottom-up over the reachable state grid.
+        Forward: walk the success continuation (same configuration,
+        less work) in a plain loop, opening each state with its ∞ guard,
+        until the work runs out, a state is infeasible or the next
+        bucket is already memoised.  Backward: fold the chain from its
+        end, adding each node's failure branch — its follow-ups share
+        one (slack, work) bucket pair; on-demand ones come from the
+        closed form, spot ones from this kernel one fail-depth deeper.
         """
-        if work_left <= _WORK_EPS:
-            return 0.0
         memo = self._memo
         slack_grid = self.slack_grid
         work_grid = self.work_grid
         inf = math.inf
+        spot_of = self._spot
+        timings = self._timings
+        exec_t, save, setup_t, fixed_t = timings[ci]
+        daly, mttf, can_salvage, cdf, warm_x, cold_x, warm_p, cold_p = spot_of[ci]
+        rate = self._rate_arr[ci]
+        lrc_exec = self._lrc_exec
         hits = misses = 0
-        root_key = (ci, int(slack / slack_grid), int(work_left / work_grid), running, depth)
-        cached = memo.get(root_key)
-        if cached is not None:
-            self._memo_hits += 1
-            return cached
-        misses += 1
-        memo[root_key] = inf  # cycle guard
-        stack = [(root_key, self._transition(ci, slack, work_left, running, depth))]
-        retval = None
-        while stack:
-            key, gen = stack[-1]
-            try:
-                child = gen.send(retval)
-            except StopIteration as done:
-                memo[key] = done.value
-                retval = done.value
-                stack.pop()
-                continue
-            cci, cslack, cwork, crunning, cdepth = child
-            if cwork <= _WORK_EPS:
-                retval = 0.0
-                continue
-            ckey = (
-                cci,
-                int(cslack / slack_grid),
-                int(cwork / work_grid),
-                crunning,
-                cdepth,
-            )
-            cached = memo.get(ckey)
-            if cached is not None:
+
+        switch = save if running else fixed_t
+        setup = 0.0 if running else setup_t
+        nodes = []
+        while True:
+            # useful interval = min(time to finish, slack left, Daly)
+            interval = work_left * exec_t
+            room = slack - switch
+            if room < interval:
+                interval = room
+            if daly < interval:
+                interval = daly
+            if room <= 0.0 or interval <= 0:
+                value = inf  # infeasible: the guard already is its cost
+                break
+            exposure = setup + interval + save
+            nodes.append((key, slack, work_left, setup, exposure))
+            # Success (§5.3 #1): the checkpoint lands and the job keeps
+            # running here.  Slack drains by the elapsed time minus the
+            # progress converted back into last-resort time.
+            progress = interval / exec_t
+            if work_left < progress:
+                progress = work_left
+            slack = slack - exposure + progress * lrc_exec
+            work_left = work_left - progress
+            if work_left <= _WORK_EPS:
+                value = 0.0
+                break
+            key = (ci, int(slack / slack_grid), int(work_left / work_grid), True, depth)
+            value = memo.get(key)
+            if value is not None:
                 hits += 1
-                retval = cached
-                continue
+                break
             misses += 1
-            memo[ckey] = inf  # cycle guard
-            stack.append((ckey, self._transition(cci, cslack, cwork, crunning, cdepth)))
-            retval = None
+            memo[key] = inf  # cycle guard
+            switch = save
+            setup = 0.0
+
+        if depth >= self.max_fail_depth:
+            followers, fdepth = self._lrc_only, depth
+        else:
+            # Every catalogue entry but the evicted market: right after
+            # an eviction its price exceeds the bid.
+            followers, fdepth = self._followers.get(ci), depth + 1
+            if followers is None:
+                followers = [cj for cj in self._catalog_idx if cj != ci]
+                self._followers[ci] = followers
+        fail_floor = max(mttf, slack_grid)
+        lead = self._warning_lead
+        rate_of = self._rate_arr
+        lrc_fixed = self._lrc_fixed
+        for key, slack, work_left, setup, exposure in reversed(nodes):
+            if exposure == warm_x:
+                p_fail = warm_p
+            elif exposure == cold_x:
+                p_fail = cold_p
+            else:
+                p_fail = min(1.0, max(0.0, cdf(exposure)))
+            success_cost = rate * exposure / HOURS + value
+            # Failure (§5.3 #2): evaluated at the MTTF (clamped into the
+            # exposure window).  Without an eviction warning no work
+            # survives; with one that covers t_save (§9 extension), the
+            # computation up to the warning instant is checkpointed.
+            fail_at = fail_floor if fail_floor < exposure else exposure
+            salvaged = 0.0
+            if can_salvage:
+                computed = fail_at - setup - lead
+                if computed > 0:
+                    salvaged = min(work_left, computed / exec_t)
+            work_left = work_left - salvaged
+            slack = slack - fail_at + salvaged * lrc_exec
+            follow = 0.0
+            if work_left > _WORK_EPS:
+                follow = inf
+                slack_b = int(slack / slack_grid)
+                work_b = int(work_left / work_grid)
+                lrc_finish = slack + lrc_fixed + work_left * lrc_exec
+                for cj in followers:
+                    fkey = (cj, slack_b, work_b, False, fdepth)
+                    cost = memo.get(fkey)
+                    if cost is not None:
+                        hits += 1
+                    elif spot_of[cj] is not None:
+                        misses += 1
+                        memo[fkey] = inf  # cycle guard
+                        cost = self._chain(fkey, cj, slack, work_left, False, fdepth)
+                    else:
+                        # On-demand leaf: run to completion if that
+                        # still beats the deadline, else ∞.
+                        misses += 1
+                        exec_j, save_j, setup_j, fixed_j = timings[cj]
+                        runtime = work_left * exec_j
+                        if lrc_finish - fixed_j - runtime >= -1e-9:
+                            runtime = setup_j + runtime + save_j
+                            cost = rate_of[cj] * runtime / HOURS
+                        else:
+                            cost = inf
+                        memo[fkey] = cost
+                    if cost < follow:
+                        follow = cost
+            fail_cost = rate * fail_at / HOURS + follow
+            value = memo[key] = p_fail * fail_cost + (1.0 - p_fail) * success_cost
         self._memo_hits += hits
         self._memo_misses += misses
-        return memo[root_key]
-
-    def _transition(self, ci, slack, work_left, running, depth):
-        """One state's cost as a generator over its child states.
-
-        Yields ``(config-idx, slack, work, running, depth)`` child
-        requests, receives their costs, returns this state's cost.
-        """
-        exec_t = self._exec_t[ci]
-        save = self._save_t[ci]
-        switch = save if running else self._fixed_t[ci]
-        if not self._is_spot[ci]:
-            feasible = (
-                slack
-                + self._lrc_fixed
-                + work_left * self._lrc_exec
-                - switch
-                - work_left * exec_t
-                >= -1e-9
-            )
-            if not feasible:
-                return math.inf
-            setup = 0.0 if running else self._setup_t[ci]
-            runtime = setup + work_left * exec_t + save
-            return self._rate_arr[ci] * runtime / HOURS
-        if slack - switch <= 0.0:
-            return math.inf
-        mttf = self._mttf[ci]
-        interval = min(work_left * exec_t, slack - switch, self._daly[ci])
-        if interval <= 0:
-            return math.inf
-        setup = 0.0 if running else self._setup_t[ci]
-        exposure = setup + interval + save
-        rate = self._rate_arr[ci]
-        p_fail = min(1.0, max(0.0, self._cdf[ci](exposure)))
-
-        # Success branch (§5.3 #1): the checkpoint lands and the job
-        # keeps running here.  Slack drains by the elapsed time minus the
-        # progress converted back into last-resort time.
-        progress = min(work_left, interval / exec_t)
-        slack_after_success = slack - exposure + progress * self._lrc_exec
-        success_value = yield (
-            ci,
-            slack_after_success,
-            work_left - progress,
-            True,
-            depth,
-        )
-        success_cost = rate * exposure / HOURS + success_value
-
-        # Failure branch (§5.3 #2): evaluated at the MTTF (clamped into
-        # the exposure window).  Without an eviction warning no work
-        # survives; with one that covers t_save (§9 extension), the
-        # computation up to the warning instant is checkpointed.
-        fail_at = min(max(mttf, self.slack_grid), exposure)
-        salvaged = 0.0
-        if self._can_salvage[ci]:
-            computed = fail_at - setup - self._warning_lead
-            if computed > 0:
-                salvaged = min(work_left, computed / exec_t)
-        work_after_fail = work_left - salvaged
-        slack_after_fail = slack - fail_at + salvaged * self._lrc_exec
-        if work_after_fail <= _WORK_EPS:
-            follow = 0.0
-        elif depth >= self.max_fail_depth:
-            follow = yield (
-                self._lrc_idx,
-                slack_after_fail,
-                work_after_fail,
-                False,
-                depth,
-            )
-        else:
-            # Minimise over the catalogue, skipping the evicted market:
-            # right after an eviction that market's price exceeds the
-            # bid, so the same configuration cannot be re-provisioned.
-            follow = math.inf
-            for cj in self._catalog_idx:
-                if cj == ci and self._is_spot[cj]:
-                    continue
-                cost = yield (cj, slack_after_fail, work_after_fail, False, depth + 1)
-                if cost < follow:
-                    follow = cost
-        fail_cost = rate * fail_at / HOURS + follow
-        return p_fail * fail_cost + (1.0 - p_fail) * success_cost
+        return value
 
 
 class ExactCostEstimator(_EstimatorBase):

@@ -54,6 +54,7 @@ from repro.core.expected_cost import (
     CacheStats,
     Decision,
     adaptive_grids,
+    check_dp_parameters,
 )
 from repro.core.provisioner import ProvisioningContext
 from repro.core.slack import SlackModel
@@ -397,7 +398,8 @@ class PlanningService:
         slack model, catalogue, decision state and grid overrides).
 
         Raises:
-            PlanError: the catalogue fails admission.
+            PlanError: the catalogue fails admission, or a grid,
+                ``price_tolerance`` or ``max_fail_depth`` is unusable.
         """
         catalog = self.admit(request.catalog)
         grids = self.resolved_grids(
@@ -407,6 +409,10 @@ class PlanningService:
             request.slack_grid,
             request.work_grid,
         )
+        try:
+            check_dp_parameters(*grids, self.price_tolerance, self.max_fail_depth)
+        except ValueError as exc:
+            raise PlanError(str(exc)) from None
         return catalog, grids, self._estimator_key(catalog, request.slack_model, grids)
 
     def _entry_for(

@@ -1,9 +1,10 @@
 """Reference oracle for the §5.3 estimator: the equations as a direct recursion.
 
 Relocated verbatim from ``repro.core.expected_cost`` (it is referenced
-only by tests): the production iterative DP must pick identical
-configurations at identical costs, which
-``tests/test_expected_cost_equivalence.py`` asserts.  It subclasses the
+only by tests): the production kernel (forward walk / backward fold)
+must pick identical configurations at identical costs with identical
+memo counters, which ``tests/test_expected_cost_equivalence.py`` and
+``tests/test_dp_kernel_goldens.py`` assert.  It subclasses the
 production estimator for the shared plumbing (snapshots, memo, grids)
 and replaces only the evaluation.
 """
@@ -24,7 +25,7 @@ class RecursiveApproximateCostEstimator(ApproximateCostEstimator):
     """Reference oracle: the §5.3 equations as a direct recursion.
 
     This is the seed implementation, kept verbatim so tests can hold
-    the iterative DP to bit-identical costs and configuration choices.
+    the production kernel to bit-identical costs and configuration choices.
     It needs recursion headroom (``sys.setrecursionlimit``) for
     long-horizon jobs; never use it on the production decision path.
     """

@@ -122,6 +122,49 @@ class TestApproximateEstimator:
         with pytest.raises(ValueError):
             ApproximateCostEstimator(sm, small_market, transient_configs(catalog))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"slack_grid": 0},
+            {"slack_grid": float("nan")},
+            {"work_grid": -1},
+            {"work_grid": float("inf")},
+            {"max_fail_depth": -1},
+            {"price_tolerance": -0.5},
+        ],
+    )
+    def test_unusable_dp_parameters_rejected(self, small_market, catalog, kwargs):
+        sm = make_slack_model(small_market, SSSP_PROFILE, 0.5, catalog)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ApproximateCostEstimator(sm, small_market, catalog, **kwargs)
+
+    def test_last_resort_outside_the_catalogue_is_priced(self, small_market, catalog):
+        """``slack_model.lrc`` need not be a catalogue member: the
+        snapshot prices it too, so depth-cap follow-ups cost dollars,
+        not NaN (which ``cost < follow`` silently dropped), the DP
+        agrees with the recursive oracle (which used to raise
+        ``KeyError``), and the service path gives the same answer."""
+        from repro.service import PlanningService, PlanRequest
+        from tests.recursive_oracle import RecursiveApproximateCostEstimator
+
+        sm = make_slack_model(small_market, COLORING_PROFILE, 1.0, catalog)
+        without_lrc = tuple(c for c in catalog if c != sm.lrc)
+        est = ApproximateCostEstimator(sm, small_market, without_lrc)
+        decision = est.best(0.0, 1.0)
+        assert not any(math.isnan(cost) for cost in est._memo.values())
+        ref = RecursiveApproximateCostEstimator(sm, small_market, without_lrc)
+        assert ref.best(0.0, 1.0) == decision
+        assert ref.cache_stats() == est.cache_stats()
+        planned = PlanningService(small_market).plan(
+            PlanRequest(slack_model=sm, catalog=without_lrc)
+        )
+        assert planned.decision == decision
+        # The lrc is only the depth-cap fallback here, and the cheapest
+        # way to finish uses spot either way.
+        full = ApproximateCostEstimator(sm, small_market, catalog).best(0.0, 1.0)
+        assert decision.config == full.config
+        assert decision.expected_cost == pytest.approx(full.expected_cost, rel=0.05)
+
     def test_decision_fast_enough(self, small_market, catalog):
         import time
 

@@ -1,6 +1,6 @@
-"""Iterative DP vs recursive reference: decision equivalence.
+"""DP kernel vs recursive reference: decision equivalence.
 
-The iterative :class:`ApproximateCostEstimator` must reproduce the
+The production :class:`ApproximateCostEstimator` must reproduce the
 recursive oracle's decisions exactly — same configuration, cost within
 1e-9 relative — across randomised slacks, work fractions, catalogues
 and warning policies, and across the full Fig 5 / Fig 9 slack grids.
@@ -149,6 +149,41 @@ class TestNoRecursionLimitTouching:
         finally:
             sys.setrecursionlimit(before)
         assert math.isfinite(decision.expected_cost)
+
+    def test_long_chain_costs_no_frames(self, small_market):
+        """Frames may grow with fail depth, never with chain length.
+
+        The stock profiles top out near 100 chain states (the default
+        0.01 work grid caps a chain at 100 buckets), so the long chain
+        is built: a 20x Coloring job on a 0.001 work grid walks ~900
+        success states deep.  The recursive oracle overflows the
+        default recursion limit there without ``_recursion_headroom``;
+        the kernel must produce the oracle's decision and counters with
+        only 60 frames to spare.
+        """
+        import contextlib
+        import inspect
+        import sys
+
+        catalog = tuple(default_catalog())
+        sm = make_slack_model(COLORING_PROFILE.scaled(20), 1.0, catalog)
+        args = (sm, small_market, catalog)
+        ref = RecursiveApproximateCostEstimator(*args, work_grid=1e-3)
+        expected = ref.best(0.0, 1.0)
+        bare = RecursiveApproximateCostEstimator(*args, work_grid=1e-3)
+        bare._evaluation_guard = contextlib.nullcontext
+        with pytest.raises(RecursionError):
+            bare.best(0.0, 1.0)
+
+        dp = ApproximateCostEstimator(*args, work_grid=1e-3)
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            decision = dp.best(0.0, 1.0)
+        finally:
+            sys.setrecursionlimit(before)
+        assert decision == expected
+        assert dp.cache_stats() == ref.cache_stats()
 
     def test_degenerate_fallback_returns_lrc(self, small_market):
         """An all-infeasible catalogue yields the lrc decision, never a

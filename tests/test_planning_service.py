@@ -30,6 +30,7 @@ from repro.core.slack import SlackModel
 from repro.exec.observers import MetricsObserver
 from repro.experiments.common import ExperimentSetup, sweep_strategy
 from repro.service import PlanError, PlanningService, PlanRequest
+from repro.service.planning import RescaleQuery
 from repro.utils.units import HOURS
 
 
@@ -68,6 +69,55 @@ class TestAdmission:
             )
         # A request that produced no PlanResult is not a plan.
         assert service.service_stats()["plans"] == 0
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            {"slack_grid": 0},
+            {"slack_grid": -5.0},
+            {"slack_grid": float("nan")},
+            {"work_grid": 0.0},
+            {"work_grid": float("inf")},
+        ],
+    )
+    def test_unusable_grid_rejected_everywhere(self, setup, grids):
+        """A grid the bucket arithmetic cannot divide by is an admission
+        error on every entry point — never a ZeroDivisionError from
+        inside the DP — and spares its batch-mates."""
+        sm = _slack_model(setup, PAGERANK_PROFILE)
+        good = PlanRequest(slack_model=sm, catalog=setup.catalog)
+        bad = PlanRequest(slack_model=sm, catalog=setup.catalog, **grids)
+        service = PlanningService(setup.market)
+        with pytest.raises(PlanError, match="_grid must be a positive finite"):
+            service.plan(bad)
+        with pytest.raises(PlanError, match="_grid"):
+            service.request_key(bad)
+        with pytest.raises(PlanError, match="_grid"):
+            service.plan_rescale(
+                RescaleQuery(
+                    slack_model=sm,
+                    catalog=setup.catalog,
+                    t=0.0,
+                    work_left=1.0,
+                    current_config=setup.catalog[0],
+                    **grids,
+                )
+            )
+        slots = service.plan_many([good, bad, good], return_exceptions=True)
+        assert isinstance(slots[1], PlanError)
+        alone = PlanningService(setup.market).plan(good).decision
+        assert slots[0].decision == alone and slots[2].decision == alone
+        with pytest.raises(PlanError, match="slack_grid"):
+            PlanningService(setup.market, slack_grid=0).plan(good)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_fail_depth": -1}, {"price_tolerance": -0.01}]
+    )
+    def test_unusable_service_parameters_rejected(self, setup, kwargs):
+        sm = _slack_model(setup, PAGERANK_PROFILE)
+        service = PlanningService(setup.market, **kwargs)
+        with pytest.raises(PlanError, match=next(iter(kwargs))):
+            service.plan(PlanRequest(slack_model=sm, catalog=setup.catalog))
 
 
 class TestSingleDecisionEquivalence:
@@ -233,11 +283,11 @@ class TestCacheStats:
             "entries": 0,
             "epoch": 0,
         }
-        estimator.best(0.0, 1.0)
+        cold = estimator.best(0.0, 1.0)
         stats = estimator.cache_stats()
         assert stats.misses > 0
         assert stats.entries == stats.misses  # every miss memoised a state
-        estimator.best(0.0, 1.0)
+        assert estimator.best(0.0, 1.0) == cold  # the warm answer is the cold one
         again = estimator.cache_stats()
         assert again.hits > stats.hits
         assert again.misses == stats.misses
