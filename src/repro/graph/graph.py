@@ -172,33 +172,19 @@ class Graph:
         """Return the symmetrised graph (u->v and v->u for every edge).
 
         Duplicate edges are merged; when the graph is weighted, merged
-        parallel edges accumulate their weights.  Self-loops are dropped,
+        parallel edges accumulate their weights (every ``u->v`` edge in
+        CSR order, then every ``v->u`` one).  Self-loops are dropped,
         matching the behaviour partitioners expect.
         """
-        edges = self.edge_array()
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        if self.weights is not None:
-            w = np.concatenate([self.weights, self.weights])
-        else:
-            w = np.ones(len(src), dtype=np.float64)
-        keep = src != dst
-        src, dst, w = src[keep], dst[keep], w[keep]
-        # Merge duplicates by sorting on the (src, dst) key.
-        key = src * self.num_vertices + dst
-        order = np.argsort(key, kind="stable")
-        key, src, dst, w = key[order], src[order], dst[order], w[order]
-        if len(key):
-            unique_mask = np.empty(len(key), dtype=bool)
-            unique_mask[0] = True
-            unique_mask[1:] = key[1:] != key[:-1]
-            group_ids = np.cumsum(unique_mask) - 1
-            merged_w = np.zeros(int(group_ids[-1]) + 1, dtype=np.float64)
-            np.add.at(merged_w, group_ids, w)
-            src, dst, w = src[unique_mask], dst[unique_mask], merged_w
-        return from_edges(
-            src, dst, num_vertices=self.num_vertices, weights=w, name=self.name
-        )
+        n = self.num_vertices
+        src = np.repeat(np.arange(n, dtype=np.int64), self.out_degrees())
+        keep = src != self.indices
+        src, dst = src[keep], self.indices[keep]
+        w = self.weights[keep] if self.weights is not None else np.ones(len(src))
+        keys = np.concatenate([src * n + dst, dst * n + src])
+        del src, dst  # the merge holds the peak: free what it no longer needs
+        indptr, indices, weights = merge_parallel_edges(keys, np.concatenate([w, w]), n)
+        return Graph(indptr=indptr, indices=indices, weights=weights, name=self.name)
 
     def subgraph_edge_count(self, vertex_mask: np.ndarray) -> int:
         """Count edges whose endpoints are both inside ``vertex_mask``."""
@@ -248,6 +234,33 @@ def _spill_edge_sources(graph: Graph):
         )
     spill.flush()
     return spill, cleanup
+
+
+def merge_parallel_edges(keys, weights, num_vertices: int):
+    """CSR of the distinct edges among ``keys`` (``src * num_vertices +
+    dst``), rows and columns ascending.
+
+    Returns ``(indptr, indices, merged)``: ``merged`` sums each edge's
+    weights in input order, because ``np.bincount`` adds its inputs in
+    the order it meets them, so the floats are those of a stable sort
+    followed by a sequential accumulation.
+    """
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    rank = np.cumsum(first)
+    rank -= 1
+    group = np.empty_like(order)
+    group[order] = rank
+    del order, rank
+    merged = np.bincount(group, weights=weights, minlength=int(first.sum()))
+    keys = keys[first]
+    rows = keys // num_vertices
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_vertices), out=indptr[1:])
+    return indptr, keys - rows * num_vertices, merged
 
 
 def from_edges(

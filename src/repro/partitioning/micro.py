@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.graph import Graph, from_edges
+from repro.graph.graph import Graph, merge_parallel_edges
 from repro.partitioning.base import Partitioner, Partitioning
 from repro.partitioning.multilevel import MultilevelPartitioner
 
@@ -155,30 +155,15 @@ def build_quotient_graph(graph: Graph, micro: Partitioning) -> tuple[Graph, np.n
     src_part = np.repeat(part, graph.out_degrees())
     dst_part = part[graph.indices]
     cross = src_part != dst_part
-    qsrc, qdst = src_part[cross], dst_part[cross]
     # Aggregate parallel quotient edges.
-    key = qsrc * k + qdst
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    if len(key):
-        uniq = np.empty(len(key), dtype=bool)
-        uniq[0] = True
-        uniq[1:] = key[1:] != key[:-1]
-        group = np.cumsum(uniq) - 1
-        counts = np.bincount(group).astype(np.float64)
-        qsrc_u = (key[uniq] // k).astype(np.int64)
-        qdst_u = (key[uniq] % k).astype(np.int64)
-    else:
-        counts = np.empty(0, dtype=np.float64)
-        qsrc_u = np.empty(0, dtype=np.int64)
-        qdst_u = np.empty(0, dtype=np.int64)
-    quotient = from_edges(
-        qsrc_u, qdst_u, num_vertices=k, weights=counts, name=f"quotient({graph.name})"
+    indptr, indices, counts = merge_parallel_edges(
+        src_part[cross] * k + dst_part[cross], np.ones(int(cross.sum())), k
+    )
+    quotient = Graph(
+        indptr=indptr, indices=indices, weights=counts, name=f"quotient({graph.name})"
     )
     # Load per micro-partition: edge endpoints contained (internal edges
     # count twice, which is what work balance cares about), min 1.
-    endpoint_load = np.zeros(k, dtype=np.float64)
-    np.add.at(endpoint_load, src_part, 1.0)
-    np.add.at(endpoint_load, dst_part, 1.0)
-    endpoint_load = np.maximum(endpoint_load, 1.0)
+    endpoint_load = np.bincount(src_part, minlength=k) + np.bincount(dst_part, minlength=k)
+    endpoint_load = np.maximum(endpoint_load.astype(np.float64), 1.0)
     return quotient, endpoint_load

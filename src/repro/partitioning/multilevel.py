@@ -20,13 +20,20 @@ exactly what micro-partition clustering requires.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, merge_parallel_edges
 from repro.partitioning.base import Partitioner, Partitioning
 from repro.utils.rng import derive_rng
+
+#: Edges one batch of matching proposals, or one refresh of refinement
+#: options, gathers at most (see ``_batch_edges``).
+_BATCH_EDGES = 1 << 13
 
 
 @dataclass
@@ -82,10 +89,14 @@ class MultilevelPartitioner(Partitioner):
         refine_passes: int = 4,
         restarts: int = 1,
     ):
-        if balance_slack < 1.0:
-            raise ValueError(f"balance_slack must be >= 1, got {balance_slack}")
+        if not 1.0 <= balance_slack < math.inf:  # also rejects NaN
+            raise ValueError(f"balance_slack must be finite and >= 1, got {balance_slack}")
         if balance_by not in ("vertices", "edges"):
             raise ValueError(f"balance_by must be 'vertices' or 'edges', got {balance_by!r}")
+        if coarsen_until < 1:
+            raise ValueError(f"coarsen_until must be >= 1, got {coarsen_until}")
+        if refine_passes < 0:
+            raise ValueError(f"refine_passes must be >= 0, got {refine_passes}")
         if restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {restarts}")
         self.balance_slack = balance_slack
@@ -121,8 +132,7 @@ class MultilevelPartitioner(Partitioner):
         for attempt in range(self.restarts):
             rng = derive_rng(seed, "multilevel", attempt)
             assignment = self._partition_once(wg, num_parts, rng, max_load)
-            loads = np.zeros(num_parts)
-            np.add.at(loads, assignment, wg.vwgts)
+            loads = np.bincount(assignment, weights=wg.vwgts, minlength=num_parts)
             overload = max(0.0, float(loads.max()) / max_load - 1.0)
             key = (overload > 1e-9, overload, _weighted_cut(wg, assignment))
             if best_key is None or key < best_key:
@@ -163,10 +173,16 @@ class MultilevelPartitioner(Partitioner):
     def _to_wgraph(self, graph: Graph, vertex_weights) -> _WGraph:
         und = graph.undirected()
         ewgts = und.weights if und.weights is not None else np.ones(und.num_edges)
+        if not np.isfinite(ewgts).all():
+            raise ValueError("edge weights must be finite")
         if vertex_weights is not None:
             vwgts = np.asarray(vertex_weights, dtype=np.float64)
             if vwgts.shape != (graph.num_vertices,):
                 raise ValueError("vertex_weights must have one entry per vertex")
+            if not (np.isfinite(vwgts).all() and (vwgts >= 0).all() and vwgts.sum() > 0):
+                raise ValueError(
+                    "vertex_weights must be finite and non-negative, with a positive total"
+                )
         elif self.balance_by == "edges":
             # Weight vertices by degree (plus one so isolated vertices count).
             vwgts = np.diff(und.indptr).astype(np.float64) + 1.0
@@ -182,70 +198,106 @@ class MultilevelPartitioner(Partitioner):
         return self.balance_slack * avg
 
 
+def _batch_edges(wg: _WGraph) -> int:
+    """Edges one batch gathers: ``_BATCH_EDGES``, but at most an eighth
+    of the graph's.  A batch is redone in part whenever an earlier visit
+    invalidates it, and on a small dense graph one move reaches most of
+    the graph."""
+    return max(1, min(_BATCH_EDGES, len(wg.indices) // 8))
+
+
 # ----------------------------------------------------------------------
 # Coarsening
 # ----------------------------------------------------------------------
 def _heavy_edge_matching(wg: _WGraph, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Greedy heavy-edge matching.
 
-    Returns ``(cmap, num_coarse)`` where ``cmap[v]`` is the coarse vertex
-    id of ``v``; matched pairs share a coarse id.
+    Visits the vertices in a random order; an unmatched vertex takes its
+    heaviest unmatched neighbour (the first in CSR order on ties) or, with
+    none left, stays single.  Returns ``(cmap, num_coarse)`` where
+    ``cmap[v]`` is the coarse vertex id of ``v``: matched pairs share one,
+    and ids follow the pairs' smaller members.
+
+    The visits run in batches of ``_batch_edges`` edges.  One
+    vectorised call proposes, for every vertex of a batch, its heaviest
+    neighbour unmatched at the batch start; the walk through the batch
+    takes a proposal whenever it is still unmatched — the heaviest of a
+    set stays the heaviest of any subset holding it — and proposes again
+    for the one vertex when an earlier vertex of the batch took it.  The
+    decisions are the plain loop's (``tests/multilevel_oracle.py``), one
+    by one.
     """
     n = wg.num_vertices
     match = np.full(n, -1, dtype=np.int64)
     order = rng.permutation(n)
-    for v in order:
-        if match[v] >= 0:
-            continue
-        neigh = wg.neighbors(v)
-        wts = wg.neighbor_weights(v)
-        free = match[neigh] < 0
-        free &= neigh != v
-        if not free.any():
-            match[v] = v
-            continue
-        cand = neigh[free]
-        cand_w = wts[free]
-        best = int(cand[np.argmax(cand_w)])
-        match[v] = best
-        match[best] = v
-    cmap = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(n):
-        if cmap[v] >= 0:
-            continue
-        cmap[v] = next_id
-        partner = match[v]
-        if partner != v and cmap[partner] < 0:
-            cmap[partner] = next_id
-        next_id += 1
-    return cmap, next_id
+    reach = np.cumsum(np.diff(wg.indptr)[order])  # edges up to each visit
+    batch_edges = _batch_edges(wg)
+    first = 0
+    while first < n:
+        budget = (reach[first - 1] if first else 0) + batch_edges
+        last = max(first + 1, int(np.searchsorted(reach, budget, side="right")))
+        batch = order[first:last]
+        batch = batch[match[batch] < 0]
+        for v, best in zip(batch.tolist(), _heaviest_free(wg, match, batch).tolist()):
+            if match[v] >= 0:
+                continue
+            if best >= 0 and match[best] >= 0:  # taken since the batch began
+                best = int(_heaviest_free(wg, match, np.array([v]))[0])
+            match[v] = v if best < 0 else best
+            if best >= 0:
+                match[best] = v
+        first = last
+    # Number the pairs by their smaller member (a single by itself).
+    leader = np.minimum(match, np.arange(n))
+    coarse_id = np.cumsum(leader == np.arange(n)) - 1
+    return coarse_id[leader], int(coarse_id[-1]) + 1 if n else 0
+
+
+def _heaviest_free(wg: _WGraph, match: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row's heaviest unmatched neighbour other than itself, the first
+    in CSR order on ties (weights are finite); ``-1`` where there is none."""
+    edges, row = _row_edges(wg.indptr, rows)
+    neighbour = wg.indices[edges]
+    free = (match[neighbour] < 0) & (neighbour != rows[row])
+    best = np.full(len(rows), -1, dtype=np.int64)
+    row, neighbour = row[free], neighbour[free]
+    if not len(row):
+        return best
+    weight = wg.ewgts[edges[free]]
+    # Each row's heaviest free weight, then its first free edge carrying it.
+    opens = np.concatenate(([True], row[1:] != row[:-1]))
+    heaviest = np.maximum.reduceat(weight, np.flatnonzero(opens))
+    ties = np.flatnonzero(weight == heaviest[np.cumsum(opens) - 1])
+    first = ties[np.concatenate(([True], row[ties[1:]] != row[ties[:-1]]))]
+    best[row[first]] = neighbour[first]
+    return best
+
+
+def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR positions of the concatenated rows ``rows`` and, for each, the
+    index into ``rows`` of the row it belongs to."""
+    degrees = indptr[rows + 1] - indptr[rows]
+    row = np.repeat(np.arange(len(rows)), degrees)
+    # Each row's CSR start, shifted by where the row begins in the concatenation.
+    row_start = np.cumsum(degrees) - degrees
+    return np.repeat(indptr[rows] - row_start, degrees) + np.arange(len(row)), row
 
 
 def _contract(wg: _WGraph, cmap: np.ndarray, num_coarse: int) -> _WGraph:
-    """Contract matched pairs into coarse vertices, merging parallel edges."""
-    src = np.repeat(np.arange(wg.num_vertices, dtype=np.int64), np.diff(wg.indptr))
-    csrc = cmap[src]
+    """Contract matched pairs into coarse vertices, merging parallel edges.
+
+    A merged edge sums its weights in fine CSR order and a coarse vertex
+    its members' weights in id order: ``np.bincount`` accumulates in input
+    order.
+    """
+    csrc = np.repeat(cmap, np.diff(wg.indptr))
     cdst = cmap[wg.indices]
     keep = csrc != cdst
-    csrc, cdst, cw = csrc[keep], cdst[keep], wg.ewgts[keep]
-    key = csrc * num_coarse + cdst
-    order = np.argsort(key, kind="stable")
-    key, csrc, cdst, cw = key[order], csrc[order], cdst[order], cw[order]
-    if len(key):
-        uniq = np.empty(len(key), dtype=bool)
-        uniq[0] = True
-        uniq[1:] = key[1:] != key[:-1]
-        group = np.cumsum(uniq) - 1
-        merged_w = np.zeros(int(group[-1]) + 1)
-        np.add.at(merged_w, group, cw)
-        csrc, cdst, cw = csrc[uniq], cdst[uniq], merged_w
-    counts = np.bincount(csrc, minlength=num_coarse)
-    indptr = np.zeros(num_coarse + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    vwgts = np.zeros(num_coarse)
-    np.add.at(vwgts, cmap, wg.vwgts)
-    return _WGraph(indptr=indptr, indices=cdst, ewgts=cw, vwgts=vwgts)
+    indptr, indices, ewgts = merge_parallel_edges(
+        csrc[keep] * num_coarse + cdst[keep], wg.ewgts[keep], num_coarse
+    )
+    vwgts = np.bincount(cmap, weights=wg.vwgts, minlength=num_coarse)
+    return _WGraph(indptr=indptr, indices=indices, ewgts=ewgts, vwgts=vwgts)
 
 
 # ----------------------------------------------------------------------
@@ -285,22 +337,21 @@ def _grow_region(
     wg: _WGraph, vertices: np.ndarray, target_weight: float, rng: np.random.Generator
 ) -> np.ndarray:
     """BFS-grow a region of ~target_weight inside the induced subgraph."""
-    member = np.zeros(wg.num_vertices, dtype=bool)
-    member[vertices] = True
-    taken = np.zeros(wg.num_vertices, dtype=bool)
+    member = bytearray(wg.num_vertices)
+    np.frombuffer(member, dtype=bool)[vertices] = True
+    taken = bytearray(wg.num_vertices)
+    indptr = wg.indptr.tolist()
+    vwgts = wg.vwgts.tolist()
     region: list[int] = []
     weight = 0.0
-    from collections import deque
-
     queue: deque[int] = deque()
-    shuffled = vertices[rng.permutation(len(vertices))]
-    seed_iter = iter(shuffled)
+    seed_iter = iter(vertices[rng.permutation(len(vertices))].tolist())
     while weight < target_weight:
         if not queue:
             root = None
             for cand in seed_iter:
                 if not taken[cand]:
-                    root = int(cand)
+                    root = cand
                     break
             if root is None:
                 break
@@ -308,20 +359,23 @@ def _grow_region(
             queue.append(root)
         v = queue.popleft()
         region.append(v)
-        weight += wg.vwgts[v]
-        for u in wg.neighbors(v):
+        weight += vwgts[v]
+        for u in wg.indices[indptr[v] : indptr[v + 1]].tolist():
             if member[u] and not taken[u]:
                 taken[u] = True
-                queue.append(int(u))
+                queue.append(u)
     return np.asarray(region, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
 # Refinement
 # ----------------------------------------------------------------------
-#: Bytes one connectivity sweep of ``_refine`` may allocate (rows x parts
-#: float64); a pass over more boundary vertices sweeps them block by block.
+#: Bytes one refresh of ``_refine``'s options may allocate (rows x parts
+#: float64): it caps the rows a refresh spans.
 _SWEEP_BYTES = 8 << 20
+
+# A vertex's place in ``_refine``'s cache.
+_STALE, _OPEN, _SETTLED = 0, 1, 2
 
 
 def _refine(
@@ -340,90 +394,115 @@ def _refine(
     which actively restores balance after coarse-level projections.
     Stops early when a pass makes no move.
 
-    The pass walks its boundary vertices a block at a time.  One
-    vectorised sweep per block computes every vertex's connectivity to
-    every part and marks the *settled* ones: strictly better connected
-    to their own part than to any other, and not in an overloaded part.
-    A settled vertex cannot move for as long as its neighbourhood is
-    what the sweep saw — its gain is negative whatever the balance cap
-    hides, and a part never *becomes* overloaded mid-pass (moves only go
-    where there is room) — so the loop skips it unless a neighbour moved
-    since.  The visit order and every float are those of the plain loop
-    kept in ``tests/refine_oracle.py``; the result is array-equal to it.
+    ``wg`` must be symmetric, as every level is.  The visit order and
+    every float are those of the plain loop kept in
+    ``tests/refine_oracle.py``; the result is array-equal to it.  What
+    changes is where a visit's numbers come from.  Every vertex caches
+    its *options*: the other parts at least as well connected as its own
+    one, with their connectivity (every other part while its own part is
+    overloaded).  A vertex without options is *settled*.  Any part outside
+    the options costs weight, which only an overloaded part may give up,
+    and a part never *becomes* overloaded (moves only go where there is
+    room), so the options hold every move the loop could make.  A cache
+    lives until the vertex or a neighbour moves, across passes.  Visiting
+    a vertex without one refreshes every such boundary vertex in the next
+    ``_batch_edges`` edges of the CSR with one ``bincount``, each cell
+    summing its edges in CSR order as a per-vertex one would.  The
+    decision itself is plain Python over the options and a list of part
+    loads, with the loop's float operations.
     """
     assignment = assignment.copy()
-    indptr, indices, ewgts, vwgts = wg.indptr, wg.indices, wg.ewgts, wg.vwgts
-    loads = np.bincount(assignment, weights=vwgts, minlength=num_parts)
-    block_rows = max(1, _SWEEP_BYTES // (8 * num_parts))
+    indptr = wg.indptr.tolist()
+    vwgts = wg.vwgts.tolist()
+    loads = np.bincount(assignment, weights=wg.vwgts, minlength=num_parts).tolist()
+    max_load = float(max_load)
+    overloaded = sum(load > max_load for load in loads)  # only ever falls
+    max_rows = max(1, _SWEEP_BYTES // (8 * num_parts))
+    batch_edges = _batch_edges(wg)
+    # Each edge's row of a connectivity block, scaled to the row's first cell.
+    cell = np.repeat(np.arange(0, wg.num_vertices * num_parts, num_parts), np.diff(wg.indptr))
+    options: list = [None] * wg.num_vertices
+    # One buffer behind two views: read per visit as bytes, written per
+    # refresh and per move (a whole neighbourhood at once) through NumPy.
+    state = bytearray(wg.num_vertices)  # _STALE
+    state_of = np.frombuffer(state, dtype=np.uint8)
     for _ in range(passes):
-        boundary = _boundary_vertices(wg, assignment)
-        disturbed = np.zeros(wg.num_vertices, dtype=bool)  # a neighbour moved
+        on_boundary = _on_boundary(wg, assignment)
         moved = 0
-        for first in range(0, len(boundary), block_rows):
-            block = boundary[first : first + block_rows]
-            conn = _connectivity(wg, assignment, block, num_parts)
-            disturbed[block] = False  # the sweep saw every move so far
-            rows = np.arange(len(block))
-            own_part = assignment[block]
-            internal = conn[rows, own_part]
-            conn[rows, own_part] = -np.inf
-            settled = (conn.max(axis=1) < internal) & ~(loads > max_load)[own_part]
-            conn[rows, own_part] = internal
-            for i, v, is_settled in zip(rows.tolist(), block.tolist(), settled.tolist()):
-                if disturbed[v]:
-                    lo, hi = indptr[v], indptr[v + 1]
-                    reach = np.bincount(
-                        assignment[indices[lo:hi]],
-                        weights=ewgts[lo:hi],
-                        minlength=num_parts,
-                    )
-                elif is_settled:
-                    continue
-                else:
-                    reach = conn[i]  # visited once per pass: ours to overwrite
-                own = assignment[v]
-                vw = vwgts[v]
-                stay = reach[own]
-                reach[own] = -np.inf
-                # Respect the balance cap; allow moves into parts with room.
-                reach[loads + vw > max_load] = -np.inf
-                best = int(reach.argmax())
-                if reach[best] == -np.inf:
-                    continue
-                gain = reach[best] - stay
-                overloaded = loads[own] > max_load
-                improves_tie = gain == 0 and loads[own] > loads[best] + vw
-                if gain > 0 or improves_tie or overloaded:
-                    assignment[v] = best
-                    loads[own] -= vw
-                    loads[best] += vw
-                    disturbed[indices[indptr[v] : indptr[v + 1]]] = True
-                    moved += 1
+        for v in on_boundary.nonzero()[0].tolist():
+            if state[v] == _STALE:
+                hi = bisect_right(indptr, indptr[v] + batch_edges) - 1
+                hi = min(max(hi, v + 1), v + max_rows)
+                edges = slice(indptr[v], indptr[hi])
+                conn = np.bincount(
+                    cell[edges] + (assignment[wg.indices[edges]] - v * num_parts),
+                    weights=wg.ewgts[edges],
+                    minlength=(hi - v) * num_parts,
+                ).reshape(hi - v, num_parts)
+                stale = (on_boundary[v:hi] > state_of[v:hi]).nonzero()[0]
+                rows = stale + v
+                full = np.asarray(loads) > max_load if overloaded else None
+                open_rows, entries = _options(conn[stale], assignment[rows], full)
+                open_rows = rows[open_rows]
+                state_of[rows] = _SETTLED
+                state_of[open_rows] = _OPEN
+                for u, entry in zip(open_rows.tolist(), entries):
+                    options[u] = entry
+            if state[v] == _SETTLED:
+                continue
+            own, stay, parts, conns = options[v]
+            vw = vwgts[v]
+            # The best-connected part with room, the first on ties.
+            best, reach = -1, -math.inf
+            for part, part_conn in zip(parts, conns):
+                if part_conn > reach and loads[part] + vw <= max_load:
+                    best, reach = part, part_conn
+            if best < 0:
+                continue
+            gain = reach - stay
+            overloaded_own = loads[own] > max_load
+            improves_tie = gain == 0 and loads[own] > loads[best] + vw
+            if gain > 0 or improves_tie or overloaded_own:
+                assignment[v] = best
+                loads[own] -= vw
+                loads[best] += vw
+                if overloaded_own and loads[own] <= max_load:
+                    overloaded -= 1
+                state_of[wg.indices[indptr[v] : indptr[v + 1]]] = _STALE
+                state[v] = _STALE
+                moved += 1
         if moved == 0:
             break
     return assignment
 
 
-def _connectivity(
-    wg: _WGraph, assignment: np.ndarray, vertices: np.ndarray, num_parts: int
-) -> np.ndarray:
-    """``conn[i, p]``: weight of ``vertices[i]``'s edges into part ``p``.
+def _options(
+    conn: np.ndarray, own: np.ndarray, overloaded: np.ndarray | None
+) -> tuple[np.ndarray, list]:
+    """``_refine``'s options for each row of ``conn``: a vertex's
+    connectivity to every part, ``own`` its part.
 
-    One ``bincount`` over the vertices' concatenated CSR rows; each cell
-    sums its edges in CSR order, exactly as a per-vertex
-    ``np.bincount(assignment[neighbours], weights=...)`` would.
+    Returns the rows that have any, and for each of them ``(own part, own
+    connectivity, parts, their connectivities)``, the parts ascending.
+    ``overloaded`` marks the overloaded parts, ``None`` when there are none.
     """
-    degrees = wg.indptr[vertices + 1] - wg.indptr[vertices]
-    row = np.repeat(np.arange(len(vertices)), degrees)
-    # Edge positions of the ragged rows: each row's CSR start, shifted by
-    # where the row begins in the concatenation.
-    row_start = np.cumsum(degrees) - degrees
-    edges = np.repeat(wg.indptr[vertices] - row_start, degrees) + np.arange(len(row))
-    return np.bincount(
-        row * num_parts + assignment[wg.indices[edges]],
-        weights=wg.ewgts[edges],
-        minlength=len(vertices) * num_parts,
-    ).reshape(len(vertices), num_parts)
+    everyone = np.arange(len(own))
+    stay = conn[everyone, own]
+    open_parts = conn >= stay[:, None]
+    if overloaded is not None:
+        open_parts[overloaded[own]] = True
+    open_parts[everyone, own] = False
+    flat = open_parts.ravel().nonzero()[0]
+    row, part = np.divmod(flat, conn.shape[1])
+    counts = np.bincount(row, minlength=len(own))
+    open_rows = counts.nonzero()[0]
+    ends = np.cumsum(counts[open_rows]).tolist()
+    own, stay, part, value = own.tolist(), stay.tolist(), part.tolist(), conn.ravel()[flat].tolist()
+    entries = [
+        (own[r], stay[r], part[first:last], value[first:last])
+        for r, first, last in zip(open_rows.tolist(), [0] + ends, ends)
+    ]
+    return open_rows, entries
 
 
 def _weighted_cut(wg: _WGraph, assignment: np.ndarray) -> float:
@@ -433,9 +512,11 @@ def _weighted_cut(wg: _WGraph, assignment: np.ndarray) -> float:
     return float(wg.ewgts[cross].sum())
 
 
-def _boundary_vertices(wg: _WGraph, assignment: np.ndarray) -> np.ndarray:
-    """Vertices with at least one neighbour in a different part, ascending."""
-    src = np.repeat(np.arange(wg.num_vertices, dtype=np.int64), np.diff(wg.indptr))
-    on_boundary = np.zeros(wg.num_vertices, dtype=bool)
-    on_boundary[src[assignment[src] != assignment[wg.indices]]] = True
-    return np.flatnonzero(on_boundary)
+def _on_boundary(wg: _WGraph, assignment: np.ndarray) -> np.ndarray:
+    """Whether each vertex has at least one neighbour in a different part."""
+    cross = np.zeros(len(wg.indices) + 1, dtype=bool)  # closed by a False
+    np.not_equal(
+        assignment[wg.indices], np.repeat(assignment, np.diff(wg.indptr)), out=cross[:-1]
+    )
+    # ``reduceat`` reads one element for an empty row: mask those out.
+    return np.logical_or.reduceat(cross, wg.indptr[:-1]) & (wg.indptr[1:] > wg.indptr[:-1])

@@ -176,6 +176,49 @@ class TestMultilevel:
         with pytest.raises(ValueError):
             MultilevelPartitioner(restarts=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"balance_slack": float("nan")},
+            {"balance_slack": float("inf")},
+            {"refine_passes": -1},
+            {"coarsen_until": -5},
+            {"coarsen_until": 0},
+        ],
+    )
+    def test_invalid_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            MultilevelPartitioner(**kwargs)
+
+    @pytest.mark.parametrize(
+        "fill",
+        [float("nan"), -1.0, 0.0, "one-inf"],
+    )
+    def test_invalid_vertex_weights_rejected(self, fill):
+        # Unchecked, each of these put every vertex into one part.
+        g = generators.community_graph(
+            400, num_communities=4, avg_degree=8, mixing=0.1, seed=3
+        )
+        if fill == "one-inf":
+            weights = np.ones(g.num_vertices)
+            weights[7] = np.inf
+        else:
+            weights = np.full(g.num_vertices, fill)
+        with pytest.raises(ValueError, match="vertex_weights"):
+            MultilevelPartitioner().partition(g, 4, seed=1, vertex_weights=weights)
+
+    def test_non_finite_edge_weights_rejected(self):
+        g = generators.ring_of_cliques(4, 4)
+        weights = np.ones(g.num_edges)
+        weights[3] = np.nan
+        weighted = from_edges(*g.edge_array().T, num_vertices=g.num_vertices, weights=weights)
+        with pytest.raises(ValueError, match="edge weights"):
+            MultilevelPartitioner().partition(weighted, 2, seed=1)
+
+    def test_zero_refine_passes_skips_refinement(self, community):
+        p = MultilevelPartitioner(refine_passes=0).partition(community, 4, seed=1)
+        assert p.num_parts == 4 and (p.assignment >= 0).all()
+
 
 class TestQualityMetrics:
     def test_edge_cut_zero_for_single_part(self, social_graph):
