@@ -15,6 +15,7 @@ running (the two cases the paper folds together to unclutter notation —
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.cloud.configuration import Configuration
 from repro.core.ckpt_policy import daly_interval
@@ -29,12 +30,15 @@ class SlackModel:
     lrc: Configuration
     deadline: float
 
-    @property
+    # perf and lrc are frozen, so the last resort's timings are constants
+    # of the instance: computed on first use, then three float operations
+    # per slack() instead of a walk through the performance model.
+    @cached_property
     def lrc_exec_time(self) -> float:
         """t_exec of the last-resort configuration."""
         return self.perf.exec_time(self.lrc)
 
-    @property
+    @cached_property
     def lrc_fixed_time(self) -> float:
         """t_fixed of the last-resort configuration."""
         return self.perf.fixed_time(self.lrc)

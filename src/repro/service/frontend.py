@@ -209,17 +209,20 @@ class PlanFrontend:
         """Plan one request through coalescing, batching and the pool.
 
         Raises:
-            PlanError: failed admission, or the inflight bound is hit
-                (overflow — the caller sheds load, nothing was queued).
+            PlanError: failed admission or keying (any other keying
+                error is chained as its cause), or the inflight bound is
+                hit (overflow — the caller sheds load, nothing was queued).
         """
         if self._dispatcher is None or self._closed:
             raise PlanError("frontend is not running")
         self._submitted += 1
         try:
             key = self.service.request_key(request) if self.config.coalesce else None
-        except PlanError:
+        except Exception as exc:
             self._rejected += 1
-            raise
+            if isinstance(exc, PlanError):
+                raise
+            raise PlanError(f"plan request failed keying: {exc!r}") from exc
         if key is not None:
             shared = self._inflight.get(key)
             if shared is not None and not shared.future.done():
@@ -318,13 +321,14 @@ class PlanFrontend:
     def stats(self) -> FrontendStats:
         """Snapshot of the frontend's lifetime counters."""
         self._flush_request_metrics()
+        pool = self.pool.stats()  # one snapshot: workers may be mid-batch
         return FrontendStats(
             submitted=self._submitted,
             planned=self._planned,
             coalesced=self._coalesced,
             rejected=self._rejected,
             overflowed=self._overflowed,
-            batches=self.pool.stats().batches,
-            batch_max=self.pool.stats().batch_max,
-            pool=self.pool.stats(),
+            batches=pool.batches,
+            batch_max=pool.batch_max,
+            pool=pool,
         )

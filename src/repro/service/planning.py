@@ -281,10 +281,13 @@ class PlanningService:
         self._mutex = threading.Lock()  # guards the dicts and counters
         self._entries: dict[tuple, _EstimatorEntry] = {}
         self._snapshots: OrderedDict[tuple, object] = OrderedDict()
-        # perf-fingerprint memo: (id(perf), lrc name, catalog names) ->
-        # (perf ref, timings, lrc_exec, lrc_fixed).  GIL-atomic dict ops;
-        # a rare duplicate recompute is deterministic and harmless.
-        self._fingerprints: dict[tuple, tuple] = {}
+        # Keying memo: (id(catalog), id(perf), id(lrc), grids) ->
+        # (catalog, perf, lrc, estimator key); see ``_keyed``.  GIL-atomic
+        # dict ops; a rare duplicate recompute is deterministic and harmless.
+        self._keyed_memo: dict[tuple, tuple] = {}
+        # The span every trace prices; a decision time outside it cannot
+        # be snapshotted, so ``_keyed`` rejects it up front.
+        self._priced = (market.start, market.horizon)
         self._plans = 0
         self._rescale_queries = 0
         self._batches = 0
@@ -353,37 +356,17 @@ class PlanningService:
         performance models resolve to the same warm estimator.  The
         deadline is deliberately absent: the DP lives in slack space.
         """
-        names = self._catalog_key(catalog)
         perf = slack_model.perf
-        lrc = slack_model.lrc
-        # Computing the timing fingerprint walks the whole catalogue
-        # through the performance model — the hottest part of keying, so
-        # it is memoised per (model identity, lrc, catalogue).  The
-        # cached strong reference keeps the model alive, so its id()
-        # cannot be recycled onto a different model while cached; a hit
-        # is verified by identity before trust.
-        fp_key = (id(perf), lrc.name, names)
-        cached = self._fingerprints.get(fp_key)
-        if cached is None or cached[0] is not perf:
-            timings = tuple(
-                (
-                    perf.exec_time(c),
-                    perf.save_time(c),
-                    perf.setup_time(c),
-                    perf.fixed_time(c),
-                )
-                for c in catalog
-            )
-            cached = (perf, timings, perf.exec_time(lrc), perf.fixed_time(lrc))
-            if len(self._fingerprints) >= 4 * self.snapshot_capacity:
-                self._fingerprints.clear()
-            self._fingerprints[fp_key] = cached
+        timings = tuple(
+            (perf.exec_time(c), perf.save_time(c), perf.setup_time(c), perf.fixed_time(c))
+            for c in catalog
+        )
         return (
-            names,
-            cached[1],
-            lrc.name,
-            cached[2],
-            cached[3],
+            self._catalog_key(catalog),
+            timings,
+            slack_model.lrc.name,
+            slack_model.lrc_exec_time,
+            slack_model.lrc_fixed_time,
             self.warning.lead_seconds,
             grids,
         )
@@ -397,23 +380,48 @@ class PlanningService:
         :class:`PlanRequest` or a :class:`RescaleQuery` (both carry the
         slack model, catalogue, decision state and grid overrides).
 
+        Admission, grid validation and the catalogue-wide timing walk
+        depend only on the session objects a job keeps for its lifetime
+        — the catalogue tuple, the performance model, the last-resort
+        configuration — and the resolved grids, so their outcome is
+        memoised on those objects' identities.  The memo holds strong
+        references (no id() can be recycled while cached) and trusts a
+        hit only after an ``is`` check.  A list catalogue can change
+        between calls and is never memoised; nor is anything keyed on a
+        request or slack model, which live traffic builds afresh.
+
         Raises:
-            PlanError: the catalogue fails admission, or a grid,
+            PlanError: the decision time lies outside the market's priced
+                range, ``work_left`` is not a finite non-negative
+                fraction, the catalogue fails admission, or a grid,
                 ``price_tolerance`` or ``max_fail_depth`` is unusable.
         """
-        catalog = self.admit(request.catalog)
+        t, work_left = request.t, request.work_left
+        lo, hi = self._priced
+        if not lo <= t <= hi:
+            raise PlanError(f"decision time t={t} outside the priced market [{lo}, {hi}]")
+        if not 0.0 <= work_left < math.inf:
+            raise PlanError(f"work_left={work_left} is not a finite non-negative fraction")
+        slack_model, catalog = request.slack_model, request.catalog
         grids = self.resolved_grids(
-            request.slack_model,
-            request.t,
-            request.work_left,
-            request.slack_grid,
-            request.work_grid,
+            slack_model, t, work_left, request.slack_grid, request.work_grid
         )
+        perf, lrc = slack_model.perf, slack_model.lrc
+        memo_key = (id(catalog), id(perf), id(lrc), grids)
+        hit = self._keyed_memo.get(memo_key)
+        if hit is not None and hit[0] is catalog and hit[1] is perf and hit[2] is lrc:
+            return catalog, grids, hit[3]
+        admitted = self.admit(catalog)
         try:
             check_dp_parameters(*grids, self.price_tolerance, self.max_fail_depth)
         except ValueError as exc:
             raise PlanError(str(exc)) from None
-        return catalog, grids, self._estimator_key(catalog, request.slack_model, grids)
+        key = self._estimator_key(admitted, slack_model, grids)
+        if type(catalog) is tuple:
+            if len(self._keyed_memo) >= 4 * self.snapshot_capacity:
+                self._keyed_memo.clear()
+            self._keyed_memo[memo_key] = (catalog, perf, lrc, key)
+        return admitted, grids, key
 
     def _entry_for(
         self,
@@ -493,8 +501,8 @@ class PlanningService:
         coalesced — they are microseconds anyway).
 
         Raises:
-            PlanError: the request fails admission (same rule
-                :meth:`plan` applies).
+            PlanError: the request fails admission or its decision state
+                is unplannable (same rules :meth:`plan` applies).
         """
         if request.strategy != "hourglass":
             self.admit(request.catalog)

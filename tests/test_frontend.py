@@ -328,6 +328,123 @@ class TestFrontendCoalescing:
         stats = asyncio.run(drive())
         assert stats.rejected == 1 and stats.planned == 0
 
+    def test_unpriced_request_spares_its_dispatch_batch(self, setup):
+        """A decision time past the market trace is rejected at keying,
+        so the valid requests dispatched beside it still plan."""
+        service = PlanningService(setup.market)
+        good = [_request(setup, SSSP_PROFILE, slack=0.1 + 0.05 * i) for i in range(15)]
+        bad = _request(setup, SSSP_PROFILE, t=setup.market.horizon + 10.0)
+        burst = [*good[:7], bad, *good[7:]]
+
+        async def drive():
+            async with PlanFrontend(service) as frontend:
+                outcomes = await asyncio.gather(
+                    *(frontend.plan(r) for r in burst), return_exceptions=True
+                )
+                return outcomes, frontend.stats()
+
+        outcomes, stats = asyncio.run(drive())
+        assert isinstance(outcomes[7], PlanError)
+        assert "decision time" in str(outcomes[7])
+        assert all(isinstance(o, PlanResult) for o in outcomes[:7] + outcomes[8:])
+        assert stats.rejected == 1 and stats.planned + stats.coalesced == 15
+        assert stats.submitted == 16
+
+    def test_keying_crash_is_counted_and_chained(self, setup):
+        """Any keying failure is a rejection: the accounting identity
+        holds and the caller sees a PlanError caused by the original."""
+        service = PlanningService(setup.market)
+        broken = PlanRequest(slack_model=None, catalog=setup.catalog)
+
+        async def drive():
+            async with PlanFrontend(service) as frontend:
+                await frontend.plan(_request(setup, SSSP_PROFILE))
+                with pytest.raises(PlanError, match="keying") as info:
+                    await frontend.plan(broken)
+                return info.value, frontend.stats()
+
+        error, stats = asyncio.run(drive())
+        assert isinstance(error.__cause__, AttributeError)
+        assert stats.rejected == 1 and stats.planned == 1
+        assert stats.submitted == (
+            stats.planned + stats.coalesced + stats.rejected + stats.overflowed
+        )
+
+    def test_stats_read_one_pool_snapshot(self):
+        frontend = PlanFrontend(_StubService(), metrics=MetricsRegistry())
+        calls = []
+        snapshot = frontend.pool.stats
+        frontend.pool.stats = lambda: calls.append(1) or snapshot()
+        stats = frontend.stats()
+        frontend.pool.close()
+        assert len(calls) == 1
+        assert (stats.batches, stats.batch_max) == (
+            stats.pool.batches,
+            stats.pool.batch_max,
+        )
+
+
+class TestServingPathsAgree:
+    """A duplicate-heavy burst through every serving path.
+
+    Single-lock ``plan`` from client threads, windowed ``plan_many`` and
+    the frontend each answer the same burst on a service warmed with the
+    templates; every replica of a template must receive the identical
+    decision on every path, and the frontend must answer most
+    duplicates by coalescing rather than planning them."""
+
+    REPLICAS = 12
+    WINDOW = 16
+
+    def _templates(self, setup):
+        return [
+            _request(setup, profile, slack=slack)
+            for profile in (SSSP_PROFILE, PAGERANK_PROFILE)
+            for slack in (0.3, 0.8)
+        ]
+
+    def _warm(self, setup, templates):
+        service = PlanningService(setup.market)
+        for request in templates:
+            service.plan(request)
+        return service
+
+    def test_every_path_decides_each_template_identically(self, setup):
+        templates = self._templates(setup)
+        burst = [templates[i % len(templates)] for i in range(self.REPLICAS * len(templates))]
+
+        service = self._warm(setup, templates)
+        with ThreadPoolExecutor(4) as pool:
+            single_lock = [r.decision for r in pool.map(service.plan, burst)]
+
+        service = self._warm(setup, templates)
+        windowed = [
+            r.decision
+            for start in range(0, len(burst), self.WINDOW)
+            for r in service.plan_many(burst[start : start + self.WINDOW])
+        ]
+
+        service = self._warm(setup, templates)
+        config = FrontendConfig(
+            max_inflight=len(burst),
+            max_batch=self.WINDOW,
+            pool=PoolConfig(min_workers=1, max_workers=2),
+        )
+
+        async def drive():
+            async with PlanFrontend(service, config, metrics=MetricsRegistry()) as frontend:
+                results = await asyncio.gather(*(frontend.plan(r) for r in burst))
+                return [r.decision for r in results], frontend.stats()
+
+        fronted, stats = asyncio.run(drive())
+
+        per_template = single_lock[: len(templates)]
+        expected = [per_template[i % len(templates)] for i in range(len(burst))]
+        assert single_lock == expected
+        assert windowed == expected
+        assert fronted == expected
+        assert stats.coalesced >= 0.8 * (len(burst) - len(templates))
+
 
 class TestFrontendBackpressure:
     def test_overflow_fails_fast_and_nothing_is_lost(self):

@@ -11,7 +11,9 @@ admission/invalidations/telemetry behaviour the service adds on top.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -109,6 +111,46 @@ class TestAdmission:
         assert slots[0].decision == alone and slots[2].decision == alone
         with pytest.raises(PlanError, match="slack_grid"):
             PlanningService(setup.market, slack_grid=0).plan(good)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("t", lambda market: math.nan, "decision time"),
+            ("t", lambda market: math.inf, "decision time"),
+            ("t", lambda market: -math.inf, "decision time"),
+            ("t", lambda market: market.start - 60.0, "decision time"),
+            ("t", lambda market: market.horizon + 10.0, "decision time"),
+            ("work_left", lambda market: math.nan, "work_left"),
+            ("work_left", lambda market: math.inf, "work_left"),
+            ("work_left", lambda market: -0.5, "work_left"),
+        ],
+        ids=["t-nan", "t-inf", "t-neg-inf", "t-before", "t-after", "w-nan", "w-inf", "w-neg"],
+    )
+    def test_unplannable_state_rejected_everywhere(self, setup, field, value, match):
+        """A decision the market cannot price (or a nonsense work
+        fraction) is an admission error on every entry point — never a
+        raw ValueError/OverflowError that takes its batch-mates down."""
+        sm = _slack_model(setup, SSSP_PROFILE)
+        good = PlanRequest(slack_model=sm, catalog=setup.catalog)
+        bad = replace(good, **{field: value(setup.market)})
+        service = PlanningService(setup.market)
+        with pytest.raises(PlanError, match=match):
+            service.plan(bad)
+        with pytest.raises(PlanError, match=match):
+            service.request_key(bad)
+        query = RescaleQuery(
+            slack_model=sm,
+            catalog=setup.catalog,
+            t=bad.t,
+            work_left=bad.work_left,
+            current_config=setup.catalog[0],
+        )
+        with pytest.raises(PlanError, match=match):
+            service.plan_rescale(query)
+        slots = service.plan_many([good, bad], return_exceptions=True)
+        assert isinstance(slots[1], PlanError)
+        assert slots[0].decision == PlanningService(setup.market).plan(good).decision
+        assert service.service_stats()["plans"] == 1
 
     @pytest.mark.parametrize(
         "kwargs", [{"max_fail_depth": -1}, {"price_tolerance": -0.01}]
