@@ -75,13 +75,5 @@ class SSSP(VertexProgram):
             # parallel execution, only the worker owning the source sends.
             senders = improved.copy()
             senders[self.source] = True
-        edge_keep = senders[ctx.edge_sources]
-        if edge_keep.any():
-            src = ctx.edge_sources[edge_keep]
-            dst = ctx.graph.indices[edge_keep]
-            if ctx.graph.weights is not None:
-                weights = ctx.graph.weights[edge_keep]
-            else:
-                weights = 1.0
-            ctx.send_batch(src, dst, values[src] + weights)
+        ctx.send_to_all_neighbors(senders, values, add_edge_weight=True)
         ctx.vote_to_halt(ctx.active)

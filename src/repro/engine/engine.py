@@ -208,6 +208,7 @@ class PregelEngine:
         self._incoming = MessageStore(program.combiner, num_vertices=n)
         self._prev_aggregates: dict = {}
         self._traffic: _SlotCounter | None = None  # lazy, first dense send
+        self._broadcast: tuple | None = None  # lazy, first full broadcast
         self._values = np.empty(n, dtype=value_dtype_of(program))
         self._halted = np.zeros(n, dtype=bool)
         self._init_state()
@@ -475,10 +476,24 @@ class PregelEngine:
                 order = np.argsort(src, kind="stable")
                 src, dst, msg = src[order], dst[order], msg[order]
             sent = len(dst)
-            outgoing.deliver_many(dst, msg)
-            local, remote = self._count_traffic(src, dst)
+            if src is self.graph.edge_sources() and dst is self.graph.indices:
+                local, remote, dst_mask = self._full_broadcast(src, dst)
+            else:
+                dst_mask = None
+                local, remote = self._count_traffic(src, dst)
+            outgoing.deliver_many(dst, msg, dst_mask)
         self._finish_superstep(aggregators, outgoing, active, sent, local, remote)
         return bool(outgoing) or not bool(self._halted.all())
+
+    def _full_broadcast(self, src, dst) -> tuple[int, int, np.ndarray]:
+        """``(local, remote, destination mask)`` of a send along every CSR
+        edge: fixed by the graph and this engine's placement, so computed
+        (by :meth:`_count_traffic`) on the first one and reused after."""
+        if self._broadcast is None:
+            mask = np.zeros(self.graph.num_vertices, dtype=bool)
+            mask[dst] = True
+            self._broadcast = (*self._count_traffic(src, dst), mask)
+        return self._broadcast
 
     def _count_traffic(self, src: np.ndarray, dst: np.ndarray) -> tuple[int, int]:
         """``(local, remote)`` network messages of one superstep's sends.

@@ -129,14 +129,16 @@ class MessageStore:
         else:
             bucket.append(message)
 
-    def deliver_many(self, dst_array, msg_array) -> None:
+    def deliver_many(self, dst_array, msg_array, dst_mask=None) -> None:
         """Deliver a batch of messages, combining with the ufunc.
 
         ``dst_array`` and ``msg_array`` are parallel 1-D arrays.  Numeric
         batches with a ufunc-capable combiner go through the dense path;
         anything else degrades to per-message scalar delivery.  Dense
         message values are held as ``float64`` (exact for the integer
-        labels/counts the built-in programs exchange).
+        labels/counts the built-in programs exchange).  ``dst_mask``, when
+        given, must be the boolean mask of the distinct destinations in
+        ``dst_array``; it replaces scattering one flag per message.
         """
         dst = np.asarray(dst_array, dtype=np.int64)
         msgs = np.asarray(msg_array)
@@ -165,7 +167,10 @@ class MessageStore:
             )
             self._dense_mask = np.zeros(self._num_vertices, dtype=bool)
         combiner.ufunc.at(self._dense_values, dst, msgs.astype(np.float64, copy=False))
-        self._dense_mask[dst] = True
+        if dst_mask is None:
+            self._dense_mask[dst] = True
+        else:
+            self._dense_mask |= dst_mask
         if self._by_dst:
             # Fold pre-existing generic entries for these destinations in.
             for d in np.unique(dst).tolist():

@@ -6,9 +6,11 @@ on a small graph:
 
 1. streams an RMAT graph into an on-disk CSR store (multiple batches,
    two-pass build) and memory-maps it back,
-2. runs SSSP and PageRank through both the serial and the shared-memory
-   multiprocess engine and checks the results are **bit-identical**
-   (values, per-superstep stats, superstep counts),
+2. runs SSSP, PageRank, WCC and in-degree through both the serial and
+   the shared-memory multiprocess engine and checks the results are
+   **bit-identical** (values, per-superstep stats, superstep counts) —
+   the serial engine reuses its full-broadcast traffic count, the
+   parallel one's merged batch always recounts,
 3. saves a full + delta checkpoint chain mid-run, restores it into a
    fresh engine, resumes, and checks the finished run matches an
    uninterrupted reference exactly.
@@ -38,7 +40,7 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 def run_smoke(scale: int, num_workers: int, seed: int, directory) -> bool:
     """Run every scale-out check; returns True when all pass."""
     from repro.engine import CheckpointManager, DataStore, PregelEngine
-    from repro.engine.algorithms import SSSP, PageRank
+    from repro.engine.algorithms import SSSP, ConnectedComponents, InDegree, PageRank
     from repro.engine.parallel import parallel_execution_supported
     from repro.graph.io import build_rmat_csr, is_memmap_backed
     from repro.partitioning.hashing import HashPartitioner
@@ -58,12 +60,14 @@ def run_smoke(scale: int, num_workers: int, seed: int, directory) -> bool:
     partitioning = HashPartitioner().partition(graph, num_workers)
 
     # 2. Serial-vs-parallel bit-identity on both message shapes
-    # (min-combined SSSP, sum-combined PageRank).
+    # (min-combined SSSP and WCC, sum-combined PageRank and in-degree).
     if not parallel_execution_supported():
         print("[warn] fork unavailable; parallel checks use the serial fallback")
     for label, make_program in (
         ("sssp", lambda: SSSP(source=0)),
         ("pagerank", lambda: PageRank(iterations=8)),
+        ("wcc", ConnectedComponents),
+        ("in-degree", InDegree),
     ):
         serial = PregelEngine(graph, make_program(), partitioning).run()
         with PregelEngine(

@@ -157,37 +157,79 @@ class DenseComputeContext:
         """Out-degree of every vertex."""
         return np.diff(self.graph.indptr)
 
+    def _check_ids(self, ids: np.ndarray, what: str) -> None:
+        """Raise ``ValueError`` naming an id of *ids* outside ``[0, n)``."""
+        n = self.num_vertices
+        # One reduction: a negative int64 is huge as a uint64.
+        if len(ids) and int(ids.view(np.uint64).max()) >= n:
+            bad = ids[(ids < 0) | (ids >= n)][0]
+            raise ValueError(f"{what} vertex id {bad} is outside [0, {n})")
+
+    def _vertex_mask(self, who) -> np.ndarray:
+        """*who*, a boolean mask or an array of vertex ids, as a mask."""
+        who, n = np.asarray(who), self.num_vertices
+        if who.dtype == bool and who.shape == (n,):
+            return who
+        if who.dtype == bool or who.ndim != 1 or who.dtype.kind not in "iu" and len(who):
+            raise ValueError(
+                f"expected a ({n},) boolean mask or 1-D vertex ids, got "
+                f"{who.dtype} of shape {who.shape}"
+            )
+        ids = who.astype(np.int64, copy=False)
+        self._check_ids(ids, "selected")
+        mask = np.zeros(n, dtype=bool)
+        mask[ids] = True
+        return mask
+
     # -- messaging -----------------------------------------------------
     def send_batch(self, src_ids, dst_ids, messages) -> None:
         """Send ``messages[i]`` from ``src_ids[i]`` to ``dst_ids[i]``.
 
         Sources are needed for the engine's local/remote traffic
         accounting (sender-side combining happens per source worker).
+        Ids outside ``[0, num_vertices)`` raise ``ValueError``.
         """
         src = np.asarray(src_ids, dtype=np.int64)
         dst = np.asarray(dst_ids, dtype=np.int64)
         msg = np.asarray(messages)
         if not (src.shape == dst.shape == msg.shape):
             raise ValueError("src, dst and messages must be parallel arrays")
+        self._check_ids(src, "source")
+        self._check_ids(dst, "destination")
         if len(src):
             self._sends.append((src, dst, msg))
 
-    def send_to_all_neighbors(self, src_mask: np.ndarray, message_per_vertex) -> None:
+    def send_to_all_neighbors(
+        self, senders, message_per_vertex, add_edge_weight: bool = False
+    ) -> None:
         """Broadcast ``message_per_vertex[v]`` along every out-edge of each
-        vertex ``v`` selected by the boolean ``src_mask``."""
-        mask = np.asarray(src_mask, dtype=bool)
-        # When every vertex with out-edges sends, the CSR arrays are the
-        # batch as they stand; only a partial send pays the mask-copy.
-        src, dst = self._edge_src, self.graph.indices
-        if np.count_nonzero(self.out_degrees()[~mask]):
+        vertex ``v`` in *senders* (a boolean mask or an array of ids).
+
+        With ``add_edge_weight`` each edge carries the message plus its
+        weight (1.0 on an unweighted graph): SSSP's relaxation.
+        """
+        mask = self._vertex_mask(senders)
+        # When every vertex with out-edges sends, the graph's own CSR
+        # arrays are the batch as they stand (the engine recognises a full
+        # broadcast by their identity); only a partial send pays the
+        # mask-copy.  Either way the ids come from the graph: no check.
+        indptr = self.graph.indptr
+        src, dst, weights = self._edge_src, self.graph.indices, self.graph.weights
+        if ((indptr[1:] != indptr[:-1]) & ~mask).any():
             keep = mask[src]
             src, dst = src[keep], dst[keep]
-        self.send_batch(src, dst, np.asarray(message_per_vertex)[src])
+            if weights is not None and add_edge_weight:
+                weights = weights[keep]
+        msg = np.asarray(message_per_vertex)[src]
+        if add_edge_weight:
+            msg = msg + (1.0 if weights is None else weights)
+        if len(src):
+            self._sends.append((src, dst, msg))
 
     # -- halting -------------------------------------------------------
-    def vote_to_halt(self, who: np.ndarray) -> None:
+    def vote_to_halt(self, who) -> None:
         """Deactivate the vertices selected by boolean mask or id array."""
-        self._halt_mask[who] = True
+        self._halt_mask |= self._vertex_mask(who)
 
     # -- aggregation ---------------------------------------------------
     def aggregate(self, name: str, value) -> None:
