@@ -26,7 +26,7 @@ def test_catalog_breadth(benchmark, setup, save_result):
 
     # Hourglass stays deadline-safe on either menu.
     assert all(c.missed_percent == 0 for c in cells)
-    by_key = {(c.catalog_name, c.slack_percent): c for c in cells}
+    by_key = {(c.strategy, c.slack_percent): c for c in cells}
     for slack in {c.slack_percent for c in cells}:
         paired = by_key[("paired-3", slack)]
         grid = by_key[("grid-9", slack)]

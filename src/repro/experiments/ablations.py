@@ -16,20 +16,47 @@ Three ablations over knobs DESIGN.md calls out:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.ckpt_policy import daly_interval
-from repro.core.job import COLORING_PROFILE, job_with_slack
+from repro.core.job import COLORING_PROFILE
 from repro.core.perfmodel import RELOAD_MICRO
-from repro.core.simulator import ExecutionSimulator, on_demand_baseline_cost
 from repro.core.warning import NO_WARNING, WarningPolicy
-from repro.experiments.common import ExperimentSetup
+from repro.experiments.common import (
+    CellResult,
+    ExperimentSetup,
+    SweepTask,
+    run_sweep_tasks,
+)
 from repro.experiments.report import format_table
 from repro.graph.datasets import get_dataset
 from repro.partitioning.micro import MicroPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
 from repro.partitioning.quality import edge_cut_fraction
 from repro.utils.units import HOURS
+
+
+def _gc_cells(setup, strategy, slack, num_simulations, variants) -> list[CellResult]:
+    """One GC cell per variant (a dict of extra :class:`SweepTask` fields).
+
+    Every simulated ablation anchors the deadline and the baseline on the
+    micro-reload model its strategy runs, with 60 h of start headroom.
+    """
+    return run_sweep_tasks(
+        setup,
+        [
+            SweepTask(
+                COLORING_PROFILE, slack, strategy, num_simulations, RELOAD_MICRO,
+                anchor=RELOAD_MICRO, budget=60 * HOURS, **variant,
+            )
+            for variant in variants
+        ],
+    )
+
+
+def _outcome(cell: CellResult) -> dict:
+    return {
+        "norm_cost": round(cell.normalized_cost, 3),
+        "missed%": round(cell.missed_percent, 1),
+    }
 
 
 def checkpoint_interval_ablation(
@@ -45,39 +72,17 @@ def checkpoint_interval_ablation(
     (big losses per eviction).
     """
     setup = setup or ExperimentSetup()
-    profile = COLORING_PROFILE
-    perf = setup.perf_model(profile, RELOAD_MICRO)
-    lrc = setup.lrc(perf)
-    baseline = on_demand_baseline_cost(perf, lrc)
-    rows = []
-    for scale in scales:
-        sim = ExecutionSimulator(
-            setup.market, perf, setup.catalog, "hourglass",
-            record_events=False, ckpt_interval_scale=scale,
-        )
-        starts = setup.start_times(
-            num_simulations, 60 * HOURS, seed_key="ckpt-interval"
-        )
-        costs = []
-        missed = 0
-        for start in starts:
-            job = job_with_slack(profile, float(start), slack, perf.fixed_time(lrc))
-            result = sim.run(job)
-            costs.append(result.cost)
-            missed += result.missed_deadline
-        spot = next(c for c in setup.catalog if c.is_transient)
-        interval = scale * daly_interval(
-            perf.save_time(spot), setup.market.eviction_model(spot).mttf
-        )
-        rows.append(
-            {
-                "interval_scale": scale,
-                "interval_s": round(interval),
-                "norm_cost": round(float(np.mean(costs)) / baseline, 3),
-                "missed%": round(100 * missed / num_simulations, 1),
-            }
-        )
-    return rows
+    cells = _gc_cells(
+        setup, "hourglass", slack, num_simulations,
+        [{"seed_key": "ckpt-interval", "ckpt_interval_scale": s} for s in scales],
+    )
+    perf = setup.perf_model(COLORING_PROFILE, RELOAD_MICRO)
+    spot = next(c for c in setup.catalog if c.is_transient)
+    daly = daly_interval(perf.save_time(spot), setup.market.eviction_model(spot).mttf)
+    return [
+        {"interval_scale": scale, "interval_s": round(scale * daly), **_outcome(cell)}
+        for scale, cell in zip(scales, cells)
+    ]
 
 
 def micro_count_ablation(
@@ -112,37 +117,20 @@ def warning_ablation(
     slack: float = 0.4,
 ) -> list[dict]:
     """Eager-strategy GC cost under increasing warning leads (§9)."""
-    setup = setup or ExperimentSetup()
-    profile = COLORING_PROFILE
-    perf = setup.perf_model(profile, RELOAD_MICRO)
-    lrc = setup.lrc(perf)
-    baseline = on_demand_baseline_cost(perf, lrc)
-    rows = []
-    for lead in leads:
-        policy = WarningPolicy(lead_seconds=lead) if lead else NO_WARNING
-        sim = ExecutionSimulator(
-            setup.market, perf, setup.catalog, "spoton",
-            record_events=False, warning=policy,
-        )
-        starts = setup.start_times(
-            num_simulations, 60 * HOURS, seed_key=f"warn-{lead}"
-        )
-        costs, missed, evictions = [], 0, 0
-        for start in starts:
-            job = job_with_slack(profile, float(start), slack, perf.fixed_time(lrc))
-            result = sim.run(job)
-            costs.append(result.cost)
-            missed += result.missed_deadline
-            evictions += result.evictions
-        rows.append(
+    cells = _gc_cells(
+        setup or ExperimentSetup(), "spoton", slack, num_simulations,
+        [
             {
-                "warning_s": lead,
-                "norm_cost": round(float(np.mean(costs)) / baseline, 3),
-                "missed%": round(100 * missed / num_simulations, 1),
-                "evictions/run": round(evictions / num_simulations, 2),
+                "seed_key": f"warn-{lead}",
+                "warning": WarningPolicy(lead_seconds=lead) if lead else NO_WARNING,
             }
-        )
-    return rows
+            for lead in leads
+        ],
+    )
+    return [
+        {"warning_s": lead, **_outcome(cell), "evictions/run": round(cell.mean_evictions, 2)}
+        for lead, cell in zip(leads, cells)
+    ]
 
 
 def phase_skew_ablation(
@@ -160,33 +148,19 @@ def phase_skew_ablation(
     """
     from repro.core.phases import ACCOUNT_RAW, ACCOUNT_TIME, Phase, PhaseModel
 
-    setup = setup or ExperimentSetup()
-    profile = COLORING_PROFILE
-    perf = setup.perf_model(profile, RELOAD_MICRO)
-    lrc = setup.lrc(perf)
-    baseline = on_demand_baseline_cost(perf, lrc)
     skewed = PhaseModel([Phase(0.8, 5.0), Phase(0.2, 0.21)])
-    rows = []
-    for accounting in (ACCOUNT_TIME, ACCOUNT_RAW):
-        sim = ExecutionSimulator(
-            setup.market, perf, setup.catalog, "hourglass",
-            record_events=False, phase_model=skewed, work_accounting=accounting,
-        )
-        starts = setup.start_times(num_simulations, 60 * HOURS, seed_key="phase-skew")
-        costs, missed = [], 0
-        for start in starts:
-            job = job_with_slack(profile, float(start), slack, perf.fixed_time(lrc))
-            result = sim.run(job)
-            costs.append(result.cost)
-            missed += result.missed_deadline
-        rows.append(
-            {
-                "accounting": accounting,
-                "norm_cost": round(float(np.mean(costs)) / baseline, 3),
-                "missed%": round(100 * missed / num_simulations, 1),
-            }
-        )
-    return rows
+    accountings = (ACCOUNT_TIME, ACCOUNT_RAW)
+    cells = _gc_cells(
+        setup or ExperimentSetup(), "hourglass", slack, num_simulations,
+        [
+            {"seed_key": "phase-skew", "phase_model": skewed, "work_accounting": a}
+            for a in accountings
+        ],
+    )
+    return [
+        {"accounting": accounting, **_outcome(cell)}
+        for accounting, cell in zip(accountings, cells)
+    ]
 
 
 def render(rows, title: str) -> str:

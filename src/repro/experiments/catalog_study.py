@@ -15,40 +15,24 @@ shape of the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.cloud.configuration import default_catalog, full_grid_catalog
-from repro.core.job import ApplicationProfile, COLORING_PROFILE, job_with_slack
-from repro.core.perfmodel import RELOAD_MICRO, PerformanceModel, last_resort
-from repro.core.simulator import ExecutionSimulator, on_demand_baseline_cost
-from repro.experiments.common import ExperimentSetup
+from repro.core.job import ApplicationProfile, COLORING_PROFILE
+from repro.core.perfmodel import RELOAD_MICRO
+from repro.experiments.common import (
+    CellResult,
+    ExperimentSetup,
+    SweepTask,
+    run_sweep_tasks,
+)
 from repro.experiments.report import format_table
 from repro.utils.units import HOURS
 
-
-@dataclass(frozen=True)
-class CatalogCell:
-    """Result for one (catalogue, slack) combination."""
-
-    catalog_name: str
-    num_configs: int
-    slack_percent: int
-    normalized_cost: float
-    missed_percent: float
-    mean_deployments: float
-
-    def as_row(self) -> dict:
-        """Flatten to a plain dict for tabular reports."""
-        return {
-            "catalog": self.catalog_name,
-            "configs": self.num_configs,
-            "slack%": self.slack_percent,
-            "norm_cost": round(self.normalized_cost, 3),
-            "missed%": round(self.missed_percent, 1),
-            "deployments/run": round(self.mean_deployments, 2),
-        }
+#: Catalogue name -> configurations; a cell reports its catalogue's name
+#: as its strategy.
+CATALOGS = {
+    "paired-3": tuple(default_catalog()),
+    "grid-9": tuple(full_grid_catalog()),
+}
 
 
 def run(
@@ -56,65 +40,40 @@ def run(
     profile: ApplicationProfile = COLORING_PROFILE,
     slacks=(0.3, 0.7),
     num_simulations: int = 10,
-) -> list[CatalogCell]:
+) -> list[CellResult]:
     """Compare the paired catalogue vs the full grid under Hourglass.
 
     The deadline and baseline are anchored to the *paired* catalogue's
-    last resort so both rows answer the same question ("given this job
-    and deadline, what does each menu cost?").
+    last resort (the setup's) so both rows answer the same question
+    ("given this job and deadline, what does each menu cost?").
     """
     setup = setup or ExperimentSetup()
-    paired = tuple(default_catalog())
-    grid = tuple(full_grid_catalog())
-
-    ref_perf = PerformanceModel(
-        profile=profile,
-        reference=last_resort(
-            paired, lambda ref: PerformanceModel(profile=profile, reference=ref)
-        ),
-        reload_mode=RELOAD_MICRO,
-    )
-    ref_lrc = ref_perf.reference
-    baseline = on_demand_baseline_cost(ref_perf, ref_lrc)
-
-    cells = []
-    for name, catalog in (("paired-3", paired), ("grid-9", grid)):
-        perf = PerformanceModel(
-            profile=profile, reference=ref_lrc, reload_mode=RELOAD_MICRO
+    tasks = [
+        SweepTask(
+            profile, slack, "hourglass", num_simulations, label=name, catalog=catalog,
+            anchor=RELOAD_MICRO, budget=72 * HOURS, seed_key=f"catalog-{name}-{slack}",
         )
-        sim = ExecutionSimulator(
-            setup.market, perf, catalog, "hourglass", record_events=False
-        )
-        for slack in slacks:
-            starts = setup.start_times(
-                num_simulations, 72 * HOURS, seed_key=f"catalog-{name}-{slack}"
-            )
-            costs, missed, deployments = [], 0, 0
-            for start in starts:
-                job = job_with_slack(
-                    profile, float(start), slack, ref_perf.fixed_time(ref_lrc)
-                )
-                result = sim.run(job)
-                costs.append(result.cost)
-                missed += result.missed_deadline
-                deployments += result.deployments
-            cells.append(
-                CatalogCell(
-                    catalog_name=name,
-                    num_configs=len(catalog),
-                    slack_percent=int(round(100 * slack)),
-                    normalized_cost=float(np.mean(costs)) / baseline,
-                    missed_percent=100.0 * missed / num_simulations,
-                    mean_deployments=deployments / num_simulations,
-                )
-            )
-    return cells
+        for name, catalog in CATALOGS.items()
+        for slack in slacks
+    ]
+    return run_sweep_tasks(setup, tasks)
 
 
 def render(cells) -> str:
     """Render the experiment rows as an aligned text table."""
+    rows = [
+        {
+            "catalog": c.strategy,
+            "configs": len(CATALOGS[c.strategy]),
+            "slack%": c.slack_percent,
+            "norm_cost": round(c.normalized_cost, 3),
+            "missed%": round(c.missed_percent, 1),
+            "deployments/run": round(c.mean_deployments, 2),
+        }
+        for c in cells
+    ]
     return format_table(
-        [c.as_row() for c in cells],
+        rows,
         title="Catalogue-breadth study — Hourglass on the paired vs full-grid menu",
     )
 

@@ -1,9 +1,10 @@
 """Shared experiment plumbing: setup, per-cell simulation sweeps.
 
 Every figure module builds an :class:`ExperimentSetup` (synthetic market
-+ catalogue + per-application performance models, all seeded) and uses
-:func:`sweep_strategy` to run many randomly-started simulations of one
-(application, slack, strategy) cell, the paper's §8.1 methodology.
++ catalogue + per-application performance models, all seeded) and runs
+its cells through :func:`run_sweep_tasks`: each :class:`SweepTask` is
+many randomly-started simulations of one (application, slack, strategy)
+cell, the paper's §8.1 methodology.
 
 Cells are mutually independent and fully determined by the setup's seed,
 so a figure's grid parallelises trivially: :func:`run_sweep_tasks` (and
@@ -18,9 +19,11 @@ objects, because the registry holds lambdas.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,8 +38,10 @@ from repro.core.perfmodel import (
     PerformanceModel,
     last_resort,
 )
+from repro.core.phases import ACCOUNT_TIME, PhaseModel
 from repro.core.simulator import ExecutionSimulator, on_demand_baseline_cost
-from repro.exec.events import RunResult
+from repro.core.warning import NO_WARNING, WarningPolicy
+from repro.exec.frontier import FrontierCurve
 from repro.service.planning import PlanningService
 from repro.utils.rng import derive_rng
 from repro.utils.units import HOURS
@@ -54,6 +59,9 @@ class CellResult:
     simulations: int
     mean_evictions: float
     mean_deployments: float
+    mean_rescales: float
+    mean_shrinks: float
+    mean_rescale_seconds: float
 
     def as_row(self) -> dict:
         """Flatten to a plain dict for tabular reports."""
@@ -65,6 +73,9 @@ class CellResult:
             "missed%": round(self.missed_percent, 1),
             "sims": self.simulations,
             "evictions/run": round(self.mean_evictions, 2),
+            "rescales/run": round(self.mean_rescales, 2),
+            "shrinks/run": round(self.mean_shrinks, 2),
+            "rescale_s/run": round(self.mean_rescale_seconds, 1),
         }
 
 
@@ -86,10 +97,6 @@ class ExperimentSetup:
         )
         self.catalog = tuple(default_catalog())
         self.reload_mode = reload_mode
-        #: One shared planning service per setup: every figure harness
-        #: resolving strategies through it shares warm estimator state
-        #: and market snapshots.
-        self.service = PlanningService(self.market)
 
     def perf_model(
         self, profile: ApplicationProfile, reload_mode: str | None = None
@@ -115,87 +122,34 @@ class ExperimentSetup:
         return rng.uniform(self.market.start, horizon, size=count)
 
 
-def sweep_strategy(
-    setup: ExperimentSetup,
-    profile: ApplicationProfile,
-    slack_fraction: float,
-    strategy: str,
-    num_simulations: int = 40,
-    reload_mode: str | None = None,
-    offline_cost: float = 0.0,
-    service: PlanningService | None = None,
-) -> CellResult:
-    """Run one cell: many random-start simulations of one strategy.
-
-    The job deadline and the normalising baseline cost are both defined
-    by the *conventional* stack — an on-demand last-resort run with the
-    full (shuffle) reload — so they are identical for every strategy.
-    The strategy under test then runs with its own reload mode: micro
-    (fast reload) for Hourglass, full for the prior-work baselines.
-    Hourglass's reload advantage therefore shows up as extra effective
-    slack and cheaper recoveries, exactly as in the paper.
-
-    Args:
-        reload_mode: reload mode for the strategy under test (defaults
-            to micro for ``hourglass*`` strategies, full otherwise).
-        offline_cost: per-run offline (partitioning) dollars added to
-            each simulation's cost (Fig 7's METIS-vs-µMETIS ablation).
-        service: planning service resolving the *strategy* name
-            (defaults to the setup's shared service).
-    """
-    provisioner = (service or setup.service).provisioner(strategy)
-    if reload_mode is None:
-        reload_mode = (
-            RELOAD_MICRO if provisioner.name.startswith("hourglass") else RELOAD_FULL
-        )
-    reference_perf = setup.perf_model(profile, RELOAD_FULL)
-    reference_lrc = setup.lrc(reference_perf)
-    baseline = on_demand_baseline_cost(reference_perf, reference_lrc)
-    deadline_fixed = reference_perf.fixed_time(reference_lrc)
-
-    perf = setup.perf_model(profile, reload_mode)
-    sim = ExecutionSimulator(
-        setup.market, perf, setup.catalog, provisioner, record_events=False
-    )
-    # Generous per-run budget: worst case is many evictions on slow shapes.
-    budget = 8 * (deadline_fixed + reference_perf.exec_time(reference_lrc) * (2 + slack_fraction))
-    starts = setup.start_times(
-        num_simulations, budget, seed_key=f"{profile.name}-{slack_fraction}"
-    )
-    costs = np.empty(num_simulations)
-    missed = 0
-    evictions = 0
-    deployments = 0
-    for i, start in enumerate(starts):
-        job = job_with_slack(profile, float(start), slack_fraction, deadline_fixed)
-        result: RunResult = sim.run(job)
-        costs[i] = result.cost + offline_cost
-        missed += result.missed_deadline
-        evictions += result.evictions
-        deployments += result.deployments
-    return CellResult(
-        strategy=provisioner.name,
-        app=profile.name,
-        slack_percent=int(round(100 * slack_fraction)),
-        normalized_cost=float(costs.mean() / baseline),
-        missed_percent=100.0 * missed / num_simulations,
-        simulations=num_simulations,
-        mean_evictions=evictions / num_simulations,
-        mean_deployments=deployments / num_simulations,
-    )
-
-
 @dataclass(frozen=True)
 class SweepTask:
     """One (application, slack, strategy) cell of a figure grid.
 
-    Serialisable description of a :func:`sweep_strategy` call: the
+    Serialisable description of one :func:`_sweep_cell` run: the
     strategy travels by name (the registry's factories are not
-    picklable; a name resolved in the worker is).
+    picklable; a name resolved in the worker is).  The fields after
+    ``label`` forward :class:`~repro.core.simulator.ExecutionSimulator`
+    and :meth:`ExperimentSetup.start_times` arguments, with their
+    defaults; ``warning`` also configures the cell's planning service.
 
     Attributes:
+        reload_mode: reload mode of the strategy under test (None =
+            micro for ``hourglass*`` strategies, full otherwise).
+        offline_cost: per-run offline (partitioning) dollars added to
+            each simulation's cost (Fig 7's METIS-vs-µMETIS ablation).
         label: optional :class:`CellResult` strategy-name override
             (Fig 7 reports the same strategies under ablation labels).
+        anchor: reload mode of the reference model that fixes the
+            deadline and the baseline: full (the conventional stack)
+            for the figures, micro for the ablations and catalogue study.
+        budget: trace headroom per start (None = eight reference runs).
+        seed_key: start-time seed key (None = ``"<app>-<slack>"``).
+
+    Raises:
+        ValueError: ``num_simulations`` is not an integer >= 1, the
+            slack is not finite and >= 0, or a budget is not finite
+            and > 0.
     """
 
     profile: ApplicationProfile
@@ -205,6 +159,44 @@ class SweepTask:
     reload_mode: str | None = None
     offline_cost: float = 0.0
     label: str | None = None
+    catalog: tuple | None = None
+    anchor: str = RELOAD_FULL
+    budget: float | None = None
+    seed_key: str | None = None
+    warning: WarningPolicy = NO_WARNING
+    ckpt_interval_scale: float = 1.0
+    phase_model: PhaseModel | None = None
+    work_accounting: str = ACCOUNT_TIME
+    frontier_curve: FrontierCurve | None = None
+
+    def __post_init__(self):
+        n = self.num_simulations
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"num_simulations must be an integer >= 1, got {n!r}")
+        if not (math.isfinite(self.slack_fraction) and self.slack_fraction >= 0):
+            raise ValueError(
+                f"slack_fraction must be finite and >= 0, got {self.slack_fraction!r}"
+            )
+        if self.budget is not None and not (
+            math.isfinite(self.budget) and self.budget > 0
+        ):
+            raise ValueError(f"budget must be finite and > 0, got {self.budget!r}")
+
+
+def sweep_strategy(
+    setup: ExperimentSetup,
+    profile: ApplicationProfile,
+    slack_fraction: float,
+    strategy: str,
+    num_simulations: int = 40,
+    reload_mode: str | None = None,
+    offline_cost: float = 0.0,
+) -> CellResult:
+    """Run one cell in this process (arguments as for :class:`SweepTask`)."""
+    task = SweepTask(
+        profile, slack_fraction, strategy, num_simulations, reload_mode, offline_cost
+    )
+    return _sweep_cell(setup, task)
 
 
 # Per-worker-process ExperimentSetup, built once by _init_worker.  A
@@ -257,24 +249,72 @@ def parallel_cells(
 
 
 def _sweep_cell(setup: ExperimentSetup, task: SweepTask) -> CellResult:
-    # A FRESH service per cell keeps parallel == serial bit-identical:
-    # warm-cache state never leaks between cells, so process scheduling
-    # cannot influence any cell's decisions.  Within the cell the
-    # service amortises estimator state across the cell's simulations.
-    service = PlanningService(setup.market)
-    result = sweep_strategy(
-        setup,
-        task.profile,
-        task.slack_fraction,
-        task.strategy,
-        num_simulations=task.num_simulations,
-        reload_mode=task.reload_mode,
-        offline_cost=task.offline_cost,
-        service=service,
+    """Many random-start simulations of one cell, averaged.
+
+    The deadline and the normalising baseline come from the reference
+    model (``task.anchor``), so every strategy of a grid shares them.
+    With the full-reload anchor, Hourglass's fast reload shows up as
+    extra effective slack and cheaper recoveries, as in the paper.
+    """
+    # A FRESH service per cell keeps parallel == serial bit-identical: a
+    # DP memo bucket keeps the value of its first visitor, so a service
+    # shared across cells would let process scheduling change decisions.
+    # Within the cell it amortises estimator state across simulations.
+    service = PlanningService(setup.market, warning=task.warning)
+    provisioner = service.provisioner(task.strategy)
+    reload_mode = task.reload_mode or (
+        RELOAD_MICRO if provisioner.name.startswith("hourglass") else RELOAD_FULL
     )
-    if task.label is not None:
-        result = replace(result, strategy=task.label)
-    return result
+    reference_perf = setup.perf_model(task.profile, task.anchor)
+    reference_lrc = setup.lrc(reference_perf)
+    baseline = on_demand_baseline_cost(reference_perf, reference_lrc)
+    deadline_fixed = reference_perf.fixed_time(reference_lrc)
+
+    sim = ExecutionSimulator(
+        setup.market,
+        setup.perf_model(task.profile, reload_mode),
+        setup.catalog if task.catalog is None else task.catalog,
+        provisioner,
+        record_events=False,
+        warning=task.warning,
+        ckpt_interval_scale=task.ckpt_interval_scale,
+        phase_model=task.phase_model,
+        work_accounting=task.work_accounting,
+        frontier_curve=task.frontier_curve,
+    )
+    # Generous per-run budget: worst case is many evictions on slow shapes.
+    budget = task.budget or 8 * (
+        deadline_fixed + reference_perf.exec_time(reference_lrc) * (2 + task.slack_fraction)
+    )
+    seed_key = task.seed_key or f"{task.profile.name}-{task.slack_fraction}"
+    n = task.num_simulations
+    starts = setup.start_times(n, budget, seed_key=seed_key)
+    costs = np.empty(n)
+    missed = evictions = deployments = rescales = shrinks = 0
+    rescale_seconds = 0.0
+    for i, start in enumerate(starts):
+        job = job_with_slack(task.profile, float(start), task.slack_fraction, deadline_fixed)
+        result = sim.run(job)
+        costs[i] = result.cost + task.offline_cost
+        missed += result.missed_deadline
+        evictions += result.evictions
+        deployments += result.deployments
+        rescales += result.rescales
+        shrinks += sum(1 for r in result.rescale_records if r.action == "shrink")
+        rescale_seconds += result.rescale_seconds
+    return CellResult(
+        strategy=provisioner.name if task.label is None else task.label,
+        app=task.profile.name,
+        slack_percent=int(round(100 * task.slack_fraction)),
+        normalized_cost=float(costs.mean() / baseline),
+        missed_percent=100.0 * missed / n,
+        simulations=n,
+        mean_evictions=evictions / n,
+        mean_deployments=deployments / n,
+        mean_rescales=rescales / n,
+        mean_shrinks=shrinks / n,
+        mean_rescale_seconds=rescale_seconds / n,
+    )
 
 
 def run_sweep_tasks(
@@ -284,9 +324,9 @@ def run_sweep_tasks(
 ) -> list[CellResult]:
     """Run a grid of :class:`SweepTask` cells, optionally in parallel.
 
-    The parallel sweep driver behind Fig 5/7: one :class:`CellResult`
-    per task, in task order, bit-identical to calling
-    :func:`sweep_strategy` serially.
+    The one cell runner behind every simulated figure, ablation and
+    study: one :class:`CellResult` per task, in task order,
+    bit-identical to running the tasks serially.
     """
     return parallel_cells(setup, _sweep_cell, tasks, max_workers)
 

@@ -18,18 +18,16 @@ misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.job import COLORING_PROFILE
 from repro.core.perfmodel import RELOAD_FULL, RELOAD_MICRO
 from repro.experiments.common import (
     CellResult,
     ExperimentSetup,
+    SweepTask,
     offline_partition_cost,
-    sweep_strategy,
+    run_sweep_tasks,
 )
 from repro.experiments.report import format_table
-from repro.service import PlanningService
 
 SLACK_FRACTION = 0.5  # 2 hours over the 4-hour job
 
@@ -42,11 +40,6 @@ def run(
     profile = COLORING_PROFILE
     perf_full = setup.perf_model(profile, RELOAD_FULL)
     counts = len({c.num_workers for c in setup.catalog})
-
-    # Strategies resolve through one figure-local planning service; the
-    # two slack-aware bars use different reload modes (different
-    # performance fingerprints), so each still gets its own estimator.
-    service = PlanningService(setup.market)
     bars = [
         ("eager", "spoton", RELOAD_FULL, 0.0),
         ("hourglass-naive", "hourglass-naive", RELOAD_FULL, 0.0),
@@ -63,31 +56,11 @@ def run(
             offline_partition_cost(perf_full, counts, RELOAD_MICRO),
         ),
     ]
-    results = []
-    for label, strategy, mode, offline in bars:
-        cell = sweep_strategy(
-            setup,
-            profile,
-            SLACK_FRACTION,
-            strategy,
-            num_simulations=num_simulations,
-            reload_mode=mode,
-            offline_cost=offline,
-            service=service,
-        )
-        results.append(
-            CellResult(
-                strategy=label,
-                app=cell.app,
-                slack_percent=cell.slack_percent,
-                normalized_cost=cell.normalized_cost,
-                missed_percent=cell.missed_percent,
-                simulations=cell.simulations,
-                mean_evictions=cell.mean_evictions,
-                mean_deployments=cell.mean_deployments,
-            )
-        )
-    return results
+    tasks = [
+        SweepTask(profile, SLACK_FRACTION, strategy, num_simulations, mode, offline, label)
+        for label, strategy, mode, offline in bars
+    ]
+    return run_sweep_tasks(setup, tasks)
 
 
 def render(results) -> str:

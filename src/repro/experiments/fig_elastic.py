@@ -26,18 +26,17 @@ grows (more room for conservative late-job moves).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.core.job import SSSP_PROFILE, job_with_slack
-from repro.core.perfmodel import RELOAD_FULL, RELOAD_MICRO
+from repro.core.job import SSSP_PROFILE
+from repro.core.perfmodel import RELOAD_MICRO
 from repro.core.phases import ACCOUNT_RAW, ACCOUNT_TIME
-from repro.core.simulator import ExecutionSimulator, on_demand_baseline_cost
 from repro.exec.frontier import frontier_for_app
-from repro.experiments.common import ExperimentSetup
+from repro.experiments.common import (
+    CellResult,
+    ExperimentSetup,
+    SweepTask,
+    run_sweep_tasks,
+)
 from repro.experiments.report import format_table
-from repro.service.planning import PlanningService
 
 DEFAULT_SLACKS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -51,108 +50,33 @@ DEFAULT_SCALE = 32.0
 ARMS = (("hourglass", ACCOUNT_RAW), ("elastic", ACCOUNT_TIME))
 
 
-@dataclass(frozen=True)
-class ElasticCellResult:
-    """One (arm, slack) cell of the elastic-vs-static grid."""
-
-    strategy: str
-    app: str
-    slack_percent: int
-    normalized_cost: float
-    missed_percent: float
-    simulations: int
-    mean_rescales: float
-    mean_shrinks: float
-    mean_rescale_seconds: float
-
-    def as_row(self) -> dict:
-        """Flatten to a plain dict for tabular reports."""
-        return {
-            "slack%": self.slack_percent,
-            "strategy": self.strategy,
-            "norm_cost": round(self.normalized_cost, 3),
-            "missed%": round(self.missed_percent, 1),
-            "rescales/run": round(self.mean_rescales, 2),
-            "shrinks/run": round(self.mean_shrinks, 2),
-            "rescale_s/run": round(self.mean_rescale_seconds, 1),
-        }
-
-
-def _run_cell(
-    setup: ExperimentSetup,
-    strategy: str,
-    accounting: str,
-    slack_fraction: float,
-    num_simulations: int,
-    scale: float,
-) -> ElasticCellResult:
-    """Many random-start simulations of one arm at one slack."""
-    profile = SSSP_PROFILE.scaled(scale)
-    curve = frontier_for_app(SSSP_PROFILE.name)
-    # Deadline and baseline from the conventional stack (full reload,
-    # on-demand last resort) — identical for both arms, as in Fig 5.
-    reference_perf = setup.perf_model(profile, RELOAD_FULL)
-    reference_lrc = setup.lrc(reference_perf)
-    baseline = on_demand_baseline_cost(reference_perf, reference_lrc)
-    deadline_fixed = reference_perf.fixed_time(reference_lrc)
-
-    perf = setup.perf_model(profile, RELOAD_MICRO)
-    # Fresh service per cell: warm-cache state never leaks across cells
-    # (the same isolation rule as experiments.common._sweep_cell).
-    service = PlanningService(setup.market)
-    sim = ExecutionSimulator(
-        setup.market,
-        perf,
-        setup.catalog,
-        service.provisioner(strategy),
-        record_events=False,
-        service=service,
-        frontier_curve=curve,
-        work_accounting=accounting,
-    )
-    budget = 8 * (
-        deadline_fixed + reference_perf.exec_time(reference_lrc) * (2 + slack_fraction)
-    )
-    starts = setup.start_times(
-        num_simulations, budget, seed_key=f"elastic-{profile.name}-{slack_fraction}"
-    )
-    costs = np.empty(num_simulations)
-    missed = rescales = shrinks = 0
-    rescale_seconds = 0.0
-    for i, start in enumerate(starts):
-        job = job_with_slack(profile, float(start), slack_fraction, deadline_fixed)
-        result = sim.run(job)
-        costs[i] = result.cost
-        missed += result.missed_deadline
-        rescales += result.rescales
-        shrinks += sum(1 for r in result.rescale_records if r.action == "shrink")
-        rescale_seconds += result.rescale_seconds
-    return ElasticCellResult(
-        strategy=strategy,
-        app=profile.name,
-        slack_percent=int(round(100 * slack_fraction)),
-        normalized_cost=float(costs.mean() / baseline),
-        missed_percent=100.0 * missed / num_simulations,
-        simulations=num_simulations,
-        mean_rescales=rescales / num_simulations,
-        mean_shrinks=shrinks / num_simulations,
-        mean_rescale_seconds=rescale_seconds / num_simulations,
-    )
-
-
 def run(
     setup: ExperimentSetup | None = None,
     slacks=DEFAULT_SLACKS,
     num_simulations: int = 10,
     scale: float = DEFAULT_SCALE,
-) -> list[ElasticCellResult]:
-    """Run the elastic-vs-static grid; one cell per (slack, arm)."""
+) -> list[CellResult]:
+    """Run the elastic-vs-static grid; one cell per (slack, arm).
+
+    Deadline and baseline come from the conventional stack, identical
+    for both arms as in Fig 5.
+    """
     setup = setup or ExperimentSetup()
-    return [
-        _run_cell(setup, strategy, accounting, slack, num_simulations, scale)
+    profile = SSSP_PROFILE.scaled(scale)
+    curve = frontier_for_app(SSSP_PROFILE.name)
+    tasks = [
+        SweepTask(
+            profile, slack, strategy, num_simulations,
+            # Explicit: the micro default only covers hourglass* names.
+            reload_mode=RELOAD_MICRO,
+            seed_key=f"elastic-{profile.name}-{slack}",
+            work_accounting=accounting,
+            frontier_curve=curve,
+        )
         for slack in slacks
         for strategy, accounting in ARMS
     ]
+    return run_sweep_tasks(setup, tasks)
 
 
 def render(results) -> str:

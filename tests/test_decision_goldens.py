@@ -7,6 +7,11 @@ hourglass decision now plans through a ``PlanningService`` and every
 experiment resolves strategies by name; these literals are what the old
 path produced, so the single remaining path must reproduce them
 exactly (``==`` on floats, no tolerance).
+
+``WARNING_ROWS`` and ``FIG_ELASTIC_CELLS`` were captured later, at the
+last commit where the warning ablation and the elastic sweep still ran
+their own simulation loops, before every simulated cell moved onto
+``experiments.common.run_sweep_tasks``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import pytest
 from repro.cloud import default_catalog
 from repro.core import PAGERANK_PROFILE, SSSP_PROFILE, HourglassProvisioner
 from repro.engine.algorithms import PageRank
-from repro.experiments import ExperimentSetup, ablations, catalog_study
+from repro.experiments import ExperimentSetup, ablations, catalog_study, fig_elastic
 from repro.experiments.common import sweep_strategy
 from repro.graph import generators
 from repro.runtime import HourglassRuntime
@@ -46,6 +51,12 @@ PHASE_SKEW_ROWS = [
     {"accounting": "time", "missed%": 0.0, "norm_cost": 0.863},
     {"accounting": "raw", "missed%": 50.0, "norm_cost": 0.549},
 ]
+# Same setup; default leads (0, 120 and 600 s), 4 simulations per row.
+WARNING_ROWS = [
+    {"warning_s": 0.0, "norm_cost": 0.313, "missed%": 0.0, "evictions/run": 1.0},
+    {"warning_s": 120.0, "norm_cost": 0.269, "missed%": 0.0, "evictions/run": 1.0},
+    {"warning_s": 600.0, "norm_cost": 0.265, "missed%": 50.0, "evictions/run": 0.75},
+]
 
 # (catalog, configs, slack%, normalized_cost, missed%, deployments/run) —
 # ExperimentSetup(seed=17, trace_days=10), PageRank, 3 simulations.
@@ -54,6 +65,16 @@ CATALOG_CELLS = [
     ("paired-3", 6, 80, 0.24971554695242462, 0.0, 1.0),
     ("grid-9", 18, 30, 0.743768751967731, 0.0, 2.0),
     ("grid-9", 18, 80, 0.22254542311017542, 0.0, 2.0),
+]
+
+# (strategy, app, slack%, normalized_cost, missed%, sims, rescales/run,
+#  shrinks/run, rescale_s/run) — the CLI's quick elastic grid:
+# ExperimentSetup(seed=42), slacks 0.3 and 0.8, 4 simulations.
+FIG_ELASTIC_CELLS = [
+    ("hourglass", "sssp", 30, 0.61976318110878, 0.0, 4, 0.0, 0.0, 0.0),
+    ("elastic", "sssp", 30, 0.45535915926543463, 0.0, 4, 1.0, 0.0, 37.894755039215084),
+    ("hourglass", "sssp", 80, 0.3606810545469303, 0.0, 4, 0.0, 0.0, 0.0),
+    ("elastic", "sssp", 80, 0.2430809523472464, 0.0, 4, 0.25, 0.25, 13.447377519607544),
 ]
 
 # One PageRank(12) job through HourglassRuntime released at 51 h on the
@@ -101,6 +122,29 @@ def test_phase_skew_ablation(ablation_setup):
     assert rows == PHASE_SKEW_ROWS
 
 
+def test_warning_ablation(ablation_setup):
+    rows = ablations.warning_ablation(ablation_setup, num_simulations=4)
+    assert rows == WARNING_ROWS
+
+
+def test_fig_elastic_cells():
+    cells = fig_elastic.run(ExperimentSetup(seed=42), slacks=(0.3, 0.8), num_simulations=4)
+    assert [
+        (
+            c.strategy,
+            c.app,
+            c.slack_percent,
+            c.normalized_cost,
+            c.missed_percent,
+            c.simulations,
+            c.mean_rescales,
+            c.mean_shrinks,
+            c.mean_rescale_seconds,
+        )
+        for c in cells
+    ] == FIG_ELASTIC_CELLS
+
+
 def test_catalog_study_cells():
     cells = catalog_study.run(
         ExperimentSetup(seed=17, trace_days=10),
@@ -110,8 +154,8 @@ def test_catalog_study_cells():
     )
     assert [
         (
-            c.catalog_name,
-            c.num_configs,
+            c.strategy,
+            len(catalog_study.CATALOGS[c.strategy]),
             c.slack_percent,
             c.normalized_cost,
             c.missed_percent,

@@ -10,17 +10,21 @@ from repro.core import COLORING_PROFILE
 from repro.core.perfmodel import RELOAD_FULL, RELOAD_MICRO
 from repro.experiments import (
     ExperimentSetup,
+    SweepTask,
+    ablations,
+    catalog_study,
     fig1_motivation,
     fig5_overall,
     fig6_loading,
     fig7_gc_zoom,
     fig8_quality,
     fig9_decision_time,
+    fig_elastic,
     table2_datasets,
 )
 from repro.experiments.common import offline_partition_cost, sweep_strategy
 from repro.experiments.report import format_markdown, format_table
-from repro.service import SERVICE_STRATEGIES
+from repro.service import SERVICE_STRATEGIES, PlanningService
 from repro.utils.units import HOURS
 
 
@@ -57,8 +61,9 @@ class TestCommon:
             "hourglass-naive",
             "on-demand",
         }
+        service = PlanningService(setup.market)
         for name in SERVICE_STRATEGIES:
-            provisioner = setup.service.provisioner(name)
+            provisioner = service.provisioner(name)
             assert provisioner.name in (name, name.replace("-", ""))
 
     def test_sweep_cell_fields(self, setup):
@@ -74,6 +79,54 @@ class TestCommon:
         assert 0.9 < cell.normalized_cost < 1.1
         row = cell.as_row()
         assert row["strategy"] == "on-demand"
+
+
+class TestDegenerateCells:
+    """A cell that cannot run is refused when it is described, naming the field."""
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"num_simulations": 0}, "num_simulations"),
+            ({"num_simulations": -1}, "num_simulations"),
+            ({"num_simulations": 2.5}, "num_simulations"),
+            ({"slack_fraction": math.nan}, "slack_fraction"),
+            ({"slack_fraction": math.inf}, "slack_fraction"),
+            ({"slack_fraction": -0.1}, "slack_fraction"),
+            ({"budget": 0.0}, "budget"),
+            ({"budget": math.nan}, "budget"),
+        ],
+    )
+    def test_sweep_task_rejects(self, kwargs, field):
+        fields = {"profile": COLORING_PROFILE, "slack_fraction": 0.5, "strategy": "hourglass"}
+        with pytest.raises(ValueError, match=field):
+            SweepTask(**{**fields, **kwargs})
+
+    @pytest.mark.parametrize(
+        "run, field",
+        [
+            (
+                lambda setup: sweep_strategy(
+                    setup, COLORING_PROFILE, 0.5, "hourglass", num_simulations=0
+                ),
+                "num_simulations",
+            ),
+            (
+                lambda setup: ablations.checkpoint_interval_ablation(setup, num_simulations=0),
+                "num_simulations",
+            ),
+            (lambda setup: fig_elastic.run(setup, num_simulations=0), "num_simulations"),
+            (lambda setup: catalog_study.run(setup, num_simulations=0), "num_simulations"),
+            (
+                lambda setup: sweep_strategy(setup, COLORING_PROFILE, math.nan, "hourglass"),
+                "slack_fraction",
+            ),
+        ],
+        ids=["sweep_strategy", "ckpt-ablation", "elastic", "catalog", "nan-slack"],
+    )
+    def test_rejected_before_any_simulation(self, setup, run, field):
+        with pytest.raises(ValueError, match=field):
+            run(setup)
 
 
 class TestFig1:
@@ -140,6 +193,28 @@ class TestFig7:
         for r in results:
             assert r.missed_percent == 0
         assert "Figure 7" in fig7_gc_zoom.render(results)
+
+
+class TestFigElastic:
+    def test_quick_grid_claims(self):
+        """The CLI's quick grid: elastic never misses and plans a shrink."""
+        results = fig_elastic.run(
+            ExperimentSetup(seed=42), slacks=(0.3, 0.8), num_simulations=4
+        )
+        assert fig_elastic.check_invariants(results) == []
+        elastic = [r for r in results if r.strategy == "elastic"]
+        static = [r for r in results if r.strategy == "hourglass"]
+        assert len(elastic) == len(static) == 2
+        assert any(r.mean_shrinks > 0 for r in elastic)
+        # A planned move that charged reload time also counted a rescale.
+        for r in elastic:
+            if r.mean_rescale_seconds > 0:
+                assert r.mean_rescales > 0
+        # The static arm never rescales.
+        for r in static:
+            assert r.mean_rescales == 0
+            assert r.mean_rescale_seconds == 0
+        assert "Elastic rescaling" in fig_elastic.render(results)
 
 
 class TestFig8:

@@ -30,7 +30,7 @@ from repro.core.recurring import (
 from repro.core.simulator import ExecutionSimulator
 from repro.core.slack import SlackModel
 from repro.exec.observers import MetricsObserver
-from repro.experiments.common import ExperimentSetup, sweep_strategy
+from repro.experiments.common import ExperimentSetup
 from repro.service import PlanError, PlanningService, PlanRequest
 from repro.service.planning import RescaleQuery
 from repro.utils.units import HOURS
@@ -186,29 +186,34 @@ class TestSingleDecisionEquivalence:
 
 
 class TestSweepEquivalence:
-    """Fig 5-style oracle: whole cells, shared vs private services."""
+    """Fig 5-style oracle: a cell's jobs, shared vs private services."""
 
     def test_shared_service_matches_private_services(self, setup):
-        """Cross-job warm state on one service never changes a cell."""
+        """Cross-job warm state on one service never changes a run."""
         shared = PlanningService(setup.market)
-        cells_shared = [
-            sweep_strategy(
-                setup, profile, 0.5, "hourglass", num_simulations=5, service=shared
-            )
-            for profile in (SSSP_PROFILE, PAGERANK_PROFILE)
-        ]
-        cells_private = [
-            sweep_strategy(
-                setup,
-                profile,
-                0.5,
-                "hourglass",
-                num_simulations=5,
-                service=PlanningService(setup.market),
-            )
-            for profile in (SSSP_PROFILE, PAGERANK_PROFILE)
-        ]
-        assert cells_shared == cells_private
+
+        def outcomes(service_for):
+            out = []
+            for profile in (SSSP_PROFILE, PAGERANK_PROFILE):
+                perf = setup.perf_model(profile)
+                deadline_fixed = perf.fixed_time(setup.lrc(perf))
+                sim = ExecutionSimulator(
+                    setup.market, perf, setup.catalog, "hourglass",
+                    record_events=False, service=service_for(),
+                )
+                for start in setup.start_times(5, 48 * HOURS, seed_key=profile.name):
+                    result = sim.run(
+                        job_with_slack(profile, float(start), 0.5, deadline_fixed)
+                    )
+                    out.append(
+                        (result.cost, result.missed_deadline, result.evictions,
+                         result.deployments)
+                    )
+            return out
+
+        assert outcomes(lambda: shared) == outcomes(
+            lambda: PlanningService(setup.market)
+        )
 
 
 class TestConcurrency:
