@@ -58,6 +58,9 @@ class PriceTrace:
             raise ValueError(f"len(times)={len(times)} != len(prices)={len(prices)}")
         if len(times) == 0:
             raise ValueError("trace must have at least one segment")
+        # NaN slips through every comparison below, so refuse it first.
+        if not (np.isfinite(times).all() and np.isfinite(prices).all()):
+            raise ValueError("times and prices must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(prices < 0):

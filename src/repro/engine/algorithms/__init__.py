@@ -1,4 +1,4 @@
-"""Vertex programs: the paper's three jobs plus extension workloads."""
+"""Vertex programs: the paper's three jobs plus degree and colouring."""
 
 from repro.engine.algorithms.coloring import (
     UNCOLOURED,
@@ -6,34 +6,20 @@ from repro.engine.algorithms.coloring import (
     count_colors,
     is_proper_coloring,
 )
-from repro.engine.algorithms.community import (
-    LabelPropagation,
-    community_assignments,
-    modularity,
-)
 from repro.engine.algorithms.degree import InDegree, OutDegree
-from repro.engine.algorithms.kcore import KCore, core_members
 from repro.engine.algorithms.pagerank import PageRank
 from repro.engine.algorithms.sssp import SSSP
-from repro.engine.algorithms.triangles import TriangleCount, total_triangles
 from repro.engine.algorithms.wcc import ConnectedComponents, component_sizes
 
 __all__ = [
     "ConnectedComponents",
     "GraphColoring",
     "InDegree",
-    "KCore",
-    "LabelPropagation",
     "OutDegree",
     "PageRank",
     "SSSP",
-    "TriangleCount",
     "UNCOLOURED",
-    "community_assignments",
     "component_sizes",
-    "core_members",
     "count_colors",
     "is_proper_coloring",
-    "modularity",
-    "total_triangles",
 ]

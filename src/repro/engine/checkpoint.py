@@ -6,29 +6,26 @@ when a whole spot configuration is evicted — can still be recovered
 (§7).  Checkpoints carry the superstep counter, all vertex values and
 halted flags, pending messages and aggregator state.
 
-Three payload formats are readable:
+One format is written and one is restorable: a **format-3** envelope
+whose ``codec`` is ``"planes"`` — the payload's arrays go through the
+plane-wise codec of :mod:`repro.engine.codec` (compress only the byte
+planes that compress) and the result is pickled and checksummed.  A
+``full`` envelope carries the whole engine state
+(:meth:`PregelEngine.capture_state`); a ``delta`` envelope carries only
+the vertices whose value changed since the last *full* snapshot (a
+packed changed-vertex mask plus the changed values), the packed halted
+flags, and the pending messages — restore composes ``full + delta``.
+Long-running jobs with shrinking frontiers (SSSP, WCC) checkpoint
+sublinearly in supersteps: the datastore byte counters track the
+frontier, not the graph.
 
-* **format 1** (legacy) — per-worker ``{vertex: value}`` dicts;
-* **format 2** — the engine's dense state arrays pickled directly;
-* **format 3** (current, the only one written) — a compressed
-  envelope.  A ``full`` envelope carries the whole format-2 state; a
-  ``delta`` envelope carries only the vertices whose value changed
-  since the last *full* snapshot (a packed changed-vertex mask plus the
-  changed values), the packed halted flags, and the pending messages —
-  restore composes ``full + delta``.  Long-running jobs with shrinking
-  frontiers (SSSP, WCC) checkpoint sublinearly in supersteps: the
-  datastore byte counters track the frontier, not the graph.
-
-The envelope's ``codec`` names how its payload was compressed.  Writes
-use ``"planes"`` — the state's arrays go through the plane-wise codec of
-:mod:`repro.engine.codec` (compress only the byte planes that compress)
-and the result is pickled; envelopes whose whole pickle was deflated
-(``"zlib"``, or ``"zstd"`` where the optional ``zstandard`` module is
-installed), written by earlier versions, stay readable.
-
-Every format-3 envelope carries a CRC of its stored payload; a
-corrupted or unreadable checkpoint makes :meth:`CheckpointManager.load_into`
-fall back to the most recent restorable snapshot (ultimately the last
+Restore trusts nothing it reads: an object that is not a well-formed
+envelope (format, kind, codec, bytes payload, int CRC), a payload that
+fails its CRC or does not decode, a delta whose base is not the full
+snapshot it was written against, and a state whose keys or lengths do
+not hang together are all a :class:`CheckpointCorruptionError`, raised
+before the engine is touched.  :meth:`CheckpointManager.load_into` then
+falls back to the most recent restorable snapshot (ultimately the last
 full one) instead of failing the recovery.
 """
 
@@ -45,12 +42,7 @@ from repro.engine.datastore import DataStore
 from repro.engine.engine import PregelEngine
 from repro.obs.state import get_metrics, get_tracer
 
-try:  # optional: only ever needed to *read* an old zstd envelope
-    import zstandard as _zstandard
-except ImportError:  # pragma: no cover - exercised where zstd is absent
-    _zstandard = None
-
-#: Current checkpoint payload format: a compressed (and optionally
+#: The checkpoint envelope format: a compressed (and optionally
 #: delta-encoded) envelope around the engine's dense state arrays.
 CHECKPOINT_FORMAT = 3
 
@@ -59,19 +51,46 @@ class CheckpointCorruptionError(RuntimeError):
     """A stored checkpoint failed its integrity check or cannot be read."""
 
 
-def _decode_payload(codec_name: str, stored: bytes) -> dict:
-    """The payload dict behind a format-3 envelope's stored bytes."""
-    if codec_name == "planes":
-        return codec.unpack(pickle.loads(stored))
-    if codec_name == "zlib":
-        return pickle.loads(zlib.decompress(stored))
-    if codec_name == "zstd":
-        if _zstandard is None:
-            raise CheckpointCorruptionError(
-                "checkpoint was written with zstd but zstandard is not installed"
-            )
-        return pickle.loads(_zstandard.ZstdDecompressor().decompress(stored))
-    raise CheckpointCorruptionError(f"unknown checkpoint codec {codec_name!r}")
+def _check_envelope(key: str, envelope) -> None:
+    """Refuse anything but a well-formed format-3 ``planes`` envelope."""
+    if not isinstance(envelope, dict) or envelope.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointCorruptionError(
+            f"checkpoint {key} is not a format-{CHECKPOINT_FORMAT} envelope"
+        )
+    if envelope.get("codec") != "planes":
+        raise CheckpointCorruptionError(
+            f"checkpoint {key} names unknown codec {envelope.get('codec')!r}"
+        )
+    if (
+        envelope.get("kind") not in ("full", "delta")
+        or not isinstance(envelope.get("payload"), bytes)
+        or not isinstance(envelope.get("crc32"), int)
+    ):
+        raise CheckpointCorruptionError(f"checkpoint {key} has a malformed envelope")
+
+
+def _check_state(key: str, state) -> None:
+    """Refuse a decoded or composed state whose keys or lengths do not
+    hang together (whether it fits the engine's graph is
+    :meth:`PregelEngine.restore_state`'s ``ValueError``)."""
+    try:
+        n = len(state["values"])
+        pending = state["pending_messages"]
+        dense = pending["dense_values"]
+        consistent = (
+            len(state["halted"]) == n
+            and (dense is None or len(dense) == len(pending["dense_mask"]) == n)
+            and isinstance(pending["generic"], dict)
+            and isinstance(pending["count"], int)
+            and isinstance(state["prev_aggregates"], dict)
+            and 0 <= state["superstep"] <= len(state["stats"])
+        )
+    except (KeyError, TypeError) as exc:
+        raise CheckpointCorruptionError(
+            f"checkpoint {key} holds a malformed state: missing or bad {exc}"
+        ) from exc
+    if not consistent:
+        raise CheckpointCorruptionError(f"checkpoint {key} holds an inconsistent state")
 
 
 @dataclass(frozen=True)
@@ -272,28 +291,12 @@ class CheckpointManager:
         )
 
     def _restore_one(self, engine: PregelEngine, info: CheckpointInfo) -> float:
-        stored, read_time = self._fetch(info.key)
-        state = stored
-        if isinstance(stored, dict) and stored.get("format") == 3:
-            payload = self._decode_envelope(info.key, stored)
-            if stored["kind"] == "delta":
-                base_key = stored.get("base_key")
-                if base_key is None:
-                    raise CheckpointCorruptionError(
-                        f"delta checkpoint {info.key} has no base snapshot"
-                    )
-                base_stored, base_read = self._fetch(base_key)
-                read_time += base_read
-                if not (
-                    isinstance(base_stored, dict) and base_stored.get("format") == 3
-                ):
-                    raise CheckpointCorruptionError(
-                        f"base snapshot {base_key} is not a format-3 envelope"
-                    )
-                base_state = self._decode_envelope(base_key, base_stored)
-                state = self._compose(base_state, payload)
-            else:
-                state = payload
+        envelope, state, read_time = self._read(info.key)
+        if envelope["kind"] == "delta":
+            _, base, base_read = self._read(envelope.get("base_key"))
+            read_time += base_read
+            state = self._compose(info.key, base, state)
+        _check_state(info.key, state)
         engine.restore_state(state)
         tracer = get_tracer()
         if tracer.enabled:
@@ -309,48 +312,52 @@ class CheckpointManager:
             ).inc(1, job_id=self.job_id)
         return read_time
 
-    def _fetch(self, key: str) -> tuple[object, float]:
+    def _read(self, key: str) -> tuple[dict, object, float]:
+        """``(envelope, decoded payload, simulated read seconds)`` of the
+        checkpoint stored under *key*, or a corruption error."""
         try:
-            return self.datastore.get_object_timed(key)
+            envelope, read_time = self.datastore.get_object_timed(key)
         except KeyError as exc:
             raise CheckpointCorruptionError(f"checkpoint {key} is missing") from exc
         except Exception as exc:  # undecodable pickle, truncated blob, ...
             raise CheckpointCorruptionError(f"checkpoint {key} unreadable: {exc}") from exc
-
-    def _decode_envelope(self, key: str, envelope: dict) -> dict:
+        _check_envelope(key, envelope)
         stored = envelope["payload"]
         if zlib.crc32(stored) != envelope["crc32"]:
             raise CheckpointCorruptionError(f"checkpoint {key} failed its CRC check")
         try:
-            return _decode_payload(envelope["codec"], stored)
-        except CheckpointCorruptionError:
-            raise
+            return envelope, codec.unpack(pickle.loads(stored)), read_time
         except Exception as exc:
             raise CheckpointCorruptionError(f"checkpoint {key} undecodable: {exc}") from exc
 
     @staticmethod
-    def _compose(base: dict, delta: dict) -> dict:
+    def _compose(key: str, base: dict, delta: dict) -> dict:
         """Apply a delta payload on top of its full base state."""
-        n = delta["num_vertices"]
-        values = np.array(base["values"], copy=True)
-        if len(values) != n:
+        try:
+            n = delta["num_vertices"]
+            base_superstep = delta["base_superstep"]
+            if base["superstep"] != base_superstep or len(base["values"]) != n:
+                raise CheckpointCorruptionError(
+                    f"delta checkpoint {key} (superstep {base_superstep}, {n} "
+                    f"vertices) does not compose with its base snapshot"
+                )
+            values = np.array(base["values"], copy=True)
+            changed = np.unpackbits(delta["changed_bits"], count=n).astype(bool)
+            values[changed] = delta["changed_values"]
+            return {
+                "format": 2,
+                "superstep": delta["superstep"],
+                "num_vertices": n,
+                "values": values,
+                "halted": np.unpackbits(delta["halted_bits"], count=n).astype(bool),
+                "pending_messages": delta["pending_messages"],
+                "prev_aggregates": delta["prev_aggregates"],
+                "stats": list(base["stats"])[:base_superstep] + list(delta["stats_tail"]),
+            }
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise CheckpointCorruptionError(
-                f"delta covers {n} vertices, base snapshot has {len(values)}"
-            )
-        changed = np.unpackbits(delta["changed_bits"], count=n).astype(bool)
-        values[changed] = delta["changed_values"]
-        halted = np.unpackbits(delta["halted_bits"], count=n).astype(bool)
-        base_superstep = delta["base_superstep"]
-        return {
-            "format": 2,
-            "superstep": delta["superstep"],
-            "num_vertices": n,
-            "values": values,
-            "halted": halted,
-            "pending_messages": delta["pending_messages"],
-            "prev_aggregates": delta["prev_aggregates"],
-            "stats": list(base["stats"])[:base_superstep] + list(delta["stats_tail"]),
-        }
+                f"delta checkpoint {key} undecodable: {exc!r}"
+            ) from exc
 
     def history(self) -> list[CheckpointInfo]:
         """All stored checkpoint metadata, oldest first."""

@@ -578,70 +578,19 @@ class PregelEngine:
         The worker layout may differ from the snapshot's (the whole point
         of Hourglass reconfiguration): state arrays are global, so the
         new workers simply see the restored arrays through their own
-        vertex sets.  Also accepts the legacy per-worker dict format.
+        vertex sets.
         """
         n = self.graph.num_vertices
-        if "values" in state:
-            values = np.asarray(state["values"])
-            halted = np.asarray(state["halted"], dtype=bool)
-            if len(values) != n or len(halted) != n:
-                raise ValueError(
-                    f"snapshot covers {len(values)} vertices, graph has {n}"
-                )
-            self._values[...] = values
-            self._halted[...] = halted
-            self._incoming = MessageStore.from_state(
-                state["pending_messages"], self.program.combiner
-            )
-        else:  # legacy: per-worker {vertex: value} dicts
-            merged_values: dict = {}
-            merged_halted: dict = {}
-            for snap in state["workers"]:
-                merged_values.update(snap["values"])
-                merged_halted.update(snap["halted"])
-            if len(merged_values) != n:
-                raise ValueError(
-                    f"snapshot covers {len(merged_values)} vertices, graph has {n}"
-                )
-            for v, value in merged_values.items():
-                self._values[int(v)] = value
-            for v, flag in merged_halted.items():
-                self._halted[int(v)] = bool(flag)
-            self._incoming = MessageStore.from_dict(
-                state["pending_messages"],
-                self.program.combiner,
-                num_vertices=n,
-            )
+        values = np.asarray(state["values"])
+        halted = np.asarray(state["halted"], dtype=bool)
+        if len(values) != n or len(halted) != n:
+            raise ValueError(f"snapshot covers {len(values)} vertices, graph has {n}")
+        self._values[...] = values
+        self._halted[...] = halted
+        self._incoming = MessageStore.from_state(
+            state["pending_messages"], self.program.combiner
+        )
         self.superstep = int(state["superstep"])
-        # Keep the superstep history consistent with the restored counter:
-        # a checkpoint at superstep s carries exactly s stats records.
-        if "stats" in state:
-            self.stats = [
-                s if isinstance(s, SuperstepStats) else SuperstepStats(*s)
-                for s in state["stats"]
-            ][: self.superstep]
-        else:
-            # Legacy per-worker snapshots never recorded superstep
-            # statistics, so a fresh engine restoring one would report an
-            # empty frontier series while claiming superstep > 0.  Keep
-            # whatever real history this engine has up to the restored
-            # counter and backfill the rest from the restored state: the
-            # active set at the checkpoint is the non-halted vertices
-            # plus any halted ones woken by a pending message.  Message
-            # totals are genuinely lost and stay 0.
-            self.stats = self.stats[: self.superstep]
-            if len(self.stats) < self.superstep:
-                runnable = ~self._halted | self._incoming.destination_mask(n)
-                active = int(np.count_nonzero(runnable))
-                for step in range(len(self.stats), self.superstep):
-                    self.stats.append(
-                        SuperstepStats(
-                            superstep=step,
-                            active_vertices=active,
-                            messages_sent=0,
-                            local_messages=0,
-                            remote_messages=0,
-                            remote_bytes=0,
-                        )
-                    )
+        # A checkpoint at superstep s carries exactly s stats records.
+        self.stats = list(state["stats"])[: self.superstep]
         self._prev_aggregates = dict(state["prev_aggregates"])

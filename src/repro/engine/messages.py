@@ -294,34 +294,13 @@ class MessageStore:
     # Snapshots
     # ------------------------------------------------------------------
     def as_dict(self) -> dict[int, list]:
-        """Snapshot as ``{destination: [messages]}`` (legacy format)."""
+        """Pending messages as ``{destination: [messages]}``, for comparing
+        stores (checkpoints use :meth:`state_dict`)."""
         merged = {dst: list(msgs) for dst, msgs in self._by_dst.items() if msgs}
         if self._dense_mask is not None:
             for d in np.flatnonzero(self._dense_mask).tolist():
                 merged.setdefault(d, []).append(self._dense_values[d].item())
         return merged
-
-    @classmethod
-    def from_dict(
-        cls,
-        data: dict[int, list],
-        combiner: type[Combiner] | None = None,
-        raw_count: int | None = None,
-        num_vertices: int | None = None,
-    ) -> "MessageStore":
-        """Rebuild a store from an :meth:`as_dict` snapshot.
-
-        ``raw_count`` restores the pre-combining delivery counter; when
-        omitted it is taken as the number of stored (post-combining)
-        messages, which under-reports if the snapshot was combined.
-        """
-        store = cls(combiner, num_vertices=num_vertices)
-        for dst, msgs in data.items():
-            for msg in msgs:
-                store.deliver(int(dst), msg)
-        if raw_count is not None:
-            store._count = int(raw_count)
-        return store
 
     def state_dict(self) -> dict:
         """Checkpointable snapshot carrying the arrays directly."""

@@ -13,7 +13,9 @@ on a small graph:
    parallel one's merged batch always recounts,
 3. saves a full + delta checkpoint chain mid-run, restores it into a
    fresh engine, resumes, and checks the finished run matches an
-   uninterrupted reference exactly.
+   uninterrupted reference exactly,
+4. corrupts the delta's envelope metadata and checks the restore falls
+   back to the full checkpoint and still resumes to the exact reference.
 
 Exit code 0 = every check passed; any mismatch prints a ``FAIL`` line
 and exits 1.  On platforms without ``fork`` the parallel checks degrade
@@ -92,7 +94,7 @@ def run_smoke(scale: int, num_workers: int, seed: int, directory) -> bool:
     ) as engine:
         engine.step()
         engine.step()
-        manager.save(engine)  # full base
+        full_info = manager.save(engine)  # full base
         engine.step()
         delta_info = manager.save(engine)  # delta against it
     ok &= _check(
@@ -100,16 +102,43 @@ def run_smoke(scale: int, num_workers: int, seed: int, directory) -> bool:
         delta_info.kind == "delta",
         f"{delta_info.nbytes:,} bytes",
     )
-    resumed = PregelEngine(graph, PageRank(iterations=8), partitioning)
-    manager.load_into(resumed)
-    result = resumed.run()
-    ok &= _check(
+    ok &= _check_resume(
         "delta restore resumes to the exact reference result",
-        resumed.superstep == reference.supersteps_run
-        and np.array_equal(reference.values_array(), result.values_array())
-        and reference.stats == result.stats,
+        manager,
+        PregelEngine(graph, PageRank(iterations=8), partitioning),
+        reference,
+        delta_info.superstep,
+    )
+
+    # 4. Recovery fallback: a delta whose envelope names an unknown kind
+    # is corruption, so the restore lands on the full base instead.
+    envelope, _ = store.get_object_timed(delta_info.key)
+    envelope["kind"] = "dalta"
+    store.put_object(delta_info.key, envelope)
+    ok &= _check_resume(
+        "corrupted delta falls back to the full checkpoint, exact result",
+        manager,
+        PregelEngine(graph, PageRank(iterations=8), partitioning),
+        reference,
+        full_info.superstep,
     )
     return ok
+
+
+def _check_resume(name, manager, resumed, reference, superstep) -> bool:
+    """Restore the newest restorable checkpoint into the fresh engine
+    *resumed*, check it landed on *superstep*, and run it to the exact
+    *reference*."""
+    manager.load_into(resumed)
+    restored_at = resumed.superstep
+    result = resumed.run()
+    return _check(
+        name,
+        restored_at == superstep
+        and np.array_equal(reference.values_array(), result.values_array())
+        and reference.stats == result.stats,
+        f"restored at superstep {restored_at}",
+    )
 
 
 def main(argv=None) -> int:

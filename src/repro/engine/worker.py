@@ -7,8 +7,8 @@ engine they all share the engine's arrays (ownership is disjoint, so
 sharing is safe), which is what lets the superstep loop compute active
 sets and the halt condition with array operations instead of per-vertex
 dict scans.  Workers still exist as real objects (rather than an index
-space) so that checkpointing, loading and the per-worker traffic stats
-have an honest home.
+space) so that loading and the per-worker traffic stats have an honest
+home.
 """
 
 from __future__ import annotations
@@ -89,49 +89,6 @@ class Worker:
         if tracer.enabled:
             tracer.event(
                 "worker.init", worker=self.worker_id, vertices=self.num_vertices
-            )
-
-    def active_count(self, incoming_destinations=frozenset()) -> int:
-        """Vertices that will run this superstep (non-halted or woken)."""
-        own = self.vertices
-        runnable = ~self.halted[own]
-        if incoming_destinations:
-            dests = np.fromiter(
-                incoming_destinations,
-                dtype=np.int64,
-                count=len(incoming_destinations),
-            )
-            runnable |= np.isin(own, dests)
-        return int(np.count_nonzero(runnable))
-
-    def state_snapshot(self) -> dict:
-        """Checkpointable copy of this worker's mutable state.
-
-        Built by slicing the dense arrays (one gather per array) rather
-        than materializing the values vertex-by-vertex.
-        """
-        own = self.vertices
-        ids = own.tolist()
-        return {
-            "worker_id": self.worker_id,
-            "values": dict(zip(ids, self.values[own].tolist())),
-            "halted": dict(zip(ids, self.halted[own].tolist())),
-        }
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Load state captured by :meth:`state_snapshot`."""
-        if snapshot["worker_id"] != self.worker_id:
-            raise ValueError(
-                f"snapshot is for worker {snapshot['worker_id']}, not {self.worker_id}"
-            )
-        for v, value in snapshot["values"].items():
-            self.values[int(v)] = value
-        for v, flag in snapshot["halted"].items():
-            self.halted[int(v)] = bool(flag)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "worker.restore", worker=self.worker_id, vertices=self.num_vertices
             )
 
 

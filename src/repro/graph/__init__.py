@@ -1,7 +1,6 @@
 """Graph substrate: CSR graphs, builders, IO, generators, dataset registry."""
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.evolve import edge_jaccard, evolve_graph, snapshot_sequence
 from repro.graph.datasets import DATASETS, DatasetSpec, get_dataset, rmat_spec
 from repro.graph.graph import Graph, empty_graph, from_edges
 from repro.graph.io import (
@@ -33,7 +32,4 @@ __all__ = [
     "split_into_chunks",
     "write_adjacency",
     "write_edge_list",
-    "edge_jaccard",
-    "evolve_graph",
-    "snapshot_sequence",
 ]

@@ -3,8 +3,6 @@
 from repro.partitioning.base import Partitioner, Partitioning
 from repro.partitioning.fennel import FennelPartitioner
 from repro.partitioning.hashing import HashPartitioner, RandomPartitioner
-from repro.partitioning.incremental import staleness, update_micro_partitioning
-from repro.partitioning.ldg import LdgPartitioner
 from repro.partitioning.micro import (
     MicroPartitioner,
     MicroPartitioning,
@@ -25,7 +23,6 @@ __all__ = [
     "Partitioner",
     "Partitioning",
     "HashPartitioner",
-    "LdgPartitioner",
     "RandomPartitioner",
     "FennelPartitioner",
     "MultilevelPartitioner",
@@ -39,6 +36,4 @@ __all__ = [
     "evaluate",
     "random_cut_expectation",
     "vertex_balance",
-    "staleness",
-    "update_micro_partitioning",
 ]

@@ -13,16 +13,14 @@ from repro.engine.algorithms import (
     ConnectedComponents,
     GraphColoring,
     InDegree,
-    KCore,
     OutDegree,
     PageRank,
     SSSP,
     component_sizes,
-    core_members,
     count_colors,
     is_proper_coloring,
 )
-from repro.graph import GraphBuilder, from_edges, generators
+from repro.graph import from_edges, generators
 from repro.partitioning import HashPartitioner
 
 
@@ -196,35 +194,3 @@ class TestDegree:
         g = from_edges([0, 0, 1], [1, 2, 2], num_vertices=3)
         result = PregelEngine(g, InDegree(), HashPartitioner().partition(g, 2)).run()
         assert result.values == {0: 0, 1: 1, 2: 2}
-
-
-class TestKCore:
-    def test_matches_networkx(self):
-        g = generators.power_law_social(300, avg_degree=6, seed=4)
-        for k in (2, 3):
-            result = PregelEngine(g, KCore(k), HashPartitioner().partition(g, 3)).run()
-            nxg = to_networkx(g, directed=False)
-            nxg.remove_edges_from(nx.selfloop_edges(nxg))
-            expected = set(nx.k_core(nxg, k).nodes())
-            assert core_members(result.values) == expected
-
-    def test_clique_with_tail(self):
-        b = GraphBuilder()
-        for i in range(4):
-            for j in range(4):
-                if i != j:
-                    b.add_edge(i, j)
-        b.add_undirected_edge(3, 4)
-        b.add_undirected_edge(4, 5)
-        g = b.build()
-        result = PregelEngine(g, KCore(3)).run()
-        assert core_members(result.values) == {0, 1, 2, 3}
-
-    def test_k1_keeps_non_isolated(self):
-        g = from_edges([0], [1], num_vertices=3).undirected()
-        result = PregelEngine(g, KCore(1)).run()
-        assert core_members(result.values) == {0, 1}
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            KCore(0)

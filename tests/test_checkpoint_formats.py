@@ -1,12 +1,12 @@
-"""Checkpoint format back-compat, delta chains, and corruption fallback.
+"""Checkpoint envelopes, delta chains, and corruption fallback.
 
-Covers the three readable payload formats (legacy per-worker dicts,
-dense format-2 state, format-3 envelopes under the current plane-wise
-codec and the older whole-pickle zlib one), the delta-chain
-restore path (full + changed-vertex delta must equal a full-snapshot
-restore bit-exactly), corrupted-envelope fallback, and the chain-aware
-prune.  The runtime-level test reuses the fault-injection observers to
-drive a real eviction/recovery cycle over delta checkpoints.
+Covers the one restorable format (a format-3 ``planes`` envelope), the
+refusal of anything else, the delta-chain restore path (full +
+changed-vertex delta must equal a full-snapshot restore bit-exactly),
+corrupted-envelope fallback down to a single flipped byte, and the
+chain-aware prune.  The runtime-level test reuses the fault-injection
+observers to drive a real eviction/recovery cycle over delta
+checkpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cloud import default_catalog, transient_configs
-from repro.engine import DataStore, PregelEngine
+from repro.engine import DataStore, PregelEngine, codec
 from repro.engine.algorithms import SSSP, PageRank
 from repro.engine.checkpoint import (
     CheckpointCorruptionError,
@@ -41,6 +41,10 @@ def graph():
 @pytest.fixture()
 def partitioning(graph):
     return HashPartitioner().partition(graph, 3)
+
+
+#: Marks an envelope field to delete rather than overwrite.
+MISSING = "<missing>"
 
 
 def make_engine(graph, partitioning, steps=0):
@@ -111,104 +115,164 @@ class TestFormat3Full:
         with pytest.raises(ValueError):
             CheckpointManager(DataStore(), "job", full_interval=0)
 
-
-class TestOlderFormat3Codecs:
-    """Envelopes whose whole pickle was deflated (what this repo wrote
-    before the plane-wise codec) must stay restorable."""
-
-    def old_envelope(self, payload, kind="full", base_key=None, codec="zlib"):
-        stored = zlib.compress(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), 1)
-        return {
-            "format": 3,
-            "kind": kind,
-            "codec": codec,
-            "base_key": base_key,
-            "superstep": payload["superstep"],
-            "crc32": zlib.crc32(stored),
-            "payload": stored,
-        }
-
-    def test_zlib_full_and_delta_envelopes_restore(self, graph, partitioning):
-        engine = make_engine(graph, partitioning, steps=2)
-        base = engine.capture_state()
-        engine.step()
-        state = engine.capture_state()
-        changed = state["values"] != base["values"]
-        delta = {
-            "kind": "delta",
-            "num_vertices": state["num_vertices"],
-            "superstep": state["superstep"],
-            "base_superstep": base["superstep"],
-            "changed_bits": np.packbits(changed),
-            "changed_values": state["values"][changed],
-            "halted_bits": np.packbits(state["halted"]),
-            "pending_messages": state["pending_messages"],
-            "prev_aggregates": state["prev_aggregates"],
-            "stats_tail": state["stats"][base["superstep"] :],
-        }
+    @pytest.mark.parametrize("name", ["zlib", "zstd", None])
+    def test_non_planes_codec_falls_back(self, graph, partitioning, name):
         store = DataStore()
-        store.put_object("old-full", self.old_envelope(base))
-        store.put_object("old-delta", self.old_envelope(delta, "delta", "old-full"))
         manager = CheckpointManager(store, "job")
-
-        from_full = make_engine(graph, partitioning)
-        manager.load_into(from_full, info_for(store, "old-full", base["superstep"]))
-        assert from_full.superstep == base["superstep"]
-        assert np.array_equal(from_full._values, base["values"])
-
-        from_delta = make_engine(graph, partitioning)
-        manager.load_into(from_delta, info_for(store, "old-delta", state["superstep"]))
-        assert_state_equal(engine, from_delta)
-
-    def test_zstd_envelope_without_the_module_is_corruption(self, graph, partitioning):
-        from repro.engine import checkpoint
-
-        if checkpoint._zstandard is not None:
-            pytest.skip("zstandard is installed here")
         engine = make_engine(graph, partitioning, steps=1)
-        store = DataStore()
-        store.put_object(
-            "old-zstd", self.old_envelope(engine.capture_state(), codec="zstd")
-        )
-        with pytest.raises(CheckpointCorruptionError, match="zstandard"):
-            CheckpointManager(store, "job").load_into(
-                make_engine(graph, partitioning), info_for(store, "old-zstd", 1)
-            )
+        manager.save(engine)
+        engine.step()
+        info = manager.save(engine)
+        env, _ = store.get_object_timed(info.key)
+        env["codec"] = name
+        store.put_object(info.key, env)
+        restored = make_engine(graph, partitioning)
+        manager.load_into(restored)
+        assert restored.superstep == 1
+        with pytest.raises(CheckpointCorruptionError, match="codec"):
+            manager.load_into(restored, info)
 
-
-class TestLegacyFormat2:
-    def test_plain_state_dict_restores_through_manager(self, graph, partitioning):
-        # Format 2 is no longer written by anything; a store may still
-        # hold one (the engine's state dict, pickled as it stands).
+    def test_non_envelope_objects_are_corruption(self, graph, partitioning):
+        # A bare engine state dict (the old format 2), a per-worker dict
+        # (the old format 1) and non-dicts are all refused, not restored.
         engine = make_engine(graph, partitioning, steps=2)
         store = DataStore()
-        store.put_object("format2-key", engine.capture_state())
-        raw, _ = store.get_object_timed("format2-key")
-        assert raw["format"] == 2  # plain state dict, no envelope
-        restored = make_engine(graph, partitioning)
-        CheckpointManager(store, "job").load_into(
-            restored, info_for(store, "format2-key", engine.superstep)
-        )
-        assert_state_equal(engine, restored)
-
-
-class TestLegacyFormat1:
-    def test_per_worker_dict_restore_through_manager(self, graph, partitioning):
-        engine = make_engine(graph, partitioning)
-        result = engine.run()
-        legacy = {
-            "superstep": engine.superstep,
-            "workers": [w.state_snapshot() for w in engine.workers],
-            "pending_messages": {},
-            "prev_aggregates": {},
-        }
-        store = DataStore()
-        store.put_object("legacy-key", legacy)
         manager = CheckpointManager(store, "job")
+        bare = engine.capture_state()
+        per_worker = {"superstep": 2, "workers": [], "pending_messages": {}}
+        for obj in (bare, per_worker, [bare], None, b"\x00"):
+            store.put_object("stray", obj)
+            restored = make_engine(graph, partitioning)
+            with pytest.raises(CheckpointCorruptionError, match="format-3"):
+                manager.load_into(restored, info_for(store, "stray", 2))
+            assert restored.superstep == 0
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("format", 2),
+            ("kind", "dalta"),
+            ("kind", None),
+            ("payload", "not bytes"),
+            ("crc32", "0"),
+            *[(field, MISSING) for field in ("payload", "crc32", "kind", "codec")],
+        ],
+    )
+    def test_malformed_envelope_metadata_falls_back(
+        self, graph, partitioning, field, value
+    ):
+        store = DataStore()
+        manager = CheckpointManager(store, "job", delta=True)
+        engine = make_engine(graph, partitioning, steps=2)
+        manager.save(engine)
+        engine.step()
+        info = manager.save(engine)
+        env, _ = store.get_object_timed(info.key)
+        if value == MISSING:
+            del env[field]
+        else:
+            env[field] = value
+        store.put_object(info.key, env)
         restored = make_engine(graph, partitioning)
-        manager.load_into(restored, info_for(store, "legacy-key", engine.superstep))
-        assert restored.superstep == engine.superstep
-        assert restored.values() == result.values
+        manager.load_into(restored)
+        assert restored.superstep == 2
+
+    def test_delta_over_a_delta_base_is_corruption(self, graph, partitioning):
+        store = DataStore()
+        manager = CheckpointManager(store, "job", keep_last=10, delta=True)
+        engine = make_engine(graph, partitioning, steps=1)
+        infos = [manager.save(engine)]
+        for _ in range(2):
+            engine.step()
+            infos.append(manager.save(engine))
+        env, _ = store.get_object_timed(infos[2].key)
+        env["base_key"] = infos[1].key  # a delta, not a full snapshot
+        store.put_object(infos[2].key, env)
+        with pytest.raises(CheckpointCorruptionError, match="compose"):
+            manager.load_into(make_engine(graph, partitioning), infos[2])
+
+    def test_inconsistent_state_is_corruption(self, graph, partitioning):
+        # A writer bug, not bit rot: the CRC matches, the state does not
+        # hang together, and the engine is left untouched.
+        engine = make_engine(graph, partitioning, steps=2)
+        for field, value in [("halted", np.zeros(3, dtype=bool)), ("stats", [])]:
+            state = engine.capture_state()
+            state[field] = value
+            stored = pickle.dumps(codec.pack(state), protocol=pickle.HIGHEST_PROTOCOL)
+            store = DataStore()
+            envelope = {
+                "format": 3,
+                "kind": "full",
+                "codec": "planes",
+                "base_key": None,
+                "superstep": 2,
+                "crc32": zlib.crc32(stored),
+                "payload": stored,
+            }
+            store.put_object("bad", envelope)
+            restored = make_engine(graph, partitioning)
+            with pytest.raises(CheckpointCorruptionError, match="inconsistent"):
+                CheckpointManager(store, "job").load_into(
+                    restored, info_for(store, "bad", 2)
+                )
+            assert restored.superstep == 0
+
+
+class TestByteFlipSweep:
+    """Every single-byte corruption of a stored checkpoint either restores
+    one of the uncorrupted checkpoints exactly or is refused as a
+    :class:`CheckpointCorruptionError` with the engine left untouched —
+    never a raw exception and never a state nobody wrote."""
+
+    @staticmethod
+    def snapshot(engine) -> bytes:
+        return pickle.dumps(engine.capture_state(), protocol=pickle.HIGHEST_PROTOCOL)
+
+    @pytest.mark.parametrize("mask", [0x01, 0xFF])
+    @pytest.mark.parametrize("target", ["delta", "full"])
+    def test_every_flipped_byte_restores_exactly_or_is_refused(self, target, mask):
+        graph = generators.community_graph(300, num_communities=4, avg_degree=8, seed=3)
+        partitioning = HashPartitioner().partition(graph, 3)
+
+        def fresh():
+            return PregelEngine(graph, PageRank(iterations=10), partitioning)
+
+        store = DataStore()
+        manager = CheckpointManager(store, "sweep", delta=True)
+        engine = fresh()
+        engine.step()
+        engine.step()
+        full = manager.save(engine)
+        engine.step()
+        delta = manager.save(engine)
+        assert (full.kind, delta.kind) == ("full", "delta")
+        intact = set()
+        for info in (full, delta):
+            restored = fresh()
+            manager.load_into(restored, info)
+            intact.add(self.snapshot(restored))
+
+        key = (delta if target == "delta" else full).key
+        original = store.get(key)
+        restored = fresh()
+        refused = 0
+        for i in range(len(original)):
+            flipped = bytearray(original)
+            flipped[i] ^= mask
+            store.put(key, bytes(flipped))
+            before = self.snapshot(restored)
+            try:
+                manager.load_into(restored)
+            except CheckpointCorruptionError:
+                refused += 1
+                assert self.snapshot(restored) == before, f"byte {i} mutated the engine"
+            else:
+                assert self.snapshot(restored) in intact, f"byte {i} restored junk"
+        if target == "delta":
+            # The full snapshot is intact: every flip falls back to it.
+            assert refused == 0
+        else:
+            assert refused > 0
 
 
 class TestDeltaChains:

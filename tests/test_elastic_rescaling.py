@@ -400,44 +400,8 @@ class TestPlanRescaleVetting:
 
 # ----------------------------------------------------------------------
 class TestLegacyRestoreFrontier:
-    """Satellite fix: legacy snapshots must not drop the frontier signal."""
-
-    def to_legacy(self, engine, state):
-        n = engine.graph.num_vertices
-        return {
-            "superstep": state["superstep"],
-            "workers": [
-                {
-                    "worker_id": 0,
-                    "values": {v: state["values"][v] for v in range(n)},
-                    "halted": {v: bool(state["halted"][v]) for v in range(n)},
-                }
-            ],
-            "pending_messages": engine._incoming.as_dict(),
-            "prev_aggregates": dict(state["prev_aggregates"]),
-        }
-
-    def test_legacy_restore_backfills_stats(self, graph):
-        engine = PregelEngine(graph, SSSP(source=0))
-        for _ in range(3):
-            engine.step()
-        legacy = self.to_legacy(engine, engine.capture_state())
-
-        fresh = PregelEngine(graph, SSSP(source=0))
-        fresh.restore_state(legacy)
-        assert fresh.superstep == 3
-        assert len(fresh.stats) == 3
-        # The backfilled frontier is the restored runnable set, not 0.
-        assert fresh.stats[-1].active_vertices > 0
-        assert fresh.stats[-1].messages_sent == 0
-
-        # The restored engine computes the same answer as an undisturbed
-        # run, and keeps recording real stats from the resume point.
-        undisturbed = PregelEngine(graph, SSSP(source=0))
-        undisturbed.run()
-        fresh.run()
-        assert len(fresh.stats) > 3
-        np.testing.assert_array_equal(fresh._values, undisturbed._values)
+    """A restored engine keeps the real per-superstep history, so the
+    frontier signal survives a restore."""
 
     def test_format2_restore_keeps_real_stats(self, graph):
         engine = PregelEngine(graph, SSSP(source=0))

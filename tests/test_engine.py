@@ -67,14 +67,6 @@ class TestMessageStore:
         assert store
         assert list(store.destinations()) == [0]
 
-    def test_snapshot_roundtrip(self):
-        store = MessageStore(MinCombiner)
-        store.deliver(1, 5)
-        store.deliver(2, 3)
-        restored = MessageStore.from_dict(store.as_dict(), MinCombiner)
-        assert restored.messages_for(1) == [5]
-        assert restored.messages_for(2) == [3]
-
 
 class TestAggregators:
     @pytest.mark.parametrize(
@@ -125,25 +117,6 @@ class TestWorkers:
         p = HashPartitioner().partition(g, 2)
         with pytest.raises(ValueError):
             build_workers(p, 3)
-
-    def test_snapshot_restore(self):
-        g = generators.path_graph(4)
-        p = HashPartitioner().partition(g, 2)
-        workers = build_workers(p, 2)
-        workers[0].initialize(EchoProgram(), 4)
-        snap = workers[0].state_snapshot()
-        workers[0].values[0] = ["mutated"]
-        workers[0].restore_state(snap)
-        assert workers[0].values[0] == []
-
-    def test_restore_wrong_worker_rejected(self):
-        g = generators.path_graph(4)
-        p = HashPartitioner().partition(g, 2)
-        workers = build_workers(p, 2)
-        workers[0].initialize(EchoProgram(), 4)
-        snap = workers[0].state_snapshot()
-        with pytest.raises(ValueError):
-            workers[1].restore_state(snap)
 
 
 class TestEngineExecution:
@@ -289,18 +262,6 @@ class TestMessageStoreRegressions:
         inbox.clear()
         assert store.messages_for(2) == [3.0]
         assert store.messages_for(3) == [5.0]
-
-    def test_from_dict_restores_raw_count(self):
-        store = MessageStore(SumCombiner())
-        store.deliver(0, 1.0)
-        store.deliver(0, 2.0)
-        store.deliver(1, 4.0)
-        assert store.raw_count() == 3
-        restored = MessageStore.from_dict(
-            store.as_dict(), SumCombiner(), raw_count=store.raw_count()
-        )
-        assert restored.raw_count() == 3
-        assert restored.as_dict() == store.as_dict()
 
     def test_state_dict_round_trip(self):
         store = MessageStore(MinCombiner(), num_vertices=6)

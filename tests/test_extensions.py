@@ -1,8 +1,7 @@
-"""Tests for extension modules: trace IO, new algorithms, accounting."""
+"""Tests for extension modules: trace IO and cost accounting."""
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -24,16 +23,6 @@ from repro.core import (
     last_resort,
 )
 from repro.cloud import default_catalog
-from repro.engine import PregelEngine
-from repro.engine.algorithms import (
-    LabelPropagation,
-    TriangleCount,
-    community_assignments,
-    modularity,
-    total_triangles,
-)
-from repro.graph import from_edges, generators
-from repro.partitioning import HashPartitioner
 from repro.utils.units import HOURS
 
 
@@ -71,6 +60,21 @@ class TestTraceCsv:
         with pytest.raises(ValueError):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0,1.0\n10,nan\n20,2.0\n",  # NaN price: mean_price() was NaN
+            "0,1.0\ninf,2.0\n",  # inf timestamp: mean_price() was NaN
+            "0,1.0\nnan,2.0\n10,3.0\n",  # NaN timestamp: passed the order check
+        ],
+        ids=["nan-price", "inf-time", "nan-time"],
+    )
+    def test_non_finite_rows_rejected(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        path.write_text("timestamp,price\n" + rows)
+        with pytest.raises(ValueError, match="finite"):
+            read_trace_csv(path)
+
     def test_market_from_csv(self, tmp_path):
         paths = {}
         for itype in R4_FAMILY:
@@ -86,65 +90,6 @@ class TestTraceCsv:
     def test_market_from_csv_missing_trace(self, tmp_path):
         with pytest.raises(ValueError):
             market_from_csv(list(R4_FAMILY), {})
-
-
-class TestLabelPropagation:
-    def test_finds_planted_communities(self, community):
-        result = PregelEngine(
-            community, LabelPropagation(), HashPartitioner().partition(community, 4)
-        ).run()
-        q = modularity(community, result.values)
-        assert q > 0.3  # strong structure recovered
-
-    def test_two_cliques_two_labels(self):
-        g = generators.ring_of_cliques(2, 6)
-        result = PregelEngine(g, LabelPropagation()).run()
-        groups = community_assignments(result.values)
-        assert 1 <= len(groups) <= 3
-
-    def test_halts_within_cap(self, community):
-        result = PregelEngine(community, LabelPropagation(max_rounds=5)).run()
-        assert result.supersteps_run <= 8
-
-    def test_invalid_rounds(self):
-        with pytest.raises(ValueError):
-            LabelPropagation(max_rounds=0)
-
-    def test_modularity_of_random_labels_near_zero(self, community):
-        rng = np.random.default_rng(1)
-        labels = {v: int(rng.integers(0, 10)) for v in range(community.num_vertices)}
-        assert abs(modularity(community, labels)) < 0.05
-
-
-class TestTriangleCount:
-    def to_nx(self, graph):
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(graph.num_vertices))
-        nxg.add_edges_from(graph.iter_edges())
-        return nxg
-
-    def test_single_triangle(self):
-        g = from_edges([0, 1, 2, 1, 2, 0], [1, 2, 0, 0, 1, 2])
-        result = PregelEngine(g, TriangleCount()).run()
-        assert total_triangles(result) == 1
-
-    def test_matches_networkx(self):
-        g = generators.power_law_social(300, avg_degree=8, seed=6)
-        result = PregelEngine(
-            g, TriangleCount(), HashPartitioner().partition(g, 3)
-        ).run()
-        expected = sum(nx.triangles(self.to_nx(g)).values()) // 3
-        assert total_triangles(result) == expected
-
-    def test_triangle_free_graph(self):
-        g = generators.grid_graph(4, 4)
-        result = PregelEngine(g, TriangleCount()).run()
-        assert total_triangles(result) == 0
-
-    def test_clique_count(self):
-        g = generators.ring_of_cliques(1, 5)
-        result = PregelEngine(g, TriangleCount()).run()
-        assert total_triangles(result) == 10  # C(5,3)
 
 
 class TestAccounting:

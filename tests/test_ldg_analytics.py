@@ -1,4 +1,4 @@
-"""Tests for the LDG partitioner and trace/market analytics."""
+"""Tests for the trace/market analytics."""
 
 from __future__ import annotations
 
@@ -14,61 +14,7 @@ from repro.cloud import (
     summarize_trace,
 )
 from repro.cloud.trace import PriceTrace
-from repro.graph import generators
-from repro.partitioning import (
-    LdgPartitioner,
-    RandomPartitioner,
-    edge_cut_fraction,
-    vertex_balance,
-)
 from repro.utils.units import HOURS
-
-
-class TestLdgPartitioner:
-    def test_all_assigned(self, community):
-        p = LdgPartitioner().partition(community, 8, seed=1)
-        assert (p.assignment >= 0).all()
-        assert p.part_sizes().sum() == community.num_vertices
-
-    def test_capacity_respected(self, community):
-        ldg = LdgPartitioner(balance_slack=1.1)
-        p = ldg.partition(community, 8, seed=1)
-        assert vertex_balance(p) <= 1.1 + 1e-6
-
-    def test_beats_random_on_clustered_graph(self, community):
-        ldg = LdgPartitioner().partition(community, 8, seed=1)
-        rnd = RandomPartitioner().partition(community, 8, seed=1)
-        assert edge_cut_fraction(community, ldg) < edge_cut_fraction(community, rnd)
-
-    def test_deterministic(self, community):
-        a = LdgPartitioner().partition(community, 4, seed=7)
-        b = LdgPartitioner().partition(community, 4, seed=7)
-        assert np.array_equal(a.assignment, b.assignment)
-
-    def test_stream_orders(self, community):
-        for order in ("natural", "random", "bfs"):
-            p = LdgPartitioner(stream_order=order).partition(community, 4, seed=1)
-            assert p.num_parts == 4
-
-    def test_single_part(self):
-        g = generators.path_graph(10)
-        p = LdgPartitioner().partition(g, 1)
-        assert (p.assignment == 0).all()
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            LdgPartitioner(balance_slack=0.5)
-        with pytest.raises(ValueError):
-            LdgPartitioner(stream_order="spiral")
-
-    def test_usable_as_micro_base(self, community):
-        from repro.partitioning import MicroPartitioner
-
-        artefact = MicroPartitioner(base=LdgPartitioner(), num_micro_parts=32).build(
-            community, seed=2
-        )
-        clustering = artefact.cluster(4, seed=2)
-        assert clustering.num_parts == 4
 
 
 class TestTraceAnalytics:

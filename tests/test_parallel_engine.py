@@ -20,8 +20,8 @@ from repro.engine import (
 from repro.engine.algorithms import (
     SSSP,
     ConnectedComponents,
+    GraphColoring,
     InDegree,
-    LabelPropagation,
     OutDegree,
     PageRank,
 )
@@ -113,11 +113,11 @@ class TestBitIdentity:
 
 class TestFallback:
     def test_scalar_program_runs_serial_path(self, graph, partitioning):
-        # LabelPropagation has no dense path: the parallel engine must
+        # GraphColoring has no dense path: the parallel engine must
         # transparently compute serially and still be exact.
-        serial = PregelEngine(graph, LabelPropagation(max_rounds=10), partitioning).run()
+        serial = PregelEngine(graph, GraphColoring(seed=1), partitioning).run()
         engine = PregelEngine(
-            graph, LabelPropagation(max_rounds=10), partitioning, execution="parallel"
+            graph, GraphColoring(seed=1), partitioning, execution="parallel"
         )
         parallel = engine.run()
         assert not engine.parallel_active
@@ -125,7 +125,7 @@ class TestFallback:
         assert serial.stats == parallel.stats
 
     def test_supported_predicate(self):
-        assert not parallel_execution_supported(LabelPropagation())
+        assert not parallel_execution_supported(GraphColoring())
         assert parallel_execution_supported(PageRank())
         assert parallel_execution_supported(SSSP())
 
