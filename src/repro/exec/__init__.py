@@ -36,7 +36,6 @@ from repro.exec.rescale import (
     RescaleDecision,
     RescalePolicy,
 )
-from repro.obs.events import TimelineEvent
 from repro.exec.workmodel import (
     WORK_EPS,
     AnalyticWorkModel,
@@ -71,7 +70,6 @@ __all__ = [
     "SlowBootFaults",
     "StepBudgetError",
     "SuperstepWorkModel",
-    "TimelineEvent",
     "WORK_EPS",
     "WorkModel",
 ]

@@ -22,8 +22,7 @@ class BillingMeter:
             at list price by the market itself).
         on_bill: optional callback ``(config, t1, seconds, dollars)``
             invoked after each non-empty billed interval — the live
-            spend feed behind per-tenant attribution and the
-            ``on_bill`` lifecycle observer hook.
+            spend feed behind the ``on_bill`` lifecycle observer hook.
     """
 
     def __init__(self, market: SpotMarket, on_bill=None):

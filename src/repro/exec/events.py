@@ -67,6 +67,7 @@ class RunResult:
 
     Attributes:
         cost: total dollars billed.
+        release_time: simulated time the job was released.
         finish_time: simulated completion time.
         deadline: the job's deadline.
         evictions / deployments / checkpoints: lifecycle counters
@@ -84,6 +85,7 @@ class RunResult:
     """
 
     cost: float
+    release_time: float
     finish_time: float
     deadline: float
     evictions: int
@@ -106,8 +108,8 @@ class RunResult:
 
     @property
     def makespan(self) -> float:
-        """Wall-clock span from first event to finish."""
-        return self.finish_time - (self.events[0].t if self.events else 0.0)
+        """Simulated span from release to finish."""
+        return self.finish_time - self.release_time
 
     def normalized_cost(self, baseline_cost: float) -> float:
         """Cost relative to the on-demand last-resort run."""

@@ -99,7 +99,7 @@ class ExecutionLifecycle:
             self.market,
             on_bill=(
                 (
-                    lambda config, t1, seconds, dollars: self._notify(
+                    lambda config, t1, seconds, dollars: self._dispatch(
                         "on_bill", t1, config, seconds, dollars
                     )
                 )
@@ -146,7 +146,7 @@ class ExecutionLifecycle:
                 frontier=model.frontier(),
             )
 
-        self._notify("on_run_start", t)
+        self._dispatch("on_run_start", t)
 
         for _ in range(MAX_STEPS):
             if model.finished():
@@ -163,7 +163,7 @@ class ExecutionLifecycle:
                     # telemetry; baselines have none to publish.
                     telemetry = getattr(self.provisioner, "last_telemetry", None)
                     if telemetry is not None:
-                        self._notify("on_decision", t, telemetry)
+                        self._dispatch("on_decision", t, telemetry)
 
             if config is None or choice != config:
                 # (Re)deploy: pay boot + load before any useful work.
@@ -172,17 +172,21 @@ class ExecutionLifecycle:
                 deployments += 1
                 eviction_at = self.market.eviction_time(config, t)
                 setup = model.perf.setup_time(config)
-                eviction_at = self._adjust("adjust_eviction_time", t, config, eviction_at)
-                setup = self._adjust("adjust_setup_time", t, config, setup)
+                eviction_at = self._dispatch(
+                    "adjust_eviction_time", t, config, eviction_at, adjust=True
+                )
+                setup = self._dispatch(
+                    "adjust_setup_time", t, config, setup, adjust=True
+                )
                 record("deploy", t)
-                self._notify("on_deploy", t, config, setup)
+                self._dispatch("on_deploy", t, config, setup)
                 if eviction_at is not None and eviction_at < t + setup:
                     meter.bill(config, t, eviction_at)
                     t = eviction_at
                     evictions += 1
                     model.on_deploy_evicted()
                     record("eviction", t)
-                    self._notify("on_eviction", t, config)
+                    self._dispatch("on_eviction", t, config)
                     if pending_rescale is not None:
                         # The planned move's target was evicted during
                         # setup; account what the doomed boot cost and
@@ -224,7 +228,7 @@ class ExecutionLifecycle:
                 # The strategy left no useful time on this deployment;
                 # force a fresh decision (normally the last resort).
                 record("forced-lrc", t)
-                self._notify("on_forced_handover", t, config)
+                self._dispatch("on_forced_handover", t, config)
                 config = None
                 continue
 
@@ -234,7 +238,9 @@ class ExecutionLifecycle:
                 # fault injection never targets it.
                 write = CheckpointWritePlan(seconds=save_time)
             else:
-                write = self._plan_write(t, config, save_time, checkpoint_index)
+                write = self._dispatch(
+                    "plan_checkpoint_write", t, config, save_time, checkpoint_index
+                ) or CheckpointWritePlan(seconds=save_time)
                 checkpoint_index += 1
             save_end = segment_start + plan.elapsed + write.seconds
             self._check_horizon(save_end)
@@ -252,7 +258,7 @@ class ExecutionLifecycle:
                 t = eviction_at
                 evictions += 1
                 record("eviction", t)
-                self._notify("on_eviction", t, config)
+                self._dispatch("on_eviction", t, config)
                 if model.finished():
                     record("finish", t)
                     break
@@ -272,7 +278,7 @@ class ExecutionLifecycle:
                 record("checkpoint", t)
             else:
                 record("checkpoint-failed", t)
-            self._notify("on_checkpoint", t, config, write.seconds, write.success)
+            self._dispatch("on_checkpoint", t, config, write.seconds, write.success)
 
             if self.rescale_policy is not None and write.success:
                 # Planned reconfiguration decision point: a consistent
@@ -295,7 +301,7 @@ class ExecutionLifecycle:
                 if decision is not None and decision.target != config:
                     rescales += 1
                     record("rescale", t)
-                    self._notify("on_rescale", t, config, decision)
+                    self._dispatch("on_rescale", t, config, decision)
                     model.on_rescale(t, config, decision.target)
                     pending_rescale = RescaleRecord(
                         t=t,
@@ -318,6 +324,7 @@ class ExecutionLifecycle:
             raise ExecutionError("job did not finish (internal error)")
         result = RunResult(
             cost=meter.cost,
+            release_time=release_time,
             finish_time=t,
             deadline=deadline,
             evictions=evictions,
@@ -333,61 +340,43 @@ class ExecutionLifecycle:
             rescale_seconds=rescale_seconds,
             rescale_records=tuple(rescale_records),
         )
-        self._notify("on_finish", t, result)
+        self._dispatch("on_finish", t, result)
         return result
 
     # ------------------------------------------------------------------
-    # Observer dispatch: a hook that raises must surface as a clear
-    # ExecutionError naming the observer, never as a half-run whose
-    # billing/progress state silently diverged from its events.
-    def _observer_error(self, observer, hook: str, exc: Exception) -> ExecutionError:
-        return ExecutionError(
-            f"lifecycle observer {type(observer).__name__}.{hook} raised "
-            f"{type(exc).__name__}: {exc}"
-        )
+    def _dispatch(self, hook: str, *args, adjust: bool = False):
+        """Call *hook* on every observer that defines it, in order.
 
-    def _notify(self, hook: str, *args) -> None:
-        """Call an observation hook on every observer, in order.
+        A hook an observer lacks is skipped: a no-op for an observation,
+        the identity for an adjustment.  With *adjust* the last argument
+        is a value each observer may replace, and the final value is
+        returned.  Otherwise the first non-None return ends the dispatch
+        and is returned (the checkpoint-write plan rule; observation
+        hooks return None).
 
-        Observers implementing only part of the protocol (duck-typed
-        plug-ins predating newer hooks like ``on_rescale``/``on_bill``)
-        are skipped for the hooks they lack rather than blown up on.
+        A hook that raises surfaces as an :class:`ExecutionError` naming
+        the observer, never as a half-run whose billing/progress state
+        silently diverged from its events; an ``ExecutionError`` raised
+        by the hook passes through unchanged.
         """
         for observer in self.observers:
             fn = getattr(observer, hook, None)
             if fn is None:
                 continue
             try:
-                fn(*args)
+                out = fn(*args)
             except ExecutionError:
                 raise
             except Exception as exc:
-                raise self._observer_error(observer, hook, exc) from exc
-
-    def _adjust(self, hook: str, t, config, value):
-        """Chain an adjustment hook through every observer, in order."""
-        for observer in self.observers:
-            try:
-                value = getattr(observer, hook)(t, config, value)
-            except ExecutionError:
-                raise
-            except Exception as exc:
-                raise self._observer_error(observer, hook, exc) from exc
-        return value
-
-    def _plan_write(self, t, config, save_time, index) -> CheckpointWritePlan:
-        for observer in self.observers:
-            try:
-                plan = observer.plan_checkpoint_write(t, config, save_time, index)
-            except ExecutionError:
-                raise
-            except Exception as exc:
-                raise self._observer_error(
-                    observer, "plan_checkpoint_write", exc
+                raise ExecutionError(
+                    f"lifecycle observer {type(observer).__name__}.{hook} raised "
+                    f"{type(exc).__name__}: {exc}"
                 ) from exc
-            if plan is not None:
-                return plan
-        return CheckpointWritePlan(seconds=save_time)
+            if adjust:
+                args = (*args[:-1], out)
+            elif out is not None:
+                return out
+        return args[-1] if adjust else None
 
     def _check_horizon(self, t: float) -> None:
         if t >= self.market.horizon:

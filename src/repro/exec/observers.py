@@ -7,11 +7,13 @@ checkpoint, eviction, forced handover, finish — through
 that fault injection (:mod:`repro.exec.faults`) and observability are
 plug-ins rather than loop edits.
 
-Observation hooks default to no-ops; adjustment hooks default to the
-identity, so an observer that only overrides what it cares about leaves
-the run bit-identical otherwise.  Observers are applied in registration
-order; for checkpoint-write plans the first observer returning a plan
-wins.
+An observer implements only the hooks it needs, and need not subclass
+:class:`LifecycleObserver` (which documents the protocol): the lifecycle
+treats a missing observation hook as a no-op and a missing adjustment
+hook as the identity, so the run is otherwise bit-identical.  Observers
+are applied in registration order; for checkpoint-write plans the first
+observer returning a plan wins.  The run's timeline is the result's
+``events``; observers do not keep a second one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cloud.configuration import Configuration
-from repro.obs.events import TimelineEvent
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class CheckpointWritePlan:
 
 
 class LifecycleObserver:
-    """Base observer: all hooks are no-ops / identity adjustments."""
+    """The observer protocol: every hook as a no-op / identity adjustment."""
 
     # ------------------------------------------------------------------
     # Observation hooks
@@ -118,26 +119,15 @@ class LifecycleObserver:
         return None
 
 
-@dataclass
-class PhaseTimers:
-    """Simulated seconds spent per lifecycle phase."""
-
-    setup: float = 0.0
-    checkpoint: float = 0.0
-
-    def as_dict(self) -> dict:
-        """Plain-dict view for reports."""
-        return {"setup_seconds": self.setup, "checkpoint_seconds": self.checkpoint}
-
-
 class MetricsObserver(LifecycleObserver):
-    """Counters, per-phase timers and an event timeline for one run.
+    """Per-run counters and phase seconds the run's result does not carry.
 
-    The runtime/simulator result already carries the headline counters;
-    this observer adds what the result drops — failed checkpoint writes,
-    forced handovers, setup/checkpoint second totals, and a typed
-    :class:`~repro.obs.events.TimelineEvent` timeline (shared with the
-    :mod:`repro.obs` trace exporters).
+    Deployments, evictions, persisted checkpoints, rescales and the
+    makespan are read from the :class:`~repro.exec.events.RunResult` at
+    ``on_finish``, whose ``events`` are the run's timeline.  The hooks
+    add only what the result drops: planning-decision telemetry, setup
+    and checkpoint seconds, failed checkpoint writes and forced
+    handovers.
     """
 
     #: Canonical counter keys: :meth:`report` always emits every one
@@ -158,29 +148,18 @@ class MetricsObserver(LifecycleObserver):
     )
 
     def __init__(self):
-        self.counters: dict = {}
-        self.timers = PhaseTimers()
-        self.timeline: list = []
-        self.started_at: float | None = None
-        self.finished_at: float | None = None
-        self.decision_seconds = 0.0
+        self.on_run_start(0.0)
 
-    def _bump(self, key: str) -> None:
-        self.counters[key] = self.counters.get(key, 0) + 1
-
-    def _mark(self, t: float, kind: str, config: Configuration | None) -> None:
-        self.timeline.append(
-            TimelineEvent(t=t, kind=kind, config=config.name if config else "-")
-        )
+    def _add(self, key: str, n: int = 1) -> None:
+        self.counters[key] = self.counters.get(key, 0) + n
 
     def on_run_start(self, t: float) -> None:
         """Reset all collected state for a fresh run."""
-        self.counters = {}
-        self.timers = PhaseTimers()
-        self.timeline = []
-        self.started_at = t
-        self.finished_at = None
+        self.counters: dict = {}
+        self.setup_seconds = 0.0
+        self.checkpoint_seconds = 0.0
         self.decision_seconds = 0.0
+        self.makespan_seconds = 0.0
 
     def on_decision(self, t: float, telemetry) -> None:
         """Accumulate planning-service decision telemetry.
@@ -190,71 +169,55 @@ class MetricsObserver(LifecycleObserver):
         decisions cost — real time, not simulated time, so it reports
         what a deployment would actually spend planning.
         """
-        self._bump("decisions")
-        self._bump(
-            "warm_decisions" if telemetry.estimator_reused else "cold_decisions"
-        )
+        self._add("decisions")
+        self._add("warm_decisions" if telemetry.estimator_reused else "cold_decisions")
         if telemetry.snapshot_reused:
-            self._bump("snapshot_reuses")
-        self.counters["memo_hits"] = (
-            self.counters.get("memo_hits", 0) + telemetry.memo_hits
-        )
-        self.counters["memo_misses"] = (
-            self.counters.get("memo_misses", 0) + telemetry.memo_misses
-        )
+            self._add("snapshot_reuses")
+        self._add("memo_hits", telemetry.memo_hits)
+        self._add("memo_misses", telemetry.memo_misses)
         self.decision_seconds += telemetry.latency_s
 
     def on_deploy(self, t: float, config: Configuration, setup_seconds: float) -> None:
-        """Count the deployment and accumulate its setup time."""
-        self._bump("deployments")
-        self.timers.setup += setup_seconds
-        self._mark(t, "deploy", config)
-
-    def on_eviction(self, t: float, config: Configuration) -> None:
-        """Count the eviction."""
-        self._bump("evictions")
-        self._mark(t, "eviction", config)
+        """Accumulate the deployment's setup time."""
+        self.setup_seconds += setup_seconds
 
     def on_checkpoint(
         self, t: float, config: Configuration, seconds: float, persisted: bool
     ) -> None:
-        """Count the write (persisted or failed) and its duration."""
-        self._bump("checkpoints" if persisted else "checkpoint_failures")
-        self.timers.checkpoint += seconds
-        self._mark(t, "checkpoint" if persisted else "checkpoint-failed", config)
+        """Accumulate the write's duration; count it if it failed."""
+        if not persisted:
+            self._add("checkpoint_failures")
+        self.checkpoint_seconds += seconds
 
     def on_forced_handover(self, t: float, config: Configuration) -> None:
         """Count the forced decision point."""
-        self._bump("forced_handovers")
-        self._mark(t, "forced-lrc", config)
-
-    def on_rescale(self, t: float, config: Configuration, decision) -> None:
-        """Count the planned reconfiguration."""
-        self._bump("rescales")
-        self._mark(t, "rescale", config)
+        self._add("forced_handovers")
 
     def on_finish(self, t: float, result) -> None:
-        """Record completion."""
-        self.finished_at = t
-        self._mark(t, "finish", None)
+        """Take the run's headline counters and makespan from *result*."""
+        self.counters.update(
+            deployments=result.deployments,
+            evictions=result.evictions,
+            checkpoints=result.checkpoints,
+            rescales=result.rescales,
+        )
+        self.makespan_seconds = result.makespan
 
     def report(self) -> dict:
-        """Counters + timers + wall span as one flat dict.
+        """Counters + phase seconds + makespan as one flat dict.
 
         The key set is stable across runs: every canonical counter
-        (:data:`REPORT_COUNTERS`), both phase timers, and
-        ``decision_seconds``/``makespan_seconds`` are always present,
+        (:data:`REPORT_COUNTERS`), ``setup_seconds``/``checkpoint_seconds``
+        and ``decision_seconds``/``makespan_seconds`` are always present,
         defaulting to 0 — so recurring-run reports line up column for
         column instead of growing keys as events happen to occur.
         """
         out: dict = {key: 0 for key in self.REPORT_COUNTERS}
         out.update(self.counters)
-        out.update(self.timers.as_dict())
+        out["setup_seconds"] = self.setup_seconds
+        out["checkpoint_seconds"] = self.checkpoint_seconds
         out["decision_seconds"] = self.decision_seconds
-        if self.started_at is not None and self.finished_at is not None:
-            out["makespan_seconds"] = self.finished_at - self.started_at
-        else:
-            out["makespan_seconds"] = 0.0
+        out["makespan_seconds"] = self.makespan_seconds
         return out
 
     def format_report(self) -> str:

@@ -215,7 +215,7 @@ class _OutcomeSink:
             self._rescales.inc(result.rescales - shrinks, action="other")
             self._rescale_seconds.inc(result.rescale_seconds)
         if self.ledger is not None:
-            self.ledger.record_run(tenant, result, ideal_s, arrival=arrival)
+            self.ledger.record_run(tenant, result, idle, span)
 
     def recurring(self, name: str, outcome: RecurringOutcome, ideal_s: float) -> None:
         """One recurring tenant's windows: its runs plus the skipped ones."""

@@ -14,12 +14,16 @@ execution lifecycle and the planning service:
   logs, Prometheus text format, and Chrome ``trace_event`` JSON for
   ``chrome://tracing`` / Perfetto.
 * **TracingObserver** (:mod:`repro.obs.observer`) — the lifecycle hook
-  plug-in that emits the spans, sibling of
-  :class:`~repro.exec.observers.MetricsObserver`.
+  plug-in that emits the spans and the live ``billed_*`` spend series,
+  sibling of :class:`~repro.exec.observers.MetricsObserver`.  Like any
+  observer it defines only the hooks it needs; the lifecycle treats the
+  rest as no-ops / identities.  The run's timeline is the result's
+  ``events``, not a second record kept here.
 * **Live operations** — windowed aggregation over the registry
   (:mod:`repro.obs.window`), declarative burn-rate SLOs
-  (:mod:`repro.obs.slo`), per-tenant cost attribution
-  (:mod:`repro.obs.attribution`) and the scrapeable HTTP endpoint
+  (:mod:`repro.obs.slo`), per-tenant cost attribution fed by one path,
+  the load harness's ``CostLedger.record_run``
+  (:mod:`repro.obs.attribution`), and the scrapeable HTTP endpoint
   serving all of it (:mod:`repro.obs.server`).
 
 Tracing is off by default: the installed tracer is the no-op
@@ -35,8 +39,7 @@ effectively free.  Enable with :func:`enable` or scope it::
 """
 
 from repro.obs import export, report
-from repro.obs.attribution import CostLedger, LedgerObserver, TenantUsage
-from repro.obs.events import TimelineEvent
+from repro.obs.attribution import CostLedger, TenantUsage
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -77,7 +80,6 @@ __all__ = [
     "DEFAULT_WINDOWS",
     "Gauge",
     "Histogram",
-    "LedgerObserver",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
@@ -89,7 +91,6 @@ __all__ = [
     "Span",
     "SpanRecord",
     "TenantUsage",
-    "TimelineEvent",
     "Tracer",
     "TracingObserver",
     "WindowConfig",

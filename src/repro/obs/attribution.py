@@ -1,26 +1,20 @@
 """Per-tenant cost attribution: who spent what, live.
 
 The write-side instrumentation already measures everything a bill needs
-— :class:`~repro.exec.billing.BillingMeter` splits machine-seconds by
-market segment, :class:`~repro.service.planning.PlanTelemetry` carries
-planning latencies, and :class:`~repro.exec.events.RunResult` carries
-evictions/rescales — but none of it is keyed by *tenant*.
-:class:`CostLedger` is the join: a thread-safe accumulator of
-:class:`TenantUsage` rows (dollars, spot/on-demand/idle machine-seconds,
-deadline compliance, planning spend) queryable at any instant while a
-load run is in flight, in the spirit of the Granny provider/user cost
-split the load report prints at the end.
+— :class:`~repro.exec.billing.BillingMeter` integrates the market price
+over every machine-second and the lifecycle returns that bill, with
+evictions and rescales, as one :class:`~repro.exec.events.RunResult` —
+but none of it is keyed by *tenant*.  :class:`CostLedger` is the join: a
+thread-safe table of :class:`TenantUsage` rows (dollars, spot/on-demand/
+idle machine-seconds, deadline compliance, service time) queryable at
+any instant while a load run is in flight, in the spirit of the Granny
+provider/user cost split the load report prints at the end.
 
-Two feeding patterns:
-
-* the load harness records each executed job against its trace tenant
-  (:meth:`CostLedger.record_run`), which is how a million-job trace gets
-  attributed without threading tenant identity through the shared
-  simulators; and
-* :class:`LedgerObserver` rides the lifecycle observer bus for
-  runtime-style executions, metering spend *during* the run via the
-  :meth:`~repro.exec.billing.BillingMeter` ``on_bill`` hook and closing
-  the run's outcome at ``on_finish``.
+There is one way in: the load harness records each executed run against
+its trace tenant (:meth:`CostLedger.record_run`) with the idle and
+service seconds it already computed for its report, so a million-job
+trace is attributed without threading tenant identity through the shared
+simulators and without counting any run twice.
 
 When built with a metrics registry the ledger also mirrors itself as
 ``tenant_*`` series, so per-tenant spend is scrapeable and windowable
@@ -47,8 +41,6 @@ class TenantUsage:
             (the Granny provider-cost share this tenant caused).
         service_time_s: arrival-to-finish seconds summed over runs.
         evictions / rescales: lifecycle events suffered / planned.
-        plans / plan_seconds: planning decisions and their wall-clock
-            cost.
     """
 
     tenant: str
@@ -61,8 +53,6 @@ class TenantUsage:
     service_time_s: float = 0.0
     evictions: int = 0
     rescales: int = 0
-    plans: int = 0
-    plan_seconds: float = 0.0
 
     @property
     def machine_seconds(self) -> float:
@@ -87,43 +77,7 @@ class TenantUsage:
             "service_time_s": round(self.service_time_s, 3),
             "evictions": self.evictions,
             "rescales": self.rescales,
-            "plans": self.plans,
-            "plan_seconds": round(self.plan_seconds, 6),
         }
-
-
-@dataclass
-class _Row:
-    """Mutable accumulator behind one tenant's usage."""
-
-    tenant: str
-    runs: int = 0
-    missed: int = 0
-    dollars: float = 0.0
-    spot_seconds: float = 0.0
-    on_demand_seconds: float = 0.0
-    idle_seconds: float = 0.0
-    service_time_s: float = 0.0
-    evictions: int = 0
-    rescales: int = 0
-    plans: int = 0
-    plan_seconds: float = 0.0
-
-    def freeze(self) -> TenantUsage:
-        return TenantUsage(
-            tenant=self.tenant,
-            runs=self.runs,
-            missed=self.missed,
-            dollars=self.dollars,
-            spot_seconds=self.spot_seconds,
-            on_demand_seconds=self.on_demand_seconds,
-            idle_seconds=self.idle_seconds,
-            service_time_s=self.service_time_s,
-            evictions=self.evictions,
-            rescales=self.rescales,
-            plans=self.plans,
-            plan_seconds=self.plan_seconds,
-        )
 
 
 class CostLedger:
@@ -140,98 +94,52 @@ class CostLedger:
     def __init__(self, metrics=None):
         self.metrics = metrics
         self._lock = threading.Lock()
-        self._rows: dict[str, _Row] = {}
+        self._rows: dict[str, TenantUsage] = {}
 
-    def _row(self, tenant: str) -> _Row:
-        row = self._rows.get(tenant)
-        if row is None:
-            row = self._rows[tenant] = _Row(tenant=tenant)
-        return row
+    def record_run(self, tenant: str, result, idle_s: float, service_s: float) -> None:
+        """Attribute one completed run to *tenant*.
 
-    # ------------------------------------------------------------------
-    # Feeding
-    # ------------------------------------------------------------------
-    def record_plan(self, tenant: str, latency_s: float) -> None:
-        """Attribute one planning decision's wall-clock cost."""
-        with self._lock:
-            row = self._row(tenant)
-            row.plans += 1
-            row.plan_seconds += latency_s
-
-    def record_bill(
-        self, tenant: str, dollars: float, machine_seconds: float, transient: bool
-    ) -> None:
-        """Attribute one billed interval (live, mid-run spend)."""
-        with self._lock:
-            row = self._row(tenant)
-            row.dollars += dollars
-            if transient:
-                row.spot_seconds += machine_seconds
-            else:
-                row.on_demand_seconds += machine_seconds
-        if self.metrics is not None:
-            self.metrics.counter(
-                "tenant_cost_dollars_total", "Billed dollars per tenant"
-            ).inc(dollars, tenant=tenant)
-            self.metrics.counter(
-                "tenant_machine_seconds_total",
-                "Billed machine-seconds per tenant and market segment",
-            ).inc(machine_seconds, tenant=tenant, segment="spot" if transient else "on_demand")
-
-    def record_outcome(
-        self,
-        tenant: str,
-        result,
-        ideal_seconds: float = 0.0,
-        arrival: float | None = None,
-    ) -> None:
-        """Close one executed run's outcome (dollars already metered).
-
-        Use after live :meth:`record_bill` metering (the
-        :class:`LedgerObserver` path); *ideal_seconds* is the run's
-        ideal compute (``t_exec(lrc) x workers``) for the idle split,
-        *arrival* anchors service time.
+        *result* is the run's :class:`~repro.exec.events.RunResult`,
+        whose cost and machine-second split the meter produced;
+        *idle_s* (billed machine-seconds beyond ideal compute) and
+        *service_s* (arrival-to-finish seconds) are the numbers the
+        harness computed for its own report.
         """
-        billed = result.spot_seconds + result.on_demand_seconds
-        idle = max(0.0, billed - ideal_seconds) if ideal_seconds > 0 else 0.0
         missed = bool(result.missed_deadline)
         with self._lock:
-            row = self._row(tenant)
-            row.runs += 1
-            row.missed += missed
-            row.idle_seconds += idle
-            row.evictions += result.evictions
-            row.rescales += result.rescales
-            if arrival is not None:
-                row.service_time_s += result.finish_time - arrival
-        if self.metrics is not None:
-            self.metrics.counter(
-                "tenant_runs_total", "Executed runs per tenant by outcome"
-            ).inc(1, tenant=tenant, outcome="missed" if missed else "met")
-            if idle:
-                self.metrics.counter(
-                    "tenant_idle_machine_seconds_total",
-                    "Billed machine-seconds beyond ideal compute per tenant",
-                ).inc(idle, tenant=tenant)
-
-    def record_run(
-        self,
-        tenant: str,
-        result,
-        ideal_seconds: float = 0.0,
-        arrival: float | None = None,
-    ) -> None:
-        """Attribute one completed run wholesale (bill + outcome).
-
-        The batch path: the harness already holds the finished
-        :class:`~repro.exec.events.RunResult`, whose cost and
-        machine-second split the :class:`~repro.exec.billing.BillingMeter`
-        produced.
-        """
-        self.record_bill(tenant, result.cost, result.spot_seconds, True)
+            usage = self._rows.get(tenant) or TenantUsage(tenant=tenant)
+            self._rows[tenant] = replace(
+                usage,
+                runs=usage.runs + 1,
+                missed=usage.missed + missed,
+                dollars=usage.dollars + result.cost,
+                spot_seconds=usage.spot_seconds + result.spot_seconds,
+                on_demand_seconds=usage.on_demand_seconds + result.on_demand_seconds,
+                idle_seconds=usage.idle_seconds + idle_s,
+                service_time_s=usage.service_time_s + service_s,
+                evictions=usage.evictions + result.evictions,
+                rescales=usage.rescales + result.rescales,
+            )
+        if self.metrics is None:
+            return
+        self.metrics.counter(
+            "tenant_cost_dollars_total", "Billed dollars per tenant"
+        ).inc(result.cost, tenant=tenant)
+        machine = self.metrics.counter(
+            "tenant_machine_seconds_total",
+            "Billed machine-seconds per tenant and market segment",
+        )
+        machine.inc(result.spot_seconds, tenant=tenant, segment="spot")
         if result.on_demand_seconds:
-            self.record_bill(tenant, 0.0, result.on_demand_seconds, False)
-        self.record_outcome(tenant, result, ideal_seconds, arrival)
+            machine.inc(result.on_demand_seconds, tenant=tenant, segment="on_demand")
+        self.metrics.counter(
+            "tenant_runs_total", "Executed runs per tenant by outcome"
+        ).inc(1, tenant=tenant, outcome="missed" if missed else "met")
+        if idle_s:
+            self.metrics.counter(
+                "tenant_idle_machine_seconds_total",
+                "Billed machine-seconds beyond ideal compute per tenant",
+            ).inc(idle_s, tenant=tenant)
 
     # ------------------------------------------------------------------
     # Querying (any thread, any time)
@@ -239,7 +147,7 @@ class CostLedger:
     def snapshot(self) -> dict[str, TenantUsage]:
         """Immutable tenant -> usage view of this instant."""
         with self._lock:
-            return {tenant: row.freeze() for tenant, row in self._rows.items()}
+            return dict(self._rows)
 
     def totals(self) -> TenantUsage:
         """Every tenant folded into one row (tenant ``"*"``)."""
@@ -256,8 +164,6 @@ class CostLedger:
                 service_time_s=total.service_time_s + usage.service_time_s,
                 evictions=total.evictions + usage.evictions,
                 rescales=total.rescales + usage.rescales,
-                plans=total.plans + usage.plans,
-                plan_seconds=total.plan_seconds + usage.plan_seconds,
             )
         return total
 
@@ -270,69 +176,3 @@ class CostLedger:
             "tenants": [usage.as_dict() for usage in rows],
             "totals": self.totals().as_dict(),
         }
-
-
-class LedgerObserver:
-    """Lifecycle observer attributing one executor's runs to a tenant.
-
-    Implements the full observer protocol (identity adjustments), like
-    :class:`~repro.obs.observer.TracingObserver` — it deliberately does
-    not subclass :class:`~repro.exec.observers.LifecycleObserver` to
-    keep the ``exec -> obs`` dependency one-way.
-
-    Args:
-        ledger: the shared :class:`CostLedger`.
-        tenant: identity runs are attributed to.
-        ideal_seconds: per-run ideal compute for the idle split.
-    """
-
-    def __init__(self, ledger: CostLedger, tenant: str, ideal_seconds: float = 0.0):
-        self.ledger = ledger
-        self.tenant = tenant
-        self.ideal_seconds = ideal_seconds
-        self._run_started: float | None = None
-
-    # Observation hooks -------------------------------------------------
-    def on_run_start(self, t: float) -> None:
-        self._run_started = t
-
-    def on_decision(self, t: float, telemetry) -> None:
-        self.ledger.record_plan(self.tenant, telemetry.latency_s)
-
-    def on_bill(self, t: float, config, seconds: float, dollars: float) -> None:
-        """Live spend: one billed interval, attributed immediately."""
-        self.ledger.record_bill(
-            self.tenant, dollars, seconds * config.num_workers, config.is_transient
-        )
-
-    def on_deploy(self, t: float, config, setup_seconds: float) -> None:
-        pass
-
-    def on_eviction(self, t: float, config) -> None:
-        pass
-
-    def on_checkpoint(self, t: float, config, seconds: float, persisted: bool) -> None:
-        pass
-
-    def on_forced_handover(self, t: float, config) -> None:
-        pass
-
-    def on_rescale(self, t: float, config, decision) -> None:
-        pass
-
-    def on_finish(self, t: float, result) -> None:
-        """Close the outcome; dollars were metered live by on_bill."""
-        self.ledger.record_outcome(
-            self.tenant, result, self.ideal_seconds, arrival=self._run_started
-        )
-        self._run_started = None
-
-    # Adjustment hooks (identity — attribution never perturbs the run) -
-    def adjust_setup_time(self, t, config, setup_seconds):
-        return setup_seconds
-
-    def adjust_eviction_time(self, t, config, eviction_at):
-        return eviction_at
-
-    def plan_checkpoint_write(self, t, config, save_seconds, index):
-        return None

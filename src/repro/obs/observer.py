@@ -17,8 +17,9 @@ requests of the same execution.
 
 This class deliberately does not inherit from
 :class:`~repro.exec.observers.LifecycleObserver` (it would invert the
-``exec -> obs`` dependency); it implements the full observer protocol,
-with identity adjustment hooks.
+``exec -> obs`` dependency).  It defines only observation hooks: the
+lifecycle treats the adjustment hooks it lacks as the identity, so
+tracing never perturbs a run.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class TracingObserver:
         self._tr = None
         self._mx = None
         self._run_span = None
-        self._run_started = 0.0
         self._last_eviction: float | None = None
 
     # ------------------------------------------------------------------
@@ -69,7 +69,6 @@ class TracingObserver:
             self._run_span.set(aborted=True).end(t)
             self._run_span = None
         self._runs += 1
-        self._run_started = t
         self._last_eviction = None
         if not self._tr.enabled:
             return
@@ -193,7 +192,7 @@ class TracingObserver:
         if self._run_span is not None:
             self._run_span.set(
                 cost=result.cost,
-                makespan=t - self._run_started,
+                makespan=result.makespan,
                 evictions=result.evictions,
                 deployments=result.deployments,
                 checkpoints=result.checkpoints,
@@ -203,22 +202,7 @@ class TracingObserver:
             self._run_span = None
         self._mx.histogram(
             "run_makespan_seconds", "Simulated makespan per execution"
-        ).observe(t - self._run_started, tenant=self.tenant, strategy=self.strategy)
+        ).observe(result.makespan, tenant=self.tenant, strategy=self.strategy)
         self._mx.histogram(
             "run_cost_dollars", "Dollars billed per execution"
         ).observe(result.cost, tenant=self.tenant, strategy=self.strategy)
-
-    # ------------------------------------------------------------------
-    # Adjustment hooks (identity — tracing never perturbs the run)
-    # ------------------------------------------------------------------
-    def adjust_setup_time(self, t, config, setup_seconds):
-        """Identity: observation only."""
-        return setup_seconds
-
-    def adjust_eviction_time(self, t, config, eviction_at):
-        """Identity: observation only."""
-        return eviction_at
-
-    def plan_checkpoint_write(self, t, config, save_seconds, index):
-        """Never takes over a write: observation only."""
-        return None

@@ -211,10 +211,38 @@ class TestMetricsObserver:
         assert report["deployments"] == result.deployments
         assert report.get("evictions", 0) == result.evictions
         assert report.get("checkpoints", 0) == result.checkpoints
-        assert report["makespan_seconds"] == pytest.approx(result.makespan)
-        assert metrics.timeline[0].kind == "deploy"
-        assert metrics.timeline[-1].kind == "finish"
+        assert report["makespan_seconds"] == result.makespan
+        # The run's one timeline is the result's events.
+        assert result.events[0].kind == "deploy"
+        assert result.events[-1].kind == "finish"
         assert "lifecycle metrics:" in metrics.format_report()
+
+    def test_makespan_at_a_late_release_without_events(self, long_market, catalog):
+        """Makespan is finish minus release, with or without a timeline."""
+        lrc = last_resort(
+            catalog,
+            lambda ref: PerformanceModel(profile=PAGERANK_PROFILE, reference=ref),
+        )
+        perf = PerformanceModel(profile=PAGERANK_PROFILE, reference=lrc)
+        job = job_with_slack(PAGERANK_PROFILE, 40 * HOURS, 0.5, perf.fixed_time(lrc))
+        runs = {}
+        for record_events in (True, False):
+            metrics = MetricsObserver()
+            result = ExecutionSimulator(
+                long_market,
+                perf,
+                catalog,
+                HourglassProvisioner(),
+                record_events=record_events,
+                observers=[metrics],
+            ).run(job)
+            assert result.release_time == 40 * HOURS
+            assert metrics.report()["makespan_seconds"] == result.makespan
+            runs[record_events] = result
+        assert runs[False].events == ()
+        assert runs[False].makespan == runs[True].makespan
+        assert runs[False].makespan == runs[True].finish_time - runs[True].events[0].t
+        assert runs[False].makespan == runs[False].finish_time - 40 * HOURS
 
     def test_standalone_runtime_reports_decisions(self, graph, long_market, catalog):
         """A zero-arg HourglassProvisioner publishes per-decision telemetry."""

@@ -184,6 +184,7 @@ class _OverrunSimulator:
         finish = job.release_time + self.overrun_s
         return RunResult(
             cost=1.0,
+            release_time=job.release_time,
             finish_time=finish,
             deadline=job.deadline,
             evictions=0,
@@ -202,6 +203,7 @@ class _PunctualSimulator:
     def run(self, job) -> RunResult:
         return RunResult(
             cost=1.0,
+            release_time=job.release_time,
             finish_time=job.release_time + 1.0,
             deadline=job.deadline,
             evictions=0,

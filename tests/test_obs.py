@@ -36,7 +36,6 @@ from repro.graph import generators
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
-    TimelineEvent,
     Tracer,
     TracingObserver,
     export,
@@ -513,12 +512,3 @@ class TestMetricsObserverSchema:
         assert eventful["decisions"] > 0
         assert eventful["makespan_seconds"] > 0.0
 
-
-class TestTimelineEvent:
-    def test_timeline_entries_are_typed(self, small_market, catalog):
-        observer = MetricsObserver()
-        sim, job = make_sim(small_market, catalog, observers=(observer,))
-        sim.run(job)
-        assert observer.timeline
-        assert all(isinstance(e, TimelineEvent) for e in observer.timeline)
-        assert observer.timeline[0].kind == "deploy"

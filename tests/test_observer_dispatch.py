@@ -11,7 +11,10 @@ The lifecycle loop promises three things about its observer bus
   :class:`~repro.exec.errors.ExecutionError` naming the observer and
   hook, never as a half-finished run with a confusing traceback —
   while an ``ExecutionError`` raised by the observer itself passes
-  through unchanged.
+  through unchanged;
+* an observer need not subclass ``LifecycleObserver``: a hook it does
+  not define is a **no-op** (observation) or the **identity**
+  (adjustment).
 """
 
 from __future__ import annotations
@@ -246,3 +249,35 @@ class TestRaisingObservers:
         with pytest.raises(ExecutionError) as excinfo:
             run_pinned(small_market, catalog, pinned_config, (observer,))
         assert excinfo.value.__cause__ is original
+
+
+class TestPartialObservers:
+    """Duck-typed observers that define only the hooks they need."""
+
+    def test_finish_only_observer_leaves_run_bit_identical(
+        self, small_market, catalog, pinned_config
+    ):
+        class FinishOnly:
+            def __init__(self):
+                self.results = []
+
+            def on_finish(self, t, result):
+                self.results.append(result)
+
+        observer = FinishOnly()
+        observed = run_pinned(small_market, catalog, pinned_config, (observer,))
+        unobserved = run_pinned(small_market, catalog, pinned_config, ())
+        assert observed == unobserved
+        assert observer.results == [observed]
+
+    def test_setup_only_observer_perturbation_takes_effect(
+        self, small_market, catalog, pinned_config
+    ):
+        class SlowSetup:
+            def adjust_setup_time(self, t, config, setup_seconds):
+                return setup_seconds + 600.0
+
+        clean = run_pinned(small_market, catalog, pinned_config, ())
+        slowed = run_pinned(small_market, catalog, pinned_config, (SlowSetup(),))
+        assert slowed.deployments == clean.deployments == 1
+        assert slowed.finish_time == pytest.approx(clean.finish_time + 600.0)

@@ -7,16 +7,18 @@ Covers the streaming side of :mod:`repro.obs`:
   registry under concurrent writers and mid-scrape resets;
 * :class:`~repro.obs.window.WindowedAggregator` windowed reads;
 * :class:`~repro.obs.slo.SloMonitor` burn-rate transitions;
-* :class:`~repro.obs.attribution.CostLedger` / ``LedgerObserver``,
-  including a real lifecycle run metered through the ``on_bill`` hook;
+* :class:`~repro.obs.attribution.CostLedger`, plus a real lifecycle
+  run metered through the ``on_bill`` hook into ``TracingObserver``'s
+  ``billed_*`` series;
 * :class:`~repro.obs.server.OpsServer` endpoints over HTTP;
 * the harness's ``load_*`` publication: every series equals its report
   field, moves at event time, and a ledger never perturbs the
-  fingerprint.
+  fingerprint; a seeded run's tenant table is frozen byte for byte.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import threading
@@ -35,14 +37,17 @@ from repro.core import (
     last_resort,
 )
 from repro.core.provisioner import Provisioner
+from repro.exec import EvictionStormFaults
 from repro.load.harness import HarnessConfig, LoadHarness
 from repro.load.trace import LoadTraceConfig, generate_trace
 from repro.load.watch import WatchLoop, render_panel
-from repro.obs.attribution import CostLedger, LedgerObserver
+from repro.obs.attribution import CostLedger
 from repro.obs.export import parse_prometheus
 from repro.obs.metrics import MetricsRegistry, estimate_quantile
+from repro.obs.observer import TracingObserver
 from repro.obs.server import OpsServer
 from repro.obs.slo import BurnRateRule, SloMonitor, SloObjective, default_slos
+from repro.obs.state import tracing
 from repro.obs.window import (
     SamplerThread,
     WindowConfig,
@@ -501,9 +506,8 @@ def _result(
 class TestCostLedger:
     def test_record_run_accumulates_and_splits_idle(self):
         ledger = CostLedger()
-        ledger.record_run("acme", _result(), ideal_seconds=80.0, arrival=100.0)
-        ledger.record_run("acme", _result(missed=True), ideal_seconds=0.0)
-        ledger.record_plan("acme", 0.25)
+        ledger.record_run("acme", _result(), idle_s=20.0, service_s=400.0)
+        ledger.record_run("acme", _result(missed=True), idle_s=0.0, service_s=0.0)
         usage = ledger.snapshot()["acme"]
         assert usage.runs == 2
         assert usage.missed == 1
@@ -511,18 +515,16 @@ class TestCostLedger:
         assert usage.spot_seconds == pytest.approx(200.0)
         assert usage.on_demand_seconds == 0.0
         assert usage.machine_seconds == pytest.approx(200.0)
-        # Idle only attributed where an ideal is known (100 - 80).
+        # Idle and service time are the caller's numbers, taken as given.
         assert usage.idle_seconds == pytest.approx(20.0)
         assert usage.service_time_s == pytest.approx(400.0)
         assert usage.slo_compliance == pytest.approx(0.5)
         assert usage.evictions == 2
-        assert usage.plans == 1
-        assert usage.plan_seconds == pytest.approx(0.25)
 
     def test_totals_fold_every_tenant(self):
         ledger = CostLedger()
-        ledger.record_run("a", _result(cost=1.0))
-        ledger.record_run("b", _result(cost=3.0, on_demand=50.0))
+        ledger.record_run("a", _result(cost=1.0), 0.0, 0.0)
+        ledger.record_run("b", _result(cost=3.0, on_demand=50.0), 0.0, 0.0)
         totals = ledger.totals()
         assert totals.tenant == "*"
         assert totals.runs == 2
@@ -531,8 +533,8 @@ class TestCostLedger:
 
     def test_as_dict_sorted_by_spend(self):
         ledger = CostLedger()
-        ledger.record_run("cheap", _result(cost=1.0))
-        ledger.record_run("pricey", _result(cost=9.0))
+        ledger.record_run("cheap", _result(cost=1.0), 0.0, 0.0)
+        ledger.record_run("pricey", _result(cost=9.0), 0.0, 0.0)
         payload = ledger.as_dict()
         assert [row["tenant"] for row in payload["tenants"]] == ["pricey", "cheap"]
         assert payload["totals"]["dollars"] == pytest.approx(10.0)
@@ -541,7 +543,7 @@ class TestCostLedger:
     def test_metrics_mirroring(self):
         registry = MetricsRegistry()
         ledger = CostLedger(metrics=registry)
-        ledger.record_run("acme", _result(missed=True), ideal_seconds=40.0)
+        ledger.record_run("acme", _result(missed=True), idle_s=60.0, service_s=0.0)
         assert registry.counter("tenant_cost_dollars_total").value(
             tenant="acme"
         ) == pytest.approx(2.0)
@@ -557,9 +559,9 @@ class TestCostLedger:
 
     def test_snapshot_is_immutable_view(self):
         ledger = CostLedger()
-        ledger.record_run("a", _result())
+        ledger.record_run("a", _result(), 0.0, 0.0)
         before = ledger.snapshot()["a"]
-        ledger.record_run("a", _result())
+        ledger.record_run("a", _result(), 0.0, 0.0)
         assert before.runs == 1
         assert ledger.snapshot()["a"].runs == 2
 
@@ -595,22 +597,25 @@ def _run_pinned(market, observers):
     return sim.run(job)
 
 
-class TestLedgerObserver:
-    def test_live_metering_matches_run_result(self, small_market):
-        ledger = CostLedger()
-        result = _run_pinned(
-            small_market, (LedgerObserver(ledger, "acme", ideal_seconds=1.0),)
-        )
-        usage = ledger.snapshot()["acme"]
-        assert usage.runs == 1
-        # The on_bill feed must reproduce the meter's own accounting.
-        assert usage.dollars == pytest.approx(result.cost, abs=1e-9)
-        assert usage.machine_seconds == pytest.approx(
+class TestLiveBilling:
+    def test_billed_series_match_run_result(self, small_market):
+        # The meter's on_bill feed, summed by TracingObserver over every
+        # interval of an evicted run, must reproduce the run's own bill.
+        with tracing() as (_tracer, metrics):
+            result = _run_pinned(
+                small_market,
+                (
+                    EvictionStormFaults(uptime_seconds=900.0, max_evictions=2),
+                    TracingObserver(tenant="acme"),
+                ),
+            )
+        assert result.evictions >= 1
+        dollars = metrics.counter("billed_dollars_total").series()
+        machine = metrics.counter("billed_machine_seconds_total").series()
+        assert sum(dollars.values()) == pytest.approx(result.cost, abs=1e-9)
+        assert sum(machine.values()) == pytest.approx(
             result.spot_seconds + result.on_demand_seconds, abs=1e-6
         )
-        assert usage.spot_seconds > 0.0
-        assert usage.missed == int(result.missed_deadline)
-        assert usage.evictions == result.evictions
 
     def test_partial_observer_is_tolerated(self, small_market):
         # The lifecycle bus must skip hooks an observer does not define
@@ -620,15 +625,6 @@ class TestLedgerObserver:
         class FinishOnly:
             def on_finish(self, t, result):
                 finished.append(result)
-
-            def adjust_setup_time(self, t, config, setup_seconds):
-                return setup_seconds
-
-            def adjust_eviction_time(self, t, config, eviction_at):
-                return eviction_at
-
-            def plan_checkpoint_write(self, t, config, save_seconds, index):
-                return None
 
         result = _run_pinned(small_market, (FinishOnly(),))
         assert finished == [result]
@@ -650,7 +646,7 @@ class TestOpsServer:
         agg = WindowedAggregator(registry, clock=clock)
         monitor = SloMonitor(agg, (_miss_objective(),), metrics=registry)
         ledger = CostLedger()
-        ledger.record_run("acme", _result())
+        ledger.record_run("acme", _result(), 0.0, 0.0)
         agg.sample()
         clock.t = 1.0
         agg.sample()
@@ -723,7 +719,7 @@ class TestWatchPanel:
         monitor = SloMonitor(agg, (_miss_objective(target=0.5),), metrics=registry)
         monitor.evaluate()
         ledger = CostLedger()
-        ledger.record_run("acme", _result())
+        ledger.record_run("acme", _result(), 0.0, 0.0)
         return agg, monitor, ledger
 
     def test_render_panel_reads_windowed_aggregates(self):
@@ -833,3 +829,18 @@ class TestHarnessPublication:
         )
         assert ledger.totals().runs == report.executed + report.recurring_runs
         assert len(ledger.snapshot()) >= 2  # real multi-tenant attribution
+
+    def test_ledger_golden(self):
+        """A seeded 100-job run's tenant table, frozen byte for byte."""
+        registry = MetricsRegistry()
+        ledger = CostLedger(metrics=registry)
+        report = LoadHarness(
+            _harness_config(seed=42, num_jobs=100), metrics=registry, ledger=ledger
+        ).run()
+        blob = json.dumps(ledger.as_dict(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "6f928006ba8bb2747dfa806e490ff0982e638d37edeb9cea5e5a44a3afbd5f5d"
+        )
+        assert ledger.totals().dollars == pytest.approx(
+            report.user_cost_dollars, abs=1e-9
+        )
