@@ -23,10 +23,11 @@ frontier and executes with per-app frontier-decay curves;
 planned shrink landed and no executed run missed its deadline (the CI
 elastic smoke gate).
 
-``--serve`` turns the run into a live, observable one: a background
-sampler maintains 10 s / 1 m / 5 m windowed aggregates of the ``load_*``
-series (published at event time) with burn-rate SLO evaluation, every
-executed run is attributed to its tenant in a cost ledger, and a
+``--serve`` turns the run into an observable one.  Every one-shot
+outcome is a record in the harness's log, stamped with its *simulated*
+instant; at every planning-window tick of the simulated clock an SLO
+monitor folds the last 5 min / 1 h / 6 h of records into burn rates,
+every executed run is attributed to its tenant in a cost ledger, and a
 scrapeable HTTP endpoint (``/metrics``, ``/health``, ``/slo``,
 ``/tenants``) serves all of it while the harness runs::
 
@@ -34,8 +35,10 @@ scrapeable HTTP endpoint (``/metrics``, ``/health``, ``/slo``,
     curl -s localhost:9109/metrics | head
     curl -s localhost:9109/slo | python -m json.tool
 
-``--watch SECONDS`` prints a live status panel to stderr at that period
-(usable with or without ``--serve``).  Either flag appends SLO and
+``--watch SECONDS`` prints a status panel to stderr each time the
+simulated clock crosses a SECONDS tick (usable with or without
+``--serve``); its rates are per simulated hour, so two runs of a seed
+print the same panels byte for byte.  Either flag appends SLO and
 per-tenant attribution sections to the final report — rendered outside
 :class:`LoadReport`, so the report fingerprint is bit-identical with
 serving on or off.
@@ -57,6 +60,7 @@ from pathlib import Path
 
 from repro.load.harness import HarnessConfig, LoadHarness
 from repro.load.trace import LoadTraceConfig, generate_trace
+from repro.obs.attribution import CostLedger
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -207,15 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="print a live status panel to stderr at this period "
-        "(0 disables)",
-    )
-    parser.add_argument(
-        "--sample-interval",
-        type=float,
-        default=0.5,
-        help="seconds between windowed-aggregation samples in serve/"
-        "watch mode",
+        help="print a status panel to stderr every SECONDS of simulated "
+        "time (0 disables)",
     )
     parser.add_argument(
         "--out", type=Path, default=None, help="artifact directory (report/trace/metrics)"
@@ -258,63 +255,39 @@ def main(argv=None) -> int:
     trace = generate_trace(trace_config)
 
     serving = args.serve or args.watch > 0
-    aggregator = monitor = ledger = server = sampler = watcher = None
+    ledger = CostLedger(metrics=metrics) if serving else None
+    harness = LoadHarness(config, metrics=metrics, ledger=ledger)
+    monitor = server = None
     if serving:
-        if args.sample_interval <= 0:
-            print("--sample-interval must be positive", file=sys.stderr)
-            return 2
-        from repro.load.watch import WatchLoop
-        from repro.obs.attribution import CostLedger
+        from repro.load.watch import render_panel
         from repro.obs.server import OpsServer
         from repro.obs.slo import SloMonitor, default_slos
-        from repro.obs.window import (
-            SamplerThread,
-            WindowConfig,
-            WindowedAggregator,
-        )
 
-        aggregator = WindowedAggregator(
-            metrics, WindowConfig(interval=args.sample_interval)
-        )
-        monitor = SloMonitor(aggregator, default_slos(), metrics=metrics)
-        ledger = CostLedger(metrics=metrics)
+        log = harness.log
+        monitor = SloMonitor(log, default_slos(), metrics=metrics)
+        if args.watch > 0:
+            log.every(
+                args.watch,
+                lambda t: print(
+                    render_panel(log, t, monitor), file=sys.stderr, flush=True
+                ),
+            )
         if args.serve:
             server = OpsServer(
-                metrics,
-                aggregator=aggregator,
-                monitor=monitor,
-                ledger=ledger,
-                port=args.port,
-                sample_interval=args.sample_interval,
+                metrics, log=log, monitor=monitor, ledger=ledger, port=args.port
             ).start()
             print(
                 f"[ops endpoint on {server.url} — /metrics /health /slo /tenants]",
                 file=sys.stderr,
             )
-        else:
-            sampler = SamplerThread(
-                aggregator, args.sample_interval, on_sample=(monitor.evaluate,)
-            ).start()
-        if args.watch > 0:
-            watcher = WatchLoop(
-                aggregator, monitor, ledger, interval=args.watch
-            ).start()
 
     try:
-        report = LoadHarness(config, metrics=metrics, ledger=ledger).run(trace)
+        report = harness.run(trace)
     finally:
-        if watcher is not None:
-            watcher.close()
         if server is not None:
             server.close()
-        if sampler is not None:
-            sampler.close()
     rendered = report.render()
     if serving:
-        # One final sample/evaluation so the sections reflect the whole
-        # run (the background sampler is stopped by now).
-        aggregator.sample()
-        monitor.evaluate()
         from repro.load.report import format_slo_section, format_tenant_section
 
         rendered += "\n\n" + format_slo_section(monitor.as_dict())

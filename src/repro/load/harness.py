@@ -24,8 +24,15 @@ one pipeline of four stages:
    service, exercising the overload-honest skipped-window accounting.
 4. **Sink.**  Every outcome lands in one place that counts it, publishes
    its ``load_*`` series at event time (scrapeable mid-run through the
-   standard :mod:`repro.obs` pipelines) and builds the
-   :class:`LoadReport`.
+   standard :mod:`repro.obs` pipelines), stamps it into the run's
+   :class:`~repro.obs.window.RecordLog` at its simulated instant and
+   builds the :class:`LoadReport`.
+
+The log's clock moves with the run: to a job's plan time when it is
+released for execution, and to the last record once the run is over.
+No record lands earlier than the clock, so the SLO monitor and the
+``--watch`` panel, which the clock calls at its ticks, see exactly what
+a fold over the finished log sees at the same instant.
 
 The order of service calls is part of the contract: a DP memo bucket
 keeps its first visitor's cost, so the windowed path plans window *w*,
@@ -56,9 +63,10 @@ from repro.exec.events import RunResult
 from repro.exec.frontier import frontier_for_app
 from repro.experiments.common import ExperimentSetup
 from repro.load.admission import AdmissionController
-from repro.load.report import LoadReport, percentile
+from repro.load.report import LoadReport
 from repro.load.trace import ArrivalTrace, LoadTraceConfig, TraceJob, generate_trace
 from repro.obs.state import get_metrics
+from repro.obs.window import Record, RecordLog, percentile
 from repro.service.frontend import (
     FrontendConfig,
     FrontendOverloadError,
@@ -79,22 +87,23 @@ class _OutcomeSink:
     :class:`LoadReport` from the same counters — so the scraped series
     and the report cannot disagree.  The run's own totals are kept
     beside the registry's because the registry may be process-wide and
-    outlive the run.
+    outlive the run.  One-shot outcomes are also stamped into *log* at
+    their simulated instant; its plan records are the report's latency
+    columns.
     """
 
     JOB_OUTCOMES = ("planned", "rejected_overload", "rejected_invalid", "deadline_lost")
 
-    def __init__(self, metrics, ledger, elastic: bool):
+    def __init__(self, metrics, ledger, elastic: bool, log: RecordLog):
         mx = metrics
         self.ledger = ledger
+        self.log = log
         self.elastic = elastic
         self.frontend_stats = None  # set by the frontend planner
         self.offered = 0
         self.jobs = dict.fromkeys(self.JOB_OUTCOMES, 0)
         self.queued = 0
         self.queue_peak = 0
-        self.latencies: list[float] = []
-        self.queue_waits: list[float] = []
         # Executed runs / deadline misses, keyed by ``recurring``.
         self.runs = {False: 0, True: 0}
         self.missed = {False: 0, True: 0}
@@ -160,10 +169,12 @@ class _OutcomeSink:
             self._rescale_seconds.inc(0)
 
     # -- admission / planning ------------------------------------------
-    def job(self, outcome: str, n: int = 1) -> None:
-        """*n* trace jobs resolved to an admission *outcome*."""
+    def job(self, outcome: str, t: float, n: int = 1) -> None:
+        """*n* trace jobs resolved to an admission *outcome* at *t*."""
         self.jobs[outcome] += n
         self._jobs.inc(n, outcome=outcome)
+        for _ in range(n):
+            self.log.append(Record(t, "job", outcome))
 
     def backlog(self, stats) -> None:
         """The admission controller's queueing counters after a window."""
@@ -171,11 +182,11 @@ class _OutcomeSink:
         self.queue_peak = stats.queue_peak
         self._queue_peak.set(stats.queue_peak)
 
-    def plan(self, latency_s: float, queue_wait_s: float) -> None:
-        """One job planned, with its plan latency and batch queue wait."""
-        self.job("planned")
-        self.latencies.append(latency_s)
-        self.queue_waits.append(queue_wait_s)
+    def plan(self, t: float, latency_s: float, queue_wait_s: float) -> None:
+        """One job planned at *t*, with its plan latency and batch queue wait."""
+        self.jobs["planned"] += 1
+        self._jobs.inc(1, outcome="planned")
+        self.log.append(Record(t, "job", "planned", latency_s, queue_wait_s))
         self._latency.observe(latency_s)
         self._queue_wait.observe(queue_wait_s)
 
@@ -195,6 +206,9 @@ class _OutcomeSink:
         """
         idle = max(0.0, result.spot_seconds + result.on_demand_seconds - ideal_s)
         span = result.finish_time - arrival
+        if not recurring:
+            outcome = "missed" if result.missed_deadline else "met"
+            self.log.append(Record(result.finish_time, "run", outcome, result.cost))
         self.runs[recurring] += 1
         self.missed[recurring] += result.missed_deadline
         self.provider_idle += idle
@@ -240,6 +254,9 @@ class _OutcomeSink:
         rec_runs, rec_missed = self.runs[True], self.missed[True]
         rec_skipped = self.recurring_skipped
         rec_windows = rec_runs + rec_skipped
+        plans = [r for r in self.log.records() if r.outcome == "planned"]
+        latencies = [r.value for r in plans]
+        queue_waits = [r.wait for r in plans]
         frontend = {}
         if self.frontend_stats is not None:
             pool = self.frontend_stats.pool
@@ -273,12 +290,12 @@ class _OutcomeSink:
             queue_peak=self.queue_peak,
             cache_hit_rate=stats.hits / lookups if lookups else 0.0,
             snapshot_hit_rate=svc["snapshot_hits"] / snapshots if snapshots else 0.0,
-            plan_p50_ms=1000 * percentile(self.latencies, 50),
-            plan_p95_ms=1000 * percentile(self.latencies, 95),
-            plan_p99_ms=1000 * percentile(self.latencies, 99),
-            queue_wait_p50_ms=1000 * percentile(self.queue_waits, 50),
-            queue_wait_p95_ms=1000 * percentile(self.queue_waits, 95),
-            queue_wait_p99_ms=1000 * percentile(self.queue_waits, 99),
+            plan_p50_ms=1000 * percentile(latencies, 50),
+            plan_p95_ms=1000 * percentile(latencies, 95),
+            plan_p99_ms=1000 * percentile(latencies, 99),
+            queue_wait_p50_ms=1000 * percentile(queue_waits, 50),
+            queue_wait_p95_ms=1000 * percentile(queue_waits, 95),
+            queue_wait_p99_ms=1000 * percentile(queue_waits, 99),
             executed=executed,
             missed=missed,
             miss_rate=missed / executed if executed else 0.0,
@@ -382,6 +399,14 @@ class LoadHarness:
             to its trace tenant as it finishes, so per-tenant spend is
             queryable mid-run and its dollar total matches the final
             report's ``user_cost_dollars``.
+
+    Attributes:
+        log: the run's :class:`~repro.obs.window.RecordLog`, its clock
+            starting at the market's start and ticking every
+            ``window_s``.  Attach an
+            :class:`~repro.obs.slo.SloMonitor` or a
+            :meth:`~repro.obs.window.RecordLog.every` listener before
+            :meth:`run`; a harness runs once.
     """
 
     def __init__(self, config: HarnessConfig, metrics=None, ledger=None):
@@ -399,6 +424,7 @@ class LoadHarness:
         self._models: dict[tuple[str, float], tuple] = {}
         self._simulators: dict[tuple[str, float], ExecutionSimulator] = {}
         self._recurring_apps: dict[str, tuple[str, float]] = {}
+        self.log = RecordLog(origin=self.setup.market.start, tick_s=config.window_s)
 
     # ------------------------------------------------------------------
     # Per-(app, scale) plumbing
@@ -489,6 +515,8 @@ class LoadHarness:
     def run(self, trace: ArrivalTrace | None = None) -> LoadReport:
         """Execute the configured load run; returns the report."""
         cfg = self.config
+        if len(self.log):
+            raise RuntimeError("a LoadHarness runs once; build a new one")
         if trace is None:
             trace = generate_trace(cfg.trace)
         market = self.setup.market
@@ -501,12 +529,13 @@ class LoadHarness:
                 " raise trace_days or shrink the trace"
             )
 
-        sink = _OutcomeSink(self.metrics, self.ledger, self._elastic)
+        sink = _OutcomeSink(self.metrics, self.ledger, self._elastic, self.log)
         planner = self._plan_frontend if cfg.frontend else self._plan_windowed
         # Executor.  The planners are lazy, so on the windowed path a
         # window's jobs execute before the next window is planned.
         for job, t_plan in planner(trace, sink):
             if cfg.execute:
+                self.log.advance(t_plan)
                 sink.run(
                     job.tenant,
                     self._execute(job, t_plan),
@@ -517,6 +546,7 @@ class LoadHarness:
             sink.recurring(
                 name, outcome, self._ideal_seconds(*self._recurring_apps[name])
             )
+        self.log.advance(self.log.end)
         return sink.report(trace, self.service)
 
     # ------------------------------------------------------------------
@@ -547,7 +577,7 @@ class LoadHarness:
             sink.offered += len(jobs)
             if controller is not None:
                 admitted, rejected = controller.offer(jobs)
-                sink.job("rejected_overload", len(rejected))
+                sink.job("rejected_overload", window_end, len(rejected))
                 sink.backlog(controller.stats)
                 jobs = [entry.item for entry in admitted]
             servable = []
@@ -556,7 +586,7 @@ class LoadHarness:
                     # Its whole deadline has passed (queued too long, or
                     # shorter than one window): unservable — an SLO
                     # loss, not a planner error.
-                    sink.job("deadline_lost")
+                    sink.job("deadline_lost", window_end)
                 else:
                     servable.append(job)
             yield window_end, servable
@@ -580,10 +610,12 @@ class LoadHarness:
             )
             for job, slot in zip(jobs, slots):
                 if isinstance(slot, PlanResult):
-                    sink.plan(slot.telemetry.latency_s, slot.telemetry.queue_wait_s)
+                    sink.plan(
+                        window_end, slot.telemetry.latency_s, slot.telemetry.queue_wait_s
+                    )
                     yield job, window_end
                 else:
-                    sink.job("rejected_invalid")
+                    sink.job("rejected_invalid", window_end)
 
     def _plan_frontend(self, trace: ArrivalTrace, sink: _OutcomeSink):
         """The async frontend over the autoscaled pool.
@@ -624,12 +656,14 @@ class LoadHarness:
             try:
                 result = await frontend.plan(self._request_for(job, t_plan))
             except FrontendOverloadError:
-                sink.job("rejected_overload")
+                sink.job("rejected_overload", t_plan)
                 return
             except PlanError:
-                sink.job("rejected_invalid")
+                sink.job("rejected_invalid", t_plan)
                 return
-            sink.plan(time.perf_counter() - started, result.telemetry.queue_wait_s)
+            sink.plan(
+                t_plan, time.perf_counter() - started, result.telemetry.queue_wait_s
+            )
             planned.append((job, t_plan))
 
         async with frontend:

@@ -1,22 +1,28 @@
 """CI smoke for the live-operations layer (``python -m repro.load.ops_smoke``).
 
-Drives a small seeded trace through the harness with a cost ledger
-attached and scrapes the ops endpoint *while the run is in flight*,
-asserting the acceptance criteria of the live-operations layer:
+Drives a small seeded trace through the harness with a cost ledger and
+an SLO monitor attached, and scrapes the ops endpoint *from inside the
+run*: at every tick of the simulated clock, after the monitor has
+evaluated it.  It asserts the acceptance criteria of the live-operations
+layer:
 
 1. ``/metrics`` parses with :func:`~repro.obs.export.parse_prometheus`
-   both mid-run and after completion;
-2. ``/slo`` reports at least one completed evaluation and carries a
-   ``deadline_miss_rate`` objective with burn rates for every window;
+   at every mid-run scrape and after completion;
+2. every ``/slo`` payload scraped mid-run equals the pure fold
+   (:func:`~repro.obs.slo.statuses`) at the simulated ``t`` it reports,
+   recomputed over the final record log, and carries a
+   ``deadline_miss_rate`` objective with a burn rate for every window;
 3. ``/tenants`` dollars sum to the final report's ``user_cost_dollars``
    within 1e-6;
 4. a second run of the same seed with no ledger and no server produces
-   a bit-identical report fingerprint — a ledger and a scraped server
-   observe, never perturb.
+   a bit-identical report fingerprint and the same alert sequence — a
+   ledger and a scraped server observe, never perturb.
 
-Artifacts (scraped exposition, SLO/tenant payloads, the report) are
-written to ``--out`` for upload.  Exits non-zero on any failed check,
-which is what the CI job keys off.
+The scrapes ride the run's own clock, so which instants are checked is
+a function of the seed, not of how fast the box is.  Artifacts
+(scraped exposition, SLO/tenant payloads, the report) are written to
+``--out`` for upload.  Exits non-zero on any failed check, which is what
+the CI job keys off.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 import urllib.request
 from pathlib import Path
 
@@ -34,13 +39,18 @@ from repro.obs.attribution import CostLedger
 from repro.obs.export import parse_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.server import OpsServer
-from repro.obs.slo import SloMonitor, default_slos
-from repro.obs.window import WindowConfig, WindowedAggregator
+from repro.obs.slo import SloMonitor, alerts, default_slos, statuses
 
 
 def _get(url: str):
     with urllib.request.urlopen(url, timeout=10) as response:
         return response.read().decode()
+
+
+def _sequence(transitions) -> list[tuple]:
+    """The seed-determined part of an alert sequence (ratio objectives)."""
+    ratio = {o.name for o in default_slos() if o.kind == "ratio"}
+    return [(a.t, a.objective, a.severity, a.firing) for a in transitions if a.objective in ratio]
 
 
 def run_smoke(jobs: int = 100, seed: int = 42, out: Path | None = None) -> list[str]:
@@ -53,72 +63,60 @@ def run_smoke(jobs: int = 100, seed: int = 42, out: Path | None = None) -> list[
     trace = generate_trace(trace_config)
 
     metrics = MetricsRegistry()
-    aggregator = WindowedAggregator(metrics, WindowConfig(interval=0.05))
-    monitor = SloMonitor(aggregator, default_slos(), metrics=metrics)
     ledger = CostLedger(metrics=metrics)
     harness = LoadHarness(config, metrics=metrics, ledger=ledger)
+    monitor = SloMonitor(harness.log, default_slos(), metrics=metrics)
 
-    mid_run: dict = {}
+    scrapes: list[dict] = []
     with OpsServer(
-        metrics,
-        aggregator=aggregator,
-        monitor=monitor,
-        ledger=ledger,
-        sample_interval=0.05,
+        metrics, log=harness.log, monitor=monitor, ledger=ledger
     ) as server:
-        report_box: list = []
-        runner = threading.Thread(
-            target=lambda: report_box.append(harness.run(trace)), daemon=True
+        harness.log.every(
+            None,
+            lambda t: scrapes.append(
+                {
+                    "metrics": _get(server.url + "/metrics"),
+                    "slo": _get(server.url + "/slo"),
+                }
+            ),
         )
-        runner.start()
-        # Scrape while the harness is running; keep the last mid-run
-        # scrape that saw the run still alive.
-        while runner.is_alive():
-            scrape = {
-                "metrics": _get(server.url + "/metrics"),
-                "slo": _get(server.url + "/slo"),
-                "health": _get(server.url + "/health"),
-            }
-            if runner.is_alive():
-                mid_run = scrape
-        runner.join()
-        report = report_box[0]
-        # Final state: one more sample + evaluation, then scrape.
-        aggregator.sample()
-        monitor.evaluate()
+        report = harness.run(trace)
         final_metrics = _get(server.url + "/metrics")
         final_slo = json.loads(_get(server.url + "/slo"))
         final_tenants = json.loads(_get(server.url + "/tenants"))
 
     # -- check 1: exposition parses (mid-run and final) -----------------
-    if not mid_run:
-        problems.append("no mid-run scrape landed (run finished too fast?)")
-    for label, text in (
-        ("mid-run", mid_run.get("metrics", "")),
-        ("final", final_metrics),
-    ):
-        if not text:
-            continue
+    if not scrapes:
+        problems.append("the run's clock crossed no tick")
+    for label, text in [("mid-run", s["metrics"]) for s in scrapes] + [
+        ("final", final_metrics)
+    ]:
         try:
             samples = parse_prometheus(text)
         except ValueError as exc:
             problems.append(f"{label} /metrics failed to parse: {exc}")
-            continue
+            break
         if not any(name.startswith("load_") for name, _ in samples):
             problems.append(f"{label} /metrics carries no load_* series")
+            break
 
-    # -- check 2: SLO evaluations happened, miss-rate burn is served ----
+    # -- check 2: every mid-run /slo is the pure fold at its t ----------
+    frame = harness.log.frame()
+    for scrape in scrapes:
+        payload = json.loads(scrape["slo"])
+        pure = statuses(monitor.objectives, frame, payload["t"])
+        expected = json.loads(json.dumps([s.as_dict() for s in pure]))
+        if payload["objectives"] != expected:
+            problems.append(f"/slo at t={payload['t']} differs from the fold")
+            break
     if final_slo["evaluations"] < 1:
         problems.append("SLO monitor never evaluated")
     by_name = {o["name"]: o for o in final_slo["objectives"]}
     miss = by_name.get("deadline_miss_rate")
     if miss is None:
         problems.append("/slo has no deadline_miss_rate objective")
-    elif len(miss["burn_rate"]) != len(aggregator.config.windows):
-        problems.append(
-            f"deadline_miss_rate burn rates cover {len(miss['burn_rate'])} "
-            f"windows, expected {len(aggregator.config.windows)}"
-        )
+    elif len(miss["burn_rate"]) != len(miss["windows"]) or not miss["windows"]:
+        problems.append("deadline_miss_rate carries no burn rate per window")
 
     # -- check 3: per-tenant dollars sum to the report's user cost ------
     billed = final_tenants["totals"]["dollars"]
@@ -131,20 +129,27 @@ def run_smoke(jobs: int = 100, seed: int = 42, out: Path | None = None) -> list[
         problems.append("runs executed but /tenants is empty")
 
     # -- check 4: a ledger + scraped server never perturbs the outcome --
-    plain = LoadHarness(config, metrics=MetricsRegistry()).run(trace)
+    plain_harness = LoadHarness(config, metrics=MetricsRegistry())
+    plain = plain_harness.run(trace)
     if plain.fingerprint() != report.fingerprint():
         problems.append(
             "ledger + scraped-server fingerprint diverged from plain run: "
             f"{report.fingerprint()} != {plain.fingerprint()}"
         )
+    rerun = alerts(
+        monitor.objectives, plain_harness.log.records(), plain_harness.log.ticks()
+    )
+    if _sequence(rerun) != _sequence(monitor.alerts()):
+        problems.append("a rerun of the seed gave a different alert sequence")
 
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(report.render() + "\n")
         (out / "metrics.prom").write_text(final_metrics)
-        if mid_run:
-            (out / "metrics.midrun.prom").write_text(mid_run["metrics"])
-            (out / "slo.midrun.json").write_text(mid_run["slo"] + "\n")
+        if scrapes:
+            middle = scrapes[len(scrapes) // 2]
+            (out / "metrics.midrun.prom").write_text(middle["metrics"])
+            (out / "slo.midrun.json").write_text(middle["slo"] + "\n")
         (out / "slo.json").write_text(
             json.dumps(final_slo, indent=1, sort_keys=True) + "\n"
         )

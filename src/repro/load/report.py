@@ -1,4 +1,4 @@
-"""Load-run reporting: percentiles, Granny-style costs, rendering.
+"""Load-run reporting: Granny-style costs, rendering.
 
 The report separates two kinds of numbers:
 
@@ -19,8 +19,12 @@ The three Granny-style costs follow the makespan-experiment framing
   loading, checkpoints, work redone after evictions — capacity the
   provider had committed that produced no new progress.
 * ``user_cost_dollars`` — the bill across all executed runs.
-* ``service_time_s`` — release-to-finish wall clock summed over runs
-  (what a user staring at the job experiences, queueing included).
+* ``service_time_s`` — arrival-to-finish *simulated* seconds summed
+  over runs (what a user staring at the job experiences, queueing
+  included).
+
+The latency percentiles are :func:`repro.obs.window.percentile` over the
+run's plan records, the same rule every live window uses.
 """
 
 from __future__ import annotations
@@ -30,27 +34,6 @@ import json
 from dataclasses import asdict, dataclass
 
 from repro.experiments.report import format_table
-
-
-def percentile(values, q: float) -> float:
-    """Linear-interpolation percentile of *values* (q in [0, 100]).
-
-    Deterministic and dependency-light (no NumPy dtype surprises):
-    sorts the values and interpolates between the two nearest ranks.
-    Returns 0.0 for an empty input.
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be in [0, 100]")
-    data = sorted(float(v) for v in values)
-    if not data:
-        return 0.0
-    if len(data) == 1:
-        return data[0]
-    rank = q / 100.0 * (len(data) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(data) - 1)
-    frac = rank - lo
-    return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
 @dataclass(frozen=True)

@@ -1,112 +1,36 @@
-"""Live terminal status panel for a serving load run (``--watch``).
+"""Status panel for a serving load run (``--watch``).
 
-:func:`render_panel` is a pure function from the live observability
-objects (windowed aggregator, SLO monitor, cost ledger) to one text
-frame; :class:`WatchLoop` prints a frame every interval from a daemon
-thread while the harness runs.  The panel reads the same windowed
-aggregates the ``/slo`` endpoint serves — including the histogram
-quantiles estimated by
-:func:`~repro.obs.metrics.estimate_quantile` — so the numbers on the
-terminal and the numbers a scraper sees can never disagree.
+:func:`render_panel` is a pure function of a run's records at one
+simulated instant: it folds the same :class:`~repro.obs.window.Frame`
+the SLO monitor reads, so terminal and ``/slo`` cannot disagree, and two
+runs of a seed print the same panels byte for byte.  The CLI calls it
+from the harness thread, through :meth:`~repro.obs.window.RecordLog.every`,
+each time the simulated clock crosses a ``--watch`` tick.  Rates are
+per simulated hour; wall-clock plan latencies stay in the report.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
+from repro.obs.window import DEFAULT_WINDOWS
+from repro.utils.units import HOURS
 
 
-def _fmt_rate(value: float) -> str:
-    return f"{value:8.2f}/s"
-
-
-def render_panel(aggregator, monitor=None, ledger=None, window_s: float | None = None) -> str:
-    """One status frame from the live aggregates (pure; no printing)."""
-    window = window_s if window_s is not None else aggregator.config.windows[0]
-    lines = [f"-- load run · last {window:g}s --"]
-    lines.append(
-        "  planned   " + _fmt_rate(
-            aggregator.rate("load_jobs_total", window, {"outcome": "planned"})
-        )
-        + "   runs " + _fmt_rate(aggregator.rate("load_runs_total", window))
-    )
-    p50 = aggregator.quantile("load_plan_latency_seconds", 0.5, window)
-    p99 = aggregator.quantile("load_plan_latency_seconds", 0.99, window)
-    lines.append(
-        f"  plan latency p50 {1000 * p50:7.2f} ms   p99 {1000 * p99:7.2f} ms"
-    )
-    miss = aggregator.ratio(
-        "load_runs_total",
-        "load_runs_total",
-        window,
-        bad_labels={"outcome": "missed"},
-    )
-    spend = aggregator.rate("load_user_cost_dollars_total", window)
-    lines.append(f"  miss rate {100 * miss:6.2f}%   spend {spend:8.4f} $/s")
+def render_panel(log, t: float, monitor=None, window_s: float = DEFAULT_WINDOWS[0]) -> str:
+    """One status frame: the last *window_s* of *log* before *t*."""
+    frame = log.frame()
+    per_hour = HOURS / window_s
+    planned = frame.count(t, window_s, "job", "planned") * per_hour
+    runs = frame.count(t, window_s, "run") * per_hour
+    miss = frame.ratio(t, window_s, "run", "missed")
+    spend = frame.total(t, window_s, "run") * per_hour
+    lines = [
+        f"-- load run · t+{(t - log.origin) / HOURS:.2f} h · last {window_s:g} s --",
+        f"  planned {planned:8.2f}/h   runs {runs:8.2f}/h",
+        f"  miss rate {100 * miss:6.2f}%   spend {spend:10.2f} $/h",
+    ]
     if monitor is not None:
         firing = monitor.as_dict()["firing"]
         lines.append(
             "  slo: " + (", ".join(firing) if firing else "all objectives within budget")
         )
-    if ledger is not None:
-        totals = ledger.totals()
-        lines.append(
-            f"  tenants {len(ledger.snapshot())}   "
-            f"billed ${totals.dollars:10.2f}   runs {totals.runs}"
-        )
     return "\n".join(lines)
-
-
-class WatchLoop:
-    """Daemon thread printing :func:`render_panel` frames periodically.
-
-    Args:
-        aggregator / monitor / ledger: the live objects to render.
-        interval: seconds between frames.
-        stream: output file object (default ``sys.stderr`` — frames must
-            not interleave with the report on stdout).
-    """
-
-    def __init__(self, aggregator, monitor=None, ledger=None,
-                 interval: float = 2.0, stream=None):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.aggregator = aggregator
-        self.monitor = monitor
-        self.ledger = ledger
-        self.interval = interval
-        self.stream = stream if stream is not None else sys.stderr
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self.frames = 0
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            print(
-                render_panel(self.aggregator, self.monitor, self.ledger),
-                file=self.stream,
-                flush=True,
-            )
-            self.frames += 1
-
-    def start(self) -> "WatchLoop":
-        """Start printing; idempotent."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._loop, name="load-watch", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def close(self) -> None:
-        """Stop after the current frame."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def __enter__(self) -> "WatchLoop":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()

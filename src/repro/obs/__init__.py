@@ -19,12 +19,14 @@ execution lifecycle and the planning service:
   observer it defines only the hooks it needs; the lifecycle treats the
   rest as no-ops / identities.  The run's timeline is the result's
   ``events``, not a second record kept here.
-* **Live operations** — windowed aggregation over the registry
-  (:mod:`repro.obs.window`), declarative burn-rate SLOs
-  (:mod:`repro.obs.slo`), per-tenant cost attribution fed by one path,
-  the load harness's ``CostLedger.record_run``
+* **Live operations** — on the simulated clock: a run's outcome
+  records in a :class:`RecordLog`, windows as folds over them
+  (:mod:`repro.obs.window`), declarative burn-rate SLOs evaluated at
+  the log's ticks (:mod:`repro.obs.slo`), per-tenant cost attribution
+  fed by one path, the load harness's ``CostLedger.record_run``
   (:mod:`repro.obs.attribution`), and the scrapeable HTTP endpoint
-  serving all of it (:mod:`repro.obs.server`).
+  serving the latest fold (:mod:`repro.obs.server`).  The same records
+  give the same alerts on any box; no thread samples anything.
 
 Tracing is off by default: the installed tracer is the no-op
 :data:`NULL_TRACER` and every instrumentation site guards on one
@@ -46,7 +48,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    estimate_quantile,
 )
 from repro.obs.observer import TracingObserver
 from repro.obs.server import OpsServer
@@ -65,12 +66,7 @@ from repro.obs.state import (
     tracing,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, SpanRecord, Tracer
-from repro.obs.window import (
-    DEFAULT_WINDOWS,
-    SamplerThread,
-    WindowConfig,
-    WindowedAggregator,
-)
+from repro.obs.window import DEFAULT_WINDOWS, Frame, Record, RecordLog
 
 __all__ = [
     "BurnRateRule",
@@ -78,13 +74,15 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_WINDOWS",
+    "Frame",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "OpsServer",
-    "SamplerThread",
+    "Record",
+    "RecordLog",
     "SloAlert",
     "SloMonitor",
     "SloObjective",
@@ -93,12 +91,9 @@ __all__ = [
     "TenantUsage",
     "Tracer",
     "TracingObserver",
-    "WindowConfig",
-    "WindowedAggregator",
     "default_slos",
     "disable",
     "enable",
-    "estimate_quantile",
     "export",
     "get_metrics",
     "get_tracer",

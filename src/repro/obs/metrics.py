@@ -45,40 +45,6 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def estimate_quantile(snapshot: dict, q: float) -> float:
-    """Quantile *q* (in [0, 1]) from a cumulative-bucket snapshot.
-
-    *snapshot* is the :meth:`Histogram.snapshot` shape:
-    ``{"buckets": {le_bound: cumulative_count}, "sum": s, "count": n}``.
-    The target rank is located in the cumulative counts and linearly
-    interpolated inside the winning bucket (lower edge 0.0 for the first
-    bucket — observations are assumed non-negative, as with Prometheus's
-    ``histogram_quantile``).  Ranks landing in the implicit ``+Inf``
-    bucket clamp to the highest finite bound; an empty series returns
-    0.0.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    count = snapshot["count"]
-    if count <= 0:
-        return 0.0
-    bounds = sorted(snapshot["buckets"])
-    counts = [snapshot["buckets"][b] for b in bounds]
-    rank = q * count
-    previous_bound = 0.0
-    previous_count = 0
-    for bound, cumulative in zip(bounds, counts):
-        if cumulative >= rank:
-            in_bucket = cumulative - previous_count
-            if in_bucket <= 0:
-                return bound
-            frac = (rank - previous_count) / in_bucket
-            return previous_bound + frac * (bound - previous_bound)
-        previous_bound = bound
-        previous_count = cumulative
-    return bounds[-1] if bounds else 0.0
-
-
 class Metric:
     """Shared series bookkeeping for one named metric."""
 
@@ -209,28 +175,6 @@ class Histogram(Metric):
                 "count": series.count,
             }
 
-    def snapshot_all(self) -> dict:
-        """Label-key -> :meth:`snapshot`-shaped dict, every series at once.
-
-        One lock pass copies every series consistently (bucket counts
-        are mutable lists; copying them outside the lock could observe a
-        half-applied observation) — the bulk read the windowed
-        aggregator samples from.
-        """
-        with self._lock:
-            return {
-                key: {
-                    "buckets": dict(zip(self.bounds, series.counts)),
-                    "sum": series.sum,
-                    "count": series.count,
-                }
-                for key, series in self._series.items()
-            }
-
-    def estimate_quantile(self, q: float, **labels) -> float:
-        """Quantile *q* of the labeled series (see :func:`estimate_quantile`)."""
-        return estimate_quantile(self.snapshot(**labels), q)
-
     def render(self) -> list[str]:
         lines = []
         with self._lock:
@@ -282,11 +226,6 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS) -> Histogram:
         """Get or create the named histogram."""
         return self._get_or_create(Histogram, name, help, buckets=buckets)
-
-    def names(self) -> tuple[str, ...]:
-        """Registered metric names, sorted."""
-        with self._lock:
-            return tuple(sorted(self._metrics))
 
     def get(self, name: str) -> Metric | None:
         """The named metric, or None."""

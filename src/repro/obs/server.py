@@ -8,18 +8,17 @@ read-only views of a running process:
   exposition format (:meth:`~repro.obs.metrics.MetricsRegistry.to_prometheus`),
   directly scrapeable and round-trippable through
   :func:`~repro.obs.export.parse_prometheus`;
-* ``GET /health`` — liveness JSON (uptime, sample count, evaluation
-  count) — cheap enough for an orchestrator probe;
-* ``GET /slo`` — the :class:`~repro.obs.slo.SloMonitor` payload:
-  per-objective windowed observations, burn rates, firing rules;
+* ``GET /health`` — liveness JSON (uptime, the record log's simulated
+  clock and record count, evaluation count) — cheap enough for an
+  orchestrator probe;
+* ``GET /slo`` — the :class:`~repro.obs.slo.SloMonitor` payload: the
+  latest tick's fold — per-objective windowed observations, burn
+  rates, firing rules, and the simulated ``t`` they hold at;
 * ``GET /tenants`` — the :class:`~repro.obs.attribution.CostLedger`
   payload: per-tenant dollars, machine-seconds, compliance.
 
-Every handler reads immutable snapshots produced by the aggregation
-layer, so scrapes never block instrumentation writers.  The server
-optionally owns the :class:`~repro.obs.window.SamplerThread` driving the
-aggregator + SLO evaluation, making ``with OpsServer(...) as srv:`` the
-one-liner that turns any instrumented run into an observable one.
+The server only reads: the monitor is advanced by the run's own clock
+(:meth:`~repro.obs.window.RecordLog.advance`), never by this thread.
 """
 
 from __future__ import annotations
@@ -36,40 +35,33 @@ class OpsServer:
     Args:
         registry: :class:`~repro.obs.metrics.MetricsRegistry` behind
             ``/metrics``.
-        aggregator: optional :class:`~repro.obs.window.WindowedAggregator`
-            (enables sampler ownership and the health sample count).
+        log: optional :class:`~repro.obs.window.RecordLog` (its clock
+            and record count go on ``/health``).
         monitor: optional :class:`~repro.obs.slo.SloMonitor` behind
             ``/slo``.
         ledger: optional :class:`~repro.obs.attribution.CostLedger`
             behind ``/tenants``.
         host / port: bind address; port 0 picks an ephemeral port
             (read it back from :attr:`port` after :meth:`start`).
-        sample_interval: when set (seconds) and *aggregator* is given,
-            the server runs its own
-            :class:`~repro.obs.window.SamplerThread` sampling at this
-            interval and evaluating *monitor* after each sample.
     """
 
     def __init__(
         self,
         registry,
-        aggregator=None,
+        log=None,
         monitor=None,
         ledger=None,
         host: str = "127.0.0.1",
         port: int = 0,
-        sample_interval: float | None = None,
     ):
         self.registry = registry
-        self.aggregator = aggregator
+        self.log = log
         self.monitor = monitor
         self.ledger = ledger
         self.host = host
         self.port = port
-        self.sample_interval = sample_interval
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
-        self._sampler = None
         self._started_at: float | None = None
 
     # ------------------------------------------------------------------
@@ -89,20 +81,10 @@ class OpsServer:
             daemon=True,
         )
         self._thread.start()
-        if self.sample_interval and self.aggregator is not None:
-            from repro.obs.window import SamplerThread
-
-            callbacks = (self.monitor.evaluate,) if self.monitor else ()
-            self._sampler = SamplerThread(
-                self.aggregator, self.sample_interval, on_sample=callbacks
-            ).start()
         return self
 
     def close(self) -> None:
-        """Stop the sampler (if owned) and the HTTP server."""
-        if self._sampler is not None:
-            self._sampler.close()
-            self._sampler = None
+        """Stop the HTTP server and release its port."""
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -135,8 +117,9 @@ class OpsServer:
             else 0.0
         )
         payload = {"status": "ok", "uptime_s": round(up, 3)}
-        if self.aggregator is not None:
-            payload["samples"] = self.aggregator.samples_taken
+        if self.log is not None:
+            payload["clock"] = self.log.clock
+            payload["records"] = len(self.log)
         if self.monitor is not None:
             payload["slo_evaluations"] = self.monitor.evaluations
         return payload

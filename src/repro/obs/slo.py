@@ -1,28 +1,27 @@
-"""Declarative SLOs with multi-window burn-rate evaluation.
+"""Declarative SLOs with multi-window burn rates, on the simulated clock.
 
-Hourglass's objective function *is* an SLO: finish by the deadline at
-minimum cost.  This module watches the live side of that promise — the
-quantities the paper optimizes, read from the windowed aggregates of
-:mod:`repro.obs.window`:
+Hourglass's objective *is* an SLO: finish by the deadline at minimum
+cost.  This module watches that promise over a load run's own records
+(:mod:`repro.obs.window`):
 
-* **ratio** objectives — a bad-event counter over a total-event counter
-  (deadline-miss rate, admission-reject rate), with an error budget
-  ``target``;
-* **quantile** objectives — a histogram quantile under a threshold
-  (plan-latency p99);
-* **gauge** objectives — an instantaneous level under a threshold (pool
-  saturation).
+* **ratio** objectives — bad records over all records of one kind
+  (deadline-miss rate over runs, admission-reject rate over jobs), with
+  an error budget ``target``;
+* **quantile** objectives — a percentile of planned jobs' plan latency
+  under a threshold.
 
-Evaluation uses the SRE multi-window burn-rate pattern: the *burn rate*
-is how fast the error budget is being consumed relative to the target
-(``observed / target``), and one :class:`BurnRateRule` fires only when
-the burn exceeds its factor over **both** a long and a short window —
-the long window proves the problem is sustained, the short window proves
-it is still happening.  Transitions emit structured :class:`SloAlert`
-events through the process tracer (``slo.alert`` / ``slo.resolved``)
-and are counted in ``slo_alerts_total``; the current burn rate of every
-objective is exported as the ``slo_burn_rate`` gauge so the monitor's
-own outputs are scrapeable like any other series.
+A *burn rate* is ``observe(frame, t, w) / target``: how fast the budget
+is being spent.  A :class:`BurnRateRule` fires only when the burn
+exceeds its factor over **both** a long and a short window — the long
+window proves the problem is sustained, the short one that it is still
+happening (the SRE multi-window pattern, at the workbook's 1 h / 6 h
+horizons because the clock is the simulated one).  Which rules fire at
+``t`` is a pure function of the records and ``t`` (:func:`statuses`),
+so the alert sequence over a run's ticks is too (:func:`alerts`).
+:class:`SloMonitor` is that function advanced by the log's clock: at
+each tick it publishes ``slo_burn_rate``, counts transitions in
+``slo_alerts_total`` and emits ``slo.alert`` / ``slo.resolved`` tracer
+events.
 """
 
 from __future__ import annotations
@@ -31,14 +30,13 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.obs.state import get_metrics, get_tracer
+from repro.obs.window import Frame
 
-#: Default rule pairs over the default 10 s / 1 m / 5 m windows: the
-#: fast-burn rule pages on an acute problem, the slow-burn rule tickets
-#: a simmering one (factors scaled down from the SRE workbook's 1 h/6 h
-#: rules to the harness's minutes-long horizon).
+#: Default rule pairs: the fast-burn rule pages on an acute problem, the
+#: slow-burn rule tickets a simmering one.
 DEFAULT_RULES = (
-    ("page", 60.0, 10.0, 6.0),
-    ("ticket", 300.0, 60.0, 2.0),
+    ("page", 3600.0, 300.0, 6.0),
+    ("ticket", 21600.0, 3600.0, 2.0),
 )
 
 
@@ -68,71 +66,54 @@ class BurnRateRule:
 
 @dataclass(frozen=True)
 class SloObjective:
-    """One declarative objective evaluated against windowed aggregates.
+    """One declarative objective over a run's records.
 
     Attributes:
         name: stable identifier (``deadline_miss_rate``).
-        kind: ``"ratio"`` | ``"quantile"`` | ``"gauge"``.
-        target: the objective bound — max acceptable bad/total ratio,
-            quantile seconds, or gauge level.  Burn rate is
-            ``observed / target``.
-        metric: series the observation reads (total counter for ratio,
-            histogram for quantile, gauge for gauge objectives).
-        bad_metric / bad_labels: the bad-event counter for ratio
-            objectives (defaults to *metric* filtered by *bad_labels*).
-        labels: label filter on *metric*.
-        q: the quantile for quantile objectives.
-        divisor_metric / divisor_labels: optional gauge the observation
-            is divided by (pool saturation = queue depth / pool size).
-        rules: burn-rate rules (default :data:`DEFAULT_RULES`).
+        kind: ``"ratio"`` | ``"quantile"``.
+        target: the objective bound — max acceptable bad/total ratio, or
+            quantile value.  Burn rate is ``observed / target``.
+        source: the record kind observed (``"job"`` or ``"run"``).
+        bad: the outcome a ratio objective counts against its budget.
+        outcome: the outcome whose values a quantile objective reads.
+        q: the percentile of quantile objectives, in [0, 100].
+        rules: burn-rate rules (default :data:`DEFAULT_RULES`); the
+            objective is observed over every window they name.
         description: one-line human explanation.
     """
 
     name: str
     kind: str
     target: float
-    metric: str
-    bad_metric: str = ""
-    bad_labels: dict | None = None
-    labels: dict | None = None
-    q: float = 0.99
-    divisor_metric: str = ""
-    divisor_labels: dict | None = None
+    source: str
+    bad: str = ""
+    outcome: str = ""
+    q: float = 99.0
     rules: tuple = tuple(
         BurnRateRule(sev, lw, sw, f) for sev, lw, sw, f in DEFAULT_RULES
     )
     description: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("ratio", "quantile", "gauge"):
+        if self.kind not in ("ratio", "quantile"):
             raise ValueError(f"unknown SLO kind {self.kind!r}")
         if self.target <= 0:
             raise ValueError("target must be positive")
-        if self.kind == "ratio" and not (self.bad_metric or self.bad_labels):
-            raise ValueError("ratio objectives need bad_metric or bad_labels")
+        if self.kind == "ratio" and not self.bad:
+            raise ValueError("ratio objectives need a bad outcome")
 
-    # ------------------------------------------------------------------
-    def observe(self, aggregator, window_s: float) -> float:
-        """The objective's measured value over one window."""
+    @property
+    def windows(self) -> tuple[float, ...]:
+        """Every window the rules read, ascending."""
+        return tuple(
+            sorted({w for r in self.rules for w in (r.long_window_s, r.short_window_s)})
+        )
+
+    def observe(self, frame: Frame, t: float, window_s: float) -> float:
+        """The objective's measured value over ``[t - window_s, t)``."""
         if self.kind == "ratio":
-            return aggregator.ratio(
-                self.bad_metric or self.metric,
-                self.metric,
-                window_s,
-                bad_labels=self.bad_labels,
-                total_labels=self.labels,
-            )
-        if self.kind == "quantile":
-            return aggregator.quantile(self.metric, self.q, window_s, self.labels)
-        value = aggregator.value(self.metric, self.labels)
-        if self.divisor_metric:
-            divisor = aggregator.value(self.divisor_metric, self.divisor_labels)
-            return value / divisor if divisor > 0 else 0.0
-        return value
-
-    def burn_rate(self, aggregator, window_s: float) -> float:
-        """Budget-consumption multiple over one window."""
-        return self.observe(aggregator, window_s) / self.target
+            return frame.ratio(t, window_s, self.source, self.bad)
+        return frame.quantile(t, window_s, self.q, self.source, self.outcome or None)
 
 
 @dataclass(frozen=True)
@@ -172,130 +153,125 @@ class SloStatus:
         }
 
 
+def statuses(objectives, frame: Frame, t: float) -> tuple[SloStatus, ...]:
+    """Every objective's observations, burn rates and firing rules at *t*."""
+    out = []
+    for objective in objectives:
+        observed = {w: objective.observe(frame, t, w) for w in objective.windows}
+        burns = {w: v / objective.target for w, v in observed.items()}
+        firing = tuple(
+            rule.severity
+            for rule in objective.rules
+            if burns[rule.long_window_s] > rule.factor
+            and burns[rule.short_window_s] > rule.factor
+        )
+        out.append(SloStatus(objective, observed, burns, firing))
+    return tuple(out)
+
+
+def _firing(current) -> set[tuple[str, str]]:
+    return {(s.objective.name, severity) for s in current for severity in s.firing}
+
+
+def _transitions(previous, current, t: float) -> list[SloAlert]:
+    """The alerts between two consecutive evaluations."""
+    was = _firing(previous)
+    out = []
+    for status in current:
+        for rule in status.objective.rules:
+            now = rule.severity in status.firing
+            if now != ((status.objective.name, rule.severity) in was):
+                out.append(
+                    SloAlert(
+                        objective=status.objective.name,
+                        severity=rule.severity,
+                        firing=now,
+                        long_window_s=rule.long_window_s,
+                        short_window_s=rule.short_window_s,
+                        long_burn=status.burn_rates[rule.long_window_s],
+                        short_burn=status.burn_rates[rule.short_window_s],
+                        factor=rule.factor,
+                        t=t,
+                    )
+                )
+    return out
+
+
+def alerts(objectives, records, ticks) -> list[SloAlert]:
+    """Every rule transition over *ticks*: a pure function of the records."""
+    frame = Frame(records)
+    previous: tuple[SloStatus, ...] = ()
+    out: list[SloAlert] = []
+    for t in ticks:
+        current = statuses(objectives, frame, t)
+        out.extend(_transitions(previous, current, t))
+        previous = current
+    return out
+
+
 class SloMonitor:
-    """Evaluates objectives against one aggregator; emits alerts.
+    """:func:`statuses` advanced by a record log's clock; emits alerts.
 
     Args:
-        aggregator: the :class:`~repro.obs.window.WindowedAggregator`
-            the observations read from.
+        log: the :class:`~repro.obs.window.RecordLog` observed; the
+            monitor evaluates at each of its ``tick_s`` ticks.
         objectives: the :class:`SloObjective` set (see
-            :func:`default_slos` for the stock four).
+            :func:`default_slos` for the stock three).
         tracer: explicit tracer for ``slo.alert`` events (default: the
             process tracer, resolved per evaluation so enabling tracing
             mid-session works).
         metrics: registry for ``slo_burn_rate`` / ``slo_alerts_total``
-            (default: the process registry).  Maintained unconditionally
-            — SLO evaluations are rare enough that gating them behind
-            the tracer would only hide the compliance story.
+            (default: the process registry).
     """
 
-    def __init__(self, aggregator, objectives, tracer=None, metrics=None):
-        self.aggregator = aggregator
+    def __init__(self, log, objectives, tracer=None, metrics=None):
         self.objectives = tuple(objectives)
         names = [o.name for o in self.objectives]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names: {names}")
+        self.log = log
         self.tracer = tracer
         self.metrics = metrics
         self._lock = threading.Lock()
-        self._firing: set[tuple[str, str]] = set()
+        self._t: float | None = None
         self._statuses: tuple[SloStatus, ...] = ()
         self._alerts: list[SloAlert] = []
         self._evaluations = 0
+        log.every(log.tick_s, self.evaluate)
 
-    # ------------------------------------------------------------------
-    def evaluate(self, now: float | None = None) -> tuple[SloStatus, ...]:
-        """One full evaluation pass; returns every objective's status.
-
-        Rule transitions (not-firing -> firing and back) emit one
-        :class:`SloAlert` each, as a tracer event and an
-        ``slo_alerts_total`` count; steady state is silent.
-        """
+    def evaluate(self, t: float) -> tuple[SloStatus, ...]:
+        """Evaluate at tick *t*; rule transitions become :class:`SloAlert`s."""
         tracer = self.tracer if self.tracer is not None else get_tracer()
         metrics = self.metrics if self.metrics is not None else get_metrics()
-        t = now if now is not None else self.aggregator.clock()
+        current = statuses(self.objectives, self.log.frame(), t)
+        with self._lock:
+            transitions = _transitions(self._statuses, current, t)
+            self._t = t
+            self._statuses = current
+            self._evaluations += 1
+            self._alerts.extend(transitions)
         burn_gauge = metrics.gauge(
             "slo_burn_rate", "Error-budget burn multiple per objective/window"
         )
-        statuses = []
-        alerts: list[SloAlert] = []
-        with self._lock:
-            for objective in self.objectives:
-                windows: dict[float, float] = {}
-                burns: dict[float, float] = {}
-                for window in self.aggregator.config.windows:
-                    observed = objective.observe(self.aggregator, window)
-                    windows[window] = observed
-                    burns[window] = observed / objective.target
-                    burn_gauge.set(
-                        burns[window], slo=objective.name, window=f"{window:g}s"
-                    )
-                firing = []
-                for rule in objective.rules:
-                    long_burn = burns.get(
-                        rule.long_window_s,
-                        objective.burn_rate(self.aggregator, rule.long_window_s),
-                    )
-                    short_burn = burns.get(
-                        rule.short_window_s,
-                        objective.burn_rate(self.aggregator, rule.short_window_s),
-                    )
-                    now_firing = (
-                        long_burn > rule.factor and short_burn > rule.factor
-                    )
-                    key = (objective.name, rule.severity)
-                    was_firing = key in self._firing
-                    if now_firing:
-                        firing.append(rule.severity)
-                        self._firing.add(key)
-                    else:
-                        self._firing.discard(key)
-                    if now_firing != was_firing:
-                        alerts.append(
-                            SloAlert(
-                                objective=objective.name,
-                                severity=rule.severity,
-                                firing=now_firing,
-                                long_window_s=rule.long_window_s,
-                                short_window_s=rule.short_window_s,
-                                long_burn=long_burn,
-                                short_burn=short_burn,
-                                factor=rule.factor,
-                                t=t,
-                            )
-                        )
-                statuses.append(
-                    SloStatus(
-                        objective=objective,
-                        windows=windows,
-                        burn_rates=burns,
-                        firing=tuple(firing),
-                    )
-                )
-            self._statuses = tuple(statuses)
-            self._evaluations += 1
-            self._alerts.extend(alerts)
-        for alert in alerts:
+        for status in current:
+            for window, burn in status.burn_rates.items():
+                burn_gauge.set(burn, slo=status.objective.name, window=f"{window:g}s")
+        for alert in transitions:
             metrics.counter(
                 "slo_alerts_total", "Burn-rate rule transitions by objective"
-            ).inc(
-                1,
-                slo=alert.objective,
-                severity=alert.severity,
-                firing=alert.firing,
-            )
+            ).inc(1, slo=alert.objective, severity=alert.severity, firing=alert.firing)
             if tracer.enabled:
                 tracer.event(
                     "slo.alert" if alert.firing else "slo.resolved",
+                    t=alert.t,
                     slo=alert.objective,
                     severity=alert.severity,
                     long_burn=alert.long_burn,
                     short_burn=alert.short_burn,
                     factor=alert.factor,
                 )
-        return self._statuses
+        return current
 
-    # ------------------------------------------------------------------
     def statuses(self) -> tuple[SloStatus, ...]:
         """The most recent evaluation's statuses (empty before any)."""
         with self._lock:
@@ -308,19 +284,18 @@ class SloMonitor:
 
     @property
     def evaluations(self) -> int:
-        """Evaluation passes completed."""
+        """Ticks evaluated."""
         with self._lock:
             return self._evaluations
 
     def as_dict(self) -> dict:
-        """The ``/slo`` endpoint payload."""
+        """The ``/slo`` endpoint payload: the latest tick's fold."""
         with self._lock:
             return {
+                "t": self._t,
                 "evaluations": self._evaluations,
                 "alerts": len(self._alerts),
-                "firing": sorted(
-                    f"{name}:{severity}" for name, severity in self._firing
-                ),
+                "firing": sorted(f"{name}:{sev}" for name, sev in _firing(self._statuses)),
                 "objectives": [status.as_dict() for status in self._statuses],
             }
 
@@ -329,47 +304,40 @@ def default_slos(
     miss_rate_target: float = 0.05,
     plan_p99_target_s: float = 0.5,
     reject_rate_target: float = 0.05,
-    saturation_target: float = 8.0,
 ) -> tuple[SloObjective, ...]:
-    """The stock objectives over the harness/service series.
+    """The stock objectives over a load run's records.
 
-    The deadline-miss objective reads ``load_runs_total`` summed across
-    strategies, so whichever policy a run serves — Hourglass's DP or a
-    baseline like the Alourani & Kshemkalyani no-fault-tolerance
-    provisioner (``--strategy spoton``) — its live miss burn rate is
-    what the monitor exposes.
+    The deadline-miss objective reads every one-shot run whatever the
+    strategy, so a run served by Hourglass's DP or by a baseline such as
+    SpotOn's greedy cheapest-now choice (``--strategy spoton``) exposes
+    its miss burn rate the same way.  ``plan_latency_p99`` is windowed by
+    simulated decision time but carries wall-clock latencies, so it is
+    the one objective that can differ between two runs of a seed.
     """
     return (
         SloObjective(
             name="deadline_miss_rate",
             kind="ratio",
             target=miss_rate_target,
-            metric="load_runs_total",
-            bad_labels={"outcome": "missed"},
-            description="Executed runs finishing past their deadline",
+            source="run",
+            bad="missed",
+            description="Executed one-shot runs finishing past their deadline",
         ),
         SloObjective(
             name="plan_latency_p99",
             kind="quantile",
             target=plan_p99_target_s,
-            metric="load_plan_latency_seconds",
-            q=0.99,
+            source="job",
+            outcome="planned",
+            q=99.0,
             description="99th-percentile wall-clock planning latency (s)",
         ),
         SloObjective(
             name="admission_reject_rate",
             kind="ratio",
             target=reject_rate_target,
-            metric="load_jobs_total",
-            bad_labels={"outcome": "rejected_overload"},
+            source="job",
+            bad="rejected_overload",
             description="Offered jobs shed by admission control",
-        ),
-        SloObjective(
-            name="pool_saturation",
-            kind="gauge",
-            target=saturation_target,
-            metric="svc_pool_queue_depth",
-            divisor_metric="svc_pool_size",
-            description="Plan requests in system per planner worker",
         ),
     )

@@ -1,379 +1,197 @@
-"""Streaming windowed aggregation over the metrics registry.
+"""Windows as folds over a run's own records, on the simulated clock.
 
-The write side of :mod:`repro.obs` is cumulative: counters only go up,
-histograms accumulate buckets forever.  Operations questions are about
-*now* — "what is the deadline-miss rate over the last minute", "what is
-plan-latency p99 over the last 10 seconds".  :class:`WindowedAggregator`
-answers them without retaining raw samples: a sampler periodically
-copies the registry's cumulative state into a ring buffer of timestamped
-snapshots, and every windowed quantity is a difference of two snapshots
+A load run stamps one :class:`Record` per outcome with the simulated
+instant it happened: each admission outcome at the close of the window
+that decided it, each plan at its decision time (carrying its
+wall-clock latency and queue wait), each one-shot run at its finish.
+"What is the deadline-miss rate over the last hour" is then a fold over
+those records: :class:`Frame` sorts them once, and a window ``[t - w,
+t)`` is two ``searchsorted`` probes followed by a count, a ratio or a
+:func:`percentile`.  Same records and same ``t`` give the same answer on
+any box, at any speed.
 
-* **rate / delta** — ``(counter_now - counter_then) / dt`` for any
-  counter series (or summed across the label sets of one metric);
-* **ratio** — delta of a "bad" counter over delta of a total;
-* **quantile** — the cumulative-bucket histogram counts are themselves
-  diffable: the bucket deltas over a window form a windowed histogram,
-  fed to :func:`~repro.obs.metrics.estimate_quantile`.
-
-Concurrency model (lock-free per writer): metric *writers* keep their
-own per-metric locks and never see the aggregator; the ring buffer has
-exactly one writer (the sampling thread) appending immutable snapshot
-objects to a bounded deque, which CPython readers may iterate without a
-lock — queries bind a reference to the current sample list and compute
-from immutable data.  Nothing in this module ever blocks an
-instrumentation site.
+:class:`RecordLog` holds the records and the clock.  The writer only
+advances the clock to instants no later record can precede, so when a
+listener runs at a tick ``t <= clock`` every record that will ever land
+before ``t`` is already in the log: a live fold equals the same fold
+recomputed over the final log.
 """
 
 from __future__ import annotations
 
-import bisect
 import threading
-import time
-from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.obs.metrics import Counter, Gauge, Histogram, estimate_quantile
+import numpy as np
 
-#: Default query horizons, seconds: "last 10 s / 1 m / 5 m".
-DEFAULT_WINDOWS = (10.0, 60.0, 300.0)
+#: Default query horizons in simulated seconds: 5 min, 1 h, 6 h.
+DEFAULT_WINDOWS = (300.0, 3600.0, 21600.0)
 
 
-@dataclass(frozen=True)
-class WindowConfig:
-    """Shape of one :class:`WindowedAggregator`.
+def percentile(values, q: float) -> float:
+    """Linear-interpolation percentile of *values* (q in [0, 100]).
 
-    Attributes:
-        windows: queryable horizons in seconds (sorted ascending).
-        interval: nominal seconds between samples; with the default
-            ring capacity the buffer retains the longest window at this
-            resolution.  Sampling faster than *interval* is fine — the
-            ring just covers a shorter span.
-        capacity: ring-buffer slots (default: enough samples to span
-            ``max(windows)`` at *interval*, plus headroom).
+    Deterministic and dependency-light (no NumPy dtype surprises):
+    sorts the values and interpolates between the two nearest ranks.
+    Returns 0.0 for an empty input.  The one quantile rule of the load
+    report and of every window.
     """
-
-    windows: tuple[float, ...] = DEFAULT_WINDOWS
-    interval: float = 1.0
-    capacity: int = 0
-
-    def __post_init__(self):
-        if not self.windows or any(w <= 0 for w in self.windows):
-            raise ValueError("windows must be positive")
-        if tuple(sorted(self.windows)) != tuple(self.windows):
-            raise ValueError("windows must be sorted ascending")
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if self.capacity == 0:
-            object.__setattr__(
-                self,
-                "capacity",
-                int(max(self.windows) / self.interval) + 8,
-            )
-        if self.capacity < 2:
-            raise ValueError("capacity must be >= 2")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError("q must be in [0, 100]")
+    data = sorted(float(v) for v in values)
+    if not data:
+        return 0.0
+    if len(data) == 1:
+        return data[0]
+    rank = q / 100.0 * (len(data) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(data) - 1)
+    frac = rank - lo
+    return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
-@dataclass(frozen=True)
-class _Sample:
-    """One immutable snapshot of the registry's cumulative state."""
+class Record(NamedTuple):
+    """One outcome at one simulated instant.
+
+    ``kind`` is ``"job"`` (an admission outcome; a ``"planned"`` job
+    carries its wall-clock plan latency in ``value`` and its batch queue
+    wait in ``wait``) or ``"run"`` (a one-shot execution, ``"met"`` or
+    ``"missed"``, with its bill in dollars in ``value``).
+    """
 
     t: float
-    #: (metric, label_key) -> float, counters and gauges together.
-    scalars: dict
-    #: (metric, label_key) -> {"buckets": {...}, "sum": s, "count": n}.
-    histograms: dict
+    kind: str
+    outcome: str
+    value: float = 0.0
+    wait: float = 0.0
 
 
-@dataclass
-class WindowSummary:
-    """One series over one window, every derived quantity at once."""
+class Frame:
+    """Records sorted by time, per kind: the immutable input of a fold."""
 
-    window_s: float
-    span_s: float
-    delta: float = 0.0
-    rate: float = 0.0
-    quantiles: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        out = {
-            "window_s": self.window_s,
-            "span_s": round(self.span_s, 3),
-            "delta": self.delta,
-            "rate": self.rate,
-        }
-        if self.quantiles:
-            out["quantiles"] = dict(self.quantiles)
-        return out
-
-
-class WindowedAggregator:
-    """Ring-buffered windowed reads over one ``MetricsRegistry``.
-
-    Args:
-        registry: the registry to sample (any
-            :class:`~repro.obs.metrics.MetricsRegistry`).
-        config: window/interval/capacity shape.
-        clock: monotonic second source (overridable for tests).
-    """
-
-    def __init__(self, registry, config: WindowConfig | None = None, clock=time.monotonic):
-        self.registry = registry
-        self.config = config if config is not None else WindowConfig()
-        self.clock = clock
-        self._samples: deque[_Sample] = deque(maxlen=self.config.capacity)
-        self._sampled = 0
-
-    # ------------------------------------------------------------------
-    # Write side (single sampler)
-    # ------------------------------------------------------------------
-    def sample(self, now: float | None = None) -> _Sample:
-        """Snapshot the registry's cumulative state into the ring.
-
-        Called by exactly one thread (the ops sampler); each metric is
-        copied under its own lock, so a snapshot is internally
-        consistent per series even while writers are hammering.
-        """
-        t = self.clock() if now is None else now
-        scalars: dict = {}
-        histograms: dict = {}
-        for name in self.registry.names():
-            metric = self.registry.get(name)
-            if metric is None:  # reset() raced the name listing
-                continue
-            if isinstance(metric, Histogram):
-                for key, snap in metric.snapshot_all().items():
-                    histograms[(name, key)] = snap
-            elif isinstance(metric, (Counter, Gauge)):
-                for key, value in metric.series().items():
-                    scalars[(name, key)] = value
-        sample = _Sample(t=t, scalars=scalars, histograms=histograms)
-        self._samples.append(sample)
-        self._sampled += 1
-        return sample
-
-    @property
-    def samples_taken(self) -> int:
-        """Lifetime sample count (ring overwrites included)."""
-        return self._sampled
-
-    # ------------------------------------------------------------------
-    # Read side (any thread)
-    # ------------------------------------------------------------------
-    def _bracket(self, window_s: float) -> tuple[_Sample, _Sample] | None:
-        """(then, now) samples spanning the last *window_s* seconds.
-
-        *then* is the newest sample at or before ``now - window_s``
-        (falling back to the oldest retained sample when the ring does
-        not reach back that far); returns None with fewer than two
-        samples.
-        """
-        samples = list(self._samples)
-        if len(samples) < 2:
-            return None
-        newest = samples[-1]
-        cutoff = newest.t - window_s
-        times = [s.t for s in samples]
-        index = bisect.bisect_right(times, cutoff) - 1
-        return samples[max(0, index)], newest
-
-    @staticmethod
-    def _series_sum(table: dict, name: str, labels: dict | None) -> float:
-        """Sum one metric's series, optionally filtered by label subset."""
-        total = 0.0
-        want = tuple(sorted((k, str(v)) for k, v in labels.items())) if labels else ()
-        for (metric, key), value in table.items():
-            if metric != name:
-                continue
-            if want and not set(want) <= set(key):
-                continue
-            total += value
-        return total
-
-    def delta(self, name: str, window_s: float, labels: dict | None = None) -> float:
-        """Increase of a cumulative series over the last *window_s* s.
-
-        *labels* filters series by a label subset (``{"outcome":
-        "missed"}`` matches every series carrying that pair); omitted,
-        the metric's series are summed.  Clamped at 0 so a counter
-        ``reset()`` reads as "no traffic", not negative traffic.
-        """
-        bracket = self._bracket(window_s)
-        if bracket is None:
-            return 0.0
-        then, now = bracket
-        return max(
-            0.0,
-            self._series_sum(now.scalars, name, labels)
-            - self._series_sum(then.scalars, name, labels),
-        )
-
-    def rate(self, name: str, window_s: float, labels: dict | None = None) -> float:
-        """Per-second increase of a cumulative series over the window."""
-        bracket = self._bracket(window_s)
-        if bracket is None:
-            return 0.0
-        then, now = bracket
-        span = now.t - then.t
-        if span <= 0:
-            return 0.0
-        return (
-            max(
-                0.0,
-                self._series_sum(now.scalars, name, labels)
-                - self._series_sum(then.scalars, name, labels),
+    def __init__(self, records):
+        rows: dict[str, list[Record]] = {}
+        for record in sorted(records, key=lambda r: r.t):
+            rows.setdefault(record.kind, []).append(record)
+        self._columns = {
+            kind: (
+                np.array([r.t for r in group], dtype=float),
+                np.array([r.outcome for r in group], dtype=object),
+                np.array([r.value for r in group], dtype=float),
             )
-            / span
-        )
+            for kind, group in rows.items()
+        }
 
-    def value(self, name: str, labels: dict | None = None) -> float:
-        """Latest sampled value of a gauge/counter series (summed)."""
-        samples = list(self._samples)
-        if not samples:
-            return 0.0
-        return self._series_sum(samples[-1].scalars, name, labels)
+    def _window(self, t: float, window_s: float, kind: str, outcome: str | None):
+        """Values of the *kind* (and *outcome*) records in ``[t - w, t)``."""
+        columns = self._columns.get(kind)
+        if columns is None:
+            return np.empty(0)
+        times, outcomes, values = columns
+        lo, hi = np.searchsorted(times, (t - window_s, t))
+        if outcome is None:
+            return values[lo:hi]
+        return values[lo:hi][outcomes[lo:hi] == outcome]
 
-    def ratio(
-        self,
-        bad_name: str,
-        total_name: str,
-        window_s: float,
-        bad_labels: dict | None = None,
-        total_labels: dict | None = None,
-    ) -> float:
-        """Windowed error ratio: delta(bad) / delta(total) (0 when idle)."""
-        total = self.delta(total_name, window_s, total_labels)
-        if total <= 0:
-            return 0.0
-        return min(1.0, self.delta(bad_name, window_s, bad_labels) / total)
+    def count(self, t: float, window_s: float, kind: str, outcome: str | None = None) -> int:
+        """Records of *kind* (optionally one *outcome*) in the window."""
+        return len(self._window(t, window_s, kind, outcome))
 
-    def _histogram_window(
-        self, name: str, window_s: float, labels: dict | None
-    ) -> dict | None:
-        """Bucket/sum/count deltas of one histogram over the window."""
-        bracket = self._bracket(window_s)
-        if bracket is None:
-            return None
-        then, now = bracket
-        want = tuple(sorted((k, str(v)) for k, v in labels.items())) if labels else ()
-        buckets: dict = {}
-        total_sum = 0.0
-        total_count = 0
-        matched = False
-        for (metric, key), snap in now.histograms.items():
-            if metric != name:
-                continue
-            if want and not set(want) <= set(key):
-                continue
-            matched = True
-            base = then.histograms.get((metric, key))
-            for bound, cumulative in snap["buckets"].items():
-                before = base["buckets"].get(bound, 0) if base else 0
-                buckets[bound] = buckets.get(bound, 0) + max(0, cumulative - before)
-            total_sum += snap["sum"] - (base["sum"] if base else 0.0)
-            total_count += snap["count"] - (base["count"] if base else 0)
-        if not matched:
-            return None
-        return {"buckets": buckets, "sum": total_sum, "count": max(0, total_count)}
+    def ratio(self, t: float, window_s: float, kind: str, bad: str) -> float:
+        """Share of the window's *kind* records with outcome *bad* (0 when idle)."""
+        total = self.count(t, window_s, kind)
+        return self.count(t, window_s, kind, bad) / total if total else 0.0
+
+    def total(self, t: float, window_s: float, kind: str, outcome: str | None = None) -> float:
+        """Sum of the window's record values (dollars, for runs)."""
+        return float(self._window(t, window_s, kind, outcome).sum())
 
     def quantile(
-        self, name: str, q: float, window_s: float, labels: dict | None = None
+        self, t: float, window_s: float, q: float, kind: str, outcome: str | None = None
     ) -> float:
-        """Windowed quantile of a histogram (bucket-delta estimate).
-
-        The window's bucket deltas form a cumulative-bucket snapshot of
-        exactly the observations made inside the window, estimated with
-        the same linear interpolation as
-        :meth:`Histogram.estimate_quantile`.
-        """
-        snap = self._histogram_window(name, window_s, labels)
-        if snap is None:
-            return 0.0
-        return estimate_quantile(snap, q)
-
-    def count(self, name: str, window_s: float, labels: dict | None = None) -> int:
-        """Histogram observations made inside the window."""
-        snap = self._histogram_window(name, window_s, labels)
-        return 0 if snap is None else snap["count"]
-
-    # ------------------------------------------------------------------
-    def summary(
-        self,
-        name: str,
-        labels: dict | None = None,
-        quantiles: tuple[float, ...] = (0.5, 0.99),
-    ) -> dict[float, WindowSummary]:
-        """Every configured window's view of one series at once."""
-        out: dict[float, WindowSummary] = {}
-        for window in self.config.windows:
-            bracket = self._bracket(window)
-            span = bracket[1].t - bracket[0].t if bracket else 0.0
-            entry = WindowSummary(window_s=window, span_s=span)
-            hist = self._histogram_window(name, window, labels)
-            if hist is not None:
-                entry.delta = float(hist["count"])
-                entry.rate = hist["count"] / span if span > 0 else 0.0
-                entry.quantiles = {
-                    q: estimate_quantile(hist, q) for q in quantiles
-                }
-            else:
-                entry.delta = self.delta(name, window, labels)
-                entry.rate = self.rate(name, window, labels)
-            out[window] = entry
-        return out
+        """:func:`percentile` *q* of the window's record values."""
+        return percentile(self._window(t, window_s, kind, outcome), q)
 
 
-class SamplerThread:
-    """Daemon thread driving one aggregator (and optional callbacks).
+class RecordLog:
+    """Append-only, lock-guarded record log with a simulated clock.
 
     Args:
-        aggregator: the :class:`WindowedAggregator` to feed.
-        interval: seconds between samples (default: the aggregator's
-            configured interval).
-        on_sample: extra callables invoked after each sample (the SLO
-            monitor's ``evaluate`` rides here).
+        origin: the simulated instant ticks count from (a run's start).
+        tick_s: the default listener period (a run's planning window).
+
+    :attr:`clock` is the writer's simulated now; :attr:`end` is the
+    latest record's instant (``origin`` while the log is empty).
     """
 
-    def __init__(self, aggregator: WindowedAggregator, interval: float | None = None,
-                 on_sample=()):
-        self.aggregator = aggregator
-        self.interval = (
-            interval if interval is not None else aggregator.config.interval
-        )
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        self.on_sample = tuple(on_sample)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+    def __init__(self, origin: float = 0.0, tick_s: float = 60.0):
+        if tick_s <= 0:
+            raise ValueError("tick_s must be positive")
+        self.origin = origin
+        self.tick_s = tick_s
+        self.clock = origin
+        self.end = origin
+        self._lock = threading.Lock()
+        self._records: list[Record] = []
+        self._frame: Frame | None = None
+        self._listeners: list[list] = []
 
-    def start(self) -> "SamplerThread":
-        """Start sampling; idempotent."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._loop, name="obs-sampler", daemon=True
-            )
-            self._thread.start()
-        return self
+    def append(self, record: Record) -> None:
+        """Add one record; it may not land earlier than the clock."""
+        with self._lock:
+            if record.t < self.clock:
+                raise ValueError(
+                    f"record at t={record.t} lands before the clock {self.clock}"
+                )
+            self._records.append(record)
+            self.end = max(self.end, record.t)
+            self._frame = None
 
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            self.tick()
-            self._stop.wait(self.interval)
+    def __len__(self) -> int:
+        return len(self._records)
 
-    def tick(self) -> None:
-        """One sample + callback pass (what the loop runs every interval)."""
-        self.aggregator.sample()
-        for callback in self.on_sample:
-            callback()
+    def records(self) -> tuple[Record, ...]:
+        """Every record so far, in append order."""
+        with self._lock:
+            return tuple(self._records)
 
-    def close(self) -> None:
-        """Stop the thread (after at most one more interval)."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
+    def frame(self) -> Frame:
+        """The fold's view of every record so far (rebuilt after appends)."""
+        with self._lock:
+            if self._frame is None:
+                self._frame = Frame(self._records)
+            return self._frame
 
-    def __enter__(self) -> "SamplerThread":
-        return self.start()
+    def ticks(self) -> list[float]:
+        """Every ``origin + k * tick_s`` (k >= 1) at or before the clock."""
+        ticks, k = [], 1
+        while self.origin + k * self.tick_s <= self.clock:
+            ticks.append(self.origin + k * self.tick_s)
+            k += 1
+        return ticks
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def every(self, period: float | None, callback) -> None:
+        """Call ``callback(tick)`` for each *period* tick the clock crosses.
+
+        *period* defaults to :attr:`tick_s`.  Callbacks run on the
+        thread that calls :meth:`advance`, in tick order; at one tick,
+        in registration order.
+        """
+        period = self.tick_s if period is None else period
+        if period <= 0:
+            raise ValueError("period must be positive")
+        self._listeners.append([period, 1, callback])
+
+    def advance(self, t: float) -> None:
+        """Move the clock forward to *t* and run every crossed tick."""
+        with self._lock:
+            self.clock = max(self.clock, t)
+        due = []
+        for index, listener in enumerate(self._listeners):
+            period, k, callback = listener
+            while self.origin + k * period <= self.clock:
+                due.append((self.origin + k * period, index, callback))
+                k += 1
+            listener[1] = k
+        for tick, _, callback in sorted(due, key=lambda d: d[:2]):
+            callback(tick)

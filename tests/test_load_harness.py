@@ -32,9 +32,9 @@ from repro.load import (
     LoadTraceConfig,
     generate_trace,
 )
-from repro.load.report import percentile
 from repro.load.trace import ArrivalTrace
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.window import percentile
 from repro.service import (
     BatchPlanError,
     PlanError,

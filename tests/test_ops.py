@@ -1,25 +1,32 @@
 """Live-operations layer: windows, SLOs, attribution, ops endpoint.
 
-Covers the streaming side of :mod:`repro.obs`:
+Covers the streaming side of :mod:`repro.obs`, on the simulated clock:
 
-* histogram quantile estimation (shared by windows, panel and ``/slo``);
+* the one quantile rule, :func:`~repro.obs.window.percentile`, shared by
+  the report, the windows and ``/slo``;
 * Prometheus exposition round-trips with hostile label values, and the
   registry under concurrent writers and mid-scrape resets;
-* :class:`~repro.obs.window.WindowedAggregator` windowed reads;
-* :class:`~repro.obs.slo.SloMonitor` burn-rate transitions;
+* windows as folds over records (:class:`~repro.obs.window.Frame`),
+  held to the brute-force filter in ``tests/window_oracle.py``, and the
+  :class:`~repro.obs.window.RecordLog` clock that calls listeners at
+  its ticks;
+* :class:`~repro.obs.slo.SloMonitor` burn-rate transitions, and the
+  alert sequence as a pure function of the records;
 * :class:`~repro.obs.attribution.CostLedger`, plus a real lifecycle
   run metered through the ``on_bill`` hook into ``TracingObserver``'s
   ``billed_*`` series;
-* :class:`~repro.obs.server.OpsServer` endpoints over HTTP;
-* the harness's ``load_*`` publication: every series equals its report
-  field, moves at event time, and a ledger never perturbs the
-  fingerprint; a seeded run's tenant table is frozen byte for byte.
+* :class:`~repro.obs.server.OpsServer` endpoints over HTTP, and a scrape
+  racing its shutdown;
+* the harness's ``load_*`` publication and record log: every series
+  equals its report field, a ledger never perturbs the fingerprint, a
+  seeded run's tenant table and alert sequence are frozen, and the live
+  monitor equals the fold over the final log.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
+import http.client
 import json
 import threading
 import time
@@ -27,6 +34,8 @@ import urllib.request
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import default_catalog, transient_configs
 from repro.core import (
@@ -38,70 +47,80 @@ from repro.core import (
 )
 from repro.core.provisioner import Provisioner
 from repro.exec import EvictionStormFaults
+from repro.load.__main__ import main as load_main
 from repro.load.harness import HarnessConfig, LoadHarness
 from repro.load.trace import LoadTraceConfig, generate_trace
-from repro.load.watch import WatchLoop, render_panel
+from repro.load.watch import render_panel
 from repro.obs.attribution import CostLedger
 from repro.obs.export import parse_prometheus
-from repro.obs.metrics import MetricsRegistry, estimate_quantile
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import TracingObserver
 from repro.obs.server import OpsServer
-from repro.obs.slo import BurnRateRule, SloMonitor, SloObjective, default_slos
-from repro.obs.state import tracing
-from repro.obs.window import (
-    SamplerThread,
-    WindowConfig,
-    WindowedAggregator,
+from repro.obs.slo import (
+    BurnRateRule,
+    SloMonitor,
+    SloObjective,
+    alerts,
+    default_slos,
+    statuses,
 )
+from repro.obs.state import tracing
+from repro.obs.window import DEFAULT_WINDOWS, Frame, Record, RecordLog, percentile
+from tests import window_oracle as oracle
 
 
-class FakeClock:
-    """Deterministic monotonic source for window tests."""
+def _run(t, outcome="met", dollars=0.0):
+    return Record(t, "run", outcome, dollars)
 
-    def __init__(self, t: float = 0.0):
-        self.t = t
 
-    def __call__(self) -> float:
-        return self.t
+def _plan(t, latency):
+    return Record(t, "job", "planned", latency)
+
+
+def _log(records=(), tick_s=60.0):
+    log = RecordLog(origin=0.0, tick_s=tick_s)
+    for record in records:
+        log.append(record)
+    return log
 
 
 # ----------------------------------------------------------------------
-# Quantile estimation
+# The one quantile rule
 # ----------------------------------------------------------------------
 class TestEstimateQuantile:
     def test_empty_series_is_zero(self):
-        assert estimate_quantile({"buckets": {1.0: 0}, "sum": 0.0, "count": 0}, 0.9) == 0.0
+        assert percentile([], 90) == 0.0
+        assert Frame([]).quantile(10.0, 10.0, 90, "job", "planned") == 0.0
 
     def test_q_out_of_range_raises(self):
-        snap = {"buckets": {1.0: 1}, "sum": 0.5, "count": 1}
-        with pytest.raises(ValueError):
-            estimate_quantile(snap, -0.1)
-        with pytest.raises(ValueError):
-            estimate_quantile(snap, 1.5)
+        frame = Frame([_plan(1.0, 0.5)])
+        for q in (-0.1, 100.5):
+            with pytest.raises(ValueError):
+                percentile([0.5], q)
+            with pytest.raises(ValueError):
+                frame.quantile(10.0, 10.0, q, "job", "planned")
 
     def test_linear_interpolation_inside_bucket(self):
-        # 10 observations: 5 land in (0, 1], 5 in (1, 2].
-        snap = {"buckets": {1.0: 5, 2.0: 10}, "sum": 0.0, "count": 10}
-        assert estimate_quantile(snap, 0.5) == pytest.approx(1.0)
-        # Rank 2.5 of 5 in the first bucket: halfway up from 0.
-        assert estimate_quantile(snap, 0.25) == pytest.approx(0.5)
-        assert estimate_quantile(snap, 1.0) == pytest.approx(2.0)
+        # Between two neighbouring ranks the estimate is linear.
+        values = [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert percentile(values, 50) == 2.0
+        assert percentile(values, 12.5) == pytest.approx(0.5)
+        assert percentile(values, 100) == 4.0
 
     def test_inf_bucket_clamps_to_highest_bound(self):
-        # Every observation above the largest finite bound.
-        snap = {"buckets": {1.0: 0, 2.0: 0}, "sum": 500.0, "count": 5}
-        assert estimate_quantile(snap, 0.99) == pytest.approx(2.0)
+        # The top rank is the largest observation, never beyond it.
+        values = [1.0, 2.0, 500.0]
+        assert percentile(values, 100) == 500.0
+        assert percentile(values, 99.9) <= 500.0
 
     def test_histogram_method_matches_module_function(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", "", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 0.7, 5.0):
-            hist.observe(v, tenant="a")
-        assert hist.estimate_quantile(0.5, tenant="a") == pytest.approx(
-            estimate_quantile(hist.snapshot(tenant="a"), 0.5)
-        )
-        # Unseen label set reads as empty, not KeyError.
-        assert hist.estimate_quantile(0.5, tenant="nobody") == 0.0
+        # The windowed method is the module rule over the window's values.
+        records = [_plan(float(i), 0.01 * i) for i in range(20)]
+        frame = Frame(records)
+        inside = [r.value for r in records if 5.0 <= r.t < 15.0]
+        assert frame.quantile(15.0, 10.0, 90, "job", "planned") == percentile(inside, 90)
+        # An unseen kind reads as empty, not KeyError.
+        assert frame.quantile(15.0, 10.0, 90, "nobody") == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -211,146 +230,147 @@ class TestConcurrentRegistry:
 
 
 # ----------------------------------------------------------------------
-# Windowed aggregation
+# Windows as folds over records
 # ----------------------------------------------------------------------
 class TestWindowConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            WindowConfig(windows=())
+            RecordLog(tick_s=0.0)
+        log = _log()
         with pytest.raises(ValueError):
-            WindowConfig(windows=(60.0, 10.0))
+            log.every(0.0, print)
+        log.advance(100.0)
+        # No record may land earlier than the clock...
         with pytest.raises(ValueError):
-            WindowConfig(interval=0.0)
-        with pytest.raises(ValueError):
-            WindowConfig(capacity=1)
-
-    def test_auto_capacity_spans_longest_window(self):
-        config = WindowConfig(windows=(10.0, 300.0), interval=1.0)
-        assert config.capacity >= 300
+            log.append(_run(50.0))
+        # ...and the clock never moves back.
+        log.advance(10.0)
+        assert log.clock == 100.0
+        log.append(_run(100.0))
+        assert len(log) == 1 and log.end == 100.0
 
 
 class TestWindowedAggregator:
-    def _agg(self, registry, clock):
-        return WindowedAggregator(
-            registry, WindowConfig(windows=(10.0, 60.0), interval=1.0), clock=clock
-        )
-
-    def test_needs_two_samples(self):
-        registry = MetricsRegistry()
-        agg = self._agg(registry, FakeClock())
-        assert agg.delta("x_total", 10.0) == 0.0
-        assert agg.rate("x_total", 10.0) == 0.0
-        assert agg.quantile("h", 0.5, 10.0) == 0.0
-        agg.sample()
-        assert agg.rate("x_total", 10.0) == 0.0
+    """Windowed reads are folds over the records: ``[t - w, t)``."""
 
     def test_delta_rate_and_label_subset(self):
-        registry = MetricsRegistry()
-        clock = FakeClock()
-        agg = self._agg(registry, clock)
-        counter = registry.counter("runs_total")
-        counter.inc(5, outcome="met", tenant="a")
-        agg.sample()
-        counter.inc(10, outcome="met", tenant="a")
-        counter.inc(3, outcome="missed", tenant="a")
-        clock.t = 10.0
-        agg.sample()
-        assert agg.delta("runs_total", 10.0) == pytest.approx(13.0)
-        assert agg.delta("runs_total", 10.0, {"outcome": "met"}) == pytest.approx(10.0)
-        assert agg.rate("runs_total", 10.0, {"outcome": "missed"}) == pytest.approx(0.3)
-        assert agg.value("runs_total", {"outcome": "met"}) == pytest.approx(15.0)
+        records = [_run(1.0, dollars=1.0) for _ in range(5)]
+        records += [_run(12.0 + 0.5 * i, dollars=2.0) for i in range(10)]
+        records += [_run(15.5, "missed", dollars=4.0) for _ in range(3)]
+        frame = Frame(records)
+        assert frame.count(20.0, 10.0, "run") == 13
+        assert frame.count(20.0, 10.0, "run", "met") == 10
+        assert frame.count(20.0, 10.0, "run", "missed") == 3
+        assert frame.total(20.0, 10.0, "run") == pytest.approx(32.0)
+        assert frame.total(20.0, 10.0, "run", "missed") == pytest.approx(12.0)
+        assert frame.count(20.0, 10.0, "job") == 0
 
     def test_window_clamps_to_oldest_sample(self):
-        registry = MetricsRegistry()
-        clock = FakeClock()
-        agg = self._agg(registry, clock)
-        counter = registry.counter("x_total")
-        agg.sample()
-        counter.inc(7)
-        clock.t = 3.0
-        agg.sample()
-        # 60 s window with only 3 s of history: use what the ring has.
-        assert agg.delta("x_total", 60.0) == pytest.approx(7.0)
-        assert agg.rate("x_total", 60.0) == pytest.approx(7.0 / 3.0)
+        frame = Frame([_run(5.0), _run(6.0), _run(7.0)])
+        # A window reaching back past the first record covers what is there.
+        assert frame.count(10.0, 60.0, "run") == 3
+        # Edges are half-open: a record at t - w is in, one at t is out.
+        assert frame.count(7.0, 2.0, "run") == 2
+        assert frame.count(7.0, 1.0, "run") == 1
 
     def test_registry_reset_reads_as_idle_not_negative(self):
+        # The fold never reads the registry: resetting it mid-run leaves
+        # every window exactly as the records say.
         registry = MetricsRegistry()
-        clock = FakeClock()
-        agg = self._agg(registry, clock)
-        registry.counter("x_total").inc(100)
-        agg.sample()
-        registry.reset()
-        registry.counter("x_total").inc(5)
-        clock.t = 5.0
-        agg.sample()
-        assert agg.delta("x_total", 10.0) == 0.0
-        assert agg.rate("x_total", 10.0) == 0.0
+        harness = LoadHarness(_harness_config(), metrics=registry)
+        harness.log.every(None, lambda t: registry.reset())
+        report = harness.run()
+        frame = harness.log.frame()
+        t = harness.log.end + 1.0
+        whole = t - harness.log.origin
+        assert frame.count(t, whole, "job", "planned") == report.planned
+        assert frame.count(t, whole, "run") == report.executed
+        assert frame.ratio(t, whole, "run", "missed") == report.miss_rate
 
     def test_ratio(self):
-        registry = MetricsRegistry()
-        clock = FakeClock()
-        agg = self._agg(registry, clock)
-        counter = registry.counter("runs_total")
-        agg.sample()
-        counter.inc(9, outcome="met")
-        counter.inc(1, outcome="missed")
-        clock.t = 10.0
-        agg.sample()
-        miss = agg.ratio(
-            "runs_total", "runs_total", 10.0, bad_labels={"outcome": "missed"}
-        )
-        assert miss == pytest.approx(0.1)
-        # Idle denominator reads 0, not a division error.
-        assert agg.ratio("nope_total", "nope_total", 10.0) == 0.0
+        frame = Frame([_run(1.0)] * 9 + [_run(2.0, "missed")])
+        assert frame.ratio(10.0, 10.0, "run", "missed") == pytest.approx(0.1)
+        # An idle window reads 0, not a division error.
+        assert frame.ratio(100.0, 10.0, "run", "missed") == 0.0
+        assert frame.ratio(10.0, 10.0, "nope", "missed") == 0.0
 
     def test_windowed_quantile_sees_only_window_observations(self):
-        registry = MetricsRegistry()
-        clock = FakeClock()
-        agg = self._agg(registry, clock)
-        hist = registry.histogram("lat_seconds", buckets=(0.01, 0.1, 1.0, 100.0))
-        for _ in range(10):
-            hist.observe(50.0)  # old, slow regime
-        agg.sample()
-        for _ in range(100):
-            hist.observe(0.05)  # current, fast regime
-        clock.t = 10.0
-        agg.sample()
-        p50 = agg.quantile("lat_seconds", 0.5, 10.0)
-        assert 0.0 < p50 <= 0.1  # unpolluted by the pre-window 50 s tail
-        assert agg.count("lat_seconds", 10.0) == 100
-        # The cumulative estimate, by contrast, straddles both regimes.
-        assert hist.estimate_quantile(0.95) > 1.0
+        records = [_plan(float(i), 50.0) for i in range(10)]  # old, slow regime
+        records += [_plan(100.0 + i, 0.05) for i in range(100)]  # current, fast
+        frame = Frame(records)
+        assert frame.quantile(200.0, 150.0, 50, "job", "planned") == 0.05
+        assert frame.count(200.0, 150.0, "job", "planned") == 100
+        # A window over both regimes straddles them.
+        assert frame.quantile(200.0, 200.0, 95, "job", "planned") == 50.0
 
     def test_summary_covers_every_window(self):
-        registry = MetricsRegistry()
-        clock = FakeClock()
-        agg = self._agg(registry, clock)
-        hist = registry.histogram("lat_seconds")
-        agg.sample()
-        hist.observe(0.05)
-        hist.observe(0.2)
-        clock.t = 10.0
-        agg.sample()
-        summary = agg.summary("lat_seconds")
-        assert set(summary) == {10.0, 60.0}
-        entry = summary[10.0]
-        assert entry.delta == 2.0
-        assert entry.rate == pytest.approx(0.2)
-        assert set(entry.quantiles) == {0.5, 0.99}
-        assert "quantiles" in entry.as_dict()
+        frame = Frame([_run(10.0, "missed"), _run(20.0)])
+        (status,) = statuses((_miss_objective(),), frame, 60.0)
+        assert set(status.windows) == set(DEFAULT_WINDOWS)
+        assert status.windows[300.0] == 0.5
+        assert status.burn_rates[300.0] == pytest.approx(10.0)
+        assert set(status.as_dict()["burn_rate"]) == {"300.0", "3600.0", "21600.0"}
 
-    def test_sampler_thread_drives_aggregator_and_callbacks(self):
-        registry = MetricsRegistry()
-        agg = WindowedAggregator(registry, WindowConfig(interval=0.01))
-        ticks = []
-        with SamplerThread(agg, 0.01, on_sample=(lambda: ticks.append(1),)):
-            deadline = time.monotonic() + 2.0
-            while agg.samples_taken < 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        assert agg.samples_taken >= 3
-        assert len(ticks) == agg.samples_taken
-        with pytest.raises(ValueError):
-            SamplerThread(agg, 0.0)
+    def test_clock_runs_listeners_at_ticks(self):
+        log = _log(tick_s=60.0)
+        seen = []
+        log.every(None, lambda t: seen.append((t, "a")))
+        log.every(90.0, lambda t: seen.append((t, "b")))
+        log.advance(200.0)
+        assert seen == [(60.0, "a"), (90.0, "b"), (120.0, "a"), (180.0, "a"), (180.0, "b")]
+        log.advance(100.0)  # never back, never a tick twice
+        log.advance(240.0)
+        assert seen[5:] == [(240.0, "a")]
+        assert log.ticks() == [60.0, 120.0, 180.0, 240.0]
+
+
+_times = st.integers(0, 40).map(lambda k: 600.0 * k)
+_records = st.lists(
+    st.builds(
+        Record,
+        t=_times,
+        kind=st.sampled_from(["job", "run"]),
+        outcome=st.sampled_from(["planned", "rejected_overload", "met", "missed"]),
+        value=st.floats(0.0, 10.0),
+    ),
+    max_size=40,
+)
+
+
+class TestFoldProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        records=_records,
+        t=_times,
+        window_s=st.sampled_from([600.0, 1800.0, 3600.0, 7200.0, 25000.0]),
+        kind=st.sampled_from(["job", "run"]),
+        outcome=st.sampled_from([None, "planned", "met", "missed"]),
+        q=st.floats(0.0, 100.0),
+    )
+    def test_fold_equals_brute_force_filter(self, records, t, window_s, kind, outcome, q):
+        frame = Frame(records)
+        args = (t, window_s, kind, outcome)
+        assert frame.count(*args) == oracle.count(records, *args)
+        assert frame.quantile(t, window_s, q, kind, outcome) == oracle.quantile(
+            records, t, window_s, q, kind, outcome
+        )
+        bad = outcome or "missed"
+        assert frame.ratio(t, window_s, kind, bad) == oracle.ratio(
+            records, t, window_s, kind, bad
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(records=_records, data=st.data())
+    def test_alerts_ignore_append_order(self, records, data):
+        objectives = (
+            _miss_objective(),
+            SloObjective("p90", "quantile", 5.0, "job", outcome="planned", q=90.0),
+        )
+        shuffled = data.draw(st.permutations(records))
+        log = _log(shuffled, tick_s=600.0)
+        monitor = SloMonitor(log, objectives, metrics=MetricsRegistry())
+        log.advance(log.end + 600.0)
+        assert list(monitor.alerts()) == alerts(objectives, records, log.ticks())
 
 
 # ----------------------------------------------------------------------
@@ -361,8 +381,8 @@ def _miss_objective(target=0.05):
         name="deadline_miss_rate",
         kind="ratio",
         target=target,
-        metric="load_runs_total",
-        bad_labels={"outcome": "missed"},
+        source="run",
+        bad="missed",
     )
 
 
@@ -375,109 +395,90 @@ class TestSloDeclarations:
 
     def test_objective_validation(self):
         with pytest.raises(ValueError):
-            SloObjective(name="x", kind="mystery", target=1.0, metric="m")
+            SloObjective(name="x", kind="mystery", target=1.0, source="run")
         with pytest.raises(ValueError):
-            SloObjective(name="x", kind="ratio", target=0.0, metric="m")
+            SloObjective(name="x", kind="ratio", target=0.0, source="run", bad="missed")
         with pytest.raises(ValueError):
-            SloObjective(name="x", kind="ratio", target=1.0, metric="m")
+            SloObjective(name="x", kind="ratio", target=1.0, source="run")
 
-    def test_default_slos_cover_the_stock_four(self):
+    def test_default_slos_cover_the_stock_three(self):
         names = {o.name for o in default_slos()}
         assert names == {
             "deadline_miss_rate",
             "plan_latency_p99",
             "admission_reject_rate",
-            "pool_saturation",
         }
+        # Every default rule reads default windows.
+        for objective in default_slos():
+            assert objective.windows == DEFAULT_WINDOWS
 
     def test_duplicate_objective_names_rejected(self):
-        registry = MetricsRegistry()
-        agg = WindowedAggregator(registry)
         with pytest.raises(ValueError):
-            SloMonitor(agg, (_miss_objective(), _miss_objective()))
-
-    def test_gauge_objective_with_divisor(self):
-        registry = MetricsRegistry()
-        clock = FakeClock()
-        agg = WindowedAggregator(registry, clock=clock)
-        registry.gauge("svc_pool_queue_depth").set(12.0)
-        registry.gauge("svc_pool_size").set(3.0)
-        agg.sample()
-        agg.sample()
-        objective = SloObjective(
-            name="pool_saturation",
-            kind="gauge",
-            target=8.0,
-            metric="svc_pool_queue_depth",
-            divisor_metric="svc_pool_size",
-        )
-        assert objective.observe(agg, 10.0) == pytest.approx(4.0)
-        assert objective.burn_rate(agg, 10.0) == pytest.approx(0.5)
+            SloMonitor(_log(), (_miss_objective(), _miss_objective()))
 
 
 class TestSloMonitor:
     def _setup(self):
         registry = MetricsRegistry()
-        clock = FakeClock()
-        agg = WindowedAggregator(registry, clock=clock)
-        monitor = SloMonitor(agg, (_miss_objective(),), metrics=registry)
-        return registry, clock, agg, monitor
+        log = _log(tick_s=60.0)
+        monitor = SloMonitor(log, (_miss_objective(),), metrics=registry)
+        return registry, log, monitor
 
     def test_fire_and_resolve_transitions(self):
-        registry, clock, agg, monitor = self._setup()
-        counter = registry.counter("load_runs_total")
-        agg.sample()
-        counter.inc(10, outcome="missed")
-        clock.t = 1.0
-        agg.sample()
-        statuses = monitor.evaluate()
+        registry, log, monitor = self._setup()
+        for _ in range(10):
+            log.append(_run(10.0, "missed"))
+        for _ in range(990):
+            log.append(_run(200.0))
+        log.advance(60.0)
         # 100% miss rate vs a 5% budget: burn 20 trips both rules.
-        (status,) = statuses
+        (status,) = monitor.statuses()
         assert status.firing == ("page", "ticket")
         fired = monitor.alerts()
-        assert [a.firing for a in fired] == [True, True]
+        assert [(a.t, a.firing) for a in fired] == [(60.0, True), (60.0, True)]
         assert monitor.as_dict()["firing"] == [
             "deadline_miss_rate:page",
             "deadline_miss_rate:ticket",
         ]
 
         # Steady state: still firing, but silent (no new transitions).
-        monitor.evaluate()
+        log.advance(180.0)
         assert len(monitor.alerts()) == 2
 
         # Recovery: a flood of met runs dilutes the miss ratio.
-        counter.inc(990, outcome="met")
-        clock.t = 2.0
-        agg.sample()
-        (status,) = monitor.evaluate()
+        log.advance(240.0)
+        (status,) = monitor.statuses()
         assert status.firing == ()
-        alerts = monitor.alerts()
-        assert len(alerts) == 4
-        assert [a.firing for a in alerts[2:]] == [False, False]
+        transitions = monitor.alerts()
+        assert len(transitions) == 4
+        assert [(a.t, a.firing) for a in transitions[2:]] == [(240.0, False)] * 2
         assert monitor.as_dict()["firing"] == []
-        assert monitor.evaluations == 3
+        assert monitor.evaluations == 4
+        # The live sequence is the pure one over the same ticks.
+        assert list(transitions) == alerts(monitor.objectives, log.records(), log.ticks())
 
     def test_monitor_exports_its_own_series(self):
-        registry, clock, agg, monitor = self._setup()
-        counter = registry.counter("load_runs_total")
-        agg.sample()
-        counter.inc(4, outcome="missed")
-        clock.t = 1.0
-        agg.sample()
-        monitor.evaluate()
+        registry, log, monitor = self._setup()
+        for _ in range(4):
+            log.append(_run(10.0, "missed"))
+        with tracing() as (tracer, _):
+            log.advance(60.0)
         burn = registry.gauge("slo_burn_rate").value(
-            slo="deadline_miss_rate", window="10s"
+            slo="deadline_miss_rate", window="300s"
         )
         assert burn == pytest.approx(20.0)
         fired = registry.counter("slo_alerts_total").value(
             slo="deadline_miss_rate", severity="page", firing="True"
         )
         assert fired == 1.0
+        events = [r for r in tracer.records() if r.name == "slo.alert"]
+        assert [e.t0 for e in events] == [60.0, 60.0]
         # The monitor's payload is JSON-serialisable as the /slo body.
         payload = json.loads(json.dumps(monitor.as_dict()))
+        assert payload["t"] == 60.0
         assert payload["evaluations"] == 1
         assert payload["objectives"][0]["name"] == "deadline_miss_rate"
-        assert set(payload["objectives"][0]["burn_rate"]) == {"10.0", "60.0", "300.0"}
+        assert set(payload["objectives"][0]["burn_rate"]) == {"300.0", "3600.0", "21600.0"}
 
 
 # ----------------------------------------------------------------------
@@ -642,16 +643,12 @@ class TestOpsServer:
     def test_endpoints_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("load_runs_total", "runs").inc(3, outcome="met")
-        clock = FakeClock()
-        agg = WindowedAggregator(registry, clock=clock)
-        monitor = SloMonitor(agg, (_miss_objective(),), metrics=registry)
+        log = _log([_run(10.0)])
+        monitor = SloMonitor(log, (_miss_objective(),), metrics=registry)
         ledger = CostLedger()
         ledger.record_run("acme", _result(), 0.0, 0.0)
-        agg.sample()
-        clock.t = 1.0
-        agg.sample()
-        monitor.evaluate()
-        with OpsServer(registry, aggregator=agg, monitor=monitor, ledger=ledger) as server:
+        log.advance(60.0)
+        with OpsServer(registry, log=log, monitor=monitor, ledger=ledger) as server:
             status, ctype, body = _get(server.url + "/metrics")
             assert status == 200
             assert ctype.startswith("text/plain")
@@ -662,11 +659,13 @@ class TestOpsServer:
             health = json.loads(body)
             assert status == 200
             assert health["status"] == "ok"
-            assert health["samples"] == 2
+            assert health["clock"] == 60.0
+            assert health["records"] == 1
             assert health["slo_evaluations"] == 1
 
             status, _, body = _get(server.url + "/slo")
             slo = json.loads(body)
+            assert slo["t"] == 60.0
             assert slo["objectives"][0]["name"] == "deadline_miss_rate"
 
             status, _, body = _get(server.url + "/tenants")
@@ -682,66 +681,87 @@ class TestOpsServer:
                 with pytest.raises(urllib.error.HTTPError) as err:
                     _get(server.url + path)
                 assert err.value.code == 404
-            # Health still answers without aggregator or monitor.
+            # Health still answers without a log or a monitor.
             status, _, body = _get(server.url + "/health")
             assert status == 200
-            assert "samples" not in json.loads(body)
+            assert "clock" not in json.loads(body)
 
-    def test_owned_sampler_feeds_aggregator(self):
+    def test_scrape_during_shutdown(self):
         registry = MetricsRegistry()
-        agg = WindowedAggregator(registry, WindowConfig(interval=0.01))
-        monitor = SloMonitor(agg, (_miss_objective(),), metrics=registry)
-        with OpsServer(
-            registry, aggregator=agg, monitor=monitor, sample_interval=0.01
-        ):
-            deadline = time.monotonic() + 2.0
-            while monitor.evaluations < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        assert agg.samples_taken >= 2
-        assert monitor.evaluations >= 2
+        registry.counter("load_runs_total").inc(1, outcome="met")
+        log = _log([_run(10.0, "missed")])
+        monitor = SloMonitor(log, (_miss_objective(),), metrics=registry)
+        log.advance(60.0)
+        server = OpsServer(registry, log=log, monitor=monitor).start()
+        port = server.port
+        complete, refused, torn = [], [], []
+        stop = threading.Event()
+
+        def scrape():
+            while not stop.is_set():
+                for path in ("/slo", "/metrics"):
+                    try:
+                        _, _, body = _get(f"http://127.0.0.1:{port}{path}")
+                        if path == "/slo":
+                            json.loads(body)
+                        else:
+                            parse_prometheus(body)
+                        complete.append(path)
+                    except OSError as exc:  # refused, reset, disconnected
+                        refused.append(exc)
+                    except (http.client.HTTPException, ValueError) as exc:
+                        torn.append(exc)
+
+        client = threading.Thread(target=scrape, daemon=True)
+        client.start()
+        deadline = time.monotonic() + 5.0
+        while len(complete) < 10 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        started = time.monotonic()
+        server.close()
+        closed_in = time.monotonic() - started
+        time.sleep(0.05)  # let the client hit the closed port
+        stop.set()
+        client.join(timeout=10)
+        assert closed_in < 5.0
+        assert not client.is_alive()
+        assert len(complete) >= 10
+        assert not torn, torn[:3]
+        # The port is free again: a restarted endpoint can bind it.
+        with OpsServer(registry, port=port) as again:
+            assert again.port == port
+            assert _get(again.url + "/health")[0] == 200
 
 
 # ----------------------------------------------------------------------
 # Watch panel
 # ----------------------------------------------------------------------
 class TestWatchPanel:
-    def _live(self):
-        registry = MetricsRegistry()
-        clock = FakeClock()
-        agg = WindowedAggregator(registry, clock=clock)
-        counter = registry.counter("load_runs_total")
-        agg.sample()
-        counter.inc(9, outcome="met")
-        counter.inc(1, outcome="missed")
-        registry.counter("load_user_cost_dollars_total").inc(5.0)
-        clock.t = 10.0
-        agg.sample()
-        monitor = SloMonitor(agg, (_miss_objective(target=0.5),), metrics=registry)
-        monitor.evaluate()
-        ledger = CostLedger()
-        ledger.record_run("acme", _result(), 0.0, 0.0)
-        return agg, monitor, ledger
-
     def test_render_panel_reads_windowed_aggregates(self):
-        agg, monitor, ledger = self._live()
-        frame = render_panel(agg, monitor, ledger)
-        assert "last 10s" in frame
+        records = [_run(10.0 * i, dollars=0.5) for i in range(9)]
+        records += [_run(95.0, "missed", dollars=0.5), _plan(50.0, 0.01)]
+        log = _log(records, tick_s=300.0)
+        monitor = SloMonitor(log, (_miss_objective(target=0.5),), metrics=MetricsRegistry())
+        log.advance(300.0)
+        frame = render_panel(log, 300.0, monitor)
+        assert "t+0.08 h · last 300 s" in frame
+        assert "planned    12.00/h" in frame
+        assert "runs   120.00/h" in frame
         assert "miss rate  10.00%" in frame
-        assert "0.5000 $/s" in frame
+        assert "spend      60.00 $/h" in frame
         assert "all objectives within budget" in frame
-        assert "tenants 1" in frame
 
-    def test_watch_loop_prints_frames(self):
-        agg, monitor, ledger = self._live()
-        stream = io.StringIO()
-        with WatchLoop(agg, monitor, ledger, interval=0.01, stream=stream) as loop:
-            deadline = time.monotonic() + 2.0
-            while loop.frames < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        assert loop.frames >= 2
-        assert "load run" in stream.getvalue()
-        with pytest.raises(ValueError):
-            WatchLoop(agg, interval=0.0)
+    def test_watch_loop_prints_frames(self, capsys):
+        argv = [
+            "--jobs", "20", "--seed", "42", "--trace-days", "8",
+            "--recurring-tenants", "0", "--watch", "600",
+        ]
+        assert load_main(argv) == 0
+        frames = capsys.readouterr().err.split("-- load run")[1:]
+        assert len(frames) >= 2
+        # One frame per 600 s tick of the simulated clock, in order.
+        for k, frame in enumerate(frames, start=1):
+            assert frame.startswith(f" · t+{600 * k / 3600:.2f} h · last 300 s --")
 
 
 # ----------------------------------------------------------------------
@@ -830,17 +850,99 @@ class TestHarnessPublication:
         assert ledger.totals().runs == report.executed + report.recurring_runs
         assert len(ledger.snapshot()) >= 2  # real multi-tenant attribution
 
-    def test_ledger_golden(self):
+    def test_ledger_golden(self, seed42):
         """A seeded 100-job run's tenant table, frozen byte for byte."""
-        registry = MetricsRegistry()
-        ledger = CostLedger(metrics=registry)
-        report = LoadHarness(
-            _harness_config(seed=42, num_jobs=100), metrics=registry, ledger=ledger
-        ).run()
-        blob = json.dumps(ledger.as_dict(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(seed42.ledger.as_dict(), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "6f928006ba8bb2747dfa806e490ff0982e638d37edeb9cea5e5a44a3afbd5f5d"
         )
-        assert ledger.totals().dollars == pytest.approx(
-            report.user_cost_dollars, abs=1e-9
+        assert seed42.ledger.totals().dollars == pytest.approx(
+            seed42.report.user_cost_dollars, abs=1e-9
         )
+
+    def test_alert_sequence_golden(self, seed42):
+        """The same run's alert sequence, on the simulated clock."""
+        assert _seed_part(seed42.monitor.alerts(), seed42.harness.log) == SEED42_ALERTS
+
+    def test_alert_sequence_survives_slow_decisions(self):
+        # A box twice as slow (every decision 2 ms late) moves no alert.
+        harness = LoadHarness(
+            _harness_config(seed=42, num_jobs=100), metrics=MetricsRegistry()
+        )
+        harness.service.add_decision_hook(lambda request, result: time.sleep(0.002))
+        harness.run()
+        log = harness.log
+        assert _seed_part(alerts(default_slos(), log.records(), log.ticks()), log) == (
+            SEED42_ALERTS
+        )
+
+    @pytest.mark.parametrize("frontend", [False, True], ids=["windowed", "frontend"])
+    def test_live_alerts_equal_the_fold(self, frontend, seed42):
+        run = (
+            _observed_run(_harness_config(seed=42, num_jobs=100, frontend=True))
+            if frontend
+            else seed42
+        )
+        log, monitor = run.harness.log, run.monitor
+        assert monitor.alerts()
+        assert list(monitor.alerts()) == alerts(monitor.objectives, log.records(), log.ticks())
+        # Every live /slo payload is the fold at its t over the final log.
+        frame = log.frame()
+        assert len(run.payloads) == len(log.ticks()) == monitor.evaluations
+        for payload in run.payloads:
+            pure = statuses(monitor.objectives, frame, payload["t"])
+            assert payload["objectives"] == [s.as_dict() for s in pure]
+        # The log holds one run; a second would land records before the clock.
+        with pytest.raises(RuntimeError):
+            run.harness.run()
+
+    def test_whole_run_window_reproduces_the_report(self, seed42):
+        log, report = seed42.harness.log, seed42.report
+        frame = log.frame()
+        t = log.end + 1.0
+        whole = t - log.origin
+        assert 1000 * frame.quantile(t, whole, 99, "job", "planned") == report.plan_p99_ms
+        assert frame.ratio(t, whole, "run", "missed") == report.miss_rate
+        assert frame.count(t, whole, "run") == report.executed
+
+
+#: ``(simulated t, objective, severity, firing)`` for the seed-42,
+#: 100-job run: its 12 misses all finish in the first simulated hour.
+SEED42_ALERTS = [
+    (240.0, "deadline_miss_rate", "page", True),
+    (240.0, "deadline_miss_rate", "ticket", True),
+    (660.0, "deadline_miss_rate", "page", False),
+    (4140.0, "deadline_miss_rate", "ticket", False),
+    (4260.0, "deadline_miss_rate", "ticket", True),
+    (4380.0, "deadline_miss_rate", "ticket", False),
+]
+
+
+def _seed_part(transitions, log) -> list[tuple]:
+    """The seed-determined alerts; plan latency is wall clock."""
+    return [
+        (a.t - log.origin, a.objective, a.severity, a.firing)
+        for a in transitions
+        if a.objective in ("deadline_miss_rate", "admission_reject_rate")
+    ]
+
+
+def _observed_run(config, ledger=None):
+    """One harness run with an SLO monitor and its payload at every tick."""
+    registry = MetricsRegistry()
+    harness = LoadHarness(config, metrics=registry, ledger=ledger)
+    monitor = SloMonitor(harness.log, default_slos(), metrics=registry)
+    payloads = []
+    harness.log.every(None, lambda t: payloads.append(monitor.as_dict()))
+    report = harness.run()
+    return SimpleNamespace(
+        harness=harness, monitor=monitor, ledger=ledger, report=report, payloads=payloads
+    )
+
+
+@pytest.fixture(scope="module")
+def seed42():
+    """The seeded 100-job run the ledger and alert goldens share."""
+    return _observed_run(
+        _harness_config(seed=42, num_jobs=100), ledger=CostLedger(metrics=MetricsRegistry())
+    )
