@@ -14,7 +14,7 @@ import sys
 
 from repro.core import PAPER_PROFILES
 from repro.experiments import ExperimentSetup, sweep_strategy
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 
 STRATEGIES = ("hourglass", "spoton", "spoton+dp")
 SLACKS = (0.1, 0.25, 0.5, 0.75, 1.0)

@@ -16,6 +16,7 @@ import numpy as np
 from repro.cloud.instance import InstanceType
 from repro.cloud.market import SpotMarket
 from repro.cloud.trace import PriceTrace
+from repro.utils.table import format_table
 from repro.utils.units import HOURS
 
 
@@ -105,7 +106,5 @@ def summarize_market(market: SpotMarket) -> list[TraceSummary]:
 
 def market_report(market: SpotMarket) -> str:
     """Human-readable market characterisation table."""
-    from repro.experiments.report import format_table
-
     rows = [s.as_row() for s in summarize_market(market)]
     return format_table(rows, title="Spot market characterisation")

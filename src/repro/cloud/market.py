@@ -173,7 +173,3 @@ class SpotMarket:
         if config.market is Market.ON_DEMAND:
             raise ValueError("on-demand configurations have no eviction model")
         return self._stats[config.instance_type.name].eviction_model
-
-    def expected_rate(self, config: Configuration, t: float) -> float:
-        """Price estimate a provisioner would use: the current rate."""
-        return self.config_rate(config, t)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.state import get_tracer
-
 
 def value_dtype_of(program) -> np.dtype:
     """The numpy dtype a program's vertex values are stored as."""
@@ -52,44 +50,6 @@ class Worker:
         """Share the engine's global state arrays."""
         self.values = values
         self.halted = halted
-
-    def initialize(
-        self,
-        program,
-        num_vertices_total: int,
-        values: np.ndarray | None = None,
-        halted: np.ndarray | None = None,
-    ) -> None:
-        """Populate values and halted flags from the vertex program.
-
-        When ``values``/``halted`` are omitted (standalone use, e.g. in
-        tests) the worker allocates its own full-size arrays.
-        """
-        if values is None:
-            values = np.empty(num_vertices_total, dtype=value_dtype_of(program))
-        if halted is None:
-            halted = np.zeros(num_vertices_total, dtype=bool)
-        self.attach(values, halted)
-        own = self.vertices
-        init = program.initial_values(num_vertices_total)
-        if init is not None:
-            values[own] = np.asarray(init)[own]
-        else:
-            values[own] = np.fromiter(
-                (program.initial_value(int(v), num_vertices_total) for v in own),
-                dtype=values.dtype,
-                count=len(own),
-            )
-        halted[own] = np.fromiter(
-            (not program.is_active_initially(int(v)) for v in own),
-            dtype=bool,
-            count=len(own),
-        )
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "worker.init", worker=self.worker_id, vertices=self.num_vertices
-            )
 
 
 def build_workers(partitioning, num_workers: int) -> list[Worker]:

@@ -21,7 +21,6 @@ from repro.experiments.common import (
     run_sweep_tasks,
     sweep_strategy,
 )
-from repro.experiments.report import format_markdown, format_table
 
 __all__ = [
     "CellResult",
@@ -36,8 +35,6 @@ __all__ = [
     "fig8_quality",
     "fig9_decision_time",
     "fig_elastic",
-    "format_markdown",
-    "format_table",
     "offline_partition_cost",
     "parallel_cells",
     "run_sweep_tasks",

@@ -6,8 +6,11 @@ rendered tables to an output directory::
     python -m repro.experiments --quick fig1 fig6 fig8
     python -m repro.experiments --out results/ all
 
-``--quick`` shrinks simulation counts for a fast smoke pass; the default
-counts match the benchmark harness.
+``--quick`` shrinks simulation counts for a fast smoke pass.  The
+full-size output of every simulated and partitioning table (Fig 9 aside:
+three of its columns are wall-clock times) is pinned in
+``.github/expected/figures.txt``, and ``tests/test_paper_claims.py``
+asserts the paper's claims over that pin.
 
 The ``report`` subcommand renders a trace captured by :mod:`repro.obs`
 (per-run timelines plus a span-duration histogram summary)::
@@ -25,6 +28,7 @@ from pathlib import Path
 from repro.experiments import (
     ExperimentSetup,
     ablations,
+    catalog_study,
     fig1_motivation,
     fig5_overall,
     fig6_loading,
@@ -45,6 +49,7 @@ EXPERIMENTS = (
     "fig9",
     "elastic",
     "ablations",
+    "catalog",
 )
 
 
@@ -103,6 +108,8 @@ def _run_one(name: str, setup: ExperimentSetup, quick: bool) -> str:
             ),
         ]
         return "\n\n".join(parts)
+    if name == "catalog":
+        return catalog_study.render(catalog_study.run(setup, num_simulations=gc_sims))
     raise ValueError(f"unknown experiment {name!r}")
 
 

@@ -26,7 +26,7 @@ from repro.experiments.common import (
     SweepTask,
     run_sweep_tasks,
 )
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 from repro.graph.datasets import get_dataset
 from repro.partitioning.micro import MicroPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner

@@ -24,7 +24,7 @@ from repro.experiments.common import (
     SweepTask,
     run_sweep_tasks,
 )
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 from repro.utils.units import HOURS
 
 #: Catalogue name -> configurations; a cell reports its catalogue's name

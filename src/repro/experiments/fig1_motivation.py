@@ -27,7 +27,7 @@ from repro.experiments.common import (
     offline_partition_cost,
     run_sweep_tasks,
 )
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 
 SLACK_FRACTION = 0.5  # 2 hours over the 4-hour job
 

@@ -27,7 +27,7 @@ from repro.experiments.common import (
     SweepTask,
     run_sweep_tasks,
 )
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 
 DEFAULT_SLACKS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_STRATEGIES = ("hourglass", "proteus", "spoton", "proteus+dp", "spoton+dp")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.loader import LoadTimingModel
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 from repro.graph.datasets import get_dataset
 
 DATASETS = ("orkut", "rmat-24", "rmat-25", "rmat-26", "twitter")

@@ -27,7 +27,7 @@ from repro.experiments.common import (
     offline_partition_cost,
     run_sweep_tasks,
 )
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 
 DEFAULT_SLACKS = (0.1, 0.3, 0.5, 0.7, 1.0)
 

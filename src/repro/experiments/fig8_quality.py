@@ -27,7 +27,7 @@ from repro.partitioning.fennel import FennelPartitioner
 from repro.partitioning.micro import MicroPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
 from repro.partitioning.quality import edge_cut_fraction, random_cut_expectation
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 
 DATASETS = ("orkut", "human-gene", "wiki", "hollywood", "twitter")
 PARTITION_COUNTS = (2, 4, 8, 16, 32, 64)

@@ -37,7 +37,7 @@ from repro.core.job import (
 from repro.core.perfmodel import RELOAD_MICRO
 from repro.core.slack import SlackModel
 from repro.experiments.common import ExperimentSetup, parallel_cells
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 from repro.service import PlanningService, PlanRequest
 
 PROFILES = {

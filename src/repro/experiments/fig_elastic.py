@@ -36,7 +36,7 @@ from repro.experiments.common import (
     SweepTask,
     run_sweep_tasks,
 )
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 
 DEFAULT_SLACKS = (0.2, 0.4, 0.6, 0.8, 1.0)
 

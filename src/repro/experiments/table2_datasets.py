@@ -8,7 +8,7 @@ explicit.
 
 from __future__ import annotations
 
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 from repro.graph.datasets import DATASETS, get_dataset, rmat_spec
 from repro.graph.stats import compute_stats
 

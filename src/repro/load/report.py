@@ -33,7 +33,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-from repro.experiments.report import format_table
+from repro.utils.table import format_table
 
 
 @dataclass(frozen=True)

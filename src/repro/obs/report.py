@@ -5,41 +5,15 @@ JSONL event stream by trace (one trace per execution), prints each
 run's timeline in time order, then summarises span durations per name
 (count / total / mean / p50 / max) across the whole stream.
 
-Self-contained on purpose — importing the experiments package from here
-would drag the whole harness in for a text table.
+Tables render through the leaf :func:`~repro.utils.table.format_table`,
+and p50 uses the one quantile rule, :func:`~repro.obs.window.percentile`.
 """
 
 from __future__ import annotations
 
 from repro.obs.trace import SpanRecord
-
-
-def _table(rows: list[dict], columns: list[str]) -> str:
-    rendered = [[str(row.get(c, "")) for c in columns] for row in rows]
-    widths = [
-        max(len(c), *(len(r[i]) for r in rendered)) if rendered else len(c)
-        for i, c in enumerate(columns)
-    ]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rendered:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-    return "\n".join(lines)
-
-
-def _fmt(value: float) -> str:
-    if abs(value) >= 1000:
-        return f"{value:,.0f}"
-    if abs(value) >= 1:
-        return f"{value:.2f}"
-    return f"{value:.6f}".rstrip("0").rstrip(".") or "0"
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1))))
-    return sorted_values[index]
+from repro.obs.window import percentile
+from repro.utils.table import format_table
 
 
 def group_by_trace(records) -> dict[int, list[SpanRecord]]:
@@ -73,15 +47,16 @@ def render_timeline(trace_id: int, trace: list[SpanRecord]) -> str:
         )
         rows.append(
             {
-                "t0": _fmt(record.t0),
-                "dur_s": _fmt(record.duration) if record.kind == "span" else "-",
+                "t0": record.t0,
+                "dur_s": record.duration if record.kind == "span" else "-",
                 "kind": record.kind,
                 "name": record.name,
                 "attrs": attrs,
             }
         )
-    header = f"trace {trace_id} — {_trace_label(trace)} ({len(trace)} records)"
-    return header + "\n" + _table(rows, ["t0", "dur_s", "kind", "name", "attrs"])
+    return format_table(
+        rows, title=f"trace {trace_id} — {_trace_label(trace)} ({len(trace)} records)"
+    )
 
 
 def render_span_summary(records) -> str:
@@ -92,22 +67,20 @@ def render_span_summary(records) -> str:
             durations.setdefault(record.name, []).append(record.duration)
     rows = []
     for name in sorted(durations):
-        values = sorted(durations[name])
+        values = durations[name]
         rows.append(
             {
                 "span": name,
                 "count": len(values),
-                "total_s": _fmt(sum(values)),
-                "mean_s": _fmt(sum(values) / len(values)),
-                "p50_s": _fmt(_percentile(values, 0.5)),
-                "max_s": _fmt(values[-1]),
+                "total_s": sum(values),
+                "mean_s": sum(values) / len(values),
+                "p50_s": percentile(values, 50),
+                "max_s": max(values),
             }
         )
     if not rows:
         return "span durations: (no spans)"
-    return "span durations:\n" + _table(
-        rows, ["span", "count", "total_s", "mean_s", "p50_s", "max_s"]
-    )
+    return format_table(rows, title="span durations:")
 
 
 def render_trace_report(records, max_traces: int | None = None) -> str:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -200,10 +199,6 @@ class Tracer:
             self._records.append(record)
 
     # ------------------------------------------------------------------
-    def current_span(self) -> Span | None:
-        """The innermost open span on this logical thread, if any."""
-        return self._current.get()
-
     def span(self, name: str, t: float | None = None, **attrs) -> Span:
         """Open a span starting at *t* (tracer clock when omitted)."""
         if t is None:
@@ -300,9 +295,6 @@ class NullTracer:
     enabled = False
     _NULL_SPAN = _NullSpan()
 
-    def current_span(self) -> None:
-        return None
-
     def span(self, name: str, t: float | None = None, **attrs) -> _NullSpan:
         return self._NULL_SPAN
 
@@ -324,16 +316,3 @@ class NullTracer:
 
 #: The process-default disabled tracer (shared singleton).
 NULL_TRACER = NullTracer()
-
-
-@contextmanager
-def child_context(tracer, span):
-    """Run a block with *span* as the current parent (for callbacks)."""
-    if span is None or not tracer.enabled:
-        yield
-        return
-    token = tracer._current.set(span)
-    try:
-        yield
-    finally:
-        tracer._current.reset(token)

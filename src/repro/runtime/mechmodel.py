@@ -140,22 +140,6 @@ class MechanisticPerformanceModel:
         """Superstep count of the calibration run."""
         return len(self.calibration.stats)
 
-    def supersteps_remaining_time(self, config: Configuration, done: int) -> float:
-        """Time on *config* for the supersteps after index *done*.
-
-        Data-dependent programs may exceed the calibrated count; extra
-        supersteps are priced at the calibration's mean superstep cost.
-        """
-        timing = self._scaled_timing(config.num_workers)
-        stats = self.calibration.stats
-        if done >= len(stats):
-            return self.time_scale * timing.superstep_seconds(
-                stats[-1], config.num_workers
-            )
-        return self.time_scale * sum(
-            timing.superstep_seconds(s, config.num_workers) for s in stats[done:]
-        )
-
     def work_fraction_done(self, supersteps_done: int) -> float:
         """Map completed supersteps to the provisioner's work fraction.
 

@@ -1,13 +1,14 @@
-"""Plain-text table rendering for experiment reports.
+"""Plain-text table rendering: the one table helper.
 
-Every experiment returns rows of plain dicts; these helpers render them
-as aligned fixed-width tables (what the benchmark harness prints) and as
-Markdown (what EXPERIMENTS.md embeds).
+Every report (experiment figures, the load report, the trace report)
+renders rows of plain dicts as aligned fixed-width tables through
+:func:`format_table`.  A leaf module, so any layer can render a table
+without importing the experiments package.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None, title: str = "") -> str:
@@ -34,28 +35,6 @@ def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None, tit
     for r in rendered:
         lines.append("  ".join(v.rjust(w) if _numericish(v) else v.ljust(w) for v, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def format_markdown(rows: Sequence[dict], columns: Sequence[str] | None = None) -> str:
-    """Render rows as a GitHub-flavoured Markdown table."""
-    if not rows:
-        return "(no data)"
-    cols = list(columns) if columns else list(rows[0].keys())
-    lines = ["| " + " | ".join(cols) + " |", "|" + "|".join("---" for _ in cols) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(_cell(row.get(c, "")) for c in cols) + " |")
-    return "\n".join(lines)
-
-
-def format_cache_stats(stats, title: str = "planning-service cache") -> str:
-    """Render estimator/service cache statistics as a one-row table.
-
-    Args:
-        stats: a :class:`~repro.core.expected_cost.CacheStats` (or any
-            object with ``as_dict()``), or an already-flat dict.
-    """
-    row = stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
-    return format_table([row], title=title)
 
 
 def _cell(value) -> str:

@@ -234,6 +234,14 @@ class TestLoaders:
         )
         assert result_big.simulated_seconds > result_small.simulated_seconds
 
+    def test_real_loaders_keep_the_model_ordering(self, graph):
+        """Fig 6's ordering from the loader implementations themselves."""
+        artefact = MicroPartitioner(num_micro_parts=16).build(graph, seed=1)
+        stream = StreamLoader(FennelPartitioner()).load(graph, 4, seed=1)
+        hashed = HashLoader().load(graph, 4)
+        micro = MicroLoader(artefact).load(graph, 4, seed=1)
+        assert micro.simulated_seconds < hashed.simulated_seconds < stream.simulated_seconds
+
     def test_loaded_partitioning_usable_by_engine(self, graph):
         artefact = MicroPartitioner(num_micro_parts=16).build(graph, seed=1)
         result = MicroLoader(artefact).load(graph, 4, seed=1)

@@ -23,7 +23,7 @@ from repro.experiments import (
     table2_datasets,
 )
 from repro.experiments.common import offline_partition_cost, sweep_strategy
-from repro.experiments.report import format_markdown, format_table
+from repro.utils.table import format_table
 from repro.service import SERVICE_STRATEGIES, PlanningService
 from repro.utils.units import HOURS
 
@@ -238,9 +238,11 @@ class TestFig9:
         )
         (cell,) = cells
         assert cell.approx_ms > 0
-        if cell.exact_ms is not None:
-            assert cell.dfo_percent is not None
-            assert cell.dfo_percent < 60.0
+        # The exact estimator finishes on the short job, and the
+        # approximation lands close to it (paper: ~3 % on average).
+        assert cell.exact_ms is not None
+        assert cell.dfo_percent is not None
+        assert cell.dfo_percent < 40.0
         assert "Figure 9" in fig9_decision_time.render(cells)
 
     def test_budget_produces_dnf(self, setup):
@@ -272,9 +274,3 @@ class TestReportFormatting:
 
     def test_format_table_empty(self):
         assert "(no data)" in format_table([])
-
-    def test_format_markdown(self):
-        rows = [{"a": 1.2345, "b": "x"}]
-        md = format_markdown(rows)
-        assert md.startswith("| a | b |")
-        assert "1.234" in md or "1.235" in md

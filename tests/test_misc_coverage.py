@@ -24,7 +24,7 @@ from repro.core import (
     last_resort,
 )
 from repro.engine.vertex import ComputeContext, VertexProgram
-from repro.experiments.report import format_markdown, format_table
+from repro.utils.table import format_table
 from repro.graph import from_edges, generators
 
 
@@ -174,9 +174,6 @@ class TestReportEdgeCases:
     def test_mixed_types(self):
         text = format_table([{"a": 0, "b": 0.00012, "c": None}])
         assert "0" in text
-
-    def test_markdown_empty(self):
-        assert format_markdown([]) == "(no data)"
 
     def test_column_subset(self):
         text = format_table([{"a": 1, "b": 2}], columns=["b"])

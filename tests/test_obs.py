@@ -475,6 +475,19 @@ class TestReport:
     def test_render_empty(self):
         assert report.render_trace_report([]) == "(empty trace)"
 
+    @pytest.mark.parametrize(
+        "durations, p50", [((1.0, 2.0), 1.5), ((1.0, 2.0, 3.0, 4.0), 2.5)]
+    )
+    def test_span_p50_interpolates(self, durations, p50):
+        """The summary's p50 is the load report's and the windows' rule
+        (linear interpolation), not a nearest rank rounded half to even."""
+        tracer = Tracer()
+        for d in durations:
+            tracer.record_span("step", 0.0, d)
+        header, _rule, row = report.render_span_summary(tracer.records()).splitlines()[1:]
+        cells = dict(zip(header.split(), row.split()))
+        assert float(cells["p50_s"]) == p50
+
     def test_max_traces_elides(self):
         tracer = Tracer()
         for i in range(3):
