@@ -31,7 +31,7 @@ import numpy as np
 from repro.engine.messages import MessageStore
 from repro.engine.vertex import ComputeContext, DenseComputeContext, VertexProgram
 from repro.engine.worker import Worker, build_workers, value_dtype_of
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, stable_argsort
 from repro.obs.state import get_metrics, get_tracer
 from repro.partitioning.base import Partitioning
 
@@ -473,7 +473,7 @@ class PregelEngine:
             else:
                 src, dst, msg = (np.concatenate(column) for column in zip(*sends))
             if merge_by_source:
-                order = np.argsort(src, kind="stable")
+                order = stable_argsort(src, self.graph.num_vertices)
                 src, dst, msg = src[order], dst[order], msg[order]
             sent = len(dst)
             if src is self.graph.edge_sources() and dst is self.graph.indices:

@@ -236,6 +236,36 @@ def _spill_edge_sources(graph: Graph):
     return spill, cleanup
 
 
+#: Composite-key rows per ``stable_argsort`` position fill: the fill adds
+#: an ``arange`` of this length at a time, never one of the full length.
+_POSITION_CHUNK = 1 << 16
+
+
+def stable_argsort(keys, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    With ``m = len(keys)``, every composite ``keys[i] * m + i`` is
+    distinct and orders first by key, then by position, so sorting the
+    composites *values* with NumPy's default (SIMD) sort and reading each
+    back modulo ``m`` gives exactly the stable permutation, several times
+    faster than the stable argsort's timsort.  The composite is built in
+    one array (a product, then positions added in chunks) and sorted in
+    place.  When ``bound * m`` does not fit in an ``int64`` it falls back
+    to the stable argsort itself.
+    """
+    keys = np.asarray(keys)
+    m = len(keys)
+    if int(bound) * m >= 2**63:
+        return np.argsort(keys, kind="stable")
+    composite = np.multiply(keys, m, dtype=np.int64)
+    for lo in range(0, m, _POSITION_CHUNK):
+        hi = min(m, lo + _POSITION_CHUNK)
+        composite[lo:hi] += np.arange(lo, hi, dtype=np.int64)
+    composite.sort()
+    composite %= max(m, 1)
+    return composite
+
+
 def merge_parallel_edges(keys, weights, num_vertices: int):
     """CSR of the distinct edges among ``keys`` (``src * num_vertices +
     dst``), rows and columns ascending.
@@ -245,7 +275,7 @@ def merge_parallel_edges(keys, weights, num_vertices: int):
     the order it meets them, so the floats are those of a stable sort
     followed by a sequential accumulation.
     """
-    order = np.argsort(keys)
+    order = stable_argsort(keys, num_vertices * num_vertices)
     keys = keys[order]
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
@@ -298,13 +328,13 @@ def from_edges(
     if len(src) and (src.max() >= num_vertices or dst.max() >= num_vertices):
         raise ValueError("vertex id exceeds num_vertices")
 
-    order = np.argsort(src, kind="stable")
+    order = stable_argsort(src, num_vertices)
     src, dst = src[order], dst[order]
     if weights is not None:
         weights = weights[order]
     if dedup and len(src):
         key = src * num_vertices + dst
-        sort2 = np.argsort(key, kind="stable")
+        sort2 = stable_argsort(key, num_vertices * num_vertices)
         key_sorted = key[sort2]
         keep_sorted = np.empty(len(key), dtype=bool)
         keep_sorted[0] = True

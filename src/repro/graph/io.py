@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.lib.format import open_memmap
 
-from repro.graph.graph import Graph, from_edges
+from repro.graph.graph import Graph, from_edges, stable_argsort
 
 _MAGIC = b"RPRG"
 _VERSION = 1
@@ -444,7 +444,7 @@ def build_csr_on_disk(
         src, dst = np.asarray(batch[0]), np.asarray(batch[1])
         if len(src) == 0:
             continue
-        order = np.argsort(src, kind="stable")
+        order = stable_argsort(src, num_vertices)
         src_sorted = src[order]
         run_starts = np.flatnonzero(
             np.concatenate(([True], src_sorted[1:] != src_sorted[:-1]))

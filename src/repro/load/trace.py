@@ -84,22 +84,30 @@ class LoadTraceConfig:
             raise ValueError("num_jobs must be >= 1")
         if self.num_tenants < 1:
             raise ValueError("num_tenants must be >= 1")
-        if self.arrivals_per_hour <= 0:
-            raise ValueError("arrivals_per_hour must be positive")
+        # Chained comparisons below are written so that NaN fails them.
+        if not 0.0 < self.arrivals_per_hour < math.inf:
+            raise ValueError("arrivals_per_hour must be positive and finite")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
-        if self.burst_rate_multiplier < 1.0:
-            raise ValueError("burst_rate_multiplier must be >= 1")
+        if not 1.0 <= self.burst_rate_multiplier < math.inf:
+            raise ValueError("burst_rate_multiplier must be finite and >= 1")
+        if not 0.0 <= self.burst_probability_per_hour <= 1.0:
+            raise ValueError("burst_probability_per_hour must be in [0, 1]")
+        if not 0.0 <= self.burst_duration_s < math.inf:
+            raise ValueError("burst_duration_s must be finite and >= 0")
         unknown = [name for name, _ in self.app_mix if name not in PAPER_PROFILES]
         if unknown:
             raise ValueError(f"unknown profiles in app_mix: {unknown}")
-        if not self.app_mix or any(w <= 0 for _, w in self.app_mix):
-            raise ValueError("app_mix needs positive weights")
+        if not self.app_mix or not all(0.0 < w < math.inf for _, w in self.app_mix):
+            raise ValueError("app_mix needs positive, finite weights")
+        for name, values in (("scales", self.scales), ("periods_s", self.periods_s)):
+            if not values or not all(0.0 < v < math.inf for v in values):
+                raise ValueError(f"{name} needs one or more positive, finite values")
         lo, hi = self.slack_range
-        if not 0.0 <= lo <= hi:
-            raise ValueError("slack_range must satisfy 0 <= lo <= hi")
-        if self.slack_quantum < 0.0:
-            raise ValueError("slack_quantum must be >= 0 (0 = continuous)")
+        if not 0.0 <= lo <= hi < math.inf:
+            raise ValueError("slack_range must satisfy 0 <= lo <= hi < inf")
+        if not 0.0 <= self.slack_quantum < math.inf:
+            raise ValueError("slack_quantum must be finite and >= 0 (0 = continuous)")
 
 
 @dataclass(frozen=True)
@@ -138,9 +146,13 @@ class ArrivalTrace:
         return self.jobs[-1].arrival_s if self.jobs else 0.0
 
     def checksum(self) -> str:
-        """SHA-256 over the canonical JSON encoding (bit-identity pin)."""
+        """SHA-256 over the canonical JSON encoding (bit-identity pin).
+
+        A job's fields are flat immutable values, so its ``vars`` encode
+        to the same bytes as ``asdict`` without the recursive deep copy.
+        """
         payload = json.dumps(
-            [asdict(job) for job in self.jobs], sort_keys=True, separators=(",", ":")
+            [vars(job) for job in self.jobs], sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -172,31 +184,49 @@ class ArrivalTrace:
         return cls(config=config, jobs=jobs)
 
 
-def _in_burst(config: LoadTraceConfig, seed, t: float) -> bool:
-    """Whether *t* falls inside a burst window.
+def _burst_window(config: LoadTraceConfig, hour: int) -> tuple[float, float] | None:
+    """The ``[start, end)`` burst window that begins in *hour*, if any.
 
     Burst placement is derived per wall-clock hour from the seed, so the
     burst schedule is a deterministic property of the config that does
     not depend on how many arrivals the thinning loop samples.
     """
-    for hour in (int(t // HOURS), int(t // HOURS) - 1):
-        if hour < 0:
+    rng = derive_rng(config.seed, "burst", hour)
+    if rng.uniform() >= config.burst_probability_per_hour:
+        return None
+    start = hour * HOURS + rng.uniform(0.0, HOURS)
+    return start, start + config.burst_duration_s
+
+
+def _in_burst(config: LoadTraceConfig, t: float, windows: dict) -> bool:
+    """Whether *t* falls inside a burst window.
+
+    *windows* memoises :func:`_burst_window` by hour for one caller (a
+    window may start in the previous hour and run into this one).
+    """
+    hour = int(t // HOURS)
+    for h in (hour, hour - 1):
+        if h < 0:
             continue
-        rng = derive_rng(seed, "burst", hour)
-        if rng.uniform() >= config.burst_probability_per_hour:
-            continue
-        start = hour * HOURS + rng.uniform(0.0, HOURS)
-        if start <= t < start + config.burst_duration_s:
+        if h not in windows:
+            windows[h] = _burst_window(config, h)
+        window = windows[h]
+        if window is not None and window[0] <= t < window[1]:
             return True
     return False
 
 
-def offered_rate(config: LoadTraceConfig, t: float) -> float:
-    """Instantaneous arrival rate (jobs/second) at trace time *t*."""
+def offered_rate(config: LoadTraceConfig, t: float, windows: dict) -> float:
+    """Instantaneous arrival rate (jobs/second) at trace time *t*.
+
+    *windows* is the caller's per-hour burst-window memo (start with
+    ``{}``); a caller that asks for many instants passes one dict to all
+    of them.
+    """
     base = config.arrivals_per_hour / HOURS
     diurnal = 1.0 + config.diurnal_amplitude * math.sin(2.0 * math.pi * t / (24 * HOURS))
     rate = base * diurnal
-    if _in_burst(config, config.seed, t):
+    if _in_burst(config, t, windows):
         rate *= config.burst_rate_multiplier
     return rate
 
@@ -219,11 +249,12 @@ def generate_trace(config: LoadTraceConfig) -> ArrivalTrace:
     names = [name for name, _ in config.app_mix]
     total_w = sum(w for _, w in config.app_mix)
     weights = [w / total_w for _, w in config.app_mix]
+    windows: dict = {}  # per call: each hour's burst window is drawn once
     jobs: list[TraceJob] = []
     t = 0.0
     while len(jobs) < config.num_jobs:
         t += rng.exponential(1.0 / peak)
-        if rng.uniform() * peak > offered_rate(config, t):
+        if rng.uniform() * peak > offered_rate(config, t, windows):
             continue
         lo, hi = config.slack_range
         slack = float(rng.uniform(lo, hi))

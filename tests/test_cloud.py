@@ -196,6 +196,21 @@ class TestTraceGeneration:
         with pytest.raises(ValueError):
             generate_trace(R4_2XLARGE, duration=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration", float("nan")),
+            ("duration", float("inf")),
+            ("step", float("nan")),
+            ("step", float("inf")),
+            ("start_time", float("nan")),
+            ("start_time", float("-inf")),
+        ],
+    )
+    def test_non_finite_args_rejected_up_front(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            generate_trace(R4_2XLARGE, **{"duration": 6 * HOURS, field: value})
+
 
 class TestEvictionModels:
     def test_exponential_cdf(self):

@@ -11,6 +11,7 @@ deterministic simulated-outcome fingerprint.
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -327,6 +328,33 @@ class TestTraceDeterminism:
             LoadTraceConfig(app_mix=(("unknown-app", 1.0),))
         with pytest.raises(ValueError):
             LoadTraceConfig(diurnal_amplitude=1.5)
+
+    # Each of these used to hang generate_trace, build a degenerate trace
+    # or fail deep inside it; construction alone must now refuse them.
+    DEGENERATE = [
+        ("burst_rate_multiplier", math.inf),
+        ("arrivals_per_hour", math.inf),
+        ("arrivals_per_hour", math.nan),
+        ("burst_rate_multiplier", math.nan),
+        ("burst_probability_per_hour", -0.5),
+        ("burst_probability_per_hour", 3.0),
+        ("burst_duration_s", -5.0),
+        ("burst_duration_s", math.nan),
+        ("slack_quantum", math.nan),
+        ("scales", (-1.0,)),
+        ("periods_s", (0.0,)),
+        ("scales", ()),
+        ("periods_s", ()),
+        ("slack_range", (0.1, math.inf)),
+        ("app_mix", (("sssp", math.nan), ("pagerank", 1.0))),
+    ]
+
+    @pytest.mark.parametrize(
+        "field, value", DEGENERATE, ids=[f"{f}={v!r}" for f, v in DEGENERATE]
+    )
+    def test_config_rejects_degenerate_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LoadTraceConfig(**{field: value})
 
 
 # ----------------------------------------------------------------------
