@@ -16,9 +16,9 @@ from repro import (
     COLORING_PROFILE,
     ExecutionSimulator,
     ExperimentSetup,
-    RecurringJobDriver,
     on_demand_baseline_cost,
 )
+from repro.core import InterleavedRecurringDriver, RecurringJobSpec
 from repro.core.perfmodel import RELOAD_FULL
 from repro.utils.units import HOURS, format_money
 
@@ -49,8 +49,10 @@ def main() -> None:
         simulator = ExecutionSimulator(
             setup.market, perf, setup.catalog, strategy, record_events=False
         )
-        driver = RecurringJobDriver(simulator, COLORING_PROFILE, PERIOD)
-        outcome = driver.run(start_time=12 * HOURS, num_periods=runs_per_schedule)
+        driver = InterleavedRecurringDriver(
+            [RecurringJobSpec(label, simulator, COLORING_PROFILE, PERIOD)]
+        )
+        outcome = driver.run(12 * HOURS, runs_per_schedule)[label]
         print(
             f"{label:<20} {format_money(outcome.mean_cost()):>10} "
             f"{outcome.mean_cost() / baseline:>6.0%} "

@@ -57,7 +57,6 @@ from repro.core import (
     OnDemandProvisioner,
     PerformanceModel,
     ProteusProvisioner,
-    RecurringJobDriver,
     SlackModel,
     SpotOnProvisioner,
     job_with_slack,
@@ -135,7 +134,6 @@ __all__ = [
     "PregelEngine",
     "PriceTrace",
     "ProteusProvisioner",
-    "RecurringJobDriver",
     "SSSP_PROFILE",
     "SlackModel",
     "SpotMarket",

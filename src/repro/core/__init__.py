@@ -48,7 +48,6 @@ from repro.core.provisioner import (
 )
 from repro.core.recurring import (
     InterleavedRecurringDriver,
-    RecurringJobDriver,
     RecurringJobSpec,
     RecurringOutcome,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "RELOAD_FULL",
     "RELOAD_MICRO",
     "InterleavedRecurringDriver",
-    "RecurringJobDriver",
     "RecurringJobSpec",
     "RecurringOutcome",
     "SSSP_PROFILE",

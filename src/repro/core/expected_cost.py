@@ -22,7 +22,7 @@ Two implementations share this definition:
     running × fail-depth) states.  One kernel walks a state's success
     chain — the only unbounded dimension — forward in a loop and folds
     it backward, recursing only into failure follow-ups, so the Python
-    stack is bounded by ``max_fail_depth`` and never by chain length
+    stack is bounded by ``MAX_FAIL_DEPTH`` and never by chain length
     (the recursion limit is left alone).  Per-configuration quantities
     (rates, timings, checkpoint intervals, eviction CDFs) are
     precomputed into dense tables; decisions take milliseconds.  The
@@ -51,9 +51,18 @@ from repro.core.ckpt_policy import daly_interval
 from repro.core.slack import SlackModel
 from repro.core.warning import NO_WARNING, WarningPolicy
 from repro.utils.units import HOURS
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 _WORK_EPS = 1e-6
+
+#: Relative drift of any decision-time rate past which the memo is
+#: dropped and a new price epoch starts.
+PRICE_TOLERANCE = 0.05
+
+#: Eviction-chain depth past which a failure follow-up is the last
+#: resort: three consecutive evictions of a planned interval are
+#: already a tail event.
+MAX_FAIL_DEPTH = 2
 
 
 class DecisionBudgetExceeded(RuntimeError):
@@ -97,7 +106,7 @@ class CacheStats:
         invalidations: times a non-empty memo was dropped (price drift).
         entries: states currently memoised.
         epoch: price-drift epoch — bumped whenever the decision-time
-            rates drift past ``price_tolerance``; all current entries
+            rates drift past :data:`PRICE_TOLERANCE`; all current entries
             were computed within this epoch.
     """
 
@@ -147,16 +156,14 @@ def adaptive_grids(
     return slack_grid, 0.01 if work_grid is None else work_grid
 
 
-def check_dp_parameters(slack_grid, work_grid, price_tolerance, max_fail_depth) -> None:
-    """Reject (ValueError) DP parameters the bucket arithmetic cannot run on.
+def check_dp_parameters(slack_grid, work_grid) -> None:
+    """Reject (ValueError) grids the bucket arithmetic cannot divide by.
 
     A grid may be None (adaptive).  Shared with the planning service's admission.
     """
     for name, grid in (("slack_grid", slack_grid), ("work_grid", work_grid)):
         if grid is not None:
             check_positive(name, grid)
-    check_non_negative("price_tolerance", price_tolerance)
-    check_non_negative("max_fail_depth", max_fail_depth)
 
 
 class _EstimatorBase:
@@ -282,10 +289,9 @@ class ApproximateCostEstimator(_EstimatorBase):
     expected cost depends on absolute time only through the *slack*, so
     states are memoised on ``(config, slack, work)`` buckets.  The memo
     survives across decisions while market prices stay within
-    ``price_tolerance``, which amortises the computation over a job's
-    many checkpoints.  Eviction chains deeper than ``max_fail_depth``
-    fall back to the last-resort cost (three consecutive evictions of a
-    planned interval are already a tail event).
+    :data:`PRICE_TOLERANCE`, which amortises the computation over a
+    job's many checkpoints.  Eviction chains deeper than
+    :data:`MAX_FAIL_DEPTH` fall back to the last-resort cost.
 
     States are the memo buckets ``(config, slack-bucket, work-bucket,
     running, fail-depth)``; a state's children are the success
@@ -299,7 +305,7 @@ class ApproximateCostEstimator(_EstimatorBase):
     (``tests/recursive_oracle.py``) — a state re-entered while open
     reads ∞ at the same moment — so costs, decisions and hit/miss
     counters are bit-identical to it, while recursion is spent only on
-    fail depth (at most ``max_fail_depth + 1`` kernel frames).
+    fail depth (at most ``MAX_FAIL_DEPTH + 1`` kernel frames).
 
     The memo is one flat dict keyed by the state tuple (nesting it per
     configuration measured no faster); per-configuration constants
@@ -313,8 +319,6 @@ class ApproximateCostEstimator(_EstimatorBase):
             :func:`adaptive_grids` of the first decision's slack).
         work_grid: memoisation granularity for remaining work (None =
             adaptive likewise).
-        price_tolerance: relative price drift that invalidates the memo.
-        max_fail_depth: eviction-chain depth before the lrc fallback.
     """
 
     def __init__(
@@ -324,17 +328,13 @@ class ApproximateCostEstimator(_EstimatorBase):
         catalog,
         slack_grid: float | None = None,
         work_grid: float | None = None,
-        price_tolerance: float = 0.05,
-        max_fail_depth: int = 2,
         warning: WarningPolicy = NO_WARNING,
     ):
         super().__init__(slack_model, market, catalog)
-        check_dp_parameters(slack_grid, work_grid, price_tolerance, max_fail_depth)
+        check_dp_parameters(slack_grid, work_grid)
         self.warning = warning
         self.slack_grid = slack_grid
         self.work_grid = work_grid
-        self.price_tolerance = price_tolerance
-        self.max_fail_depth = max_fail_depth
         self._memo: dict = {}
         self._lrc = slack_model.lrc
         self._grids_tuned = False
@@ -393,7 +393,7 @@ class ApproximateCostEstimator(_EstimatorBase):
         """Freeze market prices at decision time *t*.
 
         The memo survives while the rates stay within
-        ``price_tolerance`` of the previous snapshot; a larger drift
+        :data:`PRICE_TOLERANCE` of the previous snapshot; a larger drift
         starts a new price epoch and drops it (see :meth:`invalidate`).
         """
         old = dict(self._rates)
@@ -405,14 +405,14 @@ class ApproximateCostEstimator(_EstimatorBase):
                 abs(table_rates[name] / was - 1.0) if was > 0 else 1.0
                 for name, was in old.items()
             )
-            if drift <= self.price_tolerance:
+            if drift <= PRICE_TOLERANCE:
                 return
         self.invalidate()
 
     def invalidate(self) -> None:
         """Start a new price epoch: drop every memoised state.
 
-        This is the ``price_tolerance`` drift rule made explicit: all
+        This is the :data:`PRICE_TOLERANCE` drift rule made explicit: all
         memo entries belong to one epoch, and a snapshot drifting past
         the tolerance retires the whole epoch at once.
         """
@@ -580,7 +580,7 @@ class ApproximateCostEstimator(_EstimatorBase):
             switch = save
             setup = 0.0
 
-        if depth >= self.max_fail_depth:
+        if depth >= MAX_FAIL_DEPTH:
             followers, fdepth = self._lrc_only, depth
         else:
             # Every catalogue entry but the evicted market: right after

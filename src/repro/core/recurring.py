@@ -1,18 +1,16 @@
-"""Recurring-job drivers: the paper's motivating deployment pattern (§1-2).
+"""The recurring-job driver: the paper's motivating deployment pattern (§1-2).
 
 Recurring graph analyses re-execute over fresh snapshots on a fixed
 period; each execution must finish before the next one starts (its
-deadline).  :class:`RecurringJobDriver` runs one such schedule against a
-market trace, accumulating costs and deadline statistics — e.g. the
-Fig 1 scenario: a 4-hour GC job re-executed every 6 hours, leaving a
-2-hour slack.
+deadline).  :class:`InterleavedRecurringDriver` runs M such schedules
+(one :class:`RecurringJobSpec` each, staggered periods allowed) against
+one market trace, in global release order, accumulating costs and
+deadline statistics — e.g. the Fig 1 scenario: a 4-hour GC job
+re-executed every 6 hours, leaving a 2-hour slack, is one spec.
 
-:class:`InterleavedRecurringDriver` is the multi-tenant variant: M
-recurring jobs with staggered periods share one market trace, executed
-in global release order.  Tenants are independent (the market is a
-read-only deterministic trace), so each tenant's outcome matches its
-private :class:`RecurringJobDriver` run — but when the tenants'
-simulators plan through one shared
+Tenants are independent (the market is a read-only deterministic
+trace), so each tenant's outcome matches a one-spec run of its own —
+but when the tenants' simulators plan through one shared
 :class:`~repro.service.planning.PlanningService`, the interleaved stream
 exercises the service the way a real deployment would: same-catalogue
 tenants hitting warm memo tables built by each other's decisions.
@@ -99,54 +97,6 @@ class RecurringOutcome:
         return self.total_cost / self.runs if self.runs else 0.0
 
 
-class RecurringJobDriver:
-    """Runs a profile periodically through a simulator.
-
-    Args:
-        simulator: the configured :class:`ExecutionSimulator`.
-        profile: the application profile executed each period.
-        period: seconds between snapshot releases; each execution's
-            deadline is the next release.
-    """
-
-    def __init__(self, simulator: ExecutionSimulator, profile: ApplicationProfile, period: float):
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.simulator = simulator
-        self.profile = profile
-        self.period = period
-
-    def run(self, start_time: float, num_periods: int) -> RecurringOutcome:
-        """Execute *num_periods* back-to-back snapshot analyses.
-
-        An execution that overruns its deadline (possible for
-        deadline-oblivious strategies) delays the next execution's start
-        — the staleness violation the paper warns about — but the next
-        deadline stays anchored to the period grid.
-        """
-        if num_periods < 1:
-            raise ValueError("num_periods must be >= 1")
-        results: list[RunResult] = []
-        skipped = 0
-        t = start_time
-        for i in range(num_periods):
-            release = max(t, start_time + i * self.period)
-            deadline = start_time + (i + 1) * self.period
-            if deadline <= release:
-                # The previous run blew straight through this window;
-                # the analysis it would have refreshed never runs — an
-                # SLO violation counted in RecurringOutcome.skipped.
-                skipped += 1
-                continue
-            job = JobSpec(profile=self.profile, release_time=release, deadline=deadline)
-            result = self.simulator.run(job)
-            results.append(result)
-            t = result.finish_time
-        return RecurringOutcome(
-            results=tuple(results), period=self.period, skipped=skipped
-        )
-
-
 @dataclass(frozen=True)
 class RecurringJobSpec:
     """One tenant of an interleaved recurring schedule.
@@ -182,9 +132,13 @@ class _TenantState:
     def next_window(self, num_periods: int) -> tuple[float, float] | None:
         """(release, deadline) of the next runnable window, if any.
 
-        Windows the previous run blew straight through are skipped —
-        and *counted* (``self.skipped``), as in
-        :meth:`RecurringJobDriver.run`.
+        An execution that overruns its deadline (possible for
+        deadline-oblivious strategies) delays the next execution's start
+        — the staleness violation the paper warns about — but the next
+        deadline stays anchored to the period grid.  Windows the
+        previous run blew straight through never run and are *counted*
+        (``self.skipped``): the analysis they would have refreshed is an
+        SLO violation.
         """
         while self.next_period < num_periods:
             i = self.next_period
@@ -203,9 +157,10 @@ class InterleavedRecurringDriver:
     Executions across all tenants happen in global release order (ties
     broken by tenant registration order), so a shared planning service
     sees the realistic interleaved decision stream rather than one
-    tenant's schedule at a time.  Each tenant's own schedule semantics
-    — overrun delays, skipped windows, period-anchored deadlines — are
-    exactly :class:`RecurringJobDriver`'s.
+    tenant's schedule at a time.  Each tenant keeps its own schedule
+    semantics — overrun delays, skipped windows, period-anchored
+    deadlines (:meth:`_TenantState.next_window`) — so a one-spec driver
+    is the single-schedule case.
 
     Args:
         specs: the tenants; names must be unique, periods positive.

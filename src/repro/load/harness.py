@@ -605,8 +605,7 @@ class LoadHarness:
             if not jobs:
                 continue
             slots = self.service.plan_many(
-                [self._request_for(job, window_end) for job in jobs],
-                return_exceptions=True,
+                [self._request_for(job, window_end) for job in jobs]
             )
             for job, slot in zip(jobs, slots):
                 if isinstance(slot, PlanResult):

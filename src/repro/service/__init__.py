@@ -16,7 +16,6 @@ from repro.service.frontend import (
     PlanFrontend,
 )
 from repro.service.planning import (
-    BatchPlanError,
     PlanError,
     PlanningService,
     PlanRequest,
@@ -28,7 +27,6 @@ from repro.service.strategies import SERVICE_STRATEGIES
 
 __all__ = [
     "Autoscaler",
-    "BatchPlanError",
     "FrontendConfig",
     "FrontendOverloadError",
     "FrontendStats",

@@ -65,14 +65,11 @@ class FrontendConfig:
             (coalesced waiters excluded — they add no planner work);
             submissions beyond it raise :class:`PlanError`.
         max_batch: largest ``plan_many`` dispatch the batcher forms.
-        coalesce: share in-flight results between identical requests
-            (disable to measure the coalescing win in isolation).
-        pool: sizing policy of the backing planner pool.
+        pool: size bounds of the backing planner pool.
     """
 
     max_inflight: int = 1024
     max_batch: int = 32
-    coalesce: bool = True
     pool: PoolConfig = field(default_factory=PoolConfig)
 
     def __post_init__(self):
@@ -217,7 +214,7 @@ class PlanFrontend:
             raise PlanError("frontend is not running")
         self._submitted += 1
         try:
-            key = self.service.request_key(request) if self.config.coalesce else None
+            key = self.service.request_key(request)
         except Exception as exc:
             self._rejected += 1
             if isinstance(exc, PlanError):

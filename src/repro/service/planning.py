@@ -13,9 +13,10 @@ artifacts across them:
   The DP lives in slack space, so recurring executions (same job, new
   deadline every period) and *distinct* jobs with identical catalogues
   and performance models share the same memo tables.  The estimator's
-  ``price_tolerance`` drift rule is promoted to an explicit price
-  *epoch*: a snapshot drifting past the tolerance retires every memoised
-  state of that key at once (``CacheStats.epoch`` counts retirements).
+  :data:`~repro.core.expected_cost.PRICE_TOLERANCE` drift rule is an
+  explicit price *epoch*: a snapshot drifting past the tolerance retires
+  every memoised state of that key at once (``CacheStats.epoch`` counts
+  retirements).
 * **Shared market snapshots** — N concurrent jobs deciding at time *t*
   take one ``market.config_rates(catalog, t)`` snapshot, not N; the
   service memoises the dense rate array per ``(catalog, t)``.
@@ -24,9 +25,11 @@ artifacts across them:
   and walks its warm memo back-to-back, bit-identical to the one-at-a-
   time loop.
 
-Admission validates every request's catalogue (non-empty, at least one
-on-demand last-resort configuration) and raises :class:`PlanError`
-instead of letting a downstream IndexError surface.  Per-request
+Admission validates every request's decision state (a time the market
+prices, a finite non-negative work fraction) and catalogue (non-empty,
+at least one on-demand last-resort configuration), whatever its
+strategy, and raises :class:`PlanError` instead of letting a downstream
+ValueError or IndexError surface.  Per-request
 telemetry (decision latency, memo hits/misses, snapshot reuse) rides on
 each :class:`PlanResult` and flows into the
 :class:`~repro.exec.observers.MetricsObserver` layer via the lifecycle's
@@ -61,38 +64,19 @@ from repro.core.slack import SlackModel
 from repro.core.warning import NO_WARNING, WarningPolicy
 from repro.obs.state import get_metrics, get_tracer
 
+#: How many ``(catalog, t)`` rate snapshots the service keeps; the
+#: keying memo is cleared past four times this many session tuples.
+SNAPSHOT_CAPACITY = 256
+
+#: Rescale hysteresis: a planned move must save more than this fraction
+#: of the stay cost (guards against churn on grid-cell noise).  A stay
+#: cost of infinity (the deadline is at risk on the current
+#: configuration) always moves.
+MIN_SAVING_FRACTION = 0.05
+
 
 class PlanError(ValueError):
     """A plan request failed service admission or strategy resolution."""
-
-
-class BatchPlanError(PlanError):
-    """One or more slots of a :meth:`PlanningService.plan_many` batch failed.
-
-    Raised (by default) *after* every admissible request in the batch has
-    been planned and published, so one bad tenant cannot poison the
-    others' work.  The partial outcome rides on the exception:
-
-    Attributes:
-        results: per-slot outcomes in request order — a
-            :class:`PlanResult` for planned slots, the slot's
-            :class:`PlanError` for rejected ones.
-        errors: ``(index, PlanError)`` pairs for the rejected slots.
-    """
-
-    def __init__(self, results, errors):
-        self.results = tuple(results)
-        self.errors = tuple(errors)
-        planned = sum(1 for r in self.results if isinstance(r, PlanResult))
-        summary = "; ".join(
-            f"[{i}] {err}" for i, err in self.errors[:3]
-        )
-        if len(self.errors) > 3:
-            summary += f"; ... {len(self.errors) - 3} more"
-        super().__init__(
-            f"{len(self.errors)} of {len(self.results)} batch slots rejected "
-            f"({planned} planned): {summary}"
-        )
 
 
 @dataclass(frozen=True)
@@ -148,11 +132,6 @@ class RescaleQuery:
             is only defined for a live deployment).
         current_uptime: how long the current deployment has been up.
         frontier: measured active-vertex fraction at the decision.
-        min_saving_fraction: hysteresis — move only when the expected
-            saving exceeds this fraction of the stay cost (guards
-            against churn on grid-cell noise).  A stay cost of infinity
-            (the deadline is at risk on the current configuration)
-            always moves regardless.
         slack_grid / work_grid: memo granularity override (pin these to
             the job's planning grids so both queries share warm memo).
     """
@@ -164,7 +143,6 @@ class RescaleQuery:
     current_config: Configuration
     current_uptime: float = 0.0
     frontier: float = 1.0
-    min_saving_fraction: float = 0.05
     slack_grid: float | None = None
     work_grid: float | None = None
 
@@ -243,13 +221,6 @@ class PlanningService:
         market: the market every tenant's decisions consult.
         warning: eviction-warning contract baked into hourglass
             estimators (§9 extension).
-        slack_grid / work_grid: default memo granularity; None =
-            per-request auto-resolution (mirrors the estimator's
-            adaptive tuning).
-        price_tolerance: relative rate drift that retires a key's memo
-            (the estimator's rule, now an explicit epoch).
-        max_fail_depth: eviction-chain depth before the lrc fallback.
-        snapshot_capacity: how many (catalog, t) rate snapshots to keep.
         tracer: explicit :class:`~repro.obs.trace.Tracer` for ``plan``
             spans (default: the process tracer, resolved per call).
         metrics: explicit :class:`~repro.obs.metrics.MetricsRegistry`
@@ -260,11 +231,6 @@ class PlanningService:
         self,
         market: SpotMarket,
         warning: WarningPolicy = NO_WARNING,
-        slack_grid: float | None = None,
-        work_grid: float | None = None,
-        price_tolerance: float = 0.05,
-        max_fail_depth: int = 2,
-        snapshot_capacity: int = 256,
         tracer=None,
         metrics=None,
     ):
@@ -273,11 +239,6 @@ class PlanningService:
         self.metrics = metrics
         self._decision_hooks: list = []
         self.warning = warning
-        self.slack_grid = slack_grid
-        self.work_grid = work_grid
-        self.price_tolerance = price_tolerance
-        self.max_fail_depth = max_fail_depth
-        self.snapshot_capacity = snapshot_capacity
         self._mutex = threading.Lock()  # guards the dicts and counters
         self._entries: dict[tuple, _EstimatorEntry] = {}
         self._snapshots: OrderedDict[tuple, object] = OrderedDict()
@@ -286,7 +247,7 @@ class PlanningService:
         # dict ops; a rare duplicate recompute is deterministic and harmless.
         self._keyed_memo: dict[tuple, tuple] = {}
         # The span every trace prices; a decision time outside it cannot
-        # be snapshotted, so ``_keyed`` rejects it up front.
+        # be priced, so ``_check_state`` rejects it up front.
         self._priced = (market.start, market.horizon)
         self._plans = 0
         self._rescale_queries = 0
@@ -298,6 +259,21 @@ class PlanningService:
     # ------------------------------------------------------------------
     # Admission and keying
     # ------------------------------------------------------------------
+    def _check_state(self, request: PlanRequest | RescaleQuery) -> None:
+        """Reject a decision state no strategy can plan from.
+
+        Raises:
+            PlanError: the decision time lies outside the market's priced
+                range, or ``work_left`` is not a finite non-negative
+                fraction.
+        """
+        t, work_left = request.t, request.work_left
+        lo, hi = self._priced
+        if not lo <= t <= hi:
+            raise PlanError(f"decision time t={t} outside the priced market [{lo}, {hi}]")
+        if not 0.0 <= work_left < math.inf:
+            raise PlanError(f"work_left={work_left} is not a finite non-negative fraction")
+
     @staticmethod
     def admit(catalog) -> tuple[Configuration, ...]:
         """Validate a request's catalogue; returns it as a tuple.
@@ -326,18 +302,15 @@ class PlanningService:
     ) -> tuple[float, float]:
         """Memo granularity for a job whose first decision is (t, w).
 
-        Grids neither the request nor the service fixes resolve through
-        the estimator's own :func:`~repro.core.expected_cost.adaptive_grids`
-        rule, so a service-planned job lands in the same buckets a
-        private estimator would have used.  The resolved values are part
-        of the estimator cache key: jobs resolving the same grids share
-        memo.
+        Grids the request does not fix resolve through the estimator's
+        own :func:`~repro.core.expected_cost.adaptive_grids` rule, so a
+        service-planned job lands in the same buckets a private
+        estimator would have used.  The resolved values are part of the
+        estimator cache key: jobs resolving the same grids share memo.
         """
-        sg = slack_grid if slack_grid is not None else self.slack_grid
-        wg = work_grid if work_grid is not None else self.work_grid
-        if sg is None or wg is None:
-            return adaptive_grids(slack_model.slack(t, work_left), sg, wg)
-        return sg, wg
+        if slack_grid is None or work_grid is None:
+            return adaptive_grids(slack_model.slack(t, work_left), slack_grid, work_grid)
+        return slack_grid, work_grid
 
     def _catalog_key(self, catalog: tuple[Configuration, ...]) -> tuple:
         return tuple(c.name for c in catalog)
@@ -391,20 +364,18 @@ class PlanningService:
         request or slack model, which live traffic builds afresh.
 
         Raises:
-            PlanError: the decision time lies outside the market's priced
-                range, ``work_left`` is not a finite non-negative
-                fraction, the catalogue fails admission, or a grid,
-                ``price_tolerance`` or ``max_fail_depth`` is unusable.
+            PlanError: the decision state is unplannable
+                (:meth:`_check_state`), the catalogue fails admission, or
+                a grid is unusable.
         """
-        t, work_left = request.t, request.work_left
-        lo, hi = self._priced
-        if not lo <= t <= hi:
-            raise PlanError(f"decision time t={t} outside the priced market [{lo}, {hi}]")
-        if not 0.0 <= work_left < math.inf:
-            raise PlanError(f"work_left={work_left} is not a finite non-negative fraction")
+        self._check_state(request)
         slack_model, catalog = request.slack_model, request.catalog
         grids = self.resolved_grids(
-            slack_model, t, work_left, request.slack_grid, request.work_grid
+            slack_model,
+            request.t,
+            request.work_left,
+            request.slack_grid,
+            request.work_grid,
         )
         perf, lrc = slack_model.perf, slack_model.lrc
         memo_key = (id(catalog), id(perf), id(lrc), grids)
@@ -413,12 +384,12 @@ class PlanningService:
             return catalog, grids, hit[3]
         admitted = self.admit(catalog)
         try:
-            check_dp_parameters(*grids, self.price_tolerance, self.max_fail_depth)
+            check_dp_parameters(*grids)
         except ValueError as exc:
             raise PlanError(str(exc)) from None
         key = self._estimator_key(admitted, slack_model, grids)
         if type(catalog) is tuple:
-            if len(self._keyed_memo) >= 4 * self.snapshot_capacity:
+            if len(self._keyed_memo) >= 4 * SNAPSHOT_CAPACITY:
                 self._keyed_memo.clear()
             self._keyed_memo[memo_key] = (catalog, perf, lrc, key)
         return admitted, grids, key
@@ -443,8 +414,6 @@ class PlanningService:
             catalog,
             slack_grid=grids[0],
             work_grid=grids[1],
-            price_tolerance=self.price_tolerance,
-            max_fail_depth=self.max_fail_depth,
             warning=self.warning,
         )
         fresh = _EstimatorEntry(estimator=estimator)
@@ -476,7 +445,7 @@ class PlanningService:
         with self._mutex:
             self._snapshot_misses += 1
             self._snapshots[key] = rates
-            while len(self._snapshots) > self.snapshot_capacity:
+            while len(self._snapshots) > SNAPSHOT_CAPACITY:
                 self._snapshots.popitem(last=False)
         return rates, False
 
@@ -505,6 +474,7 @@ class PlanningService:
                 is unplannable (same rules :meth:`plan` applies).
         """
         if request.strategy != "hourglass":
+            self._check_state(request)
             self.admit(request.catalog)
             return None
         _catalog, grids, key = self._keyed(request)
@@ -682,7 +652,7 @@ class PlanningService:
         ):
             saving = stay - winner.expected_cost
             forced = math.isinf(stay)
-            if forced or saving > query.min_saving_fraction * stay:
+            if forced or saving > MIN_SAVING_FRACTION * stay:
                 decision = RescaleDecision(
                     target=winner.config,
                     action=rescale_action(query.current_config, winner.config),
@@ -728,6 +698,7 @@ class PlanningService:
         Raises:
             PlanError: admission failure or unknown strategy.
         """
+        self._check_state(request)
         catalog = self.admit(request.catalog)
         provisioner = self.provisioner(request.strategy)
         ctx = ProvisioningContext(
@@ -751,9 +722,7 @@ class PlanningService:
             telemetry=PlanTelemetry(latency_s=time.perf_counter() - started),
         )
 
-    def plan_many(
-        self, requests, return_exceptions: bool = False
-    ) -> list[PlanResult | PlanError]:
+    def plan_many(self, requests) -> list[PlanResult | PlanError]:
         """Answer a batch of requests, grouping same-catalogue work.
 
         Hourglass requests resolving to the same estimator key are
@@ -764,12 +733,9 @@ class PlanningService:
 
         Admission is per slot: a request that fails admission (or
         strategy resolution) never blocks the rest of the batch — every
-        admissible request is planned and published regardless.  With
-        ``return_exceptions=True`` the rejected slots come back as their
-        :class:`PlanError` in the result list; otherwise (the default,
-        matching the historical raise-on-bad-request contract) a
-        :class:`BatchPlanError` carrying the per-slot outcomes is raised
-        after the admissible slots have been planned.
+        admissible request is planned and published regardless, and the
+        rejected slots come back as their :class:`PlanError` in the
+        result list.
 
         Each planned slot's telemetry separates ``queue_wait_s`` (time
         spent behind earlier groups/members of the batch) from
@@ -778,7 +744,6 @@ class PlanningService:
         """
         requests = list(requests)
         results: list[PlanResult | PlanError | None] = [None] * len(requests)
-        errors: list[tuple[int, PlanError]] = []
         groups: OrderedDict[tuple, list] = OrderedDict()
         for i, request in enumerate(requests):
             started = time.perf_counter()
@@ -789,7 +754,6 @@ class PlanningService:
                 catalog, grids, key = self._keyed(request)
             except PlanError as exc:
                 results[i] = exc
-                errors.append((i, exc))
                 continue
             # keyed_at closes this slot's share of the grouping pass;
             # waiting starts here and ends when its group services it.
@@ -811,8 +775,6 @@ class PlanningService:
         for request, result in zip(requests, results):
             if isinstance(result, PlanResult):
                 self._publish(request, result)
-        if errors and not return_exceptions:
-            raise BatchPlanError(results, errors)
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

@@ -16,16 +16,17 @@ run
 
     ``n* = floor(rho + 0.5 * (1 + sqrt(1 + 4 * rho * c1/c2)))``
 
-workers, where ``c1/c2`` is the ratio of queue-holding cost to
-worker-holding cost — the square-root safety margin grows with the load,
-exactly like the M/M/1-approximation staffing rule.  ``rho`` is
-estimated from an EWMA of *jobs in system* (queued + being planned,
-Little's-law proxy for offered load x service time) divided by the
-target utilisation.  Power-up and power-down are asymmetric-hysteresis
-threshold rules: a single over-capacity evaluation powers workers up
-(bursts must not queue behind a slow vote), while powering down requires
-``down_hysteresis`` consecutive under-capacity evaluations (troughs must
-prove themselves, the haproxy-ec2 threshold rule).
+workers, where ``c1/c2`` (:data:`COST_RATIO`) is the ratio of
+queue-holding cost to worker-holding cost — the square-root safety
+margin grows with the load, exactly like the M/M/1-approximation
+staffing rule.  ``rho`` is estimated from an EWMA of *jobs in system*
+(queued + being planned, Little's-law proxy for offered load x service
+time) divided by :data:`TARGET_UTILIZATION`.  Power-up and power-down
+are asymmetric threshold rules: a single over-capacity evaluation
+powers workers up (bursts must not queue behind a slow vote), while
+powering down requires :data:`DOWN_HYSTERESIS` consecutive
+under-capacity evaluations (troughs must prove themselves, the
+haproxy-ec2 threshold rule).
 
 Everything observable is exported as ``svc_pool_*`` metrics through
 :mod:`repro.obs` and mirrored in :meth:`PlannerPool.stats` /
@@ -43,50 +44,41 @@ from dataclasses import dataclass
 
 from repro.obs.state import get_metrics
 
+#: Fraction of a worker the policy aims to keep busy: offered load is
+#: inflated by its inverse before staffing, leaving headroom for
+#: arrival jitter.
+TARGET_UTILIZATION = 0.75
+
+#: ``c1/c2`` of the staffing equation: the cost of a queued request
+#: relative to a running worker (larger buys a wider safety margin).
+COST_RATIO = 1.0
+
+#: Smoothing of the jobs-in-system estimate (1.0 = react to the
+#: instantaneous queue).
+EWMA_ALPHA = 0.35
+
+#: Consecutive under-capacity evaluations required before powering
+#: down (protects against scaling down inside a burst's short gaps).
+DOWN_HYSTERESIS = 3
+
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Sizing policy of one :class:`PlannerPool`.
+    """Size bounds of one :class:`PlannerPool`.
 
     Attributes:
         min_workers / max_workers: hard pool-size bounds (the pool
             starts at ``min_workers``).
-        target_utilization: fraction of a worker the policy aims to keep
-            busy; offered load is inflated by ``1 / target_utilization``
-            before staffing, leaving headroom for arrival jitter.
-        cost_ratio: ``c1/c2`` of the staffing equation — the relative
-            cost of a queued request versus a running worker.  Larger
-            ratios buy a wider square-root safety margin.
-        ewma_alpha: smoothing of the jobs-in-system estimate (1.0 =
-            react to the instantaneous queue, 0.0 = never move).
-        up_hysteresis: consecutive over-capacity evaluations required
-            before powering up (1 = react to the first burst sample).
-        down_hysteresis: consecutive under-capacity evaluations required
-            before powering down (protects against scaling down inside a
-            burst's short gaps).
     """
 
     min_workers: int = 1
     max_workers: int = 4
-    target_utilization: float = 0.75
-    cost_ratio: float = 1.0
-    ewma_alpha: float = 0.35
-    up_hysteresis: int = 1
-    down_hysteresis: int = 3
 
     def __post_init__(self):
         if self.min_workers < 1:
             raise ValueError("min_workers must be >= 1")
         if self.max_workers < self.min_workers:
             raise ValueError("max_workers must be >= min_workers")
-        if not 0.0 < self.target_utilization <= 1.0:
-            raise ValueError("target_utilization must be in (0, 1]")
-        if self.cost_ratio <= 0.0:
-            raise ValueError("cost_ratio must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.up_hysteresis < 1 or self.down_hysteresis < 1:
-            raise ValueError("hysteresis thresholds must be >= 1")
 
 
 class Autoscaler:
@@ -101,7 +93,6 @@ class Autoscaler:
     def __init__(self, config: PoolConfig):
         self.config = config
         self.load_ewma = 0.0
-        self._up_votes = 0
         self._down_votes = 0
 
     def compute_n(self, rho: float) -> int:
@@ -112,38 +103,27 @@ class Autoscaler:
         """
         c = self.config
         rho = max(0.0, rho)
-        n = math.floor(rho + 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * rho * c.cost_ratio)))
+        n = math.floor(rho + 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * rho * COST_RATIO)))
         return max(c.min_workers, min(c.max_workers, n))
 
     def observe(self, jobs_in_system: int, current_size: int) -> int:
         """Fold one load sample; returns the new target pool size.
 
-        The EWMA absorbs the sample, the staffing equation proposes
-        ``n*``, and the hysteresis votes decide whether the proposal is
-        allowed to move the pool: over-capacity proposals need
-        ``up_hysteresis`` consecutive votes, under-capacity proposals
-        ``down_hysteresis``.  A proposal equal to the current size
-        resets both vote counters.
+        The EWMA absorbs the sample and the staffing equation proposes
+        ``n*``.  An over-capacity proposal moves the pool at once; an
+        under-capacity one needs :data:`DOWN_HYSTERESIS` consecutive
+        votes, and any other proposal resets the vote count.
         """
-        c = self.config
-        self.load_ewma += c.ewma_alpha * (jobs_in_system - self.load_ewma)
-        n_star = self.compute_n(self.load_ewma / c.target_utilization)
-        if n_star > current_size:
-            self._up_votes += 1
-            self._down_votes = 0
-            if self._up_votes >= c.up_hysteresis:
-                self._up_votes = 0
-                return n_star
-        elif n_star < current_size:
+        self.load_ewma += EWMA_ALPHA * (jobs_in_system - self.load_ewma)
+        n_star = self.compute_n(self.load_ewma / TARGET_UTILIZATION)
+        if n_star < current_size:
             self._down_votes += 1
-            self._up_votes = 0
-            if self._down_votes >= c.down_hysteresis:
+            if self._down_votes >= DOWN_HYSTERESIS:
                 self._down_votes = 0
                 return n_star
-        else:
-            self._up_votes = 0
-            self._down_votes = 0
-        return current_size
+            return current_size
+        self._down_votes = 0
+        return n_star
 
 
 @dataclass(frozen=True)
@@ -181,10 +161,10 @@ class PlannerPool:
     """N worker threads draining plan batches through one sync service.
 
     Args:
-        service: any object with ``plan_many(requests,
-            return_exceptions=True)`` — normally a
+        service: any object with ``plan_many(requests)`` returning
+            per-slot outcomes — normally a
             :class:`~repro.service.planning.PlanningService`.
-        config: the sizing policy.
+        config: the pool-size bounds.
         metrics: explicit :class:`~repro.obs.metrics.MetricsRegistry`
             (default: the process registry).  ``svc_pool_size`` /
             ``svc_pool_queue_depth`` gauges, ``svc_pool_resizes_total``
@@ -320,7 +300,7 @@ class PlannerPool:
                 return
             requests, future = item
             try:
-                outcome = self.service.plan_many(requests, return_exceptions=True)
+                outcome = self.service.plan_many(requests)
             except BaseException as exc:  # defensive: whole-batch failure
                 future.set_exception(exc)
                 outcome = None

@@ -32,6 +32,10 @@ from repro.exec.rescale import RescaleContext, RescaleDecision, RescalePolicy
 if TYPE_CHECKING:
     from repro.service.planning import PlanningService
 
+#: Reported work fraction at or below which a rescale is not evaluated:
+#: a tail too short to repay any move.
+RESCALE_MIN_WORK_LEFT = 0.01
+
 
 class PlannedRescalePolicy(RescalePolicy):
     """Service-backed rescale policy: the §5.3 DP answers move-vs-stay.
@@ -41,31 +45,18 @@ class PlannedRescalePolicy(RescalePolicy):
     into a :class:`~repro.service.planning.RescaleQuery` against the
     shared :class:`PlanningService`, pinning the same memo grids the
     job's planning session uses so both query paths share warm memo.
+    Moves need no cooldown: the DP charges every move its full setup
+    cost, and the service's
+    :data:`~repro.service.planning.MIN_SAVING_FRACTION` hysteresis
+    guards against churn.
 
     Args:
         service: the planning service answering the queries.
-        min_saving_fraction: hysteresis — move only when the expected
-            saving exceeds this fraction of the stay cost.
-        cooldown_s: minimum simulated seconds between planned moves
-            (0 = rely on hysteresis alone; the DP already charges every
-            move its full setup cost).
-        min_work_left: skip evaluation when the reported work fraction
-            is below this — a tail too short to repay any move.
     """
 
-    def __init__(
-        self,
-        service: PlanningService,
-        min_saving_fraction: float = 0.05,
-        cooldown_s: float = 0.0,
-        min_work_left: float = 0.01,
-    ):
+    def __init__(self, service: PlanningService):
         self.service = service
-        self.min_saving_fraction = min_saving_fraction
-        self.cooldown_s = cooldown_s
-        self.min_work_left = min_work_left
         self._grids: tuple[float, float] | None = None
-        self._last_move_t: float | None = None
 
     def pin_grids(self, grids: tuple[float, float] | None) -> None:
         """Share the job session's memo grids with rescale queries."""
@@ -74,21 +65,15 @@ class PlannedRescalePolicy(RescalePolicy):
     def reset(self) -> None:
         """Clear per-job state (grids re-pin at the next session)."""
         self._grids = None
-        self._last_move_t = None
 
     def evaluate(self, ctx: RescaleContext) -> RescaleDecision | None:
         """Ask the service whether a planned move beats staying."""
         from repro.service.planning import RescaleQuery
 
-        if ctx.work_left <= self.min_work_left:
-            return None
-        if (
-            self._last_move_t is not None
-            and ctx.t - self._last_move_t < self.cooldown_s
-        ):
+        if ctx.work_left <= RESCALE_MIN_WORK_LEFT:
             return None
         grids = self._grids or (None, None)
-        decision = self.service.plan_rescale(
+        return self.service.plan_rescale(
             RescaleQuery(
                 slack_model=ctx.slack_model,
                 catalog=tuple(ctx.catalog),
@@ -97,14 +82,10 @@ class PlannedRescalePolicy(RescalePolicy):
                 current_config=ctx.config,
                 current_uptime=ctx.uptime,
                 frontier=ctx.frontier,
-                min_saving_fraction=self.min_saving_fraction,
                 slack_grid=grids[0],
                 work_grid=grids[1],
             )
         )
-        if decision is not None:
-            self._last_move_t = ctx.t
-        return decision
 
 
 class ElasticPlannedProvisioner(HourglassProvisioner):
@@ -128,11 +109,9 @@ class ElasticPlannedProvisioner(HourglassProvisioner):
 
     name = "elastic"
 
-    def __init__(self, service: PlanningService, min_saving_fraction: float = 0.05):
+    def __init__(self, service: PlanningService):
         super().__init__(service)
-        self.rescale_policy = PlannedRescalePolicy(
-            service, min_saving_fraction=min_saving_fraction
-        )
+        self.rescale_policy = PlannedRescalePolicy(service)
 
     def reset(self) -> None:
         """End the job session for planning and rescaling alike."""

@@ -12,9 +12,10 @@ Never use it outside tests: it admits the catalogue and re-validates the
 grids on every call.
 
 :class:`KeyingOracle` wraps a live service and reads its configuration
-(``admit``, ``resolved_grids``, ``warning``, ``price_tolerance``, ...)
-through attribute delegation, so the method bodies below keep their
-original text.
+(``admit``, ``resolved_grids``, ``warning``, ...) through attribute
+delegation, and the service's module constants where it used to read
+the removed constructor arguments, so the method bodies below otherwise
+keep their original text.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from __future__ import annotations
 from repro.cloud.configuration import Configuration
 from repro.core.expected_cost import check_dp_parameters
 from repro.core.slack import SlackModel
-from repro.service.planning import PlanError, PlanRequest, RescaleQuery
+from repro.service.planning import (
+    SNAPSHOT_CAPACITY,
+    PlanError,
+    PlanRequest,
+    RescaleQuery,
+)
 
 
 class KeyingOracle:
@@ -77,7 +83,7 @@ class KeyingOracle:
                 for c in catalog
             )
             cached = (perf, timings, perf.exec_time(lrc), perf.fixed_time(lrc))
-            if len(self._fingerprints) >= 4 * self.snapshot_capacity:
+            if len(self._fingerprints) >= 4 * SNAPSHOT_CAPACITY:
                 self._fingerprints.clear()
             self._fingerprints[fp_key] = cached
         return (
@@ -100,8 +106,8 @@ class KeyingOracle:
         slack model, catalogue, decision state and grid overrides).
 
         Raises:
-            PlanError: the catalogue fails admission, or a grid,
-                ``price_tolerance`` or ``max_fail_depth`` is unusable.
+            PlanError: the catalogue fails admission, or a grid is
+                unusable.
         """
         catalog = self.admit(request.catalog)
         grids = self.resolved_grids(
@@ -112,7 +118,7 @@ class KeyingOracle:
             request.work_grid,
         )
         try:
-            check_dp_parameters(*grids, self.price_tolerance, self.max_fail_depth)
+            check_dp_parameters(*grids)
         except ValueError as exc:
             raise PlanError(str(exc)) from None
         return catalog, grids, self._estimator_key(catalog, request.slack_model, grids)

@@ -15,6 +15,7 @@ import math
 
 from repro.core.expected_cost import (
     _WORK_EPS,
+    MAX_FAIL_DEPTH,
     ApproximateCostEstimator,
     _recursion_headroom,
 )
@@ -112,7 +113,7 @@ class RecursiveApproximateCostEstimator(ApproximateCostEstimator):
         )
         if work_after_fail <= _WORK_EPS:
             follow = 0.0
-        elif fail_depth >= self.max_fail_depth:
+        elif fail_depth >= MAX_FAIL_DEPTH:
             follow = self._cost(
                 self._lrc, slack_after_fail, work_after_fail, False, fail_depth
             )

@@ -56,6 +56,7 @@ from repro.graph import generators
 from repro.load.report import LoadReport
 from repro.runtime import HourglassRuntime
 from repro.runtime.workmodel import EngineWorkModel
+from repro.service import planning
 from repro.service.planning import PlanningService, RescaleQuery
 from repro.utils.units import HOURS
 
@@ -343,7 +344,7 @@ class TestShrinkThenEvict:
 
 # ----------------------------------------------------------------------
 class TestPlanRescaleVetting:
-    def make_query(self, market, catalog, current, slack_fraction, **kwargs):
+    def make_query(self, market, catalog, current, slack_fraction):
         perf, lrc = make_perf(catalog)
         t = market.start + 2 * HOURS
         deadline = t + perf.fixed_time(lrc) + perf.exec_time(lrc) * (
@@ -357,7 +358,6 @@ class TestPlanRescaleVetting:
             work_left=1.0,
             current_config=current,
             current_uptime=600.0,
-            **kwargs,
         )
 
     def test_never_targets_deadline_missing_config(self, small_market, catalog):
@@ -382,13 +382,17 @@ class TestPlanRescaleVetting:
         assert np.isinf(decision.stay_cost)
         assert np.isfinite(decision.target_cost)
 
-    def test_hysteresis_blocks_marginal_moves(self, small_market, catalog):
-        service = PlanningService(small_market)
-        _, lrc = make_perf(catalog)
-        query = self.make_query(
-            small_market, catalog, lrc, 1.0, min_saving_fraction=1e9
-        )
-        assert service.plan_rescale(query) is None
+    def test_hysteresis_blocks_marginal_moves(self, small_market, catalog, monkeypatch):
+        """A move saving under ``MIN_SAVING_FRACTION`` of the stay cost
+        is not taken; with no threshold the same move is."""
+        current = next(c for c in catalog if c.name == "4xr4.8xlarge:spot")
+        query = self.make_query(small_market, catalog, current, 1.0)
+        threshold = planning.MIN_SAVING_FRACTION
+        assert PlanningService(small_market).plan_rescale(query) is None
+        monkeypatch.setattr(planning, "MIN_SAVING_FRACTION", 0.0)
+        move = PlanningService(small_market).plan_rescale(query)
+        assert move is not None
+        assert 0.0 < move.saving < threshold * move.stay_cost
 
     def test_rescale_queries_counted(self, small_market, catalog):
         service = PlanningService(small_market)

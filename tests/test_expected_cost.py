@@ -19,6 +19,7 @@ from repro.core import (
     job_with_slack,
     last_resort,
 )
+from repro.core.expected_cost import PRICE_TOLERANCE
 from repro.utils.units import HOURS
 
 
@@ -34,6 +35,18 @@ def make_slack_model(market, profile, slack_fraction, catalog):
     perf = PerformanceModel(profile=profile, reference=lrc)
     job = job_with_slack(profile, 0.0, slack_fraction, perf.fixed_time(lrc))
     return SlackModel(perf=perf, lrc=lrc, deadline=job.deadline)
+
+
+def drift_time(market, catalog, beyond):
+    """First minute whose rates drift from t=0's by more than
+    :data:`PRICE_TOLERANCE` (*beyond*) or by a nonzero amount within it."""
+    rates0 = market.config_rates(catalog, 0.0)
+    for t in range(60, int(market.horizon), 60):
+        rates = market.config_rates(catalog, float(t))
+        drift = max(abs(r / r0 - 1.0) for r, r0 in zip(rates, rates0))
+        if (drift > PRICE_TOLERANCE) if beyond else (0.0 < drift <= PRICE_TOLERANCE):
+            return float(t)
+    pytest.fail("trace never produced the required drift")
 
 
 class TestApproximateEstimator:
@@ -92,30 +105,33 @@ class TestApproximateEstimator:
         assert half < full
 
     def test_memo_reused_across_decisions(self, small_market, catalog):
+        """Rates that moved, but within the tolerance, keep the memo."""
         sm = make_slack_model(small_market, COLORING_PROFILE, 0.5, catalog)
-        est = ApproximateCostEstimator(sm, small_market, catalog, price_tolerance=1e9)
+        est = ApproximateCostEstimator(sm, small_market, catalog)
         est.best(0.0, 1.0)
-        size_before = len(est._memo)
-        est.best(60.0, 1.0)
-        assert len(est._memo) >= size_before  # not cleared
+        before = est.cache_stats()
+        est.best(drift_time(small_market, catalog, beyond=False), 1.0)
+        after = est.cache_stats()
+        assert after.invalidations == 0 and after.epoch == before.epoch
+        assert after.entries >= before.entries  # not cleared
+        assert after.hits > before.hits
 
     def test_memo_cleared_on_price_drift(self, small_market, catalog):
+        """Drift past the tolerance retires the memo: the next decision
+        is a fresh estimator's."""
         sm = make_slack_model(small_market, COLORING_PROFILE, 0.5, catalog)
-        est = ApproximateCostEstimator(sm, small_market, catalog, price_tolerance=0.0)
+        est = ApproximateCostEstimator(sm, small_market, catalog)
         est.best(0.0, 1.0)
-        spot = transient_configs(catalog)[0]
-        trace = small_market.traces[spot.instance_type.name]
-        # Find a time with a different price.
-        t_drift = None
-        for t in range(0, int(small_market.horizon), 3600):
-            if trace.price_at(t) != trace.price_at(0):
-                t_drift = float(t)
-                break
-        if t_drift is not None:
-            est.best(t_drift, 1.0)
-            # Memo was rebuilt for the new snapshot (cannot contain the
-            # stale root as the only entry): just assert it is usable.
-            assert est.best(t_drift, 1.0).config in catalog
+        before = est.cache_stats()
+        t_drift = drift_time(small_market, catalog, beyond=True)
+        decision = est.best(t_drift, 1.0)
+        after = est.cache_stats()
+        assert after.invalidations == 1 and after.epoch == before.epoch + 1
+        fresh = ApproximateCostEstimator(
+            sm, small_market, catalog, slack_grid=est.slack_grid, work_grid=est.work_grid
+        )
+        assert decision == fresh.best(t_drift, 1.0)
+        assert after.misses - before.misses == fresh.cache_stats().misses
 
     def test_catalog_requires_on_demand(self, small_market, catalog):
         sm = make_slack_model(small_market, SSSP_PROFILE, 0.5, catalog)
@@ -129,8 +145,6 @@ class TestApproximateEstimator:
             {"slack_grid": float("nan")},
             {"work_grid": -1},
             {"work_grid": float("inf")},
-            {"max_fail_depth": -1},
-            {"price_tolerance": -0.5},
         ],
     )
     def test_unusable_dp_parameters_rejected(self, small_market, catalog, kwargs):

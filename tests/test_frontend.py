@@ -88,8 +88,7 @@ class TestAutoscaler:
         assert scaler.observe(12, current_size=1) > 1  # one burst sample
 
     def test_scale_down_needs_consecutive_votes(self):
-        config = PoolConfig(min_workers=1, max_workers=8, down_hysteresis=3)
-        scaler = Autoscaler(config)
+        scaler = Autoscaler(PoolConfig(min_workers=1, max_workers=8))
         size = scaler.observe(12, 1)
         assert size > 1
         # Two idle votes: not enough.
@@ -107,10 +106,6 @@ class TestAutoscaler:
             PoolConfig(min_workers=0)
         with pytest.raises(ValueError, match="max_workers"):
             PoolConfig(min_workers=4, max_workers=2)
-        with pytest.raises(ValueError, match="target_utilization"):
-            PoolConfig(target_utilization=0.0)
-        with pytest.raises(ValueError, match="hysteresis"):
-            PoolConfig(down_hysteresis=0)
         with pytest.raises(ValueError, match="max_inflight"):
             FrontendConfig(max_inflight=0)
         with pytest.raises(ValueError, match="max_batch"):
@@ -131,7 +126,7 @@ class _StubService:
     def request_key(self, request):
         return None
 
-    def plan_many(self, requests, return_exceptions=True):
+    def plan_many(self, requests):
         if self.gate is not None:
             self.gate.wait(timeout=30)
         if self.delay:
@@ -303,19 +298,6 @@ class TestFrontendCoalescing:
         assert stats.coalesced == 0 and stats.planned == 2
         assert service.service_stats()["plans"] == 2
 
-    def test_coalesce_can_be_disabled(self, setup):
-        service = PlanningService(setup.market)
-        request = _request(setup)
-
-        async def drive():
-            config = FrontendConfig(coalesce=False)
-            async with PlanFrontend(service, config) as frontend:
-                await asyncio.gather(*(frontend.plan(request) for _ in range(4)))
-                return frontend.stats()
-
-        stats = asyncio.run(drive())
-        assert stats.coalesced == 0 and stats.planned == 4
-
     def test_admission_rejection_counts_and_raises(self, setup):
         service = PlanningService(setup.market)
 
@@ -349,6 +331,29 @@ class TestFrontendCoalescing:
         assert all(isinstance(o, PlanResult) for o in outcomes[:7] + outcomes[8:])
         assert stats.rejected == 1 and stats.planned + stats.coalesced == 15
         assert stats.submitted == 16
+
+    def test_unpriced_baseline_spares_its_dispatch_batch(self, setup):
+        """A baseline request passes the same state check: past the
+        market trace it is rejected at keying, so the hourglass request
+        it would have shared a dispatch with still plans."""
+        service = PlanningService(setup.market)
+        good = _request(setup, SSSP_PROFILE)
+        bad = _request(
+            setup, SSSP_PROFILE, strategy="spoton", t=setup.market.horizon + 5.0
+        )
+
+        async def drive():
+            async with PlanFrontend(service) as frontend:
+                outcomes = await asyncio.gather(
+                    frontend.plan(good), frontend.plan(bad), return_exceptions=True
+                )
+                return outcomes, frontend.stats()
+
+        (planned, rejected), stats = asyncio.run(drive())
+        assert planned.decision == PlanningService(setup.market).plan(good).decision
+        assert isinstance(rejected, PlanError)
+        assert "decision time" in str(rejected)
+        assert stats.rejected == 1 and stats.planned == 1
 
     def test_keying_crash_is_counted_and_chained(self, setup):
         """Any keying failure is a rejection: the accounting identity

@@ -23,7 +23,7 @@ import pytest
 from repro.core.job import COLORING_PROFILE, PAGERANK_PROFILE, SSSP_PROFILE
 from repro.core.slack import SlackModel
 from repro.experiments.common import ExperimentSetup
-from repro.service import PlanningService, PlanRequest
+from repro.service import PlanningService, PlanRequest, planning
 from repro.service.planning import RescaleQuery
 from tests.keying_oracle import KeyingOracle
 
@@ -189,21 +189,25 @@ class TestMemoSafety:
             assert service.request_key(request) == expected
             del perf, request  # refcounting frees the model here
 
-    def test_memo_stays_bounded(self, setup):
-        service = PlanningService(setup.market, snapshot_capacity=2)
+    def test_memo_stays_bounded(self, setup, monkeypatch):
+        monkeypatch.setattr(planning, "SNAPSHOT_CAPACITY", 2)
+        service = PlanningService(setup.market)
         perf, lrc = _session(setup, SSSP_PROFILE)
         sm = SlackModel(perf=perf, lrc=lrc, deadline=4 * 3600.0)
+        sizes = []
         for i in range(50):
             service.request_key(
                 PlanRequest(slack_model=sm, catalog=setup.catalog, slack_grid=10.0 + i)
             )
-            assert len(service._keyed_memo) <= 4 * service.snapshot_capacity
+            sizes.append(len(service._keyed_memo))
+        assert max(sizes) == 4 * 2  # filled to the bound, never past it
 
-    def test_concurrent_keying_through_a_churning_memo(self, setup):
+    def test_concurrent_keying_through_a_churning_memo(self, setup, monkeypatch):
         """Threads (more than cores) key through a memo small enough to
         be cleared constantly; a torn or cross-wired entry would hand a
         thread another request's key."""
-        service = PlanningService(setup.market, snapshot_capacity=1)
+        monkeypatch.setattr(planning, "SNAPSHOT_CAPACITY", 1)
+        service = PlanningService(setup.market)
         requests = []
         for profile in (SSSP_PROFILE, PAGERANK_PROFILE, COLORING_PROFILE):
             perf, lrc = _session(setup, profile)

@@ -19,7 +19,6 @@ import pytest
 from repro.core.job import PAGERANK_PROFILE, SSSP_PROFILE, job_with_slack
 from repro.core.recurring import (
     InterleavedRecurringDriver,
-    RecurringJobDriver,
     RecurringJobSpec,
     RecurringOutcome,
 )
@@ -36,13 +35,7 @@ from repro.load import (
 from repro.load.trace import ArrivalTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.window import percentile
-from repro.service import (
-    BatchPlanError,
-    PlanError,
-    PlanningService,
-    PlanRequest,
-    PlanResult,
-)
+from repro.service import PlanError, PlanningService, PlanRequest, PlanResult
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +66,7 @@ class TestPlanManyPartialBatches:
     def test_return_exceptions_gives_per_slot_outcomes(self, setup):
         service = PlanningService(setup.market)
         requests = self._mixed_requests(setup)
-        slots = service.plan_many(requests, return_exceptions=True)
+        slots = service.plan_many(requests)
         assert len(slots) == len(requests)
         assert isinstance(slots[2], PlanError)
         good = [s for i, s in enumerate(slots) if i != 2]
@@ -81,18 +74,6 @@ class TestPlanManyPartialBatches:
         # The surviving slots decide exactly what a clean batch decides.
         clean = service.plan_many([r for i, r in enumerate(requests) if i != 2])
         assert [s.decision for s in good] == [s.decision for s in clean]
-
-    def test_default_raises_after_planning_the_rest(self, setup):
-        service = PlanningService(setup.market)
-        requests = self._mixed_requests(setup)
-        with pytest.raises(BatchPlanError) as excinfo:
-            service.plan_many(requests)
-        err = excinfo.value
-        assert isinstance(err, PlanError)  # back-compat: it is a PlanError
-        assert len(err.results) == len(requests)
-        assert [i for i, _ in err.errors] == [2]
-        planned = [r for r in err.results if isinstance(r, PlanResult)]
-        assert len(planned) == len(requests) - 1  # partial results survive
 
     def test_unknown_strategy_is_per_slot_too(self, setup):
         service = PlanningService(setup.market)
@@ -102,7 +83,7 @@ class TestPlanManyPartialBatches:
             PlanRequest(slack_model=sm, catalog=setup.catalog, strategy="nope"),
             PlanRequest(slack_model=sm, catalog=setup.catalog, strategy="on-demand"),
         ]
-        slots = service.plan_many(requests, return_exceptions=True)
+        slots = service.plan_many(requests)
         assert isinstance(slots[0], PlanResult)
         assert isinstance(slots[1], PlanError)
         assert isinstance(slots[2], PlanResult)
@@ -110,9 +91,7 @@ class TestPlanManyPartialBatches:
     def test_all_bad_batch_plans_nothing(self, setup):
         service = PlanningService(setup.market)
         sm = _slack_model(setup, PAGERANK_PROFILE)
-        slots = service.plan_many(
-            [PlanRequest(slack_model=sm, catalog=())] * 3, return_exceptions=True
-        )
+        slots = service.plan_many([PlanRequest(slack_model=sm, catalog=())] * 3)
         assert all(isinstance(s, PlanError) for s in slots)
 
     def test_hooks_fire_only_for_planned_slots(self, setup):
@@ -120,7 +99,7 @@ class TestPlanManyPartialBatches:
         seen = []
         service.add_decision_hook(lambda request, result: seen.append(result))
         requests = self._mixed_requests(setup)
-        service.plan_many(requests, return_exceptions=True)
+        service.plan_many(requests)
         assert len(seen) == len(requests) - 1
         assert all(isinstance(r, PlanResult) for r in seen)
 
@@ -217,15 +196,20 @@ class _PunctualSimulator:
         )
 
 
+def _one_schedule(simulator, profile, period: float, num_periods: int = 10):
+    """One recurring schedule: a one-spec interleaved driver from t=0."""
+    spec = RecurringJobSpec("solo", simulator, profile, period)
+    return InterleavedRecurringDriver([spec]).run(0.0, num_periods)["solo"]
+
+
 class TestSkippedWindows:
     def test_driver_counts_blown_through_windows(self):
         # Every run takes 2.5 periods: run window 0, blow through 1-2,
         # run 3 (started late, inside 2's window? no: release anchored),
         # etc.  With period 100 and overrun 250: windows hit are 0, 3, 6, 9.
-        driver = RecurringJobDriver(
+        outcome = _one_schedule(
             _OverrunSimulator(overrun_s=250.0), SSSP_PROFILE, period=100.0
         )
-        outcome = driver.run(0.0, 10)
         assert outcome.runs == 4
         assert outcome.skipped == 6
         assert outcome.windows == 10
@@ -242,9 +226,9 @@ class TestSkippedWindows:
         # the next window, missing its own deadline never happens only
         # if finish <= deadline; craft overrun < period so no skips, and
         # overrun in (period, 2*period) so exactly one skip per run.
-        outcome = RecurringJobDriver(
+        outcome = _one_schedule(
             _OverrunSimulator(overrun_s=150.0), SSSP_PROFILE, period=100.0
-        ).run(0.0, 10)
+        )
         # miss_rate counts executed runs only; violation_rate also sees
         # the windows those runs blew through.
         assert outcome.skipped > 0
@@ -270,9 +254,9 @@ class TestSkippedWindows:
             ),
         ]
         outcomes = InterleavedRecurringDriver(specs).run(0.0, 10)
-        private = RecurringJobDriver(
+        private = _one_schedule(
             _OverrunSimulator(overrun_s=250.0), SSSP_PROFILE, period=100.0
-        ).run(0.0, 10)
+        )
         assert outcomes["overloaded"].runs == private.runs
         assert outcomes["overloaded"].skipped == private.skipped
         assert outcomes["overloaded"].violation_rate == private.violation_rate

@@ -19,14 +19,10 @@ import pytest
 
 from repro.cloud.instance import R4_FAMILY
 from repro.cloud.market import SpotMarket
-from repro.core.expected_cost import ApproximateCostEstimator
+from repro.core.expected_cost import PRICE_TOLERANCE, ApproximateCostEstimator
 from repro.core.job import COLORING_PROFILE, PAGERANK_PROFILE, SSSP_PROFILE, job_with_slack
 from repro.core.provisioner import HourglassProvisioner, ProvisioningContext
-from repro.core.recurring import (
-    InterleavedRecurringDriver,
-    RecurringJobDriver,
-    RecurringJobSpec,
-)
+from repro.core.recurring import InterleavedRecurringDriver, RecurringJobSpec
 from repro.core.simulator import ExecutionSimulator
 from repro.core.slack import SlackModel
 from repro.exec.observers import MetricsObserver
@@ -105,34 +101,46 @@ class TestAdmission:
                     **grids,
                 )
             )
-        slots = service.plan_many([good, bad, good], return_exceptions=True)
+        slots = service.plan_many([good, bad, good])
         assert isinstance(slots[1], PlanError)
         alone = PlanningService(setup.market).plan(good).decision
         assert slots[0].decision == alone and slots[2].decision == alone
-        with pytest.raises(PlanError, match="slack_grid"):
-            PlanningService(setup.market, slack_grid=0).plan(good)
 
     @pytest.mark.parametrize(
-        "field, value, match",
+        "field, value, match, strategy",
         [
-            ("t", lambda market: math.nan, "decision time"),
-            ("t", lambda market: math.inf, "decision time"),
-            ("t", lambda market: -math.inf, "decision time"),
-            ("t", lambda market: market.start - 60.0, "decision time"),
-            ("t", lambda market: market.horizon + 10.0, "decision time"),
-            ("work_left", lambda market: math.nan, "work_left"),
-            ("work_left", lambda market: math.inf, "work_left"),
-            ("work_left", lambda market: -0.5, "work_left"),
+            ("t", lambda market: math.nan, "decision time", "hourglass"),
+            ("t", lambda market: math.inf, "decision time", "hourglass"),
+            ("t", lambda market: -math.inf, "decision time", "hourglass"),
+            ("t", lambda market: market.start - 60.0, "decision time", "hourglass"),
+            ("t", lambda market: market.horizon + 10.0, "decision time", "hourglass"),
+            ("work_left", lambda market: math.nan, "work_left", "hourglass"),
+            ("work_left", lambda market: math.inf, "work_left", "hourglass"),
+            ("work_left", lambda market: -0.5, "work_left", "hourglass"),
+            ("t", lambda market: market.horizon + 5.0, "decision time", "spoton"),
+            ("t", lambda market: math.nan, "decision time", "proteus+dp"),
+            ("t", lambda market: market.start - 60.0, "decision time", "on-demand"),
+            ("work_left", lambda market: math.nan, "work_left", "spoton"),
+            ("work_left", lambda market: -1.0, "work_left", "proteus"),
+            ("work_left", lambda market: math.inf, "work_left", "hourglass-naive"),
         ],
-        ids=["t-nan", "t-inf", "t-neg-inf", "t-before", "t-after", "w-nan", "w-inf", "w-neg"],
+        ids=[
+            "t-nan", "t-inf", "t-neg-inf", "t-before", "t-after",
+            "w-nan", "w-inf", "w-neg",
+            "spoton-t-after", "proteus+dp-t-nan", "on-demand-t-before",
+            "spoton-w-nan", "proteus-w-neg", "hourglass-naive-w-inf",
+        ],
     )
-    def test_unplannable_state_rejected_everywhere(self, setup, field, value, match):
+    def test_unplannable_state_rejected_everywhere(
+        self, setup, field, value, match, strategy
+    ):
         """A decision the market cannot price (or a nonsense work
-        fraction) is an admission error on every entry point — never a
-        raw ValueError/OverflowError that takes its batch-mates down."""
+        fraction) is an admission error on every entry point and for
+        every strategy — never a raw ValueError/OverflowError that takes
+        its batch-mates down, nor a decision echoing the bad state."""
         sm = _slack_model(setup, SSSP_PROFILE)
         good = PlanRequest(slack_model=sm, catalog=setup.catalog)
-        bad = replace(good, **{field: value(setup.market)})
+        bad = replace(good, strategy=strategy, **{field: value(setup.market)})
         service = PlanningService(setup.market)
         with pytest.raises(PlanError, match=match):
             service.plan(bad)
@@ -147,19 +155,11 @@ class TestAdmission:
         )
         with pytest.raises(PlanError, match=match):
             service.plan_rescale(query)
-        slots = service.plan_many([good, bad], return_exceptions=True)
+        slots = service.plan_many([good, bad, good])
         assert isinstance(slots[1], PlanError)
-        assert slots[0].decision == PlanningService(setup.market).plan(good).decision
-        assert service.service_stats()["plans"] == 1
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"max_fail_depth": -1}, {"price_tolerance": -0.01}]
-    )
-    def test_unusable_service_parameters_rejected(self, setup, kwargs):
-        sm = _slack_model(setup, PAGERANK_PROFILE)
-        service = PlanningService(setup.market, **kwargs)
-        with pytest.raises(PlanError, match=next(iter(kwargs))):
-            service.plan(PlanRequest(slack_model=sm, catalog=setup.catalog))
+        alone = PlanningService(setup.market).plan(good).decision
+        assert slots[0].decision == alone and slots[2].decision == alone
+        assert service.service_stats()["plans"] == 2
 
 
 class TestSingleDecisionEquivalence:
@@ -288,7 +288,7 @@ class TestInvalidation:
     def test_epoch_tracks_price_tolerance(self, setup):
         sm = _slack_model(setup, PAGERANK_PROFILE, 0.5)
         service = PlanningService(setup.market)
-        small, large = self._drift_times(setup, sm, service.price_tolerance)
+        small, large = self._drift_times(setup, sm, PRICE_TOLERANCE)
 
         first = service.plan(PlanRequest(slack_model=sm, catalog=setup.catalog, t=0.0))
         epoch0 = first.telemetry.epoch
@@ -307,7 +307,7 @@ class TestInvalidation:
         """The service decides exactly as a legacy estimator across drift."""
         sm = _slack_model(setup, PAGERANK_PROFILE, 0.5)
         service = PlanningService(setup.market)
-        small, large = self._drift_times(setup, sm, service.price_tolerance)
+        small, large = self._drift_times(setup, sm, PRICE_TOLERANCE)
 
         legacy = ApproximateCostEstimator(sm, setup.market, setup.catalog)
         for t in (0.0, small, large):
@@ -427,8 +427,8 @@ class TestInterleavedRecurring:
             solo_sim = ExecutionSimulator(
                 setup.market, perf, setup.catalog, "hourglass", record_events=False
             )
-            driver = RecurringJobDriver(solo_sim, profile, period)
-            outcomes_solo[name] = driver.run(offset, 3)
+            solo = RecurringJobSpec(name, solo_sim, profile, period)
+            outcomes_solo.update(InterleavedRecurringDriver([solo]).run(offset, 3))
             specs.append(
                 RecurringJobSpec(
                     name=name,
@@ -473,9 +473,8 @@ class TestInterleavedRecurring:
             sim = ExecutionSimulator(
                 setup.market, perf, setup.catalog, "hourglass", record_events=False
             )
-            solo[spec.name] = RecurringJobDriver(sim, spec.profile, spec.period).run(
-                spec.offset, 2
-            )
+            alone = replace(spec, simulator=sim, offset=0.0)
+            solo.update(InterleavedRecurringDriver([alone]).run(spec.offset, 2))
         assert outcomes == solo
         # Both tenants share one catalogue+performance fingerprint, so
         # the second tenant's decisions hit the first tenant's estimator.

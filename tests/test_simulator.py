@@ -26,7 +26,7 @@ from repro.core import (
     last_resort,
     on_demand_baseline_cost,
 )
-from repro.core.recurring import RecurringJobDriver
+from repro.core.recurring import InterleavedRecurringDriver, RecurringJobSpec
 from repro.exec import ExecutionError
 from repro.utils.units import HOURS
 
@@ -223,11 +223,16 @@ class TestDeadlineGuarantees:
         assert missed >= 1  # eager provisioning is not deadline-safe
 
 
+def one_schedule(sim, profile, period):
+    """A recurring driver over one schedule (a one-spec interleaved driver)."""
+    return InterleavedRecurringDriver([RecurringJobSpec("job", sim, profile, period)])
+
+
 class TestRecurringDriver:
     def test_fig1_style_schedule(self, long_market, catalog):
         sim, perf, lrc = make_sim(long_market, COLORING_PROFILE, HourglassProvisioner(), catalog)
-        driver = RecurringJobDriver(sim, COLORING_PROFILE, period=6 * HOURS)
-        outcome = driver.run(start_time=0.0, num_periods=4)
+        driver = one_schedule(sim, COLORING_PROFILE, period=6 * HOURS)
+        outcome = driver.run(start_time=0.0, num_periods=4)["job"]
         assert outcome.runs == 4
         assert outcome.missed == 0
         assert outcome.total_cost > 0
@@ -239,15 +244,15 @@ class TestRecurringDriver:
         sim, perf, lrc = make_sim(
             long_market, COLORING_PROFILE, SpotOnProvisioner(), catalog, reload_mode="full"
         )
-        driver = RecurringJobDriver(sim, COLORING_PROFILE, period=5 * HOURS)
-        outcome = driver.run(start_time=0.0, num_periods=5)
+        driver = one_schedule(sim, COLORING_PROFILE, period=5 * HOURS)
+        outcome = driver.run(start_time=0.0, num_periods=5)["job"]
         assert 1 <= outcome.runs <= 5
         assert outcome.period == 5 * HOURS
 
     def test_invalid_args(self, long_market, catalog):
         sim, _, _ = make_sim(long_market, SSSP_PROFILE, OnDemandProvisioner(), catalog)
         with pytest.raises(ValueError):
-            RecurringJobDriver(sim, SSSP_PROFILE, period=0)
-        driver = RecurringJobDriver(sim, SSSP_PROFILE, period=HOURS)
+            one_schedule(sim, SSSP_PROFILE, period=0)
+        driver = one_schedule(sim, SSSP_PROFILE, period=HOURS)
         with pytest.raises(ValueError):
             driver.run(0.0, 0)
