@@ -70,7 +70,6 @@ from repro.exec import (
     ExecutionLifecycle,
     LifecycleEvent,
     LifecycleObserver,
-    MetricsObserver,
     RunResult,
     SlowBootFaults,
 )
@@ -84,7 +83,7 @@ from repro.service import (
     PlanRequest,
     PlanResult,
 )
-from repro.graph import Graph, GraphBuilder, from_edges, get_dataset
+from repro.graph import Graph, from_edges, get_dataset
 from repro.partitioning import (
     FennelPartitioner,
     HashPartitioner,
@@ -109,12 +108,10 @@ __all__ = [
     "ExperimentSetup",
     "LifecycleEvent",
     "LifecycleObserver",
-    "MetricsObserver",
     "RunResult",
     "SlowBootFaults",
     "FennelPartitioner",
     "Graph",
-    "GraphBuilder",
     "HourglassRuntime",
     "HashPartitioner",
     "HourglassNaiveProvisioner",

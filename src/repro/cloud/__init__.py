@@ -17,7 +17,6 @@ from repro.cloud.configuration import (
 from repro.cloud.eviction import (
     EmpiricalEvictionModel,
     EvictionModel,
-    ExponentialEvictionModel,
 )
 from repro.cloud.instance import (
     R4_2XLARGE,
@@ -41,7 +40,6 @@ __all__ = [
     "summarize_trace",
     "EmpiricalEvictionModel",
     "EvictionModel",
-    "ExponentialEvictionModel",
     "InstanceType",
     "Market",
     "MarketStats",

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cloud.trace import PriceTrace
-from repro.utils.units import HOURS
 
 
 class EvictionModel(abc.ABC):
@@ -63,31 +61,6 @@ class EvictionModel(abc.ABC):
         if num_machines < 1:
             raise ValueError("num_machines must be >= 1")
         return 1.0 - self.survival(uptime) ** num_machines
-
-
-class ExponentialEvictionModel(EvictionModel):
-    """Memoryless model: ``F(u) = 1 - exp(-u / mttf)``."""
-
-    def __init__(self, mttf: float):
-        if mttf <= 0:
-            raise ValueError(f"mttf must be positive, got {mttf}")
-        self._mttf = float(mttf)
-
-    def cdf(self, uptime: float) -> float:
-        """P(evicted before reaching *uptime* seconds)."""
-        if uptime <= 0:
-            return 0.0
-        return 1.0 - float(np.exp(-uptime / self._mttf))
-
-    def cdf_many(self, uptimes: np.ndarray) -> np.ndarray:
-        """Batched :meth:`cdf` (vectorized closed form)."""
-        uptimes = np.asarray(uptimes, dtype=np.float64)
-        return np.where(uptimes <= 0, 0.0, 1.0 - np.exp(-uptimes / self._mttf))
-
-    @property
-    def mttf(self) -> float:
-        """Mean time to failure in seconds."""
-        return self._mttf
 
 
 class EmpiricalEvictionModel(EvictionModel):

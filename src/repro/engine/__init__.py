@@ -20,13 +20,8 @@ from repro.engine.loader import (
     LoadResult,
     LoadTimingModel,
     MicroLoader,
-    StreamLoader,
 )
-from repro.engine.metrics import (
-    ClusterTimingModel,
-    estimate_execution_time,
-    fit_sync_penalty,
-)
+from repro.engine.metrics import ClusterTimingModel
 from repro.engine.messages import (
     Combiner,
     MaxCombiner,
@@ -35,7 +30,7 @@ from repro.engine.messages import (
     SumCombiner,
 )
 from repro.engine.parallel import parallel_execution_supported
-from repro.engine.vertex import ComputeContext, DenseComputeContext, VertexProgram
+from repro.engine.vertex import DenseComputeContext, VertexProgram
 from repro.engine.worker import Worker, build_workers
 
 __all__ = [
@@ -46,11 +41,8 @@ __all__ = [
     "CheckpointManager",
     "ClusterTimingModel",
     "Combiner",
-    "ComputeContext",
     "DataStore",
     "DenseComputeContext",
-    "estimate_execution_time",
-    "fit_sync_penalty",
     "ExecutionResult",
     "HashLoader",
     "LoadResult",
@@ -64,7 +56,6 @@ __all__ = [
     "OrAggregator",
     "parallel_execution_supported",
     "PregelEngine",
-    "StreamLoader",
     "SumAggregator",
     "SumCombiner",
     "SuperstepStats",

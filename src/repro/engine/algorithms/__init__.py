@@ -1,11 +1,5 @@
-"""Vertex programs: the paper's three jobs plus degree and colouring."""
+"""Vertex programs: the paper's SSSP and PageRank jobs, WCC and degrees."""
 
-from repro.engine.algorithms.coloring import (
-    UNCOLOURED,
-    GraphColoring,
-    count_colors,
-    is_proper_coloring,
-)
 from repro.engine.algorithms.degree import InDegree, OutDegree
 from repro.engine.algorithms.pagerank import PageRank
 from repro.engine.algorithms.sssp import SSSP
@@ -13,13 +7,9 @@ from repro.engine.algorithms.wcc import ConnectedComponents, component_sizes
 
 __all__ = [
     "ConnectedComponents",
-    "GraphColoring",
     "InDegree",
     "OutDegree",
     "PageRank",
     "SSSP",
-    "UNCOLOURED",
     "component_sizes",
-    "count_colors",
-    "is_proper_coloring",
 ]

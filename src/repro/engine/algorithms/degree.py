@@ -5,27 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.messages import SumCombiner
-from repro.engine.vertex import ComputeContext, DenseComputeContext, VertexProgram
+from repro.engine.vertex import DenseComputeContext, VertexProgram
 
 
 class OutDegree(VertexProgram):
     """Vertex value = its out-degree; one superstep, no messages."""
 
     value_dtype = np.int64
-    supports_dense = True
-
-    def initial_value(self, vertex_id: int, num_vertices: int) -> int:
-        """Value of *vertex_id* before superstep 0."""
-        return 0
 
     def initial_values(self, num_vertices: int) -> np.ndarray:
         """Whole initial value array at once."""
         return np.zeros(num_vertices, dtype=np.int64)
-
-    def compute(self, ctx: ComputeContext, messages: list) -> None:
-        """One superstep for the bound vertex (see class docstring)."""
-        ctx.value = ctx.out_degree
-        ctx.vote_to_halt()
 
     def compute_dense(self, ctx: DenseComputeContext) -> None:
         """One batched superstep over all active vertices."""
@@ -39,23 +29,10 @@ class InDegree(VertexProgram):
     combiner = SumCombiner
     message_bytes = 8
     value_dtype = np.int64
-    supports_dense = True
-
-    def initial_value(self, vertex_id: int, num_vertices: int) -> int:
-        """Value of *vertex_id* before superstep 0."""
-        return 0
 
     def initial_values(self, num_vertices: int) -> np.ndarray:
         """Whole initial value array at once."""
         return np.zeros(num_vertices, dtype=np.int64)
-
-    def compute(self, ctx: ComputeContext, messages: list) -> None:
-        """One superstep for the bound vertex (see class docstring)."""
-        if ctx.superstep == 0:
-            ctx.send_to_neighbors(1)
-        else:
-            ctx.value = sum(messages)
-        ctx.vote_to_halt()
 
     def compute_dense(self, ctx: DenseComputeContext) -> None:
         """One batched superstep over all active vertices."""

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.engine.aggregators import SumAggregator
 from repro.engine.messages import SumCombiner
-from repro.engine.vertex import ComputeContext, DenseComputeContext, VertexProgram
+from repro.engine.vertex import DenseComputeContext, VertexProgram
 
 
 class PageRank(VertexProgram):
@@ -24,7 +24,6 @@ class PageRank(VertexProgram):
     combiner = SumCombiner
     message_bytes = 8
     value_dtype = np.float64
-    supports_dense = True
 
     def __init__(self, iterations: int = 30, damping: float = 0.85):
         if iterations < 1:
@@ -38,25 +37,9 @@ class PageRank(VertexProgram):
         """Aggregator factories used by this program."""
         return {"rank_sum": SumAggregator}
 
-    def initial_value(self, vertex_id: int, num_vertices: int) -> float:
-        """Value of *vertex_id* before superstep 0."""
-        return 1.0 / num_vertices
-
     def initial_values(self, num_vertices: int) -> np.ndarray:
         """Whole initial value array at once."""
         return np.full(num_vertices, 1.0 / num_vertices, dtype=np.float64)
-
-    def compute(self, ctx: ComputeContext, messages: list) -> None:
-        """One superstep for the bound vertex (see class docstring)."""
-        if ctx.superstep > 0:
-            incoming = sum(messages)
-            ctx.value = (1.0 - self.damping) / ctx.num_vertices + self.damping * incoming
-        ctx.aggregate("rank_sum", ctx.value)
-        if ctx.superstep < self.iterations:
-            if ctx.out_degree:
-                ctx.send_to_neighbors(ctx.value / ctx.out_degree)
-        else:
-            ctx.vote_to_halt()
 
     def compute_dense(self, ctx: DenseComputeContext) -> None:
         """One batched superstep over all active vertices."""

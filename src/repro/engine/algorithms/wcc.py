@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.messages import MinCombiner
-from repro.engine.vertex import ComputeContext, DenseComputeContext, VertexProgram
+from repro.engine.vertex import DenseComputeContext, VertexProgram
 
 
 class ConnectedComponents(VertexProgram):
@@ -18,27 +18,10 @@ class ConnectedComponents(VertexProgram):
     combiner = MinCombiner
     message_bytes = 8
     value_dtype = np.int64
-    supports_dense = True
-
-    def initial_value(self, vertex_id: int, num_vertices: int) -> int:
-        """Value of *vertex_id* before superstep 0."""
-        return vertex_id
 
     def initial_values(self, num_vertices: int) -> np.ndarray:
         """Whole initial value array at once."""
         return np.arange(num_vertices, dtype=np.int64)
-
-    def compute(self, ctx: ComputeContext, messages: list) -> None:
-        """One superstep for the bound vertex (see class docstring)."""
-        candidate = min(messages) if messages else ctx.value
-        if ctx.superstep == 0:
-            candidate = min(candidate, ctx.vertex_id)
-            ctx.value = candidate
-            ctx.send_to_neighbors(candidate)
-        elif candidate < ctx.value:
-            ctx.value = candidate
-            ctx.send_to_neighbors(candidate)
-        ctx.vote_to_halt()
 
     def compute_dense(self, ctx: DenseComputeContext) -> None:
         """One batched superstep over all active vertices."""

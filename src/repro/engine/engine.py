@@ -10,10 +10,10 @@ following the Pregel/Giraph model the paper runs on.
 Vertex values and halted flags live in dense numpy arrays indexed by
 global vertex id (shared with the workers).  The superstep loop computes
 the active set, the local/remote traffic split and the global halt
-condition from those arrays; programs that implement ``compute_dense``
-run one batched array call per superstep instead of a per-vertex Python
-loop, which is what makes long runs (PageRank over tens of thousands of
-vertices for Figs 5-7) cheap.
+condition from those arrays, and the program runs one batched
+``compute_dense`` call per superstep over every active vertex, which is
+what makes long runs (PageRank over tens of thousands of vertices for
+Figs 5-7) cheap.
 
 The engine tracks per-superstep statistics — active vertices, local vs
 remote messages, estimated network bytes — which is how partition
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.messages import MessageStore
-from repro.engine.vertex import ComputeContext, DenseComputeContext, VertexProgram
+from repro.engine.vertex import DenseComputeContext, VertexProgram
 from repro.engine.worker import Worker, build_workers, value_dtype_of
 from repro.graph.graph import Graph, stable_argsort
 from repro.obs.state import get_metrics, get_tracer
@@ -160,9 +160,9 @@ class PregelEngine:
             ``"parallel"`` runs each worker's dense superstep compute in
             a real OS process against shared-memory state arrays (see
             :mod:`repro.engine.parallel`).  Results are bit-identical.
-            Programs without ``compute_dense`` (or with non-numeric
-            values), and hosts without the ``fork`` start method, fall
-            back to the serial path transparently.
+            Programs with non-numeric values, and hosts without the
+            ``fork`` start method, fall back to the serial path
+            transparently.
         num_processes: pool size for parallel execution (default: one
             per worker, capped at the CPU count).
     """
@@ -216,30 +216,12 @@ class PregelEngine:
             worker.attach(self._values, self._halted)
 
     def _init_state(self) -> None:
-        program, n = self.program, self.graph.num_vertices
-        init = program.initial_values(n)
-        if init is not None:
-            init = np.asarray(init)
-            if init.shape != (n,):
-                raise ValueError(
-                    f"initial_values returned shape {init.shape}, expected ({n},)"
-                )
-            self._values[...] = init
-        else:
-            # Batched per-vertex evaluation: one fromiter pass instead of
-            # n indexed stores (which dominate init at 10M+ vertices).
-            self._values[...] = np.fromiter(
-                (program.initial_value(v, n) for v in range(n)),
-                dtype=self._values.dtype,
-                count=n,
-            )
-        # All vertices start active unless the program opts some out.
-        if type(program).is_active_initially is not VertexProgram.is_active_initially:
-            self._halted[...] = np.fromiter(
-                (not program.is_active_initially(v) for v in range(n)),
-                dtype=bool,
-                count=n,
-            )
+        """Initial values from the program; every vertex starts active."""
+        n = self.graph.num_vertices
+        init = np.asarray(self.program.initial_values(n))
+        if init.shape != (n,):
+            raise ValueError(f"initial_values returned shape {init.shape}, expected ({n},)")
+        self._values[...] = init
 
     # ------------------------------------------------------------------
     # Execution
@@ -258,9 +240,7 @@ class PregelEngine:
         """Execute one superstep; returns True while work remains."""
         if self._tracer.enabled:
             return self._step_traced()
-        if self.program.supports_dense:
-            return self._step_dense()
-        return self._step_scalar()
+        return self._step_dense()
 
     def _step_traced(self) -> bool:
         """One superstep wrapped in a ``superstep`` span (wall clock)."""
@@ -268,10 +248,7 @@ class PregelEngine:
         with self._tracer.span(
             "superstep", superstep=self.superstep, workers=self.num_workers
         ) as span:
-            if self.program.supports_dense:
-                more = self._step_dense()
-            else:
-                more = self._step_scalar()
+            more = self._step_dense()
             stats = self.stats[-1]
             span.set(
                 active=stats.active_vertices,
@@ -282,73 +259,6 @@ class PregelEngine:
             "superstep_wall_seconds", "Wall-clock seconds per engine superstep"
         ).observe(time.perf_counter() - started, workers=self.num_workers)
         return more
-
-    def _step_scalar(self) -> bool:
-        """Per-vertex compute path (arbitrary value/message types)."""
-        program = self.program
-        graph = self.graph
-        owner = self._owner
-        n = graph.num_vertices
-        values = self._values
-        halted = self._halted
-        incoming = self._incoming
-        outgoing = MessageStore(program.combiner, num_vertices=n)
-        aggregators = {name: factory() for name, factory in program.aggregators().items()}
-
-        ctx = ComputeContext()
-        ctx.superstep = self.superstep
-        ctx.num_vertices = n
-        ctx._aggregators = aggregators
-        ctx._prev_aggregates = self._prev_aggregates
-
-        inc_mask = incoming.destination_mask(n)
-        runnable = ~halted | inc_mask
-        active = 0
-        sent = local = remote = 0
-        combiner = program.combiner
-
-        for worker in self.workers:
-            # Sender-side combining: one buffered slot per destination.
-            send_buffer: dict[int, list] = {}
-            wid = worker.worker_id
-            own = worker.vertices
-            run_ids = own[runnable[own]]
-            for v, has_messages in zip(
-                run_ids.tolist(), inc_mask[run_ids].tolist()
-            ):
-                halted[v] = False
-                active += 1
-                ctx.vertex_id = v
-                ctx.value = values[v]
-                ctx._out_edges = graph.neighbors(v)
-                ctx._out_weights = graph.edge_weights(v)
-                ctx._outbox = []
-                ctx._halted = False
-                program.compute(ctx, incoming.messages_for(v) if has_messages else [])
-                values[v] = ctx.value
-                halted[v] = ctx._halted
-                sent += len(ctx._outbox)
-                for dst, msg in ctx._outbox:
-                    slot = send_buffer.get(dst)
-                    if slot is None:
-                        send_buffer[dst] = [msg]
-                    elif combiner is not None:
-                        slot[0] = combiner.combine(slot[0], msg)
-                    else:
-                        slot.append(msg)
-            # Flush this worker's buffer across the (simulated) network.
-            for dst, msgs in send_buffer.items():
-                is_remote = owner[dst] != wid
-                for msg in msgs:
-                    outgoing.deliver(dst, msg)
-                    if is_remote:
-                        remote += 1
-                    else:
-                        local += 1
-            del send_buffer
-
-        self._finish_superstep(aggregators, outgoing, active, sent, local, remote)
-        return bool(outgoing) or not bool(self._halted.all())
 
     def _step_dense(self) -> bool:
         """Batched array compute: serial in-process or multiprocess."""
@@ -498,8 +408,8 @@ class PregelEngine:
     def _count_traffic(self, src: np.ndarray, dst: np.ndarray) -> tuple[int, int]:
         """``(local, remote)`` network messages of one superstep's sends.
 
-        The accounting rule, stated once for every dense path (the scalar
-        path applies the same rule message by message): a worker combines
+        The accounting rule, stated once for the serial and the parallel
+        path: a worker combines
         what it sends to one destination only when the program declares a
         combiner, so with a combiner a network message is a distinct
         (source worker, destination) pair, and without one it is every

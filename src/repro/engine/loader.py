@@ -1,11 +1,12 @@
 """Graph loading strategies and their timing model (paper §6.1, Fig 6).
 
-Three loaders, mirroring the paper's measurement:
+Three loading strategies, mirroring the paper's measurement:
 
-* **StreamLoader** — a single master machine reads and parses the entire
-  (text) dataset, then assigns vertices; models stream-based partitioners
-  with centralized loading logic.  Time grows linearly with dataset size
-  regardless of the deployment.
+* **stream** (timing only, :meth:`LoadTimingModel.stream_time`) — a
+  single master machine reads and parses the entire (text) dataset, then
+  assigns vertices; models stream-based partitioners with centralized
+  loading logic.  Time grows linearly with dataset size regardless of
+  the deployment.
 * **HashLoader** — all workers read and parse text chunks in parallel,
   then shuffle every entity to its hash owner over the network.  Parallel
   read, but an all-to-all exchange of ~``(1 - 1/w)`` of the graph.
@@ -14,7 +15,7 @@ Three loaders, mirroring the paper's measurement:
   no network exchange, no text parsing, and valid for **any** worker
   count thanks to the micro-partition clustering (parallel recovery).
 
-Each loader both (a) functionally produces the partitioning/per-worker
+Each loader class both (a) functionally produces the partitioning/per-worker
 ownership used by the engine and (b) reports a *simulated* loading time
 from :class:`LoadTimingModel`.  The timing model is driven by dataset
 byte counts so experiments can evaluate paper-scale datasets while
@@ -24,18 +25,14 @@ functionally loading repro-scale graphs.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.engine.datastore import DataStore
 from repro.graph.graph import Graph
 from repro.graph.io import csr_nbytes, is_memmap_backed
 from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.micro import MicroPartitioning
 from repro.utils.units import MiB
-from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -136,39 +133,6 @@ class LoadResult:
     strategy: str
     num_workers: int
     shuffled_edges: int = 0
-
-
-class StreamLoader:
-    """Centralized loading: one machine streams the whole dataset.
-
-    The partitioner (e.g. FENNEL) runs on the master as data streams in;
-    per the paper's measurement we report only the loading time, not the
-    partitioning compute time.
-    """
-
-    name = "stream"
-
-    def __init__(self, partitioner, timing: LoadTimingModel | None = None):
-        self.partitioner = partitioner
-        self.timing = timing or LoadTimingModel()
-
-    def load(
-        self, graph: Graph, num_workers: int, seed=None,
-        size_override: tuple[int, int] | None = None,
-    ) -> LoadResult:
-        """Load *graph* for *num_workers* machines.
-
-        ``size_override = (num_edges, num_vertices)`` makes the timing
-        model price a different (e.g. paper-scale) dataset size.
-        """
-        partitioning = self.partitioner.partition(graph, num_workers, seed=seed)
-        e, n = size_override or (graph.num_edges, graph.num_vertices)
-        return LoadResult(
-            partitioning=partitioning,
-            simulated_seconds=self.timing.stream_time(e, n, num_workers),
-            strategy=self.name,
-            num_workers=num_workers,
-        )
 
 
 class HashLoader:

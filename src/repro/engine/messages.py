@@ -4,49 +4,31 @@ A *combiner* merges messages addressed to the same vertex before they
 cross the (simulated) network, exactly like Giraph/Pregel combiners:
 PageRank sums contributions, SSSP keeps the minimum tentative distance.
 Combining at the sender both shrinks network traffic (tracked by the
-engine's stats) and the receiver's work.
+engine's stats) and the receiver's work.  A combiner is a numpy ufunc
+(``np.add`` / ``np.minimum`` / ``np.maximum``) with its identity, so the
+store combines a whole batch with one ``ufunc.at``.
 
-The store itself has two representations and picks per delivery:
-
-* a **dense** one — a ``float64`` value array plus a boolean mask, both
-  indexed by global vertex id — fed by the batched
-  :meth:`MessageStore.deliver_many` path.  Combining happens with the
-  combiner's numpy ufunc (``np.add.at`` / ``np.minimum.at`` /
-  ``np.maximum.at``), which is what makes large supersteps cheap;
-* a **generic** one — per-destination Python lists — for exotic message
-  types (tuples, adjacency fragments) and for the scalar
-  :meth:`MessageStore.deliver` API.
-
-Both representations may coexist (e.g. after restoring a checkpoint);
-every read path merges them.
+With a combiner the store is **dense**: a ``float64`` value array plus a
+boolean mask, both indexed by global vertex id.  Without one nothing may
+merge, so every message is kept in a per-destination list (the
+*generic* buckets, which checkpoints carry under their own key).
 """
 
 from __future__ import annotations
 
-import abc
 import numbers
 from collections import defaultdict
-from typing import Iterable
 
 import numpy as np
 
 
-class Combiner(abc.ABC):
-    """Associative, commutative merge of two messages for one vertex.
+class Combiner:
+    """Associative, commutative merge of the messages for one vertex."""
 
-    Subclasses may set :attr:`ufunc` to the equivalent numpy ufunc; the
-    message store then combines numeric batches without touching Python.
-    """
-
-    #: Optional numpy ufunc implementing the same reduction.
+    #: Numpy ufunc implementing the reduction.
     ufunc = None
     #: Identity element of :attr:`ufunc` (start value for reductions).
     identity = None
-
-    @staticmethod
-    @abc.abstractmethod
-    def combine(a, b):
-        """Merge two messages into one."""
 
 
 class SumCombiner(Combiner):
@@ -55,22 +37,12 @@ class SumCombiner(Combiner):
     ufunc = np.add
     identity = 0.0
 
-    @staticmethod
-    def combine(a, b):
-        """Merge two messages into one (see class docstring)."""
-        return a + b
-
 
 class MinCombiner(Combiner):
     """Keep the smaller message (SSSP-style)."""
 
     ufunc = np.minimum
     identity = np.inf
-
-    @staticmethod
-    def combine(a, b):
-        """Merge two messages into one (see class docstring)."""
-        return a if a <= b else b
 
 
 class MaxCombiner(Combiner):
@@ -79,20 +51,13 @@ class MaxCombiner(Combiner):
     ufunc = np.maximum
     identity = -np.inf
 
-    @staticmethod
-    def combine(a, b):
-        """Merge two messages into one (see class docstring)."""
-        return a if a >= b else b
-
 
 class MessageStore:
     """Holds messages grouped by destination vertex for one superstep.
 
     Args:
         combiner: optional :class:`Combiner` subclass applied eagerly.
-        num_vertices: global vertex count; required for the dense
-            batched path (:meth:`deliver_many` falls back to scalar
-            delivery without it).
+        num_vertices: global vertex count (sizes the dense arrays).
     """
 
     def __init__(
@@ -105,40 +70,16 @@ class MessageStore:
         self._dense_mask: np.ndarray | None = None
         self._count = 0
 
-    # ------------------------------------------------------------------
-    # Delivery
-    # ------------------------------------------------------------------
-    def deliver(self, dst: int, message) -> None:
-        """Add one message for *dst*, combining eagerly when possible."""
-        self._count += 1
-        self._deliver_generic(dst, message)
-
-    def _deliver_generic(self, dst: int, message) -> None:
-        # Fold a dense entry for the same destination into the bucket
-        # first, so each destination lives in exactly one representation.
-        bucket = self._by_dst[dst]
-        if (
-            not bucket
-            and self._dense_mask is not None
-            and self._dense_mask[dst]
-        ):
-            bucket.append(self._dense_values[dst].item())
-            self._dense_mask[dst] = False
-        if self._combiner is not None and bucket:
-            bucket[0] = self._combiner.combine(bucket[0], message)
-        else:
-            bucket.append(message)
-
     def deliver_many(self, dst_array, msg_array, dst_mask=None) -> None:
         """Deliver a batch of messages, combining with the ufunc.
 
-        ``dst_array`` and ``msg_array`` are parallel 1-D arrays.  Numeric
-        batches with a ufunc-capable combiner go through the dense path;
-        anything else degrades to per-message scalar delivery.  Dense
-        message values are held as ``float64`` (exact for the integer
-        labels/counts the built-in programs exchange).  ``dst_mask``, when
-        given, must be the boolean mask of the distinct destinations in
-        ``dst_array``; it replaces scattering one flag per message.
+        ``dst_array`` and ``msg_array`` are parallel 1-D arrays of
+        numbers.  With a combiner they are combined into the dense arrays
+        (held as ``float64``, exact for the integer labels/counts the
+        built-in programs exchange); without one each message joins its
+        destination's list.  ``dst_mask``, when given, must be the boolean
+        mask of the distinct destinations in ``dst_array``; it replaces
+        scattering one flag per message.
         """
         dst = np.asarray(dst_array, dtype=np.int64)
         msgs = np.asarray(msg_array)
@@ -150,16 +91,10 @@ class MessageStore:
         if not len(dst):
             return
         combiner = self._combiner
-        dense_ok = (
-            combiner is not None
-            and combiner.ufunc is not None
-            and self._num_vertices is not None
-            and np.issubdtype(msgs.dtype, np.number)
-        )
         self._count += len(dst)
-        if not dense_ok:
+        if combiner is None:
             for d, m in zip(dst.tolist(), msgs.tolist()):
-                self._deliver_generic(d, m)
+                self._by_dst[d].append(m)
             return
         if self._dense_values is None:
             self._dense_values = np.full(
@@ -171,60 +106,13 @@ class MessageStore:
             self._dense_mask[dst] = True
         else:
             self._dense_mask |= dst_mask
-        if self._by_dst:
-            # Fold pre-existing generic entries for these destinations in.
-            for d in np.unique(dst).tolist():
-                bucket = self._by_dst.get(d)
-                if bucket:
-                    for m in bucket:
-                        self._dense_values[d] = combiner.combine(
-                            self._dense_values[d].item(), m
-                        )
-                    del self._by_dst[d]
-
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    def messages_for(self, dst: int) -> list:
-        """Messages addressed to *dst* (empty list when none).
-
-        Returns a fresh list: mutating the returned inbox does not
-        corrupt the pending messages.
-        """
-        out = list(self._by_dst.get(dst, ()))
-        if self._dense_mask is not None and self._dense_mask[dst]:
-            out.append(self._dense_values[dst].item())
-            if self._combiner is not None and len(out) > 1:
-                folded = out[0]
-                for m in out[1:]:
-                    folded = self._combiner.combine(folded, m)
-                out = [folded]
-        return out
-
-    def destinations(self) -> Iterable[int]:
-        """Vertices with at least one pending message."""
-        dests = [d for d, bucket in self._by_dst.items() if bucket]
-        if self._dense_mask is not None:
-            dests.extend(int(d) for d in np.flatnonzero(self._dense_mask))
-        return dests
-
-    def destination_mask(self, num_vertices: int) -> np.ndarray:
-        """Boolean mask over ``[0, num_vertices)`` of pending destinations."""
-        if self._dense_mask is not None:
-            mask = self._dense_mask.copy()
-        else:
-            mask = np.zeros(num_vertices, dtype=bool)
-        keys = [d for d, bucket in self._by_dst.items() if bucket]
-        if keys:
-            mask[np.asarray(keys, dtype=np.int64)] = True
-        return mask
 
     def dense_view(self, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
         """Combined messages as ``(values, mask)`` float64/bool arrays.
 
-        Used by the engine's batched compute path.  Generic entries are
-        folded in with the combiner; non-numeric pending messages make
-        this raise ``TypeError`` (such programs run the scalar path).
+        The inbox every superstep reads.  A generic bucket enters as its
+        one message; a bucket of several (no combiner to merge them) or a
+        non-numeric message raises ``TypeError``.
         """
         if self._dense_values is not None:
             values = self._dense_values.copy()
@@ -258,49 +146,20 @@ class MessageStore:
         for dst, bucket in self._by_dst.items():
             if not bucket:
                 continue
-            folded = bucket[0]
-            for m in bucket[1:]:
-                if self._combiner is None:
-                    raise TypeError(
-                        "dense view needs a combiner for multi-message inboxes"
-                    )
-                folded = self._combiner.combine(folded, m)
-            if not isinstance(folded, numbers.Number):
+            if len(bucket) > 1:
+                raise TypeError("dense view needs a combiner for multi-message inboxes")
+            (message,) = bucket
+            if not isinstance(message, numbers.Number):
                 raise TypeError(
-                    f"non-numeric message {folded!r} cannot enter the dense path"
+                    f"non-numeric message {message!r} cannot enter the dense path"
                 )
-            if mask[dst] and self._combiner is not None:
-                folded = self._combiner.combine(values[dst].item(), folded)
-            values[dst] = folded
+            values[dst] = message
             mask[dst] = True
-
-    def __len__(self) -> int:
-        """Number of *stored* messages (post-combining)."""
-        stored = sum(len(v) for v in self._by_dst.values())
-        if self._dense_mask is not None:
-            stored += int(np.count_nonzero(self._dense_mask))
-        return stored
 
     def __bool__(self) -> bool:
         if any(self._by_dst.values()):
             return True
         return self._dense_mask is not None and bool(self._dense_mask.any())
-
-    def raw_count(self) -> int:
-        """Messages delivered before combining."""
-        return self._count
-
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def as_dict(self) -> dict[int, list]:
-        """Pending messages as ``{destination: [messages]}``, for comparing
-        stores (checkpoints use :meth:`state_dict`)."""
-        merged = {dst: list(msgs) for dst, msgs in self._by_dst.items() if msgs}
-        if self._dense_mask is not None:
-            for d in np.flatnonzero(self._dense_mask).tolist():
-                merged.setdefault(d, []).append(self._dense_values[d].item())
-        return merged
 
     def state_dict(self) -> dict:
         """Checkpointable snapshot carrying the arrays directly."""

@@ -10,8 +10,8 @@ wall time is
 
 so more workers shrink per-worker compute but inflate the cut (remote
 messages) and the barrier, producing the sub-linear scaling the paper
-measures.  :func:`fit_sync_penalty` closes the loop by fitting the
-exponent from actual engine runs at several worker counts.
+measures.  :class:`~repro.runtime.mechmodel.MechanisticPerformanceModel`
+prices a calibration run's supersteps with it.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.engine.engine import ExecutionResult, PregelEngine, SuperstepStats
-from repro.graph.graph import Graph
-from repro.partitioning.hashing import HashPartitioner
+from repro.engine.engine import SuperstepStats
 from repro.utils.units import MiB
 from repro.utils.validation import check_positive
 
@@ -66,68 +62,3 @@ class ClusterTimingModel:
         barrier = self.barrier_latency * (1.0 + math.log2(num_workers))
         return compute + messaging + network + barrier
 
-    def job_seconds(self, result: ExecutionResult, num_workers: int) -> float:
-        """Estimated wall time of a whole run."""
-        return sum(self.superstep_seconds(s, num_workers) for s in result.stats)
-
-
-def estimate_execution_time(
-    graph: Graph,
-    program,
-    num_workers: int,
-    partitioner=None,
-    timing: ClusterTimingModel | None = None,
-    seed=None,
-) -> float:
-    """Run *program* on *graph* and price its wall time for a deployment.
-
-    This is the mechanistic counterpart of
-    :meth:`repro.core.perfmodel.PerformanceModel.exec_time`: instead of
-    scaling a measured constant, it executes the actual engine and sums
-    modeled superstep times.
-    """
-    timing = timing or ClusterTimingModel()
-    partitioner = partitioner or HashPartitioner()
-    partitioning = partitioner.partition(graph, num_workers, seed=seed)
-    result = PregelEngine(graph, program, partitioning).run()
-    return timing.job_seconds(result, num_workers)
-
-
-def fit_sync_penalty(
-    graph: Graph,
-    program_factory,
-    worker_counts=(2, 4, 8, 16),
-    base_timing: ClusterTimingModel | None = None,
-    reference_workers: int = 4,
-    seed=None,
-) -> tuple[float, dict]:
-    """Fit ``time ∝ w**penalty`` for equal-total-capacity deployments.
-
-    Emulates the paper's catalogue: total compute and total network are
-    held constant while the worker count varies (bigger machines ↔
-    fewer workers), by scaling the per-worker rates as
-    ``reference_workers / w``.  The wall time then grows with ``w``
-    through the growing edge cut (remote traffic) and the deeper
-    barrier — the coordination penalty the provisioning performance
-    model abstracts as ``w**sync_penalty``.
-
-    Returns ``(penalty, times_by_workers)``; the penalty should be
-    positive for any communication-bound vertex program.
-    """
-    base_timing = base_timing or ClusterTimingModel()
-    times = {}
-    for w in worker_counts:
-        scale = reference_workers / w
-        timing = ClusterTimingModel(
-            vertex_ops_per_second=base_timing.vertex_ops_per_second * scale,
-            message_ops_per_second=base_timing.message_ops_per_second * scale,
-            network_bandwidth=base_timing.network_bandwidth * scale,
-            barrier_latency=base_timing.barrier_latency,
-        )
-        times[w] = estimate_execution_time(
-            graph, program_factory(), w, timing=timing, seed=seed
-        )
-    ws = np.log(np.array(sorted(times)))
-    ts = np.log(np.array([times[w] for w in sorted(times)]))
-    slope, _ = np.polyfit(ws, ts, 1)
-    return float(slope), times

@@ -69,14 +69,12 @@ def parallel_execution_supported(program=None) -> bool:
     """Whether this host/program can run the multiprocess dense path.
 
     Needs the ``fork`` start method (Linux/macOS) and, when *program* is
-    given, a dense-capable program with a numeric value dtype.
+    given, a numeric value dtype.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return False
     if program is None:
         return True
-    if not getattr(program, "supports_dense", False):
-        return False
     dtype = getattr(program, "value_dtype", None)
     return dtype is not None and np.issubdtype(np.dtype(dtype), np.number)
 

@@ -1,100 +1,20 @@
 """Vertex-centric programming API (Pregel's "think like a vertex").
 
-A :class:`VertexProgram` defines the per-vertex ``compute`` function that
-the engine runs every superstep for every active vertex.  Inside
-``compute`` the program reads incoming messages, updates the vertex
-value, sends messages along out-edges, and may vote to halt.  The engine
-follows the classic Bulk Synchronous Parallel semantics: messages sent in
-superstep ``s`` are delivered in superstep ``s + 1``; the computation
-ends when every vertex has halted and no messages are in flight.
-
-Programs whose state is numeric can additionally implement
-:meth:`VertexProgram.compute_dense`, which receives a
-:class:`DenseComputeContext` covering *all* active vertices at once and
-operates on whole numpy arrays — the engine then skips the per-vertex
-Python loop entirely.  Semantics are identical: one call per superstep,
-messages land next superstep, un-halted vertices stay active.
+A :class:`VertexProgram` defines :meth:`VertexProgram.compute_dense`,
+which the engine calls once per superstep with a
+:class:`DenseComputeContext` covering *all* active vertices at once: the
+program reads the combined incoming messages, updates vertex values,
+sends messages along out-edges and votes to halt, all on whole numpy
+arrays.  The engine follows the classic Bulk Synchronous Parallel
+semantics: messages sent in superstep ``s`` are delivered in superstep
+``s + 1``; un-halted vertices stay active; the computation ends when
+every vertex has halted and no messages are in flight.
 """
 
 from __future__ import annotations
 
 import abc
 import numpy as np
-
-
-class ComputeContext:
-    """Everything a vertex sees during one ``compute`` invocation.
-
-    The engine reuses a single context object per worker per superstep
-    and re-points it at each vertex, so programs must not hold on to it
-    across invocations.
-    """
-
-    __slots__ = (
-        "vertex_id",
-        "value",
-        "superstep",
-        "num_vertices",
-        "_out_edges",
-        "_out_weights",
-        "_outbox",
-        "_halted",
-        "_aggregators",
-        "_prev_aggregates",
-    )
-
-    def __init__(self):
-        self.vertex_id = -1
-        self.value = None
-        self.superstep = 0
-        self.num_vertices = 0
-        self._out_edges = None
-        self._out_weights = None
-        self._outbox = None
-        self._halted = False
-        self._aggregators = {}
-        self._prev_aggregates = {}
-
-    # -- topology ------------------------------------------------------
-    @property
-    def out_edges(self) -> np.ndarray:
-        """Destination vertex ids of this vertex's out-edges."""
-        return self._out_edges
-
-    @property
-    def out_weights(self) -> np.ndarray:
-        """Weights parallel to :attr:`out_edges` (1.0 when unweighted)."""
-        return self._out_weights
-
-    @property
-    def out_degree(self) -> int:
-        """Number of out-edges of the bound vertex."""
-        return len(self._out_edges)
-
-    # -- messaging -----------------------------------------------------
-    def send(self, dst: int, message) -> None:
-        """Send *message* to vertex *dst*, delivered next superstep."""
-        self._outbox.append((int(dst), message))
-
-    def send_to_neighbors(self, message) -> None:
-        """Send the same message along every out-edge."""
-        outbox = self._outbox
-        for dst in self._out_edges:
-            outbox.append((int(dst), message))
-
-    # -- halting -------------------------------------------------------
-    def vote_to_halt(self) -> None:
-        """Deactivate this vertex until a message wakes it up."""
-        self._halted = True
-
-    # -- aggregation ---------------------------------------------------
-    def aggregate(self, name: str, value) -> None:
-        """Contribute *value* to the named aggregator for this superstep."""
-        self._aggregators[name].accumulate(value)
-
-    def aggregated(self, name: str):
-        """Read the named aggregator's value from the *previous* superstep."""
-        return self._prev_aggregates.get(name)
 
 
 class DenseComputeContext:
@@ -244,11 +164,9 @@ class DenseComputeContext:
 class VertexProgram(abc.ABC):
     """A Pregel computation.
 
-    Subclasses implement :meth:`initial_value` and :meth:`compute`;
-    optionally they declare a message :attr:`combiner`, a dict of
-    :attr:`aggregators` (name -> Aggregator factory), a numpy
-    :attr:`value_dtype` for dense state, vectorized initial values via
-    :meth:`initial_values`, and a batched :meth:`compute_dense`.
+    Subclasses implement :meth:`initial_values` and :meth:`compute_dense`;
+    optionally they declare a message :attr:`combiner` and a dict of
+    :attr:`aggregators` (name -> Aggregator factory).
     """
 
     #: Optional message combiner class (see :mod:`repro.engine.messages`).
@@ -262,33 +180,12 @@ class VertexProgram(abc.ABC):
         return {}
 
     @abc.abstractmethod
-    def initial_value(self, vertex_id: int, num_vertices: int):
-        """Value of *vertex_id* before superstep 0."""
-
-    def initial_values(self, num_vertices: int) -> np.ndarray | None:
-        """Whole initial value array at once (None -> per-vertex calls)."""
-        return None
+    def initial_values(self, num_vertices: int) -> np.ndarray:
+        """The whole vertex value array before superstep 0."""
 
     @abc.abstractmethod
-    def compute(self, ctx: ComputeContext, messages: list) -> None:
-        """Run one superstep for the vertex bound to *ctx*.
-
-        ``messages`` holds the messages delivered this superstep (empty
-        list at superstep 0 unless the program seeds messages).  Update
-        ``ctx.value`` in place, call ``ctx.send``/``ctx.vote_to_halt``.
-        """
-
-    #: Set when :meth:`compute_dense` is implemented; the engine then
-    #: runs the batched array path instead of per-vertex ``compute``.
-    supports_dense = False
-
     def compute_dense(self, ctx: DenseComputeContext) -> None:
         """Run one superstep for *all* active vertices at once."""
-        raise NotImplementedError
-
-    def is_active_initially(self, vertex_id: int) -> bool:
-        """Whether the vertex starts active (default: all do)."""
-        return True
 
     #: Estimated bytes per message, used by network accounting.
     message_bytes: int = 8

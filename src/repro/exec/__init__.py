@@ -28,10 +28,8 @@ from repro.exec.lifecycle import MAX_STEPS, ExecutionLifecycle
 from repro.exec.observers import (
     CheckpointWritePlan,
     LifecycleObserver,
-    MetricsObserver,
 )
 from repro.exec.rescale import (
-    FrontierThresholdPolicy,
     RescaleContext,
     RescaleDecision,
     RescalePolicy,
@@ -40,7 +38,6 @@ from repro.exec.workmodel import (
     WORK_EPS,
     AnalyticWorkModel,
     SegmentPlan,
-    SuperstepWorkModel,
     WorkModel,
 )
 
@@ -54,12 +51,10 @@ __all__ = [
     "ExecutionError",
     "ExecutionLifecycle",
     "FrontierCurve",
-    "FrontierThresholdPolicy",
     "HorizonError",
     "LifecycleEvent",
     "LifecycleObserver",
     "MAX_STEPS",
-    "MetricsObserver",
     "RescaleContext",
     "RescaleDecision",
     "RescalePolicy",
@@ -69,7 +64,6 @@ __all__ = [
     "SegmentPlan",
     "SlowBootFaults",
     "StepBudgetError",
-    "SuperstepWorkModel",
     "WORK_EPS",
     "WorkModel",
 ]

@@ -120,50 +120,3 @@ class RescalePolicy(abc.ABC):
 
     def reset(self) -> None:
         """Clear any per-job state (called before each run)."""
-
-
-class FrontierThresholdPolicy(RescalePolicy):
-    """A deliberately simple service-free policy (tests, baselines).
-
-    Shrinks to the smallest-worker-count catalogue configuration of the
-    same transience class once the frontier collapses under a threshold,
-    at most once per job.  No cost model — the planner-backed
-    :class:`~repro.service.strategies.PlannedRescalePolicy` is the real
-    thing; this exists so lifecycle-level behaviour (forced deploys,
-    accounting, eviction interaction) is testable without a service.
-    """
-
-    def __init__(self, threshold: float = 0.1, max_rescales: int = 1):
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        self.threshold = threshold
-        self.max_rescales = max_rescales
-        self._fired = 0
-
-    def reset(self) -> None:
-        """Allow the next job its own rescale budget."""
-        self._fired = 0
-
-    def evaluate(self, ctx: RescaleContext) -> RescaleDecision | None:
-        """Shrink once the frontier drops below the threshold."""
-        if self._fired >= self.max_rescales or ctx.frontier > self.threshold:
-            return None
-        peers = [
-            c
-            for c in ctx.catalog
-            if c.is_transient == ctx.config.is_transient
-            and c.num_workers < ctx.config.num_workers
-        ]
-        if not peers:
-            return None
-        target = min(peers, key=lambda c: (c.num_workers, c.name))
-        self._fired += 1
-        return RescaleDecision(
-            target=target,
-            action=RESCALE_SHRINK,
-            stay_cost=float("nan"),
-            target_cost=float("nan"),
-            frontier=ctx.frontier,
-            evaluated_at=ctx.t,
-            reason=f"frontier {ctx.frontier:.3f} <= threshold {self.threshold}",
-        )

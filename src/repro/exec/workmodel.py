@@ -8,11 +8,6 @@ notion of *work* to a :class:`WorkModel`:
   work fraction advanced analytically along a
   :class:`~repro.core.phases.PhaseModel` progress curve, with optional
   eviction-warning salvage (§9).
-* :class:`SuperstepWorkModel` — an engine-free twin of the runtime's
-  view: replays a calibration run's per-superstep durations, quantising
-  segments to superstep boundaries and rolling back to the last
-  persisted superstep on eviction.  Used to cross-validate the
-  engine-backed runtime against the analytic core on the same trace.
 * ``EngineWorkModel`` (in :mod:`repro.runtime.workmodel`) — the real
   thing: actual Pregel supersteps with checkpoint/restore through the
   external datastore.
@@ -237,93 +232,3 @@ class AnalyticWorkModel(WorkModel):
                 self._persisted = self._work
                 return
         self._work = self._persisted
-
-
-class SuperstepWorkModel(WorkModel):
-    """Engine-free replay of a calibrated superstep curve.
-
-    Drives the lifecycle core exactly the way the engine-backed
-    ``EngineWorkModel`` does — segments quantise to superstep
-    boundaries, evictions roll back to the last persisted superstep —
-    but progress comes from the calibration statistics of a
-    :class:`~repro.runtime.mechmodel.MechanisticPerformanceModel`
-    instead of a live engine.  With the same trace and provisioner it
-    must reproduce the runtime's decision/event sequence step for step
-    (for programs whose superstep count matches the calibration run),
-    which is what the simulator-vs-runtime equivalence tests assert.
-    """
-
-    def __init__(self, perf):
-        self.perf = perf
-        self.total_supersteps = len(perf.calibration.stats)
-        self._done = 0
-        self._persisted = 0
-        graph = getattr(perf, "graph", None)
-        if graph is not None and getattr(graph, "num_vertices", 0):
-            self._frontier_denom = float(graph.num_vertices)
-        else:
-            actives = [s.active_vertices for s in perf.calibration.stats]
-            self._frontier_denom = float(max(actives)) if actives else 1.0
-
-    def start(self) -> None:
-        """Reset per-run progress state."""
-        self._done = 0
-        self._persisted = 0
-
-    def finished(self) -> bool:
-        """Whether every calibrated superstep has run."""
-        return self._done >= self.total_supersteps
-
-    def work_left(self) -> float:
-        """Outstanding work per the calibrated work curve."""
-        return max(0.0, 1.0 - self.perf.work_fraction_done(self._done))
-
-    def on_deployed(self, config: Configuration, t: float) -> None:
-        """Restore the last persisted superstep onto the deployment."""
-        self._done = self._persisted
-
-    def run_segment(self, config: Configuration, budget: float) -> SegmentPlan:
-        """Replay supersteps until the budget (or the job) runs out."""
-        stats = self.perf.calibration.stats
-        elapsed = 0.0
-        ran_any = False
-        while self._done < self.total_supersteps:
-            index = min(self._done, len(stats) - 1)
-            step_time = self.perf.superstep_seconds(stats[index], config)
-            if ran_any and elapsed + step_time > budget:
-                break
-            self._done += 1
-            elapsed += step_time
-            ran_any = True
-            if elapsed >= budget:
-                break
-        return SegmentPlan(elapsed=elapsed, finishing=self.finished())
-
-    def commit(self, config: Configuration, plan: SegmentPlan, persisted: bool) -> None:
-        """Move the rollback point when the checkpoint landed."""
-        if persisted and not plan.finishing:
-            self._persisted = self._done
-
-    def on_evicted(self, config: Configuration, t_start: float, t_evict: float) -> None:
-        """Lose everything since the last persisted superstep."""
-        self._done = self._persisted
-
-    @property
-    def superstep(self) -> int:
-        """Supersteps completed so far."""
-        return self._done
-
-    def frontier(self) -> float:
-        """Measured frontier replayed from the calibration statistics.
-
-        Reports the active fraction of the *last completed* superstep —
-        the same signal :class:`~repro.runtime.workmodel.EngineWorkModel`
-        measures from its live engine, so a replayed run and the real
-        runtime see identical frontier series.
-        """
-        if self._done <= 0 or self._frontier_denom <= 0:
-            return 1.0
-        stats = self.perf.calibration.stats
-        index = min(self._done, len(stats)) - 1
-        fraction = stats[index].active_vertices / self._frontier_denom
-        return min(1.0, max(0.0, fraction))

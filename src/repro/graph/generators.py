@@ -15,8 +15,6 @@ provides:
   modular graphs, the stand-in for collaboration/biological networks
   (Hollywood, Human-Gene) whose strong community structure is what makes
   good partitioners shine in Fig 8.
-* :func:`ring_of_cliques`, :func:`grid_graph`, :func:`random_graph` —
-  small structured graphs for tests and examples.
 
 All generators take a ``seed`` and are fully deterministic given it.
 """
@@ -214,72 +212,3 @@ def community_graph(
     both_src = np.concatenate([src, dst])
     both_dst = np.concatenate([dst, src])
     return from_edges(both_src, both_dst, num_vertices=num_vertices, name=name, dedup=True)
-
-
-def random_graph(
-    num_vertices: int, avg_degree: float = 8.0, seed=None, name: str = "random"
-) -> Graph:
-    """Erdős–Rényi style G(n, m) directed graph."""
-    rng = derive_rng(seed, "random", num_vertices)
-    m = int(round(avg_degree * num_vertices))
-    src = rng.integers(0, num_vertices, size=m)
-    dst = rng.integers(0, num_vertices, size=m)
-    keep = src != dst
-    return from_edges(src[keep], dst[keep], num_vertices=num_vertices, name=name, dedup=True)
-
-
-def ring_of_cliques(
-    num_cliques: int, clique_size: int, name: str = "ring-of-cliques"
-) -> Graph:
-    """Deterministic ring of cliques.
-
-    A classic partitioner sanity graph: the optimal k-way cut for
-    ``k | num_cliques`` severs exactly ``k`` ring edges.
-    """
-    if num_cliques < 1 or clique_size < 1:
-        raise ValueError("num_cliques and clique_size must be >= 1")
-    src_list, dst_list = [], []
-    n = num_cliques * clique_size
-    for c in range(num_cliques):
-        base = c * clique_size
-        for i in range(clique_size):
-            for j in range(clique_size):
-                if i != j:
-                    src_list.append(base + i)
-                    dst_list.append(base + j)
-        # One ring edge between consecutive cliques (both directions).
-        nxt = ((c + 1) % num_cliques) * clique_size
-        if num_cliques > 1:
-            src_list += [base, nxt]
-            dst_list += [nxt, base]
-    return from_edges(src_list, dst_list, num_vertices=n, name=name, dedup=True)
-
-
-def grid_graph(rows: int, cols: int, name: str = "grid") -> Graph:
-    """Deterministic 2D grid (4-neighbourhood), symmetric."""
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
-    src_list, dst_list = [], []
-
-    def vid(r, c):
-        return r * cols + c
-
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                src_list += [vid(r, c), vid(r, c + 1)]
-                dst_list += [vid(r, c + 1), vid(r, c)]
-            if r + 1 < rows:
-                src_list += [vid(r, c), vid(r + 1, c)]
-                dst_list += [vid(r + 1, c), vid(r, c)]
-    return from_edges(src_list, dst_list, num_vertices=rows * cols, name=name)
-
-
-def path_graph(num_vertices: int, weighted: bool = False, name: str = "path") -> Graph:
-    """Deterministic directed path 0 -> 1 -> ... -> n-1 (unit weights)."""
-    if num_vertices < 1:
-        raise ValueError("num_vertices must be >= 1")
-    src = np.arange(num_vertices - 1, dtype=np.int64)
-    dst = src + 1
-    weights = np.ones(num_vertices - 1) if weighted else None
-    return from_edges(src, dst, num_vertices=num_vertices, weights=weights, name=name)

@@ -14,9 +14,8 @@ execution lifecycle and the planning service:
   logs, Prometheus text format, and Chrome ``trace_event`` JSON for
   ``chrome://tracing`` / Perfetto.
 * **TracingObserver** (:mod:`repro.obs.observer`) — the lifecycle hook
-  plug-in that emits the spans and the live ``billed_*`` spend series,
-  sibling of :class:`~repro.exec.observers.MetricsObserver`.  Like any
-  observer it defines only the hooks it needs; the lifecycle treats the
+  plug-in that emits the spans and the live ``billed_*`` spend series.
+  Like any observer it defines only the hooks it needs; the lifecycle treats the
   rest as no-ops / identities.  The run's timeline is the result's
   ``events``, not a second record kept here.
 * **Live operations** — on the simulated clock: a run's outcome

@@ -1,8 +1,8 @@
 """TracingObserver: lifecycle phases as spans on the simulated timeline.
 
-The sibling of :class:`~repro.exec.observers.MetricsObserver` on the
-lifecycle hook bus.  Where MetricsObserver keeps flat per-run counters,
-this observer emits the cross-layer trace: one ``run`` root span per
+A plug-in on the lifecycle hook bus (the run's own counts are on its
+:class:`~repro.exec.events.RunResult`).  This observer emits the
+cross-layer trace: one ``run`` root span per
 execution (carrying the job/tenant correlation attributes), ``setup``
 and ``checkpoint`` child spans, ``decision``/``eviction``/``finish``
 instant events — all stamped with *simulated* time — and labeled series

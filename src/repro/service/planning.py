@@ -31,8 +31,7 @@ at least one on-demand last-resort configuration), whatever its
 strategy, and raises :class:`PlanError` instead of letting a downstream
 ValueError or IndexError surface.  Per-request
 telemetry (decision latency, memo hits/misses, snapshot reuse) rides on
-each :class:`PlanResult` and flows into the
-:class:`~repro.exec.observers.MetricsObserver` layer via the lifecycle's
+each :class:`PlanResult` and reaches lifecycle observers through their
 ``on_decision`` hook.
 
 Thread safety: requests for different estimator keys plan concurrently;

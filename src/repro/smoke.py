@@ -41,6 +41,18 @@ failed, and the process exits 1 if that list is not empty.
     the full checkpoint, still exact.  Without ``fork`` the parallel
     engine is the serial fallback, which must still be exact.  Writes
     no artifacts.
+
+``reach``
+    Runs every shipped entry point from the checkout, two at a time,
+    under a ``sys.setprofile`` tracer installed in each Python process
+    (:mod:`repro.reach`): the seven examples, ``repro.experiments
+    --quick`` over every figure, the three CI ``repro.load`` rows plus a
+    ``--watch 600`` run, the three rows above and ``experiments
+    report``, and the four bench workloads at ``--seconds 4 --trace 1``.
+    Checks that every ``repro`` function none of them calls (declaration
+    stubs aside) is listed in ``.github/expected/test-only.txt`` with a
+    reason, and that nothing listed is reached.  Writes
+    ``unreached.txt``.
 """
 
 from __future__ import annotations
@@ -360,7 +372,56 @@ def engine_scale(out: Path | None) -> list[str]:
     return failures
 
 
-ROWS = {"exporters": exporters, "ops": ops, "engine-scale": engine_scale}
+# -- reach -----------------------------------------------------------
+REPO = Path(__file__).resolve().parents[2]
+TEST_ONLY = REPO / ".github" / "expected" / "test-only.txt"
+BENCH_WORKLOADS = ("serve_mixed", "serve_burst_dup", "graph_job_evicted", "prepare_recover")
+
+
+def _entry_points(tmp: Path) -> list[list[list[str]]]:
+    """Every shipped entry point, as jobs of ``python`` commands run in
+    order (the trace report reads the exporters row's trace)."""
+    load = ["-m", "repro.load", "--jobs", "100", "--seed", "7", "--trace-days", "8"]
+    load += ["--recurring-tenants", "2", "--recurring-periods", "4"]
+    return [
+        [["-m", "repro.experiments", "--quick"]],
+        *[
+            [["-m", "bench", "--workload", name, "--seconds", "4", "--trace", "1"]]
+            for name in BENCH_WORKLOADS
+        ],
+        [
+            [*load, "--out", str(tmp / "load")],
+            [*load, "--frontend", "--workers", "1:6", "--require-scaling", "--out", str(tmp / "fe")],
+            ["-m", "repro.load", "--strategy", "elastic", "--require-rescale", "--jobs", "40",
+             "--seed", "42", "--scales", "16", "--slack-range", "0.6:1.0",
+             "--recurring-tenants", "0", "--trace-days", "30", "--out", str(tmp / "elastic")],
+            ["-m", "repro.load", "--jobs", "100", "--seed", "42", "--watch", "600"],
+        ],
+        [
+            ["-m", "repro.smoke", "exporters", "--out", str(tmp / "obs")],
+            ["-m", "repro.experiments", "report", "--trace", str(tmp / "obs" / "trace.jsonl")],
+            ["-m", "repro.smoke", "ops", "--out", str(tmp / "ops")],
+            ["-m", "repro.smoke", "engine-scale"],
+        ],
+        [[str(example)] for example in sorted((REPO / "examples").glob("*.py"))],
+    ]
+
+
+def reach(out: Path | None) -> list[str]:
+    from repro import reach as guard
+
+    with tempfile.TemporaryDirectory(prefix="smoke-") as tmp:
+        failures, unreached, lines = guard.run(
+            _entry_points, REPO, Path(__file__).parent, Path(tmp), TEST_ONLY.read_text()
+        )
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "unreached.txt").write_text("".join(f"{name}\n" for name in unreached))
+    print(f"reach: {len(unreached)} functions ({lines} lines) reached only by tests")
+    return failures
+
+
+ROWS = {"exporters": exporters, "ops": ops, "engine-scale": engine_scale, "reach": reach}
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ from repro.cloud.instance import R4_FAMILY
 from repro.cloud.market import SpotMarket
 from repro.graph import generators
 from repro.utils.units import HOURS
+from tests import scalar_oracle
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +36,7 @@ def long_market() -> SpotMarket:
 @pytest.fixture(scope="session")
 def clique_ring():
     """Deterministic ring of 8 cliques of 6 vertices."""
-    return generators.ring_of_cliques(8, 6)
+    return scalar_oracle.ring_of_cliques(8, 6)
 
 
 @pytest.fixture(scope="session")

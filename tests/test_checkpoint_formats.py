@@ -30,12 +30,13 @@ from repro.graph import generators
 from repro.obs import state as obs_state
 from repro.partitioning.hashing import HashPartitioner
 from repro.runtime import HourglassRuntime
+from tests import scalar_oracle
 from tests.test_fault_injection import PinnedProvisioner
 
 
 @pytest.fixture()
 def graph():
-    return generators.grid_graph(10, 10)
+    return scalar_oracle.grid_graph(10, 10)
 
 
 @pytest.fixture()
@@ -315,7 +316,7 @@ class TestDeltaChains:
     def test_delta_is_smaller_in_steady_state(self):
         # Steady state: the full snapshot always carries every vertex,
         # the delta only the frontier that changed since the last full.
-        big = generators.grid_graph(40, 40)
+        big = scalar_oracle.grid_graph(40, 40)
         partitioning = HashPartitioner().partition(big, 3)
         engine = make_engine(big, partitioning, steps=10)
         manager = CheckpointManager(

@@ -15,18 +15,20 @@ import numpy as np
 import pytest
 
 from repro.engine import CheckpointManager, DataStore, PregelEngine
-from repro.engine.algorithms import GraphColoring, PageRank, is_proper_coloring
+from repro.engine.algorithms import PageRank
 from repro.graph import generators
 from repro.partitioning import (
     FennelPartitioner,
     HashPartitioner,
     MultilevelPartitioner,
 )
+from tests import scalar_oracle
+from tests.scalar_oracle import GraphColoring, ScalarEngine, as_dict, is_proper_coloring
 
 
 @pytest.fixture(scope="module")
 def graph():
-    return generators.random_graph(150, avg_degree=6, seed=11).undirected()
+    return scalar_oracle.random_graph(150, avg_degree=6, seed=11).undirected()
 
 
 def make_engine(graph, partitioning):
@@ -50,8 +52,8 @@ class TestReconfigurationRoundTrip:
         assert restored.superstep == engine.superstep
         assert restored.values() == engine.values()
         assert np.array_equal(restored._halted, engine._halted)
-        assert restored._incoming.as_dict() == engine._incoming.as_dict()
-        assert restored._incoming.raw_count() == engine._incoming.raw_count()
+        assert as_dict(restored._incoming) == as_dict(engine._incoming)
+        assert restored._incoming._count == engine._incoming._count
         assert restored.result(False).aggregates == engine.result(False).aggregates
         assert restored.stats == engine.stats
 
@@ -70,7 +72,7 @@ class TestReconfigurationRoundTrip:
         assert third.superstep == engine.superstep
         assert third.values() == engine.values()
         assert np.array_equal(third._halted, engine._halted)
-        assert third._incoming.as_dict() == engine._incoming.as_dict()
+        assert as_dict(third._incoming) == as_dict(engine._incoming)
         assert third.stats == engine.stats
 
     def test_resumed_run_matches_undisturbed(self, graph):
@@ -100,25 +102,26 @@ class TestReconfigurationRoundTrip:
 
 
 class TestScalarPathReconfiguration:
-    """Same round trip for a generic-message program (tuple messages)."""
+    """Same round trip for a generic-message program (tuple messages) on
+    the per-vertex reference path."""
 
     def test_coloring_resumes_across_layouts(self):
         graph = generators.community_graph(80, num_communities=4, seed=2).undirected()
-        engine = PregelEngine(graph, GraphColoring(seed=5), HashPartitioner().partition(graph, 3))
+        engine = ScalarEngine(graph, GraphColoring(seed=5), HashPartitioner().partition(graph, 3))
         for _ in range(3):  # odd step count: pending phase-A messages in flight
             engine.step()
         manager = CheckpointManager(DataStore(), "coloring")
         manager.save(engine)
 
-        restored = PregelEngine(
+        restored = ScalarEngine(
             graph, GraphColoring(seed=5), MultilevelPartitioner().partition(graph, 2, seed=1)
         )
         manager.load_into(restored)
-        assert restored._incoming.as_dict() == engine._incoming.as_dict()
+        assert as_dict(restored._incoming) == as_dict(engine._incoming)
         assert restored.stats == engine.stats
 
         resumed = restored.run()
-        undisturbed = PregelEngine(
+        undisturbed = ScalarEngine(
             graph, GraphColoring(seed=5), HashPartitioner().partition(graph, 3)
         ).run()
         assert resumed.values == undisturbed.values

@@ -8,7 +8,6 @@ import pytest
 from repro.cloud import (
     Configuration,
     EmpiricalEvictionModel,
-    ExponentialEvictionModel,
     InstanceType,
     Market,
     PriceTrace,
@@ -26,6 +25,7 @@ from repro.cloud import (
     worker_counts,
 )
 from repro.utils.units import HOURS
+from tests.scalar_oracle import ExponentialEvictionModel
 
 
 class TestInstanceTypes:

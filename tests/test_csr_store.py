@@ -10,6 +10,8 @@ copy.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,20 +22,27 @@ from repro.graph import generators
 from repro.graph.generators import rmat_edge_batches
 from repro.graph.graph import from_edges
 from repro.graph.io import (
+    CSR_META_FILENAME,
     build_csr_on_disk,
     build_rmat_csr,
     csr_nbytes,
     is_memmap_backed,
     load_csr,
-    save_csr,
 )
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.micro import MicroPartitioner
+from tests import scalar_oracle
 
 
 @pytest.fixture(scope="module")
 def graph():
     return generators.rmat(9, seed=7)
+
+
+def write_store(graph, directory):
+    """*graph* as a CSR store, built from its edges in one batch."""
+    batch = (graph.edge_sources(), graph.indices, graph.weights)
+    build_csr_on_disk(lambda: [batch], graph.num_vertices, directory, name=graph.name)
 
 
 def assert_graphs_equal(a, b):
@@ -49,7 +58,7 @@ def assert_graphs_equal(a, b):
 
 class TestSaveLoadRoundTrip:
     def test_round_trip_mmap(self, graph, tmp_path):
-        save_csr(graph, tmp_path / "store")
+        write_store(graph, tmp_path / "store")
         loaded = load_csr(tmp_path / "store")
         assert_graphs_equal(graph, loaded)
         assert loaded.name == graph.name
@@ -57,7 +66,7 @@ class TestSaveLoadRoundTrip:
         assert is_memmap_backed(loaded.indices)
 
     def test_round_trip_in_ram(self, graph, tmp_path):
-        save_csr(graph, tmp_path / "store")
+        write_store(graph, tmp_path / "store")
         loaded = load_csr(tmp_path / "store", mmap=False)
         assert_graphs_equal(graph, loaded)
         assert not is_memmap_backed(loaded.indices)
@@ -71,13 +80,13 @@ class TestSaveLoadRoundTrip:
         graph = from_edges(
             src[keep], dst[keep], num_vertices=32, weights=weights, name="wg"
         )
-        save_csr(graph, tmp_path / "store")
+        write_store(graph, tmp_path / "store")
         loaded = load_csr(tmp_path / "store")
         assert_graphs_equal(graph, loaded)
         assert is_memmap_backed(loaded.weights)
 
     def test_is_memmap_backed_sees_through_views(self, graph, tmp_path):
-        save_csr(graph, tmp_path / "store")
+        write_store(graph, tmp_path / "store")
         loaded = load_csr(tmp_path / "store")
         # Slices and reshapes keep the memmap as their .base.
         assert is_memmap_backed(loaded.indices[3:17])
@@ -88,7 +97,7 @@ class TestSaveLoadRoundTrip:
     def test_csr_nbytes(self, graph, tmp_path):
         expected = graph.indptr.nbytes + graph.indices.nbytes
         assert csr_nbytes(graph) == expected
-        save_csr(graph, tmp_path / "store")
+        write_store(graph, tmp_path / "store")
         assert csr_nbytes(load_csr(tmp_path / "store")) == expected
 
 
@@ -211,8 +220,8 @@ class TestStreamingRmat:
 
 class TestEngineOverMemmap:
     def test_serial_engine_matches_in_ram(self, tmp_path):
-        in_ram = generators.grid_graph(10, 10)
-        save_csr(in_ram, tmp_path / "store")
+        in_ram = scalar_oracle.grid_graph(10, 10)
+        write_store(in_ram, tmp_path / "store")
         mapped = load_csr(tmp_path / "store")
         partitioning = HashPartitioner().partition(in_ram, 3)
         ref = PregelEngine(in_ram, SSSP(source=0), partitioning).run()
@@ -225,8 +234,8 @@ class TestEngineOverMemmap:
 
         if not parallel_execution_supported():
             pytest.skip("fork start method unavailable")
-        in_ram = generators.grid_graph(10, 10)
-        save_csr(in_ram, tmp_path / "store")
+        in_ram = scalar_oracle.grid_graph(10, 10)
+        write_store(in_ram, tmp_path / "store")
         mapped = load_csr(tmp_path / "store")
         partitioning = HashPartitioner().partition(in_ram, 4)
         ref = PregelEngine(in_ram, PageRank(iterations=6), partitioning).run()
@@ -259,7 +268,7 @@ class TestEdgeSourceSpill:
         import warnings
 
         in_ram = generators.community_graph(2000, num_communities=8, seed=3)
-        save_csr(in_ram, tmp_path / "store")
+        write_store(in_ram, tmp_path / "store")
         mapped = load_csr(tmp_path / "store", mmap=True)
         partitioning = HashPartitioner().partition(in_ram, 3)
         with warnings.catch_warnings():
@@ -283,8 +292,8 @@ class TestEdgeSourceSpill:
             gc.collect()  # anything implicitly cleaned up would warn here
 
     def test_released_graph_derives_again_on_demand(self, tmp_path, spill_root):
-        in_ram = generators.grid_graph(8, 8)
-        save_csr(in_ram, tmp_path / "store")
+        in_ram = scalar_oracle.grid_graph(8, 8)
+        write_store(in_ram, tmp_path / "store")
         mapped = load_csr(tmp_path / "store", mmap=True)
         first = np.array(mapped.edge_sources())
         mapped.release()
@@ -296,7 +305,7 @@ class TestEdgeSourceSpill:
     def test_garbage_collection_is_the_backstop(self, tmp_path, spill_root):
         import gc
 
-        save_csr(generators.grid_graph(8, 8), tmp_path / "store")
+        write_store(scalar_oracle.grid_graph(8, 8), tmp_path / "store")
         mapped = load_csr(tmp_path / "store", mmap=True)
         mapped.edge_sources()
         assert len(self.spills(spill_root)) == 1
@@ -305,7 +314,7 @@ class TestEdgeSourceSpill:
         assert self.spills(spill_root) == []
 
     def test_in_ram_graph_never_touches_disk(self, spill_root):
-        graph = generators.grid_graph(8, 8)
+        graph = scalar_oracle.grid_graph(8, 8)
         sources = graph.edge_sources()
         assert not is_memmap_backed(sources)
         assert np.array_equal(sources, graph.edge_array()[:, 0])
@@ -317,7 +326,7 @@ class TestEdgeSourceSpill:
 class TestMemmapLoaderPricing:
     def test_micro_loader_prices_by_bytes(self, tmp_path):
         graph = generators.community_graph(400, num_communities=4, seed=3)
-        save_csr(graph, tmp_path / "store")
+        write_store(graph, tmp_path / "store")
         mapped = load_csr(tmp_path / "store")
         artefact = MicroPartitioner(num_micro_parts=16).build(graph, seed=1)
         timing = LoadTimingModel()
@@ -336,3 +345,29 @@ class TestMemmapLoaderPricing:
         assert in_ram.simulated_seconds == pytest.approx(
             timing.micro_time(graph.num_edges, graph.num_vertices, 4)
         )
+
+
+class TestMalformedStore:
+    """A broken store is refused with one ValueError naming its directory."""
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        directory = tmp_path / "rmat8"
+        build_rmat_csr(8, directory, seed=3)
+        return directory
+
+    def test_manifest_without_weighted_key(self, store):
+        meta = store / CSR_META_FILENAME
+        manifest = json.loads(meta.read_text())
+        del manifest["weighted"]
+        meta.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"{store}.*'weighted'"):
+            load_csr(store)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_truncated_indices(self, store, mmap):
+        indices = store / "indices.npy"
+        with indices.open("r+b") as handle:
+            handle.truncate(indices.stat().st_size - 64)
+        with pytest.raises(ValueError, match=str(store)):
+            load_csr(store, mmap=mmap)

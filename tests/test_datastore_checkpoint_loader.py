@@ -1,4 +1,4 @@
-"""Tests for the simulated datastore, checkpointing and the three loaders."""
+"""Tests for the simulated datastore, checkpointing and the loaders."""
 
 from __future__ import annotations
 
@@ -12,17 +12,16 @@ from repro.engine import (
     LoadTimingModel,
     MicroLoader,
     PregelEngine,
-    StreamLoader,
 )
 from repro.engine.algorithms import PageRank
 from repro.graph import generators
 from repro.partitioning import (
-    FennelPartitioner,
     HashPartitioner,
     MicroPartitioner,
     MultilevelPartitioner,
 )
 from repro.utils.units import MiB
+from tests import scalar_oracle
 
 
 class TestDataStore:
@@ -83,7 +82,7 @@ class TestDataStore:
 
 class TestCheckpointManager:
     def make_engine(self, workers=3, seed=1):
-        g = generators.random_graph(120, avg_degree=5, seed=seed).undirected()
+        g = scalar_oracle.random_graph(120, avg_degree=5, seed=seed).undirected()
         return g, PregelEngine(
             g, PageRank(iterations=6), HashPartitioner().partition(g, workers)
         )
@@ -149,7 +148,7 @@ class TestCheckpointManager:
         engine.step()
         manager = CheckpointManager(DataStore(), "job")
         manager.save(engine)
-        other_graph = generators.path_graph(5)
+        other_graph = scalar_oracle.path_graph(5)
         other = PregelEngine(other_graph, PageRank(iterations=2))
         with pytest.raises(ValueError):
             manager.load_into(other)
@@ -200,13 +199,6 @@ class TestLoaders:
     def graph(self):
         return generators.community_graph(800, num_communities=8, seed=3)
 
-    def test_stream_loader(self, graph):
-        loader = StreamLoader(FennelPartitioner())
-        result = loader.load(graph, 4, seed=1)
-        assert result.partitioning.num_parts == 4
-        assert result.strategy == "stream"
-        assert result.simulated_seconds > 0
-
     def test_hash_loader(self, graph):
         result = HashLoader().load(graph, 4)
         assert result.partitioning.assignment.tolist() == [
@@ -237,10 +229,10 @@ class TestLoaders:
     def test_real_loaders_keep_the_model_ordering(self, graph):
         """Fig 6's ordering from the loader implementations themselves."""
         artefact = MicroPartitioner(num_micro_parts=16).build(graph, seed=1)
-        stream = StreamLoader(FennelPartitioner()).load(graph, 4, seed=1)
+        stream_s = LoadTimingModel().stream_time(graph.num_edges, graph.num_vertices, 4)
         hashed = HashLoader().load(graph, 4)
         micro = MicroLoader(artefact).load(graph, 4, seed=1)
-        assert micro.simulated_seconds < hashed.simulated_seconds < stream.simulated_seconds
+        assert micro.simulated_seconds < hashed.simulated_seconds < stream_s
 
     def test_loaded_partitioning_usable_by_engine(self, graph):
         artefact = MicroPartitioner(num_micro_parts=16).build(graph, seed=1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cloud.eviction import EmpiricalEvictionModel, ExponentialEvictionModel
+from repro.cloud.eviction import EmpiricalEvictionModel
 from repro.cloud.trace import PriceTrace
 from repro.core.job import PAGERANK_PROFILE, SSSP_PROFILE
 from repro.experiments.common import (
@@ -22,6 +22,7 @@ from repro.experiments.common import (
     sweep_strategy,
 )
 from repro.utils.units import HOURS
+from tests.scalar_oracle import ExponentialEvictionModel
 
 
 @pytest.fixture(scope="module")

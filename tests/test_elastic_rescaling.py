@@ -46,10 +46,9 @@ from repro.engine.engine import PregelEngine
 from repro.exec import (
     ExecutionLifecycle,
     FrontierCurve,
-    FrontierThresholdPolicy,
     RescaleContext,
+    RescaleDecision,
     RescalePolicy,
-    SuperstepWorkModel,
     frontier_for_app,
 )
 from repro.graph import generators
@@ -59,6 +58,7 @@ from repro.runtime.workmodel import EngineWorkModel
 from repro.service import planning
 from repro.service.planning import PlanningService, RescaleQuery
 from repro.utils.units import HOURS
+from tests.scalar_oracle import SuperstepWorkModel
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,38 @@ class RecordingPolicy(RescalePolicy):
     def evaluate(self, ctx: RescaleContext):
         self.seen.append((ctx.t, ctx.superstep, ctx.frontier, ctx.work_left))
         return None
+
+
+class ShrinkBelowThreshold(RescalePolicy):
+    """Shrinks once, to the smallest same-market configuration, when the
+    frontier drops to *threshold*: lifecycle behaviour without a planner."""
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+        self.fired = False
+
+    def reset(self):
+        self.fired = False
+
+    def evaluate(self, ctx: RescaleContext):
+        peers = [
+            c
+            for c in ctx.catalog
+            if c.is_transient == ctx.config.is_transient
+            and c.num_workers < ctx.config.num_workers
+        ]
+        if self.fired or ctx.frontier > self.threshold or not peers:
+            return None
+        self.fired = True
+        return RescaleDecision(
+            target=min(peers, key=lambda c: (c.num_workers, c.name)),
+            action="shrink",
+            stay_cost=float("nan"),
+            target_cost=float("nan"),
+            frontier=ctx.frontier,
+            evaluated_at=ctx.t,
+            reason="frontier under threshold",
+        )
 
 
 class PinnedProvisioner(Provisioner):
@@ -300,7 +332,7 @@ class TestShrinkThenEvict:
         curve = FrontierCurve.exponential(half_life=0.15, floor=0.01)
         saw_shrink_then_evict = False
         for start_hours in range(0, 240, 13):
-            policy = FrontierThresholdPolicy(threshold=0.6)
+            policy = ShrinkBelowThreshold(threshold=0.6)
             provisioner = PinnedProvisioner(wide_spot, on_demand)
             provisioner.rescale_policy = policy
             sim = ExecutionSimulator(

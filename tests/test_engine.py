@@ -1,4 +1,9 @@
-"""Tests for the Pregel engine: supersteps, messages, aggregators, stats."""
+"""Tests for the Pregel engine: supersteps, messages, aggregators, stats.
+
+Programs with list, string or tuple values and messages run on the
+per-vertex reference path (``tests/scalar_oracle.py``), which shares the
+engine's construction, stats and aggregator flow.
+"""
 
 from __future__ import annotations
 
@@ -19,13 +24,24 @@ from repro.engine.aggregators import (
     OrAggregator,
     SumAggregator,
 )
-from repro.engine.vertex import ComputeContext, VertexProgram
+from repro.engine.algorithms import PageRank
 from repro.engine.worker import build_workers
-from repro.graph import from_edges, generators
+from repro.graph import from_edges
 from repro.partitioning import HashPartitioner
+from tests import scalar_oracle
+from tests.scalar_oracle import (
+    ScalarEngine,
+    ScalarProgram,
+    as_dict,
+    combine,
+    deliver,
+    destinations,
+    messages_for,
+    stored,
+)
 
 
-class EchoProgram(VertexProgram):
+class EchoProgram(ScalarProgram):
     """Sends its id once, then halts; values collect received ids."""
 
     def initial_value(self, vertex_id, num_vertices):
@@ -42,30 +58,30 @@ class EchoProgram(VertexProgram):
 class TestMessageStore:
     def test_deliver_and_read(self):
         store = MessageStore()
-        store.deliver(3, "a")
-        store.deliver(3, "b")
-        assert store.messages_for(3) == ["a", "b"]
-        assert store.messages_for(5) == []
+        deliver(store, 3, "a")
+        deliver(store, 3, "b")
+        assert messages_for(store, 3) == ["a", "b"]
+        assert messages_for(store, 5) == []
 
     def test_combiner_merges(self):
         store = MessageStore(SumCombiner)
-        store.deliver(1, 2)
-        store.deliver(1, 5)
-        assert store.messages_for(1) == [7]
-        assert len(store) == 1
-        assert store.raw_count() == 2
+        deliver(store, 1, 2)
+        deliver(store, 1, 5)
+        assert messages_for(store, 1) == [7]
+        assert stored(store) == 1
+        assert store._count == 2
 
     def test_min_max_combiners(self):
-        assert MinCombiner.combine(3, 5) == 3
-        assert MaxCombiner.combine(3, 5) == 5
-        assert SumCombiner.combine(3, 5) == 8
+        assert combine(MinCombiner, 3, 5) == 3
+        assert combine(MaxCombiner, 3, 5) == 5
+        assert combine(SumCombiner, 3, 5) == 8
 
     def test_bool_and_destinations(self):
         store = MessageStore()
         assert not store
-        store.deliver(0, "x")
+        deliver(store, 0, "x")
         assert store
-        assert list(store.destinations()) == [0]
+        assert destinations(store) == [0]
 
 
 class TestAggregators:
@@ -106,14 +122,14 @@ class TestAggregators:
 
 class TestWorkers:
     def test_build_workers_partition_ownership(self):
-        g = generators.path_graph(10)
+        g = scalar_oracle.path_graph(10)
         p = HashPartitioner().partition(g, 3)
         workers = build_workers(p, 3)
         owned = sorted(v for w in workers for v in w.vertices.tolist())
         assert owned == list(range(10))
 
     def test_mismatched_count_rejected(self):
-        g = generators.path_graph(4)
+        g = scalar_oracle.path_graph(4)
         p = HashPartitioner().partition(g, 2)
         with pytest.raises(ValueError):
             build_workers(p, 3)
@@ -122,19 +138,19 @@ class TestWorkers:
 class TestEngineExecution:
     def test_message_delivery_next_superstep(self):
         g = from_edges([0, 1], [1, 2], num_vertices=3)
-        result = PregelEngine(g, EchoProgram(), HashPartitioner().partition(g, 2)).run()
+        result = ScalarEngine(g, EchoProgram(), HashPartitioner().partition(g, 2)).run()
         assert result.values[1] == [0]
         assert result.values[2] == [1]
         assert result.values[0] == []
 
     def test_halts_when_quiescent(self):
         g = from_edges([0], [1], num_vertices=2)
-        result = PregelEngine(g, EchoProgram()).run()
+        result = ScalarEngine(g, EchoProgram()).run()
         assert result.halted_normally
         assert result.supersteps_run == 2
 
     def test_superstep_cap(self):
-        class Chatty(VertexProgram):
+        class Chatty(ScalarProgram):
             def initial_value(self, vertex_id, num_vertices):
                 return 0
 
@@ -142,7 +158,7 @@ class TestEngineExecution:
                 ctx.send(ctx.vertex_id, 1)  # self-message forever
 
         g = from_edges([0], [0], num_vertices=1)
-        result = PregelEngine(g, Chatty(), max_supersteps=5).run()
+        result = ScalarEngine(g, Chatty(), max_supersteps=5).run()
         assert not result.halted_normally
         assert result.supersteps_run == 5
 
@@ -150,7 +166,7 @@ class TestEngineExecution:
         # Two vertices on the same worker, one on another.
         g = from_edges([0, 0], [2, 1], num_vertices=3)
         p = HashPartitioner().partition(g, 2)  # 0,2 -> w0; 1 -> w1
-        result = PregelEngine(g, EchoProgram(), p).run()
+        result = ScalarEngine(g, EchoProgram(), p).run()
         step0 = result.stats[0]
         assert step0.local_messages == 1  # 0 -> 2 stays on worker 0
         assert step0.remote_messages == 1  # 0 -> 1 crosses
@@ -159,7 +175,6 @@ class TestEngineExecution:
 
     def test_partition_quality_reduces_remote_traffic(self, community):
         from repro.partitioning import MultilevelPartitioner
-        from repro.engine.algorithms import PageRank
 
         good = MultilevelPartitioner().partition(community, 4, seed=1)
         bad = HashPartitioner().partition(community, 4)
@@ -168,37 +183,37 @@ class TestEngineExecution:
         assert res_good.total_remote_messages < res_bad.total_remote_messages
 
     def test_values_array(self):
-        class Ident(VertexProgram):
+        class Ident(ScalarProgram):
             def initial_value(self, vertex_id, num_vertices):
                 return float(vertex_id)
 
             def compute(self, ctx, messages):
                 ctx.vote_to_halt()
 
-        g = generators.path_graph(5)
-        result = PregelEngine(g, Ident()).run()
+        g = scalar_oracle.path_graph(5)
+        result = ScalarEngine(g, Ident()).run()
         assert result.values_array().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_mismatched_partitioning_rejected(self):
-        g = generators.path_graph(5)
-        p = HashPartitioner().partition(generators.path_graph(3), 2)
+        g = scalar_oracle.path_graph(5)
+        p = HashPartitioner().partition(scalar_oracle.path_graph(3), 2)
         with pytest.raises(ValueError):
             PregelEngine(g, EchoProgram(), p)
 
     def test_bad_max_supersteps(self):
-        g = generators.path_graph(2)
+        g = scalar_oracle.path_graph(2)
         with pytest.raises(ValueError):
             PregelEngine(g, EchoProgram(), max_supersteps=0)
 
     def test_default_partitioning_single_worker(self):
-        g = generators.path_graph(3)
-        engine = PregelEngine(g, EchoProgram())
+        g = scalar_oracle.path_graph(3)
+        engine = PregelEngine(g, PageRank(iterations=1))
         assert engine.num_workers == 1
 
     def test_combiner_reduces_network_messages(self):
         # Many vertices all message vertex 0; with a Sum combiner the
         # per-worker traffic collapses to one message per worker.
-        class Converge(VertexProgram):
+        class Converge(ScalarProgram):
             combiner = SumCombiner
 
             def initial_value(self, vertex_id, num_vertices):
@@ -214,7 +229,7 @@ class TestEngineExecution:
         n = 20
         g = from_edges(list(range(n)), [0] * n, num_vertices=n, dedup=True)
         p = HashPartitioner().partition(g, 4)
-        result = PregelEngine(g, Converge(), p).run()
+        result = ScalarEngine(g, Converge(), p).run()
         assert result.values[0] == n
         step0 = result.stats[0]
         # 4 workers -> at most 4 combined messages total.
@@ -223,7 +238,7 @@ class TestEngineExecution:
 
 class TestAggregatorFlow:
     def test_aggregate_visible_next_superstep(self):
-        class Counter(VertexProgram):
+        class Counter(ScalarProgram):
             def aggregators(self):
                 return {"count": SumAggregator}
 
@@ -238,8 +253,8 @@ class TestAggregatorFlow:
                     ctx.value = ctx.aggregated("count")
                     ctx.vote_to_halt()
 
-        g = generators.path_graph(6)
-        result = PregelEngine(g, Counter()).run()
+        g = scalar_oracle.path_graph(6)
+        result = ScalarEngine(g, Counter()).run()
         assert all(v == 6 for v in result.values.values())
 
 
@@ -248,29 +263,29 @@ class TestMessageStoreRegressions:
         # Mutating a delivered inbox must not corrupt the store's
         # pending messages (workers clear their inboxes after compute).
         store = MessageStore()
-        store.deliver(1, "a")
-        inbox = store.messages_for(1)
+        deliver(store, 1, "a")
+        inbox = messages_for(store, 1)
         inbox.append("b")
         inbox.clear()
-        assert store.messages_for(1) == ["a"]
-        assert len(store) == 1
+        assert messages_for(store, 1) == ["a"]
+        assert stored(store) == 1
 
     def test_messages_for_copy_on_dense_store(self):
         store = MessageStore(SumCombiner(), num_vertices=4)
         store.deliver_many(np.array([2, 2, 3]), np.array([1.0, 2.0, 5.0]))
-        inbox = store.messages_for(2)
+        inbox = messages_for(store, 2)
         inbox.clear()
-        assert store.messages_for(2) == [3.0]
-        assert store.messages_for(3) == [5.0]
+        assert messages_for(store, 2) == [3.0]
+        assert messages_for(store, 3) == [5.0]
 
     def test_state_dict_round_trip(self):
         store = MessageStore(MinCombiner(), num_vertices=6)
         store.deliver_many(np.array([0, 4, 4]), np.array([3.0, 9.0, 2.0]))
-        store.deliver(5, 7.5)
+        deliver(store, 5, 7.5)
         restored = MessageStore.from_state(store.state_dict(), MinCombiner())
-        assert restored.as_dict() == store.as_dict()
-        assert restored.raw_count() == store.raw_count()
-        assert len(restored) == len(store)
+        assert as_dict(restored) == as_dict(store)
+        assert restored._count == store._count
+        assert stored(restored) == stored(store)
 
     def test_deliver_many_matches_scalar_combining(self):
         rng = np.random.default_rng(3)
@@ -281,30 +296,30 @@ class TestMessageStoreRegressions:
             batched.deliver_many(dst, msgs)
             scalar = MessageStore(combiner_cls())
             for d, m in zip(dst.tolist(), msgs.tolist()):
-                scalar.deliver(d, m)
+                deliver(scalar, d, m)
             for v in range(50):
-                got = batched.messages_for(v)
-                want = scalar.messages_for(v)
+                got = messages_for(batched, v)
+                want = messages_for(scalar, v)
                 assert len(got) == len(want)
                 if want:
                     assert got[0] == pytest.approx(want[0], rel=1e-12)
-            assert batched.raw_count() == scalar.raw_count()
+            assert batched._count == scalar._count
 
     def test_deliver_many_without_combiner_keeps_all_messages(self):
         store = MessageStore(num_vertices=4)
         store.deliver_many(np.array([1, 1, 2]), np.array([7.0, 8.0, 9.0]))
-        assert sorted(store.messages_for(1)) == [7.0, 8.0]
-        assert store.messages_for(2) == [9.0]
-        assert store.raw_count() == 3
+        assert sorted(messages_for(store, 1)) == [7.0, 8.0]
+        assert messages_for(store, 2) == [9.0]
+        assert store._count == 3
 
     def test_deliver_many_mixes_with_scalar_delivery(self):
         store = MessageStore(SumCombiner(), num_vertices=4)
-        store.deliver(1, 1.0)
+        deliver(store, 1, 1.0)
         store.deliver_many(np.array([1, 3]), np.array([2.0, 4.0]))
-        store.deliver(3, 0.5)
-        assert store.messages_for(1) == [3.0]
-        assert store.messages_for(3) == [4.5]
-        assert store.raw_count() == 4
+        deliver(store, 3, 0.5)
+        assert messages_for(store, 1) == [3.0]
+        assert messages_for(store, 3) == [4.5]
+        assert store._count == 4
 
     def test_deliver_many_rejects_mismatched_shapes(self):
         store = MessageStore(SumCombiner(), num_vertices=4)
@@ -345,9 +360,7 @@ class TestValuesArrayValidation:
 
 class TestRestoreStats:
     def test_restore_state_restores_stats(self):
-        from repro.engine.algorithms import PageRank
-
-        g = generators.random_graph(40, avg_degree=4, seed=1)
+        g = scalar_oracle.random_graph(40, avg_degree=4, seed=1)
         engine = PregelEngine(g, PageRank(iterations=5))
         for _ in range(3):
             engine.step()

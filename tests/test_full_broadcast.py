@@ -40,6 +40,7 @@ from repro.engine.vertex import VertexProgram
 from repro.graph import generators
 from repro.graph.graph import from_edges
 from repro.partitioning.hashing import HashPartitioner
+from tests.scalar_oracle import destination_mask, messages_for
 from tests.test_traffic_accounting import Shout, sorted_count
 
 
@@ -180,7 +181,7 @@ def assert_matches_rebuild(engine, batch):
     ) == (len(dst), local, remote, remote * engine.program.message_bytes)
     mask = np.zeros(n, dtype=bool)
     mask[dst] = True
-    assert np.array_equal(pending.destination_mask(n), mask)
+    assert np.array_equal(destination_mask(pending, n), mask)
     if combiner is not None:
         values = np.full(n, combiner.identity, dtype=np.float64)
         combiner.ufunc.at(values, dst, msg.astype(np.float64))
@@ -384,16 +385,12 @@ class SendTo(VertexProgram):
 
     combiner = None
     value_dtype = np.float64
-    supports_dense = True
 
     def __init__(self, src, dst):
         self.src, self.dst = src, dst
 
-    def initial_value(self, vertex_id, num_vertices):
-        return 0.0
-
-    def compute(self, ctx, messages):
-        ctx.vote_to_halt()
+    def initial_values(self, num_vertices):
+        return np.zeros(num_vertices)
 
     def compute_dense(self, ctx):
         if ctx.superstep == 0:
@@ -427,4 +424,4 @@ class TestSendBatchRange:
         engine.step()
         stats = engine.stats[0]
         assert (stats.messages_sent, stats.local_messages) == (1, 1)
-        assert engine._incoming.messages_for(2) == [5.0]
+        assert messages_for(engine._incoming, 2) == [5.0]

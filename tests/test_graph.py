@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph import Graph, GraphBuilder, empty_graph, from_edges
-from repro.graph.generators import path_graph
+from repro.graph import Graph, empty_graph, from_edges
+from tests import scalar_oracle
 
 
 class TestFromEdges:
@@ -144,66 +144,15 @@ class TestEmptyAndMisc:
         assert list(g.neighbors(3)) == []
 
     def test_payload_bytes_scale(self):
-        small = path_graph(10)
-        big = path_graph(1000)
+        small = scalar_oracle.path_graph(10)
+        big = scalar_oracle.path_graph(1000)
         assert big.payload_bytes() > small.payload_bytes()
 
     def test_payload_bytes_weighted_larger(self):
-        unweighted = path_graph(100)
-        weighted = path_graph(100, weighted=True)
+        unweighted = scalar_oracle.path_graph(100)
+        weighted = scalar_oracle.path_graph(100, weighted=True)
         assert weighted.payload_bytes() > unweighted.payload_bytes()
 
     def test_iter_edges_order(self):
         g = from_edges([1, 0], [0, 1])
         assert list(g.iter_edges()) == [(0, 1), (1, 0)]
-
-
-class TestGraphBuilder:
-    def test_incremental_build(self):
-        b = GraphBuilder()
-        b.add_edge(0, 1)
-        b.add_edge(1, 2)
-        g = b.build()
-        assert g.num_vertices == 3
-        assert g.num_edges == 2
-
-    def test_undirected_edge(self):
-        b = GraphBuilder()
-        b.add_undirected_edge(0, 1)
-        g = b.build()
-        assert g.num_edges == 2
-
-    def test_weighted_build(self):
-        b = GraphBuilder()
-        b.add_edge(0, 1, weight=4.5)
-        g = b.build()
-        assert g.weights is not None
-        assert g.edge_weights(0)[0] == 4.5
-
-    def test_mixing_weighted_unweighted_rejected(self):
-        b = GraphBuilder()
-        b.add_edge(0, 1)
-        with pytest.raises(ValueError):
-            b.add_edge(1, 2, weight=1.0)
-
-    def test_mixing_unweighted_after_weighted_rejected(self):
-        b = GraphBuilder()
-        b.add_edge(0, 1, weight=1.0)
-        with pytest.raises(ValueError):
-            b.add_edge(1, 2)
-
-    def test_negative_vertex_rejected(self):
-        b = GraphBuilder()
-        with pytest.raises(ValueError):
-            b.add_edge(-1, 0)
-
-    def test_fixed_vertex_count(self):
-        b = GraphBuilder(num_vertices=10)
-        b.add_edge(0, 1)
-        assert b.build().num_vertices == 10
-
-    def test_add_edges_bulk(self):
-        b = GraphBuilder()
-        b.add_edges([(0, 1), (1, 2), (2, 0)])
-        assert b.num_pending_edges == 3
-        assert b.build(dedup=True).num_edges == 3

@@ -3,7 +3,8 @@
 Covers the unified event/result/error types both front-ends now share,
 the billing meter, observer plumbing, and — most importantly — the
 simulator-vs-runtime equivalence: driving the lifecycle core with an
-engine-free :class:`SuperstepWorkModel` over the calibrated work curve
+engine-free ``SuperstepWorkModel`` (``tests/scalar_oracle.py``) over the
+calibrated work curve
 must reproduce the engine-backed runtime's decision/event sequence
 bit for bit on the same trace.
 """
@@ -30,13 +31,13 @@ from repro.exec import (
     ExecutionError,
     ExecutionLifecycle,
     HorizonError,
-    MetricsObserver,
+    LifecycleObserver,
     StepBudgetError,
-    SuperstepWorkModel,
 )
 from repro.graph import generators
 from repro.runtime import HourglassRuntime
 from repro.utils.units import HOURS
+from tests.scalar_oracle import SuperstepWorkModel
 
 
 @pytest.fixture(scope="module")
@@ -195,27 +196,7 @@ class TestSimulatorRuntimeEquivalence:
 
 
 class TestMetricsObserver:
-    def test_counters_match_result(self, long_market, catalog):
-        lrc = last_resort(
-            catalog,
-            lambda ref: PerformanceModel(profile=PAGERANK_PROFILE, reference=ref),
-        )
-        perf = PerformanceModel(profile=PAGERANK_PROFILE, reference=lrc)
-        metrics = MetricsObserver()
-        sim = ExecutionSimulator(
-            long_market, perf, catalog, HourglassProvisioner(), observers=[metrics]
-        )
-        job = job_with_slack(PAGERANK_PROFILE, 0.0, 0.5, perf.fixed_time(lrc))
-        result = sim.run(job)
-        report = metrics.report()
-        assert report["deployments"] == result.deployments
-        assert report.get("evictions", 0) == result.evictions
-        assert report.get("checkpoints", 0) == result.checkpoints
-        assert report["makespan_seconds"] == result.makespan
-        # The run's one timeline is the result's events.
-        assert result.events[0].kind == "deploy"
-        assert result.events[-1].kind == "finish"
-        assert "lifecycle metrics:" in metrics.format_report()
+    """The run's own account (``RunResult``) and what observers see."""
 
     def test_makespan_at_a_late_release_without_events(self, long_market, catalog):
         """Makespan is finish minus release, with or without a timeline."""
@@ -227,17 +208,14 @@ class TestMetricsObserver:
         job = job_with_slack(PAGERANK_PROFILE, 40 * HOURS, 0.5, perf.fixed_time(lrc))
         runs = {}
         for record_events in (True, False):
-            metrics = MetricsObserver()
             result = ExecutionSimulator(
                 long_market,
                 perf,
                 catalog,
                 HourglassProvisioner(),
                 record_events=record_events,
-                observers=[metrics],
             ).run(job)
             assert result.release_time == 40 * HOURS
-            assert metrics.report()["makespan_seconds"] == result.makespan
             runs[record_events] = result
         assert runs[False].events == ()
         assert runs[False].makespan == runs[True].makespan
@@ -247,13 +225,11 @@ class TestMetricsObserver:
     def test_standalone_runtime_reports_decisions(self, graph, long_market, catalog):
         """A zero-arg HourglassProvisioner publishes per-decision telemetry."""
 
-        class Telemetry(MetricsObserver):
+        class Telemetry(LifecycleObserver):
             def __init__(self):
-                super().__init__()
                 self.seen = []
 
             def on_decision(self, t, telemetry):
-                super().on_decision(t, telemetry)
                 self.seen.append(telemetry)
 
         metrics = Telemetry()
@@ -261,12 +237,9 @@ class TestMetricsObserver:
         rt.observers = (metrics,)
         deadline = rt.perf.fixed_time(rt.lrc) + 1.5 * rt.perf.exec_time(rt.lrc)
         rt.execute(0.0, deadline)
-        report = metrics.report()
-        assert report["decisions"] > 0
-        assert report["decisions"] == len(metrics.seen)
-        assert report["decisions"] == report["warm_decisions"] + report["cold_decisions"]
+        assert metrics.seen
         assert all(tel.latency_s > 0 for tel in metrics.seen)
-        assert sum(tel.memo_misses for tel in metrics.seen) == report["memo_misses"] > 0
+        assert sum(tel.memo_misses for tel in metrics.seen) > 0
 
     def test_observer_leaves_run_unchanged(self, long_market, catalog):
         lrc = last_resort(
@@ -280,7 +253,7 @@ class TestMetricsObserver:
         ).run(job)
         observed = ExecutionSimulator(
             long_market, perf, catalog, HourglassProvisioner(),
-            observers=[MetricsObserver()],
+            observers=[LifecycleObserver()],
         ).run(job)
         assert observed == clean
 

@@ -4,15 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import (
-    ClusterTimingModel,
-    PregelEngine,
-    estimate_execution_time,
-    fit_sync_penalty,
-)
+from repro.engine import ClusterTimingModel, PregelEngine
 from repro.engine.algorithms import PageRank
 from repro.graph import generators
-from repro.partitioning import HashPartitioner, MultilevelPartitioner
+from repro.partitioning import HashPartitioner
 
 
 @pytest.fixture(scope="module")
@@ -43,44 +38,11 @@ class TestClusterTimingModel:
             graph, PageRank(iterations=2), HashPartitioner().partition(graph, 2)
         ).run()
         model = ClusterTimingModel(barrier_latency=1e-6)
-        t2 = model.job_seconds(result, 2)
-        t16 = model.job_seconds(result, 16)
+        t2 = sum(model.superstep_seconds(s, 2) for s in result.stats)
+        t16 = sum(model.superstep_seconds(s, 16) for s in result.stats)
         assert t16 < t2
 
     def test_invalid_workers(self, graph):
         result = PregelEngine(graph, PageRank(iterations=1)).run()
         with pytest.raises(ValueError):
             ClusterTimingModel().superstep_seconds(result.stats[0], 0)
-
-
-class TestEstimateExecutionTime:
-    def test_positive_and_partitioner_sensitive(self, graph):
-        hashed = estimate_execution_time(
-            graph, PageRank(iterations=3), 4, partitioner=HashPartitioner(), seed=1
-        )
-        smart = estimate_execution_time(
-            graph,
-            PageRank(iterations=3),
-            4,
-            partitioner=MultilevelPartitioner(),
-            seed=1,
-        )
-        assert hashed > 0 and smart > 0
-        # Better partitions -> less remote traffic -> no slower.
-        assert smart <= hashed * 1.05
-
-
-class TestFitSyncPenalty:
-    def test_positive_penalty_for_fixed_capacity(self, graph):
-        penalty, times = fit_sync_penalty(
-            graph, lambda: PageRank(iterations=3), worker_counts=(2, 4, 8), seed=1
-        )
-        assert penalty > 0.0
-        ordered = [times[w] for w in sorted(times)]
-        assert ordered[0] < ordered[-1]
-
-    def test_times_keyed_by_worker_count(self, graph):
-        _, times = fit_sync_penalty(
-            graph, lambda: PageRank(iterations=2), worker_counts=(2, 8), seed=1
-        )
-        assert set(times) == {2, 8}

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph import generators
 from repro.partitioning import (
     FennelPartitioner,
     HashPartitioner,
@@ -16,6 +15,7 @@ from repro.partitioning import (
     edge_cut_fraction,
     micro_partition_count,
 )
+from tests import scalar_oracle
 
 
 class TestMicroPartitionCount:
@@ -148,7 +148,7 @@ class TestMicroPartitioner:
 
         # Six vertices over micro-partitions {0, 1, 3}; part 2 is empty.
         micro = Partitioning(assignment=np.array([0, 0, 1, 1, 3, 3]), num_parts=4)
-        quotient = generators.ring_of_cliques(2, 2)  # any 4-vertex graph
+        quotient = scalar_oracle.ring_of_cliques(2, 2)  # any 4-vertex graph
         artefact = MicroPartitioning(
             micro=micro,
             quotient=quotient,

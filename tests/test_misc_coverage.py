@@ -23,9 +23,10 @@ from repro.core import (
     SlackModel,
     last_resort,
 )
-from repro.engine.vertex import ComputeContext, VertexProgram
 from repro.utils.table import format_table
-from repro.graph import from_edges, generators
+from repro.graph import from_edges
+from tests import scalar_oracle
+from tests.scalar_oracle import ComputeContext, ScalarEngine, ScalarProgram
 
 
 class TestComputeContext:
@@ -53,14 +54,15 @@ class TestComputeContext:
         assert ctx.aggregated("nope") is None
 
     def test_default_initial_activity(self):
-        class Probe(VertexProgram):
+        class Probe(ScalarProgram):
             def initial_value(self, vertex_id, num_vertices):
                 return None
 
             def compute(self, ctx, messages):
                 ctx.vote_to_halt()
 
-        assert Probe().is_active_initially(3)
+        engine = ScalarEngine(from_edges([0], [1], num_vertices=2), Probe())
+        assert not engine._halted.any()  # every vertex starts active
         assert Probe().aggregators() == {}
 
 
@@ -97,9 +99,7 @@ class TestConfigurationCosmetics:
 
 class TestDeploymentCdf:
     def test_more_machines_riskier(self):
-        from repro.cloud import ExponentialEvictionModel
-
-        model = ExponentialEvictionModel(mttf=3600.0)
+        model = scalar_oracle.ExponentialEvictionModel(mttf=3600.0)
         one = model.deployment_cdf(600, 1)
         many = model.deployment_cdf(600, 16)
         assert many > one
@@ -182,7 +182,7 @@ class TestReportEdgeCases:
 
 class TestGraphCosmetics:
     def test_repr_contains_counts(self):
-        g = generators.path_graph(5)
+        g = scalar_oracle.path_graph(5)
         text = repr(g)
         assert "4" in text and "5" in text
 

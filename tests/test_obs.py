@@ -31,7 +31,6 @@ from repro.core import (
 )
 from repro.core.recurring import InterleavedRecurringDriver, RecurringJobSpec
 from repro.engine.algorithms import PageRank
-from repro.exec import MetricsObserver
 from repro.graph import generators
 from repro.obs import (
     NULL_TRACER,
@@ -503,25 +502,3 @@ class TestReport:
         out = capsys.readouterr().out
         assert "span durations:" in out
         assert "a a#1" in out
-
-
-class TestMetricsObserverSchema:
-    def test_report_keys_stable_before_any_run(self):
-        observer = MetricsObserver()
-        observed = observer.report()
-        for key in MetricsObserver.REPORT_COUNTERS:
-            assert observed[key] == 0
-        assert observed["decision_seconds"] == 0.0
-        assert observed["makespan_seconds"] == 0.0
-        assert observed["setup_seconds"] == 0.0
-        assert observed["checkpoint_seconds"] == 0.0
-
-    def test_report_keys_identical_across_runs(self, small_market, catalog):
-        observer = MetricsObserver()
-        sim, job = make_sim(small_market, catalog, observers=(observer,))
-        sim.run(job)
-        eventful = observer.report()
-        assert set(eventful) == set(MetricsObserver().report())
-        assert eventful["decisions"] > 0
-        assert eventful["makespan_seconds"] > 0.0
-

@@ -20,7 +20,6 @@ from repro.engine import (
 from repro.engine.algorithms import (
     SSSP,
     ConnectedComponents,
-    GraphColoring,
     InDegree,
     OutDegree,
     PageRank,
@@ -28,6 +27,7 @@ from repro.engine.algorithms import (
 from repro.graph import generators
 from repro.graph.graph import from_edges
 from repro.partitioning.hashing import HashPartitioner
+from tests import scalar_oracle
 
 pytestmark = pytest.mark.skipif(
     not parallel_execution_supported(),
@@ -93,7 +93,7 @@ class TestBitIdentity:
     def test_sssp_long_frontier(self):
         # The rmat fixture's vertex 0 is edge-free (SSSP ends at once);
         # a grid drives a frontier across many supersteps.
-        graph = generators.grid_graph(12, 12)
+        graph = scalar_oracle.grid_graph(12, 12)
         partitioning = HashPartitioner().partition(graph, 4)
         serial, parallel = run_both(graph, partitioning, lambda: SSSP(source=0))
         assert serial.supersteps_run > 5
@@ -111,13 +111,19 @@ class TestBitIdentity:
         assert_identical(serial, parallel)
 
 
+class ObjectPageRank(PageRank):
+    """PageRank over an ``object`` value array."""
+
+    value_dtype = None
+
+
 class TestFallback:
     def test_scalar_program_runs_serial_path(self, graph, partitioning):
-        # GraphColoring has no dense path: the parallel engine must
-        # transparently compute serially and still be exact.
-        serial = PregelEngine(graph, GraphColoring(seed=1), partitioning).run()
+        # Object values cannot live in shared memory: the parallel engine
+        # must transparently compute serially and still be exact.
+        serial = PregelEngine(graph, ObjectPageRank(iterations=5), partitioning).run()
         engine = PregelEngine(
-            graph, GraphColoring(seed=1), partitioning, execution="parallel"
+            graph, ObjectPageRank(iterations=5), partitioning, execution="parallel"
         )
         parallel = engine.run()
         assert not engine.parallel_active
@@ -125,7 +131,7 @@ class TestFallback:
         assert serial.stats == parallel.stats
 
     def test_supported_predicate(self):
-        assert not parallel_execution_supported(GraphColoring())
+        assert not parallel_execution_supported(ObjectPageRank())
         assert parallel_execution_supported(PageRank())
         assert parallel_execution_supported(SSSP())
 
@@ -157,7 +163,7 @@ class TestLifecycle:
     def test_checkpoint_across_modes(self):
         # Save mid-run from a parallel engine, restore into a serial one:
         # the finished results must match an uninterrupted serial run.
-        graph = generators.grid_graph(12, 12)
+        graph = scalar_oracle.grid_graph(12, 12)
         partitioning = HashPartitioner().partition(graph, 4)
         reference = PregelEngine(graph, SSSP(source=0), partitioning).run()
         store = DataStore()

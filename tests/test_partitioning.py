@@ -18,6 +18,7 @@ from repro.partitioning import (
     random_cut_expectation,
     vertex_balance,
 )
+from tests import scalar_oracle
 
 
 class TestPartitioningType:
@@ -55,17 +56,17 @@ class TestPartitioningType:
 
 class TestHashPartitioner:
     def test_modulo_assignment(self):
-        g = generators.path_graph(10)
+        g = scalar_oracle.path_graph(10)
         p = HashPartitioner().partition(g, 3)
         assert p.assignment.tolist() == [v % 3 for v in range(10)]
 
     def test_balance(self):
-        g = generators.path_graph(100)
+        g = scalar_oracle.path_graph(100)
         p = HashPartitioner().partition(g, 4)
         assert vertex_balance(p) <= 1.01
 
     def test_single_part(self):
-        g = generators.path_graph(5)
+        g = scalar_oracle.path_graph(5)
         p = HashPartitioner().partition(g, 1)
         assert p.part_sizes().tolist() == [5]
 
@@ -118,7 +119,7 @@ class TestFennel:
 
 class TestMultilevel:
     def test_ring_of_cliques_near_optimal(self):
-        g = generators.ring_of_cliques(16, 8)
+        g = scalar_oracle.ring_of_cliques(16, 8)
         p = MultilevelPartitioner().partition(g, 4, seed=1)
         # Optimal cut severs 4 ring edges (8 directed) out of all edges.
         assert edge_cut_fraction(g, p) < 0.05
@@ -137,7 +138,7 @@ class TestMultilevel:
         assert (p.assignment == 0).all()
 
     def test_parts_exceed_vertices(self):
-        g = generators.ring_of_cliques(1, 3)
+        g = scalar_oracle.ring_of_cliques(1, 3)
         p = MultilevelPartitioner().partition(g, 10, seed=1)
         assert p.num_parts == 10
         assert len(set(p.assignment.tolist())) == 3
@@ -157,7 +158,7 @@ class TestMultilevel:
 
     def test_vertex_weights_balanced(self):
         # One huge-weight vertex should sit alone-ish in its part.
-        g = generators.ring_of_cliques(4, 4)
+        g = scalar_oracle.ring_of_cliques(4, 4)
         weights = np.ones(g.num_vertices)
         weights[0] = 100.0
         p = MultilevelPartitioner(balance_by="vertices").partition(
@@ -208,7 +209,7 @@ class TestMultilevel:
             MultilevelPartitioner().partition(g, 4, seed=1, vertex_weights=weights)
 
     def test_non_finite_edge_weights_rejected(self):
-        g = generators.ring_of_cliques(4, 4)
+        g = scalar_oracle.ring_of_cliques(4, 4)
         weights = np.ones(g.num_edges)
         weights[3] = np.nan
         weighted = from_edges(*g.edge_array().T, num_vertices=g.num_vertices, weights=weights)

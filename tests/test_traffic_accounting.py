@@ -1,10 +1,11 @@
 """The engine's local/remote traffic accounting.
 
-One rule, three execution paths (scalar, dense serial, dense parallel):
-with a combiner a network message is a distinct (source worker,
-destination) pair; without one it is every message.  The dense paths
-count the distinct pairs with a bounded bitmap instead of a sort; the
-sort (``np.unique``) survives here as the oracle.
+One rule, two execution paths (serial, parallel) held to the per-vertex
+reference path of ``tests/scalar_oracle.py``: with a combiner a network
+message is a distinct (source worker, destination) pair; without one it
+is every message.  The engine counts the distinct pairs with a bounded
+bitmap instead of a sort; the sort (``np.unique``) survives here as the
+oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.graph import generators
 from repro.graph.graph import from_edges
 from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
+from tests.scalar_oracle import ScalarEngine
 
 
 class Shout(VertexProgram):
@@ -31,10 +33,9 @@ class Shout(VertexProgram):
 
     combiner = None
     value_dtype = np.float64
-    supports_dense = True
 
-    def initial_value(self, vertex_id, num_vertices):
-        return float(vertex_id)
+    def initial_values(self, num_vertices):
+        return np.arange(num_vertices, dtype=np.float64)
 
     def compute(self, ctx, messages):
         if ctx.superstep == 0:
@@ -47,12 +48,8 @@ class Shout(VertexProgram):
         ctx.vote_to_halt(ctx.active)
 
 
-class ScalarShout(Shout):
-    supports_dense = False
-
-
-def first_superstep(graph, partitioning, program, **kwargs):
-    with PregelEngine(graph, program, partitioning, **kwargs) as engine:
+def first_superstep(graph, partitioning, program, engine=PregelEngine, **kwargs):
+    with engine(graph, program, partitioning, **kwargs) as engine:
         engine.step()
         stats = engine.stats[0]
     return (stats.messages_sent, stats.local_messages, stats.remote_messages)
@@ -68,7 +65,7 @@ class TestNoCombinerMeansNoCombining:
 
     def test_scalar_counts_every_message(self, three_vertices):
         graph, partitioning = three_vertices
-        assert first_superstep(graph, partitioning, ScalarShout()) == (3, 1, 2)
+        assert first_superstep(graph, partitioning, Shout(), ScalarEngine) == (3, 1, 2)
 
     def test_dense_agrees_with_scalar(self, three_vertices):
         graph, partitioning = three_vertices
@@ -87,7 +84,7 @@ class TestNoCombinerMeansNoCombining:
     def test_parity_on_a_generated_graph(self):
         graph = generators.rmat(7, seed=3)
         partitioning = HashPartitioner().partition(graph, 3)
-        scalar = first_superstep(graph, partitioning, ScalarShout())
+        scalar = first_superstep(graph, partitioning, Shout(), ScalarEngine)
         assert first_superstep(graph, partitioning, Shout()) == scalar
         assert scalar[0] == scalar[1] + scalar[2] == graph.num_edges
         if parallel_execution_supported():
