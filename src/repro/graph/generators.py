@@ -21,9 +21,11 @@ All generators take a ``seed`` and are fully deterministic given it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.graph.graph import Graph, from_edges
+from repro.graph.graph import Graph, _both_ways, _unique_edges, empty_graph
 from repro.utils.rng import derive_rng
 
 
@@ -66,13 +68,7 @@ def rmat(
     perm = rng.permutation(n)
     src, dst = perm[src], perm[dst]
     keep = src != dst
-    return from_edges(
-        src[keep],
-        dst[keep],
-        num_vertices=n,
-        name=name or f"rmat-{scale}",
-        dedup=True,
-    )
+    return _unique_edges(src[keep] * n + dst[keep], n, name or f"rmat-{scale}")
 
 
 def rmat_edge_batches(
@@ -146,24 +142,32 @@ def power_law_social(
     """
     if num_vertices < 2:
         raise ValueError("num_vertices must be >= 2")
+    _check_avg_degree(avg_degree)
+    if not 1.0 < exponent < math.inf:  # also rejects NaN
+        raise ValueError(f"exponent must be finite and > 1, got {exponent}")
+    m = int(round(avg_degree * num_vertices / 2))
+    if m == 0:  # no edge to draw (and zero degrees have no distribution)
+        return empty_graph(num_vertices, name)
     rng = derive_rng(seed, "power-law", num_vertices)
     # Expected degree sequence w_i ~ i^{-1/(exponent-1)} scaled to avg_degree.
     ranks = np.arange(1, num_vertices + 1, dtype=np.float64)
     w = ranks ** (-1.0 / (exponent - 1.0))
     w *= avg_degree * num_vertices / w.sum()
     total = w.sum()
-    m = int(round(avg_degree * num_vertices / 2))
     p = w / total
     src = rng.choice(num_vertices, size=m, p=p)
     dst = rng.choice(num_vertices, size=m, p=p)
     keep = src != dst
-    src, dst = src[keep], dst[keep]
-    both_src = np.concatenate([src, dst])
-    both_dst = np.concatenate([dst, src])
     perm = rng.permutation(num_vertices)
-    return from_edges(
-        perm[both_src], perm[both_dst], num_vertices=num_vertices, name=name, dedup=True
+    return _unique_edges(
+        _both_ways(perm[src[keep]], perm[dst[keep]], num_vertices), num_vertices, name
     )
+
+
+def _check_avg_degree(avg_degree: float) -> None:
+    """Refuse a negative, infinite or NaN mean degree, by name."""
+    if not 0.0 <= avg_degree < math.inf:  # also rejects NaN
+        raise ValueError(f"avg_degree must be finite and >= 0, got {avg_degree}")
 
 
 def community_graph(
@@ -185,6 +189,23 @@ def community_graph(
         raise ValueError(f"mixing must be in [0, 1], got {mixing}")
     if num_communities < 1 or num_communities > num_vertices:
         raise ValueError("num_communities must be in [1, num_vertices]")
+    _check_avg_degree(avg_degree)
+    # Each array is built inside the call that consumes it, so none
+    # outlives its use: the drawn endpoints go once the keys are filled.
+    return _unique_edges(
+        _both_ways(
+            *_planted_edges(num_vertices, num_communities, avg_degree, mixing, seed),
+            num_vertices,
+        ),
+        num_vertices,
+        name,
+    )
+
+
+def _planted_edges(
+    num_vertices: int, num_communities: int, avg_degree: float, mixing: float, seed
+) -> tuple[np.ndarray, np.ndarray]:
+    """``community_graph``'s edge draws, self-loops dropped: ``(src, dst)``."""
     rng = derive_rng(seed, "community", num_vertices, num_communities)
     membership = rng.integers(0, num_communities, size=num_vertices)
     m = int(round(avg_degree * num_vertices / 2))
@@ -204,11 +225,9 @@ def community_graph(
             continue
         src[rows] = rng.choice(members, size=len(rows))
         dst[rows] = rng.choice(members, size=len(rows))
+    del comm_choice
     n_cross = int(np.count_nonzero(cross))
     src[cross] = rng.integers(0, num_vertices, size=n_cross)
     dst[cross] = rng.integers(0, num_vertices, size=n_cross)
     keep = src != dst
-    src, dst = src[keep], dst[keep]
-    both_src = np.concatenate([src, dst])
-    both_dst = np.concatenate([dst, src])
-    return from_edges(both_src, both_dst, num_vertices=num_vertices, name=name, dedup=True)
+    return src[keep], dst[keep]

@@ -177,13 +177,15 @@ class Graph:
         matching the behaviour partitioners expect.
         """
         n = self.num_vertices
-        src = np.repeat(np.arange(n, dtype=np.int64), self.out_degrees())
-        keep = src != self.indices
-        src, dst = src[keep], self.indices[keep]
-        w = self.weights[keep] if self.weights is not None else np.ones(len(src))
-        keys = np.concatenate([src * n + dst, dst * n + src])
-        del src, dst  # the merge holds the peak: free what it no longer needs
-        indptr, indices, weights = merge_parallel_edges(keys, np.concatenate([w, w]), n)
+        keep = np.repeat(np.arange(n, dtype=np.int64), self.out_degrees()) != self.indices
+        if keep.all():
+            keep = slice(None)  # no self-loop: read the edge arrays as they are
+        weights = None
+        if self.weights is not None:
+            weights = np.concatenate([self.weights[keep]] * 2)
+        indptr, indices, weights = merge_parallel_edges(
+            _both_ways(*_edge_endpoints(self, keep), n), weights, n
+        )
         return Graph(indptr=indptr, indices=indices, weights=weights, name=self.name)
 
     def subgraph_edge_count(self, vertex_mask: np.ndarray) -> int:
@@ -236,34 +238,110 @@ def _spill_edge_sources(graph: Graph):
     return spill, cleanup
 
 
-#: Composite-key rows per ``stable_argsort`` position fill: the fill adds
-#: an ``arange`` of this length at a time, never one of the full length.
+def _edge_endpoints(graph: Graph, keep) -> tuple[np.ndarray, np.ndarray]:
+    """Source and destination of every edge of *graph* selected by ``keep``."""
+    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.out_degrees())
+    return src[keep], graph.indices[keep]
+
+
+def _both_ways(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Keys ``src * n + dst`` of every edge, then ``dst * n + src`` of every
+    edge, filled into one array with no second full-length temporary."""
+    half = len(src)
+    keys = np.empty(2 * half, dtype=np.int64)
+    np.multiply(src, num_vertices, out=keys[:half])
+    keys[:half] += dst
+    np.multiply(dst, num_vertices, out=keys[half:])
+    keys[half:] += src
+    return keys
+
+
+#: Composite-key rows per position fill: the fill adds an ``arange`` of
+#: this length at a time, never one of the full length.
 _POSITION_CHUNK = 1 << 16
+
+
+def _composite(keys, out: np.ndarray) -> np.ndarray:
+    """Write ``keys[i] * len(keys) + i`` into ``out`` (``keys`` itself when
+    the caller owns it) and sort it in place.
+
+    Every composite is distinct and orders first by key, then by
+    position, so the sorted composites hold the stable sort of ``keys``:
+    the keys are the quotients by ``len(keys)``, the permutation the
+    remainders.  NumPy's default (SIMD) sort of the values is several
+    times faster than a stable argsort's timsort.  The caller checks that
+    ``bound * len(keys)`` fits in an ``int64``.
+    """
+    m = len(keys)
+    np.multiply(keys, m, out=out, dtype=np.int64)
+    for lo in range(0, m, _POSITION_CHUNK):
+        hi = min(m, lo + _POSITION_CHUNK)
+        out[lo:hi] += np.arange(lo, hi, dtype=np.int64)
+    out.sort()
+    return out
+
+
+def _fits(bound: int, m: int) -> bool:
+    """Whether composites of ``m`` keys below ``bound`` fit in an ``int64``
+    (checked in Python ints)."""
+    return int(bound) * m < 2**63
 
 
 def stable_argsort(keys, bound: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
 
-    With ``m = len(keys)``, every composite ``keys[i] * m + i`` is
-    distinct and orders first by key, then by position, so sorting the
-    composites *values* with NumPy's default (SIMD) sort and reading each
-    back modulo ``m`` gives exactly the stable permutation, several times
-    faster than the stable argsort's timsort.  The composite is built in
-    one array (a product, then positions added in chunks) and sorted in
-    place.  When ``bound * m`` does not fit in an ``int64`` it falls back
-    to the stable argsort itself.
+    Sorts the composites ``keys[i] * len(keys) + i`` (see ``_composite``)
+    and reads each back modulo ``len(keys)``.  When ``bound * len(keys)``
+    does not fit in an ``int64`` it falls back to the stable argsort
+    itself.
     """
     keys = np.asarray(keys)
+    return _stable_order(keys, bound, np.empty(len(keys), dtype=np.int64))
+
+
+def _stable_order(keys, bound: int, out: np.ndarray) -> np.ndarray:
+    """``stable_argsort(keys, bound)``, built in ``out`` (``keys`` itself
+    when the caller owns it) unless it falls back."""
     m = len(keys)
-    if int(bound) * m >= 2**63:
+    if not _fits(bound, m):
         return np.argsort(keys, kind="stable")
-    composite = np.multiply(keys, m, dtype=np.int64)
-    for lo in range(0, m, _POSITION_CHUNK):
-        hi = min(m, lo + _POSITION_CHUNK)
-        composite[lo:hi] += np.arange(lo, hi, dtype=np.int64)
-    composite.sort()
-    composite %= max(m, 1)
-    return composite
+    order = _composite(keys, out)
+    order %= max(m, 1)
+    return order
+
+
+def _sort_with_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Sort the ``int64`` array ``keys`` (values in ``[0, bound)``) in place
+    and return the stable permutation that sorts it."""
+    m = len(keys)
+    if not _fits(bound, m):
+        order = np.argsort(keys, kind="stable")
+        keys[:] = keys[order]
+        return order
+    _composite(keys, keys)
+    order = keys % max(m, 1)
+    keys //= max(m, 1)
+    return order
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal sorted keys."""
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
+
+
+def _first_occurrences(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Mask, in input order, of each key's first occurrence (keys in
+    ``[0, bound)``)."""
+    sorted_keys = keys.astype(np.int64)  # a copy: the caller's keys stay as they are
+    order = _sort_with_order(sorted_keys, bound)
+    first = _run_starts(sorted_keys)
+    del sorted_keys
+    keep = np.zeros(len(keys), dtype=bool)
+    keep[order[first]] = True
+    return keep
 
 
 def merge_parallel_edges(keys, weights, num_vertices: int):
@@ -271,26 +349,74 @@ def merge_parallel_edges(keys, weights, num_vertices: int):
     dst``), rows and columns ascending.
 
     Returns ``(indptr, indices, merged)``: ``merged`` sums each edge's
-    weights in input order, because ``np.bincount`` adds its inputs in
-    the order it meets them, so the floats are those of a stable sort
-    followed by a sequential accumulation.
+    weights in input order.  ``weights=None`` weighs every edge 1.0, and
+    the merge counts each edge's copies instead (``np.bincount``, then
+    ``float64``: the same doubles, since every count is exact).
+
+    The merge owns ``keys``, a writable ``int64`` array: it sorts in that
+    buffer and reuses it, so callers build it inline in the call and never
+    read it again; the merge frees it as soon as it is done with it.
+
+    Given weights, the keys are sorted stably and each group's weights
+    gathered in sorted order; ``np.bincount`` adds its inputs in the order
+    it meets them, so every sum is a sequential accumulation in input
+    order.  The gathered weights go into the key buffer and the ranks
+    into the permutation's, so the merge holds at most three arrays of
+    ``len(keys)`` (keys, permutation, weights) and a mask.
     """
-    order = stable_argsort(keys, num_vertices * num_vertices)
-    keys = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    rank = np.cumsum(first)
+    counting = weights is None
+    if counting:
+        keys.sort()  # no weights to carry along: any sort will do
+    else:
+        order = _sort_with_order(keys, num_vertices * num_vertices)
+    first = _run_starts(keys)
+    distinct = keys[first]
+    if counting:
+        rank = keys
+    else:
+        # Gather into the sorted keys' buffer (mode="clip" writes ``out``
+        # unbuffered; every index is in range), the ranks into the order's.
+        weights = np.take(weights, order, out=keys.view(np.float64), mode="clip")
+        rank = order
+        del order
+    del keys
+    rank[:] = first  # cumsum of the int64 copy runs in place; of the mask it would not
+    del first
+    np.cumsum(rank, out=rank)
     rank -= 1
-    group = np.empty_like(order)
-    group[order] = rank
-    del order, rank
-    merged = np.bincount(group, weights=weights, minlength=int(first.sum()))
-    keys = keys[first]
+    merged = np.bincount(rank, weights=weights, minlength=len(distinct))
+    del rank, weights
+    if counting and len(merged):  # an empty bincount is int64, weighted or not
+        merged = merged.astype(np.float64)
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(distinct // num_vertices, minlength=num_vertices), out=indptr[1:])
+    distinct %= num_vertices  # now each edge's column
+    return indptr, distinct, merged
+
+
+def _unique_edges(keys, num_vertices: int, name: str = "", weights=None) -> Graph:
+    """``from_edges(keys // n, keys % n, num_vertices=n, weights=weights,
+    name=name, dedup=True)`` for ``keys = src * n + dst``.
+
+    The build owns ``keys``: callers pass the array they build inline in
+    the call, and it is freed as soon as the distinct edges are out.
+    """
+    keep = _first_occurrences(keys, num_vertices * num_vertices)
+    keys = keys[keep]
+    if weights is not None:
+        weights = weights[keep]
+    del keep
     rows = keys // num_vertices
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_vertices), out=indptr[1:])
-    return indptr, keys - rows * num_vertices, merged
+    order = _stable_order(rows, num_vertices, out=rows)
+    del rows
+    indices = keys[order]
+    del keys
+    indices %= num_vertices
+    if weights is not None:
+        weights = weights[order]
+    return Graph(indptr=indptr, indices=indices, weights=weights, name=name)
 
 
 def from_edges(
@@ -328,27 +454,17 @@ def from_edges(
     if len(src) and (src.max() >= num_vertices or dst.max() >= num_vertices):
         raise ValueError("vertex id exceeds num_vertices")
 
+    if dedup:
+        return _unique_edges(src * num_vertices + dst, num_vertices, name, weights)
     order = stable_argsort(src, num_vertices)
-    src, dst = src[order], dst[order]
-    if weights is not None:
-        weights = weights[order]
-    if dedup and len(src):
-        key = src * num_vertices + dst
-        sort2 = stable_argsort(key, num_vertices * num_vertices)
-        key_sorted = key[sort2]
-        keep_sorted = np.empty(len(key), dtype=bool)
-        keep_sorted[0] = True
-        keep_sorted[1:] = key_sorted[1:] != key_sorted[:-1]
-        keep = np.zeros(len(key), dtype=bool)
-        keep[sort2[keep_sorted]] = True
-        src, dst = src[keep], dst[keep]
-        if weights is not None:
-            weights = weights[keep]
-
-    counts = np.bincount(src, minlength=num_vertices)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return Graph(indptr=indptr, indices=dst, weights=weights, name=name)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
+    return Graph(
+        indptr=indptr,
+        indices=dst[order],
+        weights=None if weights is None else weights[order],
+        name=name,
+    )
 
 
 def empty_graph(num_vertices: int, name: str = "") -> Graph:

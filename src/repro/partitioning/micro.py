@@ -155,9 +155,9 @@ def build_quotient_graph(graph: Graph, micro: Partitioning) -> tuple[Graph, np.n
     src_part = np.repeat(part, graph.out_degrees())
     dst_part = part[graph.indices]
     cross = src_part != dst_part
-    # Aggregate parallel quotient edges.
+    # Aggregate parallel quotient edges: each weighs one, so the merge counts.
     indptr, indices, counts = merge_parallel_edges(
-        src_part[cross] * k + dst_part[cross], np.ones(int(cross.sum())), k
+        src_part[cross] * k + dst_part[cross], None, k
     )
     quotient = Graph(
         indptr=indptr, indices=indices, weights=counts, name=f"quotient({graph.name})"

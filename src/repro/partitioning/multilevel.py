@@ -50,14 +50,6 @@ class _WGraph:
         """Number of vertices."""
         return len(self.indptr) - 1
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbour ids of *v*."""
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        """Edge weights parallel to neighbors(v)."""
-        return self.ewgts[self.indptr[v] : self.indptr[v + 1]]
-
 
 class MultilevelPartitioner(Partitioner):
     """METIS-style multilevel k-way partitioner.
@@ -162,11 +154,12 @@ class MultilevelPartitioner(Partitioner):
         assignment = _recursive_bisection(current, num_parts, rng)
         assignment = _refine(current, assignment, num_parts, max_load, self.refine_passes)
 
-        # Phase 3: uncoarsen + refine.
-        for fine, cmap in reversed(levels):
-            assignment = assignment[cmap]
-            assignment = _refine(fine, assignment, num_parts, max_load, self.refine_passes)
-
+        # Phase 3: uncoarsen + refine, dropping each coarse level as it is left.
+        while levels:
+            current, cmap = levels.pop()
+            assignment = _refine(
+                current, assignment[cmap], num_parts, max_load, self.refine_passes
+            )
         return assignment
 
     # ------------------------------------------------------------------
@@ -288,16 +281,26 @@ def _contract(wg: _WGraph, cmap: np.ndarray, num_coarse: int) -> _WGraph:
 
     A merged edge sums its weights in fine CSR order and a coarse vertex
     its members' weights in id order: ``np.bincount`` accumulates in input
-    order.
+    order.  The merge takes every fine edge, and the coarse self-loops
+    (each matched pair's own edge, at most one per row) leave afterwards:
+    filtering first would copy the keys and weights once more.
     """
-    csrc = np.repeat(cmap, np.diff(wg.indptr))
-    cdst = cmap[wg.indices]
-    keep = csrc != cdst
     indptr, indices, ewgts = merge_parallel_edges(
-        csrc[keep] * num_coarse + cdst[keep], wg.ewgts[keep], num_coarse
+        _coarse_keys(wg, cmap, num_coarse), wg.ewgts, num_coarse
     )
+    loops = indices == np.repeat(np.arange(num_coarse), np.diff(indptr))
+    dropped = np.bincount(indices[loops], minlength=num_coarse)
+    np.subtract(indptr[1:], np.cumsum(dropped), out=indptr[1:])
+    keep = ~loops
     vwgts = np.bincount(cmap, weights=wg.vwgts, minlength=num_coarse)
-    return _WGraph(indptr=indptr, indices=indices, ewgts=ewgts, vwgts=vwgts)
+    return _WGraph(indptr=indptr, indices=indices[keep], ewgts=ewgts[keep], vwgts=vwgts)
+
+
+def _coarse_keys(wg: _WGraph, cmap: np.ndarray, num_coarse: int) -> np.ndarray:
+    """Key ``coarse source * num_coarse + coarse target`` of every fine edge."""
+    keys = np.repeat(cmap * num_coarse, np.diff(wg.indptr))
+    keys += cmap[wg.indices]
+    return keys
 
 
 # ----------------------------------------------------------------------
@@ -419,8 +422,7 @@ def _refine(
     overloaded = sum(load > max_load for load in loads)  # only ever falls
     max_rows = max(1, _SWEEP_BYTES // (8 * num_parts))
     batch_edges = _batch_edges(wg)
-    # Each edge's row of a connectivity block, scaled to the row's first cell.
-    cell = np.repeat(np.arange(0, wg.num_vertices * num_parts, num_parts), np.diff(wg.indptr))
+    degrees = np.diff(wg.indptr)
     options: list = [None] * wg.num_vertices
     # One buffer behind two views: read per visit as bytes, written per
     # refresh and per move (a whole neighbourhood at once) through NumPy.
@@ -434,8 +436,11 @@ def _refine(
                 hi = bisect_right(indptr, indptr[v] + batch_edges) - 1
                 hi = min(max(hi, v + 1), v + max_rows)
                 edges = slice(indptr[v], indptr[hi])
+                # Each edge's cell: its row of the block, then its target's part.
+                cell = np.repeat(np.arange(0, (hi - v) * num_parts, num_parts), degrees[v:hi])
+                cell += assignment[wg.indices[edges]]
                 conn = np.bincount(
-                    cell[edges] + (assignment[wg.indices[edges]] - v * num_parts),
+                    cell,
                     weights=wg.ewgts[edges],
                     minlength=(hi - v) * num_parts,
                 ).reshape(hi - v, num_parts)
@@ -507,16 +512,22 @@ def _options(
 
 def _weighted_cut(wg: _WGraph, assignment: np.ndarray) -> float:
     """Total weight of edges crossing parts (each undirected edge twice)."""
-    src = np.repeat(np.arange(wg.num_vertices, dtype=np.int64), np.diff(wg.indptr))
-    cross = assignment[src] != assignment[wg.indices]
+    cross = np.repeat(assignment, np.diff(wg.indptr)) != assignment[wg.indices]
     return float(wg.ewgts[cross].sum())
 
 
 def _on_boundary(wg: _WGraph, assignment: np.ndarray) -> np.ndarray:
-    """Whether each vertex has at least one neighbour in a different part."""
-    cross = np.zeros(len(wg.indices) + 1, dtype=bool)  # closed by a False
-    np.not_equal(
-        assignment[wg.indices], np.repeat(assignment, np.diff(wg.indptr)), out=cross[:-1]
-    )
+    """Whether each vertex has at least one neighbour in a different part:
+    a row whose neighbours' smallest or largest part is not its own."""
+    # Closed by a copy of the last entry, which leaves the last row's
+    # extremes as they are ("clip" writes ``out`` unbuffered).
+    parts = np.zeros(len(wg.indices) + 1, dtype=np.int64)
+    np.take(assignment, wg.indices, out=parts[:-1], mode="clip")
+    if len(wg.indices):
+        parts[-1] = parts[-2]
     # ``reduceat`` reads one element for an empty row: mask those out.
-    return np.logical_or.reduceat(cross, wg.indptr[:-1]) & (wg.indptr[1:] > wg.indptr[:-1])
+    starts = wg.indptr[:-1]
+    return (
+        (np.minimum.reduceat(parts, starts) != assignment)
+        | (np.maximum.reduceat(parts, starts) != assignment)
+    ) & (wg.indptr[1:] > starts)

@@ -19,6 +19,16 @@ import numpy as np
 from repro.graph.graph import Graph, from_edges
 
 
+def neighbors(wg, v: int) -> np.ndarray:
+    """Neighbour ids of *v* in the internal weighted graph ``wg``."""
+    return wg.indices[wg.indptr[v] : wg.indptr[v + 1]]
+
+
+def neighbor_weights(wg, v: int) -> np.ndarray:
+    """Edge weights parallel to ``neighbors(wg, v)``."""
+    return wg.ewgts[wg.indptr[v] : wg.indptr[v + 1]]
+
+
 def heavy_edge_matching_reference(wg, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Greedy heavy-edge matching.
 
@@ -31,8 +41,8 @@ def heavy_edge_matching_reference(wg, rng: np.random.Generator) -> tuple[np.ndar
     for v in order:
         if match[v] >= 0:
             continue
-        neigh = wg.neighbors(v)
-        wts = wg.neighbor_weights(v)
+        neigh = neighbors(wg, v)
+        wts = neighbor_weights(wg, v)
         free = match[neigh] < 0
         free &= neigh != v
         if not free.any():

@@ -15,6 +15,16 @@ from __future__ import annotations
 import numpy as np
 
 
+def neighbors(wg, v: int) -> np.ndarray:
+    """Neighbour ids of *v* in the internal weighted graph ``wg``."""
+    return wg.indices[wg.indptr[v] : wg.indptr[v + 1]]
+
+
+def neighbor_weights(wg, v: int) -> np.ndarray:
+    """Edge weights parallel to ``neighbors(wg, v)``."""
+    return wg.ewgts[wg.indptr[v] : wg.indptr[v + 1]]
+
+
 def boundary_vertices(wg, assignment: np.ndarray) -> np.ndarray:
     """Vertices with at least one neighbour in a different part."""
     src = np.repeat(np.arange(wg.num_vertices, dtype=np.int64), np.diff(wg.indptr))
@@ -37,8 +47,8 @@ def refine_reference(
         boundary = boundary_vertices(wg, assignment)
         moved = 0
         for v in boundary:
-            neigh = wg.neighbors(v)
-            wts = wg.neighbor_weights(v)
+            neigh = neighbors(wg, v)
+            wts = neighbor_weights(wg, v)
             own = assignment[v]
             vw = wg.vwgts[v]
             conn = np.zeros(num_parts)

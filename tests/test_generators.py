@@ -94,6 +94,29 @@ class TestCommunityGraph:
         assert np.array_equal(a.indices, b.indices)
 
 
+class TestGeneratorParameters:
+    """A bad parameter is refused up front, by name, not deep in NumPy."""
+
+    @pytest.mark.parametrize("avg_degree", [-1.0, float("nan"), float("inf")])
+    def test_community_avg_degree(self, avg_degree):
+        with pytest.raises(ValueError, match="avg_degree"):
+            generators.community_graph(100, 4, avg_degree=avg_degree)
+
+    @pytest.mark.parametrize("avg_degree", [-1.0, float("nan"), float("inf")])
+    def test_power_law_avg_degree(self, avg_degree):
+        with pytest.raises(ValueError, match="avg_degree"):
+            generators.power_law_social(100, avg_degree=avg_degree)
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.5, float("nan"), float("inf")])
+    def test_power_law_exponent(self, exponent):
+        with pytest.raises(ValueError, match="exponent"):
+            generators.power_law_social(100, exponent=exponent)
+
+    def test_zero_degree_is_edgeless(self):
+        assert generators.community_graph(100, 4, avg_degree=0).num_edges == 0
+        assert generators.power_law_social(100, avg_degree=0).num_edges == 0
+
+
 class TestStructuredGraphs:
     def test_ring_of_cliques_edges(self):
         g = scalar_oracle.ring_of_cliques(4, 3)

@@ -4,12 +4,14 @@ A run's inputs are a synthetic spot market (evaluation and history
 price traces), a seeded arrival trace and a graph with its offline
 micro-partitioning.  These sha256 literals were captured before the
 builders were vectorised, so that work can only change how long set-up
-takes, never what it builds.  Each case digests raw array bytes (dtype
-included), so a single flipped price bit, reordered CSR neighbour or
-moved micro-partition fails it.  Two properties hold the vectorised
-kernels to what they replaced on generated inputs: the spike overlay to
-one ``np.linspace`` pair per spike, and ``stable_argsort`` to
-``np.argsort(kind="stable")``.
+takes, never what it builds; the parallel-edge merge's were captured
+before the merge took ownership of its key array.  Each case digests
+raw array bytes (dtype included), so a single flipped price bit,
+reordered CSR neighbour or moved micro-partition fails it.  Properties
+hold the kernels to what they replaced on generated inputs: the spike
+overlay to one ``np.linspace`` pair per spike, ``stable_argsort`` to
+``np.argsort(kind="stable")``, the merge to a sequential sum per key and
+the ``dedup`` build to two stable sorts.
 
 Re-freeze only with an explanation of why an input moved.
 """
@@ -29,7 +31,7 @@ from repro.cloud.instance import R4_FAMILY
 from repro.cloud.market import SpotMarket
 from repro.cloud.trace_gen import _overlay_spikes, generate_market_traces
 from repro.graph import generators
-from repro.graph.graph import from_edges, stable_argsort
+from repro.graph.graph import from_edges, merge_parallel_edges, stable_argsort
 from repro.graph.io import build_csr_on_disk, build_rmat_csr
 from repro.load.trace import LoadTraceConfig, generate_trace
 from repro.partitioning.micro import MicroPartitioner
@@ -250,6 +252,144 @@ def test_csr_stores(tmp_path):
 
     store = build_csr_on_disk(batches, 500, tmp_path / "weighted", mmap=False)
     assert csr_digest(store) == WEIGHTED_STORE
+
+
+# ----------------------------------------------------------------------
+# The parallel-edge merge behind undirected(), contraction and quotients
+# ----------------------------------------------------------------------
+def _merge_keys(seed: int, n: int, size: int) -> np.ndarray:
+    """``size`` edge keys over ``n`` vertices, with repeats."""
+    return derive_rng(seed, "setup-goldens-merge").integers(0, n * n, size=size)
+
+
+# (indptr, indices, merged) of each case.  Keys are built inline: the
+# merge may reuse its key array.
+MERGE_GOLDENS = {
+    "unit": "00c5943b8534470b5610544628f0d52f40c3d2855ef9be7ae12cec8945904d09",
+    "order-dependent": "d09492c4d1493f7db7a016afb2059234d676b9da16a2c0bdab8d38c13408e33d",
+    "negative-zero": "4ee3eb651369686248156d50b54f54706a35808ccf75ef712f4796a6435d7443",
+    "empty": "542f211f721b2e9b92d5a6ec3222f71a512a1810cd2769c902281d0aeba02063",
+}
+
+
+def test_merge_unit_weights():
+    merged = merge_parallel_edges(_merge_keys(31, 400, 20000), np.ones(20000), 400)
+    assert digest(*merged) == MERGE_GOLDENS["unit"]
+
+
+def test_merge_sums_in_input_order():
+    # Key 5 sums to 0.0 only in input order (1e16 + 1.0 rounds the 1.0
+    # away); key 7 to 0.6000000000000001, not 0.6.
+    merged = merge_parallel_edges(
+        np.array([5, 7, 5, 9, 5, 7, 7, 0, 15, 0], dtype=np.int64),
+        np.array([1e16, 0.1, 1.0, 3.5, -1e16, 0.2, 0.3, 1e-300, 2.0, -1e-300]),
+        4,
+    )
+    assert digest(*merged) == MERGE_GOLDENS["order-dependent"]
+
+
+def test_merge_negative_zero():
+    merged = merge_parallel_edges(
+        np.array([3, 1, 3, 2, 8], dtype=np.int64),
+        np.array([-0.0, -0.0, -0.0, 0.0, -0.0]),
+        3,
+    )
+    assert digest(*merged) == MERGE_GOLDENS["negative-zero"]
+
+
+def test_merge_empty():
+    merged = merge_parallel_edges(np.empty(0, dtype=np.int64), np.empty(0), 5)
+    assert digest(*merged) == MERGE_GOLDENS["empty"]
+
+
+def test_merge_counting_is_unit_weights():
+    """``weights=None`` counts copies: the doubles of summing ones."""
+    merged = merge_parallel_edges(_merge_keys(31, 400, 20000), None, 400)
+    assert digest(*merged) == MERGE_GOLDENS["unit"]
+    merged = merge_parallel_edges(np.empty(0, dtype=np.int64), None, 5)
+    assert digest(*merged) == MERGE_GOLDENS["empty"]
+
+
+def _merge_oracle(keys, weights, n):
+    """Each distinct key's weights summed one by one in input order."""
+    sums: dict[int, float] = {}
+    for key, weight in zip(keys.tolist(), weights.tolist()):
+        sums[key] = sums.get(key, 0.0) + weight
+    distinct = sorted(sums)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount([k // n for k in distinct], minlength=n), out=indptr[1:])
+    return indptr, np.array([k % n for k in distinct], dtype=np.int64), [sums[k] for k in distinct]
+
+
+@st.composite
+def weighted_keys(draw):
+    n = draw(st.integers(1, 12))
+    size = draw(st.integers(0, 60))
+    keys = draw(st.lists(st.integers(0, n * n - 1), min_size=size, max_size=size))
+    weights = draw(
+        st.lists(
+            st.sampled_from([1.0, -0.0, 0.1, 1e16, -1e16, 3.5, 1e-300]),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    return np.array(keys, dtype=np.int64), np.array(weights), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_keys())
+def test_merge_matches_sequential_sums(case):
+    keys, weights, n = case
+    indptr, indices, merged = _merge_oracle(keys, weights, n)
+    observed = merge_parallel_edges(keys.copy(), weights, n)
+    np.testing.assert_array_equal(observed[0], indptr)
+    np.testing.assert_array_equal(observed[1], indices)
+    assert np.asarray(observed[2], dtype=np.float64).tobytes() == np.array(
+        merged, dtype=np.float64
+    ).tobytes()
+
+
+def _dedup_oracle(src, dst, n, weights):
+    """``from_edges(..., dedup=True)`` as first written: a stable sort by
+    source, then the first of each run of a stable sort by edge key."""
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    weights = None if weights is None else weights[order]
+    if len(src):
+        key = src * n + dst
+        sort2 = np.argsort(key, kind="stable")
+        key_sorted = key[sort2]
+        keep_sorted = np.empty(len(key), dtype=bool)
+        keep_sorted[0] = True
+        keep_sorted[1:] = key_sorted[1:] != key_sorted[:-1]
+        keep = np.zeros(len(key), dtype=bool)
+        keep[sort2[keep_sorted]] = True
+        src, dst = src[keep], dst[keep]
+        weights = None if weights is None else weights[keep]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_keys(), st.booleans())
+def test_dedup_matches_two_stable_sorts(case, weighted):
+    keys, weights, n = case
+    src, dst = keys // n, keys % n
+    weights = weights if weighted else None
+    inputs = [a.copy() for a in (src, dst, weights) if a is not None]
+    graph = from_edges(src, dst, num_vertices=n, weights=weights, dedup=True)
+    # from_edges never writes to its inputs (only a private build owns arrays).
+    assert all(
+        np.array_equal(a, b) for a, b in zip(inputs, (src, dst, weights))
+    )
+    indptr, indices, kept = _dedup_oracle(src, dst, n, weights)
+    np.testing.assert_array_equal(graph.indptr, indptr)
+    np.testing.assert_array_equal(graph.indices, indices)
+    if weighted:
+        assert graph.weights.tobytes() == kept.tobytes()
+    else:
+        assert graph.weights is None
 
 
 # ----------------------------------------------------------------------
