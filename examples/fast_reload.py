@@ -59,7 +59,7 @@ def main() -> None:
     # --- eviction! re-deploy on 4 workers -----------------------------
     print("eviction: all 8 workers lost; re-deploying on 4 workers")
     second = loader.load(graph, num_workers=4, seed=2)
-    conventional = HashLoader(loader.timing).load(
+    conventional = HashLoader().load(
         graph, 4, size_override=(graph.num_edges * 10_000, graph.num_vertices * 10_000)
     )
     fast = loader.load(

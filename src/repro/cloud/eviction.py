@@ -28,17 +28,6 @@ class EvictionModel(abc.ABC):
     def cdf(self, uptime: float) -> float:
         """P(evicted before reaching *uptime* seconds)."""
 
-    def cdf_many(self, uptimes: np.ndarray) -> np.ndarray:
-        """Batched :meth:`cdf` over an array of uptimes.
-
-        Subclasses with table-backed distributions override this with a
-        single vectorized lookup; the fallback loops.
-        """
-        uptimes = np.asarray(uptimes, dtype=np.float64)
-        return np.array([self.cdf(float(u)) for u in uptimes.ravel()]).reshape(
-            uptimes.shape
-        )
-
     @property
     @abc.abstractmethod
     def mttf(self) -> float:

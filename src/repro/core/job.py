@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.utils.units import HOURS, MINUTES
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import check_fraction, check_positive, check_time_window
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,7 @@ class JobSpec:
 
     def __post_init__(self):
         check_fraction("work", self.work)
-        if self.deadline <= self.release_time:
-            raise ValueError(
-                f"deadline ({self.deadline}) must be after release "
-                f"({self.release_time})"
-            )
+        check_time_window(self.release_time, self.deadline)
 
     @property
     def horizon(self) -> float:

@@ -119,7 +119,3 @@ class PhaseModel:
             if work_done < position - 1e-15:
                 return phase.speed
         return self.phases[-1].speed
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        parts = ", ".join(f"{p.work:.2f}@{p.speed:.2f}x" for p in self.phases)
-        return f"PhaseModel({parts})"

@@ -15,12 +15,7 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.datastore import DataStore, TransferStats
 from repro.engine.engine import ExecutionResult, PregelEngine, SuperstepStats
-from repro.engine.loader import (
-    HashLoader,
-    LoadResult,
-    LoadTimingModel,
-    MicroLoader,
-)
+from repro.engine.loader import HashLoader, LoadResult, MicroLoader
 from repro.engine.metrics import ClusterTimingModel
 from repro.engine.messages import (
     Combiner,
@@ -46,7 +41,6 @@ __all__ = [
     "ExecutionResult",
     "HashLoader",
     "LoadResult",
-    "LoadTimingModel",
     "MaxAggregator",
     "MaxCombiner",
     "MessageStore",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.state import get_metrics, get_tracer
 from repro.utils.units import MiB
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_non_negative
 
 
 @dataclass(frozen=True)
@@ -31,20 +31,20 @@ class TransferStats:
     objects_written: int
 
 
+#: Per-machine sustained external-store throughput (bytes/s): a typical
+#: S3 single-stream figure.  The one store bandwidth: checkpoint writes
+#: and reads here, both performance models' ``save_time`` and the
+#: loaders' read time all move bytes at this rate.
+STORE_BANDWIDTH = 100 * MiB
+#: Per-operation setup latency of the store (seconds).
+STORE_LATENCY = 0.05
+
+
 class DataStore:
-    """In-memory object store with a bandwidth/latency timing model.
+    """In-memory object store with a bandwidth/latency timing model
+    (:data:`STORE_BANDWIDTH`, :data:`STORE_LATENCY`)."""
 
-    Args:
-        bandwidth: per-machine sustained throughput in bytes/second
-            (default 100 MiB/s, a typical S3 single-stream figure).
-        latency: per-operation setup latency in seconds.
-    """
-
-    def __init__(self, bandwidth: float = 100 * MiB, latency: float = 0.05):
-        check_positive("bandwidth", bandwidth)
-        check_non_negative("latency", latency)
-        self.bandwidth = bandwidth
-        self.latency = latency
+    def __init__(self):
         self._objects: dict[str, bytes] = {}
         self._bytes_read = 0
         self._bytes_written = 0
@@ -130,7 +130,7 @@ class DataStore:
         check_non_negative("nbytes", nbytes)
         if parallel_machines < 1:
             raise ValueError("parallel_machines must be >= 1")
-        return self.latency + nbytes / (parallel_machines * self.bandwidth)
+        return STORE_LATENCY + nbytes / (parallel_machines * STORE_BANDWIDTH)
 
     @property
     def stats(self) -> TransferStats:

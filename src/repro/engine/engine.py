@@ -144,18 +144,22 @@ class _SlotCounter:
         return local, distinct - local
 
 
+#: Safety cap on the supersteps of one :meth:`PregelEngine.run`.
+MAX_SUPERSTEPS = 10_000
+
+
 class PregelEngine:
     """Synchronous vertex-centric engine over simulated workers.
+
+    ``superstep`` spans go to the process tracer at construction time
+    (the no-op tracer costs one branch per superstep), and :meth:`run`
+    stops at :data:`MAX_SUPERSTEPS` unless given another cap.
 
     Args:
         graph: the input graph (message topology = out-edges).
         program: the vertex program to run.
         partitioning: vertex -> worker assignment; its ``num_parts`` is
             the worker count.
-        max_supersteps: safety cap (default 10_000).
-        tracer: :class:`~repro.obs.trace.Tracer` for ``superstep`` spans
-            (default: the process tracer at construction time; the
-            no-op tracer costs one branch per superstep).
         execution: ``"serial"`` (default) runs everything in-process;
             ``"parallel"`` runs each worker's dense superstep compute in
             a real OS process against shared-memory state arrays (see
@@ -172,8 +176,6 @@ class PregelEngine:
         graph: Graph,
         program: VertexProgram,
         partitioning: Partitioning | None = None,
-        max_supersteps: int = 10_000,
-        tracer=None,
         execution: str = "serial",
         num_processes: int | None = None,
     ):
@@ -183,8 +185,6 @@ class PregelEngine:
             partitioning = HashPartitioner().partition(graph, 1)
         if partitioning.num_vertices != graph.num_vertices:
             raise ValueError("partitioning does not match graph")
-        if max_supersteps < 1:
-            raise ValueError("max_supersteps must be >= 1")
         if execution not in ("serial", "parallel"):
             raise ValueError(
                 f"execution must be 'serial' or 'parallel', got {execution!r}"
@@ -197,8 +197,7 @@ class PregelEngine:
         self.graph = graph
         self.program = program
         self.partitioning = partitioning
-        self.max_supersteps = max_supersteps
-        self._tracer = tracer if tracer is not None else get_tracer()
+        self._tracer = get_tracer()
         self.num_workers = partitioning.num_parts
         self.workers: list[Worker] = build_workers(partitioning, self.num_workers)
         self._owner = partitioning.assignment  # vertex -> worker
@@ -228,7 +227,7 @@ class PregelEngine:
     # ------------------------------------------------------------------
     def run(self, max_supersteps: int | None = None) -> ExecutionResult:
         """Run until global halt or the superstep cap."""
-        cap = max_supersteps if max_supersteps is not None else self.max_supersteps
+        cap = max_supersteps if max_supersteps is not None else MAX_SUPERSTEPS
         halted = False
         while self.superstep < cap:
             if not self.step():

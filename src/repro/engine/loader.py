@@ -2,7 +2,7 @@
 
 Three loading strategies, mirroring the paper's measurement:
 
-* **stream** (timing only, :meth:`LoadTimingModel.stream_time`) — a
+* **stream** (timing only, :func:`stream_time`) — a
   single master machine reads and parses the entire (text) dataset, then
   assigns vertices; models stream-based partitioners with centralized
   loading logic.  Time grows linearly with dataset size regardless of
@@ -17,9 +17,12 @@ Three loading strategies, mirroring the paper's measurement:
 
 Each loader class both (a) functionally produces the partitioning/per-worker
 ownership used by the engine and (b) reports a *simulated* loading time
-from :class:`LoadTimingModel`.  The timing model is driven by dataset
-byte counts so experiments can evaluate paper-scale datasets while
-functionally loading repro-scale graphs.
+from the module's timing functions.  They are driven by dataset byte
+counts so experiments can evaluate paper-scale datasets while
+functionally loading repro-scale graphs.  The constants approximate the
+paper's EC2/S3 environment: single-stream storage reads at the store's
+:data:`~repro.engine.datastore.STORE_BANDWIDTH`, text parsing as the CPU
+bottleneck, and a 1 GbE-class network per machine for shuffles.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 
+from repro.engine.datastore import STORE_BANDWIDTH
 from repro.graph.graph import Graph
 from repro.graph.io import csr_nbytes, is_memmap_backed
 from repro.partitioning.base import Partitioning
@@ -34,94 +38,83 @@ from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.micro import MicroPartitioning
 from repro.utils.units import MiB
 
+#: Per-machine text parse throughput (bytes/s): the CPU bottleneck of a
+#: text load.
+PARSE_RATE = 12 * MiB
+#: Per-machine network throughput for shuffles (bytes/s), 1 GbE class.
+NETWORK_BANDWIDTH = 120 * MiB
+#: CPU seconds per shuffled edge (serialize + deserialize + object churn).
+PER_EDGE_SHUFFLE_CPU = 500e-9
+#: Average edge-list text footprint per edge (bytes).
+TEXT_BYTES_PER_EDGE = 15.0
+#: Binary CSR footprint per edge (bytes).
+BINARY_BYTES_PER_EDGE = 8.0
+#: Constant per-load coordination cost (seconds).
+LOAD_OVERHEAD = 2.0
 
-@dataclass(frozen=True)
-class LoadTimingModel:
-    """Constants behind the loading-time estimates.
 
-    Defaults approximate the paper's EC2/S3 environment: ~100 MiB/s
-    single-stream storage reads, text parsing as the CPU bottleneck, and
-    a shared 1 GbE-class network per machine for shuffles.
+def text_bytes(num_edges: int) -> float:
+    """Edge-list text size of a dataset."""
+    return TEXT_BYTES_PER_EDGE * num_edges
 
-    Attributes:
-        read_bandwidth: per-machine storage read throughput (bytes/s).
-        parse_rate: per-machine text parse throughput (bytes/s).
-        network_bandwidth: per-machine network throughput (bytes/s).
-        per_edge_shuffle_cpu: CPU seconds per shuffled edge
-            (serialize + deserialize + object churn).
-        text_bytes_per_edge: average edge-list text footprint.
-        binary_bytes_per_edge: binary CSR footprint per edge.
-        fixed_overhead: constant per-load coordination cost (seconds).
+
+def binary_bytes(num_edges: int, num_vertices: int) -> float:
+    """Binary CSR size of a dataset."""
+    return BINARY_BYTES_PER_EDGE * num_edges + 8.0 * (num_vertices + 1)
+
+
+def stream_time(num_edges: int, num_vertices: int, num_workers: int) -> float:
+    """Single-master read + parse of the whole text dataset."""
+    _check(num_workers)
+    text = text_bytes(num_edges)
+    return LOAD_OVERHEAD + text / STORE_BANDWIDTH + text / PARSE_RATE
+
+
+def hash_time(num_edges: int, num_vertices: int, num_workers: int) -> float:
+    """Parallel read/parse plus the all-to-all shuffle."""
+    _check(num_workers)
+    w = num_workers
+    text = text_bytes(num_edges)
+    read = text / (w * STORE_BANDWIDTH)
+    parse = text / (w * PARSE_RATE)
+    moved_edges = num_edges * (1.0 - 1.0 / w)
+    moved_bytes = moved_edges * BINARY_BYTES_PER_EDGE
+    # Each machine both sends and receives its share of the shuffle.
+    network = 2.0 * moved_bytes / (w * NETWORK_BANDWIDTH)
+    shuffle_cpu = moved_edges * PER_EDGE_SHUFFLE_CPU / w
+    return LOAD_OVERHEAD + read + parse + network + shuffle_cpu
+
+
+def micro_time(num_edges: int, num_vertices: int, num_workers: int) -> float:
+    """Parallel, shuffle-free read of pre-partitioned binary chunks."""
+    return micro_time_bytes(binary_bytes(num_edges, num_vertices), num_workers)
+
+
+def micro_time_bytes(nbytes: float, num_workers: int) -> float:
+    """Parallel binary read of *nbytes* of CSR.
+
+    Memory-mapped CSR stores are priced by their true on-disk footprint
+    through this directly, instead of by the per-edge estimate.
     """
+    _check(num_workers)
+    return LOAD_OVERHEAD + nbytes / (num_workers * STORE_BANDWIDTH)
 
-    read_bandwidth: float = 100 * MiB
-    parse_rate: float = 12 * MiB
-    network_bandwidth: float = 120 * MiB
-    per_edge_shuffle_cpu: float = 500e-9
-    text_bytes_per_edge: float = 15.0
-    binary_bytes_per_edge: float = 8.0
-    fixed_overhead: float = 2.0
 
-    def text_bytes(self, num_edges: int, num_vertices: int) -> float:
-        """Edge-list text size of a dataset."""
-        return self.text_bytes_per_edge * num_edges
+_STRATEGIES = {"stream": stream_time, "hash": hash_time, "micro": micro_time}
 
-    def binary_bytes(self, num_edges: int, num_vertices: int) -> float:
-        """Binary CSR size of a dataset."""
-        return self.binary_bytes_per_edge * num_edges + 8.0 * (num_vertices + 1)
 
-    # -- per-strategy estimates ----------------------------------------
-    def stream_time(self, num_edges: int, num_vertices: int, num_workers: int) -> float:
-        """Single-master read + parse of the whole text dataset."""
-        self._check(num_workers)
-        text = self.text_bytes(num_edges, num_vertices)
-        return self.fixed_overhead + text / self.read_bandwidth + text / self.parse_rate
+def estimate(strategy: str, num_edges: int, num_vertices: int, num_workers: int) -> float:
+    """Loading time by strategy name ('stream' | 'hash' | 'micro')."""
+    if strategy not in _STRATEGIES:
+        raise ValueError(
+            f"unknown load strategy {strategy!r}; options: {sorted(_STRATEGIES)}"
+        )
+    return _STRATEGIES[strategy](num_edges, num_vertices, num_workers)
 
-    def hash_time(self, num_edges: int, num_vertices: int, num_workers: int) -> float:
-        """Parallel read/parse plus the all-to-all shuffle."""
-        self._check(num_workers)
-        w = num_workers
-        text = self.text_bytes(num_edges, num_vertices)
-        read = text / (w * self.read_bandwidth)
-        parse = text / (w * self.parse_rate)
-        moved_edges = num_edges * (1.0 - 1.0 / w)
-        moved_bytes = moved_edges * self.binary_bytes_per_edge
-        # Each machine both sends and receives its share of the shuffle.
-        network = 2.0 * moved_bytes / (w * self.network_bandwidth)
-        shuffle_cpu = moved_edges * self.per_edge_shuffle_cpu / w
-        return self.fixed_overhead + read + parse + network + shuffle_cpu
 
-    def micro_time(self, num_edges: int, num_vertices: int, num_workers: int) -> float:
-        """Parallel, shuffle-free read of pre-partitioned binary chunks."""
-        self._check(num_workers)
-        w = num_workers
-        binary = self.binary_bytes(num_edges, num_vertices)
-        return self.fixed_overhead + binary / (w * self.read_bandwidth)
-
-    def micro_time_bytes(self, nbytes: float, num_workers: int) -> float:
-        """Parallel binary read of an on-disk CSR of *known* byte size.
-
-        Used for memory-mapped CSR stores, where the true footprint is
-        available instead of the per-edge estimate.
-        """
-        self._check(num_workers)
-        return self.fixed_overhead + nbytes / (num_workers * self.read_bandwidth)
-
-    def estimate(self, strategy: str, num_edges: int, num_vertices: int, num_workers: int) -> float:
-        """Dispatch by strategy name ('stream' | 'hash' | 'micro')."""
-        table = {
-            "stream": self.stream_time,
-            "hash": self.hash_time,
-            "micro": self.micro_time,
-        }
-        if strategy not in table:
-            raise ValueError(f"unknown load strategy {strategy!r}; options: {sorted(table)}")
-        return table[strategy](num_edges, num_vertices, num_workers)
-
-    @staticmethod
-    def _check(num_workers: int) -> None:
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+def _check(num_workers: int) -> None:
+    if num_workers < 1:
+        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
 
 
 @dataclass(frozen=True)
@@ -140,9 +133,6 @@ class HashLoader:
 
     name = "hash"
 
-    def __init__(self, timing: LoadTimingModel | None = None):
-        self.timing = timing or LoadTimingModel()
-
     def load(
         self, graph: Graph, num_workers: int, seed=None,
         size_override: tuple[int, int] | None = None,
@@ -152,7 +142,7 @@ class HashLoader:
         e, n = size_override or (graph.num_edges, graph.num_vertices)
         return LoadResult(
             partitioning=partitioning,
-            simulated_seconds=self.timing.hash_time(e, n, num_workers),
+            simulated_seconds=hash_time(e, n, num_workers),
             strategy=self.name,
             num_workers=num_workers,
             shuffled_edges=int(e * (1.0 - 1.0 / num_workers)),
@@ -175,9 +165,8 @@ class MicroLoader:
 
     name = "micro"
 
-    def __init__(self, artefact: MicroPartitioning, timing: LoadTimingModel | None = None):
+    def __init__(self, artefact: MicroPartitioning):
         self.artefact = artefact
-        self.timing = timing or LoadTimingModel()
         self._clusterings: dict[tuple[int, int], Partitioning] = {}
 
     def _cluster(self, num_workers: int, seed) -> Partitioning:
@@ -204,10 +193,10 @@ class MicroLoader:
         """
         partitioning = self._cluster(num_workers, seed)
         if size_override is None and is_memmap_backed(graph.indices):
-            simulated = self.timing.micro_time_bytes(csr_nbytes(graph), num_workers)
+            simulated = micro_time_bytes(csr_nbytes(graph), num_workers)
         else:
             e, n = size_override or (graph.num_edges, graph.num_vertices)
-            simulated = self.timing.micro_time(e, n, num_workers)
+            simulated = micro_time(e, n, num_workers)
         return LoadResult(
             partitioning=partitioning,
             simulated_seconds=simulated,

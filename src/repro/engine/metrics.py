@@ -2,7 +2,7 @@
 
 The provisioning performance model (:mod:`repro.core.perfmodel`)
 postulates that cluster throughput degrades with the worker count as
-``w**-sync_penalty``.  This module derives that behaviour *bottom-up*
+``w**-SYNC_PENALTY``.  This module derives that behaviour *bottom-up*
 from the engine's own per-superstep statistics: a superstep's simulated
 wall time is
 

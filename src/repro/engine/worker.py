@@ -41,11 +41,6 @@ class Worker:
     values: np.ndarray | None = None
     halted: np.ndarray | None = None
 
-    @property
-    def num_vertices(self) -> int:
-        """Number of vertices."""
-        return len(self.vertices)
-
     def attach(self, values: np.ndarray, halted: np.ndarray) -> None:
         """Share the engine's global state arrays."""
         self.values = values

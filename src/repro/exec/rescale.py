@@ -64,11 +64,6 @@ class RescaleContext:
     catalog: tuple[Configuration, ...]
     superstep: int = 0
 
-    @property
-    def slack(self) -> float:
-        """Slack at this context's (t, work_left)."""
-        return self.slack_model.slack(self.t, self.work_left)
-
 
 @dataclass(frozen=True)
 class RescaleDecision:

@@ -7,17 +7,17 @@ in the machine count and growing with dataset size; Hash hurt by the
 all-to-all shuffle (worst at few machines); Micro one to two orders of
 magnitude faster, with the gap widening on bigger datasets.
 
-The numbers come from the same :class:`LoadTimingModel` the simulator
-uses; a companion functional check (exercised by the test suite) runs
-the actual loaders on repro-scale graphs and verifies the produced
-partitionings.
+The numbers come from the same loader timing functions
+(:mod:`repro.engine.loader`) the simulator uses; a companion functional
+check (exercised by the test suite) runs the actual loaders on
+repro-scale graphs and verifies the produced partitionings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.loader import LoadTimingModel
+from repro.engine import loader
 from repro.utils.table import format_table
 from repro.graph.datasets import get_dataset
 
@@ -45,19 +45,14 @@ class LoadingCell:
         }
 
 
-def run(
-    timing: LoadTimingModel | None = None,
-    datasets=DATASETS,
-    machine_counts=MACHINE_COUNTS,
-) -> list[LoadingCell]:
-    """Evaluate the timing model across the Fig 6 grid."""
-    timing = timing or LoadTimingModel()
+def run(datasets=DATASETS, machine_counts=MACHINE_COUNTS) -> list[LoadingCell]:
+    """Evaluate the loading-time model across the Fig 6 grid."""
     cells = []
     for name in datasets:
         spec = get_dataset(name)
         for machines in machine_counts:
             for strategy in STRATEGIES:
-                seconds = timing.estimate(
+                seconds = loader.estimate(
                     strategy, spec.paper_edges, spec.paper_vertices, machines
                 )
                 cells.append(

@@ -61,11 +61,6 @@ class Metric:
         with self._lock:
             return dict(self._series)
 
-    def clear(self) -> None:
-        """Drop every series."""
-        with self._lock:
-            self._series.clear()
-
 
 class Counter(Metric):
     """Monotonically increasing sum per label set."""
@@ -259,24 +254,3 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {metric.name}_count counter")
             lines.extend(metric.render())
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def as_dict(self) -> dict:
-        """Nested plain-dict snapshot (for reports and tests)."""
-        out: dict = {}
-        with self._lock:
-            metrics = dict(self._metrics)
-        for name, metric in sorted(metrics.items()):
-            if isinstance(metric, Histogram):
-                out[name] = {
-                    _render_labels(key) or "{}": {
-                        "sum": series.sum,
-                        "count": series.count,
-                    }
-                    for key, series in metric.series().items()
-                }
-            else:
-                out[name] = {
-                    _render_labels(key) or "{}": value
-                    for key, value in metric.series().items()
-                }
-        return out

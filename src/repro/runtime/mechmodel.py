@@ -11,7 +11,9 @@ from a real execution:
 2. :class:`~repro.engine.metrics.ClusterTimingModel` prices those
    statistics for any worker count (with equal-total-capacity scaling,
    matching the paper's paired catalogue);
-3. load/save times come from the actual graph/state byte counts.
+3. load/save times come from the actual graph/state byte counts,
+   through the fixed-phase formula it shares with the analytic model
+   (:class:`repro.core.perfmodel.FixedPhaseModel`).
 
 The result is a drop-in for :class:`repro.core.perfmodel.PerformanceModel`
 wherever the slack model and estimators consume one.
@@ -19,33 +21,31 @@ wherever the slack model and estimators consume one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cloud.configuration import Configuration
+from repro.core.perfmodel import FixedPhaseModel
 from repro.engine.engine import ExecutionResult
-from repro.engine.loader import LoadTimingModel
 from repro.engine.metrics import ClusterTimingModel
 from repro.graph.graph import Graph
-from repro.utils.units import MiB
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
+
+#: Cluster timing constants of the reference shape's workers; other
+#: worker counts get equal-total-capacity scaled rates (per-worker
+#: speed ∝ reference_workers / w).
+REFERENCE_TIMING = ClusterTimingModel()
+#: Checkpoint footprint per vertex (bytes).
+STATE_BYTES_PER_VERTEX = 16.0
 
 
 @dataclass(frozen=True)
-class MechanisticPerformanceModel:
+class MechanisticPerformanceModel(FixedPhaseModel):
     """PerformanceModel-compatible estimates from engine calibration.
 
     Attributes:
         graph: the actual input graph (drives load/save byte counts).
         calibration: the reference run's execution result.
         reference: the deployment shape the calibration is anchored to.
-        timing: cluster timing constants for the reference shape's
-            workers; other worker counts get equal-total-capacity scaled
-            rates (per-worker speed ∝ reference_workers / w).
-        reload_mode: "micro" or "full", as in the abstract model.
-        boot_time: request-to-ready seconds.
-        bytes_per_vertex_state: checkpoint footprint per vertex.
-        store_bandwidth: per-machine checkpoint bandwidth (bytes/s).
-        save_overhead: fixed per-checkpoint cost (seconds).
         time_scale: multiplier on every superstep's simulated duration.
             A repro-scale graph runs in simulated seconds; scaling it up
             emulates a paper-scale job (hours) on the same topology so
@@ -57,23 +57,15 @@ class MechanisticPerformanceModel:
     graph: Graph
     calibration: ExecutionResult
     reference: Configuration
-    timing: ClusterTimingModel = field(default_factory=ClusterTimingModel)
-    reload_mode: str = "micro"
-    boot_time: float = 20.0
-    bytes_per_vertex_state: float = 16.0
-    store_bandwidth: float = 100 * MiB
-    save_overhead: float = 2.0
-    load_timing: LoadTimingModel = field(default_factory=LoadTimingModel)
     time_scale: float = 1.0
     data_scale: float = 1.0
 
+    #: Fixed per-checkpoint cost (seconds).
+    save_overhead = 2.0
+
     def __post_init__(self):
-        check_non_negative("boot_time", self.boot_time)
-        check_positive("store_bandwidth", self.store_bandwidth)
         check_positive("time_scale", self.time_scale)
         check_positive("data_scale", self.data_scale)
-        if self.reload_mode not in ("micro", "full"):
-            raise ValueError(f"bad reload_mode {self.reload_mode!r}")
         if not self.calibration.stats:
             raise ValueError("calibration run has no superstep statistics")
 
@@ -83,10 +75,10 @@ class MechanisticPerformanceModel:
     def _scaled_timing(self, num_workers: int) -> ClusterTimingModel:
         scale = self.reference.num_workers / num_workers
         return ClusterTimingModel(
-            vertex_ops_per_second=self.timing.vertex_ops_per_second * scale,
-            message_ops_per_second=self.timing.message_ops_per_second * scale,
-            network_bandwidth=self.timing.network_bandwidth * scale,
-            barrier_latency=self.timing.barrier_latency,
+            vertex_ops_per_second=REFERENCE_TIMING.vertex_ops_per_second * scale,
+            message_ops_per_second=REFERENCE_TIMING.message_ops_per_second * scale,
+            network_bandwidth=REFERENCE_TIMING.network_bandwidth * scale,
+            barrier_latency=REFERENCE_TIMING.barrier_latency,
         )
 
     def superstep_seconds(self, stats, config: Configuration) -> float:
@@ -103,34 +95,16 @@ class MechanisticPerformanceModel:
             for s in self.calibration.stats
         )
 
-    def capacity(self, config: Configuration) -> float:
-        """omega_c = t_exec(reference) / t_exec(config)."""
-        return self.exec_time(self.reference) / self.exec_time(config)
-
-    def load_time(self, config: Configuration) -> float:
-        """t_load under the model's reload mode."""
-        strategy = "micro" if self.reload_mode == "micro" else "hash"
-        return self.load_timing.estimate(
-            strategy,
+    def dataset_size(self) -> tuple[int, int]:
+        """The graph's edge and vertex counts at ``data_scale``."""
+        return (
             int(self.graph.num_edges * self.data_scale),
             int(self.graph.num_vertices * self.data_scale),
-            config.num_workers,
         )
 
-    def save_time(self, config: Configuration) -> float:
-        """t_save: one checkpoint of the job state."""
-        state = self.bytes_per_vertex_state * self.graph.num_vertices * self.data_scale
-        return self.save_overhead + state / (
-            config.num_workers * self.store_bandwidth
-        )
-
-    def setup_time(self, config: Configuration) -> float:
-        """t_boot + t_load (pre-computation setup)."""
-        return self.boot_time + self.load_time(config)
-
-    def fixed_time(self, config: Configuration) -> float:
-        """t_fixed = setup + save (the slack reservation)."""
-        return self.setup_time(config) + self.save_time(config)
+    def state_bytes(self) -> float:
+        """One checkpoint of the vertex state at ``data_scale``."""
+        return STATE_BYTES_PER_VERTEX * self.graph.num_vertices * self.data_scale
 
     # ------------------------------------------------------------------
     # Calibration bookkeeping

@@ -28,8 +28,11 @@ by evictions still produces exactly the undisturbed answer.
 
 from __future__ import annotations
 
+import functools
+
 from repro.cloud.configuration import Configuration
 from repro.cloud.market import SpotMarket
+from repro.core.perfmodel import last_resort
 from repro.core.provisioner import Provisioner
 from repro.engine.checkpoint import CheckpointManager
 from repro.engine.datastore import DataStore
@@ -41,6 +44,7 @@ from repro.graph.graph import Graph
 from repro.partitioning.micro import MicroPartitioner, MicroPartitioning
 from repro.runtime.mechmodel import MechanisticPerformanceModel
 from repro.runtime.workmodel import EngineWorkModel
+from repro.utils.validation import check_time_window
 
 __all__ = ["HourglassRuntime"]
 
@@ -56,7 +60,6 @@ class HourglassRuntime:
         catalog: candidate configurations.
         provisioner: the provisioning strategy (Hourglass or a baseline).
         num_micro_parts: shard count for the offline micro-partitioning.
-        datastore: external store for checkpoints (fresh one by default).
         seed: randomness for partitioning/clustering.
         time_scale / data_scale: emulate a larger dataset of the same
             topology: multiply simulated superstep durations and data
@@ -65,8 +68,6 @@ class HourglassRuntime:
             matter while the computation stays exact).
         observers: :class:`~repro.exec.observers.LifecycleObserver`
             plug-ins (metrics collection, fault injection).
-        execution: engine execution mode — ``"serial"`` (default) or
-            ``"parallel"`` (shared-memory process workers).
         delta_checkpoints: write delta checkpoints between periodic full
             snapshots (changed vertices only), cutting steady-state
             checkpoint bytes for shrinking-frontier programs.
@@ -80,12 +81,10 @@ class HourglassRuntime:
         catalog,
         provisioner: Provisioner,
         num_micro_parts: int = 64,
-        datastore: DataStore | None = None,
         seed=None,
         time_scale: float = 1.0,
         data_scale: float = 1.0,
         observers=(),
-        execution: str = "serial",
         delta_checkpoints: bool = False,
     ):
         self.graph = graph
@@ -93,10 +92,9 @@ class HourglassRuntime:
         self.market = market
         self.catalog = tuple(catalog)
         self.provisioner = provisioner
-        self.datastore = datastore or DataStore()
+        self.datastore = DataStore()
         self.seed = seed
         self.observers = tuple(observers)
-        self.execution = execution
         self.delta_checkpoints = delta_checkpoints
 
         # Offline phase: micro-partition once (Fig 2 step 1).
@@ -105,31 +103,21 @@ class HourglassRuntime:
         ).build(graph, seed=seed)
         self.loader = MicroLoader(self.artefact)
 
-        # Calibration: one undisturbed run, then anchor the model at the
-        # fastest on-demand shape (mirroring core.perfmodel.last_resort).
-        on_demand = [c for c in self.catalog if not c.is_transient]
-        if not on_demand:
-            raise ValueError("catalogue needs an on-demand configuration")
-        pilot_ref = on_demand[0]
-        calibration = self._calibrate(pilot_ref)
-        pilot = MechanisticPerformanceModel(
-            graph=graph,
-            calibration=calibration,
-            reference=pilot_ref,
-            time_scale=time_scale,
-            data_scale=data_scale,
-        )
-        self.lrc = min(on_demand, key=pilot.exec_time)
-        if self.lrc == pilot_ref:
-            self.perf = pilot
-        else:
-            self.perf = MechanisticPerformanceModel(
+        # Calibration: an undisturbed pilot run on the first on-demand
+        # shape picks the last resort; the model is anchored there, and
+        # the cache reuses the pilot when it already is.
+        @functools.cache
+        def calibrated(reference: Configuration) -> MechanisticPerformanceModel:
+            return MechanisticPerformanceModel(
                 graph=graph,
-                calibration=self._calibrate(self.lrc),
-                reference=self.lrc,
+                calibration=self._calibrate(reference),
+                reference=reference,
                 time_scale=time_scale,
                 data_scale=data_scale,
             )
+
+        self.lrc = last_resort(self.catalog, calibrated)
+        self.perf = calibrated(self.lrc)
 
     def _calibrate(self, config: Configuration) -> object:
         load = self.loader.load(self.graph, config.num_workers, seed=self.seed)
@@ -139,8 +127,7 @@ class HourglassRuntime:
     # ------------------------------------------------------------------
     def execute(self, release_time: float, deadline: float) -> RunResult:
         """Run the job between *release_time* and *deadline*."""
-        if deadline <= release_time:
-            raise ValueError("deadline must be after release_time")
+        check_time_window(release_time, deadline)
         job_id = f"runtime-{release_time:.0f}"
         model = EngineWorkModel(
             graph=self.graph,
@@ -151,7 +138,6 @@ class HourglassRuntime:
                 self.datastore, job_id, delta=self.delta_checkpoints
             ),
             seed=self.seed,
-            execution=self.execution,
         )
         lifecycle = ExecutionLifecycle(
             market=self.market,

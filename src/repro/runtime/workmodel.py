@@ -19,7 +19,6 @@ from repro.cloud.configuration import Configuration
 from repro.engine.checkpoint import CheckpointManager
 from repro.engine.engine import PregelEngine
 from repro.exec.workmodel import SegmentPlan, WorkModel
-from repro.obs.state import get_metrics, get_tracer
 
 
 class EngineWorkModel(WorkModel):
@@ -33,10 +32,6 @@ class EngineWorkModel(WorkModel):
         perf: the calibrated mechanistic performance model.
         checkpoints: checkpoint manager bound to this job's namespace.
         seed: randomness for shard clustering.
-        execution: engine execution mode — ``"serial"`` or ``"parallel"``
-            (shared-memory process workers; falls back to serial when
-            the platform or program does not support it).
-        num_processes: OS process cap for parallel execution.
     """
 
     def __init__(
@@ -47,8 +42,6 @@ class EngineWorkModel(WorkModel):
         perf,
         checkpoints: CheckpointManager,
         seed=None,
-        execution: str = "serial",
-        num_processes: int | None = None,
     ):
         self.graph = graph
         self.program_factory = program_factory
@@ -56,21 +49,17 @@ class EngineWorkModel(WorkModel):
         self.perf = perf
         self.checkpoints = checkpoints
         self.seed = seed
-        self.execution = execution
-        self.num_processes = num_processes
         self._engine: PregelEngine | None = None
         self._supersteps = 0
         self._frontier = 1.0
         self._persisted_frontier = 1.0
-        self._rescale_pending = False
 
     def start(self) -> None:
         """Reset per-run progress state."""
-        self._close_engine()
+        self._engine = None
         self._supersteps = 0
         self._frontier = 1.0
         self._persisted_frontier = 1.0
-        self._rescale_pending = False
 
     def finished(self) -> bool:
         """Whether the deployed engine has no work left."""
@@ -82,33 +71,17 @@ class EngineWorkModel(WorkModel):
 
     def on_deployed(self, config: Configuration, t: float) -> None:
         """Cluster shards, build a fresh engine, restore the checkpoint."""
-        self._close_engine()
         load = self.loader.load(self.graph, config.num_workers, seed=self.seed)
         self._engine = PregelEngine(
-            self.graph,
-            self.program_factory(),
-            load.partitioning,
-            execution=self.execution,
-            num_processes=self.num_processes,
+            self.graph, self.program_factory(), load.partitioning
         )
-        latest = self.checkpoints.latest()
-        read_seconds = 0.0
-        if latest is not None:
-            read_seconds = self.checkpoints.load_into(self._engine)
+        if self.checkpoints.latest() is not None:
+            self.checkpoints.load_into(self._engine)
         self._supersteps = self._engine.superstep
         self._frontier = self._frontier_from_stats(self._engine.stats)
-        if self._rescale_pending:
-            self._meter_rescale_reload(t, config, load, latest, read_seconds)
-            self._rescale_pending = False
 
     def on_deploy_evicted(self) -> None:
         """The deployment died during setup; no engine was built."""
-        self._close_engine()
-
-    def _close_engine(self) -> None:
-        """Release the current engine's resources (shared memory, pool)."""
-        if self._engine is not None:
-            self._engine.close()
         self._engine = None
 
     def run_segment(self, config: Configuration, budget: float) -> SegmentPlan:
@@ -136,7 +109,7 @@ class EngineWorkModel(WorkModel):
 
     def on_evicted(self, config: Configuration, t_start: float, t_evict: float) -> None:
         """Discard the deployment; roll back to the last real checkpoint."""
-        self._close_engine()
+        self._engine = None
         latest = self.checkpoints.latest()
         self._supersteps = latest.superstep if latest is not None else 0
         self._frontier = self._persisted_frontier if latest is not None else 1.0
@@ -150,57 +123,12 @@ class EngineWorkModel(WorkModel):
         """Measured active-vertex fraction of the last superstep run."""
         return self._frontier
 
-    def on_rescale(self, t: float, from_config, to_config) -> None:
-        """Flag the next restore as a planned-rescale fast reload."""
-        self._rescale_pending = True
-
     def _frontier_from_stats(self, stats) -> float:
         """Active fraction of the last recorded superstep (1.0 if none)."""
         if not stats or not self.graph.num_vertices:
             return 1.0
         fraction = stats[-1].active_vertices / self.graph.num_vertices
         return min(1.0, max(0.0, fraction))
-
-    def _meter_rescale_reload(self, t, config, load, latest, read_seconds) -> None:
-        """Export the fast-reload cost of a planned move via repro.obs.
-
-        Reload = online re-clustering of the micro-partitions for the
-        new worker count (milliseconds on the quotient graph) plus the
-        checkpoint restore re-scattered to the new owners; the metered
-        bytes/seconds are what makes the move cheap enough to pay off.
-        """
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return
-        nbytes = latest.nbytes if latest is not None else 0
-        artefact = getattr(self.loader, "artefact", None)
-        micro_parts = (
-            sum(len(parts) for parts in artefact.worker_micro_parts(load.partitioning))
-            if artefact is not None
-            else 0
-        )
-        reload_seconds = load.simulated_seconds + read_seconds
-        tracer.event(
-            "rescale.reload",
-            t=t,
-            config=config.name,
-            num_workers=config.num_workers,
-            superstep=latest.superstep if latest is not None else 0,
-            nbytes=nbytes,
-            micro_parts=micro_parts,
-            sim_seconds=reload_seconds,
-        )
-        metrics = get_metrics()
-        metrics.counter(
-            "rescale_reloads_total", "Planned-rescale fast reloads"
-        ).inc(1, job_id=self.checkpoints.job_id)
-        metrics.histogram(
-            "rescale_reload_bytes", "Checkpoint bytes restored per planned rescale"
-        ).observe(nbytes, job_id=self.checkpoints.job_id)
-        metrics.histogram(
-            "rescale_reload_seconds",
-            "Simulated reload+restore seconds per planned rescale",
-        ).observe(reload_seconds, job_id=self.checkpoints.job_id)
 
     def final_values(self) -> dict | None:
         """The computed vertex values (None before completion)."""

@@ -21,13 +21,21 @@ from repro.core import (
     job_with_slack,
     last_resort,
 )
-from repro.core.perfmodel import RELOAD_FULL, RELOAD_MICRO
+from repro.core.perfmodel import BOOT_TIME, RELOAD_FULL, RELOAD_MICRO
 from repro.utils.units import HOURS, MINUTES
 
 
 @pytest.fixture(scope="module")
 def catalog():
     return default_catalog()
+
+
+NON_FINITE_WINDOWS = [
+    (math.nan, 1e5, "release_time"),
+    (-math.inf, 1e5, "release_time"),
+    (0.0, math.nan, "deadline"),
+    (0.0, math.inf, "deadline"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +81,13 @@ class TestJobSpec:
     def test_deadline_after_release(self):
         with pytest.raises(ValueError):
             JobSpec(SSSP_PROFILE, release_time=100.0, deadline=100.0)
+
+    @pytest.mark.parametrize("release, deadline, field", NON_FINITE_WINDOWS)
+    def test_non_finite_times_rejected(self, release, deadline, field):
+        # A NaN deadline used to pass the order check and reach the
+        # simulator, which then reported cost=nan and no missed deadline.
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            JobSpec(SSSP_PROFILE, release_time=release, deadline=deadline)
 
     def test_work_fraction_checked(self):
         with pytest.raises(ValueError):
@@ -125,7 +140,7 @@ class TestPerformanceModel:
             gc_perf.setup_time(c) + gc_perf.save_time(c)
         )
         assert gc_perf.setup_time(c) == pytest.approx(
-            gc_perf.boot_time + gc_perf.load_time(c)
+            BOOT_TIME + gc_perf.load_time(c)
         )
 
     def test_save_time_scales_with_workers(self, catalog, gc_perf):

@@ -17,7 +17,8 @@ import pytest
 
 from repro.engine import PregelEngine
 from repro.engine.algorithms import SSSP, PageRank
-from repro.engine.loader import LoadTimingModel, MicroLoader
+from repro.engine import loader as loading
+from repro.engine.loader import MicroLoader
 from repro.graph import generators
 from repro.graph.generators import rmat_edge_batches
 from repro.graph.graph import from_edges
@@ -329,21 +330,20 @@ class TestMemmapLoaderPricing:
         write_store(graph, tmp_path / "store")
         mapped = load_csr(tmp_path / "store")
         artefact = MicroPartitioner(num_micro_parts=16).build(graph, seed=1)
-        timing = LoadTimingModel()
-        loader = MicroLoader(artefact, timing)
+        loader = MicroLoader(artefact)
         result = loader.load(mapped, 4, seed=1)
         assert result.simulated_seconds == pytest.approx(
-            timing.micro_time_bytes(csr_nbytes(mapped), 4)
+            loading.micro_time_bytes(csr_nbytes(mapped), 4)
         )
         # size_override still wins over the memmap path.
         overridden = loader.load(mapped, 4, seed=1, size_override=(10**8, 10**6))
         assert overridden.simulated_seconds == pytest.approx(
-            timing.micro_time(10**8, 10**6, 4)
+            loading.micro_time(10**8, 10**6, 4)
         )
         # In-RAM graphs keep the historical edge/vertex pricing.
         in_ram = loader.load(graph, 4, seed=1)
         assert in_ram.simulated_seconds == pytest.approx(
-            timing.micro_time(graph.num_edges, graph.num_vertices, 4)
+            loading.micro_time(graph.num_edges, graph.num_vertices, 4)
         )
 
 

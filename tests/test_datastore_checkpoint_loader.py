@@ -9,10 +9,11 @@ from repro.engine import (
     CheckpointManager,
     DataStore,
     HashLoader,
-    LoadTimingModel,
     MicroLoader,
     PregelEngine,
 )
+from repro.engine import loader as loading
+from repro.engine.datastore import STORE_BANDWIDTH, STORE_LATENCY
 from repro.engine.algorithms import PageRank
 from repro.graph import generators
 from repro.partitioning import (
@@ -49,11 +50,12 @@ class TestDataStore:
         assert store.list_keys("a/") == ["a/1", "a/2"]
 
     def test_transfer_time_model(self):
-        store = DataStore(bandwidth=100 * MiB, latency=0.1)
-        t1 = store.transfer_time(100 * MiB, 1)
-        t2 = store.transfer_time(100 * MiB, 4)
-        assert t1 == pytest.approx(1.1)
-        assert t2 == pytest.approx(0.35)
+        store = DataStore()
+        t1 = store.transfer_time(STORE_BANDWIDTH, 1)
+        t2 = store.transfer_time(STORE_BANDWIDTH, 4)
+        assert STORE_BANDWIDTH == 100 * MiB
+        assert t1 == pytest.approx(STORE_LATENCY + 1.0)
+        assert t2 == pytest.approx(STORE_LATENCY + 0.25)
 
     def test_stats_accumulate(self):
         store = DataStore()
@@ -156,42 +158,37 @@ class TestCheckpointManager:
 
 class TestLoadTimingModel:
     def test_stream_flat_in_machines(self):
-        timing = LoadTimingModel()
-        t2 = timing.stream_time(10**9, 10**6, 2)
-        t16 = timing.stream_time(10**9, 10**6, 16)
+        t2 = loading.stream_time(10**9, 10**6, 2)
+        t16 = loading.stream_time(10**9, 10**6, 16)
         assert t2 == t16
 
     def test_micro_scales_with_machines(self):
-        timing = LoadTimingModel()
-        t2 = timing.micro_time(10**9, 10**6, 2)
-        t16 = timing.micro_time(10**9, 10**6, 16)
+        t2 = loading.micro_time(10**9, 10**6, 2)
+        t16 = loading.micro_time(10**9, 10**6, 16)
         assert t16 < t2
 
     def test_ordering_micro_fastest(self):
-        timing = LoadTimingModel()
         for w in (2, 4, 8, 16):
-            micro = timing.micro_time(10**9, 10**6, w)
-            hashed = timing.hash_time(10**9, 10**6, w)
-            stream = timing.stream_time(10**9, 10**6, w)
+            micro = loading.micro_time(10**9, 10**6, w)
+            hashed = loading.hash_time(10**9, 10**6, w)
+            stream = loading.stream_time(10**9, 10**6, w)
             assert micro < hashed < stream
 
     def test_gap_grows_with_dataset(self):
-        timing = LoadTimingModel()
-        small = timing.stream_time(10**7, 10**5, 8) / timing.micro_time(10**7, 10**5, 8)
-        big = timing.stream_time(10**10, 10**8, 8) / timing.micro_time(10**10, 10**8, 8)
+        small = loading.stream_time(10**7, 10**5, 8) / loading.micro_time(10**7, 10**5, 8)
+        big = loading.stream_time(10**10, 10**8, 8) / loading.micro_time(10**10, 10**8, 8)
         assert big > small
 
     def test_estimate_dispatch(self):
-        timing = LoadTimingModel()
-        assert timing.estimate("micro", 10**6, 10**4, 4) == timing.micro_time(
+        assert loading.estimate("micro", 10**6, 10**4, 4) == loading.micro_time(
             10**6, 10**4, 4
         )
         with pytest.raises(ValueError):
-            timing.estimate("teleport", 10**6, 10**4, 4)
+            loading.estimate("teleport", 10**6, 10**4, 4)
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            LoadTimingModel().micro_time(10**6, 10**4, 0)
+            loading.micro_time(10**6, 10**4, 0)
 
 
 class TestLoaders:
@@ -229,7 +226,7 @@ class TestLoaders:
     def test_real_loaders_keep_the_model_ordering(self, graph):
         """Fig 6's ordering from the loader implementations themselves."""
         artefact = MicroPartitioner(num_micro_parts=16).build(graph, seed=1)
-        stream_s = LoadTimingModel().stream_time(graph.num_edges, graph.num_vertices, 4)
+        stream_s = loading.stream_time(graph.num_edges, graph.num_vertices, 4)
         hashed = HashLoader().load(graph, 4)
         micro = MicroLoader(artefact).load(graph, 4, seed=1)
         assert micro.simulated_seconds < hashed.simulated_seconds < stream_s

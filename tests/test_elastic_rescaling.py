@@ -49,6 +49,7 @@ from repro.exec import (
     RescaleContext,
     RescaleDecision,
     RescalePolicy,
+    WorkModel,
     frontier_for_app,
 )
 from repro.graph import generators
@@ -190,6 +191,13 @@ class TestFrontierCurve:
         assert frontier_for_app("pagerank").value_at(0.9) == 1.0
         assert frontier_for_app("sssp").value_at(0.9) < 0.1
         assert frontier_for_app("unknown-app").value_at(0.5) == 1.0
+
+    def test_work_model_without_frontier_reports_all_active(self):
+        class Bare(WorkModel):
+            # The abstract progress hooks play no part in the frontier.
+            start = finished = work_left = run_segment = commit = on_evicted = None
+
+        assert Bare().frontier() == 1.0
 
 
 # ----------------------------------------------------------------------

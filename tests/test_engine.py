@@ -16,6 +16,7 @@ from repro.engine import (
     MinCombiner,
     PregelEngine,
     SumCombiner,
+    VertexProgram,
 )
 from repro.engine.aggregators import (
     AndAggregator,
@@ -158,7 +159,7 @@ class TestEngineExecution:
                 ctx.send(ctx.vertex_id, 1)  # self-message forever
 
         g = from_edges([0], [0], num_vertices=1)
-        result = ScalarEngine(g, Chatty(), max_supersteps=5).run()
+        result = ScalarEngine(g, Chatty()).run(max_supersteps=5)
         assert not result.halted_normally
         assert result.supersteps_run == 5
 
@@ -199,11 +200,6 @@ class TestEngineExecution:
         p = HashPartitioner().partition(scalar_oracle.path_graph(3), 2)
         with pytest.raises(ValueError):
             PregelEngine(g, EchoProgram(), p)
-
-    def test_bad_max_supersteps(self):
-        g = scalar_oracle.path_graph(2)
-        with pytest.raises(ValueError):
-            PregelEngine(g, EchoProgram(), max_supersteps=0)
 
     def test_default_partitioning_single_worker(self):
         g = scalar_oracle.path_graph(3)
@@ -256,6 +252,35 @@ class TestAggregatorFlow:
         g = scalar_oracle.path_graph(6)
         result = ScalarEngine(g, Counter()).run()
         assert all(v == 6 for v in result.values.values())
+
+    def test_dense_aggregate_and_edge_batch(self):
+        """The dense API: an aggregate read back a superstep later, and a
+        per-edge batch built from the context's edge sources."""
+
+        class DenseCounter(VertexProgram):
+            combiner = SumCombiner
+            value_dtype = np.float64
+
+            def aggregators(self):
+                return {"count": SumAggregator}
+
+            def initial_values(self, num_vertices):
+                return np.zeros(num_vertices)
+
+            def compute_dense(self, ctx):
+                if ctx.superstep == 0:
+                    ctx.aggregate("count", int(ctx.active.sum()))
+                    src = ctx.edge_sources
+                    ctx.send_batch(src, ctx.graph.indices, src.astype(np.float64))
+                else:
+                    received = np.where(ctx.has_message, ctx.messages, 0.0)
+                    ctx.values[:] = ctx.aggregated("count") + received
+                    ctx.vote_to_halt(ctx.active)
+
+        g = from_edges([0, 0, 1, 2], [1, 2, 2, 3], num_vertices=4)
+        result = PregelEngine(g, DenseCounter(), HashPartitioner().partition(g, 2)).run()
+        # Four active vertices counted; vertex v sums the ids of its in-neighbours.
+        assert result.values_array().tolist() == [4.0, 4.0, 5.0, 6.0]
 
 
 class TestMessageStoreRegressions:

@@ -69,7 +69,9 @@ def _requests(setup, service):
     perf, lrc = _session(setup, PAGERANK_PROFILE)
     twin, twin_lrc = _session(setup, PAGERANK_PROFILE)  # equal, not identical
     assert twin == perf and twin is not perf
-    tweaked = replace(perf, save_overhead=perf.save_overhead + 1.0)  # one timing
+    # One timing (save_time) moves: a larger checkpoint per vertex.
+    heavier = perf.profile.state_bytes_per_vertex + 1.0
+    tweaked = replace(perf, profile=replace(perf.profile, state_bytes_per_vertex=heavier))
     for model, model_lrc in ((perf, lrc), (twin, twin_lrc), (tweaked, lrc)):
         for slack, t, work in ((0.3, t0, 1.0), (0.9, t0 + 900.0, 0.6), (0.9, t0, 1.0)):
             sm = SlackModel(
@@ -178,7 +180,10 @@ class TestMemoSafety:
         service = PlanningService(setup.market)
         base, lrc = _session(setup, SSSP_PROFILE)
         for i in range(40):
-            perf = replace(base, boot_time=base.boot_time + i)
+            profile = replace(
+                base.profile, state_bytes_per_vertex=base.profile.state_bytes_per_vertex + i
+            )
+            perf = replace(base, profile=profile)
             request = PlanRequest(
                 slack_model=SlackModel(perf=perf, lrc=lrc, deadline=4 * 3600.0),
                 catalog=setup.catalog,
@@ -248,7 +253,9 @@ class TestSlackConstants:
         variants = [
             sm,
             replace(sm, deadline=9 * 3600.0),
-            replace(sm, perf=replace(perf, boot_time=55.0)),
+            replace(
+                sm, perf=replace(perf, profile=replace(perf.profile, state_bytes_per_vertex=55.0))
+            ),
             replace(sm, perf=other_perf, lrc=other_lrc),
             pickle.loads(pickle.dumps(sm)),
         ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cloud import default_catalog
@@ -30,6 +31,7 @@ from repro.core import (
     last_resort,
 )
 from repro.core.recurring import InterleavedRecurringDriver, RecurringJobSpec
+from repro.exec.rescale import RESCALE_SHRINK, RescaleDecision
 from repro.engine.algorithms import PageRank
 from repro.graph import generators
 from repro.obs import (
@@ -112,10 +114,20 @@ class TestTracer:
         assert span.end(2.0) is None
         assert len(tracer.records()) == 1
 
+    def test_len_and_clear(self):
+        tracer = Tracer()
+        tracer.event("a", t=0.0)
+        tracer.record_span("b", 0.0, 1.0)
+        assert len(tracer) == 2
+        tracer.clear()
+        assert len(tracer) == 0
+        assert tracer.records() == ()
+
     def test_null_tracer_is_inert(self):
         assert not NULL_TRACER.enabled
         with NULL_TRACER.span("ignored") as span:
             span.set(x=1)
+            assert span.activate() is span
         NULL_TRACER.event("ignored")
         NULL_TRACER.record_span("ignored", 0.0, 1.0)
         assert NULL_TRACER.records() == ()
@@ -213,6 +225,15 @@ class TestExporters:
         for line in lines:
             export.validate_record(json.loads(line))
 
+    def test_numpy_attrs_are_coerced(self):
+        tracer = Tracer()
+        tracer.event("e", t=0.0, n=np.int64(3), x=np.float64(0.5))
+        line = json.loads(export.to_jsonl(tracer.records()))
+        assert line["attrs"] == {"n": 3, "x": 0.5}
+        tracer.event("bad", t=1.0, obj=object())
+        with pytest.raises(TypeError, match="not JSON-serialisable"):
+            export.to_jsonl(tracer.records())
+
     def test_read_jsonl_restores_records(self, tmp_path):
         records = self._records()
         path = export.write_jsonl(records, tmp_path / "t.jsonl")
@@ -281,6 +302,29 @@ class TestLifecycleTracing:
                 small_market, catalog, observers=(TracingObserver(),)
             )
             assert sim_on.run(job) == baseline  # tracing on: observation only
+
+    def test_handover_and_rescale_hooks(self, catalog):
+        spot, target = catalog[0], catalog[2]
+        decision = RescaleDecision(
+            target=target,
+            action=RESCALE_SHRINK,
+            stay_cost=2.0,
+            target_cost=1.0,
+            frontier=0.1,
+            evaluated_at=60.0,
+            reason="frontier collapsed",
+        )
+        with tracing() as (tracer, metrics):
+            observer = TracingObserver(tenant="t")
+            observer.on_run_start(0.0)
+            observer.on_forced_handover(30.0, spot)
+            observer.on_rescale(60.0, spot, decision)
+        events = {r.name: r for r in tracer.records() if r.name != "run"}
+        assert events["forced-handover"].attr("config") == spot.name
+        assert events["rescale"].attr("target") == target.name
+        assert events["rescale"].attr("reason") == "frontier collapsed"
+        rescales = metrics.get("rescales_total")
+        assert rescales.value(tenant="t", reason="frontier collapsed") == 1.0
 
     def test_disabled_tracing_records_nothing(self, small_market, catalog):
         observer = TracingObserver()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cloud import default_catalog, transient_configs
@@ -83,13 +85,6 @@ class TestMechanisticModel:
                 reference=model.reference,
                 time_scale=0.0,
             )
-        with pytest.raises(ValueError):
-            MechanisticPerformanceModel(
-                graph=graph,
-                calibration=model.calibration,
-                reference=model.reference,
-                reload_mode="warp",
-            )
 
 
 class TestRuntimeExecution:
@@ -145,6 +140,22 @@ class TestRuntimeExecution:
         rt = make_runtime(graph, long_market, catalog, OnDemandProvisioner())
         with pytest.raises(ValueError):
             rt.execute(10.0, 10.0)
+
+    @pytest.mark.parametrize(
+        "release, deadline, field",
+        [
+            (math.nan, 10 * HOURS, "release_time"),
+            (-math.inf, 10 * HOURS, "release_time"),
+            (0.0, math.nan, "deadline"),
+            (0.0, math.inf, "deadline"),
+        ],
+    )
+    def test_non_finite_window_rejected(
+        self, graph, long_market, catalog, release, deadline, field
+    ):
+        rt = make_runtime(graph, long_market, catalog, OnDemandProvisioner())
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            rt.execute(release, deadline)
 
     def test_horizon_guard(self, graph, long_market, catalog):
         rt = make_runtime(graph, long_market, catalog, OnDemandProvisioner())
