@@ -358,34 +358,48 @@ def merge_parallel_edges(keys, weights, num_vertices: int):
     read it again; the merge frees it as soon as it is done with it.
 
     Given weights, the keys are sorted stably and each group's weights
-    gathered in sorted order; ``np.bincount`` adds its inputs in the order
-    it meets them, so every sum is a sequential accumulation in input
-    order.  The gathered weights go into the key buffer and the ranks
-    into the permutation's, so the merge holds at most three arrays of
+    gathered in sorted order, at their own dtype, into the key buffer.
+    Float weights are summed by ``np.bincount`` over ranks written into
+    the permutation's buffer; it adds its inputs in the order it meets
+    them, so every sum is a sequential accumulation in input order.
+    Integer weights are summed exactly, at their own dtype (the caller
+    guarantees that their total fits): they become running totals in
+    place, and each group's sum is the difference of two, with no ranks
+    and no ``float64`` copy.  The merge holds at most three arrays of
     ``len(keys)`` (keys, permutation, weights) and a mask.
     """
     counting = weights is None
     if counting:
         keys.sort()  # no weights to carry along: any sort will do
-    else:
-        order = _sort_with_order(keys, num_vertices * num_vertices)
-    first = _run_starts(keys)
-    distinct = keys[first]
-    if counting:
         rank = keys
     else:
+        rank = _sort_with_order(keys, num_vertices * num_vertices)  # the order, for now
+    first = _run_starts(keys)
+    distinct = keys[first]
+    if not counting:
         # Gather into the sorted keys' buffer (mode="clip" writes ``out``
-        # unbuffered; every index is in range), the ranks into the order's.
-        weights = np.take(weights, order, out=keys.view(np.float64), mode="clip")
-        rank = order
-        del order
+        # unbuffered; every index is in range).
+        weights = np.take(
+            weights, rank, out=keys.view(weights.dtype)[: len(keys)], mode="clip"
+        )
     del keys
-    rank[:] = first  # cumsum of the int64 copy runs in place; of the mask it would not
-    del first
-    np.cumsum(rank, out=rank)
-    rank -= 1
-    merged = np.bincount(rank, weights=weights, minlength=len(distinct))
-    del rank, weights
+    if counting or weights.dtype.kind == "f":
+        # The ranks go into the order's buffer (the keys' when counting).
+        rank[:] = first  # cumsum of the int64 copy runs in place; of the mask it would not
+        del first
+        np.cumsum(rank, out=rank)
+        rank -= 1
+        merged = np.bincount(rank, weights=weights, minlength=len(distinct))
+        del rank
+    else:
+        # Running totals, read at each run's last edge, minus the
+        # previous run's: exact while the total fits the dtype.
+        del rank
+        np.cumsum(weights, out=weights)
+        merged = np.concatenate((weights[np.flatnonzero(first[1:])], weights[-1:]))
+        del first
+        merged[1:] -= merged[:-1]  # NumPy reads an overlapping input as a copy
+    del weights
     if counting and len(merged):  # an empty bincount is int64, weighted or not
         merged = merged.astype(np.float64)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)

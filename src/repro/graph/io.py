@@ -108,21 +108,10 @@ def build_csr_on_disk(
     degrees = np.zeros(num_vertices, dtype=np.int64)
     weighted: bool | None = None
     for batch in edge_batches():
-        src, dst = np.asarray(batch[0]), np.asarray(batch[1])
-        has_w = len(batch) > 2 and batch[2] is not None
-        if weighted is None:
-            weighted = has_w
-        elif weighted != has_w:
-            raise ValueError("edge batches disagree about weightedness")
-        if len(src) != len(dst):
-            raise ValueError("src and dst batches must be parallel")
-        if len(src) == 0:
-            continue
-        if src.min() < 0 or src.max() >= num_vertices:
-            raise ValueError("edge source out of range")
-        if dst.min() < 0 or dst.max() >= num_vertices:
-            raise ValueError("edge destination out of range")
-        degrees += np.bincount(src, minlength=num_vertices)
+        src, _, w = _checked_batch(batch, num_vertices, weighted)
+        weighted = w is not None
+        if len(src):
+            degrees += np.bincount(src, minlength=num_vertices)
     weighted = bool(weighted)
     num_edges = int(degrees.sum())
 
@@ -140,10 +129,17 @@ def build_csr_on_disk(
             directory / "weights.npy", mode="w+", dtype=np.float64, shape=(num_edges,)
         )
 
-    # Pass 2: scatter each batch at the per-vertex write cursors.
+    # Pass 2: scatter each batch at the per-vertex write cursors.  The
+    # batches must repeat pass 1's: a vertex whose edges outrun its slot
+    # would write into the next vertex's.
     cursors = indptr[:-1].copy()  # O(num_vertices) RAM
+    changed = None
     for batch in edge_batches():
-        src, dst = np.asarray(batch[0]), np.asarray(batch[1])
+        try:
+            src, dst, w = _checked_batch(batch, num_vertices, weighted)
+        except ValueError as exc:
+            changed = exc
+            break
         if len(src) == 0:
             continue
         order = stable_argsort(src, num_vertices)
@@ -152,12 +148,23 @@ def build_csr_on_disk(
             np.concatenate(([True], src_sorted[1:] != src_sorted[:-1]))
         )
         run_lengths = np.diff(np.append(run_starts, len(src_sorted)))
+        sources = src_sorted[run_starts]
+        ends = cursors[sources] + run_lengths
+        if (ends > indptr[1:][sources]).any():
+            changed = "a vertex has more edges"
+            break
         ranks = np.arange(len(src_sorted)) - np.repeat(run_starts, run_lengths)
         positions = cursors[src_sorted] + ranks
         indices[positions] = dst[order]
         if weighted:
-            weights[positions] = np.asarray(batch[2])[order]
-        cursors[src_sorted[run_starts]] += run_lengths
+            weights[positions] = w[order]
+        cursors[sources] = ends
+    if changed is None and not np.array_equal(cursors, indptr[1:]):
+        changed = "a vertex has fewer edges"
+    if changed is not None:
+        raise ValueError(
+            f"CSR store {directory}: pass 2's edge batches differ from pass 1's: {changed}"
+        )
     indptr.flush()
     indices.flush()
     if weighted:
@@ -173,6 +180,23 @@ def build_csr_on_disk(
     }
     (directory / CSR_META_FILENAME).write_text(json.dumps(manifest, indent=2))
     return load_csr(directory, mmap=mmap)
+
+
+def _checked_batch(batch, num_vertices: int, weighted: bool | None):
+    """``(src, dst, weights or None)`` of one edge batch, checked: parallel
+    arrays, ids in range, and weighted as the batches before it
+    (``weighted=None`` for the first)."""
+    src, dst = np.asarray(batch[0]), np.asarray(batch[1])
+    w = np.asarray(batch[2]) if len(batch) > 2 and batch[2] is not None else None
+    if weighted is not None and weighted != (w is not None):
+        raise ValueError("edge batches disagree about weightedness")
+    if len(src) != len(dst) or (w is not None and len(w) != len(src)):
+        raise ValueError("src, dst and weight batches must be parallel")
+    if len(src) and (src.min() < 0 or src.max() >= num_vertices):
+        raise ValueError("edge source out of range")
+    if len(dst) and (dst.min() < 0 or dst.max() >= num_vertices):
+        raise ValueError("edge destination out of range")
+    return src, dst, w
 
 
 def build_rmat_csr(

@@ -35,10 +35,23 @@ from repro.utils.rng import derive_rng
 #: options, gathers at most (see ``_batch_edges``).
 _BATCH_EDGES = 1 << 13
 
+#: Largest vertex id, and largest total edge weight stored as integers, of
+#: a level: METIS's 32-bit ``idx_t``.
+_INT32_MAX = np.iinfo(np.int32).max
+
 
 @dataclass
 class _WGraph:
-    """Symmetric weighted graph used internally across levels."""
+    """Symmetric weighted graph used internally across levels.
+
+    Stored at METIS width: ``indices`` are ``int32`` on every level;
+    ``ewgts`` are ``int32`` when the finest level's weights are
+    non-negative integers whose total fits in ``int32`` (every
+    unweighted and every quotient graph), and ``float64`` otherwise.
+    A coarse weight is a sum of fine ones, so it never exceeds that
+    total.  ``indptr`` and ``vwgts`` (per vertex) stay ``int64`` and
+    ``float64``.
+    """
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -164,10 +177,24 @@ class MultilevelPartitioner(Partitioner):
 
     # ------------------------------------------------------------------
     def _to_wgraph(self, graph: Graph, vertex_weights) -> _WGraph:
+        if graph.num_vertices > _INT32_MAX:
+            raise ValueError(f"graphs of more than {_INT32_MAX} vertices need 64-bit ids")
+        if graph.weights is not None:
+            if not np.isfinite(graph.weights).all():
+                raise ValueError("edge weights must be finite")
+            if (graph.weights < 0).any():
+                # Heavy-edge matching and refinement gains assume it, and so
+                # does the int32 bound: only then is no coarse weight above
+                # the total.
+                raise ValueError("edge weights must be non-negative")
         und = graph.undirected()
         ewgts = und.weights if und.weights is not None else np.ones(und.num_edges)
-        if not np.isfinite(ewgts).all():
-            raise ValueError("edge weights must be finite")
+        # Integer weights whose total fits are stored as int32 (see _WGraph);
+        # non-negative integers sum exactly in float64 far beyond _INT32_MAX.
+        if ewgts.sum() <= _INT32_MAX:
+            narrow = ewgts.astype(np.int32)
+            if np.array_equal(narrow, ewgts):
+                ewgts = narrow
         if vertex_weights is not None:
             vwgts = np.asarray(vertex_weights, dtype=np.float64)
             if vwgts.shape != (graph.num_vertices,):
@@ -182,13 +209,19 @@ class MultilevelPartitioner(Partitioner):
         else:
             vwgts = np.ones(graph.num_vertices, dtype=np.float64)
         return _WGraph(
-            indptr=und.indptr, indices=und.indices,
-            ewgts=np.ascontiguousarray(ewgts, dtype=np.float64), vwgts=vwgts,
+            indptr=und.indptr, indices=und.indices.astype(np.int32), ewgts=ewgts, vwgts=vwgts
         )
 
     def _max_load(self, wg: _WGraph, num_parts: int) -> float:
         avg = wg.vwgts.sum() / num_parts
         return self.balance_slack * avg
+
+
+def _widened(wg: _WGraph) -> _WGraph:
+    """*wg* with its ids as ``intp``, for a kernel that gathers through
+    them: NumPy casts an ``int32`` index array on every gather, which
+    costs more than one cast of the level."""
+    return _WGraph(wg.indptr, wg.indices.astype(np.intp), wg.ewgts, wg.vwgts)
 
 
 def _batch_edges(wg: _WGraph) -> int:
@@ -220,6 +253,7 @@ def _heavy_edge_matching(wg: _WGraph, rng: np.random.Generator) -> tuple[np.ndar
     decisions are the plain loop's (``tests/multilevel_oracle.py``), one
     by one.
     """
+    wg = _widened(wg)
     n = wg.num_vertices
     match = np.full(n, -1, dtype=np.int64)
     order = rng.permutation(n)
@@ -279,16 +313,19 @@ def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
 def _contract(wg: _WGraph, cmap: np.ndarray, num_coarse: int) -> _WGraph:
     """Contract matched pairs into coarse vertices, merging parallel edges.
 
-    A merged edge sums its weights in fine CSR order and a coarse vertex
-    its members' weights in id order: ``np.bincount`` accumulates in input
-    order.  The merge takes every fine edge, and the coarse self-loops
-    (each matched pair's own edge, at most one per row) leave afterwards:
-    filtering first would copy the keys and weights once more.
+    A merged edge sums its weights in fine CSR order (integer weights
+    exactly, at their own dtype) and a coarse vertex its members' weights
+    in id order: ``np.bincount`` accumulates in input order.  The coarse
+    level keeps the fine one's width.  The merge takes every fine edge,
+    and the coarse self-loops (each matched pair's own edge, at most one
+    per row) leave afterwards: filtering first would copy the keys and
+    weights once more.
     """
     indptr, indices, ewgts = merge_parallel_edges(
         _coarse_keys(wg, cmap, num_coarse), wg.ewgts, num_coarse
     )
-    loops = indices == np.repeat(np.arange(num_coarse), np.diff(indptr))
+    indices = indices.astype(np.int32)
+    loops = indices == np.repeat(np.arange(num_coarse, dtype=np.int32), np.diff(indptr))
     dropped = np.bincount(indices[loops], minlength=num_coarse)
     np.subtract(indptr[1:], np.cumsum(dropped), out=indptr[1:])
     keep = ~loops
@@ -414,6 +451,7 @@ def _refine(
     decision itself is plain Python over the options and a list of part
     loads, with the loop's float operations.
     """
+    wg = _widened(wg)
     assignment = assignment.copy()
     indptr = wg.indptr.tolist()
     vwgts = wg.vwgts.tolist()
@@ -511,7 +549,8 @@ def _options(
 
 
 def _weighted_cut(wg: _WGraph, assignment: np.ndarray) -> float:
-    """Total weight of edges crossing parts (each undirected edge twice)."""
+    """Total weight of edges crossing parts (each undirected edge twice);
+    ``int32`` weights sum exactly, in ``int64``."""
     cross = np.repeat(assignment, np.diff(wg.indptr)) != assignment[wg.indices]
     return float(wg.ewgts[cross].sum())
 

@@ -156,6 +156,29 @@ class TestBuildOnDisk:
         with pytest.raises(ValueError, match="weightedness"):
             build_csr_on_disk(batches, num_vertices=3, directory=tmp_path / "x")
 
+    @pytest.mark.parametrize(
+        "second_pass, reason",
+        [
+            # One 0->2 edge more: it would land in vertex 1's slot.
+            ([(np.array([0, 1, 0]), np.array([1, 2, 2]))], "more edges"),
+            ([(np.array([0]), np.array([1]))], "fewer edges"),
+            # Same counts, a destination out of range.
+            ([(np.array([0, 1]), np.array([1, 7]))], "out of range"),
+            ([(np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0]))], "weightedness"),
+        ],
+    )
+    def test_rejects_a_second_pass_unlike_the_first(self, tmp_path, second_pass, reason):
+        passes = iter([[(np.array([0, 1]), np.array([1, 2]))], second_pass])
+
+        def batches():
+            return iter(next(passes))
+
+        directory = tmp_path / "changed"
+        with pytest.raises(ValueError, match=reason) as raised:
+            build_csr_on_disk(batches, num_vertices=3, directory=directory)
+        assert str(directory) in str(raised.value)
+        assert not (directory / CSR_META_FILENAME).exists()
+
 
 class TestStreamingRmat:
     def test_batches_reiterable(self):

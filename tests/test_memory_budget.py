@@ -9,8 +9,11 @@ it moves the peak by megabytes, and fails here.
 
 The budgets sit about 10 % above this code's peaks; the implementation
 they replaced peaked at 30.68 MB (generation) and 33.85 MB (build) on the
-same inputs.  Lower a budget when the code gets leaner; raise one only
-with an explanation of what the extra memory buys.
+same inputs, and the build at 23.35 MB while coarsening levels held
+``int64`` ids and ``float64`` weights.  Lower a budget when the code gets
+leaner; raise one only with an explanation of what the extra memory buys.
+The levels' own width is held separately: every level the micro build
+retains costs at most 8 bytes per edge (``int32`` id and weight).
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ import tracemalloc
 import pytest
 
 from repro.graph import generators
+from repro.partitioning import multilevel
 from repro.partitioning.micro import MicroPartitioner
+from repro.utils.rng import derive_rng
 
-#: Traced peaks, bytes: 8.28 MB and 23.35 MB at this code.
+#: Traced peaks, bytes: 8.28 MB and 14.26 MB at this code.
 GENERATE_BUDGET = 9_100_000
-BUILD_BUDGET = 25_700_000
+BUILD_BUDGET = 15_700_000
 
 
 def _traced_peak(fn):
@@ -56,15 +61,17 @@ def _index_line_tables():
         sys.setprofile(saved)
 
 
+def _golden_graph():
+    # The test_partition_goldens graph: 20 000 vertices, 316 324 edges.
+    return generators.community_graph(
+        20000, num_communities=32, avg_degree=16, mixing=0.1, seed=5
+    )
+
+
 @pytest.fixture(scope="module")
 def peaks():
     _index_line_tables()
-    # The test_partition_goldens graph: 20 000 vertices, 316 324 edges.
-    graph, generate = _traced_peak(
-        lambda: generators.community_graph(
-            20000, num_communities=32, avg_degree=16, mixing=0.1, seed=5
-        )
-    )
+    graph, generate = _traced_peak(_golden_graph)
     _, build = _traced_peak(lambda: MicroPartitioner(num_micro_parts=64).build(graph, seed=5))
     return generate, build
 
@@ -75,3 +82,20 @@ def test_generation_peak(peaks):
 
 def test_micro_build_peak(peaks):
     assert peaks[1] < BUILD_BUDGET
+
+
+def test_level_bytes_per_edge():
+    """Every level a micro-64 build holds until uncoarsening, the finest
+    included, stores an edge in at most 8 bytes (16 with int64 ids and
+    float64 weights)."""
+    partitioner = MicroPartitioner(num_micro_parts=64).base
+    current = partitioner._to_wgraph(_golden_graph(), None)
+    rng = derive_rng(5, "multilevel", 0)
+    levels = 0
+    while current.num_vertices > max(partitioner.coarsen_until, 20 * 64):
+        assert current.indices.nbytes + current.ewgts.nbytes <= 8 * len(current.indices)
+        cmap, num_coarse = multilevel._heavy_edge_matching(current, rng)
+        current = multilevel._contract(current, cmap, num_coarse)
+        levels += 1
+    assert current.indices.nbytes + current.ewgts.nbytes <= 8 * len(current.indices)
+    assert levels >= 3

@@ -4,9 +4,11 @@
 and parallel-edge merge verbatim, ``tests/refine_oracle.py`` the original
 refinement.  The production kernels must be bit-equal to them on any
 input: float weights (sums depend on accumulation order), small integer
-weights (exact ties everywhere), self-loops and duplicate edges,
-isolated vertices, and stars, where matching stalls because the hub is
-everyone's heaviest neighbour.
+weights (exact ties everywhere), integer weights too heavy for the
+``int32`` levels, self-loops and duplicate edges, isolated vertices, and
+stars, where matching stalls because the hub is everyone's heaviest
+neighbour.  The levels store ``int32`` ids and, where they fit, ``int32``
+weights; the oracles hold ``float64``, so weights compare as doubles.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def batch_edges(budget):
 @st.composite
 def graphs(draw):
     """A directed multigraph with self-loops, isolated vertices and an
-    optional star hub, unweighted or with integer / float weights."""
+    optional star hub, unweighted or with integer / float / heavy integer
+    weights (``graph.name`` says which)."""
     num_vertices = draw(st.integers(1, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**20)))
     # Only the first `used` vertices get edges; the rest stay isolated.
@@ -55,14 +58,16 @@ def graphs(draw):
         spokes = np.arange(1, num_vertices)
         src = np.concatenate([src, np.zeros_like(spokes), spokes[: len(spokes) // 2]])
         dst = np.concatenate([dst, spokes, np.zeros(len(spokes) // 2, dtype=np.int64)])
-    kind = draw(st.sampled_from(["none", "integer", "float"]))
+    kind = draw(st.sampled_from(["none", "integer", "float", "heavy"]))
     if kind == "integer":  # exact ties between neighbours and parts
         weights = rng.integers(1, 4, size=len(src)).astype(np.float64)
     elif kind == "float":  # sums depend on accumulation order
         weights = rng.random(len(src)) * 3 + 0.1
+    elif kind == "heavy":  # one edge both ways outweighs int32: float64 levels
+        weights = (rng.integers(0, 4, size=len(src)) + 2**30).astype(np.float64)
     else:
         weights = None
-    return from_edges(src, dst, num_vertices=num_vertices, weights=weights)
+    return from_edges(src, dst, num_vertices=num_vertices, weights=weights, name=kind)
 
 
 def raw_wgraph(graph):
@@ -81,8 +86,24 @@ def assert_same_wgraph(observed, expected):
     indptr, indices, ewgts, vwgts = expected
     assert np.array_equal(observed.indptr, indptr)
     assert np.array_equal(observed.indices, indices)
-    assert observed.ewgts.tobytes() == np.asarray(ewgts, dtype=np.float64).tobytes()
+    assert (
+        np.asarray(observed.ewgts, dtype=np.float64).tobytes()
+        == np.asarray(ewgts, dtype=np.float64).tobytes()
+    )
     assert observed.vwgts.tobytes() == np.asarray(vwgts, dtype=np.float64).tobytes()
+
+
+def level_weight_dtype(graph):
+    """The documented level weight dtype: ``int32`` for integer weights
+    whose total fits in it (no edges, none at all), else ``float64``."""
+    if graph.name in ("none", "integer") or not graph.undirected().num_edges:
+        return np.int32
+    return np.float64
+
+
+def assert_level_dtypes(wg, weight_dtype):
+    assert (wg.indptr.dtype, wg.indices.dtype) == (np.int64, np.int32)
+    assert (wg.ewgts.dtype, wg.vwgts.dtype) == (weight_dtype, np.float64)
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,16 +116,18 @@ def test_undirected_matching_and_contraction(graph, budget, seed):
     assert und.weights.tobytes() == ref.weights.tobytes()
 
     symmetric = MultilevelPartitioner()._to_wgraph(graph, None)
+    weight_dtype = level_weight_dtype(graph)
+    assert_level_dtypes(symmetric, weight_dtype)
     for wg in (symmetric, raw_wgraph(graph)):
         with batch_edges(budget):
             cmap, num_coarse = multilevel._heavy_edge_matching(wg, np.random.default_rng(seed))
         ref_cmap, ref_num = heavy_edge_matching_reference(wg, np.random.default_rng(seed))
         assert num_coarse == ref_num
         assert np.array_equal(cmap, ref_cmap)
-        assert_same_wgraph(
-            multilevel._contract(wg, cmap, num_coarse),
-            contract_reference(wg, cmap, num_coarse),
-        )
+        coarse = multilevel._contract(wg, cmap, num_coarse)
+        assert_same_wgraph(coarse, contract_reference(wg, cmap, num_coarse))
+        if wg is symmetric:  # a coarse level keeps its fine level's width
+            assert_level_dtypes(coarse, weight_dtype)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,5 +163,6 @@ def test_a_whole_coarsening_hierarchy():
         assert num_coarse == ref_num and np.array_equal(cmap, ref_cmap)
         coarse = multilevel._contract(current, cmap, num_coarse)
         assert_same_wgraph(coarse, contract_reference(current, cmap, num_coarse))
+        assert_level_dtypes(coarse, np.int32)
         current = coarse
     assert np.diff(current.indptr).mean() > 20

@@ -44,6 +44,8 @@ def graph():
 
 # One sha256 per coarsening level: the matching's (cmap, num_coarse)
 # and the contracted graph's indptr / indices / edge / vertex weights.
+# Frozen when levels held int64 ids and float64 weights; the levels now
+# store int32 (METIS width), hashed widened back: the same values.
 LEVELS = [
     (10423, "c0b9d80100a64641070be68f10e6379abe4a44af9134ec4977a5d2865a45b09b"),
     (5421, "f3e2d9047f329485a4042658f6da8395eece3f8bdca320a1c819ac7fafbd1546"),
@@ -70,10 +72,17 @@ def test_coarsening_levels(graph):
     while current.num_vertices > 200:
         cmap, num_coarse = multilevel._heavy_edge_matching(current, rng)
         current = multilevel._contract(current, cmap, num_coarse)
+        assert (current.indices.dtype, current.ewgts.dtype) == (np.int32, np.int32)
         observed.append(
             (
                 num_coarse,
-                digest(cmap, current.indptr, current.indices, current.ewgts, current.vwgts),
+                digest(
+                    cmap,
+                    current.indptr,
+                    current.indices.astype(np.int64),
+                    current.ewgts.astype(np.float64),
+                    current.vwgts,
+                ),
             )
         )
     # The regime this file exists for: deep, with dense coarse graphs.

@@ -216,6 +216,20 @@ class TestMultilevel:
         with pytest.raises(ValueError, match="edge weights"):
             MultilevelPartitioner().partition(weighted, 2, seed=1)
 
+    def test_negative_edge_weights_rejected(self):
+        # Matching, refinement gains and the int32 level bound assume them
+        # non-negative; N(0, 1) weights used to partition without complaint.
+        g = generators.community_graph(300, num_communities=4, avg_degree=8, seed=3)
+        weights = np.random.default_rng(0).standard_normal(g.num_edges)
+        weighted = from_edges(*g.edge_array().T, num_vertices=g.num_vertices, weights=weights)
+        with pytest.raises(ValueError, match="edge weights must be non-negative"):
+            MultilevelPartitioner().partition(weighted, 4, seed=1)
+        # Zero weights are fine.
+        zeroed = from_edges(
+            *g.edge_array().T, num_vertices=g.num_vertices, weights=np.maximum(weights, 0.0)
+        )
+        assert MultilevelPartitioner().partition(zeroed, 4, seed=1).num_parts == 4
+
     def test_zero_refine_passes_skips_refinement(self, community):
         p = MultilevelPartitioner(refine_passes=0).partition(community, 4, seed=1)
         assert p.num_parts == 4 and (p.assignment >= 0).all()
