@@ -24,7 +24,6 @@ from repro.engine.messages import (
     MinCombiner,
     SumCombiner,
 )
-from repro.engine.parallel import parallel_execution_supported
 from repro.engine.vertex import DenseComputeContext, VertexProgram
 from repro.engine.worker import Worker, build_workers
 
@@ -48,7 +47,6 @@ __all__ = [
     "MinAggregator",
     "MinCombiner",
     "OrAggregator",
-    "parallel_execution_supported",
     "PregelEngine",
     "SumAggregator",
     "SumCombiner",

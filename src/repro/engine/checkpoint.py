@@ -212,6 +212,8 @@ class CheckpointManager:
                     "checkpoint_delta_ratio",
                     "Delta checkpoint bytes relative to the last full snapshot",
                 ).observe(nbytes / max(1, self._full_nbytes), job_id=self.job_id)
+        # A save at an already-checkpointed superstep replaced that object.
+        self._history = [old for old in self._history if old.key != key]
         self._history.append(info)
         self._prune()
         return info
@@ -223,6 +225,9 @@ class CheckpointManager:
             and self._full_info is not None
             and self._deltas_since_full < self.full_interval
             and len(self._full_state["values"]) == len(state["values"])
+            # Same key as the base (or an earlier one after a rollback):
+            # a delta there would overwrite, or predate, what it composes with.
+            and state["superstep"] > self._full_info.superstep
         )
 
     def _delta_payload(self, state: dict) -> dict:

@@ -8,9 +8,9 @@ are reduced at the barrier and broadcast to the next superstep, exactly
 following the Pregel/Giraph model the paper runs on.
 
 Vertex values and halted flags live in dense numpy arrays indexed by
-global vertex id (shared with the workers).  The superstep loop computes
-the active set, the local/remote traffic split and the global halt
-condition from those arrays, and the program runs one batched
+global vertex id.  The superstep loop computes the active set, the
+local/remote traffic split and the global halt condition from those
+arrays, and the program runs one batched
 ``compute_dense`` call per superstep over every active vertex, which is
 what makes long runs (PageRank over tens of thousands of vertices for
 Figs 5-7) cheap.
@@ -31,7 +31,7 @@ import numpy as np
 from repro.engine.messages import MessageStore
 from repro.engine.vertex import DenseComputeContext, VertexProgram
 from repro.engine.worker import Worker, build_workers, value_dtype_of
-from repro.graph.graph import Graph, stable_argsort
+from repro.graph.graph import Graph
 from repro.obs.state import get_metrics, get_tracer
 from repro.partitioning.base import Partitioning
 
@@ -160,15 +160,6 @@ class PregelEngine:
         program: the vertex program to run.
         partitioning: vertex -> worker assignment; its ``num_parts`` is
             the worker count.
-        execution: ``"serial"`` (default) runs everything in-process;
-            ``"parallel"`` runs each worker's dense superstep compute in
-            a real OS process against shared-memory state arrays (see
-            :mod:`repro.engine.parallel`).  Results are bit-identical.
-            Programs with non-numeric values, and hosts without the
-            ``fork`` start method, fall back to the serial path
-            transparently.
-        num_processes: pool size for parallel execution (default: one
-            per worker, capped at the CPU count).
     """
 
     def __init__(
@@ -176,8 +167,6 @@ class PregelEngine:
         graph: Graph,
         program: VertexProgram,
         partitioning: Partitioning | None = None,
-        execution: str = "serial",
-        num_processes: int | None = None,
     ):
         if partitioning is None:
             from repro.partitioning.hashing import HashPartitioner
@@ -185,15 +174,6 @@ class PregelEngine:
             partitioning = HashPartitioner().partition(graph, 1)
         if partitioning.num_vertices != graph.num_vertices:
             raise ValueError("partitioning does not match graph")
-        if execution not in ("serial", "parallel"):
-            raise ValueError(
-                f"execution must be 'serial' or 'parallel', got {execution!r}"
-            )
-        self.execution = execution
-        self._num_processes = num_processes
-        self._parallel = None  # lazy ParallelBackend
-        self._parallel_unavailable = False
-        self._finalizer = None
         self.graph = graph
         self.program = program
         self.partitioning = partitioning
@@ -211,8 +191,6 @@ class PregelEngine:
         self._values = np.empty(n, dtype=value_dtype_of(program))
         self._halted = np.zeros(n, dtype=bool)
         self._init_state()
-        for worker in self.workers:
-            worker.attach(self._values, self._halted)
 
     def _init_state(self) -> None:
         """Initial values from the program; every vertex starts active."""
@@ -260,81 +238,6 @@ class PregelEngine:
         return more
 
     def _step_dense(self) -> bool:
-        """Batched array compute: serial in-process or multiprocess."""
-        if self.execution == "parallel":
-            backend = self._parallel_backend()
-            if backend is not None:
-                return backend.step(self)
-        return self._step_dense_serial()
-
-    def _parallel_backend(self):
-        """The lazily-built multiprocess backend (None → serial fallback)."""
-        if self._parallel is None and not self._parallel_unavailable:
-            import weakref
-
-            from repro.engine.parallel import (
-                ParallelBackend,
-                parallel_execution_supported,
-            )
-
-            if not parallel_execution_supported(self.program):
-                self._parallel_unavailable = True
-                if self._tracer.enabled:
-                    self._tracer.event(
-                        "engine.parallel.fallback", reason="unsupported"
-                    )
-                return None
-            backend = ParallelBackend(
-                graph=self.graph,
-                program=self.program,
-                owner=self._owner,
-                num_workers=self.num_workers,
-                values=self._values,
-                halted=self._halted,
-                num_processes=self._num_processes,
-            )
-            # The engine's state arrays now live in shared memory; rebind
-            # so checkpoints/restores act on the arrays the workers see.
-            self._values = backend.values
-            self._halted = backend.halted
-            for worker in self.workers:
-                worker.attach(self._values, self._halted)
-            self._parallel = backend
-            self._finalizer = weakref.finalize(self, backend.shutdown)
-        return self._parallel
-
-    @property
-    def parallel_active(self) -> bool:
-        """Whether a multiprocess backend is currently attached."""
-        return self._parallel is not None
-
-    def close(self) -> None:
-        """Release parallel-execution resources (idempotent).
-
-        Serial engines are unaffected.  A closed parallel engine keeps
-        its state (values/halted are copied out of shared memory first),
-        so results remain readable; further parallel supersteps run the
-        serial path.
-        """
-        if self._parallel is not None:
-            backend, self._parallel = self._parallel, None
-            self._parallel_unavailable = True
-            self._values = self._values.copy()
-            self._halted = self._halted.copy()
-            for worker in self.workers:
-                worker.attach(self._values, self._halted)
-            backend.shutdown()
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-
-    def __enter__(self) -> "PregelEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _step_dense_serial(self) -> bool:
         """Batched array compute path (numeric values and messages)."""
         program = self.program
         graph = self.graph
@@ -363,16 +266,12 @@ class PregelEngine:
         active = int(np.count_nonzero(active_mask))
         return self._exchange(ctx._sends, aggregators, active)
 
-    def _exchange(
-        self, sends: list, aggregators: dict, active: int, merge_by_source: bool = False
-    ) -> bool:
-        """The superstep tail every dense step ends in, serial or parallel.
+    def _exchange(self, sends: list, aggregators: dict, active: int) -> bool:
+        """The superstep tail every dense step ends in.
 
         Concatenates the ``(src, dst, msg)`` batches in *sends*, delivers
         them, meters the traffic and closes the superstep; returns True
-        while work remains.  ``merge_by_source`` stable-sorts the merged
-        batch by source vertex first — how the parallel backend turns its
-        per-worker outboxes back into the serial emission order.
+        while work remains.
         """
         outgoing = MessageStore(self.program.combiner, num_vertices=self.graph.num_vertices)
         sent = local = remote = 0
@@ -381,9 +280,6 @@ class PregelEngine:
                 src, dst, msg = sends[0]
             else:
                 src, dst, msg = (np.concatenate(column) for column in zip(*sends))
-            if merge_by_source:
-                order = stable_argsort(src, self.graph.num_vertices)
-                src, dst, msg = src[order], dst[order], msg[order]
             sent = len(dst)
             if src is self.graph.edge_sources() and dst is self.graph.indices:
                 local, remote, dst_mask = self._full_broadcast(src, dst)
@@ -407,12 +303,11 @@ class PregelEngine:
     def _count_traffic(self, src: np.ndarray, dst: np.ndarray) -> tuple[int, int]:
         """``(local, remote)`` network messages of one superstep's sends.
 
-        The accounting rule, stated once for the serial and the parallel
-        path: a worker combines
-        what it sends to one destination only when the program declares a
-        combiner, so with a combiner a network message is a distinct
-        (source worker, destination) pair, and without one it is every
-        message.  It is local when the destination's owner is the sender.
+        The accounting rule: a worker combines what it sends to one
+        destination only when the program declares a combiner, so with a
+        combiner a network message is a distinct (source worker,
+        destination) pair, and without one it is every message.  It is
+        local when the destination's owner is the sender.
         """
         owner = self._owner
         if self.program.combiner is None:
@@ -459,6 +354,15 @@ class PregelEngine:
             stats=list(self.stats),
             aggregates=dict(self._prev_aggregates),
         )
+
+    def close(self) -> None:
+        """Do nothing.
+
+        The engine owns no process, file or OS resource (a memory-mapped
+        graph's files belong to the graph), so there is nothing to
+        release.  The method stays only because the ``prepare_recover``
+        bench workload calls it.
+        """
 
     # ------------------------------------------------------------------
     # Checkpoint hooks (see repro.engine.checkpoint)

@@ -121,28 +121,6 @@ class MessageStore:
             identity = self._combiner.identity if self._combiner else 0.0
             values = np.full(num_vertices, identity or 0.0, dtype=np.float64)
             mask = np.zeros(num_vertices, dtype=bool)
-        self._fold_generic_into(values, mask)
-        return values, mask
-
-    def dense_view_into(
-        self, num_vertices: int, values_out: np.ndarray, mask_out: np.ndarray
-    ) -> None:
-        """:meth:`dense_view` written into caller-provided arrays.
-
-        Allocation-free variant used by the parallel backend to refill
-        its shared-memory inbox arrays in place every superstep.
-        """
-        if self._dense_values is not None:
-            values_out[...] = self._dense_values
-            mask_out[...] = self._dense_mask
-        else:
-            identity = self._combiner.identity if self._combiner else 0.0
-            values_out[...] = identity or 0.0
-            mask_out[...] = False
-        self._fold_generic_into(values_out, mask_out)
-
-    def _fold_generic_into(self, values: np.ndarray, mask: np.ndarray) -> None:
-        """Fold the generic per-destination buckets into a dense view."""
         for dst, bucket in self._by_dst.items():
             if not bucket:
                 continue
@@ -155,6 +133,7 @@ class MessageStore:
                 )
             values[dst] = message
             mask[dst] = True
+        return values, mask
 
     def __bool__(self) -> bool:
         if any(self._by_dst.values()):

@@ -33,14 +33,13 @@ failed, and the process exits 1 if that list is not empty.
 ``engine-scale``
     Streams an RMAT scale-11 graph into an on-disk CSR store in several
     batches and memory-maps it; runs SSSP, PageRank, WCC and in-degree
-    on the serial and the 4-worker shared-memory engine and checks they
-    are bit-identical (values, per-superstep stats, superstep counts);
-    saves a full + delta checkpoint chain mid-run, restores it into a
-    fresh engine and resumes to the exact uninterrupted result; then
-    corrupts the delta's envelope and checks the restore falls back to
-    the full checkpoint, still exact.  Without ``fork`` the parallel
-    engine is the serial fallback, which must still be exact.  Writes
-    no artifacts.
+    on 4 workers over the memory-mapped graph and over the same store
+    loaded into RAM, and checks the runs are identical (values,
+    per-superstep stats, superstep counts); saves a full + delta
+    checkpoint chain mid-run, restores it into a fresh engine and
+    resumes to the exact uninterrupted result; then corrupts the delta's
+    envelope and checks the restore falls back to the full checkpoint,
+    still exact.  Writes no artifacts.
 
 ``reach``
     Runs every shipped entry point from the checkout, two at a time,
@@ -299,8 +298,7 @@ def ops(out: Path | None) -> list[str]:
 def engine_scale(out: Path | None) -> list[str]:
     from repro.engine import CheckpointManager, DataStore, PregelEngine
     from repro.engine.algorithms import SSSP, ConnectedComponents, InDegree, PageRank
-    from repro.engine.parallel import parallel_execution_supported
-    from repro.graph.io import build_rmat_csr, is_memmap_backed
+    from repro.graph.io import build_rmat_csr, is_memmap_backed, load_csr
     from repro.partitioning.hashing import HashPartitioner
 
     failures: list[str] = []
@@ -319,9 +317,10 @@ def engine_scale(out: Path | None) -> list[str]:
         )
         if not is_memmap_backed(graph.indices):
             failures.append("csr store is not memory-mapped")
+        in_ram = load_csr(Path(tmp) / "csr", mmap=False)
+        if is_memmap_backed(in_ram.indices):
+            failures.append("csr store loaded with mmap=False is still memory-mapped")
         partitioning = HashPartitioner().partition(graph, ENGINE_WORKERS)
-        if not parallel_execution_supported():
-            print("engine-scale: fork unavailable; parallel runs use the serial fallback")
 
         # Min-combined SSSP and WCC, sum-combined PageRank and in-degree.
         for label, make_program in (
@@ -330,24 +329,22 @@ def engine_scale(out: Path | None) -> list[str]:
             ("wcc", ConnectedComponents),
             ("in-degree", InDegree),
         ):
-            serial = PregelEngine(graph, make_program(), partitioning).run()
-            with PregelEngine(graph, make_program(), partitioning, execution="parallel") as engine:
-                if not same(serial, engine.run()):
-                    failures.append(f"{label}: parallel differs from serial")
+            mapped = PregelEngine(graph, make_program(), partitioning).run()
+            loaded = PregelEngine(in_ram, make_program(), partitioning).run()
+            if not same(mapped, loaded):
+                failures.append(f"{label}: memory-mapped run differs from in-RAM run")
 
-        # A full + delta chain saved from the parallel engine, restored
-        # serially and resumed to completion.
+        # A full + delta chain saved mid-run, restored into a fresh engine
+        # and resumed to completion.
         reference = PregelEngine(graph, PageRank(iterations=8), partitioning).run()
         store = DataStore()
         manager = CheckpointManager(store, "scale-smoke", delta=True, full_interval=8)
-        with PregelEngine(
-            graph, PageRank(iterations=8), partitioning, execution="parallel"
-        ) as engine:
-            engine.step()
-            engine.step()
-            full_info = manager.save(engine)
-            engine.step()
-            delta_info = manager.save(engine)
+        engine = PregelEngine(graph, PageRank(iterations=8), partitioning)
+        engine.step()
+        engine.step()
+        full_info = manager.save(engine)
+        engine.step()
+        delta_info = manager.save(engine)
         if delta_info.kind != "delta":
             failures.append(f"second checkpoint is a {delta_info.kind!r}, not a delta")
 

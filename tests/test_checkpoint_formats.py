@@ -3,10 +3,10 @@
 Covers the one restorable format (a format-3 ``planes`` envelope), the
 refusal of anything else, the delta-chain restore path (full +
 changed-vertex delta must equal a full-snapshot restore bit-exactly),
-corrupted-envelope fallback down to a single flipped byte, and the
-chain-aware prune.  The runtime-level test reuses the fault-injection
-observers to drive a real eviction/recovery cycle over delta
-checkpoints.
+corrupted-envelope fallback down to a single flipped byte, the
+chain-aware prune, and a save repeated at one superstep.  The
+runtime-level test reuses the fault-injection observers to drive a real
+eviction/recovery cycle over delta checkpoints.
 """
 
 from __future__ import annotations
@@ -431,6 +431,68 @@ class TestDeltaChains:
         restored = make_engine(graph, partitioning)
         manager.load_into(restored)
         assert restored.superstep == infos[3].superstep
+
+
+class TestRepeatedSave:
+    """A save at a superstep that already has a checkpoint replaces it:
+    the chain stays restorable and the history names each key once."""
+
+    @pytest.fixture()
+    def pagerank(self):
+        graph = generators.community_graph(500, num_communities=4, avg_degree=6, seed=5)
+        partitioning = HashPartitioner().partition(graph, 3)
+        return lambda: PregelEngine(graph, PageRank(iterations=10), partitioning)
+
+    def test_double_save_restores_exact_state(self, pagerank):
+        manager = CheckpointManager(DataStore(), "job", delta=True, full_interval=4)
+        engine = pagerank()
+        engine.step()
+        engine.step()
+        first = manager.save(engine)
+        second = manager.save(engine)
+        restored = pagerank()
+        manager.load_into(restored)
+        assert_state_equal(engine, restored)
+        assert (first.kind, second.kind) == ("full", "full")
+
+    @pytest.mark.parametrize("delta", [False, True])
+    def test_history_holds_one_entry_per_key(self, pagerank, delta):
+        store = DataStore()
+        manager = CheckpointManager(store, "job", keep_last=10, delta=delta)
+        engine = pagerank()
+        engine.step()
+        manager.save(engine)
+        manager.save(engine)
+        engine.step()
+        manager.save(engine)
+        manager.save(engine)
+        keys = [info.key for info in manager.history()]
+        assert len(keys) == len(set(keys)) == 2
+        assert set(store.list_keys("checkpoints/")) == set(keys)
+
+    def test_replay_after_rollback_keeps_chain_restorable(self, pagerank):
+        # Full at 2, delta at 4; roll back to the full and replay: the
+        # saves at 2 and 4 land on the same keys again.
+        manager = CheckpointManager(
+            DataStore(), "job", keep_last=10, delta=True, full_interval=4
+        )
+        engine = pagerank()
+        engine.step()
+        engine.step()
+        full = manager.save(engine)
+        engine.step()
+        engine.step()
+        manager.save(engine)
+        manager.load_into(engine, full)
+        resaved = manager.save(engine)
+        assert resaved.kind == "full"
+        engine.step()
+        engine.step()
+        assert manager.save(engine).kind == "delta"
+        assert [info.superstep for info in manager.history()] == [2, 4]
+        restored = pagerank()
+        manager.load_into(restored)
+        assert_state_equal(engine, restored)
 
 
 class TestDeltaMetrics:

@@ -201,6 +201,20 @@ class TestEngineExecution:
         with pytest.raises(ValueError):
             PregelEngine(g, EchoProgram(), p)
 
+    def test_object_valued_program_matches_float(self, community):
+        # A program that declares no value dtype keeps its values in an
+        # ``object`` array; the dense step must compute the same thing.
+        class ObjectPageRank(PageRank):
+            value_dtype = None
+
+        p = HashPartitioner().partition(community, 4)
+        engine = PregelEngine(community, ObjectPageRank(iterations=5), p)
+        assert engine._values.dtype == object
+        got = engine.run()
+        ref = PregelEngine(community, PageRank(iterations=5), p).run()
+        assert got.values == ref.values
+        assert got.stats == ref.stats
+
     def test_default_partitioning_single_worker(self):
         g = scalar_oracle.path_graph(3)
         engine = PregelEngine(g, PageRank(iterations=1))

@@ -6,7 +6,7 @@ plane-wise checkpoint codec, faster ``_refine``) so that work can only
 change how long things take, never what they compute.  Three families:
 
 * the full per-superstep ``(active, sent, local, remote)`` sequence of
-  three dense programs, serial and parallel;
+  three dense programs;
 * sha256 of partition assignments (the other partitioning tests only
   bound edge cuts, so an output-changing "optimisation" would pass them);
 * one ``HourglassRuntime.execute`` battered by two real evictions.
@@ -23,7 +23,7 @@ import pytest
 
 from repro.cloud import default_catalog
 from repro.core import HourglassProvisioner
-from repro.engine import PregelEngine, parallel_execution_supported
+from repro.engine import PregelEngine
 from repro.engine.algorithms import SSSP, ConnectedComponents, PageRank
 from repro.graph import generators
 from repro.partitioning.micro import MicroPartitioner
@@ -81,16 +81,12 @@ PROGRAMS = {
 
 
 class TestSuperstepStatsGoldens:
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    @pytest.mark.parametrize("execution", ["serial", "parallel"])
-    def test_traffic_sequence(self, graph, four_way, name, execution):
-        if execution == "parallel" and not parallel_execution_supported():
-            pytest.skip("fork start method unavailable on this platform")
+    @pytest.mark.parametrize(
+        "name", sorted(PROGRAMS), ids=lambda name: f"serial-{name}"
+    )
+    def test_traffic_sequence(self, graph, four_way, name):
         make_program, expected = PROGRAMS[name]
-        with PregelEngine(
-            graph, make_program(), four_way, execution=execution, num_processes=2
-        ) as engine:
-            result = engine.run()
+        result = PregelEngine(graph, make_program(), four_way).run()
         observed = [
             (s.active_vertices, s.messages_sent, s.local_messages, s.remote_messages)
             for s in result.stats

@@ -6,8 +6,8 @@ network-message count and its destination mask are properties of the
 graph and the placement, so the engine computes them on its first full
 broadcast and reuses them.  Four families hold that to the old path:
 
-* PageRank outputs frozen before the constants existed, serial and
-  parallel, on a graph without dangling vertices and on one with them,
+* PageRank outputs frozen before the constants existed, on a graph
+  without dangling vertices and on one with them,
   and SSSP distances, weighted and not, frozen before SSSP moved onto
   ``send_to_all_neighbors``;
 * every superstep of PageRank, WCC, in-degree, SSSP (weighted and not)
@@ -31,7 +31,6 @@ from repro.engine import (
     DataStore,
     DenseComputeContext,
     PregelEngine,
-    parallel_execution_supported,
 )
 from repro.engine import engine as engine_module
 from repro.engine.algorithms import SSSP, ConnectedComponents, InDegree, PageRank
@@ -93,19 +92,14 @@ PAGERANK_GOLDENS = {
 
 
 class TestFrozenPageRank:
-    @pytest.mark.parametrize("name", sorted(PAGERANK_GOLDENS))
-    @pytest.mark.parametrize("execution", ["serial", "parallel"])
-    def test_stats_and_ranks(self, name, execution):
-        if execution == "parallel" and not parallel_execution_supported():
-            pytest.skip("fork start method unavailable on this platform")
+    @pytest.mark.parametrize(
+        "name", sorted(PAGERANK_GOLDENS), ids=lambda name: f"serial-{name}"
+    )
+    def test_stats_and_ranks(self, name):
         make_graph, workers, flowing, digest = PAGERANK_GOLDENS[name]
         graph = make_graph()
         partitioning = HashPartitioner().partition(graph, workers)
-        with PregelEngine(
-            graph, PageRank(iterations=12), partitioning, execution=execution,
-            num_processes=2,
-        ) as engine:
-            result = engine.run()
+        result = PregelEngine(graph, PageRank(iterations=12), partitioning).run()
         observed = [
             (
                 s.active_vertices,
@@ -143,15 +137,11 @@ class TestFrozenSSSP:
 # ----------------------------------------------------------------------
 
 
-def materialise(sends, merge_by_source):
+def materialise(sends):
     """The superstep's batch as ``_exchange`` sees it, copied out."""
     if not sends:
         return None
-    src, dst, msg = (np.concatenate(column) for column in zip(*sends))
-    if merge_by_source:
-        order = np.argsort(src, kind="stable")
-        src, dst, msg = src[order], dst[order], msg[order]
-    return src, dst, msg
+    return tuple(np.concatenate(column) for column in zip(*sends))
 
 
 def assert_matches_rebuild(engine, batch):
@@ -198,9 +188,9 @@ def checked(monkeypatch):
     original_exchange = PregelEngine._exchange
     original_count = _SlotCounter.count
 
-    def exchange(self, sends, aggregators, active, merge_by_source=False):
-        batch = materialise(sends, merge_by_source)
-        more = original_exchange(self, sends, aggregators, active, merge_by_source)
+    def exchange(self, sends, aggregators, active):
+        batch = materialise(sends)
+        more = original_exchange(self, sends, aggregators, active)
         assert_matches_rebuild(self, batch)
         if batch is not None:
             graph = self.graph

@@ -1,7 +1,7 @@
 """The engine's local/remote traffic accounting.
 
-One rule, two execution paths (serial, parallel) held to the per-vertex
-reference path of ``tests/scalar_oracle.py``: with a combiner a network
+One rule, held to the per-vertex reference path of
+``tests/scalar_oracle.py``: with a combiner a network
 message is a distinct (source worker, destination) pair; without one it
 is every message.  The engine counts the distinct pairs with a bounded
 bitmap instead of a sort; the sort (``np.unique``) survives here as the
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import PregelEngine, parallel_execution_supported
+from repro.engine import PregelEngine
 from repro.engine import engine as engine_module
 from repro.engine.algorithms import ConnectedComponents
 from repro.engine.engine import _SlotCounter
@@ -48,10 +48,10 @@ class Shout(VertexProgram):
         ctx.vote_to_halt(ctx.active)
 
 
-def first_superstep(graph, partitioning, program, engine=PregelEngine, **kwargs):
-    with engine(graph, program, partitioning, **kwargs) as engine:
-        engine.step()
-        stats = engine.stats[0]
+def first_superstep(graph, partitioning, program, engine=PregelEngine):
+    engine = engine(graph, program, partitioning)
+    engine.step()
+    stats = engine.stats[0]
     return (stats.messages_sent, stats.local_messages, stats.remote_messages)
 
 
@@ -71,26 +71,12 @@ class TestNoCombinerMeansNoCombining:
         graph, partitioning = three_vertices
         assert first_superstep(graph, partitioning, Shout()) == (3, 1, 2)
 
-    @pytest.mark.skipif(
-        not parallel_execution_supported(), reason="fork start method unavailable"
-    )
-    def test_parallel_agrees_with_scalar(self, three_vertices):
-        graph, partitioning = three_vertices
-        observed = first_superstep(
-            graph, partitioning, Shout(), execution="parallel", num_processes=2
-        )
-        assert observed == (3, 1, 2)
-
     def test_parity_on_a_generated_graph(self):
         graph = generators.rmat(7, seed=3)
         partitioning = HashPartitioner().partition(graph, 3)
         scalar = first_superstep(graph, partitioning, Shout(), ScalarEngine)
         assert first_superstep(graph, partitioning, Shout()) == scalar
         assert scalar[0] == scalar[1] + scalar[2] == graph.num_edges
-        if parallel_execution_supported():
-            assert scalar == first_superstep(
-                graph, partitioning, Shout(), execution="parallel", num_processes=2
-            )
 
 
 def sorted_count(owner, src, dst):
