@@ -8,9 +8,12 @@ from repro.engine.aggregators import SumAggregator
 from repro.engine.messages import SumCombiner
 from repro.engine.vertex import DenseComputeContext, VertexProgram
 
+#: Probability of following a link rather than jumping (Brin & Page).
+DAMPING = 0.85
+
 
 class PageRank(VertexProgram):
-    """Iterative PageRank with damping, fixed iteration count.
+    """Iterative PageRank, damped by :data:`DAMPING`, fixed iteration count.
 
     The paper runs 30 iterations on the Twitter graph (its "medium" job,
     20 minutes on the last-resort configuration).  Dangling vertices
@@ -18,20 +21,16 @@ class PageRank(VertexProgram):
 
     Args:
         iterations: number of rank-update supersteps.
-        damping: damping factor (default 0.85).
     """
 
     combiner = SumCombiner
     message_bytes = 8
     value_dtype = np.float64
 
-    def __init__(self, iterations: int = 30, damping: float = 0.85):
+    def __init__(self, iterations: int = 30):
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
-        if not 0.0 < damping < 1.0:
-            raise ValueError(f"damping must be in (0, 1), got {damping}")
         self.iterations = iterations
-        self.damping = damping
 
     def aggregators(self):
         """Aggregator factories used by this program."""
@@ -47,10 +46,7 @@ class PageRank(VertexProgram):
         active = ctx.active
         if ctx.superstep > 0:
             incoming = np.where(ctx.has_message, ctx.messages, 0.0)
-            values[active] = (
-                (1.0 - self.damping) / ctx.num_vertices
-                + self.damping * incoming[active]
-            )
+            values[active] = (1.0 - DAMPING) / ctx.num_vertices + DAMPING * incoming[active]
         ctx.aggregate("rank_sum", float(values[active].sum()))
         if ctx.superstep < self.iterations:
             degrees = ctx.out_degrees()

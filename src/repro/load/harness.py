@@ -64,7 +64,13 @@ from repro.exec.frontier import frontier_for_app
 from repro.experiments.common import ExperimentSetup
 from repro.load.admission import AdmissionController
 from repro.load.report import LoadReport
-from repro.load.trace import ArrivalTrace, LoadTraceConfig, TraceJob, generate_trace
+from repro.load.trace import (
+    PERIODS_S,
+    ArrivalTrace,
+    LoadTraceConfig,
+    TraceJob,
+    generate_trace,
+)
 from repro.obs.state import get_metrics
 from repro.obs.window import Record, RecordLog, percentile
 from repro.service.frontend import (
@@ -727,12 +733,12 @@ class LoadHarness:
             app = names[int(rng.choice(len(names), p=weights))]
             scale = float(cfg.trace.scales[int(rng.integers(len(cfg.trace.scales)))])
             profile, perf, lrc, _ = self._model_for(app, scale)
-            # Tight-but-legal period: the smallest configured period the
-            # job can in principle fit (evictions make it overrun
+            # Tight-but-legal period: the smallest trace period the job
+            # can in principle fit (evictions make it overrun
             # occasionally — exactly the skipped-window regime).
             floor = 1.15 * (perf.fixed_time(lrc) + perf.exec_time(lrc))
-            fitting = [p for p in cfg.trace.periods_s if p >= floor]
-            period = min(fitting) if fitting else max(cfg.trace.periods_s)
+            fitting = [p for p in PERIODS_S if p >= floor]
+            period = min(fitting) if fitting else max(PERIODS_S)
             specs.append(
                 RecurringJobSpec(
                     name=f"recurring-{r:02d}",

@@ -9,7 +9,8 @@ The workload model is the production shape the ROADMAP asks for:
 * **Mixed tenants and jobs** — every arrival is one tenant submitting
   one time-constrained graph job: an application from the paper's
   profile set, a graph-size scale factor, a slack fraction and a
-  recurrence period, all drawn from configurable mixes.
+  recurrence period, drawn from the config's mixes and from
+  :data:`PERIODS_S`.
 
 Generation is fully deterministic: every draw comes from one
 :func:`repro.utils.rng.derive_rng` stream keyed off the config seed, so
@@ -24,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from repro.core.job import PAPER_PROFILES
@@ -36,22 +37,42 @@ from repro.utils.units import HOURS
 #: motivation: short recurring analyses dominate arrival counts.
 DEFAULT_APP_MIX = (("sssp", 0.5), ("pagerank", 0.35), ("coloring", 0.15))
 
+#: Relative amplitude of the 24 h rate sinusoid: the offered rate swings
+#: +-60 % around the mean.
+DIURNAL_AMPLITUDE = 0.6
+
+#: Length of one burst window, seconds.
+BURST_DURATION_S = 900.0
+
+#: Recurrence periods jobs are tagged with (they drive the
+#: recurring-tenant phase of the harness).
+PERIODS_S = (2 * HOURS, 4 * HOURS, 6 * HOURS)
+
+#: Header keys that traces written before these values became constants
+#: still carry: read back only at the constant's value.
+_FOLDED_KEYS = {
+    "diurnal_amplitude": DIURNAL_AMPLITUDE,
+    "burst_duration_s": BURST_DURATION_S,
+    "periods_s": PERIODS_S,
+}
+
 
 @dataclass(frozen=True)
 class LoadTraceConfig:
     """Knobs of the workload generator (all defaults are benchmark-sane).
+
+    The diurnal amplitude, the burst-window length and the recurrence
+    periods are the module constants :data:`DIURNAL_AMPLITUDE`,
+    :data:`BURST_DURATION_S` and :data:`PERIODS_S`.
 
     Attributes:
         seed: master seed; the trace is a pure function of this config.
         num_jobs: arrivals to generate.
         num_tenants: distinct tenant identities jobs are attributed to.
         arrivals_per_hour: mean offered rate before modulation.
-        diurnal_amplitude: relative amplitude of the 24 h sinusoid
-            (0 = flat, 0.6 = rate swings +-60% around the mean).
         burst_rate_multiplier: rate multiplier inside a burst window.
         burst_probability_per_hour: chance each wall-clock hour contains
             one burst window.
-        burst_duration_s: length of one burst window.
         app_mix: ``(profile name, weight)`` pairs.
         scales: graph-size scale factors applied to the profile's
             execution time (mixed dataset sizes).
@@ -61,23 +82,18 @@ class LoadTraceConfig:
             round numbers; a nonzero quantum makes same-window arrivals
             of one (app, scale) cell genuinely identical requests — the
             duplicate-heavy regime the frontend's coalescing serves.
-        periods_s: recurrence periods jobs are tagged with (drives the
-            recurring-tenant phase of the harness).
     """
 
     seed: int = 42
     num_jobs: int = 1000
     num_tenants: int = 20
     arrivals_per_hour: float = 120.0
-    diurnal_amplitude: float = 0.6
     burst_rate_multiplier: float = 4.0
     burst_probability_per_hour: float = 0.15
-    burst_duration_s: float = 900.0
     app_mix: tuple[tuple[str, float], ...] = DEFAULT_APP_MIX
     scales: tuple[float, ...] = (0.25, 0.5, 1.0)
     slack_range: tuple[float, float] = (0.1, 1.0)
     slack_quantum: float = 0.0
-    periods_s: tuple[float, ...] = (2 * HOURS, 4 * HOURS, 6 * HOURS)
 
     def __post_init__(self):
         if self.num_jobs < 1:
@@ -87,22 +103,17 @@ class LoadTraceConfig:
         # Chained comparisons below are written so that NaN fails them.
         if not 0.0 < self.arrivals_per_hour < math.inf:
             raise ValueError("arrivals_per_hour must be positive and finite")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError("diurnal_amplitude must be in [0, 1)")
         if not 1.0 <= self.burst_rate_multiplier < math.inf:
             raise ValueError("burst_rate_multiplier must be finite and >= 1")
         if not 0.0 <= self.burst_probability_per_hour <= 1.0:
             raise ValueError("burst_probability_per_hour must be in [0, 1]")
-        if not 0.0 <= self.burst_duration_s < math.inf:
-            raise ValueError("burst_duration_s must be finite and >= 0")
         unknown = [name for name, _ in self.app_mix if name not in PAPER_PROFILES]
         if unknown:
             raise ValueError(f"unknown profiles in app_mix: {unknown}")
         if not self.app_mix or not all(0.0 < w < math.inf for _, w in self.app_mix):
             raise ValueError("app_mix needs positive, finite weights")
-        for name, values in (("scales", self.scales), ("periods_s", self.periods_s)):
-            if not values or not all(0.0 < v < math.inf for v in values):
-                raise ValueError(f"{name} needs one or more positive, finite values")
+        if not self.scales or not all(0.0 < v < math.inf for v in self.scales):
+            raise ValueError("scales needs one or more positive, finite values")
         lo, hi = self.slack_range
         if not 0.0 <= lo <= hi < math.inf:
             raise ValueError("slack_range must satisfy 0 <= lo <= hi < inf")
@@ -167,21 +178,52 @@ class ArrivalTrace:
 
     @classmethod
     def from_jsonl(cls, path) -> "ArrivalTrace":
-        """Reload a trace written by :meth:`to_jsonl`."""
+        """Reload a trace written by :meth:`to_jsonl`.
+
+        Every config and job field must be present and no other key may
+        be: anything else raises ``ValueError`` naming the key, so a
+        replayed trace is the one that was written.  A header from
+        before the diurnal amplitude, burst-window length and periods
+        became constants carries them too, each accepted only at its
+        constant's value.
+        """
         lines = Path(path).read_text().splitlines()
         if not lines:
             raise ValueError(f"empty trace file: {path}")
         header = json.loads(lines[0])
-        raw = header.get("trace_config")
-        if raw is None:
+        if not isinstance(header, dict) or "trace_config" not in header:
             raise ValueError(f"missing trace_config header in {path}")
-        for key in ("app_mix", "scales", "slack_range", "periods_s"):
-            raw[key] = tuple(
-                tuple(v) if isinstance(v, list) else v for v in raw[key]
-            )
-        config = LoadTraceConfig(**raw)
-        jobs = tuple(TraceJob(**json.loads(line)) for line in lines[1:] if line)
-        return cls(config=config, jobs=jobs)
+        records = [(LoadTraceConfig, header["trace_config"], "header", _FOLDED_KEYS)]
+        records += [
+            (TraceJob, json.loads(line), f"line {number}", {})
+            for number, line in enumerate(lines[1:], start=2)
+            if line
+        ]
+        built = []
+        for kind, raw, where, folded in records:
+            if not isinstance(raw, dict):
+                raise ValueError(f"{path} {where}: expected a JSON object")
+            # JSON arrays back to the (nested) tuples the dataclasses hold.
+            raw = {
+                key: tuple(tuple(v) if isinstance(v, list) else v for v in value)
+                if isinstance(value, list)
+                else value
+                for key, value in raw.items()
+            }
+            names = {field.name for field in fields(kind)}
+            for key in sorted(raw.keys() - names):
+                if key not in folded:
+                    raise ValueError(f"{path} {where}: unknown key {key!r}")
+                if raw.pop(key) != folded[key]:
+                    raise ValueError(
+                        f"{path} {where}: {key} must be {folded[key]!r}, "
+                        "the value traces are generated with"
+                    )
+            missing = sorted(names - raw.keys())
+            if missing:
+                raise ValueError(f"{path} {where}: missing {', '.join(missing)}")
+            built.append(kind(**raw))
+        return cls(config=built[0], jobs=tuple(built[1:]))
 
 
 def _burst_window(config: LoadTraceConfig, hour: int) -> tuple[float, float] | None:
@@ -195,7 +237,7 @@ def _burst_window(config: LoadTraceConfig, hour: int) -> tuple[float, float] | N
     if rng.uniform() >= config.burst_probability_per_hour:
         return None
     start = hour * HOURS + rng.uniform(0.0, HOURS)
-    return start, start + config.burst_duration_s
+    return start, start + BURST_DURATION_S
 
 
 def _in_burst(config: LoadTraceConfig, t: float, windows: dict) -> bool:
@@ -224,7 +266,7 @@ def offered_rate(config: LoadTraceConfig, t: float, windows: dict) -> float:
     of them.
     """
     base = config.arrivals_per_hour / HOURS
-    diurnal = 1.0 + config.diurnal_amplitude * math.sin(2.0 * math.pi * t / (24 * HOURS))
+    diurnal = 1.0 + DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * t / (24 * HOURS))
     rate = base * diurnal
     if _in_burst(config, t, windows):
         rate *= config.burst_rate_multiplier
@@ -243,7 +285,7 @@ def generate_trace(config: LoadTraceConfig) -> ArrivalTrace:
     peak = (
         config.arrivals_per_hour
         / HOURS
-        * (1.0 + config.diurnal_amplitude)
+        * (1.0 + DIURNAL_AMPLITUDE)
         * config.burst_rate_multiplier
     )
     names = [name for name, _ in config.app_mix]
@@ -270,9 +312,7 @@ def generate_trace(config: LoadTraceConfig) -> ArrivalTrace:
                 app=names[int(rng.choice(len(names), p=weights))],
                 scale=float(config.scales[int(rng.integers(len(config.scales)))]),
                 slack_fraction=slack,
-                period_s=float(
-                    config.periods_s[int(rng.integers(len(config.periods_s)))]
-                ),
+                period_s=float(PERIODS_S[int(rng.integers(len(PERIODS_S)))]),
             )
         )
     return ArrivalTrace(config=config, jobs=tuple(jobs))

@@ -9,6 +9,11 @@ import numpy as np
 
 from repro.graph.graph import Graph
 
+#: Largest part load the multilevel and FENNEL partitioners allow, as a
+#: multiple of the average part load: 10 % imbalance, METIS's default
+#: ``ufactor``.
+BALANCE_SLACK = 1.1
+
 
 @dataclass(frozen=True)
 class Partitioning:

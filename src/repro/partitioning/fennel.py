@@ -1,15 +1,16 @@
 """FENNEL one-pass streaming partitioner (Tsourakakis et al., WSDM'14).
 
-Vertices arrive in a stream; each is greedily placed in the partition
-``p`` maximising
+Vertices arrive in a random stream; each is greedily placed in the
+partition ``p`` maximising
 
-    |N(v) ∩ S_p|  -  alpha * gamma * |S_p|^(gamma - 1)
+    |N(v) ∩ S_p|  -  alpha * GAMMA * |S_p|^(GAMMA - 1)
 
 i.e. neighbours already in ``p`` minus a superlinear load penalty.  With
-``gamma = 1.5`` (the paper's setting) and
+``GAMMA = 1.5`` (the paper's setting) and
 ``alpha = sqrt(k) * m / n^1.5`` this interpolates between modularity-style
-clustering and balanced partitioning.  A hard balance cap prevents any
-partition exceeding ``balance_slack`` times the average size.
+clustering and balanced partitioning.  A hard balance cap closes a
+partition once its size reaches ``BALANCE_SLACK`` times the average (the
+vertex that reaches it may carry it past the cap).
 
 The Hourglass paper uses FENNEL both as a baseline partitioner and as one
 of the micro-partition generators (F-MICRO in Fig 8).
@@ -20,39 +21,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.partitioning.base import Partitioner, Partitioning
+from repro.partitioning.base import BALANCE_SLACK, Partitioner, Partitioning
 from repro.utils.rng import derive_rng
+
+#: Exponent of the load penalty (the paper's setting).
+GAMMA = 1.5
 
 
 class FennelPartitioner(Partitioner):
-    """One-pass streaming graph partitioner.
-
-    Args:
-        gamma: exponent of the load penalty (paper default 1.5).
-        balance_slack: hard cap on part size as a multiple of the average
-            (1.1 = at most 10 % over average).
-        stream_order: ``"natural"`` (vertex id order), ``"random"``, or
-            ``"bfs"`` (breadth-first from a random root, which generally
-            improves quality on mesh-like graphs).
-    """
+    """One-pass streaming graph partitioner over a seeded random vertex
+    order, with penalty exponent :data:`GAMMA` and part sizes capped at
+    :data:`~repro.partitioning.base.BALANCE_SLACK` times the average."""
 
     name = "fennel"
-
-    def __init__(
-        self,
-        gamma: float = 1.5,
-        balance_slack: float = 1.1,
-        stream_order: str = "random",
-    ):
-        if gamma <= 1.0:
-            raise ValueError(f"gamma must be > 1, got {gamma}")
-        if balance_slack < 1.0:
-            raise ValueError(f"balance_slack must be >= 1, got {balance_slack}")
-        if stream_order not in ("natural", "random", "bfs"):
-            raise ValueError(f"unknown stream_order {stream_order!r}")
-        self.gamma = gamma
-        self.balance_slack = balance_slack
-        self.stream_order = stream_order
 
     def partition(self, graph: Graph, num_parts: int, seed=None) -> Partitioning:
         """Partition *graph* into *num_parts* (see class docstring)."""
@@ -62,19 +43,18 @@ class FennelPartitioner(Partitioner):
         m = max(1, undirected.num_edges // 2)  # undirected edge count
         k = num_parts
         alpha = np.sqrt(k) * m / max(1.0, n**1.5)
-        load_cap = max(1.0, self.balance_slack * n / k)
+        load_cap = max(1.0, BALANCE_SLACK * n / k)
 
-        order = self._stream_order(undirected, seed)
+        order = derive_rng(seed, "fennel-order").permutation(n)
         assignment = np.full(n, -1, dtype=np.int64)
         sizes = np.zeros(k, dtype=np.float64)
-        gamma = self.gamma
 
         for v in order:
             neigh = undirected.neighbors(v)
             placed = assignment[neigh]
             placed = placed[placed >= 0]
             neighbour_score = np.bincount(placed, minlength=k).astype(np.float64)
-            penalty = alpha * gamma * np.power(sizes, gamma - 1.0)
+            penalty = alpha * GAMMA * np.power(sizes, GAMMA - 1.0)
             score = neighbour_score - penalty
             score[sizes >= load_cap] = -np.inf
             best = int(np.argmax(score))
@@ -82,38 +62,3 @@ class FennelPartitioner(Partitioner):
             sizes[best] += 1.0
 
         return Partitioning(assignment=assignment, num_parts=k)
-
-    def _stream_order(self, graph: Graph, seed) -> np.ndarray:
-        n = graph.num_vertices
-        if self.stream_order == "natural":
-            return np.arange(n, dtype=np.int64)
-        rng = derive_rng(seed, "fennel-order")
-        if self.stream_order == "random":
-            return rng.permutation(n)
-        return _bfs_order(graph, rng)
-
-
-def _bfs_order(graph: Graph, rng: np.random.Generator) -> np.ndarray:
-    """BFS visitation order covering all components (random roots)."""
-    n = graph.num_vertices
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    pos = 0
-    roots = rng.permutation(n)
-    from collections import deque
-
-    queue: deque[int] = deque()
-    for root in roots:
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue.append(int(root))
-        while queue:
-            v = queue.popleft()
-            order[pos] = v
-            pos += 1
-            for u in graph.neighbors(v):
-                if not visited[u]:
-                    visited[u] = True
-                    queue.append(int(u))
-    return order

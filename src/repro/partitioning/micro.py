@@ -65,17 +65,14 @@ class MicroPartitioning:
         """Number of micro-partitions in the artefact."""
         return self.micro.num_parts
 
-    def cluster(
-        self,
-        num_parts: int,
-        clusterer: MultilevelPartitioner | None = None,
-        seed=None,
-    ) -> Partitioning:
+    def cluster(self, num_parts: int, seed=None) -> Partitioning:
         """Cluster micro-partitions into ``num_parts`` macro-partitions.
 
         This is the *online* step: it runs on the quotient graph (a few
         dozen vertices), so it completes in milliseconds regardless of
-        the original graph's size.
+        the original graph's size.  It is a multilevel partitioning
+        balanced by the micro-partitions' loads, keeping the best of
+        eight restarts.
         """
         if num_parts < 1:
             raise ValueError(f"num_parts must be >= 1, got {num_parts}")
@@ -84,8 +81,7 @@ class MicroPartitioning:
                 f"cannot cluster {self.num_micro_parts} micro-partitions into "
                 f"{num_parts} parts"
             )
-        clusterer = clusterer or MultilevelPartitioner(balance_slack=1.1, restarts=8)
-        macro_of_micro = clusterer.partition(
+        macro_of_micro = MultilevelPartitioner(restarts=8).partition(
             self.quotient,
             num_parts,
             seed=seed,

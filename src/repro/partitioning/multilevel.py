@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.graph import Graph, merge_parallel_edges
-from repro.partitioning.base import Partitioner, Partitioning
+from repro.partitioning.base import BALANCE_SLACK, Partitioner, Partitioning
 from repro.utils.rng import derive_rng
 
 #: Edges one batch of matching proposals, or one refresh of refinement
@@ -38,6 +38,13 @@ _BATCH_EDGES = 1 << 13
 #: Largest vertex id, and largest total edge weight stored as integers, of
 #: a level: METIS's 32-bit ``idx_t``.
 _INT32_MAX = np.iinfo(np.int32).max
+
+#: Coarsening stops once at most ``max(COARSEN_UNTIL, 20 * k)`` vertices
+#: remain.
+COARSEN_UNTIL = 200
+
+#: Greedy refinement passes per level.
+REFINE_PASSES = 4
 
 
 @dataclass
@@ -67,47 +74,26 @@ class _WGraph:
 class MultilevelPartitioner(Partitioner):
     """METIS-style multilevel k-way partitioner.
 
+    Balances total degree, the paper's Fig 8 setting ("we set both
+    partitioners to balance the total number of edges assigned to the
+    different partitions"): a vertex weighs its degree plus one, unless
+    :meth:`partition` is given ``vertex_weights``.  No part may weigh
+    more than :data:`~repro.partitioning.base.BALANCE_SLACK` times the
+    average.  Coarsening stops at ``max(COARSEN_UNTIL, 20 * k)``
+    vertices, and each level gets ``REFINE_PASSES`` refinement passes.
+
     Args:
-        balance_slack: maximum part weight as a multiple of the average
-            part weight (default 1.1, i.e. 10 % imbalance tolerated, the
-            usual METIS default ``ufactor``).
-        balance_by: ``"vertices"`` balances vertex counts; ``"edges"``
-            balances total degree (the paper's Fig 8 setting, matching
-            "we set both partitioners to balance the total number of
-            edges assigned to the different partitions").
-        coarsen_until: stop coarsening when at most
-            ``max(coarsen_until, 20 * k)`` vertices remain.
-        refine_passes: greedy refinement passes per level.
         restarts: independent runs with different seeds, keeping the
             best (feasible, lowest-cut) result.  Cheap and very effective
-            on small graphs; the micro-partition clusterer uses several
+            on small graphs; micro-partition clustering uses eight
             restarts since its quotient graphs have only ~64 vertices.
     """
 
     name = "multilevel"
 
-    def __init__(
-        self,
-        balance_slack: float = 1.1,
-        balance_by: str = "edges",
-        coarsen_until: int = 200,
-        refine_passes: int = 4,
-        restarts: int = 1,
-    ):
-        if not 1.0 <= balance_slack < math.inf:  # also rejects NaN
-            raise ValueError(f"balance_slack must be finite and >= 1, got {balance_slack}")
-        if balance_by not in ("vertices", "edges"):
-            raise ValueError(f"balance_by must be 'vertices' or 'edges', got {balance_by!r}")
-        if coarsen_until < 1:
-            raise ValueError(f"coarsen_until must be >= 1, got {coarsen_until}")
-        if refine_passes < 0:
-            raise ValueError(f"refine_passes must be >= 0, got {refine_passes}")
+    def __init__(self, restarts: int = 1):
         if restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {restarts}")
-        self.balance_slack = balance_slack
-        self.balance_by = balance_by
-        self.coarsen_until = coarsen_until
-        self.refine_passes = refine_passes
         self.restarts = restarts
 
     # ------------------------------------------------------------------
@@ -131,7 +117,7 @@ class MultilevelPartitioner(Partitioner):
             assignment = np.arange(wg.num_vertices, dtype=np.int64)
             return Partitioning(assignment=assignment, num_parts=num_parts)
 
-        max_load = self._max_load(wg, num_parts)
+        max_load = BALANCE_SLACK * (wg.vwgts.sum() / num_parts)
         best_assignment = None
         best_key = None
         for attempt in range(self.restarts):
@@ -154,7 +140,7 @@ class MultilevelPartitioner(Partitioner):
         # Phase 1: coarsen.
         levels: list[tuple[_WGraph, np.ndarray]] = []  # (fine graph, fine->coarse map)
         current = wg
-        target = max(self.coarsen_until, 20 * num_parts)
+        target = max(COARSEN_UNTIL, 20 * num_parts)
         while current.num_vertices > target:
             cmap, num_coarse = _heavy_edge_matching(current, rng)
             if num_coarse >= current.num_vertices * 0.95:
@@ -165,18 +151,17 @@ class MultilevelPartitioner(Partitioner):
 
         # Phase 2: initial partition on the coarsest graph.
         assignment = _recursive_bisection(current, num_parts, rng)
-        assignment = _refine(current, assignment, num_parts, max_load, self.refine_passes)
+        assignment = _refine(current, assignment, num_parts, max_load, REFINE_PASSES)
 
         # Phase 3: uncoarsen + refine, dropping each coarse level as it is left.
         while levels:
             current, cmap = levels.pop()
-            assignment = _refine(
-                current, assignment[cmap], num_parts, max_load, self.refine_passes
-            )
+            assignment = _refine(current, assignment[cmap], num_parts, max_load, REFINE_PASSES)
         return assignment
 
     # ------------------------------------------------------------------
-    def _to_wgraph(self, graph: Graph, vertex_weights) -> _WGraph:
+    @staticmethod
+    def _to_wgraph(graph: Graph, vertex_weights) -> _WGraph:
         if graph.num_vertices > _INT32_MAX:
             raise ValueError(f"graphs of more than {_INT32_MAX} vertices need 64-bit ids")
         if graph.weights is not None:
@@ -203,18 +188,12 @@ class MultilevelPartitioner(Partitioner):
                 raise ValueError(
                     "vertex_weights must be finite and non-negative, with a positive total"
                 )
-        elif self.balance_by == "edges":
+        else:
             # Weight vertices by degree (plus one so isolated vertices count).
             vwgts = np.diff(und.indptr).astype(np.float64) + 1.0
-        else:
-            vwgts = np.ones(graph.num_vertices, dtype=np.float64)
         return _WGraph(
             indptr=und.indptr, indices=und.indices.astype(np.int32), ewgts=ewgts, vwgts=vwgts
         )
-
-    def _max_load(self, wg: _WGraph, num_parts: int) -> float:
-        avg = wg.vwgts.sum() / num_parts
-        return self.balance_slack * avg
 
 
 def _widened(wg: _WGraph) -> _WGraph:

@@ -32,6 +32,7 @@ from repro.engine.algorithms import (
     OutDegree,
     PageRank,
 )
+from repro.engine.algorithms.pagerank import DAMPING
 from repro.engine.engine import PregelEngine
 from repro.engine.messages import MaxCombiner, MessageStore, MinCombiner, SumCombiner
 from repro.engine.vertex import VertexProgram
@@ -298,7 +299,7 @@ class ScalarPageRank(PageRank):
     def compute(self, ctx: ComputeContext, messages: list) -> None:
         if ctx.superstep > 0:
             incoming = sum(messages)
-            ctx.value = (1.0 - self.damping) / ctx.num_vertices + self.damping * incoming
+            ctx.value = (1.0 - DAMPING) / ctx.num_vertices + DAMPING * incoming
         ctx.aggregate("rank_sum", ctx.value)
         if ctx.superstep < self.iterations:
             if ctx.out_degree:

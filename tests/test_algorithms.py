@@ -76,8 +76,6 @@ class TestPageRank:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             PageRank(iterations=0)
-        with pytest.raises(ValueError):
-            PageRank(damping=1.0)
 
 
 class TestSSSP:

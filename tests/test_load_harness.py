@@ -11,6 +11,7 @@ deterministic simulated-outcome fingerprint.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 
@@ -297,6 +298,71 @@ class TestTraceDeterminism:
         assert loaded.jobs == trace.jobs
         assert loaded.checksum() == trace.checksum()
 
+    @staticmethod
+    def _rewrite_header(path, edit):
+        """Apply *edit* to the ``trace_config`` header of the trace at *path*."""
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header["trace_config"])
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+
+    # The three values that were config fields; a header from before they
+    # became constants still carries them.
+    FOLDED_HEADER_KEYS = {
+        "diurnal_amplitude": 0.6,
+        "burst_duration_s": 900.0,
+        "periods_s": [7200.0, 14400.0, 21600.0],
+    }
+
+    def test_jsonl_reads_a_header_with_the_folded_keys(self, tmp_path):
+        trace = generate_trace(LoadTraceConfig(seed=5, num_jobs=50))
+        path = tmp_path / "trace.jsonl"
+        trace.to_jsonl(path)
+        self._rewrite_header(path, lambda raw: raw.update(self.FOLDED_HEADER_KEYS))
+        loaded = ArrivalTrace.from_jsonl(path)
+        assert loaded.config == trace.config
+        assert loaded.checksum() == trace.checksum()
+
+    REFUSED_HEADERS = [
+        ("unknown key", "arrival_shape", lambda raw: raw.update(arrival_shape="flat")),
+        ("missing num_tenants", "num_tenants", lambda raw: raw.pop("num_tenants")),
+        ("missing app_mix", "app_mix", lambda raw: raw.pop("app_mix")),
+        ("diurnal_amplitude changed", "diurnal_amplitude",
+         lambda raw: raw.update(diurnal_amplitude=0.3)),
+        ("burst_duration_s changed", "burst_duration_s",
+         lambda raw: raw.update(burst_duration_s=60.0)),
+        ("periods_s changed", "periods_s", lambda raw: raw.update(periods_s=[3600.0])),
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "key, edit", [case[1:] for case in REFUSED_HEADERS], ids=[c[0] for c in REFUSED_HEADERS]
+    )
+    def test_jsonl_refuses_a_header_it_cannot_replay(self, tmp_path, key, edit):
+        path = tmp_path / "trace.jsonl"
+        generate_trace(LoadTraceConfig(seed=5, num_jobs=5)).to_jsonl(path)
+        self._rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=key):
+            ArrivalTrace.from_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("queue", lambda job: job.update(queue="batch")),
+            ("slack_fraction", lambda job: job.pop("slack_fraction")),
+        ],
+        ids=["unknown key", "missing field"],
+    )
+    def test_jsonl_refuses_a_job_line_it_cannot_replay(self, tmp_path, key, edit):
+        path = tmp_path / "trace.jsonl"
+        generate_trace(LoadTraceConfig(seed=5, num_jobs=5)).to_jsonl(path)
+        lines = path.read_text().splitlines()
+        job = json.loads(lines[3])
+        edit(job)
+        lines[3] = json.dumps(job)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 4.*{key}"):
+            ArrivalTrace.from_jsonl(path)
+
     def test_arrivals_are_ordered_and_mixed(self):
         trace = generate_trace(LoadTraceConfig(seed=9, num_jobs=400))
         arrivals = [job.arrival_s for job in trace.jobs]
@@ -310,8 +376,6 @@ class TestTraceDeterminism:
             LoadTraceConfig(num_jobs=0)
         with pytest.raises(ValueError):
             LoadTraceConfig(app_mix=(("unknown-app", 1.0),))
-        with pytest.raises(ValueError):
-            LoadTraceConfig(diurnal_amplitude=1.5)
 
     # Each of these used to hang generate_trace, build a degenerate trace
     # or fail deep inside it; construction alone must now refuse them.
@@ -322,13 +386,9 @@ class TestTraceDeterminism:
         ("burst_rate_multiplier", math.nan),
         ("burst_probability_per_hour", -0.5),
         ("burst_probability_per_hour", 3.0),
-        ("burst_duration_s", -5.0),
-        ("burst_duration_s", math.nan),
         ("slack_quantum", math.nan),
         ("scales", (-1.0,)),
-        ("periods_s", (0.0,)),
         ("scales", ()),
-        ("periods_s", ()),
         ("slack_range", (0.1, math.inf)),
         ("app_mix", (("sssp", math.nan), ("pagerank", 1.0))),
     ]

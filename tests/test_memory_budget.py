@@ -92,7 +92,7 @@ def test_level_bytes_per_edge():
     current = partitioner._to_wgraph(_golden_graph(), None)
     rng = derive_rng(5, "multilevel", 0)
     levels = 0
-    while current.num_vertices > max(partitioner.coarsen_until, 20 * 64):
+    while current.num_vertices > max(multilevel.COARSEN_UNTIL, 20 * 64):
         assert current.indices.nbytes + current.ewgts.nbytes <= 8 * len(current.indices)
         cmap, num_coarse = multilevel._heavy_edge_matching(current, rng)
         current = multilevel._contract(current, cmap, num_coarse)

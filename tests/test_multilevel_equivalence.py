@@ -140,12 +140,11 @@ def test_undirected_matching_and_contraction(graph, budget, seed):
     seed=st.integers(0, 2**20),
 )
 def test_refine(graph, num_parts, slack, skew, budget, seed):
-    partitioner = MultilevelPartitioner(balance_slack=slack)
-    wg = partitioner._to_wgraph(graph, None)
+    wg = MultilevelPartitioner._to_wgraph(graph, None)
     rng = np.random.default_rng(seed)
     start = rng.integers(0, num_parts, size=graph.num_vertices)
     start[rng.random(graph.num_vertices) < skew] = 0  # overloaded part 0
-    max_load = partitioner._max_load(wg, num_parts)
+    max_load = slack * wg.vwgts.sum() / num_parts
     with batch_edges(budget):
         observed = multilevel._refine(wg, start, num_parts, max_load, 4)
     assert np.array_equal(observed, refine_reference(wg, start, num_parts, max_load, 4))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.partitioning import (
     random_cut_expectation,
     vertex_balance,
 )
+from repro.partitioning import multilevel
 from tests import scalar_oracle
 
 
@@ -95,26 +98,12 @@ class TestFennel:
         assert edge_cut_fraction(community, p) < 0.8 * random_cut_expectation(8)
 
     def test_balance_respected(self, community):
-        fennel = FennelPartitioner(balance_slack=1.1)
-        p = fennel.partition(community, 8, seed=1)
+        p = FennelPartitioner().partition(community, 8, seed=1)
         assert vertex_balance(p) <= 1.1 + 1e-6
 
     def test_all_vertices_assigned(self, social_graph):
         p = FennelPartitioner().partition(social_graph, 4, seed=2)
         assert (p.assignment >= 0).all()
-
-    def test_stream_orders(self, community):
-        for order in ("natural", "random", "bfs"):
-            p = FennelPartitioner(stream_order=order).partition(community, 4, seed=1)
-            assert p.num_parts == 4
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            FennelPartitioner(gamma=1.0)
-        with pytest.raises(ValueError):
-            FennelPartitioner(balance_slack=0.9)
-        with pytest.raises(ValueError):
-            FennelPartitioner(stream_order="zigzag")
 
 
 class TestMultilevel:
@@ -130,7 +119,7 @@ class TestMultilevel:
         assert edge_cut_fraction(community, ml) <= edge_cut_fraction(community, fe) + 0.05
 
     def test_edge_balance_respected(self, social_graph):
-        p = MultilevelPartitioner(balance_slack=1.1).partition(social_graph, 8, seed=1)
+        p = MultilevelPartitioner().partition(social_graph, 8, seed=1)
         assert edge_balance(social_graph, p) <= 1.35  # slack + hub granularity
 
     def test_single_part(self, social_graph):
@@ -161,9 +150,7 @@ class TestMultilevel:
         g = scalar_oracle.ring_of_cliques(4, 4)
         weights = np.ones(g.num_vertices)
         weights[0] = 100.0
-        p = MultilevelPartitioner(balance_by="vertices").partition(
-            g, 2, seed=1, vertex_weights=weights
-        )
+        p = MultilevelPartitioner().partition(g, 2, seed=1, vertex_weights=weights)
         part_of_heavy = p.assignment[0]
         loads = np.zeros(2)
         np.add.at(loads, p.assignment, weights)
@@ -171,25 +158,7 @@ class TestMultilevel:
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            MultilevelPartitioner(balance_slack=0.5)
-        with pytest.raises(ValueError):
-            MultilevelPartitioner(balance_by="edges-and-vertices")
-        with pytest.raises(ValueError):
             MultilevelPartitioner(restarts=0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"balance_slack": float("nan")},
-            {"balance_slack": float("inf")},
-            {"refine_passes": -1},
-            {"coarsen_until": -5},
-            {"coarsen_until": 0},
-        ],
-    )
-    def test_invalid_settings_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            MultilevelPartitioner(**kwargs)
 
     @pytest.mark.parametrize(
         "fill",
@@ -231,7 +200,8 @@ class TestMultilevel:
         assert MultilevelPartitioner().partition(zeroed, 4, seed=1).num_parts == 4
 
     def test_zero_refine_passes_skips_refinement(self, community):
-        p = MultilevelPartitioner(refine_passes=0).partition(community, 4, seed=1)
+        with mock.patch.object(multilevel, "REFINE_PASSES", 0):
+            p = MultilevelPartitioner().partition(community, 4, seed=1)
         assert p.num_parts == 4 and (p.assignment >= 0).all()
 
 

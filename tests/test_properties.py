@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,7 @@ from repro.partitioning import (
     edge_cut_fraction,
     random_cut_expectation,
 )
+from repro.partitioning import multilevel
 from repro.partitioning.micro import build_quotient_graph
 from repro.cloud.eviction import EmpiricalEvictionModel
 from repro.cloud.trace import PriceTrace
@@ -109,8 +112,10 @@ class TestPartitioningProperties:
     def test_every_vertex_assigned_once(self, data, k):
         n, src, dst = data
         g = from_edges(src, dst, num_vertices=n)
-        for partitioner in (HashPartitioner(), MultilevelPartitioner(coarsen_until=20)):
-            p = partitioner.partition(g, k, seed=1)
+        for partitioner in (HashPartitioner(), MultilevelPartitioner()):
+            # Coarsen down to 20 vertices, so small graphs coarsen too.
+            with mock.patch.object(multilevel, "COARSEN_UNTIL", 20):
+                p = partitioner.partition(g, k, seed=1)
             assert p.num_vertices == n
             assert (p.assignment >= 0).all()
             assert (p.assignment < k).all()

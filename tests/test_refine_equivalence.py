@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.graph import generators
 from repro.graph.graph import from_edges
 from repro.partitioning import multilevel
+from repro.partitioning.base import BALANCE_SLACK
 from repro.partitioning.multilevel import MultilevelPartitioner, _refine
 from tests import scalar_oracle
 from tests.refine_oracle import refine_reference
@@ -33,6 +34,11 @@ def sweep_bytes(nbytes):
         yield
     finally:
         multilevel._SWEEP_BYTES = original
+
+
+def max_load_of(wg, num_parts, slack=BALANCE_SLACK):
+    """The heaviest part ``partition`` allows at balance slack *slack*."""
+    return slack * wg.vwgts.sum() / num_parts
 
 
 def weighted_graph(num_vertices, num_edges, integer_weights, rng):
@@ -64,13 +70,14 @@ def test_array_equal_on_generated_weighted_graphs(
 ):  # fmt: skip
     rng = np.random.default_rng(seed)
     graph = weighted_graph(num_vertices, int(density * num_vertices), integer_weights, rng)
-    partitioner = MultilevelPartitioner(balance_slack=slack, balance_by=balance_by)
-    wg = partitioner._to_wgraph(graph, None)
+    # Vertex-count balance is unit vertex weights; edge balance the default.
+    vertex_weights = np.ones(num_vertices) if balance_by == "vertices" else None
+    wg = MultilevelPartitioner._to_wgraph(graph, vertex_weights)
     # A start that piles `skew` of the vertices onto part 0: overloaded
     # parts must shed vertices even at a loss.
     start = rng.integers(0, num_parts, size=num_vertices)
     start[rng.random(num_vertices) < skew] = 0
-    max_load = partitioner._max_load(wg, num_parts)
+    max_load = max_load_of(wg, num_parts, slack)
 
     expected = refine_reference(wg, start, num_parts, max_load, passes)
     again = refine_reference(wg, expected, num_parts, max_load, passes)
@@ -86,12 +93,11 @@ def test_array_equal_on_a_community_graph(graph_seed):
     graph = generators.community_graph(
         1500, num_communities=10, avg_degree=12, mixing=0.15, seed=graph_seed
     )
-    partitioner = MultilevelPartitioner()
-    wg = partitioner._to_wgraph(graph, None)
+    wg = MultilevelPartitioner._to_wgraph(graph, None)
     rng = np.random.default_rng(graph_seed)
     for num_parts in (4, 16):
         start = rng.integers(0, num_parts, size=graph.num_vertices)
-        max_load = partitioner._max_load(wg, num_parts)
+        max_load = max_load_of(wg, num_parts)
         expected = refine_reference(wg, start, num_parts, max_load, 4)
         assert np.array_equal(_refine(wg, start, num_parts, max_load, 4), expected)
         with sweep_bytes(8 * num_parts * 100):  # a hundred rows a sweep
@@ -100,9 +106,8 @@ def test_array_equal_on_a_community_graph(graph_seed):
 
 def test_input_assignment_is_not_modified():
     graph = scalar_oracle.ring_of_cliques(6, 5)
-    partitioner = MultilevelPartitioner()
-    wg = partitioner._to_wgraph(graph, None)
+    wg = MultilevelPartitioner._to_wgraph(graph, None)
     start = np.arange(graph.num_vertices) % 3
     before = start.copy()
-    _refine(wg, start, 3, partitioner._max_load(wg, 3), 4)
+    _refine(wg, start, 3, max_load_of(wg, 3), 4)
     assert np.array_equal(start, before)
