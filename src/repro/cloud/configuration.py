@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.cloud.instance import (
     R4_2XLARGE,
@@ -26,7 +26,6 @@ from repro.cloud.instance import (
     InstanceType,
     Market,
 )
-from repro.utils.units import HOURS
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,6 @@ class Configuration:
         """Dollars/hour for the whole deployment at list price."""
         return self.num_workers * self.instance_type.on_demand_price
 
-    def sibling(self, market: Market) -> "Configuration":
-        """The same shape on the other market."""
-        return Configuration(self.instance_type, self.num_workers, market)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
 
 def default_catalog() -> list[Configuration]:
     """The paper-style catalogue: equal-vCPU shapes, both markets.
@@ -98,18 +90,3 @@ def full_grid_catalog(
         for count in counts
         for market in (Market.SPOT, Market.ON_DEMAND)
     ]
-
-
-def transient_configs(catalog: Iterable[Configuration]) -> list[Configuration]:
-    """The C_T subset."""
-    return [c for c in catalog if c.is_transient]
-
-
-def on_demand_configs(catalog: Iterable[Configuration]) -> list[Configuration]:
-    """The C_D subset."""
-    return [c for c in catalog if not c.is_transient]
-
-
-def worker_counts(catalog: Iterable[Configuration]) -> list[int]:
-    """Distinct worker counts in the catalogue (micro-partition LCM input)."""
-    return sorted({c.num_workers for c in catalog})

@@ -57,11 +57,6 @@ class InstanceType:
             raise ValueError("spot_discount must be in (0, 1)")
 
     @property
-    def on_demand_price_per_second(self) -> float:
-        """List price converted to $/second."""
-        return self.on_demand_price / HOURS
-
-    @property
     def mean_spot_price(self) -> float:
         """Long-run average spot price in dollars/hour."""
         return self.on_demand_price * self.spot_discount
@@ -109,11 +104,3 @@ R4_8XLARGE = InstanceType(
 )
 
 R4_FAMILY = (R4_2XLARGE, R4_4XLARGE, R4_8XLARGE)
-
-
-def instance_by_name(name: str) -> InstanceType:
-    """Look up a built-in instance type by SKU name."""
-    for itype in R4_FAMILY:
-        if itype.name == name:
-            return itype
-    raise KeyError(f"unknown instance type {name!r}; known: {[t.name for t in R4_FAMILY]}")

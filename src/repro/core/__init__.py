@@ -14,11 +14,7 @@ from repro.core.baselines import (
     ProteusProvisioner,
     SpotOnProvisioner,
 )
-from repro.core.ckpt_policy import (
-    checkpoint_overhead_fraction,
-    daly_interval,
-    expected_lost_work,
-)
+from repro.core.ckpt_policy import daly_interval
 from repro.core.expected_cost import (
     ApproximateCostEstimator,
     Decision,
@@ -100,9 +96,7 @@ __all__ = [
     "SSSP_PROFILE",
     "SlackModel",
     "SpotOnProvisioner",
-    "checkpoint_overhead_fraction",
     "daly_interval",
-    "expected_lost_work",
     "job_with_slack",
     "last_resort",
     "on_demand_baseline_cost",

@@ -28,7 +28,6 @@ import math
 
 from repro.cloud.configuration import Configuration
 from repro.core.provisioner import Provisioner, ProvisioningContext
-from repro.utils.units import HOURS
 
 
 class OnDemandProvisioner(Provisioner):

@@ -29,21 +29,3 @@ def daly_interval(save_time: float, mttf: float) -> float:
     check_positive("mttf", mttf)
     interval = math.sqrt(2.0 * save_time * mttf)
     return max(interval, save_time)
-
-
-def checkpoint_overhead_fraction(save_time: float, interval: float) -> float:
-    """Fraction of wall-clock time spent checkpointing."""
-    check_non_negative("save_time", save_time)
-    check_positive("interval", interval)
-    return save_time / (interval + save_time)
-
-
-def expected_lost_work(interval: float, mttf: float) -> float:
-    """Expected recomputation per failure, for a given interval.
-
-    Failures land uniformly within an interval in the first-order
-    model, losing half of it on average.
-    """
-    check_positive("interval", interval)
-    check_positive("mttf", mttf)
-    return interval / 2.0

@@ -33,10 +33,11 @@ class RecurringOutcome:
     ``skipped`` counts period windows an overrunning previous execution
     blew straight through: the analysis those windows were supposed to
     refresh never ran at all.  A skipped window is at least as bad an
-    SLO violation as a late run, so :attr:`violation_rate` folds both in
-    — :attr:`miss_rate` alone *understates* violations exactly when the
-    system is overloaded (executed-run denominators shrink as more
-    windows are skipped).
+    SLO violation as a late run, so the load report's recurring
+    violation rate folds both in, ``(missed + skipped) / (runs +
+    skipped)``: the missed share of executed runs alone *understates*
+    violations exactly when the system is overloaded (executed-run
+    denominators shrink as more windows are skipped).
     """
 
     results: tuple[RunResult, ...]
@@ -49,11 +50,6 @@ class RecurringOutcome:
         return len(self.results)
 
     @property
-    def windows(self) -> int:
-        """Period windows accounted for: executed runs plus skipped."""
-        return self.runs + self.skipped
-
-    @property
     def total_cost(self) -> float:
         """Sum of all execution costs."""
         return sum(r.cost for r in self.results)
@@ -62,30 +58,6 @@ class RecurringOutcome:
     def missed(self) -> int:
         """Number of executions that missed their deadline."""
         return sum(1 for r in self.results if r.missed_deadline)
-
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of *executed* runs that missed their deadline."""
-        return self.missed / self.runs if self.runs else 0.0
-
-    @property
-    def skipped_rate(self) -> float:
-        """Fraction of accounted windows that never ran at all."""
-        return self.skipped / self.windows if self.windows else 0.0
-
-    @property
-    def violations(self) -> int:
-        """Missed deadlines plus windows that never ran."""
-        return self.missed + self.skipped
-
-    @property
-    def violation_rate(self) -> float:
-        """Fraction of accounted windows whose SLO was violated.
-
-        The overload-honest metric: ``(missed + skipped) / (runs +
-        skipped)``.
-        """
-        return self.violations / self.windows if self.windows else 0.0
 
     @property
     def total_evictions(self) -> int:

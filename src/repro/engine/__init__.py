@@ -1,13 +1,6 @@
 """Pregel-style BSP graph processing engine (the Giraph stand-in)."""
 
-from repro.engine.aggregators import (
-    Aggregator,
-    AndAggregator,
-    MaxAggregator,
-    MinAggregator,
-    OrAggregator,
-    SumAggregator,
-)
+from repro.engine.aggregators import Aggregator, SumAggregator
 from repro.engine.checkpoint import (
     CheckpointCorruptionError,
     CheckpointInfo,
@@ -25,11 +18,9 @@ from repro.engine.messages import (
     SumCombiner,
 )
 from repro.engine.vertex import DenseComputeContext, VertexProgram
-from repro.engine.worker import Worker, build_workers
 
 __all__ = [
     "Aggregator",
-    "AndAggregator",
     "CheckpointCorruptionError",
     "CheckpointInfo",
     "CheckpointManager",
@@ -40,19 +31,14 @@ __all__ = [
     "ExecutionResult",
     "HashLoader",
     "LoadResult",
-    "MaxAggregator",
     "MaxCombiner",
     "MessageStore",
     "MicroLoader",
-    "MinAggregator",
     "MinCombiner",
-    "OrAggregator",
     "PregelEngine",
     "SumAggregator",
     "SumCombiner",
     "SuperstepStats",
     "TransferStats",
     "VertexProgram",
-    "Worker",
-    "build_workers",
 ]

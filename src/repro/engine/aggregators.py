@@ -1,9 +1,10 @@
 """Global aggregators (Pregel's reduce-and-broadcast primitive).
 
-Vertices contribute values during superstep ``s``; the master reduces
-worker-local partials at the barrier and the result is readable by every
-vertex during superstep ``s + 1``.  Graph Coloring uses a counter of
-uncoloured vertices; PageRank convergence checks use a sum of deltas.
+Vertices contribute values during superstep ``s``; the reduced result
+is readable by every vertex during superstep ``s + 1``.  A program
+declares its aggregators by name (:meth:`VertexProgram.aggregators`);
+PageRank sums its ranks with :class:`SumAggregator`, the one reduction
+a shipped program uses.
 """
 
 from __future__ import annotations
@@ -29,18 +30,10 @@ class Aggregator(abc.ABC):
         """Fold *value* into the running reduction."""
         self._value = self.reduce(self._value, value)
 
-    def merge(self, other: "Aggregator") -> None:
-        """Fold another aggregator's partial result in (worker -> master)."""
-        self._value = self.reduce(self._value, other._value)
-
     @property
     def value(self):
         """Current reduced value."""
         return self._value
-
-    def reset(self) -> None:
-        """Clear per-job state."""
-        self._value = self.identity()
 
 
 class SumAggregator(Aggregator):
@@ -53,51 +46,3 @@ class SumAggregator(Aggregator):
     def reduce(self, a, b):
         """Merge two partial values."""
         return a + b
-
-
-class MinAggregator(Aggregator):
-    """Minimum contribution (identity: +inf)."""
-
-    def identity(self):
-        """The neutral element of this reduction."""
-        return float("inf")
-
-    def reduce(self, a, b):
-        """Merge two partial values."""
-        return a if a <= b else b
-
-
-class MaxAggregator(Aggregator):
-    """Maximum contribution (identity: -inf)."""
-
-    def identity(self):
-        """The neutral element of this reduction."""
-        return float("-inf")
-
-    def reduce(self, a, b):
-        """Merge two partial values."""
-        return a if a >= b else b
-
-
-class AndAggregator(Aggregator):
-    """Logical AND (identity: True)."""
-
-    def identity(self):
-        """The neutral element of this reduction."""
-        return True
-
-    def reduce(self, a, b):
-        """Merge two partial values."""
-        return bool(a) and bool(b)
-
-
-class OrAggregator(Aggregator):
-    """Logical OR (identity: False)."""
-
-    def identity(self):
-        """The neutral element of this reduction."""
-        return False
-
-    def reduce(self, a, b):
-        """Merge two partial values."""
-        return bool(a) or bool(b)

@@ -1,15 +1,13 @@
-"""Vertex programs: the paper's SSSP and PageRank jobs, WCC and degrees."""
+"""Vertex programs: the paper's SSSP and PageRank jobs, WCC and in-degree."""
 
-from repro.engine.algorithms.degree import InDegree, OutDegree
+from repro.engine.algorithms.degree import InDegree
 from repro.engine.algorithms.pagerank import PageRank
 from repro.engine.algorithms.sssp import SSSP
-from repro.engine.algorithms.wcc import ConnectedComponents, component_sizes
+from repro.engine.algorithms.wcc import ConnectedComponents
 
 __all__ = [
     "ConnectedComponents",
     "InDegree",
-    "OutDegree",
     "PageRank",
     "SSSP",
-    "component_sizes",
 ]

@@ -1,4 +1,4 @@
-"""Degree counting — the simplest vertex program, used in tests/examples."""
+"""In-degree counting: the simplest vertex program that sends messages."""
 
 from __future__ import annotations
 
@@ -6,21 +6,6 @@ import numpy as np
 
 from repro.engine.messages import SumCombiner
 from repro.engine.vertex import DenseComputeContext, VertexProgram
-
-
-class OutDegree(VertexProgram):
-    """Vertex value = its out-degree; one superstep, no messages."""
-
-    value_dtype = np.int64
-
-    def initial_values(self, num_vertices: int) -> np.ndarray:
-        """Whole initial value array at once."""
-        return np.zeros(num_vertices, dtype=np.int64)
-
-    def compute_dense(self, ctx: DenseComputeContext) -> None:
-        """One batched superstep over all active vertices."""
-        ctx.values[ctx.active] = ctx.out_degrees()[ctx.active]
-        ctx.vote_to_halt(ctx.active)
 
 
 class InDegree(VertexProgram):

@@ -35,11 +35,3 @@ class ConnectedComponents(VertexProgram):
             values[improved] = candidate[improved]
             ctx.send_to_all_neighbors(improved, values)
         ctx.vote_to_halt(ctx.active)
-
-
-def component_sizes(values: dict) -> dict:
-    """Map component label -> member count."""
-    sizes: dict = {}
-    for label in values.values():
-        sizes[label] = sizes.get(label, 0) + 1
-    return sizes

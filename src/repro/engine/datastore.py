@@ -14,7 +14,7 @@ sleeps.  Wall-clock cost is just the in-memory copy.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.state import get_metrics, get_tracer
 from repro.utils.units import MiB

@@ -2,10 +2,11 @@
 
 Runs a :class:`~repro.engine.vertex.VertexProgram` over a partitioned
 graph in synchronous supersteps across simulated workers.  Messages are
-combined at the sender (when the program declares a combiner), routed to
-their destination worker, and delivered at the next barrier; aggregators
-are reduced at the barrier and broadcast to the next superstep, exactly
-following the Pregel/Giraph model the paper runs on.
+combined at the sender with the program's combiner (the engine refuses a
+program that declares none), routed to their destination worker, and
+delivered at the next barrier; aggregators are reduced at the barrier
+and broadcast to the next superstep, exactly following the Pregel/Giraph
+model the paper runs on.
 
 Vertex values and halted flags live in dense numpy arrays indexed by
 global vertex id.  The superstep loop computes the active set, the
@@ -30,7 +31,6 @@ import numpy as np
 
 from repro.engine.messages import MessageStore
 from repro.engine.vertex import DenseComputeContext, VertexProgram
-from repro.engine.worker import Worker, build_workers, value_dtype_of
 from repro.graph.graph import Graph
 from repro.obs.state import get_metrics, get_tracer
 from repro.partitioning.base import Partitioning
@@ -144,6 +144,12 @@ class _SlotCounter:
         return local, distinct - local
 
 
+def value_dtype_of(program) -> np.dtype:
+    """The numpy dtype a program's vertex values are stored as."""
+    dtype = getattr(program, "value_dtype", None)
+    return np.dtype(object) if dtype is None else np.dtype(dtype)
+
+
 #: Safety cap on the supersteps of one :meth:`PregelEngine.run`.
 MAX_SUPERSTEPS = 10_000
 
@@ -157,7 +163,8 @@ class PregelEngine:
 
     Args:
         graph: the input graph (message topology = out-edges).
-        program: the vertex program to run.
+        program: the vertex program to run; it must declare a combiner
+            (``ValueError`` otherwise).
         partitioning: vertex -> worker assignment; its ``num_parts`` is
             the worker count.
     """
@@ -179,7 +186,6 @@ class PregelEngine:
         self.partitioning = partitioning
         self._tracer = get_tracer()
         self.num_workers = partitioning.num_parts
-        self.workers: list[Worker] = build_workers(partitioning, self.num_workers)
         self._owner = partitioning.assignment  # vertex -> worker
         self.superstep = 0
         self.stats: list[SuperstepStats] = []
@@ -193,7 +199,17 @@ class PregelEngine:
         self._init_state()
 
     def _init_state(self) -> None:
-        """Initial values from the program; every vertex starts active."""
+        """Initial values from the program; every vertex starts active.
+
+        The dense superstep reads each inbox as one combined value, so a
+        program without a combiner is refused here, before its first
+        multi-message inbox could fail mid-run.
+        """
+        if self.program.combiner is None:
+            raise ValueError(
+                f"{type(self.program).__name__} declares no message combiner; "
+                "the engine merges every inbox with one"
+            )
         n = self.graph.num_vertices
         init = np.asarray(self.program.initial_values(n))
         if init.shape != (n,):
@@ -304,17 +320,12 @@ class PregelEngine:
         """``(local, remote)`` network messages of one superstep's sends.
 
         The accounting rule: a worker combines what it sends to one
-        destination only when the program declares a combiner, so with a
-        combiner a network message is a distinct (source worker,
-        destination) pair, and without one it is every message.  It is
-        local when the destination's owner is the sender.
+        destination, so a network message is a distinct (source worker,
+        destination) pair.  It is local when the destination's owner is
+        the sender.
         """
-        owner = self._owner
-        if self.program.combiner is None:
-            local = int(np.count_nonzero(owner[src] == owner[dst]))
-            return local, len(dst) - local
         if self._traffic is None:
-            self._traffic = _SlotCounter(owner, self.num_workers)
+            self._traffic = _SlotCounter(self._owner, self.num_workers)
         return self._traffic.count(src, dst)
 
     def _finish_superstep(

@@ -164,12 +164,13 @@ class DenseComputeContext:
 class VertexProgram(abc.ABC):
     """A Pregel computation.
 
-    Subclasses implement :meth:`initial_values` and :meth:`compute_dense`;
-    optionally they declare a message :attr:`combiner` and a dict of
-    :attr:`aggregators` (name -> Aggregator factory).
+    Subclasses implement :meth:`initial_values` and :meth:`compute_dense`
+    and declare a message :attr:`combiner`; optionally they declare a
+    dict of :attr:`aggregators` (name -> Aggregator factory).
     """
 
-    #: Optional message combiner class (see :mod:`repro.engine.messages`).
+    #: Message combiner class (see :mod:`repro.engine.messages`); the
+    #: engine refuses a program that leaves it None.
     combiner = None
 
     #: Numpy dtype of the vertex value array (None -> ``object``).

@@ -82,28 +82,6 @@ def render(results) -> str:
     return "\n\n".join(sections)
 
 
-def check_invariants(results) -> list[str]:
-    """Cross-cell sanity assertions mirroring the paper's claims.
-
-    Returns a list of violated claims (empty = all hold).
-    """
-    problems = []
-    for r in results:
-        if r.strategy == "hourglass" and r.missed_percent > 0:
-            problems.append(
-                f"hourglass missed {r.missed_percent:.0f}% on {r.app} at "
-                f"{r.slack_percent}% slack"
-            )
-        if r.strategy.endswith("+dp") and r.missed_percent > 0:
-            problems.append(
-                f"{r.strategy} missed {r.missed_percent:.0f}% on {r.app} at "
-                f"{r.slack_percent}% slack"
-            )
-    return problems
-
-
 if __name__ == "__main__":  # pragma: no cover
     res = run(num_simulations=20)
     print(render(res))
-    for problem in check_invariants(res):
-        print("VIOLATION:", problem)

@@ -9,7 +9,7 @@ explicit.
 from __future__ import annotations
 
 from repro.utils.table import format_table
-from repro.graph.datasets import DATASETS, get_dataset, rmat_spec
+from repro.graph.datasets import DATASETS, get_dataset
 from repro.graph.stats import compute_stats
 
 ALL_DATASETS = tuple(DATASETS) + ("rmat-24",)

@@ -16,9 +16,8 @@ from __future__ import annotations
 import shutil
 import tempfile
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.format import open_memmap
@@ -96,12 +95,8 @@ class Graph:
     def edge_weights(self, v: int) -> np.ndarray:
         """Weights of the out-edges of ``v`` (all 1.0 when unweighted)."""
         if self.weights is None:
-            return np.ones(self.out_degree(v), dtype=np.float64)
+            return np.ones(len(self.neighbors(v)), dtype=np.float64)
         return self.weights[self.indptr[v] : self.indptr[v + 1]]
-
-    def out_degree(self, v: int) -> int:
-        """Out-degree of vertex ``v``."""
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     def out_degrees(self) -> np.ndarray:
         """Array of out-degrees for all vertices."""
@@ -110,17 +105,6 @@ class Graph:
     def in_degrees(self) -> np.ndarray:
         """Array of in-degrees for all vertices."""
         return np.bincount(self.indices, minlength=self.num_vertices)
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Yield ``(src, dst)`` pairs in CSR order."""
-        for v in range(self.num_vertices):
-            for u in self.neighbors(v):
-                yield v, int(u)
-
-    def edge_array(self) -> np.ndarray:
-        """Return an ``(num_edges, 2)`` array of ``(src, dst)`` pairs."""
-        srcs = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.out_degrees())
-        return np.column_stack([srcs, self.indices])
 
     def edge_sources(self) -> np.ndarray:
         """Source vertex of every CSR edge (parallel to ``indices``).
@@ -157,17 +141,6 @@ class Graph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def reversed(self) -> "Graph":
-        """Return the graph with every edge direction flipped."""
-        edges = self.edge_array()
-        return from_edges(
-            edges[:, 1],
-            edges[:, 0],
-            num_vertices=self.num_vertices,
-            weights=self.weights,
-            name=self.name,
-        )
-
     def undirected(self) -> "Graph":
         """Return the symmetrised graph (u->v and v->u for every edge).
 
@@ -187,22 +160,6 @@ class Graph:
             _both_ways(*_edge_endpoints(self, keep), n), weights, n
         )
         return Graph(indptr=indptr, indices=indices, weights=weights, name=self.name)
-
-    def subgraph_edge_count(self, vertex_mask: np.ndarray) -> int:
-        """Count edges whose endpoints are both inside ``vertex_mask``."""
-        mask = np.asarray(vertex_mask, dtype=bool)
-        if mask.shape != (self.num_vertices,):
-            raise ValueError("vertex_mask must have one entry per vertex")
-        srcs = np.repeat(mask, self.out_degrees())
-        return int(np.count_nonzero(srcs & mask[self.indices]))
-
-    # ------------------------------------------------------------------
-    # Size accounting (used by the loading-time model)
-    # ------------------------------------------------------------------
-    def payload_bytes(self) -> int:
-        """Approximate serialized size: 8 bytes per vertex id and edge entry."""
-        per_edge = 8 + (8 if self.weights is not None else 0)
-        return 8 * (self.num_vertices + 1) + per_edge * self.num_edges
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.name!r}" if self.name else ""

@@ -21,18 +21,6 @@ class GraphStats:
     isolated_vertices: int
     degree_gini: float
 
-    def as_row(self) -> dict:
-        """Flatten to a plain dict for tabular reports."""
-        return {
-            "vertices": self.num_vertices,
-            "edges": self.num_edges,
-            "avg_deg": round(self.avg_out_degree, 2),
-            "max_out": self.max_out_degree,
-            "max_in": self.max_in_degree,
-            "isolated": self.isolated_vertices,
-            "gini": round(self.degree_gini, 3),
-        }
-
 
 def compute_stats(graph: Graph) -> GraphStats:
     """Compute :class:`GraphStats` for *graph*."""
@@ -62,22 +50,3 @@ def gini(values: np.ndarray) -> float:
         return 0.0
     cum = np.cumsum(v)
     return float((n + 1 - 2 * (cum / cum[-1]).sum()) / n)
-
-
-def degree_histogram(graph: Graph, num_bins: int = 20) -> list[tuple[int, int, int]]:
-    """Log-spaced out-degree histogram as ``(low, high, count)`` rows."""
-    deg = graph.out_degrees()
-    if len(deg) == 0:
-        return []
-    max_deg = int(deg.max())
-    if max_deg == 0:
-        return [(0, 0, len(deg))]
-    edges = np.unique(
-        np.concatenate([[0, 1], np.geomspace(1, max_deg + 1, num_bins).astype(int)])
-    )
-    rows = []
-    for low, high in zip(edges[:-1], edges[1:]):
-        count = int(np.count_nonzero((deg >= low) & (deg < high)))
-        if count:
-            rows.append((int(low), int(high) - 1, count))
-    return rows

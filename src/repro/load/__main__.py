@@ -23,30 +23,22 @@ frontier and executes with per-app frontier-decay curves;
 planned shrink landed and no executed run missed its deadline (the CI
 elastic smoke gate).
 
-``--serve`` turns the run into an observable one.  Every one-shot
-outcome is a record in the harness's log, stamped with its *simulated*
-instant; at every planning-window tick of the simulated clock an SLO
-monitor folds the last 5 min / 1 h / 6 h of records into burn rates,
-every executed run is attributed to its tenant in a cost ledger, and a
-scrapeable HTTP endpoint (``/metrics``, ``/health``, ``/slo``,
-``/tenants``) serves all of it while the harness runs::
-
-    python -m repro.load --jobs 200 --serve --port 9109 &
-    curl -s localhost:9109/metrics | head
-    curl -s localhost:9109/slo | python -m json.tool
-
-``--watch SECONDS`` prints a status panel to stderr each time the
-simulated clock crosses a SECONDS tick (usable with or without
-``--serve``); its rates are per simulated hour, so two runs of a seed
-print the same panels byte for byte.  Either flag appends SLO and
-per-tenant attribution sections to the final report — rendered outside
-:class:`LoadReport`, so the report fingerprint is bit-identical with
-serving on or off.
+``--watch SECONDS`` turns the run into an observable one.  Every
+one-shot outcome is a record in the harness's log, stamped with its
+*simulated* instant; at every planning-window tick of the simulated
+clock an SLO monitor folds the last 5 min / 1 h / 6 h of records into
+burn rates, every executed run is attributed to its tenant in a cost
+ledger, and a status panel goes to stderr each time the simulated clock
+crosses a SECONDS tick.  Its rates are per simulated hour, so two runs
+of a seed print the same panels byte for byte.  The flag appends SLO
+and per-tenant attribution sections to the final report — rendered
+outside :class:`LoadReport`, so the report fingerprint is bit-identical
+with watching on or off.
 
 ``--out DIR`` additionally writes ``report.txt``, the arrival trace as
 ``trace.jsonl`` (replayable via :meth:`ArrivalTrace.from_jsonl`) and the
 ``load_*`` metrics in Prometheus text format as ``metrics.prom`` (plus
-``slo.json`` / ``tenants.json`` when serving).
+``slo.json`` / ``tenants.json`` with ``--watch``).
 
 The process exits non-zero if the run is degenerate (nothing admitted or
 nothing planned), which is what the CI smoke job keys off.
@@ -195,18 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "no executed run missed its deadline",
     )
     parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="expose /metrics /health /slo /tenants over HTTP while the "
-        "run is in flight",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="ops endpoint port with --serve (0 = pick a free port)",
-    )
-    parser.add_argument(
         "--watch",
         type=float,
         default=0.0,
@@ -254,40 +234,23 @@ def main(argv=None) -> int:
     metrics = MetricsRegistry()
     trace = generate_trace(trace_config)
 
-    serving = args.serve or args.watch > 0
-    ledger = CostLedger(metrics=metrics) if serving else None
+    watching = args.watch > 0
+    ledger = CostLedger(metrics=metrics) if watching else None
     harness = LoadHarness(config, metrics=metrics, ledger=ledger)
-    monitor = server = None
-    if serving:
+    if watching:
         from repro.load.watch import render_panel
-        from repro.obs.server import OpsServer
         from repro.obs.slo import SloMonitor, default_slos
 
         log = harness.log
         monitor = SloMonitor(log, default_slos(), metrics=metrics)
-        if args.watch > 0:
-            log.every(
-                args.watch,
-                lambda t: print(
-                    render_panel(log, t, monitor), file=sys.stderr, flush=True
-                ),
-            )
-        if args.serve:
-            server = OpsServer(
-                metrics, log=log, monitor=monitor, ledger=ledger, port=args.port
-            ).start()
-            print(
-                f"[ops endpoint on {server.url} — /metrics /health /slo /tenants]",
-                file=sys.stderr,
-            )
+        log.every(
+            args.watch,
+            lambda t: print(render_panel(log, t, monitor), file=sys.stderr, flush=True),
+        )
 
-    try:
-        report = harness.run(trace)
-    finally:
-        if server is not None:
-            server.close()
+    report = harness.run(trace)
     rendered = report.render()
-    if serving:
+    if watching:
         from repro.load.report import format_slo_section, format_tenant_section
 
         rendered += "\n\n" + format_slo_section(monitor.as_dict())
@@ -301,7 +264,7 @@ def main(argv=None) -> int:
         (args.out / "report.txt").write_text(rendered + "\n")
         trace.to_jsonl(args.out / "trace.jsonl")
         (args.out / "metrics.prom").write_text(metrics.to_prometheus())
-        if serving:
+        if watching:
             (args.out / "slo.json").write_text(
                 json.dumps(monitor.as_dict(), indent=1, sort_keys=True) + "\n"
             )

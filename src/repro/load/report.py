@@ -57,7 +57,8 @@ class LoadReport:
     queued: int
     queue_peak: int
 
-    # Service cache behaviour (deterministic)
+    # Service cache behaviour (deterministic on the windowed path; see
+    # FRONTEND_ORDER_FIELDS for the frontend)
     cache_hit_rate: float
     snapshot_hit_rate: float
 
@@ -122,19 +123,32 @@ class LoadReport:
         }
     )
 
+    #: Fields excluded from :meth:`fingerprint` in frontend mode only.
+    #: The frontend's planner threads reach the shared estimator memo in
+    #: an order the OS scheduler picks, and a memo bucket keeps the
+    #: states of its first visitor, so the count of hits and misses
+    #: (and of rate-snapshot reuses) moves with thread timing even when
+    #: every decision is the same.  On the windowed path one thread
+    #: plans in arrival order and both rates stay in the fingerprint.
+    FRONTEND_ORDER_FIELDS = frozenset({"cache_hit_rate", "snapshot_hit_rate"})
+
     def fingerprint(self) -> str:
         """SHA-256 over the deterministic (simulated) fields only.
 
-        Wall-clock percentiles (``*_ms``) and the serving-layer fields
-        in :data:`WALL_CLOCK_FIELDS` are excluded; two windowed runs of
-        one seed must produce identical fingerprints.  (Frontend-mode
-        simulated outcomes are reproducible too unless backpressure
-        overflow — a real-time effect — sheds different jobs.)
+        Wall-clock percentiles (``*_ms``), the serving-layer fields in
+        :data:`WALL_CLOCK_FIELDS` and, in frontend mode, the memo rates
+        in :data:`FRONTEND_ORDER_FIELDS` are excluded; two runs of one
+        seed must produce identical fingerprints.  (Frontend-mode
+        simulated outcomes are reproducible unless backpressure overflow
+        — a real-time effect — sheds different jobs.)
         """
+        excluded = self.WALL_CLOCK_FIELDS
+        if self.frontend:
+            excluded = excluded | self.FRONTEND_ORDER_FIELDS
         payload = {
             k: v
             for k, v in asdict(self).items()
-            if not k.endswith("_ms") and k not in self.WALL_CLOCK_FIELDS
+            if not k.endswith("_ms") and k not in excluded
         }
         # Back-compat: with elasticity off and no rescales anywhere, the
         # payload (and so the fingerprint) is byte-identical to the
@@ -270,10 +284,10 @@ class LoadReport:
 
 # ----------------------------------------------------------------------
 # Live-operations sections (rendered by the CLI *outside* the report, so
-# the report fingerprint never depends on serving-mode observations)
+# the report fingerprint never depends on what --watch observes)
 # ----------------------------------------------------------------------
 def format_slo_section(slo_payload: dict) -> str:
-    """The ``/slo`` payload as a report table (one row per objective)."""
+    """The SLO monitor's payload as a report table (one row per objective)."""
     rows = []
     for obj in slo_payload.get("objectives", []):
         burns = obj.get("burn_rate", {})
@@ -298,7 +312,7 @@ def format_slo_section(slo_payload: dict) -> str:
 
 
 def format_tenant_section(tenant_payload: dict, top: int = 8) -> str:
-    """The ``/tenants`` payload as a report table (top spenders first)."""
+    """The cost ledger's payload as a report table (top spenders first)."""
     pct = lambda x: f"{100.0 * x:.1f}%"  # noqa: E731
     rows = [
         {

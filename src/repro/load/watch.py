@@ -1,8 +1,8 @@
-"""Status panel for a serving load run (``--watch``).
+"""Status panel for a watched load run (``--watch``).
 
 :func:`render_panel` is a pure function of a run's records at one
 simulated instant: it folds the same :class:`~repro.obs.window.Frame`
-the SLO monitor reads, so terminal and ``/slo`` cannot disagree, and two
+the SLO monitor reads, so terminal and ``slo.json`` cannot disagree, and two
 runs of a seed print the same panels byte for byte.  The CLI calls it
 from the harness thread, through :meth:`~repro.obs.window.RecordLog.every`,
 each time the simulated clock crosses a ``--watch`` tick.  Rates are

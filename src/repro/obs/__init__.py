@@ -23,9 +23,8 @@ execution lifecycle and the planning service:
   (:mod:`repro.obs.window`), declarative burn-rate SLOs evaluated at
   the log's ticks (:mod:`repro.obs.slo`), per-tenant cost attribution
   fed by one path, the load harness's ``CostLedger.record_run``
-  (:mod:`repro.obs.attribution`), and the scrapeable HTTP endpoint
-  serving the latest fold (:mod:`repro.obs.server`).  The same records
-  give the same alerts on any box; no thread samples anything.
+  (:mod:`repro.obs.attribution`).  The same records give the same
+  alerts on any box; no thread samples anything.
 
 Tracing is off by default: the installed tracer is the no-op
 :data:`NULL_TRACER` and every instrumentation site guards on one
@@ -49,7 +48,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.observer import TracingObserver
-from repro.obs.server import OpsServer
 from repro.obs.slo import (
     BurnRateRule,
     SloAlert,
@@ -79,7 +77,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "OpsServer",
     "Record",
     "RecordLog",
     "SloAlert",

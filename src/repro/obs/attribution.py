@@ -168,7 +168,7 @@ class CostLedger:
         return total
 
     def as_dict(self) -> dict:
-        """The ``/tenants`` endpoint payload (rows sorted by spend)."""
+        """The per-tenant payload ``tenants.json`` holds (rows sorted by spend)."""
         rows = sorted(
             self.snapshot().values(), key=lambda u: (-u.dollars, u.tenant)
         )

@@ -289,7 +289,7 @@ class SloMonitor:
             return self._evaluations
 
     def as_dict(self) -> dict:
-        """The ``/slo`` endpoint payload: the latest tick's fold."""
+        """The payload ``slo.json`` holds: the latest tick's fold."""
         with self._lock:
             return {
                 "t": self._t,

@@ -24,18 +24,3 @@ class HashPartitioner(Partitioner):
         self._check_args(graph, num_parts)
         assignment = np.arange(graph.num_vertices, dtype=np.int64) % num_parts
         return Partitioning(assignment=assignment, num_parts=num_parts)
-
-
-class RandomPartitioner(Partitioner):
-    """Uniform random assignment — the paper's Fig 8 reference line."""
-
-    name = "random"
-
-    def partition(self, graph: Graph, num_parts: int, seed=None) -> Partitioning:
-        """Partition *graph* into *num_parts* (see class docstring)."""
-        from repro.utils.rng import derive_rng
-
-        self._check_args(graph, num_parts)
-        rng = derive_rng(seed, "random-partition")
-        assignment = rng.integers(0, num_parts, size=graph.num_vertices)
-        return Partitioning(assignment=assignment.astype(np.int64), num_parts=num_parts)

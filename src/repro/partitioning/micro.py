@@ -18,7 +18,7 @@ can be perfectly size-balanced (§6.2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -9,28 +9,10 @@ paper's Fig 8 plots as the "Random" reference line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.graph.graph import Graph
 from repro.partitioning.base import Partitioning
-
-
-@dataclass(frozen=True)
-class PartitionQuality:
-    """Quality summary for one partitioning of one graph."""
-
-    edge_cut_fraction: float
-    num_cut_edges: int
-    num_edges: int
-    imbalance: float  # max part weight / average part weight (1.0 = perfect)
-    num_parts: int
-
-    @property
-    def edge_cut_percent(self) -> float:
-        """Edge cut as a percentage."""
-        return 100.0 * self.edge_cut_fraction
 
 
 def edge_cut_fraction(graph: Graph, partitioning: Partitioning) -> float:
@@ -58,26 +40,6 @@ def edge_balance(graph: Graph, partitioning: Partitioning) -> float:
     loads = np.bincount(src_part, minlength=partitioning.num_parts).astype(np.float64)
     avg = graph.num_edges / partitioning.num_parts
     return float(loads.max() / avg)
-
-
-def vertex_balance(partitioning: Partitioning) -> float:
-    """Max/avg ratio of per-partition vertex counts."""
-    sizes = partitioning.part_sizes().astype(np.float64)
-    if sizes.sum() == 0:
-        return 1.0
-    return float(sizes.max() / (sizes.sum() / partitioning.num_parts))
-
-
-def evaluate(graph: Graph, partitioning: Partitioning) -> PartitionQuality:
-    """Compute the full quality summary."""
-    cut = edge_cut_fraction(graph, partitioning)
-    return PartitionQuality(
-        edge_cut_fraction=cut,
-        num_cut_edges=int(round(cut * graph.num_edges)),
-        num_edges=graph.num_edges,
-        imbalance=edge_balance(graph, partitioning),
-        num_parts=partitioning.num_parts,
-    )
 
 
 def random_cut_expectation(num_parts: int) -> float:

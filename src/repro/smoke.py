@@ -18,17 +18,18 @@ failed, and the process exits 1 if that list is not empty.
 
 ``ops``
     Runs a 100-job seed-42 trace through the load harness with a cost
-    ledger and an SLO monitor, and scrapes the ops server *from inside
-    the run*, at every tick of the simulated clock.  Checks that
-    ``/metrics`` parses mid-run and at the end; that every mid-run
-    ``/slo`` payload equals the pure fold
-    (:func:`~repro.obs.slo.statuses`) over the final record log at the
-    ``t`` it reports, and carries a ``deadline_miss_rate`` burn rate per
-    window; that ``/tenants`` dollars sum to the report's user cost
-    within 1e-6; and that a rerun with no ledger and no server has a
-    bit-identical fingerprint and the same alert sequence (observing
-    never perturbs).  The scraped instants follow the seed, not the box.
-    Writes the report and the scraped payloads.
+    ledger and an SLO monitor, and reads the metrics registry's
+    Prometheus text and the monitor's payload *from inside the run*, at
+    every tick of the simulated clock.  Checks that the Prometheus text
+    parses mid-run and at the end; that every mid-run SLO payload equals
+    the pure fold (:func:`~repro.obs.slo.statuses`) over the final
+    record log at the ``t`` it reports, and carries a
+    ``deadline_miss_rate`` burn rate per window; that the ledger's
+    dollars sum to the report's user cost within 1e-6; and that a rerun
+    with no ledger and no monitor has a bit-identical fingerprint and
+    the same alert sequence (observing never perturbs).  The read
+    instants follow the seed, not the box.  Writes the report and the
+    payloads read.
 
 ``engine-scale``
     Streams an RMAT scale-11 graph into an on-disk CSR store in several
@@ -60,7 +61,6 @@ import argparse
 import json
 import sys
 import tempfile
-import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -191,18 +191,12 @@ def exporters(out: Path | None) -> list[str]:
 
 
 # -- ops ---------------------------------------------------------------
-def _get(url: str) -> str:
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return response.read().decode()
-
-
 def ops(out: Path | None) -> list[str]:
     from repro.load.harness import HarnessConfig, LoadHarness
     from repro.load.trace import LoadTraceConfig, generate_trace
     from repro.obs.attribution import CostLedger
     from repro.obs.export import parse_prometheus
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.server import OpsServer
     from repro.obs.slo import SloMonitor, alerts, default_slos, statuses
 
     failures: list[str] = []
@@ -215,17 +209,19 @@ def ops(out: Path | None) -> list[str]:
     monitor = SloMonitor(harness.log, default_slos(), metrics=metrics)
 
     scrapes: list[dict] = []
-    with OpsServer(metrics, log=harness.log, monitor=monitor, ledger=ledger) as server:
-        harness.log.every(
-            None,
-            lambda t: scrapes.append(
-                {"metrics": _get(server.url + "/metrics"), "slo": _get(server.url + "/slo")}
-            ),
-        )
-        report = harness.run(trace)
-        final_metrics = _get(server.url + "/metrics")
-        final_slo = json.loads(_get(server.url + "/slo"))
-        final_tenants = json.loads(_get(server.url + "/tenants"))
+    harness.log.every(
+        None,
+        lambda t: scrapes.append(
+            {
+                "metrics": metrics.to_prometheus(),
+                "slo": json.dumps(monitor.as_dict(), sort_keys=True, indent=1),
+            }
+        ),
+    )
+    report = harness.run(trace)
+    final_metrics = metrics.to_prometheus()
+    final_slo = monitor.as_dict()
+    final_tenants = ledger.as_dict()
 
     if not scrapes:
         failures.append("the run's clock crossed no tick")
@@ -233,10 +229,10 @@ def ops(out: Path | None) -> list[str]:
         try:
             samples = parse_prometheus(text)
         except ValueError as exc:
-            failures.append(f"{label} /metrics failed to parse: {exc}")
+            failures.append(f"{label} metrics failed to parse: {exc}")
             break
         if not any(name.startswith("load_") for name, _ in samples):
-            failures.append(f"{label} /metrics carries no load_* series")
+            failures.append(f"{label} metrics carry no load_* series")
             break
 
     frame = harness.log.frame()
@@ -244,29 +240,29 @@ def ops(out: Path | None) -> list[str]:
         payload = json.loads(scrape["slo"])
         pure = statuses(monitor.objectives, frame, payload["t"])
         if payload["objectives"] != json.loads(json.dumps([s.as_dict() for s in pure])):
-            failures.append(f"/slo at t={payload['t']} differs from the fold")
+            failures.append(f"SLO payload at t={payload['t']} differs from the fold")
             break
     if final_slo["evaluations"] < 1:
         failures.append("SLO monitor never evaluated")
     miss = {o["name"]: o for o in final_slo["objectives"]}.get("deadline_miss_rate")
     if miss is None:
-        failures.append("/slo has no deadline_miss_rate objective")
+        failures.append("SLO payload has no deadline_miss_rate objective")
     elif len(miss["burn_rate"]) != len(miss["windows"]) or not miss["windows"]:
         failures.append("deadline_miss_rate carries no burn rate per window")
 
     billed = final_tenants["totals"]["dollars"]
     if abs(billed - report.user_cost_dollars) > 1e-6:
         failures.append(
-            f"/tenants dollars {billed!r} != report user cost {report.user_cost_dollars!r}"
+            f"ledger dollars {billed!r} != report user cost {report.user_cost_dollars!r}"
         )
     if report.executed and not final_tenants["tenants"]:
-        failures.append("runs executed but /tenants is empty")
+        failures.append("runs executed but the ledger is empty")
 
     plain_harness = LoadHarness(config, metrics=MetricsRegistry())
     plain = plain_harness.run(trace)
     if plain.fingerprint() != report.fingerprint():
         failures.append(
-            "ledger + scraped-server fingerprint diverged from plain run: "
+            "ledger + monitor fingerprint diverged from plain run: "
             f"{report.fingerprint()} != {plain.fingerprint()}"
         )
     ratio = {o.name for o in default_slos() if o.kind == "ratio"}
@@ -290,7 +286,7 @@ def ops(out: Path | None) -> list[str]:
             (out / "slo.midrun.json").write_text(middle["slo"] + "\n")
         for name, payload in (("slo", final_slo), ("tenants", final_tenants)):
             (out / f"{name}.json").write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"ops: {len(scrapes)} mid-run scrapes, {report.executed} runs executed")
+    print(f"ops: {len(scrapes)} mid-run reads, {report.executed} runs executed")
     return failures
 
 

@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG plumbing, unit helpers, validation."""
 
-from repro.utils.rng import derive_rng, spawn_rngs
+from repro.utils.rng import derive_rng
 from repro.utils.units import (
     GiB,
     HOURS,
@@ -9,8 +9,6 @@ from repro.utils.units import (
     SECONDS,
     format_duration,
     format_money,
-    hours,
-    minutes,
 )
 from repro.utils.validation import (
     check_fraction,
@@ -20,14 +18,11 @@ from repro.utils.validation import (
 
 __all__ = [
     "derive_rng",
-    "spawn_rngs",
     "SECONDS",
     "MINUTES",
     "HOURS",
     "MiB",
     "GiB",
-    "hours",
-    "minutes",
     "format_duration",
     "format_money",
     "check_fraction",

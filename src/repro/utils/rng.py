@@ -41,17 +41,6 @@ def derive_rng(seed, *keys) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def spawn_rngs(seed, count: int) -> list[np.random.Generator]:
-    """Spawn *count* independent generators from a single seed."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if isinstance(seed, np.random.Generator):
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(count)]
-
-
 def _key_to_int(key) -> int:
     """Map a mixed str/int key to a stable non-negative integer."""
     if isinstance(key, (int, np.integer)):

@@ -16,16 +16,6 @@ MiB = 1024 * KiB
 GiB = 1024 * MiB
 
 
-def hours(value: float) -> float:
-    """Convert hours to seconds."""
-    return value * HOURS
-
-
-def minutes(value: float) -> float:
-    """Convert minutes to seconds."""
-    return value * MINUTES
-
-
 def format_duration(seconds: float) -> str:
     """Human readable duration, e.g. ``format_duration(5400) == '1h30m'``."""
     if seconds < 0:

@@ -102,9 +102,9 @@ def undirected_reference(graph: Graph) -> Graph:
     parallel edges accumulate their weights.  Self-loops are dropped,
     matching the behaviour partitioners expect.
     """
-    edges = graph.edge_array()
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.out_degrees())
+    src = np.concatenate([sources, graph.indices])
+    dst = np.concatenate([graph.indices, sources])
     if graph.weights is not None:
         w = np.concatenate([graph.weights, graph.weights])
     else:

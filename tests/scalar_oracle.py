@@ -29,7 +29,6 @@ from repro.engine.algorithms import (
     SSSP,
     ConnectedComponents,
     InDegree,
-    OutDegree,
     PageRank,
 )
 from repro.engine.algorithms.pagerank import DAMPING
@@ -250,11 +249,10 @@ class ScalarEngine(PregelEngine):
         sent = local = remote = 0
         combiner = program.combiner
 
-        for worker in self.workers:
+        for wid in range(self.num_workers):
             # Sender-side combining: one buffered slot per destination.
             send_buffer: dict[int, list] = {}
-            wid = worker.worker_id
-            own = worker.vertices
+            own = self.partitioning.part_vertices(wid)
             run_ids = own[runnable[own]]
             for v, has_messages in zip(run_ids.tolist(), inc_mask[run_ids].tolist()):
                 halted[v] = False
@@ -345,12 +343,6 @@ class ScalarInDegree(InDegree):
         ctx.vote_to_halt()
 
 
-class ScalarOutDegree(OutDegree):
-    def compute(self, ctx: ComputeContext, messages: list) -> None:
-        ctx.value = ctx.out_degree
-        ctx.vote_to_halt()
-
-
 # ----------------------------------------------------------------------
 # Greedy graph colouring (tuple messages: scalar only)
 # ----------------------------------------------------------------------
@@ -418,9 +410,19 @@ def count_colors(values: dict) -> int:
     return len({c for c in values.values() if c != UNCOLOURED})
 
 
+def edge_sources(graph) -> np.ndarray:
+    """Source vertex of every CSR edge, derived from ``indptr`` alone."""
+    return np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.out_degrees())
+
+
+def edge_list(graph) -> list[tuple[int, int]]:
+    """Every ``(src, dst)`` pair of *graph* in CSR order, as Python ints."""
+    return list(zip(edge_sources(graph).tolist(), graph.indices.tolist()))
+
+
 def is_proper_coloring(graph, values: dict) -> bool:
     """Check no edge connects two vertices of the same colour."""
-    for src, dst in graph.iter_edges():
+    for src, dst in edge_list(graph):
         if src != dst and values[src] == values[dst]:
             return False
     return True

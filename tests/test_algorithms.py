@@ -12,10 +12,8 @@ from repro.engine import PregelEngine
 from repro.engine.algorithms import (
     ConnectedComponents,
     InDegree,
-    OutDegree,
     PageRank,
     SSSP,
-    component_sizes,
 )
 from repro.graph import from_edges, generators
 from repro.partitioning import HashPartitioner
@@ -32,10 +30,9 @@ def to_networkx(graph, directed=True):
     nxg = nx.DiGraph() if directed else nx.Graph()
     nxg.add_nodes_from(range(graph.num_vertices))
     if graph.weights is None:
-        nxg.add_edges_from(graph.iter_edges())
+        nxg.add_edges_from(scalar_oracle.edge_list(graph))
     else:
-        edges = graph.edge_array()
-        for (src, dst), w in zip(edges, graph.weights):
+        for (src, dst), w in zip(scalar_oracle.edge_list(graph), graph.weights):
             nxg.add_edge(int(src), int(dst), weight=float(w))
     return nxg
 
@@ -181,17 +178,8 @@ class TestConnectedComponents:
         assert result.values[5] == 5
         assert result.values[6] == 5
 
-    def test_component_sizes(self):
-        sizes = component_sizes({0: 0, 1: 0, 2: 2})
-        assert sizes == {0: 2, 2: 1}
-
 
 class TestDegree:
-    def test_out_degree(self):
-        g = from_edges([0, 0, 1], [1, 2, 2], num_vertices=3)
-        result = PregelEngine(g, OutDegree()).run()
-        assert result.values == {0: 2, 1: 1, 2: 0}
-
     def test_in_degree(self):
         g = from_edges([0, 0, 1], [1, 2, 2], num_vertices=3)
         result = PregelEngine(g, InDegree(), HashPartitioner().partition(g, 2)).run()

@@ -17,7 +17,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.cloud import default_catalog, transient_configs
+from repro.cloud import default_catalog
 from repro.engine import DataStore, PregelEngine, codec
 from repro.engine.algorithms import SSSP, PageRank
 from repro.engine.checkpoint import (
@@ -524,7 +524,7 @@ class TestRuntimeDeltaRecovery:
         graph = generators.community_graph(
             800, num_communities=8, avg_degree=10, seed=4
         )
-        config = transient_configs(catalog)[0]
+        config = [c for c in catalog if c.is_transient][0]
         rt = HourglassRuntime(
             graph,
             lambda: PageRank(iterations=12),

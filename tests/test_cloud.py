@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,6 @@ from repro.cloud import (
     default_catalog,
     full_grid_catalog,
     generate_trace,
-    instance_by_name,
-    on_demand_configs,
-    transient_configs,
-    worker_counts,
 )
 from repro.utils.units import HOURS
 from tests.scalar_oracle import ExponentialEvictionModel
@@ -33,20 +31,10 @@ class TestInstanceTypes:
         assert R4_2XLARGE.on_demand_price < R4_4XLARGE.on_demand_price
         assert R4_4XLARGE.on_demand_price < R4_8XLARGE.on_demand_price
 
-    def test_per_second_price(self):
-        assert R4_2XLARGE.on_demand_price_per_second == pytest.approx(
-            R4_2XLARGE.on_demand_price / 3600
-        )
-
     def test_mean_spot_price(self):
         assert R4_8XLARGE.mean_spot_price == pytest.approx(
             R4_8XLARGE.on_demand_price * R4_8XLARGE.spot_discount
         )
-
-    def test_lookup_by_name(self):
-        assert instance_by_name("r4.4xlarge") is R4_4XLARGE
-        with pytest.raises(KeyError):
-            instance_by_name("m5.large")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -77,21 +65,12 @@ class TestConfigurations:
 
     def test_market_split(self):
         catalog = default_catalog()
-        assert len(transient_configs(catalog)) == 3
-        assert len(on_demand_configs(catalog)) == 3
+        assert len([c for c in catalog if c.is_transient]) == 3
+        assert len([c for c in catalog if not c.is_transient]) == 3
 
     def test_full_grid(self):
         grid = full_grid_catalog()
         assert len(grid) == 18  # 3 types x 3 counts x 2 markets
-
-    def test_worker_counts(self):
-        assert worker_counts(default_catalog()) == [4, 8, 16]
-
-    def test_sibling(self):
-        spot = transient_configs(default_catalog())[0]
-        od = spot.sibling(Market.ON_DEMAND)
-        assert od.instance_type == spot.instance_type
-        assert not od.is_transient
 
     def test_name_format(self):
         c = Configuration(R4_8XLARGE, 4, Market.SPOT)
@@ -264,23 +243,23 @@ class TestSpotMarket:
             assert stats.mean_spot_price > 0
 
     def test_on_demand_rate_constant(self, small_market):
-        od = on_demand_configs(default_catalog())[0]
+        od = [c for c in default_catalog() if not c.is_transient][0]
         assert small_market.config_rate(od, 0) == od.on_demand_rate
         assert small_market.config_rate(od, 1000) == od.on_demand_rate
 
     def test_spot_rate_tracks_trace(self, small_market):
-        spot = transient_configs(default_catalog())[0]
+        spot = [c for c in default_catalog() if c.is_transient][0]
         trace = small_market.traces[spot.instance_type.name]
         assert small_market.config_rate(spot, 0) == pytest.approx(
             spot.num_workers * trace.price_at(0)
         )
 
     def test_on_demand_never_evicted(self, small_market):
-        od = on_demand_configs(default_catalog())[0]
+        od = [c for c in default_catalog() if not c.is_transient][0]
         assert small_market.eviction_time(od, 0.0) is None
 
     def test_eviction_iff_price_crossing(self, small_market):
-        spot = transient_configs(default_catalog())[0]
+        spot = [c for c in default_catalog() if c.is_transient][0]
         eviction = small_market.eviction_time(spot, 0.0)
         if eviction is not None:
             trace = small_market.traces[spot.instance_type.name]
@@ -290,20 +269,20 @@ class TestSpotMarket:
             assert trace.next_crossing_above(0.0, bid) == eviction
 
     def test_usable_at(self, small_market):
-        spot = transient_configs(default_catalog())[0]
+        spot = [c for c in default_catalog() if c.is_transient][0]
         eviction = small_market.eviction_time(spot, 0.0)
         if eviction is not None and eviction > 0:
             assert small_market.usable_at(spot, 0.0)
             assert not small_market.usable_at(spot, eviction + 1)
 
     def test_cost_on_demand(self, small_market):
-        od = on_demand_configs(default_catalog())[0]
+        od = [c for c in default_catalog() if not c.is_transient][0]
         cost = small_market.cost(od, 0, 2 * HOURS)
         assert cost == pytest.approx(2 * od.on_demand_rate)
 
     def test_cost_spot_cheaper_than_od(self, small_market):
-        spot = transient_configs(default_catalog())[0]
-        od = spot.sibling(Market.ON_DEMAND)
+        spot = [c for c in default_catalog() if c.is_transient][0]
+        od = replace(spot, market=Market.ON_DEMAND)
         # Find a window where the spot price stays below on-demand.
         t0 = 0.0
         eviction = small_market.eviction_time(spot, t0) or small_market.horizon
@@ -312,14 +291,14 @@ class TestSpotMarket:
             assert small_market.cost(spot, t0, t1) < small_market.cost(od, t0, t1)
 
     def test_eviction_model_only_for_spot(self, small_market):
-        od = on_demand_configs(default_catalog())[0]
+        od = [c for c in default_catalog() if not c.is_transient][0]
         with pytest.raises(ValueError):
             small_market.eviction_model(od)
 
     def test_history_and_eval_traces_differ(self, small_market):
         # Historical stats derive from a disjoint trace: the evaluation
         # trace mean should differ from the historical mean slightly.
-        spot = transient_configs(default_catalog())[0]
+        spot = [c for c in default_catalog() if c.is_transient][0]
         hist_mean = small_market.stats_for(spot.instance_type.name).mean_spot_price
         eval_mean = small_market.traces[spot.instance_type.name].mean_price()
         assert hist_mean != eval_mean

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from repro.cloud import Market, default_catalog, on_demand_configs, transient_configs
+from repro.cloud import Market, default_catalog
 from repro.core import (
     COLORING_PROFILE,
     PAGERANK_PROFILE,
@@ -15,9 +16,7 @@ from repro.core import (
     JobSpec,
     PerformanceModel,
     SlackModel,
-    checkpoint_overhead_fraction,
     daly_interval,
-    expected_lost_work,
     job_with_slack,
     last_resort,
 )
@@ -102,12 +101,13 @@ class TestPerformanceModel:
     def test_last_resort_is_fastest_on_demand(self, catalog, gc_perf):
         lrc = last_resort(catalog, lambda ref: gc_perf)
         assert not lrc.is_transient
-        for c in on_demand_configs(catalog):
-            assert gc_perf.exec_time(lrc) <= gc_perf.exec_time(c)
+        for c in catalog:
+            if not c.is_transient:
+                assert gc_perf.exec_time(lrc) <= gc_perf.exec_time(c)
 
     def test_paper_time_spread(self, catalog, gc_perf):
         # Fastest shape 4h, slowest 10h (the paper's §2 numbers).
-        times = sorted(gc_perf.exec_time(c) / HOURS for c in on_demand_configs(catalog))
+        times = sorted(gc_perf.exec_time(c) / HOURS for c in catalog if not c.is_transient)
         assert times[0] == pytest.approx(4.0, rel=0.01)
         assert times[-1] == pytest.approx(10.0, rel=0.05)
 
@@ -119,12 +119,12 @@ class TestPerformanceModel:
             assert gc_perf.capacity(c) <= 1.0 + 1e-9
 
     def test_market_does_not_affect_speed(self, catalog, gc_perf):
-        spot = transient_configs(catalog)[0]
-        od = spot.sibling(Market.ON_DEMAND)
+        spot = [c for c in catalog if c.is_transient][0]
+        od = replace(spot, market=Market.ON_DEMAND)
         assert gc_perf.exec_time(spot) == gc_perf.exec_time(od)
 
     def test_micro_load_faster_than_full(self, catalog):
-        lrc = on_demand_configs(catalog)[0]
+        lrc = [c for c in catalog if not c.is_transient][0]
         micro = PerformanceModel(
             profile=COLORING_PROFILE, reference=lrc, reload_mode=RELOAD_MICRO
         )
@@ -161,7 +161,7 @@ class TestPerformanceModel:
 
     def test_last_resort_requires_on_demand(self, gc_perf, catalog):
         with pytest.raises(ValueError):
-            last_resort(transient_configs(catalog), lambda ref: gc_perf)
+            last_resort([c for c in catalog if c.is_transient], lambda ref: gc_perf)
 
 
 class TestCheckpointPolicy:
@@ -176,12 +176,6 @@ class TestCheckpointPolicy:
 
     def test_interval_grows_with_mttf(self):
         assert daly_interval(10, 10_000) > daly_interval(10, 1_000)
-
-    def test_overhead_fraction(self):
-        assert checkpoint_overhead_fraction(10, 90) == pytest.approx(0.1)
-
-    def test_expected_lost_work(self):
-        assert expected_lost_work(600, 7200) == 300.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -223,7 +217,7 @@ class TestSlackModel:
         assert interval == pytest.approx(tiny_work * slack_model.lrc_exec_time)
 
     def test_useful_capped_by_slack(self, slack_model, catalog, gc_perf):
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         mttf = 100 * HOURS  # huge: the checkpoint cap never binds
         t_late = slack_model.deadline - slack_model.lrc_fixed_time \
             - 1.0 * slack_model.lrc_exec_time - 2 * gc_perf.fixed_time(spot)
@@ -232,19 +226,19 @@ class TestSlackModel:
         assert interval == pytest.approx(expected)
 
     def test_useful_capped_by_checkpoint_interval(self, slack_model, catalog):
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         mttf = 600.0  # short MTTF -> small Daly interval
         interval = slack_model.useful(spot, 0.0, 1.0, mttf)
         save = slack_model.perf.save_time(spot)
         assert interval == pytest.approx(daly_interval(save, mttf))
 
     def test_useful_requires_mttf_for_spot(self, slack_model, catalog):
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         with pytest.raises(ValueError):
             slack_model.useful(spot, 0.0, 1.0)
 
     def test_expected_progress(self, slack_model, catalog, gc_perf):
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         progress = slack_model.expected_progress(spot, 0.0, 1.0, mttf=3600.0)
         interval = slack_model.useful(spot, 0.0, 1.0, mttf=3600.0)
         assert progress == pytest.approx(interval / gc_perf.exec_time(spot))
@@ -256,13 +250,13 @@ class TestSlackModel:
         assert not slack_model.feasible(lrc, beyond, 1.0)
 
     def test_transient_infeasible_without_slack(self, slack_model, catalog):
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         t_exhausted = slack_model.deadline - slack_model.lrc_fixed_time \
             - 1.0 * slack_model.lrc_exec_time
         assert not slack_model.feasible(spot, t_exhausted, 1.0)
 
     def test_running_config_cheaper_switch(self, slack_model, catalog):
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         fresh = slack_model.switch_cost(spot, already_running=False)
         running = slack_model.switch_cost(spot, already_running=True)
         assert running < fresh

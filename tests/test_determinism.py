@@ -9,7 +9,6 @@ These tests pin that property for every stochastic layer.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import PAGERANK_PROFILE
 from repro.experiments import ExperimentSetup, sweep_strategy

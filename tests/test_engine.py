@@ -18,15 +18,8 @@ from repro.engine import (
     SumCombiner,
     VertexProgram,
 )
-from repro.engine.aggregators import (
-    AndAggregator,
-    MaxAggregator,
-    MinAggregator,
-    OrAggregator,
-    SumAggregator,
-)
+from repro.engine.aggregators import SumAggregator
 from repro.engine.algorithms import PageRank
-from repro.engine.worker import build_workers
 from repro.graph import from_edges
 from repro.partitioning import HashPartitioner
 from tests import scalar_oracle
@@ -87,14 +80,7 @@ class TestMessageStore:
 
 class TestAggregators:
     @pytest.mark.parametrize(
-        "cls,contributions,expected",
-        [
-            (SumAggregator, [1, 2, 3], 6),
-            (MinAggregator, [4, 2, 9], 2),
-            (MaxAggregator, [4, 2, 9], 9),
-            (AndAggregator, [True, True, False], False),
-            (OrAggregator, [False, True, False], True),
-        ],
+        "cls,contributions,expected", [(SumAggregator, [1, 2, 3], 6)]
     )
     def test_reduction(self, cls, contributions, expected):
         agg = cls()
@@ -104,36 +90,6 @@ class TestAggregators:
 
     def test_identity(self):
         assert SumAggregator().value == 0
-        assert MinAggregator().value == float("inf")
-        assert AndAggregator().value is True
-
-    def test_merge(self):
-        a, b = SumAggregator(), SumAggregator()
-        a.accumulate(2)
-        b.accumulate(3)
-        a.merge(b)
-        assert a.value == 5
-
-    def test_reset(self):
-        agg = SumAggregator()
-        agg.accumulate(5)
-        agg.reset()
-        assert agg.value == 0
-
-
-class TestWorkers:
-    def test_build_workers_partition_ownership(self):
-        g = scalar_oracle.path_graph(10)
-        p = HashPartitioner().partition(g, 3)
-        workers = build_workers(p, 3)
-        owned = sorted(v for w in workers for v in w.vertices.tolist())
-        assert owned == list(range(10))
-
-    def test_mismatched_count_rejected(self):
-        g = scalar_oracle.path_graph(4)
-        p = HashPartitioner().partition(g, 2)
-        with pytest.raises(ValueError):
-            build_workers(p, 3)
 
 
 class TestEngineExecution:

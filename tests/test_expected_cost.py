@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.cloud import default_catalog, on_demand_configs, transient_configs
+from repro.cloud import default_catalog
 from repro.core import (
     COLORING_PROFILE,
     PAGERANK_PROFILE,
@@ -94,7 +94,7 @@ class TestApproximateEstimator:
         est = ApproximateCostEstimator(sm, small_market, catalog)
         est.snapshot(0.0)
         t_late = sm.deadline - sm.lrc_fixed_time - sm.lrc_exec_time
-        for spot in transient_configs(catalog):
+        for spot in [c for c in catalog if c.is_transient]:
             assert est.config_cost(spot, t_late, 1.0, 0.0, False) == math.inf
 
     def test_cost_decreases_with_less_work(self, small_market, catalog):
@@ -136,7 +136,7 @@ class TestApproximateEstimator:
     def test_catalog_requires_on_demand(self, small_market, catalog):
         sm = make_slack_model(small_market, SSSP_PROFILE, 0.5, catalog)
         with pytest.raises(ValueError):
-            ApproximateCostEstimator(sm, small_market, transient_configs(catalog))
+            ApproximateCostEstimator(sm, small_market, [c for c in catalog if c.is_transient])
 
     @pytest.mark.parametrize(
         "kwargs",

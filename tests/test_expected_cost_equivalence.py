@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cloud import default_catalog, full_grid_catalog, on_demand_configs
+from repro.cloud import default_catalog, full_grid_catalog
 from repro.core import (
     COLORING_PROFILE,
     PAGERANK_PROFILE,
@@ -88,7 +88,7 @@ class TestRandomized:
         for _ in range(40):
             size = int(rng.integers(2, len(grid) + 1))
             subset = [grid[i] for i in rng.choice(len(grid), size=size, replace=False)]
-            if not on_demand_configs(subset):
+            if all(c.is_transient for c in subset):
                 subset.append(grid[1])
             catalog = tuple(subset)
             profile = PROFILES[int(rng.integers(len(PROFILES)))]

@@ -161,7 +161,9 @@ class TestFig5:
             num_simulations=4,
         )
         assert len(results) == 6
-        assert fig5_overall.check_invariants(results) == []
+        for r in results:  # the deadline-safe strategies never miss
+            if r.strategy == "hourglass" or r.strategy.endswith("+dp"):
+                assert r.missed_percent == 0, r
         rendered = fig5_overall.render(results)
         assert "pagerank" in rendered
 

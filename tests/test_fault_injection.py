@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cloud import default_catalog, transient_configs
+from repro.cloud import default_catalog
 from repro.core import (
     PAGERANK_PROFILE,
     ExecutionSimulator,
@@ -102,7 +102,7 @@ class TestDatastoreFaultsAnalytic:
         # timeline is exact: checkpoint #0 persists, checkpoint #1 is
         # abandoned after one retry, and a forced eviction lands in the
         # third segment — before anything else persisted.
-        config = transient_configs(catalog)[0]
+        config = [c for c in catalog if c.is_transient][0]
         scale = 0.05
         faults = DatastoreWriteFaults({1}, retries=1, backoff_seconds=30.0)
         sim, perf, lrc = make_sim(
@@ -145,7 +145,7 @@ class TestDatastoreFaultsAnalytic:
         assert result.checkpoints == kinds.count("checkpoint")
 
     def test_write_retry_plans(self, catalog):
-        config = transient_configs(catalog)[0]
+        config = [c for c in catalog if c.is_transient][0]
         recovered = DatastoreWriteFaults(
             {3}, failures_per_write=2, retries=3, backoff_seconds=5.0, backoff_factor=2.0
         )
@@ -180,7 +180,7 @@ class TestDatastoreFaultsRuntime:
         # eviction instant), so the rollback provably targets the
         # *previous* checkpoint — and the recomputed answer must match
         # an undisturbed run bit for bit.
-        config = transient_configs(catalog)[0]
+        config = [c for c in catalog if c.is_transient][0]
         rt = HourglassRuntime(
             graph,
             lambda: PageRank(iterations=12),
@@ -258,7 +258,7 @@ class TestEvictionStorm:
         job = job_with_slack(PAGERANK_PROFILE, 0.0, 0.5, perf.fixed_time(lrc))
         clean = sim.run(job)
 
-        uptime = 0.25 * min(perf.setup_time(c) for c in transient_configs(catalog))
+        uptime = 0.25 * min(perf.setup_time(c) for c in catalog if c.is_transient)
         storm = EvictionStormFaults(uptime)
         stormy_sim, _, _ = make_sim(
             long_market, HourglassProvisioner(), catalog, observers=[storm]
@@ -275,7 +275,7 @@ class TestEvictionStorm:
         # Batter the engine-backed runtime with forced evictions; the
         # computation must still finish and agree with an undisturbed
         # run exactly.
-        config = transient_configs(catalog)[0]
+        config = [c for c in catalog if c.is_transient][0]
         rt = HourglassRuntime(
             graph,
             lambda: PageRank(iterations=12),
@@ -288,7 +288,7 @@ class TestEvictionStorm:
             data_scale=20_000,
         )
         deadline = rt.perf.fixed_time(rt.lrc) + 1.5 * rt.perf.exec_time(rt.lrc)
-        uptime = 0.25 * min(rt.perf.setup_time(c) for c in transient_configs(catalog))
+        uptime = 0.25 * min(rt.perf.setup_time(c) for c in catalog if c.is_transient)
         storm = EvictionStormFaults(uptime)
         rt.observers = (storm,)
         result = rt.execute(0.0, deadline)

@@ -569,6 +569,15 @@ class TestHarnessFrontendMode:
             report.fingerprint()
         )
 
+    def test_fingerprint_ignores_frontend_memo_rates(self, report):
+        # Which planner thread reaches the shared memo first decides the
+        # hit counts, so in frontend mode the rates stay out of the hash;
+        # on the windowed path they stay in.
+        moved = dict(cache_hit_rate=0.123, snapshot_hit_rate=0.456)
+        assert replace(report, **moved).fingerprint() == report.fingerprint()
+        windowed = replace(report, frontend=False)
+        assert replace(windowed, **moved).fingerprint() != windowed.fingerprint()
+
     def test_windowed_report_omits_pool_section(self):
         config = HarnessConfig(
             trace=LoadTraceConfig(seed=11, num_jobs=10),

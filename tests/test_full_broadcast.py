@@ -10,11 +10,11 @@ broadcast and reuses them.  Four families hold that to the old path:
   without dangling vertices and on one with them,
   and SSSP distances, weighted and not, frozen before SSSP moved onto
   ``send_to_all_neighbors``;
-* every superstep of PageRank, WCC, in-degree, SSSP (weighted and not)
-  and a combiner-less program re-derived from the materialised batch
-  with the ``np.unique`` oracle and an ``ufunc.at`` + scatter rebuild,
-  including the first broadcast after a checkpoint restore into a fresh
-  engine and a traffic bitmap forced into several blocks;
+* every superstep of PageRank, WCC, in-degree and SSSP (weighted and
+  not) re-derived from the materialised batch with the ``np.unique``
+  oracle and an ``ufunc.at`` + scatter rebuild, including the first
+  broadcast after a checkpoint restore into a fresh engine and a traffic
+  bitmap forced into several blocks;
 * the count itself runs once per engine;
 * the context's vertex-selection and id-range contracts.
 """
@@ -35,12 +35,13 @@ from repro.engine import (
 from repro.engine import engine as engine_module
 from repro.engine.algorithms import SSSP, ConnectedComponents, InDegree, PageRank
 from repro.engine.engine import _SlotCounter
+from repro.engine.messages import SumCombiner
 from repro.engine.vertex import VertexProgram
 from repro.graph import generators
 from repro.graph.graph import from_edges
 from repro.partitioning.hashing import HashPartitioner
 from tests.scalar_oracle import destination_mask, messages_for
-from tests.test_traffic_accounting import Shout, sorted_count
+from tests.test_traffic_accounting import sorted_count
 
 
 def sha(values) -> str:
@@ -158,11 +159,7 @@ def assert_matches_rebuild(engine, batch):
     src, dst, msg = batch
     owner = engine._owner
     combiner = engine.program.combiner
-    if combiner is None:
-        local = int(np.count_nonzero(owner[src] == owner[dst]))
-        remote = len(dst) - local
-    else:
-        local, remote = sorted_count(owner, src, dst)
+    local, remote = sorted_count(owner, src, dst)
     assert (
         stats.messages_sent,
         stats.local_messages,
@@ -172,18 +169,17 @@ def assert_matches_rebuild(engine, batch):
     mask = np.zeros(n, dtype=bool)
     mask[dst] = True
     assert np.array_equal(destination_mask(pending, n), mask)
-    if combiner is not None:
-        values = np.full(n, combiner.identity, dtype=np.float64)
-        combiner.ufunc.at(values, dst, msg.astype(np.float64))
-        got_values, got_mask = pending.dense_view(n)
-        assert np.array_equal(got_mask, mask)
-        assert got_values.tobytes() == values.tobytes()
+    values = np.full(n, combiner.identity, dtype=np.float64)
+    combiner.ufunc.at(values, dst, msg.astype(np.float64))
+    got_values, got_mask = pending.dense_view(n)
+    assert np.array_equal(got_mask, mask)
+    assert got_values.tobytes() == values.tobytes()
 
 
 @pytest.fixture()
 def checked(monkeypatch):
-    """Check every ``_exchange``; returns per-superstep records
-    ``(combined, full)`` and the number of ``_SlotCounter.count`` calls."""
+    """Check every ``_exchange``; returns per-superstep records (True
+    for a full broadcast) and the number of ``_SlotCounter.count`` calls."""
     record = {"steps": [], "counts": 0}
     original_exchange = PregelEngine._exchange
     original_count = _SlotCounter.count
@@ -197,7 +193,7 @@ def checked(monkeypatch):
             full = np.array_equal(batch[0], graph.edge_sources()) and np.array_equal(
                 batch[1], graph.indices
             )
-            record["steps"].append((self.program.combiner is not None, full))
+            record["steps"].append(full)
         return more
 
     def count(self, src, dst):
@@ -221,18 +217,15 @@ def source_of(graph) -> int:
 
 
 # name -> (graph fixture or builder, program factory taking the graph,
-# superstep the after-load variant checkpoints at, superstep cap)
+# superstep the after-load variant checkpoints at)
 PROGRAMS = {
-    "pagerank": ("rmat", lambda g: PageRank(iterations=6), 2, None),
-    "wcc": ("rmat", lambda g: ConnectedComponents(), 0, None),
-    "in-degree": ("rmat", lambda g: InDegree(), 0, None),
-    "sssp": ("rmat", lambda g: SSSP(source=source_of(g)), 2, None),
-    "sssp-weighted": ("weighted", lambda g: SSSP(source=source_of(g)), 2, None),
-    "sssp-star": (lambda: star(False), lambda g: SSSP(source=0), 0, None),
-    "sssp-star-weighted": (lambda: star(True), lambda g: SSSP(source=0), 0, None),
-    # Without a combiner the next superstep's dense inbox cannot fold the
-    # messages, so the dense Shout runs exactly its one sending superstep.
-    "shout-no-combiner": ("rmat", lambda g: Shout(), 0, 1),
+    "pagerank": ("rmat", lambda g: PageRank(iterations=6), 2),
+    "wcc": ("rmat", lambda g: ConnectedComponents(), 0),
+    "in-degree": ("rmat", lambda g: InDegree(), 0),
+    "sssp": ("rmat", lambda g: SSSP(source=source_of(g)), 2),
+    "sssp-weighted": ("weighted", lambda g: SSSP(source=source_of(g)), 2),
+    "sssp-star": (lambda: star(False), lambda g: SSSP(source=0), 0),
+    "sssp-star-weighted": (lambda: star(True), lambda g: SSSP(source=0), 0),
 }
 #: Programs none of whose batches is the full CSR.
 NEVER_FULL = {"sssp", "sssp-weighted"}
@@ -244,7 +237,7 @@ class TestEquivalence:
     def test_every_superstep_matches_the_oracle(
         self, request, checked, monkeypatch, name, variant
     ):
-        source, make_program, save_at, cap = PROGRAMS[name]
+        source, make_program, save_at = PROGRAMS[name]
         graph = request.getfixturevalue(source) if isinstance(source, str) else source()
         partitioning = HashPartitioner().partition(graph, 3)
         if variant == "multi-block":
@@ -264,13 +257,11 @@ class TestEquivalence:
             manager.load_into(engine)
             checked["steps"].clear()
             checked["counts"] = 0
-        engine.run(max_supersteps=cap)
+        engine.run()
         steps = checked["steps"]
         assert steps, "the program sent nothing"
-        assert any(full for _, full in steps) == (name not in NEVER_FULL)
-        combined = [full for with_combiner, full in steps if with_combiner]
-        expected_counts = combined.count(False) + (1 if any(combined) else 0)
-        assert checked["counts"] == expected_counts
+        assert any(steps) == (name not in NEVER_FULL)
+        assert checked["counts"] == steps.count(False) + (1 if any(steps) else 0)
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +364,7 @@ class TestSendToAllNeighborsSelection:
 class SendTo(VertexProgram):
     """Superstep 0: vertex 0 sends 5.0 from ``src`` to ``dst``."""
 
-    combiner = None
+    combiner = SumCombiner
     value_dtype = np.float64
 
     def __init__(self, src, dst):

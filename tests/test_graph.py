@@ -62,10 +62,9 @@ class TestFromEdges:
 
     def test_edge_array_roundtrip(self):
         g = from_edges([2, 0, 1], [0, 1, 2])
-        edges = g.edge_array()
-        g2 = from_edges(edges[:, 0], edges[:, 1], num_vertices=3)
+        g2 = from_edges(scalar_oracle.edge_sources(g), g.indices, num_vertices=3)
         assert np.array_equal(g.indptr, g2.indptr)
-        assert sorted(map(tuple, g.edge_array())) == sorted(map(tuple, g2.edge_array()))
+        assert np.array_equal(g.indices, g2.indices)
 
 
 class TestGraphValidation:
@@ -95,17 +94,10 @@ class TestGraphValidation:
 
 
 class TestDerivedGraphs:
-    def test_reversed(self):
-        g = from_edges([0, 1], [1, 2], num_vertices=3)
-        r = g.reversed()
-        assert list(r.neighbors(1)) == [0]
-        assert list(r.neighbors(2)) == [1]
-        assert r.num_edges == g.num_edges
-
     def test_undirected_symmetry(self):
         g = from_edges([0, 1], [1, 2], num_vertices=3)
         u = g.undirected()
-        for src, dst in u.iter_edges():
+        for src, dst in scalar_oracle.edge_list(u):
             assert src in u.neighbors(dst)
 
     def test_undirected_merges_duplicates(self):
@@ -116,7 +108,7 @@ class TestDerivedGraphs:
     def test_undirected_drops_self_loops(self):
         g = from_edges([0, 0], [0, 1], num_vertices=2)
         u = g.undirected()
-        assert all(s != d for s, d in u.iter_edges())
+        assert all(s != d for s, d in scalar_oracle.edge_list(u))
 
     def test_undirected_accumulates_weights(self):
         g = from_edges([0, 1], [1, 0], weights=[2.0, 3.0])
@@ -125,16 +117,6 @@ class TestDerivedGraphs:
         assert u.edge_weights(0)[0] == 5.0
         assert u.edge_weights(1)[0] == 5.0
 
-    def test_subgraph_edge_count(self):
-        g = from_edges([0, 0, 1, 2], [1, 2, 2, 3], num_vertices=4)
-        mask = np.array([True, True, True, False])
-        assert g.subgraph_edge_count(mask) == 3
-
-    def test_subgraph_edge_count_bad_mask(self):
-        g = from_edges([0], [1])
-        with pytest.raises(ValueError):
-            g.subgraph_edge_count(np.array([True]))
-
 
 class TestEmptyAndMisc:
     def test_empty_graph(self):
@@ -142,17 +124,3 @@ class TestEmptyAndMisc:
         assert g.num_vertices == 5
         assert g.num_edges == 0
         assert list(g.neighbors(3)) == []
-
-    def test_payload_bytes_scale(self):
-        small = scalar_oracle.path_graph(10)
-        big = scalar_oracle.path_graph(1000)
-        assert big.payload_bytes() > small.payload_bytes()
-
-    def test_payload_bytes_weighted_larger(self):
-        unweighted = scalar_oracle.path_graph(100)
-        weighted = scalar_oracle.path_graph(100, weighted=True)
-        assert weighted.payload_bytes() > unweighted.payload_bytes()
-
-    def test_iter_edges_order(self):
-        g = from_edges([1, 0], [0, 1])
-        assert list(g.iter_edges()) == [(0, 1), (1, 0)]

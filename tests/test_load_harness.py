@@ -213,12 +213,7 @@ class TestSkippedWindows:
         )
         assert outcome.runs == 4
         assert outcome.skipped == 6
-        assert outcome.windows == 10
         assert outcome.missed == 4  # every run overruns its own deadline
-        assert outcome.miss_rate == 1.0
-        assert outcome.skipped_rate == pytest.approx(0.6)
-        assert outcome.violations == 10
-        assert outcome.violation_rate == 1.0
 
     def test_miss_rate_alone_understates_overload(self):
         # A run that *meets* its own deadline but blew through earlier
@@ -230,13 +225,14 @@ class TestSkippedWindows:
         outcome = _one_schedule(
             _OverrunSimulator(overrun_s=150.0), SSSP_PROFILE, period=100.0
         )
-        # miss_rate counts executed runs only; violation_rate also sees
-        # the windows those runs blew through.
+        # The miss rate counts executed runs only; the violation rate
+        # also sees the windows those runs blew through.
         assert outcome.skipped > 0
-        assert outcome.violation_rate > outcome.miss_rate or outcome.miss_rate == 1.0
-        assert outcome.violation_rate == (outcome.missed + outcome.skipped) / (
+        miss_rate = outcome.missed / outcome.runs
+        violation_rate = (outcome.missed + outcome.skipped) / (
             outcome.runs + outcome.skipped
         )
+        assert violation_rate > miss_rate or miss_rate == 1.0
 
     def test_interleaved_matches_private_driver_and_isolates_tenants(self):
         specs = [
@@ -260,7 +256,7 @@ class TestSkippedWindows:
         )
         assert outcomes["overloaded"].runs == private.runs
         assert outcomes["overloaded"].skipped == private.skipped
-        assert outcomes["overloaded"].violation_rate == private.violation_rate
+        assert outcomes["overloaded"].missed == private.missed
         # The healthy tenant is untouched by its neighbour's overload.
         assert outcomes["healthy"].runs == 10
         assert outcomes["healthy"].skipped == 0
@@ -269,8 +265,7 @@ class TestSkippedWindows:
     def test_outcome_backward_compatible_default(self):
         outcome = RecurringOutcome(results=(), period=60.0)
         assert outcome.skipped == 0
-        assert outcome.windows == 0
-        assert outcome.violation_rate == 0.0
+        assert outcome.runs == 0
 
 
 # ----------------------------------------------------------------------
@@ -630,8 +625,10 @@ class TestFrozenFingerprints:
         )
         report = LoadHarness(config, metrics=MetricsRegistry()).run()
         assert report.rejected_overload == 0
+        # The memo rates are not hashed in frontend mode: they vary with
+        # thread timing (LoadReport.FRONTEND_ORDER_FIELDS).
         assert report.fingerprint() == (
-            "f806ddd03fed2c73fefc6203a55395bfc963133dbde83c9bf454ecbc63663f3f"
+            "9d3044178b47c53dddb33c7a0286217ca03d3f3d64b12755d0f8a70cb681aed0"
         )
 
     def test_elastic_strategy_needs_no_flag(self):

@@ -8,11 +8,8 @@ import numpy as np
 import pytest
 
 from repro.cloud import (
-    Market,
     PriceTrace,
-    R4_2XLARGE,
     default_catalog,
-    transient_configs,
 )
 from repro.core import (
     COLORING_PROFILE,
@@ -87,16 +84,6 @@ class TestPriceTraceSlice:
             trace.slice(-1.0, 5.0)
 
 
-class TestConfigurationCosmetics:
-    def test_str_is_name(self):
-        config = transient_configs(default_catalog())[0]
-        assert str(config) == config.name
-
-    def test_sibling_roundtrip(self):
-        config = transient_configs(default_catalog())[0]
-        assert config.sibling(Market.ON_DEMAND).sibling(Market.SPOT) == config
-
-
 class TestDeploymentCdf:
     def test_more_machines_riskier(self):
         model = scalar_oracle.ExponentialEvictionModel(mttf=3600.0)
@@ -150,7 +137,7 @@ class TestHourglassSegmentLimit:
             catalog, lambda ref: PerformanceModel(profile=COLORING_PROFILE, reference=ref)
         )
         perf = PerformanceModel(profile=COLORING_PROFILE, reference=lrc)
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         deadline = perf.fixed_time(lrc) + 1.5 * perf.exec_time(lrc)
         sm = SlackModel(perf=perf, lrc=lrc, deadline=deadline)
         ctx = ProvisioningContext(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cloud import default_catalog, transient_configs
+from repro.cloud import default_catalog
 from repro.core import (
     PAGERANK_PROFILE,
     ExecutionSimulator,
@@ -119,7 +119,7 @@ def catalog():
 
 @pytest.fixture(scope="module")
 def pinned_config(catalog):
-    return transient_configs(catalog)[0]
+    return [c for c in catalog if c.is_transient][0]
 
 
 def run_pinned(market, catalog, config, observers):

@@ -1,4 +1,4 @@
-"""Live-operations layer: windows, SLOs, attribution, ops endpoint.
+"""Live-operations layer: windows, SLOs, attribution, watch panel.
 
 Covers the streaming side of :mod:`repro.obs`, on the simulated clock:
 
@@ -15,8 +15,6 @@ Covers the streaming side of :mod:`repro.obs`, on the simulated clock:
 * :class:`~repro.obs.attribution.CostLedger`, plus a real lifecycle
   run metered through the ``on_bill`` hook into ``TracingObserver``'s
   ``billed_*`` series;
-* :class:`~repro.obs.server.OpsServer` endpoints over HTTP, and a scrape
-  racing its shutdown;
 * the harness's ``load_*`` publication and record log: every series
   equals its report field, a ledger never perturbs the fingerprint, a
   seeded run's tenant table and alert sequence are frozen, and the live
@@ -26,18 +24,16 @@ Covers the streaming side of :mod:`repro.obs`, on the simulated clock:
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import threading
 import time
-import urllib.request
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import default_catalog, transient_configs
+from repro.cloud import default_catalog
 from repro.core import (
     PAGERANK_PROFILE,
     ExecutionSimulator,
@@ -55,7 +51,6 @@ from repro.obs.attribution import CostLedger
 from repro.obs.export import parse_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import TracingObserver
-from repro.obs.server import OpsServer
 from repro.obs.slo import (
     BurnRateRule,
     SloMonitor,
@@ -591,7 +586,7 @@ def _run_pinned(market, observers):
         market,
         perf,
         catalog,
-        _PinnedProvisioner(transient_configs(catalog)[0]),
+        _PinnedProvisioner([c for c in catalog if c.is_transient][0]),
         observers=observers,
     )
     job = job_with_slack(PAGERANK_PROFILE, 0.0, 0.5, perf.fixed_time(lrc))
@@ -629,108 +624,6 @@ class TestLiveBilling:
 
         result = _run_pinned(small_market, (FinishOnly(),))
         assert finished == [result]
-
-
-# ----------------------------------------------------------------------
-# Ops endpoint
-# ----------------------------------------------------------------------
-def _get(url: str):
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return response.status, response.headers.get("Content-Type"), response.read().decode()
-
-
-class TestOpsServer:
-    def test_endpoints_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("load_runs_total", "runs").inc(3, outcome="met")
-        log = _log([_run(10.0)])
-        monitor = SloMonitor(log, (_miss_objective(),), metrics=registry)
-        ledger = CostLedger()
-        ledger.record_run("acme", _result(), 0.0, 0.0)
-        log.advance(60.0)
-        with OpsServer(registry, log=log, monitor=monitor, ledger=ledger) as server:
-            status, ctype, body = _get(server.url + "/metrics")
-            assert status == 200
-            assert ctype.startswith("text/plain")
-            parsed = parse_prometheus(body)
-            assert parsed[("load_runs_total", (("outcome", "met"),))] == 3.0
-
-            status, _, body = _get(server.url + "/health")
-            health = json.loads(body)
-            assert status == 200
-            assert health["status"] == "ok"
-            assert health["clock"] == 60.0
-            assert health["records"] == 1
-            assert health["slo_evaluations"] == 1
-
-            status, _, body = _get(server.url + "/slo")
-            slo = json.loads(body)
-            assert slo["t"] == 60.0
-            assert slo["objectives"][0]["name"] == "deadline_miss_rate"
-
-            status, _, body = _get(server.url + "/tenants")
-            tenants = json.loads(body)
-            assert tenants["tenants"][0]["tenant"] == "acme"
-
-            # Trailing slashes and query strings route the same.
-            assert _get(server.url + "/metrics/?foo=1")[0] == 200
-
-    def test_absent_components_are_404(self):
-        with OpsServer(MetricsRegistry()) as server:
-            for path in ("/slo", "/tenants", "/nope"):
-                with pytest.raises(urllib.error.HTTPError) as err:
-                    _get(server.url + path)
-                assert err.value.code == 404
-            # Health still answers without a log or a monitor.
-            status, _, body = _get(server.url + "/health")
-            assert status == 200
-            assert "clock" not in json.loads(body)
-
-    def test_scrape_during_shutdown(self):
-        registry = MetricsRegistry()
-        registry.counter("load_runs_total").inc(1, outcome="met")
-        log = _log([_run(10.0, "missed")])
-        monitor = SloMonitor(log, (_miss_objective(),), metrics=registry)
-        log.advance(60.0)
-        server = OpsServer(registry, log=log, monitor=monitor).start()
-        port = server.port
-        complete, refused, torn = [], [], []
-        stop = threading.Event()
-
-        def scrape():
-            while not stop.is_set():
-                for path in ("/slo", "/metrics"):
-                    try:
-                        _, _, body = _get(f"http://127.0.0.1:{port}{path}")
-                        if path == "/slo":
-                            json.loads(body)
-                        else:
-                            parse_prometheus(body)
-                        complete.append(path)
-                    except OSError as exc:  # refused, reset, disconnected
-                        refused.append(exc)
-                    except (http.client.HTTPException, ValueError) as exc:
-                        torn.append(exc)
-
-        client = threading.Thread(target=scrape, daemon=True)
-        client.start()
-        deadline = time.monotonic() + 5.0
-        while len(complete) < 10 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        started = time.monotonic()
-        server.close()
-        closed_in = time.monotonic() - started
-        time.sleep(0.05)  # let the client hit the closed port
-        stop.set()
-        client.join(timeout=10)
-        assert closed_in < 5.0
-        assert not client.is_alive()
-        assert len(complete) >= 10
-        assert not torn, torn[:3]
-        # The port is free again: a restarted endpoint can bind it.
-        with OpsServer(registry, port=port) as again:
-            assert again.port == port
-            assert _get(again.url + "/health")[0] == 200
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,9 @@ import math
 
 import pytest
 
-from repro.cloud import Market, default_catalog, on_demand_configs, transient_configs
+from repro.cloud import default_catalog
 from repro.core import (
     COLORING_PROFILE,
-    PAGERANK_PROFILE,
     PerformanceModel,
     SlackModel,
     daly_interval,
@@ -47,9 +46,7 @@ class TestNormalizedCapacity:
 
     def test_paper_capacity_spread(self, catalog, perf, lrc):
         # The paper's §2: fastest 4h, slowest 10h -> omega in {1, .63, .4}.
-        omegas = sorted(
-            perf.capacity(c) for c in on_demand_configs(catalog)
-        )
+        omegas = sorted(perf.capacity(c) for c in catalog if not c.is_transient)
         assert omegas[-1] == pytest.approx(1.0)
         assert omegas[0] == pytest.approx(0.4, abs=0.02)
 
@@ -85,7 +82,7 @@ class TestUsefulInterval:
 
     def test_three_way_minimum(self, catalog, perf, lrc):
         sm = SlackModel(perf=perf, lrc=lrc, deadline=7 * HOURS)
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         mttf = 4 * HOURS
         w = 1.0
         expected = min(
@@ -97,7 +94,7 @@ class TestUsefulInterval:
 
     def test_running_config_reserves_only_save(self, catalog, perf, lrc):
         sm = SlackModel(perf=perf, lrc=lrc, deadline=7 * HOURS)
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         mttf = 100 * HOURS
         # Late enough that the slack cap binds in both variants.
         t = sm.deadline - perf.fixed_time(lrc) - perf.exec_time(lrc) - 20 * MINUTES
@@ -113,7 +110,7 @@ class TestExpectedProgress:
 
     def test_identity_with_exec_time(self, catalog, perf, lrc):
         sm = SlackModel(perf=perf, lrc=lrc, deadline=8 * HOURS)
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         mttf = 3 * HOURS
         useful = sm.useful(spot, 0.0, 1.0, mttf)
         # omega * useful / t_lrc_exec == useful / t_exec(c).
@@ -132,7 +129,7 @@ class TestDalyFormula:
     def test_paper_like_magnitudes(self, catalog, perf):
         # t_save ~ 12s, MTTF ~ 4.5h -> checkpoint every ~10 min, i.e.
         # dozens of checkpoints across the 4h GC job.
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         interval = daly_interval(perf.save_time(spot), 4.5 * HOURS)
         assert 4 * MINUTES < interval < 20 * MINUTES
 
@@ -153,7 +150,7 @@ class TestDeadlineConstruction:
         # capped by useful(); even if an eviction voids it entirely, the
         # last resort still fits.
         sm = SlackModel(perf=perf, lrc=lrc, deadline=6 * HOURS)
-        spot = transient_configs(catalog)[0]
+        spot = [c for c in catalog if c.is_transient][0]
         mttf = 100 * HOURS  # let the slack cap bind
         w = 1.0
         interval = sm.useful(spot, 0.0, w, mttf)
@@ -169,13 +166,13 @@ class TestCostExamples:
     def test_catalog_discount_band(self, catalog, small_market):
         # The paper's example quotes an 86% discount; our synthetic
         # market is calibrated to the 60-80% band its evaluation uses.
-        for spot in transient_configs(catalog):
+        for spot in [c for c in catalog if c.is_transient]:
             mean = small_market.stats_for(spot.instance_type.name).mean_spot_price
             discount = 1.0 - mean / spot.instance_type.on_demand_price
             assert 0.5 < discount < 0.9
 
     def test_equal_on_demand_rate_across_shapes(self, catalog):
         # 16 x $0.532 = 8 x $1.064 = 4 x $2.128 per hour.
-        rates = {round(c.on_demand_rate, 6) for c in on_demand_configs(catalog)}
+        rates = {round(c.on_demand_rate, 6) for c in catalog if not c.is_transient}
         assert len(rates) == 1
         assert rates.pop() == pytest.approx(8.512)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.cloud import default_catalog, transient_configs
+from repro.cloud import default_catalog
 from repro.core import (
     HourglassProvisioner,
     OnDemandProvisioner,
@@ -168,7 +168,7 @@ class TestRuntimeExecution:
                 graph,
                 lambda: PageRank(iterations=3),
                 long_market,
-                transient_configs(catalog),
+                [c for c in catalog if c.is_transient],
                 OnDemandProvisioner(),
             )
 

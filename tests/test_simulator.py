@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cloud import Market, default_catalog, transient_configs
+from repro.cloud import default_catalog
 from repro.core import (
     COLORING_PROFILE,
     PAGERANK_PROFILE,
@@ -72,7 +72,7 @@ class TestProvisionerSelection:
     def test_spoton_picks_transient_when_usable(self, long_market, catalog):
         ctx = make_ctx(long_market, PAGERANK_PROFILE, catalog)
         choice = SpotOnProvisioner().select(ctx)
-        if any(long_market.usable_at(c, 0.0) for c in transient_configs(catalog)):
+        if any(long_market.usable_at(c, 0.0) for c in catalog if c.is_transient):
             assert choice.is_transient
 
     def test_spoton_minimises_current_cost_per_work(self, long_market, catalog):
@@ -81,8 +81,8 @@ class TestProvisionerSelection:
         perf = ctx.slack_model.perf
         scores = {
             c.name: long_market.config_rate(c, 0.0) * perf.exec_time(c)
-            for c in transient_configs(catalog)
-            if long_market.usable_at(c, 0.0)
+            for c in catalog
+            if c.is_transient and long_market.usable_at(c, 0.0)
         }
         assert scores[choice.name] == pytest.approx(min(scores.values()))
 
@@ -94,8 +94,8 @@ class TestProvisionerSelection:
             c.name: c.num_workers
             * long_market.stats_for(c.instance_type.name).mean_spot_price
             * perf.exec_time(c)
-            for c in transient_configs(catalog)
-            if long_market.usable_at(c, 0.0)
+            for c in catalog
+            if c.is_transient and long_market.usable_at(c, 0.0)
         }
         assert scores[choice.name] == pytest.approx(min(scores.values()))
 

@@ -11,7 +11,6 @@ assert the invariants the paper's design argument rests on:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st

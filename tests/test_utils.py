@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_rng, spawn_rngs
+from repro.utils.rng import derive_rng
 from repro.utils.units import (
     GiB,
     HOURS,
@@ -13,8 +13,6 @@ from repro.utils.units import (
     MiB,
     format_duration,
     format_money,
-    hours,
-    minutes,
 )
 from repro.utils.validation import check_fraction, check_non_negative, check_positive
 
@@ -62,35 +60,10 @@ class TestDeriveRng:
         assert not np.array_equal(a, b)
 
 
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(1, 5)) == 5
-
-    def test_streams_independent(self):
-        streams = spawn_rngs(1, 3)
-        draws = [s.random(4).tolist() for s in streams]
-        assert draws[0] != draws[1] != draws[2]
-
-    def test_deterministic(self):
-        a = [s.random() for s in spawn_rngs(9, 3)]
-        b = [s.random() for s in spawn_rngs(9, 3)]
-        assert a == b
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(1, -1)
-
-    def test_from_generator(self):
-        gen = np.random.default_rng(3)
-        assert len(spawn_rngs(gen, 2)) == 2
-
-
 class TestUnits:
     def test_time_constants(self):
         assert HOURS == 3600.0
         assert MINUTES == 60.0
-        assert hours(2) == 7200.0
-        assert minutes(3) == 180.0
 
     def test_size_constants(self):
         assert MiB == 1024 * 1024
