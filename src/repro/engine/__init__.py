@@ -1,6 +1,10 @@
-"""Pregel-style BSP graph processing engine (the Giraph stand-in)."""
+"""Pregel-style BSP graph processing engine (the Giraph stand-in).
 
-from repro.engine.aggregators import Aggregator, SumAggregator
+Its state is the vertex values, the halted flags, one combined inbox
+and the per-superstep stats; every program declares a message combiner
+and sends along out-edges.
+"""
+
 from repro.engine.checkpoint import (
     CheckpointCorruptionError,
     CheckpointInfo,
@@ -12,7 +16,6 @@ from repro.engine.loader import HashLoader, LoadResult, MicroLoader
 from repro.engine.metrics import ClusterTimingModel
 from repro.engine.messages import (
     Combiner,
-    MaxCombiner,
     MessageStore,
     MinCombiner,
     SumCombiner,
@@ -20,7 +23,6 @@ from repro.engine.messages import (
 from repro.engine.vertex import DenseComputeContext, VertexProgram
 
 __all__ = [
-    "Aggregator",
     "CheckpointCorruptionError",
     "CheckpointInfo",
     "CheckpointManager",
@@ -31,12 +33,10 @@ __all__ = [
     "ExecutionResult",
     "HashLoader",
     "LoadResult",
-    "MaxCombiner",
     "MessageStore",
     "MicroLoader",
     "MinCombiner",
     "PregelEngine",
-    "SumAggregator",
     "SumCombiner",
     "SuperstepStats",
     "TransferStats",

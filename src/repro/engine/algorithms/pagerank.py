@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.aggregators import SumAggregator
 from repro.engine.messages import SumCombiner
 from repro.engine.vertex import DenseComputeContext, VertexProgram
 
@@ -32,10 +31,6 @@ class PageRank(VertexProgram):
             raise ValueError(f"iterations must be >= 1, got {iterations}")
         self.iterations = iterations
 
-    def aggregators(self):
-        """Aggregator factories used by this program."""
-        return {"rank_sum": SumAggregator}
-
     def initial_values(self, num_vertices: int) -> np.ndarray:
         """Whole initial value array at once."""
         return np.full(num_vertices, 1.0 / num_vertices, dtype=np.float64)
@@ -47,7 +42,6 @@ class PageRank(VertexProgram):
         if ctx.superstep > 0:
             incoming = np.where(ctx.has_message, ctx.messages, 0.0)
             values[active] = (1.0 - DAMPING) / ctx.num_vertices + DAMPING * incoming[active]
-        ctx.aggregate("rank_sum", float(values[active].sum()))
         if ctx.superstep < self.iterations:
             degrees = ctx.out_degrees()
             senders = active & (degrees > 0)

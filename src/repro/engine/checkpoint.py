@@ -4,7 +4,7 @@ Mirrors the paper's modified Giraph, which writes checkpoints to S3 (not
 the cluster filesystem) so a *full* deployment loss — the normal case
 when a whole spot configuration is evicted — can still be recovered
 (§7).  Checkpoints carry the superstep counter, all vertex values and
-halted flags, pending messages and aggregator state.
+halted flags, the pending (combined) inbox and the per-superstep stats.
 
 One format is written and one is restorable: a **format-3** envelope
 whose ``codec`` is ``"planes"`` — the payload's arrays go through the
@@ -79,10 +79,8 @@ def _check_state(key: str, state) -> None:
         dense = pending["dense_values"]
         consistent = (
             len(state["halted"]) == n
+            and pending["num_vertices"] == n
             and (dense is None or len(dense) == len(pending["dense_mask"]) == n)
-            and isinstance(pending["generic"], dict)
-            and isinstance(pending["count"], int)
-            and isinstance(state["prev_aggregates"], dict)
             and 0 <= state["superstep"] <= len(state["stats"])
         )
     except (KeyError, TypeError) as exc:
@@ -239,14 +237,13 @@ class CheckpointManager:
         base_superstep = self._full_info.superstep
         return {
             "kind": "delta",
-            "num_vertices": int(state["num_vertices"]),
+            "num_vertices": len(values),
             "superstep": int(state["superstep"]),
             "base_superstep": int(base_superstep),
             "changed_bits": np.packbits(changed),
             "changed_values": values[changed],
             "halted_bits": np.packbits(state["halted"]),
             "pending_messages": state["pending_messages"],
-            "prev_aggregates": state["prev_aggregates"],
             "stats_tail": state["stats"][base_superstep:],
         }
 
@@ -350,13 +347,10 @@ class CheckpointManager:
             changed = np.unpackbits(delta["changed_bits"], count=n).astype(bool)
             values[changed] = delta["changed_values"]
             return {
-                "format": 2,
                 "superstep": delta["superstep"],
-                "num_vertices": n,
                 "values": values,
                 "halted": np.unpackbits(delta["halted_bits"], count=n).astype(bool),
                 "pending_messages": delta["pending_messages"],
-                "prev_aggregates": delta["prev_aggregates"],
                 "stats": list(base["stats"])[:base_superstep] + list(delta["stats_tail"]),
             }
         except (KeyError, TypeError, ValueError, IndexError) as exc:

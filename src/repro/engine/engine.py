@@ -4,12 +4,13 @@ Runs a :class:`~repro.engine.vertex.VertexProgram` over a partitioned
 graph in synchronous supersteps across simulated workers.  Messages are
 combined at the sender with the program's combiner (the engine refuses a
 program that declares none), routed to their destination worker, and
-delivered at the next barrier; aggregators are reduced at the barrier
-and broadcast to the next superstep, exactly following the Pregel/Giraph
-model the paper runs on.
+delivered at the next barrier, following the Pregel/Giraph model the
+paper runs on.
 
-Vertex values and halted flags live in dense numpy arrays indexed by
-global vertex id.  The superstep loop computes the active set, the
+The engine's state is the vertex values and halted flags (dense numpy
+arrays indexed by global vertex id), one combined inbox
+(:class:`~repro.engine.messages.MessageStore`) and the per-superstep
+stats.  The superstep loop computes the active set, the
 local/remote traffic split and the global halt condition from those
 arrays, and the program runs one batched
 ``compute_dense`` call per superstep over every active vertex, which is
@@ -62,7 +63,6 @@ class ExecutionResult:
     supersteps_run: int
     halted_normally: bool
     stats: list[SuperstepStats]
-    aggregates: dict
 
     @property
     def total_messages(self) -> int:
@@ -190,8 +190,6 @@ class PregelEngine:
         self.superstep = 0
         self.stats: list[SuperstepStats] = []
         n = graph.num_vertices
-        self._incoming = MessageStore(program.combiner, num_vertices=n)
-        self._prev_aggregates: dict = {}
         self._traffic: _SlotCounter | None = None  # lazy, first dense send
         self._broadcast: tuple | None = None  # lazy, first full broadcast
         self._values = np.empty(n, dtype=value_dtype_of(program))
@@ -199,7 +197,8 @@ class PregelEngine:
         self._init_state()
 
     def _init_state(self) -> None:
-        """Initial values from the program; every vertex starts active.
+        """Initial values from the program and an empty inbox; every
+        vertex starts active.
 
         The dense superstep reads each inbox as one combined value, so a
         program without a combiner is refused here, before its first
@@ -215,6 +214,7 @@ class PregelEngine:
         if init.shape != (n,):
             raise ValueError(f"initial_values returned shape {init.shape}, expected ({n},)")
         self._values[...] = init
+        self._incoming = MessageStore(self.program.combiner, num_vertices=n)
 
     # ------------------------------------------------------------------
     # Execution
@@ -255,34 +255,26 @@ class PregelEngine:
 
     def _step_dense(self) -> bool:
         """Batched array compute path (numeric values and messages)."""
-        program = self.program
-        graph = self.graph
-        n = graph.num_vertices
-        incoming = self._incoming
-        inc_vals, inc_mask = incoming.dense_view(n)
+        inc_vals, inc_mask = self._incoming.dense_view()
         active_mask = ~self._halted | inc_mask
-        aggregators = {name: factory() for name, factory in program.aggregators().items()}
-
         ctx = DenseComputeContext(
             superstep=self.superstep,
-            graph=graph,
+            graph=self.graph,
             values=self._values,
             active=active_mask,
             messages=inc_vals,
             has_message=inc_mask,
-            aggregators=aggregators,
-            prev_aggregates=self._prev_aggregates,
         )
-        program.compute_dense(ctx)
+        self.program.compute_dense(ctx)
 
         # Every vertex that ran is active next superstep unless it voted.
         self._halted[active_mask] = False
         self._halted |= ctx._halt_mask
 
         active = int(np.count_nonzero(active_mask))
-        return self._exchange(ctx._sends, aggregators, active)
+        return self._exchange(ctx._sends, active)
 
-    def _exchange(self, sends: list, aggregators: dict, active: int) -> bool:
+    def _exchange(self, sends: list, active: int) -> bool:
         """The superstep tail every dense step ends in.
 
         Concatenates the ``(src, dst, msg)`` batches in *sends*, delivers
@@ -303,7 +295,7 @@ class PregelEngine:
                 dst_mask = None
                 local, remote = self._count_traffic(src, dst)
             outgoing.deliver_many(dst, msg, dst_mask)
-        self._finish_superstep(aggregators, outgoing, active, sent, local, remote)
+        self._finish_superstep(outgoing, active, sent, local, remote)
         return bool(outgoing) or not bool(self._halted.all())
 
     def _full_broadcast(self, src, dst) -> tuple[int, int, np.ndarray]:
@@ -328,9 +320,7 @@ class PregelEngine:
             self._traffic = _SlotCounter(self._owner, self.num_workers)
         return self._traffic.count(src, dst)
 
-    def _finish_superstep(
-        self, aggregators, outgoing, active, sent, local, remote
-    ) -> None:
+    def _finish_superstep(self, outgoing, active, sent, local, remote) -> None:
         self.stats.append(
             SuperstepStats(
                 superstep=self.superstep,
@@ -341,7 +331,6 @@ class PregelEngine:
                 remote_bytes=remote * self.program.message_bytes,
             )
         )
-        self._prev_aggregates = {name: agg.value for name, agg in aggregators.items()}
         self._incoming = outgoing
         self.superstep += 1
 
@@ -363,7 +352,6 @@ class PregelEngine:
             supersteps_run=self.superstep,
             halted_normally=halted_normally,
             stats=list(self.stats),
-            aggregates=dict(self._prev_aggregates),
         )
 
     def close(self) -> None:
@@ -386,13 +374,10 @@ class PregelEngine:
         same history as the one that wrote the checkpoint.
         """
         return {
-            "format": 2,
             "superstep": self.superstep,
-            "num_vertices": self.graph.num_vertices,
             "values": self._values.copy(),
             "halted": self._halted.copy(),
             "pending_messages": self._incoming.state_dict(),
-            "prev_aggregates": dict(self._prev_aggregates),
             "stats": list(self.stats),
         }
 
@@ -417,4 +402,3 @@ class PregelEngine:
         self.superstep = int(state["superstep"])
         # A checkpoint at superstep s carries exactly s stats records.
         self.stats = list(state["stats"])[: self.superstep]
-        self._prev_aggregates = dict(state["prev_aggregates"])

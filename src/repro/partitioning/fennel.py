@@ -8,9 +8,11 @@ partition ``p`` maximising
 i.e. neighbours already in ``p`` minus a superlinear load penalty.  With
 ``GAMMA = 1.5`` (the paper's setting) and
 ``alpha = sqrt(k) * m / n^1.5`` this interpolates between modularity-style
-clustering and balanced partitioning.  A hard balance cap closes a
-partition once its size reaches ``BALANCE_SLACK`` times the average (the
-vertex that reaches it may carry it past the cap).
+clustering and balanced partitioning.  A hard balance cap keeps every
+part at most ``BALANCE_SLACK`` times the average: a vertex only joins a
+part it leaves within the cap, and when no part has room (on a small
+graph the caps together can hold fewer than all its vertices) it joins
+the least-loaded part.
 
 The Hourglass paper uses FENNEL both as a baseline partitioner and as one
 of the micro-partition generators (F-MICRO in Fig 8).
@@ -56,8 +58,12 @@ class FennelPartitioner(Partitioner):
             neighbour_score = np.bincount(placed, minlength=k).astype(np.float64)
             penalty = alpha * GAMMA * np.power(sizes, GAMMA - 1.0)
             score = neighbour_score - penalty
-            score[sizes >= load_cap] = -np.inf
-            best = int(np.argmax(score))
+            full = sizes + 1.0 > load_cap
+            if full.all():
+                best = int(np.argmin(sizes))
+            else:
+                score[full] = -np.inf
+                best = int(np.argmax(score))
             assignment[v] = best
             sizes[best] += 1.0
 

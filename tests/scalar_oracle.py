@@ -1,14 +1,16 @@
 """Reference oracle for the engine: the per-vertex superstep path.
 
 :class:`~repro.engine.engine.PregelEngine` runs one compute path, a
-program's ``compute_dense`` over whole arrays.  This module is the
-reference that path is held to: :class:`ScalarEngine` runs
-``compute(ctx, messages)`` once per active vertex through
-:class:`ComputeContext`, delivers one message at a time through the
-per-message :class:`~repro.engine.messages.MessageStore` functions below
-and combines with :data:`COMBINE`.  Every built-in program has a scalar
-twin (``ScalarPageRank`` ...), and :class:`GraphColoring`, whose
-messages are tuples, runs only here.
+program's ``compute_dense`` over whole arrays, with one combined inbox.
+This module is the reference that path is held to: :class:`ScalarEngine`
+runs ``compute(ctx, messages)`` once per active vertex through
+:class:`ComputeContext`, delivers one message at a time into a
+per-destination :class:`ListInbox` and combines with :data:`COMBINE`.
+It is also the full Pregel model the engine dropped: programs without a
+combiner, arbitrary ``send(dst, message)`` calls, the
+:class:`MaxCombiner` and :class:`SumAggregator`.  Every built-in program
+has a scalar twin (``ScalarPageRank`` ...), and :class:`GraphColoring`,
+whose messages are tuples, runs only here.
 
 It also keeps what only tests use as a fixture or a cross-check: the
 engine-free :class:`SuperstepWorkModel`, :class:`ExponentialEvictionModel`
@@ -19,12 +21,12 @@ on a shipped path.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
 from repro.cloud.configuration import Configuration
 from repro.cloud.eviction import EvictionModel
-from repro.engine.aggregators import SumAggregator
 from repro.engine.algorithms import (
     SSSP,
     ConnectedComponents,
@@ -33,14 +35,33 @@ from repro.engine.algorithms import (
 )
 from repro.engine.algorithms.pagerank import DAMPING
 from repro.engine.engine import PregelEngine
-from repro.engine.messages import MaxCombiner, MessageStore, MinCombiner, SumCombiner
+from repro.engine.messages import Combiner, MinCombiner, SumCombiner
 from repro.engine.vertex import VertexProgram
 from repro.exec.workmodel import SegmentPlan, WorkModel
 from repro.graph.graph import Graph, from_edges
 from repro.utils.rng import derive_rng
 
+
+class MaxCombiner(Combiner):
+    """Keep the larger message (graph colouring's priorities)."""
+
+    ufunc = np.maximum
+    identity = -np.inf
+
+
+class SumAggregator:
+    """Pregel's reduce-and-broadcast primitive, summing: what vertices
+    contribute in superstep ``s`` is readable in superstep ``s + 1``."""
+
+    def __init__(self):
+        self.value = 0
+
+    def accumulate(self, value) -> None:
+        self.value += value
+
+
 # ----------------------------------------------------------------------
-# Combining and the per-message store API
+# Combining and the per-destination inbox
 # ----------------------------------------------------------------------
 
 #: The scalar merge of each combiner (its ufunc's per-message twin).
@@ -56,69 +77,85 @@ def combine(combiner, a, b):
     return COMBINE[combiner if isinstance(combiner, type) else type(combiner)](a, b)
 
 
-def deliver(store: MessageStore, dst: int, message) -> None:
+class ListInbox:
+    """Each destination's messages in a list, merged into one with the
+    combiner when the program declares one, plus the aggregates the
+    next superstep reads (Pregel delivers both at the barrier).
+
+    A checkpoint carries it as the engine's ``pending_messages``: its
+    snapshot has the engine inbox's keys (no dense arrays) and the
+    buckets and aggregates besides.
+    """
+
+    def __init__(self, combiner, num_vertices: int):
+        self.combiner = combiner
+        self.num_vertices = num_vertices
+        self.buckets: dict[int, list] = defaultdict(list)
+        self.aggregates: dict = {}
+
+    def __bool__(self) -> bool:
+        return any(self.buckets.values())
+
+    def state_dict(self) -> dict:
+        return {
+            "dense_values": None,
+            "dense_mask": None,
+            "num_vertices": self.num_vertices,
+            "buckets": {dst: list(msgs) for dst, msgs in self.buckets.items() if msgs},
+            "aggregates": dict(self.aggregates),
+        }
+
+    @classmethod
+    def from_state(cls, state: dict, combiner) -> "ListInbox":
+        inbox = cls(combiner, state["num_vertices"])
+        for dst, msgs in state["buckets"].items():
+            inbox.buckets[int(dst)] = list(msgs)
+        inbox.aggregates = dict(state["aggregates"])
+        return inbox
+
+
+def deliver(inbox: ListInbox, dst: int, message) -> None:
     """Add one message for *dst*, combining eagerly when possible."""
-    store._count += 1
-    # Fold a dense entry for the same destination into the bucket
-    # first, so each destination lives in exactly one representation.
-    bucket = store._by_dst[dst]
-    if not bucket and store._dense_mask is not None and store._dense_mask[dst]:
-        bucket.append(store._dense_values[dst].item())
-        store._dense_mask[dst] = False
-    if store._combiner is not None and bucket:
-        bucket[0] = combine(store._combiner, bucket[0], message)
+    bucket = inbox.buckets[dst]
+    if inbox.combiner is not None and bucket:
+        bucket[0] = combine(inbox.combiner, bucket[0], message)
     else:
         bucket.append(message)
 
 
-def messages_for(store: MessageStore, dst: int) -> list:
-    """Messages addressed to *dst* (a fresh list; empty when none)."""
-    out = list(store._by_dst.get(dst, ()))
-    if store._dense_mask is not None and store._dense_mask[dst]:
-        out.append(store._dense_values[dst].item())
-        if store._combiner is not None and len(out) > 1:
-            folded = out[0]
-            for m in out[1:]:
-                folded = combine(store._combiner, folded, m)
-            out = [folded]
-    return out
+def messages_for(store, dst: int) -> list:
+    """Messages addressed to *dst* in a :class:`ListInbox` or an engine
+    :class:`~repro.engine.messages.MessageStore` (a fresh list; empty
+    when none)."""
+    if isinstance(store, ListInbox):
+        return list(store.buckets.get(dst, ()))
+    values, mask = store.dense_view()
+    return [values[dst].item()] if mask[dst] else []
 
 
-def destinations(store: MessageStore) -> list[int]:
+def as_dict(store) -> dict[int, list]:
+    """Pending messages as ``{destination: [messages]}``."""
+    if isinstance(store, ListInbox):
+        return {dst: list(msgs) for dst, msgs in store.buckets.items() if msgs}
+    values, mask = store.dense_view()
+    return {d: [values[d].item()] for d in np.flatnonzero(mask).tolist()}
+
+
+def destinations(store) -> list[int]:
     """Vertices with at least one pending message."""
-    dests = [d for d, bucket in store._by_dst.items() if bucket]
-    if store._dense_mask is not None:
-        dests.extend(int(d) for d in np.flatnonzero(store._dense_mask))
-    return dests
+    return list(as_dict(store))
 
 
-def destination_mask(store: MessageStore, num_vertices: int) -> np.ndarray:
+def destination_mask(store, num_vertices: int) -> np.ndarray:
     """Boolean mask over ``[0, num_vertices)`` of pending destinations."""
-    if store._dense_mask is not None:
-        mask = store._dense_mask.copy()
-    else:
-        mask = np.zeros(num_vertices, dtype=bool)
-    keys = [d for d, bucket in store._by_dst.items() if bucket]
-    if keys:
-        mask[np.asarray(keys, dtype=np.int64)] = True
+    mask = np.zeros(num_vertices, dtype=bool)
+    mask[np.asarray(destinations(store), dtype=np.int64)] = True
     return mask
 
 
-def as_dict(store: MessageStore) -> dict[int, list]:
-    """Pending messages as ``{destination: [messages]}``."""
-    merged = {dst: list(msgs) for dst, msgs in store._by_dst.items() if msgs}
-    if store._dense_mask is not None:
-        for d in np.flatnonzero(store._dense_mask).tolist():
-            merged.setdefault(d, []).append(store._dense_values[d].item())
-    return merged
-
-
-def stored(store: MessageStore) -> int:
+def stored(store) -> int:
     """Number of stored messages (post-combining)."""
-    count = sum(len(v) for v in store._by_dst.values())
-    if store._dense_mask is not None:
-        count += int(np.count_nonzero(store._dense_mask))
-    return count
+    return sum(len(msgs) for msgs in as_dict(store).values())
 
 
 # ----------------------------------------------------------------------
@@ -196,8 +233,13 @@ class ComputeContext:
 
 
 class ScalarProgram(VertexProgram):
-    """A program with only the per-vertex API: ``initial_value`` and
-    ``compute(ctx, messages)``.  Runs on :class:`ScalarEngine` only."""
+    """A program with only the per-vertex API: ``initial_value``,
+    ``compute(ctx, messages)`` and, optionally, :meth:`aggregators`.
+    Runs on :class:`ScalarEngine` only."""
+
+    def aggregators(self) -> dict:
+        """Aggregator factories, keyed by name (default: none)."""
+        return {}
 
     def initial_values(self, num_vertices: int):
         return None
@@ -209,8 +251,9 @@ class ScalarProgram(VertexProgram):
 class ScalarEngine(PregelEngine):
     """:class:`PregelEngine` with every superstep on the per-vertex path.
 
-    Construction, stats, aggregates and checkpoint hooks are the
-    engine's own; only initial values and the superstep differ.
+    Construction, stats and checkpoint capture are the engine's own; the
+    initial values, the inbox (a :class:`ListInbox`, which also carries
+    the aggregates), the superstep and the restore differ.
     """
 
     def _init_state(self) -> None:
@@ -224,6 +267,7 @@ class ScalarEngine(PregelEngine):
                 dtype=self._values.dtype,
                 count=n,
             )
+        self._incoming = ListInbox(program.combiner, n)
 
     def step(self) -> bool:
         """Per-vertex compute path (arbitrary value/message types)."""
@@ -234,14 +278,15 @@ class ScalarEngine(PregelEngine):
         values = self._values
         halted = self._halted
         incoming = self._incoming
-        outgoing = MessageStore(program.combiner, num_vertices=n)
-        aggregators = {name: factory() for name, factory in program.aggregators().items()}
+        outgoing = ListInbox(program.combiner, n)
+        factories = getattr(program, "aggregators", dict)()
+        aggregators = {name: factory() for name, factory in factories.items()}
 
         ctx = ComputeContext()
         ctx.superstep = self.superstep
         ctx.num_vertices = n
         ctx._aggregators = aggregators
-        ctx._prev_aggregates = self._prev_aggregates
+        ctx._prev_aggregates = incoming.aggregates
 
         inc_mask = destination_mask(incoming, n)
         runnable = ~halted | inc_mask
@@ -286,8 +331,18 @@ class ScalarEngine(PregelEngine):
                         local += 1
             del send_buffer
 
-        self._finish_superstep(aggregators, outgoing, active, sent, local, remote)
+        outgoing.aggregates = {name: agg.value for name, agg in aggregators.items()}
+        self._finish_superstep(outgoing, active, sent, local, remote)
         return bool(outgoing) or not bool(self._halted.all())
+
+    def restore_state(self, state: dict) -> None:
+        self._values[...] = np.asarray(state["values"])
+        self._halted[...] = np.asarray(state["halted"], dtype=bool)
+        self._incoming = ListInbox.from_state(
+            state["pending_messages"], self.program.combiner
+        )
+        self.superstep = int(state["superstep"])
+        self.stats = list(state["stats"])[: self.superstep]
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +353,6 @@ class ScalarPageRank(PageRank):
         if ctx.superstep > 0:
             incoming = sum(messages)
             ctx.value = (1.0 - DAMPING) / ctx.num_vertices + DAMPING * incoming
-        ctx.aggregate("rank_sum", ctx.value)
         if ctx.superstep < self.iterations:
             if ctx.out_degree:
                 ctx.send_to_neighbors(ctx.value / ctx.out_degree)

@@ -1,8 +1,9 @@
-"""Tests for the Pregel engine: supersteps, messages, aggregators, stats.
+"""Tests for the Pregel engine: supersteps, messages, stats.
 
-Programs with list, string or tuple values and messages run on the
-per-vertex reference path (``tests/scalar_oracle.py``), which shares the
-engine's construction, stats and aggregator flow.
+Programs with list, string or tuple values and messages, without a
+combiner, or with aggregators run on the per-vertex reference path
+(``tests/scalar_oracle.py``), which shares the engine's construction and
+stats; its list inbox and aggregators are tested here too.
 """
 
 from __future__ import annotations
@@ -11,21 +12,21 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    MaxCombiner,
     MessageStore,
     MinCombiner,
     PregelEngine,
     SumCombiner,
-    VertexProgram,
 )
-from repro.engine.aggregators import SumAggregator
 from repro.engine.algorithms import PageRank
 from repro.graph import from_edges
 from repro.partitioning import HashPartitioner
 from tests import scalar_oracle
 from tests.scalar_oracle import (
+    ListInbox,
+    MaxCombiner,
     ScalarEngine,
     ScalarProgram,
+    SumAggregator,
     as_dict,
     combine,
     deliver,
@@ -51,19 +52,18 @@ class EchoProgram(ScalarProgram):
 
 class TestMessageStore:
     def test_deliver_and_read(self):
-        store = MessageStore()
+        store = ListInbox(None, num_vertices=6)
         deliver(store, 3, "a")
         deliver(store, 3, "b")
         assert messages_for(store, 3) == ["a", "b"]
         assert messages_for(store, 5) == []
 
     def test_combiner_merges(self):
-        store = MessageStore(SumCombiner)
+        store = ListInbox(SumCombiner, num_vertices=2)
         deliver(store, 1, 2)
         deliver(store, 1, 5)
         assert messages_for(store, 1) == [7]
         assert stored(store) == 1
-        assert store._count == 2
 
     def test_min_max_combiners(self):
         assert combine(MinCombiner, 3, 5) == 3
@@ -71,7 +71,7 @@ class TestMessageStore:
         assert combine(SumCombiner, 3, 5) == 8
 
     def test_bool_and_destinations(self):
-        store = MessageStore()
+        store = ListInbox(None, num_vertices=1)
         assert not store
         deliver(store, 0, "x")
         assert store
@@ -223,41 +223,12 @@ class TestAggregatorFlow:
         result = ScalarEngine(g, Counter()).run()
         assert all(v == 6 for v in result.values.values())
 
-    def test_dense_aggregate_and_edge_batch(self):
-        """The dense API: an aggregate read back a superstep later, and a
-        per-edge batch built from the context's edge sources."""
-
-        class DenseCounter(VertexProgram):
-            combiner = SumCombiner
-            value_dtype = np.float64
-
-            def aggregators(self):
-                return {"count": SumAggregator}
-
-            def initial_values(self, num_vertices):
-                return np.zeros(num_vertices)
-
-            def compute_dense(self, ctx):
-                if ctx.superstep == 0:
-                    ctx.aggregate("count", int(ctx.active.sum()))
-                    src = ctx.edge_sources
-                    ctx.send_batch(src, ctx.graph.indices, src.astype(np.float64))
-                else:
-                    received = np.where(ctx.has_message, ctx.messages, 0.0)
-                    ctx.values[:] = ctx.aggregated("count") + received
-                    ctx.vote_to_halt(ctx.active)
-
-        g = from_edges([0, 0, 1, 2], [1, 2, 2, 3], num_vertices=4)
-        result = PregelEngine(g, DenseCounter(), HashPartitioner().partition(g, 2)).run()
-        # Four active vertices counted; vertex v sums the ids of its in-neighbours.
-        assert result.values_array().tolist() == [4.0, 4.0, 5.0, 6.0]
-
 
 class TestMessageStoreRegressions:
     def test_messages_for_returns_a_copy(self):
         # Mutating a delivered inbox must not corrupt the store's
         # pending messages (workers clear their inboxes after compute).
-        store = MessageStore()
+        store = ListInbox(None, num_vertices=2)
         deliver(store, 1, "a")
         inbox = messages_for(store, 1)
         inbox.append("b")
@@ -275,11 +246,9 @@ class TestMessageStoreRegressions:
 
     def test_state_dict_round_trip(self):
         store = MessageStore(MinCombiner(), num_vertices=6)
-        store.deliver_many(np.array([0, 4, 4]), np.array([3.0, 9.0, 2.0]))
-        deliver(store, 5, 7.5)
+        store.deliver_many(np.array([0, 4, 4, 5]), np.array([3.0, 9.0, 2.0, 7.5]))
         restored = MessageStore.from_state(store.state_dict(), MinCombiner())
-        assert as_dict(restored) == as_dict(store)
-        assert restored._count == store._count
+        assert as_dict(restored) == as_dict(store) == {0: [3.0], 4: [2.0], 5: [7.5]}
         assert stored(restored) == stored(store)
 
     def test_deliver_many_matches_scalar_combining(self):
@@ -289,7 +258,7 @@ class TestMessageStoreRegressions:
         for combiner_cls in (SumCombiner, MinCombiner, MaxCombiner):
             batched = MessageStore(combiner_cls(), num_vertices=50)
             batched.deliver_many(dst, msgs)
-            scalar = MessageStore(combiner_cls())
+            scalar = ListInbox(combiner_cls(), num_vertices=50)
             for d, m in zip(dst.tolist(), msgs.tolist()):
                 deliver(scalar, d, m)
             for v in range(50):
@@ -298,23 +267,10 @@ class TestMessageStoreRegressions:
                 assert len(got) == len(want)
                 if want:
                     assert got[0] == pytest.approx(want[0], rel=1e-12)
-            assert batched._count == scalar._count
 
-    def test_deliver_many_without_combiner_keeps_all_messages(self):
-        store = MessageStore(num_vertices=4)
-        store.deliver_many(np.array([1, 1, 2]), np.array([7.0, 8.0, 9.0]))
-        assert sorted(messages_for(store, 1)) == [7.0, 8.0]
-        assert messages_for(store, 2) == [9.0]
-        assert store._count == 3
-
-    def test_deliver_many_mixes_with_scalar_delivery(self):
-        store = MessageStore(SumCombiner(), num_vertices=4)
-        deliver(store, 1, 1.0)
-        store.deliver_many(np.array([1, 3]), np.array([2.0, 4.0]))
-        deliver(store, 3, 0.5)
-        assert messages_for(store, 1) == [3.0]
-        assert messages_for(store, 3) == [4.5]
-        assert store._count == 4
+    def test_a_missing_combiner_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="needs a combiner"):
+            MessageStore(None, num_vertices=4)
 
     def test_deliver_many_rejects_mismatched_shapes(self):
         store = MessageStore(SumCombiner(), num_vertices=4)
@@ -327,7 +283,7 @@ class TestValuesArrayValidation:
         from repro.engine import ExecutionResult
 
         result = ExecutionResult(
-            values={0: 1.0, 1: 2.0, 2: 3.0}, stats=[], aggregates={},
+            values={0: 1.0, 1: 2.0, 2: 3.0}, stats=[],
             supersteps_run=0, halted_normally=True,
         )
         assert np.array_equal(result.values_array(), [1.0, 2.0, 3.0])
@@ -336,7 +292,7 @@ class TestValuesArrayValidation:
         from repro.engine import ExecutionResult
 
         result = ExecutionResult(
-            values={0: 1.0, 5: 2.0}, stats=[], aggregates={},
+            values={0: 1.0, 5: 2.0}, stats=[],
             supersteps_run=0, halted_normally=True,
         )
         with pytest.raises(ValueError, match="not dense"):
@@ -346,7 +302,7 @@ class TestValuesArrayValidation:
         from repro.engine import ExecutionResult
 
         result = ExecutionResult(
-            values={-1: 1.0, 0: 2.0}, stats=[], aggregates={},
+            values={-1: 1.0, 0: 2.0}, stats=[],
             supersteps_run=0, halted_normally=True,
         )
         with pytest.raises(ValueError, match="non-negative"):
@@ -371,3 +327,31 @@ class TestRestoreStats:
         # stats back to the checkpointed superstep.
         engine.restore_state(state)
         assert len(engine.stats) == 3
+
+    def test_capture_carries_exactly_what_restore_reads(self):
+        class Recording(dict):
+            """A snapshot level that records the keys read from it."""
+
+            def __init__(self, items, read):
+                super().__init__(items)
+                self.read = read
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+        g = scalar_oracle.random_graph(40, avg_degree=4, seed=1)
+        engine = PregelEngine(g, PageRank(iterations=5))
+        for _ in range(2):
+            engine.step()
+        state = engine.capture_state()
+        read, pending_read = set(), set()
+        recorded = Recording(state, read)
+        recorded["pending_messages"] = Recording(state["pending_messages"], pending_read)
+        PregelEngine(g, PageRank(iterations=5)).restore_state(recorded)
+        assert read == set(state)
+        assert pending_read == set(state["pending_messages"])

@@ -115,7 +115,7 @@ class TestFrozenPageRank:
         assert sha(result.values_array()) == digest
 
 
-# SSSP relaxed by hand (``senders[ctx.edge_sources]``) before it moved onto
+# SSSP relaxed by hand (``senders[graph.edge_sources()]``) before it moved onto
 # ``send_to_all_neighbors(..., add_edge_weight=True)``: distances frozen.
 SSSP_GOLDENS = {
     "rmat": "b7f8fbbb95a64f0f3629277da4ca352602e17c82e10a1263ae60cc9e722dcbb8",
@@ -171,7 +171,7 @@ def assert_matches_rebuild(engine, batch):
     assert np.array_equal(destination_mask(pending, n), mask)
     values = np.full(n, combiner.identity, dtype=np.float64)
     combiner.ufunc.at(values, dst, msg.astype(np.float64))
-    got_values, got_mask = pending.dense_view(n)
+    got_values, got_mask = pending.dense_view()
     assert np.array_equal(got_mask, mask)
     assert got_values.tobytes() == values.tobytes()
 
@@ -184,9 +184,9 @@ def checked(monkeypatch):
     original_exchange = PregelEngine._exchange
     original_count = _SlotCounter.count
 
-    def exchange(self, sends, aggregators, active):
+    def exchange(self, sends, active):
         batch = materialise(sends)
-        more = original_exchange(self, sends, aggregators, active)
+        more = original_exchange(self, sends, active)
         assert_matches_rebuild(self, batch)
         if batch is not None:
             graph = self.graph
@@ -303,8 +303,6 @@ def context(graph) -> DenseComputeContext:
         active=np.ones(n, dtype=bool),
         messages=np.zeros(n),
         has_message=np.zeros(n, dtype=bool),
-        aggregators={},
-        prev_aggregates={},
     )
 
 
@@ -361,48 +359,52 @@ class TestSendToAllNeighborsSelection:
             ctx.vote_to_halt(np.array([7]))
 
 
-class SendTo(VertexProgram):
-    """Superstep 0: vertex 0 sends 5.0 from ``src`` to ``dst``."""
+class SendFrom(VertexProgram):
+    """Superstep 0: the vertices in ``senders`` send their value plus 5."""
 
     combiner = SumCombiner
     value_dtype = np.float64
 
-    def __init__(self, src, dst):
-        self.src, self.dst = src, dst
+    def __init__(self, senders):
+        self.senders = senders
 
     def initial_values(self, num_vertices):
         return np.zeros(num_vertices)
 
     def compute_dense(self, ctx):
         if ctx.superstep == 0:
-            ctx.send_batch([self.src], [self.dst], [5.0])
+            ctx.send_to_all_neighbors(self.senders, ctx.values + 5.0)
         ctx.vote_to_halt(ctx.active)
 
 
-class TestSendBatchRange:
+class TestIdRange:
     @pytest.fixture()
     def triangle(self):
         return from_edges([0, 1, 2], [1, 2, 0], num_vertices=3)
 
     @pytest.mark.parametrize(
-        "src,dst,bad",
-        [(0, -1, "-1"), (0, 3, "3"), (-1, 0, "-1"), (3, 0, "3")],
-        ids=["dst-negative", "dst-too-big", "src-negative", "src-too-big"],
+        "call,bad",
+        [("send", -1), ("send", 3), ("halt", -1), ("halt", 3)],
+        ids=["send-negative", "send-too-big", "halt-negative", "halt-too-big"],
     )
-    def test_out_of_range_ids_are_named(self, triangle, src, dst, bad):
+    def test_out_of_range_ids_are_named(self, triangle, call, bad):
         ctx = context(triangle)
         with pytest.raises(ValueError, match=rf"id {bad}\b"):
-            ctx.send_batch([src], [dst], [5.0])
-        assert not ctx._sends
+            if call == "send":
+                ctx.send_to_all_neighbors([0, bad], ctx.values)
+            else:
+                ctx.vote_to_halt([0, bad])
+        assert not ctx._sends and not ctx._halt_mask.any()
 
-    def test_a_negative_destination_is_not_delivered(self, triangle):
-        engine = PregelEngine(triangle, SendTo(0, -1))
+    def test_a_negative_sender_is_refused_at_step(self, triangle):
+        engine = PregelEngine(triangle, SendFrom([-1]))
         with pytest.raises(ValueError, match="-1"):
             engine.step()
+        assert (engine.superstep, engine.stats) == (0, [])
 
     def test_in_range_ids_still_send(self, triangle):
-        engine = PregelEngine(triangle, SendTo(0, 2))
+        engine = PregelEngine(triangle, SendFrom([0]))
         engine.step()
         stats = engine.stats[0]
         assert (stats.messages_sent, stats.local_messages) == (1, 1)
-        assert messages_for(engine._incoming, 2) == [5.0]
+        assert messages_for(engine._incoming, 1) == [5.0]

@@ -19,6 +19,7 @@ from repro.partitioning import (
     random_cut_expectation,
 )
 from repro.partitioning import multilevel
+from repro.partitioning.base import BALANCE_SLACK
 from repro.partitioning.micro import build_quotient_graph
 from repro.cloud.eviction import EmpiricalEvictionModel
 from repro.cloud.trace import PriceTrace
@@ -120,6 +121,18 @@ class TestPartitioningProperties:
         g = from_edges(src, dst, num_vertices=n)
         p = FennelPartitioner().partition(g, k, seed=1)
         assert 0.0 <= edge_cut_fraction(g, p) <= 1.0
+
+    @given(edge_lists(), st.integers(min_value=1, max_value=6), st.integers(0, 3))
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_fennel_parts_stay_within_the_cap(self, data, k, seed):
+        # The cap is BALANCE_SLACK times the average part; where fewer
+        # than n vertices fit under it (k * floor(cap) < n, small graphs)
+        # the overflow spreads evenly, so no part exceeds ceil(n / k).
+        n, src, dst = data
+        g = from_edges(src, dst, num_vertices=n)
+        sizes = FennelPartitioner().partition(g, k, seed=seed).part_sizes()
+        cap = max(1.0, BALANCE_SLACK * n / k)
+        assert sizes.max() <= max(cap, -(-n // k))
 
     @given(edge_lists(), st.integers(min_value=1, max_value=5))
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
