@@ -236,7 +236,6 @@ class CheckpointManager:
         changed = values != base["values"]
         base_superstep = self._full_info.superstep
         return {
-            "kind": "delta",
             "num_vertices": len(values),
             "superstep": int(state["superstep"]),
             "base_superstep": int(base_superstep),
@@ -295,7 +294,7 @@ class CheckpointManager:
     def _restore_one(self, engine: PregelEngine, info: CheckpointInfo) -> float:
         envelope, state, read_time = self._read(info.key)
         if envelope["kind"] == "delta":
-            _, base, base_read = self._read(envelope.get("base_key"))
+            _, base, base_read = self._read(envelope.get("base_key"), base_of=info.key)
             read_time += base_read
             state = self._compose(info.key, base, state)
         _check_state(info.key, state)
@@ -314,9 +313,15 @@ class CheckpointManager:
             ).inc(1, job_id=self.job_id)
         return read_time
 
-    def _read(self, key: str) -> tuple[dict, object, float]:
+    def _read(self, key: str, base_of: str | None = None) -> tuple[dict, object, float]:
         """``(envelope, decoded payload, simulated read seconds)`` of the
-        checkpoint stored under *key*, or a corruption error."""
+        checkpoint stored under *key*, or a corruption error.
+
+        With *base_of* the checkpoint is the base of that delta: it must
+        be a full snapshot, and only the fields a delta composes with
+        (superstep, values, stats) are decoded; its halted flags and
+        inbox are the delta's own.  The CRC still covers the whole payload.
+        """
         try:
             envelope, read_time = self.datastore.get_object_timed(key)
         except KeyError as exc:
@@ -324,11 +329,19 @@ class CheckpointManager:
         except Exception as exc:  # undecodable pickle, truncated blob, ...
             raise CheckpointCorruptionError(f"checkpoint {key} unreadable: {exc}") from exc
         _check_envelope(key, envelope)
+        if base_of is not None and envelope["kind"] != "full":
+            raise CheckpointCorruptionError(
+                f"delta checkpoint {base_of} does not compose with its base "
+                f"snapshot: {key} is a {envelope['kind']} checkpoint"
+            )
         stored = envelope["payload"]
         if zlib.crc32(stored) != envelope["crc32"]:
             raise CheckpointCorruptionError(f"checkpoint {key} failed its CRC check")
         try:
-            return envelope, codec.unpack(pickle.loads(stored)), read_time
+            payload = pickle.loads(stored)
+            if base_of is not None:
+                payload = {field: payload[field] for field in ("superstep", "values", "stats")}
+            return envelope, codec.unpack(payload), read_time
         except Exception as exc:
             raise CheckpointCorruptionError(f"checkpoint {key} undecodable: {exc}") from exc
 

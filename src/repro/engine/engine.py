@@ -112,11 +112,13 @@ class _SlotCounter:
     Each message marks its slot ``owner[src] * n + dst`` in a reusable
     boolean bitmap; the marked slots are the combined network messages,
     and those on the diagonal ``(owner[v], v)`` are the local ones.  One
-    scatter and one ``count_nonzero`` replace sorting every message.
+    scatter and one ``count_nonzero`` replace sorting every message, and
+    OR-ing the bitmap's worker rows gives the messages' destinations.
     """
 
     def __init__(self, owner: np.ndarray, num_workers: int):
         n = len(owner)
+        self._num_vertices = n
         self._slot_base = owner * np.int64(n)  # vertex -> first slot of its worker
         self._own_slot = self._slot_base + np.arange(n, dtype=np.int64)
         self._num_slots = num_workers * n
@@ -124,9 +126,17 @@ class _SlotCounter:
         self._block = min(self._num_slots, workers_per_block * n)
         self._seen = np.zeros(self._block, dtype=bool)
 
-    def count(self, src: np.ndarray, dst: np.ndarray) -> tuple[int, int]:
-        """``(local, remote)`` distinct slots among the messages."""
-        slots = self._slot_base[src] + dst
+    def count(self, src, dst, counts=None, dst_mask=None) -> tuple[int, int]:
+        """``(local, remote)`` distinct slots among the messages.
+
+        *src* holds each message's source, or with *counts* the sender
+        runs: ``counts[i]`` consecutive messages from ``src[i]``.  When
+        given, *dst_mask* gets every destination OR-ed in.
+        """
+        slots = self._slot_base[src]
+        if counts is not None:
+            slots = np.repeat(slots, counts)
+        slots += dst
         own = self._own_slot
         seen = self._seen
         one_block = self._block == self._num_slots  # the usual case: no masking
@@ -140,6 +150,8 @@ class _SlotCounter:
             seen[slots_here] = True
             distinct += int(np.count_nonzero(seen))
             local += int(np.count_nonzero(seen[own_here]))
+            if dst_mask is not None:
+                dst_mask |= seen.reshape(-1, self._num_vertices).any(axis=0)
             seen.fill(False)
         return local, distinct - local
 
@@ -277,39 +289,40 @@ class PregelEngine:
     def _exchange(self, sends: list, active: int) -> bool:
         """The superstep tail every dense step ends in.
 
-        Concatenates the ``(src, dst, msg)`` batches in *sends*, delivers
-        them, meters the traffic and closes the superstep; returns True
-        while work remains.
+        Concatenates the ``(ids, counts, dst, msg)`` batches in *sends*,
+        delivers them, meters the traffic and closes the superstep;
+        returns True while work remains.
         """
-        outgoing = MessageStore(self.program.combiner, num_vertices=self.graph.num_vertices)
+        n = self.graph.num_vertices
+        outgoing = MessageStore(self.program.combiner, num_vertices=n)
         sent = local = remote = 0
         if sends:
             if len(sends) == 1:
-                src, dst, msg = sends[0]
+                ids, counts, dst, msg = sends[0]
             else:
-                src, dst, msg = (np.concatenate(column) for column in zip(*sends))
+                ids, counts, dst, msg = (np.concatenate(column) for column in zip(*sends))
             sent = len(dst)
-            if src is self.graph.edge_sources() and dst is self.graph.indices:
-                local, remote, dst_mask = self._full_broadcast(src, dst)
+            if dst is self.graph.indices:
+                local, remote, dst_mask = self._full_broadcast(ids, counts, dst)
             else:
-                dst_mask = None
-                local, remote = self._count_traffic(src, dst)
+                dst_mask = np.zeros(n, dtype=bool)
+                local, remote = self._count_traffic(ids, counts, dst, dst_mask)
             outgoing.deliver_many(dst, msg, dst_mask)
         self._finish_superstep(outgoing, active, sent, local, remote)
         return bool(outgoing) or not bool(self._halted.all())
 
-    def _full_broadcast(self, src, dst) -> tuple[int, int, np.ndarray]:
+    def _full_broadcast(self, ids, counts, dst) -> tuple[int, int, np.ndarray]:
         """``(local, remote, destination mask)`` of a send along every CSR
         edge: fixed by the graph and this engine's placement, so computed
         (by :meth:`_count_traffic`) on the first one and reused after."""
         if self._broadcast is None:
             mask = np.zeros(self.graph.num_vertices, dtype=bool)
-            mask[dst] = True
-            self._broadcast = (*self._count_traffic(src, dst), mask)
+            self._broadcast = (*self._count_traffic(ids, counts, dst, mask), mask)
         return self._broadcast
 
-    def _count_traffic(self, src: np.ndarray, dst: np.ndarray) -> tuple[int, int]:
-        """``(local, remote)`` network messages of one superstep's sends.
+    def _count_traffic(self, ids, counts, dst, dst_mask) -> tuple[int, int]:
+        """``(local, remote)`` network messages of one superstep's sends,
+        given as sender runs; OR-s their destinations into *dst_mask*.
 
         The accounting rule: a worker combines what it sends to one
         destination, so a network message is a distinct (source worker,
@@ -318,7 +331,7 @@ class PregelEngine:
         """
         if self._traffic is None:
             self._traffic = _SlotCounter(self._owner, self.num_workers)
-        return self._traffic.count(src, dst)
+        return self._traffic.count(ids, dst, counts, dst_mask)
 
     def _finish_superstep(self, outgoing, active, sent, local, remote) -> None:
         self.stats.append(

@@ -66,7 +66,8 @@ class MessageStore:
         exact for the integer labels/counts the built-in programs
         exchange).  ``dst_mask``, when given, must be the boolean mask of
         the distinct destinations in ``dst_array``; it replaces
-        scattering one flag per message.
+        scattering one flag per message (the engine always gives the one
+        its traffic count built).
         """
         dst = np.asarray(dst_array, dtype=np.int64)
         msgs = np.asarray(msg_array)

@@ -58,7 +58,7 @@ class DenseComputeContext:
         self.active = active
         self.messages = messages
         self.has_message = has_message
-        self._sends: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._sends: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._halt_mask = np.zeros(graph.num_vertices, dtype=bool)
 
     # -- topology ------------------------------------------------------
@@ -101,23 +101,35 @@ class DenseComputeContext:
         weight (1.0 on an unweighted graph): SSSP's relaxation.
         """
         mask = self._vertex_mask(senders)
+        # A batch is the sender runs ``(ids, counts)`` (each sender's id and
+        # out-degree, in id order), the destinations and the messages.
         # When every vertex with out-edges sends, the graph's own CSR
-        # arrays are the batch as they stand (the engine recognises a full
-        # broadcast by their identity); only a partial send pays the
-        # mask-copy.  Either way the ids come from the graph: no check.
+        # ``indices`` are the destinations as they stand (the engine
+        # recognises a full broadcast by their identity); a partial send
+        # copies only its senders' edges.  The ids come from the graph
+        # either way: no check.
         graph = self.graph
-        indptr = graph.indptr
-        src, dst, weights = graph.edge_sources(), graph.indices, graph.weights
-        if ((indptr[1:] != indptr[:-1]) & ~mask).any():
-            keep = mask[src]
-            src, dst = src[keep], dst[keep]
-            if weights is not None and add_edge_weight:
-                weights = weights[keep]
-        msg = np.asarray(message_per_vertex)[src]
-        if add_edge_weight:
-            msg = msg + (1.0 if weights is None else weights)
-        if len(src):
-            self._sends.append((src, dst, msg))
+        degrees = np.diff(graph.indptr)
+        ids = np.flatnonzero(mask)
+        counts = degrees[ids]
+        values = np.asarray(message_per_vertex)
+        weights = graph.weights
+        if ((degrees != 0) & ~mask).any():
+            keep = np.repeat(mask, degrees)
+            dst = graph.indices[keep]
+            msg = values[ids]
+            if add_edge_weight and weights is None:
+                msg = msg + 1.0  # per sender: the sum each of its edges carries
+            msg = np.repeat(msg, counts)
+            if add_edge_weight and weights is not None:
+                msg = msg + weights[keep]
+        else:
+            dst = graph.indices
+            msg = values[graph.edge_sources()]
+            if add_edge_weight:
+                msg = msg + (1.0 if weights is None else weights)
+        if len(dst):
+            self._sends.append((ids, counts, dst, msg))
 
     # -- halting -------------------------------------------------------
     def vote_to_halt(self, who) -> None:

@@ -5,11 +5,13 @@ program's ``compute_dense`` over whole arrays, with one combined inbox.
 This module is the reference that path is held to: :class:`ScalarEngine`
 runs ``compute(ctx, messages)`` once per active vertex through
 :class:`ComputeContext`, delivers one message at a time into a
-per-destination :class:`ListInbox` and combines with :data:`COMBINE`.
+per-destination :class:`ListInbox` (in source-vertex order, as the
+engine's store combines a batch) and combines with :data:`COMBINE`.
 It is also the full Pregel model the engine dropped: programs without a
 combiner, arbitrary ``send(dst, message)`` calls, the
 :class:`MaxCombiner` and :class:`SumAggregator`.  Every built-in program
-has a scalar twin (``ScalarPageRank`` ...), and :class:`GraphColoring`,
+has a scalar twin (``ScalarPageRank`` ..., held to it bit for bit by
+``tests/test_scalar_twins.py``), and :class:`GraphColoring`,
 whose messages are tuples, runs only here.
 
 It also keeps what only tests use as a fixture or a cross-check: the
@@ -294,9 +296,11 @@ class ScalarEngine(PregelEngine):
         sent = local = remote = 0
         combiner = program.combiner
 
+        sends = []  # (source, destination, message) of every send
         for wid in range(self.num_workers):
-            # Sender-side combining: one buffered slot per destination.
-            send_buffer: dict[int, list] = {}
+            # A worker combines what it sends to one destination, so one
+            # network message per destination it reaches.
+            reached: set[int] = set()
             own = self.partitioning.part_vertices(wid)
             run_ids = own[runnable[own]]
             for v, has_messages in zip(run_ids.tolist(), inc_mask[run_ids].tolist()):
@@ -313,23 +317,20 @@ class ScalarEngine(PregelEngine):
                 halted[v] = ctx._halted
                 sent += len(ctx._outbox)
                 for dst, msg in ctx._outbox:
-                    slot = send_buffer.get(dst)
-                    if slot is None:
-                        send_buffer[dst] = [msg]
-                    elif combiner is not None:
-                        slot[0] = combine(combiner, slot[0], msg)
-                    else:
-                        slot.append(msg)
-            # Flush this worker's buffer across the (simulated) network.
-            for dst, msgs in send_buffer.items():
-                is_remote = owner[dst] != wid
-                for msg in msgs:
-                    deliver(outgoing, dst, msg)
-                    if is_remote:
+                    sends.append((v, dst, msg))
+                    if combiner is not None and dst in reached:
+                        continue
+                    reached.add(dst)
+                    if owner[dst] != wid:
                         remote += 1
                     else:
                         local += 1
-            del send_buffer
+        # The receiver merges its messages in source-vertex order (a
+        # vertex's own in send order), as the dense store's ``ufunc.at``
+        # does over a CSR-ordered batch: a float sum groups the same way.
+        sends.sort(key=lambda send: send[0])
+        for _, dst, msg in sends:
+            deliver(outgoing, dst, msg)
 
         outgoing.aggregates = {name: agg.value for name, agg in aggregators.items()}
         self._finish_superstep(outgoing, active, sent, local, remote)

@@ -15,7 +15,9 @@ Re-freeze only with an explanation of why a written byte moved.  The
 envelope digests were re-frozen once, when the engine state lost its
 unread keys: ``format``, ``num_vertices`` and ``prev_aggregates`` from a
 full payload, ``prev_aggregates`` from a delta, and ``generic`` and
-``count`` from the pending messages of both.  Every restore digest is
+``count`` from the pending messages of both.  The delta digests moved
+once more when a delta payload lost its ``kind`` key (the envelope's
+``kind`` decides how a checkpoint composes).  Every restore digest is
 the one frozen before.
 """
 
@@ -84,8 +86,8 @@ def run_chain(graph, partitioning, make_program):
 
 PAGERANK_ENVELOPES = [
     "2d709cd4b642edf77fcada673cacd226c263761493b8ca5c64bbddf8b26a5ad6",
-    "1646820172fc846edb92dd361a958d81656bacbdc1c221feb6bc84cdd47f04d7",
-    "caccdb4402cda6ecb8fdc15db022303b91c8766e427b8d168ad0848d95a024e4",
+    "4dd9c82ce8ffd7a8933d1b2789599e333a60fb084bae7bb4b791c0c8adba3aca",
+    "a55799238cfe6b4e51dfdd243ff73a59695195f5e6eba92a0ba7c6b1539b2a00",
 ]
 PAGERANK_RESTORES = [
     (
@@ -109,8 +111,8 @@ PAGERANK_RESTORES = [
 ]
 SSSP_ENVELOPES = [
     "cc8c140a533db6d11fd17791aafe03272862d5ad304ea36a0b1c811d55bb6640",
-    "027042a71ceaf532bc85fdac9e687ebe10b6288d7870ccb3f97045ad433cef87",
-    "79ead08d51fadea18905a0fe1d21869e3654b5ecc75f06ee5de6f7de137643a3",
+    "b10411a5a612ec2199fab7e9e37763a4bd456a5e52841493265220349f94d22e",
+    "9485cc2a57359f6b88cc903c5c736b6c75beb7368c225dd56261cc1e54b72a5d",
 ]
 SSSP_RESTORES = [
     (

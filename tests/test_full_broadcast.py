@@ -139,10 +139,12 @@ class TestFrozenSSSP:
 
 
 def materialise(sends):
-    """The superstep's batch as ``_exchange`` sees it, copied out."""
+    """The superstep's batch as ``_exchange`` sees it, copied out, with
+    the sender runs expanded into one source per message."""
     if not sends:
         return None
-    return tuple(np.concatenate(column) for column in zip(*sends))
+    ids, counts, dst, msg = (np.concatenate(column) for column in zip(*sends))
+    return np.repeat(ids, counts), dst, msg
 
 
 def assert_matches_rebuild(engine, batch):
@@ -196,9 +198,9 @@ def checked(monkeypatch):
             record["steps"].append(full)
         return more
 
-    def count(self, src, dst):
+    def count(self, src, dst, counts=None, dst_mask=None):
         record["counts"] += 1
-        return original_count(self, src, dst)
+        return original_count(self, src, dst, counts, dst_mask)
 
     monkeypatch.setattr(PregelEngine, "_exchange", exchange)
     monkeypatch.setattr(_SlotCounter, "count", count)
@@ -274,9 +276,9 @@ class TestCountedOnce:
         calls = []
         original = _SlotCounter.count
 
-        def count(self, src, dst):
+        def count(self, src, dst, counts=None, dst_mask=None):
             calls.append(len(dst))
-            return original(self, src, dst)
+            return original(self, src, dst, counts, dst_mask)
 
         monkeypatch.setattr(_SlotCounter, "count", count)
         partitioning = HashPartitioner().partition(rmat, 4)
@@ -315,15 +317,17 @@ class TestSendToAllNeighborsSelection:
     def test_an_id_array_covering_every_sender_is_the_full_csr(self, cycle):
         ctx = context(cycle)
         ctx.send_to_all_neighbors(np.arange(4), ctx.values)
-        [(src, dst, msg)] = ctx._sends
-        assert src is cycle.edge_sources() and dst is cycle.indices
+        [(ids, counts, dst, msg)] = ctx._sends
+        assert dst is cycle.indices
+        assert (ids.tolist(), counts.tolist()) == ([0, 1, 2, 3], [1, 1, 1, 1])
         assert msg.tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_a_partial_id_array_selects_those_vertices(self, cycle):
         ctx = context(cycle)
         ctx.send_to_all_neighbors(np.array([0, 2]), ctx.values)
-        [(src, dst, msg)] = ctx._sends
-        assert (src.tolist(), dst.tolist(), msg.tolist()) == ([0, 2], [1, 3], [0.0, 2.0])
+        [(ids, counts, dst, msg)] = ctx._sends
+        assert (ids.tolist(), counts.tolist()) == ([0, 2], [1, 1])
+        assert (dst.tolist(), msg.tolist()) == ([1, 3], [0.0, 2.0])
 
     def test_a_mask_and_its_ids_send_the_same(self, cycle):
         by_mask, by_ids = context(cycle), context(cycle)
