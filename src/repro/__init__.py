@@ -75,7 +75,6 @@ from repro.exec import (
 )
 from repro.experiments import ExperimentSetup
 from repro import obs
-from repro.obs import TracingObserver, tracing
 from repro.runtime import HourglassRuntime
 from repro.service import (
     PlanError,
@@ -135,7 +134,6 @@ __all__ = [
     "SlackModel",
     "SpotMarket",
     "SpotOnProvisioner",
-    "TracingObserver",
     "default_catalog",
     "from_edges",
     "full_grid_catalog",
@@ -143,6 +141,5 @@ __all__ = [
     "job_with_slack",
     "obs",
     "on_demand_baseline_cost",
-    "tracing",
     "__version__",
 ]

@@ -20,7 +20,7 @@ from repro.core.expected_cost import Decision
 from repro.core.slack import SlackModel
 
 if TYPE_CHECKING:
-    from repro.service.planning import PlanningService, PlanTelemetry
+    from repro.service.planning import PlanningService
 
 
 @dataclass(frozen=True)
@@ -108,14 +108,12 @@ class HourglassProvisioner(Provisioner):
         self.service = service
         self._private: PlanningService | None = None
         self.last_decision: Decision | None = None
-        self.last_telemetry: PlanTelemetry | None = None
         self._grids: tuple[float, float] | None = None
 
     def reset(self) -> None:
         """End the job session: re-resolve grids at the next decision."""
         self._grids = None
         self.last_decision = None
-        self.last_telemetry = None
 
     def select(self, ctx: ProvisioningContext) -> Configuration:
         """Route the decision through the service's shared caches."""
@@ -142,7 +140,6 @@ class HourglassProvisioner(Provisioner):
             )
         )
         self.last_decision = result.decision
-        self.last_telemetry = result.telemetry
         return result.decision.config
 
     def segment_limit(self, ctx: ProvisioningContext) -> float:

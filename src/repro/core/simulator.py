@@ -69,7 +69,7 @@ class ExecutionSimulator:
             *phase_model* is given the curve also supplies the phase
             profile, keeping frontier and progress-rate consistent.
         observers: :class:`~repro.exec.observers.LifecycleObserver`
-            plug-ins (metrics collection, fault injection).
+            plug-ins (fault injection).
     """
 
     def __init__(

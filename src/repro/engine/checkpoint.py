@@ -40,7 +40,6 @@ import numpy as np
 from repro.engine import codec
 from repro.engine.datastore import DataStore
 from repro.engine.engine import PregelEngine
-from repro.obs.state import get_metrics, get_tracer
 
 #: The checkpoint envelope format: a compressed (and optionally
 #: delta-encoded) envelope around the engine's dense state arrays.
@@ -139,7 +138,6 @@ class CheckpointManager:
         self._history: list[CheckpointInfo] = []
         self._full_state: dict | None = None  # values/halted of last full save
         self._full_info: CheckpointInfo | None = None
-        self._full_nbytes = 0
         self._deltas_since_full = 0
 
     def _key(self, superstep: int) -> str:
@@ -185,31 +183,9 @@ class CheckpointManager:
         if kind == "full":
             self._full_state = {"values": state["values"], "halted": state["halted"]}
             self._full_info = info
-            self._full_nbytes = nbytes
             self._deltas_since_full = 0
         else:
             self._deltas_since_full += 1
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "checkpoint.save",
-                superstep=engine.superstep,
-                nbytes=nbytes,
-                sim_seconds=write_time,
-                kind=kind,
-            )
-            metrics = get_metrics()
-            metrics.counter(
-                "checkpoint_writes_total", "Engine checkpoints persisted"
-            ).inc(1, job_id=self.job_id, kind=kind)
-            metrics.histogram(
-                "checkpoint_bytes", "Serialized size of one engine checkpoint"
-            ).observe(nbytes, job_id=self.job_id)
-            if kind == "delta":
-                metrics.histogram(
-                    "checkpoint_delta_ratio",
-                    "Delta checkpoint bytes relative to the last full snapshot",
-                ).observe(nbytes / max(1, self._full_nbytes), job_id=self.job_id)
         # A save at an already-checkpointed superstep replaced that object.
         self._history = [old for old in self._history if old.key != key]
         self._history.append(info)
@@ -273,18 +249,6 @@ class CheckpointManager:
                 read_time = self._restore_one(engine, candidate)
             except CheckpointCorruptionError as exc:
                 failure = exc
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "checkpoint.fallback",
-                        superstep=candidate.superstep,
-                        kind=candidate.kind,
-                        reason=str(exc),
-                    )
-                    get_metrics().counter(
-                        "checkpoint_fallbacks_total",
-                        "Corrupted checkpoints skipped during restore",
-                    ).inc(1, job_id=self.job_id)
                 continue
             return read_time
         raise CheckpointCorruptionError(
@@ -299,18 +263,6 @@ class CheckpointManager:
             state = self._compose(info.key, base, state)
         _check_state(info.key, state)
         engine.restore_state(state)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "checkpoint.restore",
-                superstep=info.superstep,
-                nbytes=info.nbytes,
-                sim_seconds=read_time,
-                kind=info.kind,
-            )
-            get_metrics().counter(
-                "checkpoint_restores_total", "Engine checkpoint restores"
-            ).inc(1, job_id=self.job_id)
         return read_time
 
     def _read(self, key: str, base_of: str | None = None) -> tuple[dict, object, float]:

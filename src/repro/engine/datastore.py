@@ -16,7 +16,6 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass
 
-from repro.obs.state import get_metrics, get_tracer
 from repro.utils.units import MiB
 from repro.utils.validation import check_non_negative
 
@@ -61,26 +60,13 @@ class DataStore:
         self._objects[key] = bytes(data)
         self._bytes_written += len(data)
         self._objects_written += 1
-        seconds = self.transfer_time(len(data))
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event("datastore.put", key=key, nbytes=len(data), sim_seconds=seconds)
-            get_metrics().counter(
-                "datastore_bytes_written_total", "Bytes written to the datastore"
-            ).inc(len(data))
-        return seconds
+        return self.transfer_time(len(data))
 
     def get(self, key: str) -> bytes:
         """Fetch the object stored under *key* (KeyError when missing)."""
         data = self._objects[key]
         self._bytes_read += len(data)
         self._objects_read += 1
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event("datastore.get", key=key, nbytes=len(data))
-            get_metrics().counter(
-                "datastore_bytes_read_total", "Bytes read from the datastore"
-            ).inc(len(data))
         return data
 
     def get_timed(self, key: str) -> tuple[bytes, float]:

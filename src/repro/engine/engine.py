@@ -25,7 +25,6 @@ messages ⇒ network cost).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ import numpy as np
 from repro.engine.messages import MessageStore
 from repro.engine.vertex import DenseComputeContext, VertexProgram
 from repro.graph.graph import Graph
-from repro.obs.state import get_metrics, get_tracer
 from repro.partitioning.base import Partitioning
 
 
@@ -169,9 +167,7 @@ MAX_SUPERSTEPS = 10_000
 class PregelEngine:
     """Synchronous vertex-centric engine over simulated workers.
 
-    ``superstep`` spans go to the process tracer at construction time
-    (the no-op tracer costs one branch per superstep), and :meth:`run`
-    stops at :data:`MAX_SUPERSTEPS` unless given another cap.
+    :meth:`run` stops at :data:`MAX_SUPERSTEPS` unless given another cap.
 
     Args:
         graph: the input graph (message topology = out-edges).
@@ -196,7 +192,6 @@ class PregelEngine:
         self.graph = graph
         self.program = program
         self.partitioning = partitioning
-        self._tracer = get_tracer()
         self.num_workers = partitioning.num_parts
         self._owner = partitioning.assignment  # vertex -> worker
         self.superstep = 0
@@ -236,37 +231,15 @@ class PregelEngine:
         cap = max_supersteps if max_supersteps is not None else MAX_SUPERSTEPS
         halted = False
         while self.superstep < cap:
-            if not self.step():
+            # Checked first: an engine restored past its last working
+            # superstep has nothing left to run.
+            if not self.has_work() or not self.step():
                 halted = True
                 break
         return self.result(halted_normally=halted)
 
     def step(self) -> bool:
         """Execute one superstep; returns True while work remains."""
-        if self._tracer.enabled:
-            return self._step_traced()
-        return self._step_dense()
-
-    def _step_traced(self) -> bool:
-        """One superstep wrapped in a ``superstep`` span (wall clock)."""
-        started = time.perf_counter()
-        with self._tracer.span(
-            "superstep", superstep=self.superstep, workers=self.num_workers
-        ) as span:
-            more = self._step_dense()
-            stats = self.stats[-1]
-            span.set(
-                active=stats.active_vertices,
-                messages=stats.messages_sent,
-                remote_bytes=stats.remote_bytes,
-            )
-        get_metrics().histogram(
-            "superstep_wall_seconds", "Wall-clock seconds per engine superstep"
-        ).observe(time.perf_counter() - started, workers=self.num_workers)
-        return more
-
-    def _step_dense(self) -> bool:
-        """Batched array compute path (numeric values and messages)."""
         inc_vals, inc_mask = self._incoming.dense_view()
         active_mask = ~self._halted | inc_mask
         ctx = DenseComputeContext(

@@ -3,8 +3,8 @@
 One decision-point event loop (:class:`ExecutionLifecycle`) drives both
 the analytic trace simulator and the engine-backed runtime; work
 semantics plug in via :class:`WorkModel`, billing via
-:class:`BillingMeter`, and observability / fault injection via
-:class:`LifecycleObserver` hooks.
+:class:`BillingMeter`, and fault injection via :class:`LifecycleObserver`
+hooks.
 """
 
 from repro.exec.billing import BillingMeter

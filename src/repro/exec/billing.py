@@ -20,14 +20,10 @@ class BillingMeter:
     Args:
         market: the replayed spot market (on-demand machines are billed
             at list price by the market itself).
-        on_bill: optional callback ``(config, t1, seconds, dollars)``
-            invoked after each non-empty billed interval — the live
-            spend feed behind the ``on_bill`` lifecycle observer hook.
     """
 
-    def __init__(self, market: SpotMarket, on_bill=None):
+    def __init__(self, market: SpotMarket):
         self.market = market
-        self.on_bill = on_bill
         self.cost = 0.0
         self.spot_seconds = 0.0
         self.on_demand_seconds = 0.0
@@ -42,6 +38,4 @@ class BillingMeter:
             self.on_demand_seconds += (t1 - t0) * config.num_workers
         added = self.market.cost(config, t0, t1)
         self.cost += added
-        if self.on_bill is not None:
-            self.on_bill(config, t1, t1 - t0, added)
         return added

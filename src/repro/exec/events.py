@@ -106,11 +106,6 @@ class RunResult:
         """Whether the run finished after its deadline."""
         return self.finish_time > self.deadline + 1e-6
 
-    @property
-    def makespan(self) -> float:
-        """Simulated span from release to finish."""
-        return self.finish_time - self.release_time
-
     def normalized_cost(self, baseline_cost: float) -> float:
         """Cost relative to the on-demand last-resort run."""
         if baseline_cost <= 0:

@@ -13,10 +13,11 @@ market price over every machine-second used (via the
 
 What differs between front-ends — how work advances, what a checkpoint
 contains, what an eviction destroys — lives behind the
-:class:`~repro.exec.workmodel.WorkModel` interface.  Metrics collection
-and fault injection hang off :class:`~repro.exec.observers.LifecycleObserver`
-hooks rather than loop edits; with no observers registered the loop is
-bit-identical to the historical per-front-end implementations.
+:class:`~repro.exec.workmodel.WorkModel` interface.  Fault injection
+hangs off :class:`~repro.exec.observers.LifecycleObserver` hooks rather
+than loop edits; with no observers registered the loop is bit-identical
+to the historical per-front-end implementations.  The run's record is
+the result's ``events``.
 """
 
 from __future__ import annotations
@@ -95,18 +96,7 @@ class ExecutionLifecycle:
         if self.rescale_policy is not None:
             self.rescale_policy.reset()
         model.start()
-        meter = BillingMeter(
-            self.market,
-            on_bill=(
-                (
-                    lambda config, t1, seconds, dollars: self._dispatch(
-                        "on_bill", t1, config, seconds, dollars
-                    )
-                )
-                if self.observers
-                else None
-            ),
-        )
+        meter = BillingMeter(self.market)
 
         t = release_time
         config = None
@@ -158,12 +148,6 @@ class ExecutionLifecycle:
                 choice, forced_choice = forced_choice, None
             else:
                 choice = self.provisioner.select(make_ctx())
-                if self.observers:
-                    # Service-planned strategies publish per-decision
-                    # telemetry; baselines have none to publish.
-                    telemetry = getattr(self.provisioner, "last_telemetry", None)
-                    if telemetry is not None:
-                        self._dispatch("on_decision", t, telemetry)
 
             if config is None or choice != config:
                 # (Re)deploy: pay boot + load before any useful work.
@@ -179,14 +163,12 @@ class ExecutionLifecycle:
                     "adjust_setup_time", t, config, setup, adjust=True
                 )
                 record("deploy", t)
-                self._dispatch("on_deploy", t, config, setup)
                 if eviction_at is not None and eviction_at < t + setup:
                     meter.bill(config, t, eviction_at)
                     t = eviction_at
                     evictions += 1
                     model.on_deploy_evicted()
                     record("eviction", t)
-                    self._dispatch("on_eviction", t, config)
                     if pending_rescale is not None:
                         # The planned move's target was evicted during
                         # setup; account what the doomed boot cost and
@@ -228,7 +210,6 @@ class ExecutionLifecycle:
                 # The strategy left no useful time on this deployment;
                 # force a fresh decision (normally the last resort).
                 record("forced-lrc", t)
-                self._dispatch("on_forced_handover", t, config)
                 config = None
                 continue
 
@@ -258,7 +239,6 @@ class ExecutionLifecycle:
                 t = eviction_at
                 evictions += 1
                 record("eviction", t)
-                self._dispatch("on_eviction", t, config)
                 if model.finished():
                     record("finish", t)
                     break
@@ -278,7 +258,6 @@ class ExecutionLifecycle:
                 record("checkpoint", t)
             else:
                 record("checkpoint-failed", t)
-            self._dispatch("on_checkpoint", t, config, write.seconds, write.success)
 
             if self.rescale_policy is not None and write.success:
                 # Planned reconfiguration decision point: a consistent
@@ -301,7 +280,6 @@ class ExecutionLifecycle:
                 if decision is not None and decision.target != config:
                     rescales += 1
                     record("rescale", t)
-                    self._dispatch("on_rescale", t, config, decision)
                     model.on_rescale(t, config, decision.target)
                     pending_rescale = RescaleRecord(
                         t=t,
@@ -322,7 +300,7 @@ class ExecutionLifecycle:
 
         if not model.finished():
             raise ExecutionError("job did not finish (internal error)")
-        result = RunResult(
+        return RunResult(
             cost=meter.cost,
             release_time=release_time,
             finish_time=t,
@@ -340,19 +318,17 @@ class ExecutionLifecycle:
             rescale_seconds=rescale_seconds,
             rescale_records=tuple(rescale_records),
         )
-        self._dispatch("on_finish", t, result)
-        return result
 
     # ------------------------------------------------------------------
     def _dispatch(self, hook: str, *args, adjust: bool = False):
         """Call *hook* on every observer that defines it, in order.
 
-        A hook an observer lacks is skipped: a no-op for an observation,
+        A hook an observer lacks is skipped: a no-op for ``on_run_start``,
         the identity for an adjustment.  With *adjust* the last argument
         is a value each observer may replace, and the final value is
         returned.  Otherwise the first non-None return ends the dispatch
-        and is returned (the checkpoint-write plan rule; observation
-        hooks return None).
+        and is returned (the checkpoint-write plan rule; ``on_run_start``
+        returns None).
 
         A hook that raises surfaces as an :class:`ExecutionError` naming
         the observer, never as a half-run whose billing/progress state

@@ -11,11 +11,6 @@ full-size output of every simulated and partitioning table (Fig 9 aside:
 three of its columns are wall-clock times) is pinned in
 ``.github/expected/figures.txt``, and ``tests/test_paper_claims.py``
 asserts the paper's claims over that pin.
-
-The ``report`` subcommand renders a trace captured by :mod:`repro.obs`
-(per-run timelines plus a span-duration histogram summary)::
-
-    python -m repro.experiments report --trace run.jsonl
 """
 
 from __future__ import annotations
@@ -113,46 +108,8 @@ def _run_one(name: str, setup: ExperimentSetup, quick: bool) -> str:
     raise ValueError(f"unknown experiment {name!r}")
 
 
-def _report_main(argv) -> int:
-    """Render a JSONL trace (``report --trace run.jsonl``)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments report",
-        description=(
-            "Render a trace captured by repro.obs: one time-ordered "
-            "timeline per run, then span-duration statistics."
-        ),
-    )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        required=True,
-        help="JSONL event log written by repro.obs.export.write_jsonl",
-    )
-    parser.add_argument(
-        "--max-traces",
-        type=int,
-        default=None,
-        help="cap on per-run timelines printed (default: all)",
-    )
-    args = parser.parse_args(argv)
-    from repro.obs import export as obs_export
-    from repro.obs import report as obs_report
-
-    records = obs_export.read_jsonl(args.trace)
-    try:
-        print(obs_report.render_trace_report(records, max_traces=args.max_traces))
-    except BrokenPipeError:
-        # Piping into `head` closes stdout early; that is not an error.
-        sys.stderr.close()
-    return 0
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "report":
-        return _report_main(list(argv[1:]))
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments", description=__doc__
     )

@@ -71,7 +71,7 @@ from repro.load.trace import (
     TraceJob,
     generate_trace,
 )
-from repro.obs.state import get_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.window import Record, RecordLog, percentile
 from repro.service.frontend import (
     FrontendConfig,
@@ -398,7 +398,7 @@ class LoadHarness:
     Args:
         config: the run description.
         metrics: registry for the ``load_*`` series (default: the
-            process registry); they move at event time, so a scrape
+            harness's own registry); they move at event time, so a scrape
             mid-run sees the run so far.
         ledger: optional :class:`~repro.obs.attribution.CostLedger`;
             every executed run (one-shot and recurring) is attributed
@@ -417,7 +417,7 @@ class LoadHarness:
 
     def __init__(self, config: HarnessConfig, metrics=None, ledger=None):
         self.config = config
-        self.metrics = metrics if metrics is not None else get_metrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.ledger = ledger
         self.setup = ExperimentSetup(
             seed=config.trace.seed, trace_days=config.trace_days

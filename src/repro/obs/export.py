@@ -1,193 +1,13 @@
-"""Exporters: JSONL event log, Chrome trace_event JSON, Prometheus text.
-
-Three views of the same records:
-
-* **JSONL** — one JSON object per line in the schema of
-  :meth:`~repro.obs.trace.SpanRecord.as_dict`; the machine-readable
-  archive format (:func:`write_jsonl` / :func:`read_jsonl`), validated
-  line by line with :func:`validate_record`.
-* **Chrome trace_event** — a ``{"traceEvents": [...]}`` document that
-  loads directly in ``chrome://tracing`` and Perfetto
-  (:func:`to_chrome_trace` / :func:`write_chrome_trace`).  Spans become
-  complete (``"X"``) events, instants become instant (``"i"``) events;
-  rows (tids) are trace ids, labeled by the root span's tenant/job
-  attributes, and the simulated and wall clocks land in separate
-  process groups so their timelines never interleave.
-* **Prometheus** — the registry renders itself
-  (:meth:`~repro.obs.metrics.MetricsRegistry.to_prometheus`);
-  :func:`parse_prometheus` is the matching minimal parser used by tests
-  and the CI exporter smoke job to validate the output.
+"""Prometheus text-format parser: the validation counterpart of
+:meth:`~repro.obs.metrics.MetricsRegistry.to_prometheus`, used by tests
+and the ``ops`` smoke row to check the exposition the registry renders.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
-
-from repro.obs.trace import CLOCK_ATTR, CLOCK_WALL, SpanRecord
-
-#: JSONL event schema: field name -> allowed types.
-EVENT_SCHEMA = {
-    "kind": str,
-    "name": str,
-    "trace_id": int,
-    "span_id": int,
-    "parent_id": (int, type(None)),
-    "t0": (int, float),
-    "t1": (int, float),
-    "attrs": dict,
-}
-
-_SCALAR_ATTR_TYPES = (str, int, float, bool, type(None))
 
 
-def validate_record(record: dict) -> dict:
-    """Check one decoded JSONL line against :data:`EVENT_SCHEMA`.
-
-    Returns the record unchanged; raises ``ValueError`` with the
-    offending field on any violation.
-    """
-    if not isinstance(record, dict):
-        raise ValueError(f"record must be an object, got {type(record).__name__}")
-    for field, types in EVENT_SCHEMA.items():
-        if field not in record:
-            raise ValueError(f"record missing field {field!r}")
-        if not isinstance(record[field], types):
-            raise ValueError(
-                f"field {field!r} has type {type(record[field]).__name__}"
-            )
-    extra = set(record) - set(EVENT_SCHEMA)
-    if extra:
-        raise ValueError(f"record has unknown fields {sorted(extra)}")
-    if record["kind"] not in ("span", "event"):
-        raise ValueError(f"kind must be 'span' or 'event', got {record['kind']!r}")
-    if record["t1"] < record["t0"]:
-        raise ValueError(f"span ends before it starts: {record['t1']} < {record['t0']}")
-    if record["kind"] == "event" and record["t1"] != record["t0"]:
-        raise ValueError("events must have t1 == t0")
-    for key, value in record["attrs"].items():
-        if not isinstance(key, str):
-            raise ValueError(f"attr key {key!r} is not a string")
-        if not isinstance(value, _SCALAR_ATTR_TYPES):
-            raise ValueError(f"attr {key!r} has non-scalar value {value!r}")
-    return record
-
-
-# ----------------------------------------------------------------------
-# JSONL
-# ----------------------------------------------------------------------
-def to_jsonl(records) -> str:
-    """Records as newline-delimited JSON (one object per line)."""
-    return "".join(
-        json.dumps(r.as_dict(), sort_keys=True, default=_jsonable) + "\n"
-        for r in records
-    )
-
-
-def _jsonable(value):
-    # Numpy scalars and similar ride in attrs; coerce to plain numbers.
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(f"attr value {value!r} is not JSON-serialisable")
-
-
-def write_jsonl(records, path) -> Path:
-    """Write :func:`to_jsonl` output to *path*; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_jsonl(records))
-    return path
-
-
-def read_jsonl(path) -> list[SpanRecord]:
-    """Load and validate a JSONL event log back into records."""
-    records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = validate_record(json.loads(line))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        records.append(
-            SpanRecord(
-                kind=raw["kind"],
-                name=raw["name"],
-                trace_id=raw["trace_id"],
-                span_id=raw["span_id"],
-                parent_id=raw["parent_id"],
-                t0=raw["t0"],
-                t1=raw["t1"],
-                attrs=tuple(sorted(raw["attrs"].items())),
-            )
-        )
-    return records
-
-
-# ----------------------------------------------------------------------
-# Chrome trace_event JSON (chrome://tracing, Perfetto)
-# ----------------------------------------------------------------------
-_SIM_PID = 1
-_WALL_PID = 2
-
-
-def to_chrome_trace(records) -> dict:
-    """Records as a Chrome ``trace_event`` document (dict).
-
-    Timestamps are microseconds; each trace id is one row (tid), named
-    after the root span's ``tenant``/``job_id`` attributes when present.
-    """
-    events = [
-        {"ph": "M", "name": "process_name", "pid": _SIM_PID, "tid": 0,
-         "args": {"name": "simulated time"}},
-        {"ph": "M", "name": "process_name", "pid": _WALL_PID, "tid": 0,
-         "args": {"name": "wall clock"}},
-    ]
-    named_rows = set()
-    for record in records:
-        attrs = dict(record.attrs)
-        pid = _WALL_PID if attrs.get(CLOCK_ATTR) == CLOCK_WALL else _SIM_PID
-        tid = record.trace_id
-        if record.parent_id is None and (pid, tid) not in named_rows:
-            named_rows.add((pid, tid))
-            label = attrs.get("tenant") or attrs.get("job_id")
-            if label:
-                job = attrs.get("job_id")
-                name = f"{label}/{job}" if job and job != label else str(label)
-                events.append(
-                    {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-                     "args": {"name": name}}
-                )
-        base = {
-            "name": record.name,
-            "cat": record.name,
-            "pid": pid,
-            "tid": tid,
-            "ts": record.t0 * 1e6,
-            "args": {k: v for k, v in attrs.items() if k != CLOCK_ATTR},
-        }
-        if record.kind == "span":
-            base["ph"] = "X"
-            base["dur"] = max(0.0, record.duration) * 1e6
-        else:
-            base["ph"] = "i"
-            base["s"] = "t"
-        events.append(base)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(records, path) -> Path:
-    """Write :func:`to_chrome_trace` output as JSON; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_chrome_trace(records), default=_jsonable))
-    return path
-
-
-# ----------------------------------------------------------------------
-# Prometheus text format parser (validation counterpart of the renderer)
-# ----------------------------------------------------------------------
 def parse_prometheus(text: str) -> dict:
     """Parse Prometheus text exposition into ``{(name, labels): value}``.
 

@@ -6,9 +6,9 @@ and ``tenant="b"`` are independent series).  The renderer speaks the
 Prometheus text exposition format, so the output scrapes directly and
 round-trips through :func:`repro.obs.export.parse_prometheus`.
 
-Metrics are cheap but not free; hot paths gate their updates behind the
-same ``tracer.enabled`` branch that guards span emission, so a run with
-observability off touches none of this module.
+Only the load harness's layers (harness, ledger, SLO monitor, planner
+pool) write metrics; the engine, checkpoints, datastore and planning
+service record none.
 """
 
 from __future__ import annotations

@@ -19,9 +19,8 @@ horizons because the clock is the simulated one).  Which rules fire at
 ``t`` is a pure function of the records and ``t`` (:func:`statuses`),
 so the alert sequence over a run's ticks is too (:func:`alerts`).
 :class:`SloMonitor` is that function advanced by the log's clock: at
-each tick it publishes ``slo_burn_rate``, counts transitions in
-``slo_alerts_total`` and emits ``slo.alert`` / ``slo.resolved`` tracer
-events.
+each tick it publishes ``slo_burn_rate`` and counts transitions in
+``slo_alerts_total``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.obs.state import get_metrics, get_tracer
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.window import Frame
 
 #: Default rule pairs: the fast-burn rule pages on an acute problem, the
@@ -217,21 +216,17 @@ class SloMonitor:
             monitor evaluates at each of its ``tick_s`` ticks.
         objectives: the :class:`SloObjective` set (see
             :func:`default_slos` for the stock three).
-        tracer: explicit tracer for ``slo.alert`` events (default: the
-            process tracer, resolved per evaluation so enabling tracing
-            mid-session works).
         metrics: registry for ``slo_burn_rate`` / ``slo_alerts_total``
-            (default: the process registry).
+            (default: a registry of its own).
     """
 
-    def __init__(self, log, objectives, tracer=None, metrics=None):
+    def __init__(self, log, objectives, metrics=None):
         self.objectives = tuple(objectives)
         names = [o.name for o in self.objectives]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names: {names}")
         self.log = log
-        self.tracer = tracer
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
         self._t: float | None = None
         self._statuses: tuple[SloStatus, ...] = ()
@@ -241,8 +236,6 @@ class SloMonitor:
 
     def evaluate(self, t: float) -> tuple[SloStatus, ...]:
         """Evaluate at tick *t*; rule transitions become :class:`SloAlert`s."""
-        tracer = self.tracer if self.tracer is not None else get_tracer()
-        metrics = self.metrics if self.metrics is not None else get_metrics()
         current = statuses(self.objectives, self.log.frame(), t)
         with self._lock:
             transitions = _transitions(self._statuses, current, t)
@@ -250,26 +243,16 @@ class SloMonitor:
             self._statuses = current
             self._evaluations += 1
             self._alerts.extend(transitions)
-        burn_gauge = metrics.gauge(
+        burn_gauge = self.metrics.gauge(
             "slo_burn_rate", "Error-budget burn multiple per objective/window"
         )
         for status in current:
             for window, burn in status.burn_rates.items():
                 burn_gauge.set(burn, slo=status.objective.name, window=f"{window:g}s")
         for alert in transitions:
-            metrics.counter(
+            self.metrics.counter(
                 "slo_alerts_total", "Burn-rate rule transitions by objective"
             ).inc(1, slo=alert.objective, severity=alert.severity, firing=alert.firing)
-            if tracer.enabled:
-                tracer.event(
-                    "slo.alert" if alert.firing else "slo.resolved",
-                    t=alert.t,
-                    slo=alert.objective,
-                    severity=alert.severity,
-                    long_burn=alert.long_burn,
-                    short_burn=alert.short_burn,
-                    factor=alert.factor,
-                )
         return current
 
     def statuses(self) -> tuple[SloStatus, ...]:

@@ -67,7 +67,7 @@ class HourglassRuntime:
             where no eviction could ever land; scaling makes the market
             matter while the computation stays exact).
         observers: :class:`~repro.exec.observers.LifecycleObserver`
-            plug-ins (metrics collection, fault injection).
+            plug-ins (fault injection).
         delta_checkpoints: write delta checkpoints between periodic full
             snapshots (changed vertices only), cutting steady-state
             checkpoint bytes for shrinking-frontier programs.

@@ -42,7 +42,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-from repro.obs.state import get_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.service.planning import PlanError, PlanRequest, PlanResult
 from repro.service.pool import PlannerPool, PoolConfig, PoolStats
 
@@ -133,13 +133,13 @@ class PlanFrontend:
         service: the backing :class:`PlanningService`.
         config: serving knobs (defaults are benchmark-sane).
         metrics: explicit registry for the ``svc_pool_*`` series
-            (default: the process registry), shared with the pool.
+            (default: a registry of its own), shared with the pool.
     """
 
     def __init__(self, service, config: FrontendConfig | None = None, metrics=None):
         self.service = service
         self.config = config if config is not None else FrontendConfig()
-        self.metrics = metrics if metrics is not None else get_metrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.pool = PlannerPool(service, self.config.pool, metrics=self.metrics)
         self._queue: asyncio.Queue | None = None
         self._loop: asyncio.AbstractEventLoop | None = None

@@ -31,8 +31,8 @@ at least one on-demand last-resort configuration), whatever its
 strategy, and raises :class:`PlanError` instead of letting a downstream
 ValueError or IndexError surface.  Per-request
 telemetry (decision latency, memo hits/misses, snapshot reuse) rides on
-each :class:`PlanResult` and reaches lifecycle observers through their
-``on_decision`` hook.
+each :class:`PlanResult` and reaches every hook registered with
+:meth:`PlanningService.add_decision_hook`.
 
 Thread safety: requests for different estimator keys plan concurrently;
 requests sharing a key serialise on that estimator's lock (the memo and
@@ -61,7 +61,6 @@ from repro.core.expected_cost import (
 from repro.core.provisioner import ProvisioningContext
 from repro.core.slack import SlackModel
 from repro.core.warning import NO_WARNING, WarningPolicy
-from repro.obs.state import get_metrics, get_tracer
 
 #: How many ``(catalog, t)`` rate snapshots the service keeps; the
 #: keying memo is cleared past four times this many session tuples.
@@ -199,11 +198,6 @@ class PlanResult:
     decision: Decision
     telemetry: PlanTelemetry
 
-    @property
-    def config(self) -> Configuration:
-        """The chosen configuration."""
-        return self.decision.config
-
 
 @dataclass
 class _EstimatorEntry:
@@ -220,22 +214,17 @@ class PlanningService:
         market: the market every tenant's decisions consult.
         warning: eviction-warning contract baked into hourglass
             estimators (§9 extension).
-        tracer: explicit :class:`~repro.obs.trace.Tracer` for ``plan``
-            spans (default: the process tracer, resolved per call).
-        metrics: explicit :class:`~repro.obs.metrics.MetricsRegistry`
-            (default: the process registry).
+        metrics: accepted and ignored; the service records no metric
+            (per-decision telemetry goes to :meth:`add_decision_hook`).
     """
 
     def __init__(
         self,
         market: SpotMarket,
         warning: WarningPolicy = NO_WARNING,
-        tracer=None,
         metrics=None,
     ):
         self.market = market
-        self.tracer = tracer
-        self.metrics = metrics
         self._decision_hooks: list = []
         self.warning = warning
         self._mutex = threading.Lock()  # guards the dicts and counters
@@ -491,7 +480,7 @@ class PlanningService:
         )
 
     # ------------------------------------------------------------------
-    # Decision hook + tracing
+    # Decision hooks
     # ------------------------------------------------------------------
     def add_decision_hook(self, hook) -> None:
         """Register ``hook(request, result)`` to run after every plan.
@@ -503,33 +492,9 @@ class PlanningService:
         self._decision_hooks.append(hook)
 
     def _publish(self, request: PlanRequest, result: PlanResult) -> PlanResult:
-        """Count the plan, emit its span/metric and fire decision hooks."""
+        """Count the plan and fire the decision hooks."""
         with self._mutex:
             self._plans += 1
-        tr = self.tracer if self.tracer is not None else get_tracer()
-        if tr.enabled:
-            tel = result.telemetry
-            tr.record_span(
-                "plan",
-                request.t,
-                request.t + tel.latency_s,
-                strategy=request.strategy,
-                config=result.config.name,
-                latency_s=tel.latency_s,
-                warm=tel.estimator_reused,
-                memo_hits=tel.memo_hits,
-                memo_misses=tel.memo_misses,
-                snapshot_reused=tel.snapshot_reused,
-            )
-            mx = self.metrics if self.metrics is not None else get_metrics()
-            mx.histogram(
-                "plan_latency_seconds",
-                "Wall-clock latency per planning-service decision",
-            ).observe(
-                tel.latency_s,
-                strategy=request.strategy,
-                warm=tel.estimator_reused,
-            )
         for hook in self._decision_hooks:
             hook(request, result)
         return result
@@ -665,26 +630,6 @@ class PlanningService:
                         else f"expected saving {saving:.4f} over stay {stay:.4f}"
                     ),
                 )
-        tr = self.tracer if self.tracer is not None else get_tracer()
-        if tr.enabled:
-            latency = time.perf_counter() - started
-            tr.record_span(
-                "rescale.plan",
-                query.t,
-                query.t + latency,
-                config=query.current_config.name,
-                target=decision.target.name if decision else "-",
-                action=decision.action if decision else "stay",
-                frontier=query.frontier,
-                stay_cost=stay,
-                best_cost=winner.expected_cost,
-                latency_s=latency,
-            )
-            mx = self.metrics if self.metrics is not None else get_metrics()
-            mx.counter(
-                "rescale_decisions_total",
-                "Rescale queries answered by the planning service",
-            ).inc(action=decision.action if decision else "stay")
         return decision
 
     def _plan_baseline(self, request: PlanRequest, started: float) -> PlanResult:

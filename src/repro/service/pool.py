@@ -42,7 +42,8 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 
-from repro.obs.state import get_metrics
+from repro.obs.metrics import MetricsRegistry
+
 
 #: Fraction of a worker the policy aims to keep busy: offered load is
 #: inflated by its inverse before staffing, leaving headroom for
@@ -166,18 +167,17 @@ class PlannerPool:
             :class:`~repro.service.planning.PlanningService`.
         config: the pool-size bounds.
         metrics: explicit :class:`~repro.obs.metrics.MetricsRegistry`
-            (default: the process registry).  ``svc_pool_size`` /
+            (default: a registry of its own).  ``svc_pool_size`` /
             ``svc_pool_queue_depth`` gauges, ``svc_pool_resizes_total``
             (labelled by direction), ``svc_pool_batches_total`` and the
             ``svc_pool_dispatch_batch_size`` histogram are maintained
-            unconditionally — pool events are rare enough that gating
-            them behind the tracer would only hide the capacity story.
+            on every pool event.
     """
 
     def __init__(self, service, config: PoolConfig | None = None, metrics=None):
         self.service = service
         self.config = config if config is not None else PoolConfig()
-        self.metrics = metrics if metrics is not None else get_metrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.autoscaler = Autoscaler(self.config)
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._lock = threading.Lock()

@@ -121,7 +121,6 @@ class ElasticPlannedProvisioner(HourglassProvisioner):
     def select(self, ctx: ProvisioningContext) -> Configuration:
         """Keep a live deployment; plan fresh only when there is none."""
         if ctx.current_config is not None:
-            self.last_telemetry = None
             return ctx.current_config
         choice = super().select(ctx)
         self.rescale_policy.pin_grids(self._grids)

@@ -3,19 +3,6 @@
 Every row runs a fixed, seeded workload, returns the list of checks that
 failed, and the process exits 1 if that list is not empty.
 
-``exporters``
-    Traces two workloads under one tracer: a two-tenant interleaved
-    recurring simulation sharing one planning service, and a small
-    engine-backed runtime execution with real supersteps.  Then checks
-    that every JSONL line passes
-    :func:`~repro.obs.export.validate_record`, that the Prometheus
-    exposition parses with :func:`~repro.obs.export.parse_prometheus`,
-    that the Chrome ``trace_event`` document is structurally sound
-    (Perfetto-loadable), that every ``superstep`` and ``plan`` span
-    carries a run's trace ID (cross-layer attribution), and that the
-    written ``trace.jsonl`` reads back with the same record count.
-    Writes ``trace.jsonl``, ``metrics.prom`` and ``trace.json``.
-
 ``ops``
     Runs a 100-job seed-42 trace through the load harness with a cost
     ledger and an SLO monitor, and reads the metrics registry's
@@ -47,8 +34,8 @@ failed, and the process exits 1 if that list is not empty.
     under a ``sys.setprofile`` tracer installed in each Python process
     (:mod:`repro.reach`): the seven examples, ``repro.experiments
     --quick`` over every figure, the three CI ``repro.load`` rows plus a
-    ``--watch 600`` run, the three rows above and ``experiments
-    report``, and the four bench workloads at ``--seconds 4 --trace 1``.
+    ``--watch 600`` run, the two rows above, and the four bench
+    workloads at ``--seconds 4 --trace 1``.
     Checks that every ``repro`` function none of them calls (declaration
     stubs aside) is listed in ``.github/expected/test-only.txt`` with a
     reason, and that nothing listed is reached.  Writes
@@ -70,124 +57,6 @@ OPS_SEED = 42
 ENGINE_SCALE = 11
 ENGINE_WORKERS = 4
 ENGINE_SEED = 42
-
-
-# -- exporters ---------------------------------------------------------
-def _traced_records():
-    """Run both exporter workloads under a fresh tracer and registry;
-    returns ``(records, prometheus_text)``."""
-    from repro.core.job import PAGERANK_PROFILE, SSSP_PROFILE
-    from repro.core.recurring import InterleavedRecurringDriver, RecurringJobSpec
-    from repro.core.simulator import ExecutionSimulator
-    from repro.engine.algorithms import PageRank
-    from repro.experiments.common import ExperimentSetup
-    from repro.graph import generators
-    from repro.obs.observer import TracingObserver
-    from repro.obs.state import tracing
-    from repro.runtime.runtime import HourglassRuntime
-    from repro.service.planning import PlanningService
-    from repro.utils.units import HOURS
-
-    setup = ExperimentSetup(seed=42, trace_days=10)
-    service = PlanningService(setup.market)
-    specs = [
-        RecurringJobSpec(
-            name=name,
-            simulator=ExecutionSimulator(
-                setup.market,
-                setup.perf_model(profile),
-                setup.catalog,
-                "hourglass",
-                record_events=False,
-                service=service,
-                observers=(TracingObserver(job_id=name, tenant=name, strategy="hourglass"),),
-            ),
-            profile=profile,
-            period=period,
-            offset=offset,
-        )
-        for name, profile, period, offset in (
-            ("ranks", PAGERANK_PROFILE, 6 * HOURS, 0.0),
-            ("paths", SSSP_PROFILE, 4 * HOURS, 1 * HOURS),
-        )
-    ]
-    # Built before tracing starts, so the calibration run stays
-    # untraced; the per-deployment engines are built inside execute().
-    graph = generators.community_graph(400, num_communities=8, avg_degree=8, seed=7)
-    runtime = HourglassRuntime(
-        graph,
-        lambda: PageRank(iterations=8),
-        setup.market,
-        setup.catalog,
-        service.provisioner("hourglass"),
-        num_micro_parts=16,
-        seed=2,
-        time_scale=3000.0,
-        data_scale=20_000,
-    )
-    runtime.observers = (
-        TracingObserver(job_id="engine-run", tenant="engine", strategy="hourglass"),
-    )
-    budget = runtime.perf.fixed_time(runtime.lrc) + runtime.perf.exec_time(runtime.lrc)
-    with tracing() as (tracer, metrics):
-        InterleavedRecurringDriver(specs).run(0.0, 2)
-        runtime.execute(0.0, 2.0 * budget)
-        return tracer.records(), metrics.to_prometheus()
-
-
-def exporters(out: Path | None) -> list[str]:
-    from repro.obs import export
-
-    failures: list[str] = []
-    records, prometheus = _traced_records()
-    try:
-        lines = [ln for ln in export.to_jsonl(records).splitlines() if ln.strip()]
-        for line in lines:
-            export.validate_record(json.loads(line))
-        if len(lines) != len(records):
-            failures.append(f"jsonl: {len(lines)} lines for {len(records)} records")
-    except ValueError as exc:
-        failures.append(f"jsonl: {exc}")
-    try:
-        if not export.parse_prometheus(prometheus):
-            failures.append("prometheus: no samples rendered")
-    except ValueError as exc:
-        failures.append(f"prometheus: {exc}")
-
-    doc = json.loads(json.dumps(export.to_chrome_trace(records), default=lambda v: v.item()))
-    events = doc.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        failures.append("chrome: no traceEvents")
-    else:
-        bad = [ev for ev in events if ev.get("ph") not in ("X", "i", "M")]
-        bad += [
-            ev for ev in events
-            if ev.get("ph") == "X" and (ev.get("dur", -1.0) < 0 or "ts" not in ev)
-        ]
-        if bad:
-            failures.append(f"chrome: malformed event {bad[0].get('name')!r}")
-
-    # Every superstep and plan span inherits a run's trace id: that is
-    # what attributes a superstep to its plan requests.
-    run_traces = {r.trace_id for r in records if r.name == "run"}
-    for name in ("superstep", "plan"):
-        spans = [r for r in records if r.name == name]
-        if not spans:
-            failures.append(f"correlation: no {name} spans recorded")
-        orphans = sum(r.trace_id not in run_traces for r in spans)
-        if orphans:
-            failures.append(f"correlation: {orphans} {name} spans outside any run trace")
-
-    with tempfile.TemporaryDirectory(prefix="smoke-") as tmp:
-        directory = out or Path(tmp)
-        directory.mkdir(parents=True, exist_ok=True)
-        export.write_jsonl(records, directory / "trace.jsonl")
-        (directory / "metrics.prom").write_text(prometheus)
-        export.write_chrome_trace(records, directory / "trace.json")
-        if len(export.read_jsonl(directory / "trace.jsonl")) != len(records):
-            failures.append("jsonl: round-trip changed the record count")
-    print(f"exporters: {len(records)} records")
-    return failures
 
 
 # -- ops ---------------------------------------------------------------
@@ -373,7 +242,7 @@ BENCH_WORKLOADS = ("serve_mixed", "serve_burst_dup", "graph_job_evicted", "prepa
 
 def _entry_points(tmp: Path) -> list[list[list[str]]]:
     """Every shipped entry point, as jobs of ``python`` commands run in
-    order (the trace report reads the exporters row's trace)."""
+    order."""
     load = ["-m", "repro.load", "--jobs", "100", "--seed", "7", "--trace-days", "8"]
     load += ["--recurring-tenants", "2", "--recurring-periods", "4"]
     return [
@@ -391,8 +260,6 @@ def _entry_points(tmp: Path) -> list[list[list[str]]]:
             ["-m", "repro.load", "--jobs", "100", "--seed", "42", "--watch", "600"],
         ],
         [
-            ["-m", "repro.smoke", "exporters", "--out", str(tmp / "obs")],
-            ["-m", "repro.experiments", "report", "--trace", str(tmp / "obs" / "trace.jsonl")],
             ["-m", "repro.smoke", "ops", "--out", str(tmp / "ops")],
             ["-m", "repro.smoke", "engine-scale"],
         ],
@@ -414,7 +281,7 @@ def reach(out: Path | None) -> list[str]:
     return failures
 
 
-ROWS = {"exporters": exporters, "ops": ops, "engine-scale": engine_scale, "reach": reach}
+ROWS = {"ops": ops, "engine-scale": engine_scale, "reach": reach}
 
 
 def main(argv=None) -> int:

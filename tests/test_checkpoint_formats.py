@@ -27,7 +27,6 @@ from repro.engine.checkpoint import (
 )
 from repro.exec import DatastoreWriteFaults, EvictionStormFaults
 from repro.graph import generators
-from repro.obs import state as obs_state
 from repro.partitioning.hashing import HashPartitioner
 from repro.runtime import HourglassRuntime
 from tests import scalar_oracle
@@ -493,25 +492,6 @@ class TestRepeatedSave:
         restored = pagerank()
         manager.load_into(restored)
         assert_state_equal(engine, restored)
-
-
-class TestDeltaMetrics:
-    def test_delta_ratio_exported_when_traced(self, graph, partitioning):
-        tracer, metrics = obs_state.enable()
-        try:
-            manager = CheckpointManager(
-                DataStore(), "job", keep_last=10, delta=True, full_interval=4
-            )
-            engine = make_engine(graph, partitioning)
-            engine.step()
-            manager.save(engine)
-            engine.step()
-            manager.save(engine)
-            rendered = metrics.to_prometheus()
-            assert "checkpoint_delta_ratio" in rendered
-            assert 'kind="delta"' in rendered
-        finally:
-            obs_state.disable()
 
 
 class TestRuntimeDeltaRecovery:

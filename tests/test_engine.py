@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    CheckpointManager,
+    DataStore,
     MessageStore,
     MinCombiner,
     PregelEngine,
     SumCombiner,
 )
-from repro.engine.algorithms import PageRank
-from repro.graph import from_edges
+from repro.engine.algorithms import InDegree, PageRank
+from repro.graph import from_edges, generators
 from repro.partitioning import HashPartitioner
 from tests import scalar_oracle
 from tests.scalar_oracle import (
@@ -327,6 +329,23 @@ class TestRestoreStats:
         # stats back to the checkpointed superstep.
         engine.restore_state(state)
         assert len(engine.stats) == 3
+
+    def test_restore_past_the_last_working_superstep_runs_nothing(self):
+        """In-degree does all its work in supersteps 0 and 1: an engine
+        restored at superstep 2 halts where the straight run did."""
+        g = generators.rmat(8, seed=2)
+        want = PregelEngine(g, InDegree()).run()
+        assert want.supersteps_run == 2
+        engine = PregelEngine(g, InDegree())
+        engine.run(max_supersteps=2)
+        manager = CheckpointManager(DataStore(), "in-degree")
+        manager.save(engine)
+        fresh = PregelEngine(g, InDegree())
+        manager.load_into(fresh)
+        got = fresh.run()
+        assert (got.supersteps_run, got.halted_normally) == (2, True)
+        assert got.stats == want.stats
+        assert got.values == want.values
 
     def test_capture_carries_exactly_what_restore_reads(self):
         class Recording(dict):

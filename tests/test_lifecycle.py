@@ -36,6 +36,7 @@ from repro.exec import (
 )
 from repro.graph import generators
 from repro.runtime import HourglassRuntime
+from repro.service import PlanningService
 from repro.utils.units import HOURS
 from tests.scalar_oracle import SuperstepWorkModel
 
@@ -81,7 +82,7 @@ class TestUnifiedTypes:
         # On-demand machine-seconds cover the whole span; none on spot.
         assert result.spot_seconds == 0.0
         assert result.on_demand_seconds > 0.0
-        assert result.makespan == pytest.approx(result.finish_time)
+        assert result.release_time == 0.0
         assert result.provisioner_name == "on-demand"
         baseline = 2.0 * result.cost
         assert result.normalized_cost(baseline) == pytest.approx(0.5)
@@ -218,28 +219,26 @@ class TestMetricsObserver:
             assert result.release_time == 40 * HOURS
             runs[record_events] = result
         assert runs[False].events == ()
-        assert runs[False].makespan == runs[True].makespan
-        assert runs[False].makespan == runs[True].finish_time - runs[True].events[0].t
-        assert runs[False].makespan == runs[False].finish_time - 40 * HOURS
+
+        def makespan(result):
+            return result.finish_time - result.release_time
+
+        assert makespan(runs[False]) == makespan(runs[True])
+        assert makespan(runs[False]) == runs[True].finish_time - runs[True].events[0].t
+        assert makespan(runs[False]) == runs[False].finish_time - 40 * HOURS
 
     def test_standalone_runtime_reports_decisions(self, graph, long_market, catalog):
-        """A zero-arg HourglassProvisioner publishes per-decision telemetry."""
-
-        class Telemetry(LifecycleObserver):
-            def __init__(self):
-                self.seen = []
-
-            def on_decision(self, t, telemetry):
-                self.seen.append(telemetry)
-
-        metrics = Telemetry()
-        rt = make_runtime(graph, long_market, catalog, HourglassProvisioner())
-        rt.observers = (metrics,)
+        """A runtime run's per-decision telemetry reaches the decision hooks
+        of the service its HourglassProvisioner plans through."""
+        service = PlanningService(long_market)
+        seen = []
+        service.add_decision_hook(lambda request, result: seen.append(result.telemetry))
+        rt = make_runtime(graph, long_market, catalog, HourglassProvisioner(service))
         deadline = rt.perf.fixed_time(rt.lrc) + 1.5 * rt.perf.exec_time(rt.lrc)
         rt.execute(0.0, deadline)
-        assert metrics.seen
-        assert all(tel.latency_s > 0 for tel in metrics.seen)
-        assert sum(tel.memo_misses for tel in metrics.seen) > 0
+        assert seen
+        assert all(tel.latency_s > 0 for tel in seen)
+        assert sum(tel.memo_misses for tel in seen) > 0
 
     def test_observer_leaves_run_unchanged(self, long_market, catalog):
         lrc = last_resort(

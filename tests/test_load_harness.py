@@ -38,6 +38,42 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.window import percentile
 from repro.service import PlanError, PlanningService, PlanRequest, PlanResult
 
+#: The ``# TYPE`` families of ``python -m repro.load --jobs 30 --seed 3
+#: --trace-days 8 --recurring-tenants 1 --recurring-periods 2 --out DIR``.
+PLAIN_FAMILIES = (
+    "load_jobs_total",
+    "load_plan_latency_seconds",
+    "load_plan_latency_seconds_sum",
+    "load_plan_latency_seconds_count",
+    "load_plan_queue_wait_seconds",
+    "load_plan_queue_wait_seconds_sum",
+    "load_plan_queue_wait_seconds_count",
+    "load_provider_idle_machine_seconds_total",
+    "load_queue_peak",
+    "load_recurring_windows_total",
+    "load_runs_total",
+    "load_service_time_seconds_total",
+    "load_user_cost_dollars_total",
+)
+#: What ``--watch 600 --frontend`` adds: SLO, tenant and pool series.
+WATCH_FRONTEND_FAMILIES = (
+    "slo_alerts_total",
+    "slo_burn_rate",
+    "svc_pool_batches_total",
+    "svc_pool_dispatch_batch_size",
+    "svc_pool_dispatch_batch_size_sum",
+    "svc_pool_dispatch_batch_size_count",
+    "svc_pool_queue_depth",
+    "svc_pool_requests_total",
+    "svc_pool_resizes_total",
+    "svc_pool_saturation",
+    "svc_pool_size",
+    "tenant_cost_dollars_total",
+    "tenant_idle_machine_seconds_total",
+    "tenant_machine_seconds_total",
+    "tenant_runs_total",
+)
+
 
 @pytest.fixture(scope="module")
 def setup() -> ExperimentSetup:
@@ -686,3 +722,27 @@ class TestLoadCli:
         assert (out / "metrics.prom").read_text().startswith("# ")
         reloaded = ArrivalTrace.from_jsonl(out / "trace.jsonl")
         assert len(reloaded.jobs) == 30
+
+    def test_metric_families_are_frozen(self, tmp_path):
+        """Every ``# TYPE`` family ``metrics.prom`` carries, plain and with
+        ``--watch --frontend``: no shipped artifact loses a series."""
+        from repro.load.__main__ import main
+
+        argv = [
+            "--jobs", "30",
+            "--seed", "3",
+            "--trace-days", "8",
+            "--recurring-tenants", "1",
+            "--recurring-periods", "2",
+        ]
+        families = {}
+        for mode, extra in (("plain", []), ("watch-frontend", ["--watch", "600", "--frontend"])):
+            out = tmp_path / mode
+            assert main([*argv, *extra, "--out", str(out)]) == 0
+            families[mode] = {
+                line.split()[2]
+                for line in (out / "metrics.prom").read_text().splitlines()
+                if line.startswith("# TYPE ")
+            }
+        assert families["plain"] == set(PLAIN_FAMILIES)
+        assert families["watch-frontend"] == set(PLAIN_FAMILIES + WATCH_FRONTEND_FAMILIES)

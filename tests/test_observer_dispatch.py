@@ -3,7 +3,7 @@
 The lifecycle loop promises three things about its observer bus
 (:mod:`repro.exec.observers`):
 
-* hooks fire in **registration order**, for observation *and*
+* hooks fire in **registration order**, for ``on_run_start`` and the
   adjustment hooks alike;
 * for ``plan_checkpoint_write`` the **first observer returning a plan
   wins** — later observers are not even consulted for that write;
@@ -13,7 +13,7 @@ The lifecycle loop promises three things about its observer bus
   while an ``ExecutionError`` raised by the observer itself passes
   through unchanged;
 * an observer need not subclass ``LifecycleObserver``: a hook it does
-  not define is a **no-op** (observation) or the **identity**
+  not define is a **no-op** (``on_run_start``) or the **identity**
   (adjustment).
 """
 
@@ -62,18 +62,6 @@ class RecordingObserver(LifecycleObserver):
 
     def on_run_start(self, t):
         self._mark("on_run_start")
-
-    def on_deploy(self, t, config, setup_seconds):
-        self._mark("on_deploy")
-
-    def on_eviction(self, t, config):
-        self._mark("on_eviction")
-
-    def on_checkpoint(self, t, config, seconds, persisted):
-        self._mark("on_checkpoint")
-
-    def on_finish(self, t, result):
-        self._mark("on_finish")
 
     def adjust_setup_time(self, t, config, setup_seconds):
         self._mark("adjust_setup_time")
@@ -150,7 +138,12 @@ class TestRegistrationOrder:
         run_pinned(small_market, catalog, pinned_config, (first, second))
 
         hooks_seen = {hook for _tag, hook in log}
-        assert {"on_run_start", "on_deploy", "on_checkpoint", "on_finish"} <= hooks_seen
+        assert {
+            "on_run_start",
+            "adjust_eviction_time",
+            "adjust_setup_time",
+            "plan_checkpoint_write",
+        } <= hooks_seen
         # Per hook invocation the pair arrives as first-then-second, so
         # the log is an exact alternation: even slots "first", odd
         # slots "second", with matching hook names.
@@ -186,8 +179,9 @@ class TestFirstPlanWins:
         wins = [e for e in log if e == ("winner", "plan_checkpoint_write")]
         assert wins  # the pinned run checkpoints at least once
         assert ("shadowed", "plan_checkpoint_write") not in log
-        # The shadowed observer still sees every *observation* hook.
-        assert ("shadowed", "on_checkpoint") in log
+        # The shadowed observer still sees every other hook.
+        assert ("shadowed", "on_run_start") in log
+        assert ("shadowed", "adjust_setup_time") in log
 
     def test_plan_seconds_take_effect(self, small_market, catalog, pinned_config):
         log: list = []
@@ -218,7 +212,7 @@ class TestFirstPlanWins:
 
 class TestRaisingObservers:
     @pytest.mark.parametrize(
-        "hook", ["on_deploy", "on_checkpoint", "adjust_setup_time"]
+        "hook", ["on_run_start", "plan_checkpoint_write", "adjust_setup_time"]
     )
     def test_exception_wrapped_with_observer_and_hook(
         self, small_market, catalog, pinned_config, hook
@@ -237,15 +231,15 @@ class TestRaisingObservers:
         class DeadlineAbort(ExecutionError):
             pass
 
-        observer = RaisingObserver("on_checkpoint", DeadlineAbort("abort run"))
+        observer = RaisingObserver("plan_checkpoint_write", DeadlineAbort("abort run"))
         with pytest.raises(DeadlineAbort, match="abort run"):
             run_pinned(small_market, catalog, pinned_config, (observer,))
 
     def test_cause_preserved_for_wrapped_exception(
         self, small_market, catalog, pinned_config
     ):
-        original = ValueError("bad telemetry")
-        observer = RaisingObserver("on_deploy", original)
+        original = ValueError("bad setup time")
+        observer = RaisingObserver("adjust_setup_time", original)
         with pytest.raises(ExecutionError) as excinfo:
             run_pinned(small_market, catalog, pinned_config, (observer,))
         assert excinfo.value.__cause__ is original
@@ -254,21 +248,21 @@ class TestRaisingObservers:
 class TestPartialObservers:
     """Duck-typed observers that define only the hooks they need."""
 
-    def test_finish_only_observer_leaves_run_bit_identical(
+    def test_start_only_observer_leaves_run_bit_identical(
         self, small_market, catalog, pinned_config
     ):
-        class FinishOnly:
+        class StartOnly:
             def __init__(self):
-                self.results = []
+                self.starts = []
 
-            def on_finish(self, t, result):
-                self.results.append(result)
+            def on_run_start(self, t):
+                self.starts.append(t)
 
-        observer = FinishOnly()
+        observer = StartOnly()
         observed = run_pinned(small_market, catalog, pinned_config, (observer,))
         unobserved = run_pinned(small_market, catalog, pinned_config, ())
         assert observed == unobserved
-        assert observer.results == [observed]
+        assert observer.starts == [observed.release_time]
 
     def test_setup_only_observer_perturbation_takes_effect(
         self, small_market, catalog, pinned_config

@@ -12,9 +12,7 @@ Covers the streaming side of :mod:`repro.obs`, on the simulated clock:
   its ticks;
 * :class:`~repro.obs.slo.SloMonitor` burn-rate transitions, and the
   alert sequence as a pure function of the records;
-* :class:`~repro.obs.attribution.CostLedger`, plus a real lifecycle
-  run metered through the ``on_bill`` hook into ``TracingObserver``'s
-  ``billed_*`` series;
+* :class:`~repro.obs.attribution.CostLedger`;
 * the harness's ``load_*`` publication and record log: every series
   equals its report field, a ledger never perturbs the fingerprint, a
   seeded run's tenant table and alert sequence are frozen, and the live
@@ -33,16 +31,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import default_catalog
-from repro.core import (
-    PAGERANK_PROFILE,
-    ExecutionSimulator,
-    PerformanceModel,
-    job_with_slack,
-    last_resort,
-)
-from repro.core.provisioner import Provisioner
-from repro.exec import EvictionStormFaults
 from repro.load.__main__ import main as load_main
 from repro.load.harness import HarnessConfig, LoadHarness
 from repro.load.trace import LoadTraceConfig, generate_trace
@@ -50,7 +38,6 @@ from repro.load.watch import render_panel
 from repro.obs.attribution import CostLedger
 from repro.obs.export import parse_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import TracingObserver
 from repro.obs.slo import (
     BurnRateRule,
     SloMonitor,
@@ -59,7 +46,6 @@ from repro.obs.slo import (
     default_slos,
     statuses,
 )
-from repro.obs.state import tracing
 from repro.obs.window import DEFAULT_WINDOWS, Frame, Record, RecordLog, percentile
 from tests import window_oracle as oracle
 
@@ -456,8 +442,7 @@ class TestSloMonitor:
         registry, log, monitor = self._setup()
         for _ in range(4):
             log.append(_run(10.0, "missed"))
-        with tracing() as (tracer, _):
-            log.advance(60.0)
+        log.advance(60.0)
         burn = registry.gauge("slo_burn_rate").value(
             slo="deadline_miss_rate", window="300s"
         )
@@ -466,8 +451,6 @@ class TestSloMonitor:
             slo="deadline_miss_rate", severity="page", firing="True"
         )
         assert fired == 1.0
-        events = [r for r in tracer.records() if r.name == "slo.alert"]
-        assert [e.t0 for e in events] == [60.0, 60.0]
         # The monitor's payload is JSON-serialisable as the /slo body.
         payload = json.loads(json.dumps(monitor.as_dict()))
         assert payload["t"] == 60.0
@@ -560,70 +543,6 @@ class TestCostLedger:
         ledger.record_run("a", _result(), 0.0, 0.0)
         assert before.runs == 1
         assert ledger.snapshot()["a"].runs == 2
-
-
-class _PinnedProvisioner(Provisioner):
-    """Always deploys one fixed configuration (test scaffolding)."""
-
-    name = "pinned"
-
-    def __init__(self, config):
-        self.config = config
-
-    def select(self, ctx):
-        """Pick the configuration to run next (always the pinned one)."""
-        return self.config
-
-
-def _run_pinned(market, observers):
-    catalog = tuple(default_catalog())
-    lrc = last_resort(
-        catalog,
-        lambda ref: PerformanceModel(profile=PAGERANK_PROFILE, reference=ref),
-    )
-    perf = PerformanceModel(profile=PAGERANK_PROFILE, reference=lrc)
-    sim = ExecutionSimulator(
-        market,
-        perf,
-        catalog,
-        _PinnedProvisioner([c for c in catalog if c.is_transient][0]),
-        observers=observers,
-    )
-    job = job_with_slack(PAGERANK_PROFILE, 0.0, 0.5, perf.fixed_time(lrc))
-    return sim.run(job)
-
-
-class TestLiveBilling:
-    def test_billed_series_match_run_result(self, small_market):
-        # The meter's on_bill feed, summed by TracingObserver over every
-        # interval of an evicted run, must reproduce the run's own bill.
-        with tracing() as (_tracer, metrics):
-            result = _run_pinned(
-                small_market,
-                (
-                    EvictionStormFaults(uptime_seconds=900.0, max_evictions=2),
-                    TracingObserver(tenant="acme"),
-                ),
-            )
-        assert result.evictions >= 1
-        dollars = metrics.counter("billed_dollars_total").series()
-        machine = metrics.counter("billed_machine_seconds_total").series()
-        assert sum(dollars.values()) == pytest.approx(result.cost, abs=1e-9)
-        assert sum(machine.values()) == pytest.approx(
-            result.spot_seconds + result.on_demand_seconds, abs=1e-6
-        )
-
-    def test_partial_observer_is_tolerated(self, small_market):
-        # The lifecycle bus must skip hooks an observer does not define
-        # (duck-typed plug-ins only implement what they care about).
-        finished = []
-
-        class FinishOnly:
-            def on_finish(self, t, result):
-                finished.append(result)
-
-        result = _run_pinned(small_market, (FinishOnly(),))
-        assert finished == [result]
 
 
 # ----------------------------------------------------------------------

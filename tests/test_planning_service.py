@@ -25,7 +25,6 @@ from repro.core.provisioner import HourglassProvisioner, ProvisioningContext
 from repro.core.recurring import InterleavedRecurringDriver, RecurringJobSpec
 from repro.core.simulator import ExecutionSimulator
 from repro.core.slack import SlackModel
-from repro.exec.observers import LifecycleObserver
 from repro.experiments.common import ExperimentSetup
 from repro.service import PlanError, PlanningService, PlanRequest
 from repro.service.planning import RescaleQuery
@@ -357,31 +356,24 @@ class TestCacheStats:
 
 
 class TestTelemetryFlow:
-    def test_metrics_observer_collects_decisions(self, setup):
+    def test_decision_hook_collects_decisions(self, setup):
         profile = SSSP_PROFILE
         perf = setup.perf_model(profile)
-        class Decisions(LifecycleObserver):
-            def __init__(self):
-                self.seen = []
-
-            def on_decision(self, t, telemetry):
-                self.seen.append(telemetry)
-
-        metrics = Decisions()
         sim = ExecutionSimulator(
             setup.market,
             perf,
             setup.catalog,
             "hourglass",
             record_events=False,
-            observers=(metrics,),
         )
         assert isinstance(sim.provisioner, HourglassProvisioner)
         assert sim.provisioner.service is sim.service
+        seen = []
+        sim.service.add_decision_hook(lambda request, result: seen.append(result.telemetry))
         job = job_with_slack(profile, 0.0, 0.5, perf.fixed_time(setup.lrc(perf)))
         result = sim.run(job)
-        assert len(metrics.seen) >= 1
-        assert sum(tel.latency_s for tel in metrics.seen) > 0
+        assert len(seen) >= 1
+        assert sum(tel.latency_s for tel in seen) > 0
         assert result.provisioner_name == "hourglass"
 
     def test_private_service_follows_the_context_market(self, setup):

@@ -127,3 +127,17 @@ class TestScalarTwins:
         assert_same(want, resumed(ScalarEngine, graph, scalar, partitioning, saves))
         # Resuming changes nothing: the chain carries the whole state.
         assert_same(want, straight(PregelEngine, graph, dense(graph), partitioning))
+
+
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_in_degree_resumed_past_its_last_working_superstep(workers):
+    """In-degree works in supersteps 0 and 1 only: a chain saved at 1 and
+    2 restores an engine with nothing left to run, which must halt at 2
+    like the straight run, not run an empty third superstep."""
+    graph = rmat()
+    partitioning = HashPartitioner().partition(graph, workers)
+    saves = (1, 2)
+    want = resumed(PregelEngine, graph, lambda g: InDegree(), partitioning, saves)
+    assert (want.supersteps_run, len(want.stats)) == (2, 2)
+    assert_same(want, resumed(ScalarEngine, graph, lambda g: ScalarInDegree(), partitioning, saves))
+    assert_same(want, straight(PregelEngine, graph, InDegree(), partitioning))
