@@ -264,6 +264,24 @@ class TestPartialObservers:
         assert observed == unobserved
         assert observer.starts == [observed.release_time]
 
+    def test_finish_only_observer_leaves_run_bit_identical(
+        self, small_market, catalog, pinned_config
+    ):
+        # ``on_finish`` is not a lifecycle hook: an observer written for
+        # it is never called and does not perturb the run.
+        class FinishOnly:
+            def __init__(self):
+                self.results = []
+
+            def on_finish(self, t, result):
+                self.results.append(result)
+
+        observer = FinishOnly()
+        observed = run_pinned(small_market, catalog, pinned_config, (observer,))
+        unobserved = run_pinned(small_market, catalog, pinned_config, ())
+        assert observed == unobserved
+        assert observer.results == []
+
     def test_setup_only_observer_perturbation_takes_effect(
         self, small_market, catalog, pinned_config
     ):

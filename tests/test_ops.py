@@ -31,6 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cloud import default_catalog
+from repro.exec import EvictionStormFaults
 from repro.load.__main__ import main as load_main
 from repro.load.harness import HarnessConfig, LoadHarness
 from repro.load.trace import LoadTraceConfig, generate_trace
@@ -48,6 +50,7 @@ from repro.obs.slo import (
 )
 from repro.obs.window import DEFAULT_WINDOWS, Frame, Record, RecordLog, percentile
 from tests import window_oracle as oracle
+from tests.test_observer_dispatch import run_pinned
 
 
 def _run(t, outcome="met", dollars=0.0):
@@ -543,6 +546,34 @@ class TestCostLedger:
         ledger.record_run("a", _result(), 0.0, 0.0)
         assert before.runs == 1
         assert ledger.snapshot()["a"].runs == 2
+
+
+# ----------------------------------------------------------------------
+# Live billing under observers
+# ----------------------------------------------------------------------
+class TestLiveBilling:
+    def test_partial_observer_is_tolerated(self, small_market):
+        # The lifecycle bus must skip hooks an observer does not define
+        # (duck-typed plug-ins only implement what they care about): an
+        # evicted run watched by a start-only observer is billed exactly
+        # as the same run without it.
+        started = []
+
+        class StartOnly:
+            def on_run_start(self, t):
+                started.append(t)
+
+        catalog = tuple(default_catalog())
+        config = [c for c in catalog if c.is_transient][0]
+
+        def faults():
+            return EvictionStormFaults(uptime_seconds=900.0, max_evictions=2)
+
+        watched = run_pinned(small_market, catalog, config, (faults(), StartOnly()))
+        plain = run_pinned(small_market, catalog, config, (faults(),))
+        assert watched.evictions >= 1
+        assert started == [watched.release_time]
+        assert watched == plain
 
 
 # ----------------------------------------------------------------------
