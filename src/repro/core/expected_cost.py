@@ -462,29 +462,6 @@ class ApproximateCostEstimator(_EstimatorBase):
         self._memo[key] = cost
         return cost
 
-    def cost_at_slack(
-        self,
-        config: Configuration,
-        slack: float,
-        t: float,
-        work_left: float,
-        running: bool = False,
-        rates=None,
-    ) -> float:
-        """Expected cost of one configuration at an explicit slack value.
-
-        The single-config companion to :meth:`best_at_slack`: same
-        memo buckets, same snapshot discipline.  With ``running=True``
-        the configuration's setup is already paid (the "stay" arm of a
-        rescale comparison); with ``running=False`` the cost includes
-        the move onto it.  Infinity means the configuration cannot meet
-        the deadline from this state.
-        """
-        self._ensure_cfg(config)  # before the snapshot, so it is priced
-        self.snapshot(t, rates)
-        with self._evaluation_guard():
-            return self._cost_at_slack(config, slack, work_left, running)
-
     def best_at_slack(
         self,
         slack: float,

@@ -61,7 +61,7 @@ class PhaseModel:
         total_work = sum(p.work for p in phases)
         norm = [Phase(work=p.work / total_work, speed=p.speed) for p in phases]
         raw_total_time = sum(p.work / p.speed for p in norm)
-        # Rescale speeds so the total normalised time is exactly 1.
+        # Scale speeds so the total normalised time is exactly 1.
         self.phases = tuple(
             Phase(work=p.work, speed=p.speed * raw_total_time) for p in norm
         )

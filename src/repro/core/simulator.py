@@ -136,6 +136,5 @@ class ExecutionSimulator:
             record_events=self.record_events,
             ckpt_interval_scale=self.ckpt_interval_scale,
             observers=self.observers,
-            rescale_policy=getattr(self.provisioner, "rescale_policy", None),
         )
         return lifecycle.run(job.release_time, job.deadline)

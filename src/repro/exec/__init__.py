@@ -13,7 +13,7 @@ from repro.exec.errors import (
     HorizonError,
     StepBudgetError,
 )
-from repro.exec.events import LifecycleEvent, RescaleRecord, RunResult
+from repro.exec.events import LifecycleEvent, RunResult
 from repro.exec.faults import (
     DatastoreWriteFaults,
     EvictionStormFaults,
@@ -28,11 +28,6 @@ from repro.exec.lifecycle import MAX_STEPS, ExecutionLifecycle
 from repro.exec.observers import (
     CheckpointWritePlan,
     LifecycleObserver,
-)
-from repro.exec.rescale import (
-    RescaleContext,
-    RescaleDecision,
-    RescalePolicy,
 )
 from repro.exec.workmodel import (
     WORK_EPS,
@@ -55,10 +50,6 @@ __all__ = [
     "LifecycleEvent",
     "LifecycleObserver",
     "MAX_STEPS",
-    "RescaleContext",
-    "RescaleDecision",
-    "RescalePolicy",
-    "RescaleRecord",
     "RunResult",
     "frontier_for_app",
     "SegmentPlan",

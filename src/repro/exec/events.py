@@ -18,7 +18,7 @@ class LifecycleEvent:
     Attributes:
         t: simulated time of the event.
         kind: deploy | eviction | checkpoint | checkpoint-failed |
-            forced-lrc | rescale | finish.
+            forced-lrc | finish.
         config: name of the active configuration ("-" when none).
         work_left: outstanding work fraction at the event.
         cost_so_far: cumulative bill at the event.
@@ -31,34 +31,6 @@ class LifecycleEvent:
     work_left: float
     cost_so_far: float
     superstep: int = 0
-
-
-@dataclass(frozen=True)
-class RescaleRecord:
-    """One planned mid-job reconfiguration carried out by the lifecycle.
-
-    Attributes:
-        t: decision time (the checkpoint boundary the move fired at).
-        from_config / to_config: configuration names either side.
-        action: shrink | grow | move (worker-count direction).
-        frontier: active-vertex fraction the decision was made at.
-        work_left: reported work fraction at the decision.
-        superstep: engine superstep counter at the decision.
-        stay_cost / target_cost: the policy's expected-cost comparison
-            (NaN for policies without a cost model).
-        reload_seconds: setup + restore seconds the move actually paid.
-    """
-
-    t: float
-    from_config: str
-    to_config: str
-    action: str
-    frontier: float
-    work_left: float
-    superstep: int = 0
-    stay_cost: float = float("nan")
-    target_cost: float = float("nan")
-    reload_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -79,9 +51,6 @@ class RunResult:
         provisioner_name: the strategy that drove the run.
         values: the computed vertex values (engine-backed runs only).
         supersteps: engine supersteps executed (engine-backed runs only).
-        rescales: planned reconfigurations carried out (not evictions).
-        rescale_seconds: setup + reload seconds spent on planned moves.
-        rescale_records: per-move :class:`RescaleRecord` details.
     """
 
     cost: float
@@ -97,9 +66,6 @@ class RunResult:
     provisioner_name: str
     values: dict | None = None
     supersteps: int = 0
-    rescales: int = 0
-    rescale_seconds: float = 0.0
-    rescale_records: tuple = ()
 
     @property
     def missed_deadline(self) -> bool:

@@ -23,7 +23,6 @@ the result's ``events``.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from repro.cloud.market import SpotMarket
 from repro.core.ckpt_policy import daly_interval
@@ -31,9 +30,8 @@ from repro.core.provisioner import Provisioner, ProvisioningContext
 from repro.core.slack import SlackModel
 from repro.exec.billing import BillingMeter
 from repro.exec.errors import ExecutionError, HorizonError, StepBudgetError
-from repro.exec.events import LifecycleEvent, RescaleRecord, RunResult
+from repro.exec.events import LifecycleEvent, RunResult
 from repro.exec.observers import CheckpointWritePlan
-from repro.exec.rescale import RescaleContext, rescale_action
 from repro.exec.workmodel import WorkModel
 
 #: Decision-loop iteration cap — a runaway-strategy backstop.
@@ -55,12 +53,6 @@ class ExecutionLifecycle:
             (ablations sweep it; 1.0 = the paper's optimum).
         observers: :class:`LifecycleObserver` plug-ins, applied in
             order.
-        rescale_policy: optional :class:`~repro.exec.rescale.RescalePolicy`
-            evaluated after every persisted checkpoint; a returned
-            decision forces a planned redeployment onto its target
-            (distinct from evictions — no progress is lost, the move
-            restores the checkpoint that just landed).  None (default)
-            keeps the loop bit-identical to the reactive-only behaviour.
     """
 
     def __init__(
@@ -73,7 +65,6 @@ class ExecutionLifecycle:
         record_events: bool = True,
         ckpt_interval_scale: float = 1.0,
         observers=(),
-        rescale_policy=None,
     ):
         if ckpt_interval_scale <= 0:
             raise ValueError("ckpt_interval_scale must be positive")
@@ -85,7 +76,6 @@ class ExecutionLifecycle:
         self.record_events = record_events
         self.ckpt_interval_scale = ckpt_interval_scale
         self.observers = tuple(observers)
-        self.rescale_policy = rescale_policy
 
     # ------------------------------------------------------------------
     def run(self, release_time: float, deadline: float) -> RunResult:
@@ -93,8 +83,6 @@ class ExecutionLifecycle:
         model = self.work_model
         slack_model = SlackModel(perf=model.perf, lrc=self.lrc, deadline=deadline)
         self.provisioner.reset()
-        if self.rescale_policy is not None:
-            self.rescale_policy.reset()
         model.start()
         meter = BillingMeter(self.market)
 
@@ -104,11 +92,6 @@ class ExecutionLifecycle:
         eviction_at: float | None = None
         evictions = deployments = checkpoints = 0
         checkpoint_index = 0
-        rescales = 0
-        rescale_seconds = 0.0
-        rescale_records: list[RescaleRecord] = []
-        forced_choice = None
-        pending_rescale = None
         events: list[LifecycleEvent] = []
 
         def record(kind: str, at: float) -> None:
@@ -142,12 +125,7 @@ class ExecutionLifecycle:
             if model.finished():
                 break
             self._check_horizon(t)
-            if forced_choice is not None:
-                # A planned rescale pins the next deployment; the
-                # provisioner is not re-consulted for this move.
-                choice, forced_choice = forced_choice, None
-            else:
-                choice = self.provisioner.select(make_ctx())
+            choice = self.provisioner.select(make_ctx())
 
             if config is None or choice != config:
                 # (Re)deploy: pay boot + load before any useful work.
@@ -169,29 +147,11 @@ class ExecutionLifecycle:
                     evictions += 1
                     model.on_deploy_evicted()
                     record("eviction", t)
-                    if pending_rescale is not None:
-                        # The planned move's target was evicted during
-                        # setup; account what the doomed boot cost and
-                        # fall back to a fresh provisioner decision.
-                        paid = t - machine_start
-                        rescale_seconds += paid
-                        rescale_records.append(
-                            replace(pending_rescale, reload_seconds=paid)
-                        )
-                        pending_rescale = None
                     config = None
                     continue
                 meter.bill(config, t, t + setup)
                 t += setup
                 model.on_deployed(config, t)
-                if pending_rescale is not None:
-                    # The move completed: its cost is the setup (boot +
-                    # micro-partition reload + checkpoint restore).
-                    rescale_seconds += setup
-                    rescale_records.append(
-                        replace(pending_rescale, reload_seconds=setup)
-                    )
-                    pending_rescale = None
 
             # One execution segment on the current configuration: run
             # until the Daly checkpoint is due, the strategy's segment
@@ -258,43 +218,6 @@ class ExecutionLifecycle:
                 record("checkpoint", t)
             else:
                 record("checkpoint-failed", t)
-
-            if self.rescale_policy is not None and write.success:
-                # Planned reconfiguration decision point: a consistent
-                # state just persisted, so a move from here loses no
-                # progress — it redeploys onto the new configuration and
-                # restores the checkpoint that just landed.
-                decision = self.rescale_policy.evaluate(
-                    RescaleContext(
-                        t=t,
-                        config=config,
-                        uptime=t - machine_start,
-                        work_left=model.reported_work_left(),
-                        frontier=model.frontier(),
-                        slack_model=slack_model,
-                        market=self.market,
-                        catalog=self.catalog,
-                        superstep=model.superstep,
-                    )
-                )
-                if decision is not None and decision.target != config:
-                    rescales += 1
-                    record("rescale", t)
-                    model.on_rescale(t, config, decision.target)
-                    pending_rescale = RescaleRecord(
-                        t=t,
-                        from_config=config.name,
-                        to_config=decision.target.name,
-                        action=decision.action
-                        or rescale_action(config, decision.target),
-                        frontier=decision.frontier,
-                        work_left=model.reported_work_left(),
-                        superstep=model.superstep,
-                        stay_cost=decision.stay_cost,
-                        target_cost=decision.target_cost,
-                    )
-                    forced_choice = decision.target
-                    config = None
         else:
             raise StepBudgetError("execution exceeded the step budget")
 
@@ -314,9 +237,6 @@ class ExecutionLifecycle:
             provisioner_name=self.provisioner.name,
             values=model.final_values(),
             supersteps=model.superstep,
-            rescales=rescales,
-            rescale_seconds=rescale_seconds,
-            rescale_records=tuple(rescale_records),
         )
 
     # ------------------------------------------------------------------

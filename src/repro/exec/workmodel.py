@@ -108,20 +108,13 @@ class WorkModel(abc.ABC):
     def frontier(self) -> float:
         """Active-vertex fraction in (0, 1] at the current progress.
 
-        The frontier signal drives planned rescaling: engine-backed
-        models measure it from live superstep statistics, analytic
-        models replay a :class:`~repro.exec.frontier.FrontierCurve`.
+        Engine-backed models measure it from live superstep statistics,
+        analytic models replay a :class:`~repro.exec.frontier.FrontierCurve`;
+        it reaches the provisioner as ``ProvisioningContext.frontier``.
         Models without a frontier notion report 1.0 (every vertex
         active), which keeps all frontier-aware machinery inert.
         """
         return 1.0
-
-    def on_rescale(self, t: float, from_config, to_config) -> None:
-        """A planned reconfiguration was decided at time *t*.
-
-        Called before the forced redeploy; engine-backed models use it
-        to meter the fast-reload cost of the upcoming restore.
-        """
 
     def final_values(self) -> dict | None:
         """Computed vertex values (engine-backed models only)."""

@@ -59,9 +59,6 @@ class CellResult:
     simulations: int
     mean_evictions: float
     mean_deployments: float
-    mean_rescales: float
-    mean_shrinks: float
-    mean_rescale_seconds: float
 
     def as_row(self) -> dict:
         """Flatten to a plain dict for tabular reports."""
@@ -73,9 +70,6 @@ class CellResult:
             "missed%": round(self.missed_percent, 1),
             "sims": self.simulations,
             "evictions/run": round(self.mean_evictions, 2),
-            "rescales/run": round(self.mean_rescales, 2),
-            "shrinks/run": round(self.mean_shrinks, 2),
-            "rescale_s/run": round(self.mean_rescale_seconds, 1),
         }
 
 
@@ -290,8 +284,7 @@ def _sweep_cell(setup: ExperimentSetup, task: SweepTask) -> CellResult:
     n = task.num_simulations
     starts = setup.start_times(n, budget, seed_key=seed_key)
     costs = np.empty(n)
-    missed = evictions = deployments = rescales = shrinks = 0
-    rescale_seconds = 0.0
+    missed = evictions = deployments = 0
     for i, start in enumerate(starts):
         job = job_with_slack(task.profile, float(start), task.slack_fraction, deadline_fixed)
         result = sim.run(job)
@@ -299,9 +292,6 @@ def _sweep_cell(setup: ExperimentSetup, task: SweepTask) -> CellResult:
         missed += result.missed_deadline
         evictions += result.evictions
         deployments += result.deployments
-        rescales += result.rescales
-        shrinks += sum(1 for r in result.rescale_records if r.action == "shrink")
-        rescale_seconds += result.rescale_seconds
     return CellResult(
         strategy=provisioner.name if task.label is None else task.label,
         app=task.profile.name,
@@ -311,9 +301,6 @@ def _sweep_cell(setup: ExperimentSetup, task: SweepTask) -> CellResult:
         simulations=n,
         mean_evictions=evictions / n,
         mean_deployments=deployments / n,
-        mean_rescales=rescales / n,
-        mean_shrinks=shrinks / n,
-        mean_rescale_seconds=rescale_seconds / n,
     )
 
 

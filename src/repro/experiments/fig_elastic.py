@@ -1,33 +1,28 @@
-"""Elastic-vs-static sweep: mid-job rescaling on a collapsing frontier.
+"""Frontier-aware accounting sweep: the planner sees a collapsing frontier.
 
 SSSP's active-vertex frontier starts near 1 and collapses in the late
-supersteps (:data:`repro.exec.frontier.APP_FRONTIERS`).  A static plan
-sized for the early frontier keeps paying for workers the late
-supersteps cannot use.  This sweep runs the same market, job and phase
-physics under two planning regimes:
+supersteps (:data:`repro.exec.frontier.APP_FRONTIERS`).  A plan sized
+for the early frontier keeps paying for workers the late supersteps
+cannot use.  This sweep runs the same market, job and phase physics
+under two work-accounting regimes of the stock ``hourglass`` strategy:
 
-* **static** — the stock ``hourglass`` strategy with *raw* work
-  accounting: the planner sees the naive work fraction and never the
-  frontier, i.e. today's frontier-oblivious deployment.
-* **elastic** — the ``elastic`` strategy: frontier-scaled work
-  accounting plus the planned-rescale policy evaluated at checkpoint
-  boundaries (shrink when the remaining frontier no longer needs the
-  width, re-planned through the slack-space DP so a move that would
-  endanger the deadline is rejected).
+* **hourglass/raw** — the planner sees the naive work fraction and never
+  the frontier, i.e. a frontier-oblivious deployment.
+* **hourglass/time** — the planner sees the remaining *time* fraction of
+  the frontier-derived :class:`~repro.core.phases.PhaseModel`, so the
+  work it has left tightens as the frontier shrinks and a smaller
+  configuration that finishes the tail in time becomes the argmin at the
+  next decision point.
 
-Both arms execute the identical frontier-derived
-:class:`~repro.core.phases.PhaseModel`, so the *physics* of every run
-match and the cost difference is attributable to planning: the frontier
-signal plus the mid-job moves it licenses.  Expected shape: elastic
-never misses a deadline (moves are DP-vetted) and its normalised cost
-drops measurably below static, with the shrink count rising as slack
-grows (more room for conservative late-job moves).
+Both arms execute the identical phase model and share start times
+(common random numbers), so the cost difference is attributable to the
+frontier signal alone.  Expected shape: the time arm never misses a
+deadline and costs no more than the raw arm at every slack.
 """
 
 from __future__ import annotations
 
 from repro.core.job import SSSP_PROFILE
-from repro.core.perfmodel import RELOAD_MICRO
 from repro.core.phases import ACCOUNT_RAW, ACCOUNT_TIME
 from repro.exec.frontier import frontier_for_app
 from repro.experiments.common import (
@@ -43,11 +38,11 @@ DEFAULT_SLACKS = (0.2, 0.4, 0.6, 0.8, 1.0)
 #: Dataset scale for the sweep's SSSP job.  The repo-scale profile
 #: finishes inside one checkpoint interval (~3 simulated minutes), so a
 #: mid-job decision point never arrives; scaling emulates a large-graph
-#: run (hours) where checkpoints — and therefore planned moves — exist.
+#: run (hours) where checkpoints — and therefore re-planning — exist.
 DEFAULT_SCALE = 32.0
 
-#: (strategy name, work accounting) per arm — same physics otherwise.
-ARMS = (("hourglass", ACCOUNT_RAW), ("elastic", ACCOUNT_TIME))
+#: (row label, work accounting) per arm — same strategy and physics.
+ARMS = (("hourglass/raw", ACCOUNT_RAW), ("hourglass/time", ACCOUNT_TIME))
 
 
 def run(
@@ -56,7 +51,7 @@ def run(
     num_simulations: int = 10,
     scale: float = DEFAULT_SCALE,
 ) -> list[CellResult]:
-    """Run the elastic-vs-static grid; one cell per (slack, arm).
+    """Run the raw-vs-time grid; one cell per (slack, arm).
 
     Deadline and baseline come from the conventional stack, identical
     for both arms as in Fig 5.
@@ -66,15 +61,14 @@ def run(
     curve = frontier_for_app(SSSP_PROFILE.name)
     tasks = [
         SweepTask(
-            profile, slack, strategy, num_simulations,
-            # Explicit: the micro default only covers hourglass* names.
-            reload_mode=RELOAD_MICRO,
+            profile, slack, "hourglass", num_simulations,
+            label=label,
             seed_key=f"elastic-{profile.name}-{slack}",
             work_accounting=accounting,
             frontier_curve=curve,
         )
         for slack in slacks
-        for strategy, accounting in ARMS
+        for label, accounting in ARMS
     ]
     return run_sweep_tasks(setup, tasks)
 
@@ -84,41 +78,34 @@ def render(results) -> str:
     rows = [r.as_row() for r in results]
     return format_table(
         rows,
-        columns=[
-            "slack%",
-            "strategy",
-            "norm_cost",
-            "missed%",
-            "rescales/run",
-            "shrinks/run",
-            "rescale_s/run",
-        ],
-        title="Elastic rescaling — sssp: planned mid-job moves vs static",
+        columns=["slack%", "strategy", "norm_cost", "missed%"],
+        title="Frontier-aware accounting — sssp: time vs raw work accounting",
     )
 
 
 def check_invariants(results) -> list[str]:
     """Cross-cell claims (empty list = all hold).
 
-    * the elastic arm never misses a deadline (every move is DP-vetted);
-    * averaged over the sweep, elastic is no more expensive than static
-      (the frontier signal plus planned shrinks must pay for the moves).
+    * the time arm never misses a deadline;
+    * at every slack, the time arm costs no more than the raw arm.
     """
     problems = []
+    raw = {
+        r.slack_percent: r.normalized_cost
+        for r in results
+        if r.strategy == "hourglass/raw"
+    }
     for r in results:
-        if r.strategy == "elastic" and r.missed_percent > 0:
+        if r.strategy != "hourglass/time":
+            continue
+        if r.missed_percent > 0:
             problems.append(
-                f"elastic missed {r.missed_percent:.0f}% at {r.slack_percent}% slack"
+                f"hourglass/time missed {r.missed_percent:.0f}% at {r.slack_percent}% slack"
             )
-    by_arm: dict[str, list[float]] = {}
-    for r in results:
-        by_arm.setdefault(r.strategy, []).append(r.normalized_cost)
-    if "elastic" in by_arm and "hourglass" in by_arm:
-        elastic = sum(by_arm["elastic"]) / len(by_arm["elastic"])
-        static = sum(by_arm["hourglass"]) / len(by_arm["hourglass"])
-        if elastic > static:
+        if r.slack_percent in raw and r.normalized_cost > raw[r.slack_percent]:
             problems.append(
-                f"elastic mean norm_cost {elastic:.3f} exceeds static {static:.3f}"
+                f"hourglass/time norm_cost {r.normalized_cost:.3f} exceeds raw "
+                f"{raw[r.slack_percent]:.3f} at {r.slack_percent}% slack"
             )
     return problems
 

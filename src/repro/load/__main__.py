@@ -17,12 +17,6 @@ autoscaler both powered up and powered down.  In frontend mode the
 process also verifies the no-silent-drop invariant: every offered job
 must resolve to exactly one outcome.
 
-``--strategy elastic`` plans mid-job rescaling on the active-vertex
-frontier and executes with per-app frontier-decay curves;
-``--require-rescale`` makes the run degenerate unless at least one
-planned shrink landed and no executed run missed its deadline (the CI
-elastic smoke gate).
-
 ``--watch SECONDS`` turns the run into an observable one.  Every
 one-shot outcome is a record in the harness's log, stamped with its
 *simulated* instant; at every planning-window tick of the simulated
@@ -115,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S1,S2,...",
         help="graph-size scale factors for the trace (default: the "
         "generator's 0.25,0.5,1.0; large scales give jobs long enough "
-        "to checkpoint — and, with --strategy elastic, to rescale)",
+        "to checkpoint)",
     )
     parser.add_argument(
         "--slack-range",
@@ -140,12 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--queue-limit", type=int, default=256, help="admission backlog bound"
     )
-    parser.add_argument(
-        "--strategy",
-        default="hourglass",
-        help="planning strategy ('elastic' adds frontier-decay curves and "
-        "planned mid-job rescaling)",
-    )
+    parser.add_argument("--strategy", default="hourglass", help="planning strategy")
     parser.add_argument("--trace-days", type=int, default=14)
     parser.add_argument(
         "--recurring-tenants", type=int, default=4, help="interleaved recurring phase"
@@ -179,12 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--require-scaling",
         action="store_true",
         help="frontend mode: fail unless the pool scaled up AND back down",
-    )
-    parser.add_argument(
-        "--require-rescale",
-        action="store_true",
-        help="elastic strategy: fail unless >= 1 planned shrink landed and "
-        "no executed run missed its deadline",
     )
     parser.add_argument(
         "--watch",
@@ -297,11 +280,6 @@ def main(argv=None) -> int:
                 problems.append("autoscaler never scaled up")
             if report.pool_scale_downs == 0:
                 problems.append("autoscaler never scaled down")
-    if args.require_rescale:
-        if report.rescale_shrinks == 0:
-            problems.append("no planned shrink landed")
-        if report.missed > 0:
-            problems.append(f"{report.missed} executed runs missed their deadline")
     if problems:
         print(f"DEGENERATE RUN: {'; '.join(problems)}", file=sys.stderr)
         return 1

@@ -60,7 +60,6 @@ from repro.core.recurring import (
 from repro.core.simulator import ExecutionSimulator
 from repro.core.slack import SlackModel
 from repro.exec.events import RunResult
-from repro.exec.frontier import frontier_for_app
 from repro.experiments.common import ExperimentSetup
 from repro.load.admission import AdmissionController
 from repro.load.report import LoadReport
@@ -80,6 +79,7 @@ from repro.service.frontend import (
 )
 from repro.service.planning import PlanError, PlanningService, PlanRequest, PlanResult
 from repro.service.pool import PoolConfig
+from repro.service.strategies import SERVICE_STRATEGIES
 from repro.utils.rng import derive_rng
 from repro.utils.units import HOURS
 
@@ -100,11 +100,10 @@ class _OutcomeSink:
 
     JOB_OUTCOMES = ("planned", "rejected_overload", "rejected_invalid", "deadline_lost")
 
-    def __init__(self, metrics, ledger, elastic: bool, log: RecordLog):
+    def __init__(self, metrics, ledger, log: RecordLog):
         mx = metrics
         self.ledger = ledger
         self.log = log
-        self.elastic = elastic
         self.frontend_stats = None  # set by the frontend planner
         self.offered = 0
         self.jobs = dict.fromkeys(self.JOB_OUTCOMES, 0)
@@ -118,9 +117,6 @@ class _OutcomeSink:
         self.provider_idle = 0.0
         self.user_cost = 0.0
         self.service_time = 0.0
-        self.rescales = 0
-        self.rescale_shrinks = 0
-        self.rescale_seconds = 0.0
 
         self._jobs = mx.counter("load_jobs_total", "Trace jobs by admission outcome")
         self._runs = {
@@ -162,17 +158,6 @@ class _OutcomeSink:
         for counter in (self._idle, self._dollars, self._service_time):
             counter.inc(0)
         self._queue_peak.set(0)
-        if elastic:
-            self._rescales = mx.counter(
-                "load_rescales_total", "Planned mid-job rescales across executed runs"
-            )
-            for action in ("shrink", "other"):
-                self._rescales.inc(0, action=action)
-            self._rescale_seconds = mx.counter(
-                "load_rescale_seconds_total",
-                "Simulated reload seconds paid for planned rescales",
-            )
-            self._rescale_seconds.inc(0)
 
     # -- admission / planning ------------------------------------------
     def job(self, outcome: str, t: float, n: int = 1) -> None:
@@ -226,14 +211,6 @@ class _OutcomeSink:
         self._idle.inc(idle)
         self._dollars.inc(result.cost)
         self._service_time.inc(span)
-        if self.elastic:
-            shrinks = sum(1 for r in result.rescale_records if r.action == "shrink")
-            self.rescales += result.rescales
-            self.rescale_shrinks += shrinks
-            self.rescale_seconds += result.rescale_seconds
-            self._rescales.inc(shrinks, action="shrink")
-            self._rescales.inc(result.rescales - shrinks, action="other")
-            self._rescale_seconds.inc(result.rescale_seconds)
         if self.ledger is not None:
             self.ledger.record_run(tenant, result, idle, span)
 
@@ -317,10 +294,6 @@ class _OutcomeSink:
             provider_idle_machine_s=self.provider_idle,
             user_cost_dollars=self.user_cost,
             service_time_s=self.service_time,
-            elastic=self.elastic,
-            rescales=self.rescales,
-            rescale_shrinks=self.rescale_shrinks,
-            rescale_seconds=self.rescale_seconds,
             **frontend,
         )
 
@@ -336,11 +309,7 @@ class HarnessConfig:
         capacity_per_window: service capacity per window (requests the
             admission layer releases into one ``plan_many`` batch).
         queue_limit: admission backlog bound; beyond it, tail-drop.
-        strategy: planning strategy for every job.  A strategy that
-            owns a ``rescale_policy`` (``"elastic"``) executes with the
-            app's canonical frontier-decay curve and the report gains
-            the ``rescale_*`` section; any other strategy's fingerprint
-            is byte-identical to pre-elastic reports.
+        strategy: planning strategy for every job.
         execute: run planned jobs through the simulator (False = plan
             only; deadline/cost sections of the report stay zero).
         trace_days: market-trace length backing the run.
@@ -390,6 +359,10 @@ class HarnessConfig:
             raise ValueError("frontend_max_workers must be >= frontend_min_workers")
         if self.time_scale < 0:
             raise ValueError("time_scale must be >= 0 (0 disables pacing)")
+        if self.strategy not in SERVICE_STRATEGIES:
+            raise ValueError(
+                f"unknown strategy {self.strategy!r}; known: {sorted(SERVICE_STRATEGIES)}"
+            )
 
 
 class LoadHarness:
@@ -423,10 +396,6 @@ class LoadHarness:
             seed=config.trace.seed, trace_days=config.trace_days
         )
         self.service = PlanningService(self.setup.market)
-        # The attribute ExecutionSimulator.run keys planned rescaling on.
-        self._elastic = hasattr(
-            self.service.provisioner(config.strategy), "rescale_policy"
-        )
         self._models: dict[tuple[str, float], tuple] = {}
         self._simulators: dict[tuple[str, float], ExecutionSimulator] = {}
         self._recurring_apps: dict[str, tuple[str, float]] = {}
@@ -474,7 +443,6 @@ class LoadHarness:
                 self.config.strategy,
                 record_events=False,
                 service=self.service,
-                frontier_curve=frontier_for_app(app) if self._elastic else None,
             )
         return sim
 
@@ -535,7 +503,7 @@ class LoadHarness:
                 " raise trace_days or shrink the trace"
             )
 
-        sink = _OutcomeSink(self.metrics, self.ledger, self._elastic, self.log)
+        sink = _OutcomeSink(self.metrics, self.ledger, self.log)
         planner = self._plan_frontend if cfg.frontend else self._plan_windowed
         # Executor.  The planners are lazy, so on the windowed path a
         # window's jobs execute before the next window is planned.

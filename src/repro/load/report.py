@@ -89,13 +89,6 @@ class LoadReport:
     user_cost_dollars: float
     service_time_s: float
 
-    # Elastic-rescaling outcomes (deterministic; see fingerprint() for
-    # the disabled-mode back-compat rule).
-    elastic: bool = False
-    rescales: int = 0
-    rescale_shrinks: int = 0
-    rescale_seconds: float = 0.0
-
     # Frontend / planner-pool behaviour (wall-clock-dependent: how many
     # requests coalesced and how the pool scaled depend on real-time
     # interleaving, so none of these join the fingerprint).
@@ -150,13 +143,6 @@ class LoadReport:
             for k, v in asdict(self).items()
             if not k.endswith("_ms") and k not in excluded
         }
-        # Back-compat: with elasticity off and no rescales anywhere, the
-        # payload (and so the fingerprint) is byte-identical to the
-        # pre-elasticity report schema.
-        elastic_keys = ("elastic", "rescales", "rescale_shrinks", "rescale_seconds")
-        if not any(payload[k] for k in elastic_keys):
-            for k in elastic_keys:
-                payload.pop(k)
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -232,21 +218,6 @@ class LoadReport:
                 ],
                 title="Recurring tenants (interleaved)",
             ),
-            format_table(
-                [
-                    {
-                        "rescales": self.rescales,
-                        "shrinks": self.rescale_shrinks,
-                        "rescale_s": round(self.rescale_seconds, 1),
-                        "per_run": round(self.rescales / self.executed, 2)
-                        if self.executed
-                        else 0.0,
-                    }
-                ],
-                title="Elastic rescaling (planned moves)",
-            )
-            if self.elastic
-            else None,
             format_table(
                 [
                     {

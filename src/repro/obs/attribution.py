@@ -3,7 +3,7 @@
 The write-side instrumentation already measures everything a bill needs
 — :class:`~repro.exec.billing.BillingMeter` integrates the market price
 over every machine-second and the lifecycle returns that bill, with
-evictions and rescales, as one :class:`~repro.exec.events.RunResult` —
+its evictions, as one :class:`~repro.exec.events.RunResult` —
 but none of it is keyed by *tenant*.  :class:`CostLedger` is the join: a
 thread-safe table of :class:`TenantUsage` rows (dollars, spot/on-demand/
 idle machine-seconds, deadline compliance, service time) queryable at
@@ -40,7 +40,7 @@ class TenantUsage:
         idle_seconds: billed machine-seconds beyond ideal compute
             (the Granny provider-cost share this tenant caused).
         service_time_s: arrival-to-finish seconds summed over runs.
-        evictions / rescales: lifecycle events suffered / planned.
+        evictions: evictions suffered across the runs.
     """
 
     tenant: str
@@ -52,7 +52,6 @@ class TenantUsage:
     idle_seconds: float = 0.0
     service_time_s: float = 0.0
     evictions: int = 0
-    rescales: int = 0
 
     @property
     def machine_seconds(self) -> float:
@@ -76,7 +75,6 @@ class TenantUsage:
             "idle_seconds": round(self.idle_seconds, 3),
             "service_time_s": round(self.service_time_s, 3),
             "evictions": self.evictions,
-            "rescales": self.rescales,
         }
 
 
@@ -118,7 +116,6 @@ class CostLedger:
                 idle_seconds=usage.idle_seconds + idle_s,
                 service_time_s=usage.service_time_s + service_s,
                 evictions=usage.evictions + result.evictions,
-                rescales=usage.rescales + result.rescales,
             )
         if self.metrics is None:
             return
@@ -163,7 +160,6 @@ class CostLedger:
                 idle_seconds=total.idle_seconds + usage.idle_seconds,
                 service_time_s=total.service_time_s + usage.service_time_s,
                 evictions=total.evictions + usage.evictions,
-                rescales=total.rescales + usage.rescales,
             )
         return total
 

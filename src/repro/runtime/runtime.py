@@ -146,6 +146,5 @@ class HourglassRuntime:
             work_model=model,
             lrc=self.lrc,
             observers=self.observers,
-            rescale_policy=getattr(self.provisioner, "rescale_policy", None),
         )
         return lifecycle.run(release_time, deadline)

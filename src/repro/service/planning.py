@@ -66,12 +66,6 @@ from repro.core.warning import NO_WARNING, WarningPolicy
 #: keying memo is cleared past four times this many session tuples.
 SNAPSHOT_CAPACITY = 256
 
-#: Rescale hysteresis: a planned move must save more than this fraction
-#: of the stay cost (guards against churn on grid-cell noise).  A stay
-#: cost of infinity (the deadline is at risk on the current
-#: configuration) always moves.
-MIN_SAVING_FRACTION = 0.05
-
 
 class PlanError(ValueError):
     """A plan request failed service admission or strategy resolution."""
@@ -104,43 +98,6 @@ class PlanRequest:
     current_config: Configuration | None = None
     current_uptime: float = 0.0
     strategy: str = "hourglass"
-    slack_grid: float | None = None
-    work_grid: float | None = None
-
-
-@dataclass(frozen=True)
-class RescaleQuery:
-    """One elasticity question: is a planned move cheaper than staying?
-
-    Asked at checkpoint boundaries by the lifecycle's
-    :class:`~repro.exec.rescale.RescalePolicy` hook.  The answer reuses
-    the same slack-space DP and warm keyed estimator as
-    :class:`PlanRequest` — the "stay" arm is the current configuration
-    with its setup already paid (``running=True``), every other
-    candidate is charged its full move cost by the DP, so the comparison
-    is net of the reconfiguration.
-
-    Attributes:
-        slack_model: the job's deadline/performance binding.
-        catalog: candidate configurations (validated at admission).
-        t: decision time (the checkpoint boundary).
-        work_left: reported work fraction — frontier-tightened under
-            time accounting, which is what makes shrinking discoverable.
-        current_config: the running configuration (required: rescaling
-            is only defined for a live deployment).
-        current_uptime: how long the current deployment has been up.
-        frontier: measured active-vertex fraction at the decision.
-        slack_grid / work_grid: memo granularity override (pin these to
-            the job's planning grids so both queries share warm memo).
-    """
-
-    slack_model: SlackModel
-    catalog: tuple[Configuration, ...]
-    t: float
-    work_left: float
-    current_config: Configuration
-    current_uptime: float = 0.0
-    frontier: float = 1.0
     slack_grid: float | None = None
     work_grid: float | None = None
 
@@ -238,7 +195,6 @@ class PlanningService:
         # be priced, so ``_check_state`` rejects it up front.
         self._priced = (market.start, market.horizon)
         self._plans = 0
-        self._rescale_queries = 0
         self._batches = 0
         self._estimators_built = 0
         self._snapshot_hits = 0
@@ -247,7 +203,7 @@ class PlanningService:
     # ------------------------------------------------------------------
     # Admission and keying
     # ------------------------------------------------------------------
-    def _check_state(self, request: PlanRequest | RescaleQuery) -> None:
+    def _check_state(self, request: PlanRequest) -> None:
         """Reject a decision state no strategy can plan from.
 
         Raises:
@@ -333,13 +289,11 @@ class PlanningService:
         )
 
     def _keyed(
-        self, request: PlanRequest | RescaleQuery
+        self, request: PlanRequest
     ) -> tuple[tuple[Configuration, ...], tuple[float, float], tuple]:
         """Admit *request* and resolve ``(catalog, grids, estimator key)``.
 
-        The one keying path of the service; *request* is a
-        :class:`PlanRequest` or a :class:`RescaleQuery` (both carry the
-        slack model, catalogue, decision state and grid overrides).
+        The one keying path of the service.
 
         Admission, grid validation and the catalogue-wide timing walk
         depend only on the session objects a job keeps for its lifetime
@@ -506,11 +460,10 @@ class PlanningService:
         self,
         entry: _EstimatorEntry,
         warm: bool,
-        request: PlanRequest | RescaleQuery,
+        request: PlanRequest,
         catalog: tuple[Configuration, ...],
         started: float,
         keyed_at: float,
-        snapshot=None,
     ) -> PlanResult:
         """Decide one keyed request and build its telemetry.
 
@@ -519,16 +472,9 @@ class PlanningService:
         admission and keying, so ``queue_wait_s`` is whatever passed
         between keying and this call (lock wait, earlier batch members)
         and ``latency_s`` is the request's own service time.
-
-        Args:
-            snapshot: a ``(rates, reused)`` pair the caller already took
-                from :meth:`_rates_for` at ``(catalog, request.t)``;
-                None = take it here.
         """
         service_started = time.perf_counter()
-        if snapshot is None:
-            snapshot = self._rates_for(catalog, request.t)
-        rates, snapshot_reused = snapshot
+        rates, snapshot_reused = self._rates_for(catalog, request.t)
         estimator = entry.estimator
         before = estimator.cache_stats()
         decision = estimator.best_at_slack(
@@ -567,70 +513,6 @@ class PlanningService:
         with entry.lock:
             result = self._decide(entry, warm, request, catalog, started, keyed_at)
         return self._publish(request, result)
-
-    def plan_rescale(self, query: RescaleQuery):
-        """Answer one :class:`RescaleQuery` with the slack-space DP.
-
-        Computes the expected cost of *staying* on the current
-        configuration (setup already paid) and the catalogue-wide
-        minimum — both against the same warm keyed estimator a
-        :class:`PlanRequest` for this job would hit, under one lock
-        acquisition and one rate snapshot.  Returns a
-        :class:`~repro.exec.rescale.RescaleDecision` when moving is
-        worth it (expected saving above the hysteresis threshold, or the
-        current configuration can no longer meet the deadline at all),
-        else None.  A candidate that would miss the deadline costs
-        infinity in the DP, so it can never be returned as a target.
-
-        Raises:
-            PlanError: admission failure or no current configuration.
-        """
-        from repro.exec.rescale import RescaleDecision, rescale_action
-
-        started = time.perf_counter()
-        catalog, grids, key = self._keyed(query)
-        if query.current_config is None:
-            raise PlanError("rescale query requires a running configuration")
-        with self._mutex:
-            self._rescale_queries += 1
-        entry, warm = self._entry_for(key, catalog, query.slack_model, grids)
-        # One snapshot lookup serves both arms: lookups are counted in
-        # ``service_stats`` (and so in load-report fingerprints).
-        snapshot = self._rates_for(catalog, query.t)
-        keyed_at = time.perf_counter()
-        with entry.lock:
-            stay = entry.estimator.cost_at_slack(
-                query.current_config,
-                query.slack_model.slack(query.t, query.work_left),
-                query.t,
-                query.work_left,
-                running=True,
-                rates=snapshot[0],
-            )
-            winner = self._decide(
-                entry, warm, query, catalog, started, keyed_at, snapshot
-            ).decision
-        decision = None
-        if winner.config != query.current_config and math.isfinite(
-            winner.expected_cost
-        ):
-            saving = stay - winner.expected_cost
-            forced = math.isinf(stay)
-            if forced or saving > MIN_SAVING_FRACTION * stay:
-                decision = RescaleDecision(
-                    target=winner.config,
-                    action=rescale_action(query.current_config, winner.config),
-                    stay_cost=stay,
-                    target_cost=winner.expected_cost,
-                    frontier=query.frontier,
-                    evaluated_at=query.t,
-                    reason=(
-                        "stay cannot meet the deadline"
-                        if forced
-                        else f"expected saving {saving:.4f} over stay {stay:.4f}"
-                    ),
-                )
-        return decision
 
     def _plan_baseline(self, request: PlanRequest, started: float) -> PlanResult:
         """Resolve a baseline strategy for one stateless decision.
@@ -784,7 +666,6 @@ class PlanningService:
         with self._mutex:
             return {
                 "plans": self._plans,
-                "rescale_queries": self._rescale_queries,
                 "batches": self._batches,
                 "estimators": len(self._entries),
                 "estimators_built": self._estimators_built,

@@ -33,7 +33,9 @@ failed, and the process exits 1 if that list is not empty.
     Runs every shipped entry point from the checkout, two at a time,
     under a ``sys.setprofile`` tracer installed in each Python process
     (:mod:`repro.reach`): the seven examples, ``repro.experiments
-    --quick`` over every figure, the three CI ``repro.load`` rows plus a
+    --quick`` over every figure, the two CI ``repro.load`` rows, a
+    baseline-strategy run of large-scale jobs (the ``--scales`` and
+    ``--slack-range`` options, baseline planning through the service), a
     ``--watch 600`` run, the two rows above, and the four bench
     workloads at ``--seconds 4 --trace 1``.
     Checks that every ``repro`` function none of them calls (declaration
@@ -254,9 +256,9 @@ def _entry_points(tmp: Path) -> list[list[list[str]]]:
         [
             [*load, "--out", str(tmp / "load")],
             [*load, "--frontend", "--workers", "1:6", "--require-scaling", "--out", str(tmp / "fe")],
-            ["-m", "repro.load", "--strategy", "elastic", "--require-rescale", "--jobs", "40",
-             "--seed", "42", "--scales", "16", "--slack-range", "0.6:1.0",
-             "--recurring-tenants", "0", "--trace-days", "30", "--out", str(tmp / "elastic")],
+            ["-m", "repro.load", "--strategy", "spoton+dp", "--jobs", "40", "--seed", "42",
+             "--scales", "16", "--slack-range", "0.6:1.0", "--recurring-tenants", "0",
+             "--trace-days", "30", "--out", str(tmp / "baseline")],
             ["-m", "repro.load", "--jobs", "100", "--seed", "42", "--watch", "600"],
         ],
         [

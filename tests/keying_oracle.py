@@ -23,12 +23,7 @@ from __future__ import annotations
 from repro.cloud.configuration import Configuration
 from repro.core.expected_cost import check_dp_parameters
 from repro.core.slack import SlackModel
-from repro.service.planning import (
-    SNAPSHOT_CAPACITY,
-    PlanError,
-    PlanRequest,
-    RescaleQuery,
-)
+from repro.service.planning import SNAPSHOT_CAPACITY, PlanError, PlanRequest
 
 
 class KeyingOracle:
@@ -97,13 +92,11 @@ class KeyingOracle:
         )
 
     def _keyed(
-        self, request: PlanRequest | RescaleQuery
+        self, request: PlanRequest
     ) -> tuple[tuple[Configuration, ...], tuple[float, float], tuple]:
         """Admit *request* and resolve ``(catalog, grids, estimator key)``.
 
-        The one keying path of the service; *request* is a
-        :class:`PlanRequest` or a :class:`RescaleQuery` (both carry the
-        slack model, catalogue, decision state and grid overrides).
+        The one keying path of the service.
 
         Raises:
             PlanError: the catalogue fails admission, or a grid is

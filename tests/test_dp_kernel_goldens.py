@@ -77,7 +77,8 @@ def _best(est, sm, t, work, current=None):
 
 
 def _stay(est, sm, t, work, current):
-    cost = est.cost_at_slack(current, sm.slack(t, work), t, work, running=True)
+    est.snapshot(t)
+    cost = est.config_cost(current, t, work, 0.0, True)
     return (current.name, cost, *_stats(est))
 
 

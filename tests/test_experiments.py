@@ -53,7 +53,6 @@ class TestCommon:
     def test_strategy_registry_complete(self, setup):
         assert set(SERVICE_STRATEGIES) == {
             "hourglass",
-            "elastic",
             "proteus",
             "spoton",
             "proteus+dp",
@@ -199,24 +198,20 @@ class TestFig7:
 
 class TestFigElastic:
     def test_quick_grid_claims(self):
-        """The CLI's quick grid: elastic never misses and plans a shrink."""
+        """The CLI's quick grid: time accounting never misses and never
+        costs more than raw accounting at the same slack."""
         results = fig_elastic.run(
             ExperimentSetup(seed=42), slacks=(0.3, 0.8), num_simulations=4
         )
         assert fig_elastic.check_invariants(results) == []
-        elastic = [r for r in results if r.strategy == "elastic"]
-        static = [r for r in results if r.strategy == "hourglass"]
-        assert len(elastic) == len(static) == 2
-        assert any(r.mean_shrinks > 0 for r in elastic)
-        # A planned move that charged reload time also counted a rescale.
-        for r in elastic:
-            if r.mean_rescale_seconds > 0:
-                assert r.mean_rescales > 0
-        # The static arm never rescales.
-        for r in static:
-            assert r.mean_rescales == 0
-            assert r.mean_rescale_seconds == 0
-        assert "Elastic rescaling" in fig_elastic.render(results)
+        time_rows = [r for r in results if r.strategy == "hourglass/time"]
+        raw_rows = [r for r in results if r.strategy == "hourglass/raw"]
+        assert len(time_rows) == len(raw_rows) == 2
+        for t, r in zip(time_rows, raw_rows):
+            assert t.slack_percent == r.slack_percent
+            assert t.missed_percent == 0
+            assert t.normalized_cost <= r.normalized_cost
+        assert "Frontier-aware accounting" in fig_elastic.render(results)
 
 
 class TestFig8:

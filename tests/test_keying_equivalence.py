@@ -24,7 +24,6 @@ from repro.core.job import COLORING_PROFILE, PAGERANK_PROFILE, SSSP_PROFILE
 from repro.core.slack import SlackModel
 from repro.experiments.common import ExperimentSetup
 from repro.service import PlanningService, PlanRequest, planning
-from repro.service.planning import RescaleQuery
 from tests.keying_oracle import KeyingOracle
 
 
@@ -111,15 +110,6 @@ def _requests(setup, service):
                     current_uptime=1200.0,
                 )
             )
-            out.append(
-                RescaleQuery(
-                    slack_model=sm,
-                    catalog=setup.catalog,
-                    t=t,
-                    work_left=work,
-                    current_config=setup.catalog[-1],
-                )
-            )
     out.append(
         PlanRequest(slack_model=out[0].slack_model, catalog=setup.catalog, strategy="spoton")
     )
@@ -133,10 +123,9 @@ class TestKeysMatchTheOracle:
         requests = _requests(setup, service)
         for _round in range(2):  # first sight, then memo hits
             for request in requests:
-                if getattr(request, "strategy", "hourglass") == "hourglass":
+                if request.strategy == "hourglass":
                     assert service._keyed(request) == oracle._keyed(request)
-                if isinstance(request, PlanRequest):
-                    assert service.request_key(request) == oracle.request_key(request)
+                assert service.request_key(request) == oracle.request_key(request)
 
     def test_estimators_shared_as_the_oracle_keys_say(self, setup):
         service = PlanningService(setup.market)
@@ -144,8 +133,7 @@ class TestKeysMatchTheOracle:
         requests = [
             r
             for r in _requests(setup, service)
-            if isinstance(r, PlanRequest)
-            and r.strategy == "hourglass"
+            if r.strategy == "hourglass"
             and r.slack_model.perf.profile.name == SSSP_PROFILE.name
         ]
         keys = {oracle._keyed(r)[2] for r in requests}

@@ -518,10 +518,6 @@ class TestLoadHarness:
         assert report.fingerprint() == (
             "7efa9cb08e1e410e332e5854165483d210813733de9039954af53ba7ca89e2f4"
         )
-        # hourglass owns no rescale_policy: no frontier curves, no section.
-        assert not report.elastic
-        assert all(s.frontier_curve is None for s in harness._simulators.values())
-        assert "Elastic rescaling" not in report.render()
         assert report.offered == 50
         assert report.admitted > 0
         assert report.planned > 0
@@ -632,6 +628,7 @@ class TestHarnessConfigValidation:
             (dict(frontend_min_workers=0), "frontend_min_workers"),
             (dict(frontend_min_workers=3, frontend_max_workers=2), "frontend_max_workers"),
             (dict(time_scale=-1.0), "time_scale"),
+            (dict(strategy="bogus"), "unknown strategy 'bogus'"),
         ],
     )
     def test_rejected_at_construction(self, overrides, message):
@@ -665,38 +662,6 @@ class TestFrozenFingerprints:
         # thread timing (LoadReport.FRONTEND_ORDER_FIELDS).
         assert report.fingerprint() == (
             "9d3044178b47c53dddb33c7a0286217ca03d3f3d64b12755d0f8a70cb681aed0"
-        )
-
-    def test_elastic_strategy_needs_no_flag(self):
-        """The CI elastic smoke, shrunk to six jobs (two shrinks land)."""
-        config = HarnessConfig(
-            trace=LoadTraceConfig(
-                seed=42, num_jobs=6, scales=(16.0,), slack_range=(0.6, 1.0)
-            ),
-            strategy="elastic",
-            recurring_tenants=0,
-            trace_days=30,
-        )
-        registry = MetricsRegistry()
-        harness = LoadHarness(config, metrics=registry)
-        report = harness.run()
-        assert report.fingerprint() == (
-            "fae827ae9a2af12162c16e6b973c27f98ec113fe6b401273615692c71193cbbb"
-        )
-        # The strategy's rescale_policy alone turns the elastic path on.
-        assert report.elastic
-        assert report.rescale_shrinks == 2 and report.missed == 0
-        assert all(
-            s.frontier_curve is not None for s in harness._simulators.values()
-        )
-        assert "Elastic rescaling" in report.render()
-        rescales = registry.counter("load_rescales_total")
-        assert rescales.value(action="shrink") == report.rescale_shrinks
-        assert rescales.value(action="other") == (
-            report.rescales - report.rescale_shrinks
-        )
-        assert registry.counter("load_rescale_seconds_total").value() == (
-            report.rescale_seconds
         )
 
 

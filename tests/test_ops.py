@@ -472,7 +472,6 @@ def _result(
     missed=False,
     finish=500.0,
     evictions=1,
-    rescales=0,
 ):
     return SimpleNamespace(
         cost=cost,
@@ -481,7 +480,6 @@ def _result(
         missed_deadline=missed,
         finish_time=finish,
         evictions=evictions,
-        rescales=rescales,
     )
 
 
@@ -659,8 +657,6 @@ class TestHarnessPublication:
         assert registry.gauge("load_queue_peak").value() == report.queue_peak
         for name in ("load_plan_latency_seconds", "load_plan_queue_wait_seconds"):
             assert registry.histogram(name).snapshot()["count"] == report.planned
-        # Not an elastic strategy: no rescale series are declared.
-        assert registry.get("load_rescales_total") is None
 
     def test_publication_is_event_time_by_default(self):
         registry = MetricsRegistry()
@@ -697,7 +693,7 @@ class TestHarnessPublication:
         """A seeded 100-job run's tenant table, frozen byte for byte."""
         blob = json.dumps(seed42.ledger.as_dict(), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "6f928006ba8bb2747dfa806e490ff0982e638d37edeb9cea5e5a44a3afbd5f5d"
+            "10f4a71a02a347b0bc30b1d5de16339b934ff42b6df21ca261178373abba5898"
         )
         assert seed42.ledger.totals().dollars == pytest.approx(
             seed42.report.user_cost_dollars, abs=1e-9

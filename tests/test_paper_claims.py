@@ -230,6 +230,23 @@ class TestAblations:
         assert rows["raw"]["missed%"] > 0
 
 
+class TestFrontierAccounting:
+    def test_time_accounting_never_misses(self, tables):
+        rows = _table(tables, "Frontier-aware accounting")
+        time_rows = [r for r in rows if r["strategy"] == "hourglass/time"]
+        assert time_rows
+        for row in time_rows:
+            assert row["missed%"] == 0, row
+
+    def test_time_accounting_costs_no_more_than_raw(self, tables):
+        rows = _by(_table(tables, "Frontier-aware accounting"), "strategy", "slack%")
+        slacks = sorted({s for _, s in rows})
+        assert len(slacks) == 5
+        for slack in slacks:
+            time_cost = rows["hourglass/time", slack]["norm_cost"]
+            assert time_cost <= rows["hourglass/raw", slack]["norm_cost"], slack
+
+
 class TestCatalogBreadth:
     def test_hourglass_is_safe_on_either_menu(self, tables):
         for row in _table(tables, "Catalogue-breadth study"):

@@ -27,7 +27,6 @@ from repro.core.simulator import ExecutionSimulator
 from repro.core.slack import SlackModel
 from repro.experiments.common import ExperimentSetup
 from repro.service import PlanError, PlanningService, PlanRequest
-from repro.service.planning import RescaleQuery
 from repro.utils.units import HOURS
 
 
@@ -89,17 +88,6 @@ class TestAdmission:
             service.plan(bad)
         with pytest.raises(PlanError, match="_grid"):
             service.request_key(bad)
-        with pytest.raises(PlanError, match="_grid"):
-            service.plan_rescale(
-                RescaleQuery(
-                    slack_model=sm,
-                    catalog=setup.catalog,
-                    t=0.0,
-                    work_left=1.0,
-                    current_config=setup.catalog[0],
-                    **grids,
-                )
-            )
         slots = service.plan_many([good, bad, good])
         assert isinstance(slots[1], PlanError)
         alone = PlanningService(setup.market).plan(good).decision
@@ -145,15 +133,6 @@ class TestAdmission:
             service.plan(bad)
         with pytest.raises(PlanError, match=match):
             service.request_key(bad)
-        query = RescaleQuery(
-            slack_model=sm,
-            catalog=setup.catalog,
-            t=bad.t,
-            work_left=bad.work_left,
-            current_config=setup.catalog[0],
-        )
-        with pytest.raises(PlanError, match=match):
-            service.plan_rescale(query)
         slots = service.plan_many([good, bad, good])
         assert isinstance(slots[1], PlanError)
         alone = PlanningService(setup.market).plan(good).decision
