@@ -33,24 +33,6 @@ class EvictionModel(abc.ABC):
     def mttf(self) -> float:
         """Mean time to failure in seconds."""
 
-    def survival(self, uptime: float) -> float:
-        """P(still running at *uptime*)."""
-        return 1.0 - self.cdf(uptime)
-
-    def deployment_cdf(self, uptime: float, num_machines: int) -> float:
-        """P(at least one of *num_machines* evicted before *uptime*).
-
-        Hourglass's synchronous engine halts when *any* worker is lost,
-        so the deployment-level failure distribution is the minimum of
-        the per-machine failure times.  Evictions are price-crossing
-        driven and therefore perfectly correlated within one market in
-        our simulation — but the model exposes the independent-failures
-        combinator too, used when machines spread across markets.
-        """
-        if num_machines < 1:
-            raise ValueError("num_machines must be >= 1")
-        return 1.0 - self.survival(uptime) ** num_machines
-
 
 class EmpiricalEvictionModel(EvictionModel):
     """ECDF over observed uptimes (the paper's trace-derived model).

@@ -18,8 +18,7 @@ on state precomputed once per trace:
 * ``next_crossing_above`` reads a per-threshold next-crossing index
   array (a reverse running minimum over the above-threshold segment
   indices), cached per bid;
-* ``uptime_samples``, ``price_at_many`` and ``integrate_many`` are
-  batched NumPy evaluations of the same tables.
+* ``uptime_samples`` is a batched NumPy evaluation of the same tables.
 """
 
 from __future__ import annotations
@@ -122,13 +121,6 @@ class PriceTrace:
             raise ValueError(f"t={t} beyond trace end {self.end}")
         return float(self.prices[self._segment(min(t, self.end))])
 
-    def price_at_many(self, ts: np.ndarray) -> np.ndarray:
-        """Batched :meth:`price_at` over an array of timestamps."""
-        ts = np.asarray(ts, dtype=np.float64)
-        if ts.size and float(ts.max()) > self.end:
-            raise ValueError(f"t={float(ts.max())} beyond trace end {self.end}")
-        return self.prices[self._segments(np.minimum(ts, self.end))]
-
     def next_crossing_above(self, t: float, threshold: float) -> float | None:
         """First time >= *t* when the price exceeds *threshold*.
 
@@ -171,26 +163,6 @@ class PriceTrace:
             self._definite_integral(t1, i1) - self._definite_integral(t0, i0)
         ) / HOURS
 
-    def integrate_many(self, t0s: np.ndarray, t1s: np.ndarray) -> np.ndarray:
-        """Batched :meth:`integrate` over arrays of window bounds."""
-        t0s = np.asarray(t0s, dtype=np.float64)
-        t1s = np.asarray(t1s, dtype=np.float64)
-        if t0s.shape != t1s.shape:
-            raise ValueError("t0s and t1s must have the same shape")
-        if np.any(t1s < t0s):
-            raise ValueError("every window needs t1 >= t0")
-        if t0s.size == 0:
-            return np.zeros_like(t0s)
-        if float(t0s.min()) < self.start or float(t1s.max()) > self.end:
-            raise ValueError(
-                f"windows outside trace coverage [{self.start}, {self.end}]"
-            )
-        i0 = self._segments(t0s)
-        i1 = self._segments(np.minimum(t1s, self.end))
-        lower = self._cum[i0] + self.prices[i0] * (t0s - self.times[i0])
-        upper = self._cum[i1] + self.prices[i1] * (t1s - self.times[i1])
-        return (upper - lower) / HOURS
-
     def mean_price(self, t0: float | None = None, t1: float | None = None) -> float:
         """Time-weighted mean price over a window (whole trace by default)."""
         t0 = self.start if t0 is None else t0
@@ -199,24 +171,6 @@ class PriceTrace:
         if span_hours <= 0:
             return self.price_at(t0)
         return self.integrate(t0, t1) / span_hours
-
-    def slice(self, t0: float, t1: float) -> "PriceTrace":
-        """Sub-trace covering ``[t0, t1]``.
-
-        The result always spans exactly ``[t0, t1]`` with no zero-width
-        segments: its change points are *t0*, every parent change point
-        strictly inside ``(t0, t1)``, and *t1*; its final price is the
-        parent's (right-continuous) price at *t1*.
-        """
-        if not self.start <= t0 < t1 <= self.end:
-            raise ValueError("invalid slice bounds")
-        lo = int(np.searchsorted(self.times, t0, side="right"))
-        hi = int(np.searchsorted(self.times, t1, side="left"))
-        times = np.concatenate([[t0], self.times[lo:hi], [t1]])
-        prices = np.concatenate(
-            [self.prices[lo - 1 : hi], [self.prices[self._segment(t1)]]]
-        )
-        return PriceTrace(times=times, prices=prices, instance_name=self.instance_name)
 
     def uptime_samples(self, bid: float, sample_interval: float = 15 * 60.0) -> np.ndarray:
         """Time-to-eviction from regular start points (historical stats).

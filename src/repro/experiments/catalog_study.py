@@ -76,7 +76,3 @@ def render(cells) -> str:
         rows,
         title="Catalogue-breadth study — Hourglass on the paired vs full-grid menu",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(num_simulations=6)))

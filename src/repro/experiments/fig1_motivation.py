@@ -71,7 +71,3 @@ def render(results) -> str:
         columns=["strategy", "norm_cost", "missed%", "evictions/run", "sims"],
         title="Figure 1 — GC on Twitter, 6h period (50% slack): cost vs missed deadlines",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run()))

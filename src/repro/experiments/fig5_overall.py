@@ -80,8 +80,3 @@ def render(results) -> str:
             )
         )
     return "\n\n".join(sections)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    res = run(num_simulations=20)
-    print(render(res))

@@ -102,7 +102,3 @@ def render(cells) -> str:
         title="Micro-loader speedups (averaged over machine counts)",
     )
     return table + "\n\n" + summary
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run()))

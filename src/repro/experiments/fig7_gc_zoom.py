@@ -91,7 +91,3 @@ def render(results) -> str:
         columns=["slack%", "strategy", "norm_cost", "missed%"],
         title="Figure 7 — GC zoom: micro-partitioning and slack-awareness ablation",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(num_simulations=20)))

@@ -129,7 +129,3 @@ def render(cells) -> str:
         title="Mean micro-clustering degradation (k < 64), cf. paper §8.3.3",
     )
     return table + "\n\n" + summary
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(datasets=("hollywood",), partition_counts=(2, 8, 32))))

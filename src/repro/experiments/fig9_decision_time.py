@@ -166,7 +166,3 @@ def render(cells) -> str:
             "cold/warm planning-service latency (DNF = exceeded state budget)"
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run(apps=("sssp",), slacks=(0.1, 0.5))))

@@ -81,37 +81,3 @@ def render(results) -> str:
         columns=["slack%", "strategy", "norm_cost", "missed%"],
         title="Frontier-aware accounting — sssp: time vs raw work accounting",
     )
-
-
-def check_invariants(results) -> list[str]:
-    """Cross-cell claims (empty list = all hold).
-
-    * the time arm never misses a deadline;
-    * at every slack, the time arm costs no more than the raw arm.
-    """
-    problems = []
-    raw = {
-        r.slack_percent: r.normalized_cost
-        for r in results
-        if r.strategy == "hourglass/raw"
-    }
-    for r in results:
-        if r.strategy != "hourglass/time":
-            continue
-        if r.missed_percent > 0:
-            problems.append(
-                f"hourglass/time missed {r.missed_percent:.0f}% at {r.slack_percent}% slack"
-            )
-        if r.slack_percent in raw and r.normalized_cost > raw[r.slack_percent]:
-            problems.append(
-                f"hourglass/time norm_cost {r.normalized_cost:.3f} exceeds raw "
-                f"{raw[r.slack_percent]:.3f} at {r.slack_percent}% slack"
-            )
-    return problems
-
-
-if __name__ == "__main__":  # pragma: no cover
-    res = run(num_simulations=6)
-    print(render(res))
-    for problem in check_invariants(res):
-        print("VIOLATION:", problem)

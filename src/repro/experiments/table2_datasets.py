@@ -40,7 +40,3 @@ def run(datasets=ALL_DATASETS, seed: int = 42) -> list[dict]:
 def render(rows) -> str:
     """Render the experiment rows as an aligned text table."""
     return format_table(rows, title="Table 2 — datasets: paper scale vs repro-scale stand-ins")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(render(run()))

@@ -71,63 +71,6 @@ def rmat(
     return _unique_edges(src[keep] * n + dst[keep], n, name or f"rmat-{scale}")
 
 
-def rmat_edge_batches(
-    scale: int,
-    edge_factor: int = 16,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed=None,
-    batch_edges: int = 1 << 20,
-):
-    """Yield RMAT edges as ``(src, dst)`` batches of ``<= batch_edges``.
-
-    The streaming counterpart of :func:`rmat` for graphs beyond RAM:
-    peak memory is O(batch_edges) regardless of scale, and each batch is
-    generated from its own seed stream (``derive_rng(seed, "rmat-stream",
-    scale, batch_index)``), so a second iteration reproduces the exact
-    same batches — which is what lets the two-pass on-disk CSR builder
-    (:func:`repro.graph.io.build_csr_on_disk`) consume the stream twice.
-
-    Differences from :func:`rmat`, both inherent to streaming: vertex
-    ids are not globally permuted and duplicate edges are not removed
-    (self-loops are still dropped per batch).  The per-level quadrant
-    noise is drawn once for the whole graph so every batch samples the
-    same distribution.
-    """
-    if scale < 1 or scale > 30:
-        raise ValueError(f"scale must be in [1, 30], got {scale}")
-    if batch_edges < 1:
-        raise ValueError(f"batch_edges must be >= 1, got {batch_edges}")
-    d = 1.0 - a - b - c
-    if d < 0 or min(a, b, c) < 0:
-        raise ValueError("quadrant probabilities must be non-negative and sum <= 1")
-    n = 1 << scale
-    total = n * edge_factor
-    noise_rng = derive_rng(seed, "rmat-stream-noise", scale)
-    probs = np.array([a, b, c, d])
-    level_probs = []
-    for _ in range(scale):
-        noise = 1.0 + 0.1 * (noise_rng.random(4) - 0.5)
-        p = probs * noise
-        level_probs.append(p / p.sum())
-    produced = 0
-    batch_index = 0
-    while produced < total:
-        count = min(batch_edges, total - produced)
-        rng = derive_rng(seed, "rmat-stream", scale, batch_index)
-        src = np.zeros(count, dtype=np.int64)
-        dst = np.zeros(count, dtype=np.int64)
-        for level, p in enumerate(level_probs):
-            quadrant = rng.choice(4, size=count, p=p)
-            src += (quadrant >> 1).astype(np.int64) << level
-            dst += (quadrant & 1).astype(np.int64) << level
-        keep = src != dst
-        yield src[keep], dst[keep]
-        produced += count
-        batch_index += 1
-
-
 def power_law_social(
     num_vertices: int,
     avg_degree: float = 20.0,

@@ -13,14 +13,9 @@ and the loaders move serialized CSR chunks around.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
-import weakref
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from numpy.lib.format import open_memmap
 
 
 @dataclass(frozen=True)
@@ -52,10 +47,9 @@ class Graph:
                     f"weights shape {weights.shape} != indices shape {indices.shape}"
                 )
             object.__setattr__(self, "weights", weights)
-        # Derived lazily by edge_sources(); not fields, so equality, repr
-        # and dataclasses.replace never see them.
+        # Derived lazily by edge_sources(); not a field, so equality, repr
+        # and dataclasses.replace never see it.
         object.__setattr__(self, "_edge_src", None)
-        object.__setattr__(self, "_edge_src_cleanup", None)
         self._validate()
 
     def _validate(self) -> None:
@@ -111,32 +105,16 @@ class Graph:
 
         A pure function of ``indptr``, so it is derived once per graph
         and shared by every engine built over it (a job redeploys onto
-        the same graph many times).  Treat the result as read-only.  A
-        memory-mapped graph, whose edge arrays may not fit in RAM twice,
-        gets the array spilled to a temporary ``.npy`` instead; call
-        :meth:`release` to remove it (garbage collection of the graph
-        does so as a backstop).
+        the same graph many times).  Treat the result as read-only.  It
+        is held in RAM for a memory-mapped graph too: only a full
+        broadcast reads it, and partial sends never build it.
         """
         if self._edge_src is None:
-            from repro.graph.io import is_memmap_backed
-
-            if is_memmap_backed(self.indices) and self.num_edges:
-                edge_src, cleanup = _spill_edge_sources(self)
-                object.__setattr__(self, "_edge_src_cleanup", cleanup)
-            else:
-                edge_src = np.repeat(
-                    np.arange(self.num_vertices, dtype=np.int64), self.out_degrees()
-                )
+            edge_src = np.repeat(
+                np.arange(self.num_vertices, dtype=np.int64), self.out_degrees()
+            )
             object.__setattr__(self, "_edge_src", edge_src)
         return self._edge_src
-
-    def release(self) -> None:
-        """Drop the derived edge-source array and delete its on-disk
-        spill, if any (idempotent; the array is re-derived on demand)."""
-        object.__setattr__(self, "_edge_src", None)
-        if self._edge_src_cleanup is not None:
-            self._edge_src_cleanup()
-            object.__setattr__(self, "_edge_src_cleanup", None)
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -167,32 +145,6 @@ class Graph:
             f"Graph({label} |V|={self.num_vertices:,} |E|={self.num_edges:,}"
             f"{' weighted' if self.weights is not None else ''})"
         )
-
-
-def _spill_edge_sources(graph: Graph):
-    """Write *graph*'s per-edge source ids to a temporary ``.npy``.
-
-    Returns the memory-mapped array and a ``weakref.finalize`` bound to
-    the graph that removes the directory (call it to release early).
-    """
-    directory = tempfile.mkdtemp(prefix="repro-edge-src-")
-    cleanup = weakref.finalize(graph, shutil.rmtree, directory, ignore_errors=True)
-    spill = open_memmap(
-        Path(directory) / "edge_src.npy",
-        mode="w+",
-        dtype=np.int64,
-        shape=(graph.num_edges,),
-    )
-    indptr = graph.indptr
-    n = graph.num_vertices
-    chunk = 1 << 20
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        spill[indptr[lo] : indptr[hi]] = np.repeat(
-            np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1])
-        )
-    spill.flush()
-    return spill, cleanup
 
 
 def _edge_endpoints(graph: Graph, keep) -> tuple[np.ndarray, np.ndarray]:

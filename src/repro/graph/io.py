@@ -5,8 +5,7 @@ A store is a directory of ``.npy`` arrays (``indptr``/``indices``/
 so the engine and loaders consume graphs bigger than RAM without ever
 materializing the edge list (:func:`load_csr`).  :func:`build_csr_on_disk`
 constructs a store from a stream of edge batches in two passes (degree
-count, then scatter), and :func:`build_rmat_csr` wires the streaming RMAT
-generator into it for beyond-RAM synthetic graphs.
+count, then scatter).
 """
 
 from __future__ import annotations
@@ -197,44 +196,3 @@ def _checked_batch(batch, num_vertices: int, weighted: bool | None):
     if len(dst) and (dst.min() < 0 or dst.max() >= num_vertices):
         raise ValueError("edge destination out of range")
     return src, dst, w
-
-
-def build_rmat_csr(
-    scale: int,
-    directory,
-    edge_factor: int = 16,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed=None,
-    batch_edges: int = 1 << 20,
-    name: str | None = None,
-    mmap: bool = True,
-) -> Graph:
-    """Stream an RMAT graph straight into an on-disk CSR store.
-
-    Combines :func:`repro.graph.generators.rmat_edge_batches` (which
-    regenerates identical batches on each pass) with
-    :func:`build_csr_on_disk`, so graphs beyond RAM — the paper's
-    RMAT-24..26 scales — can be generated and processed on one machine.
-    """
-    from repro.graph.generators import rmat_edge_batches
-
-    def batches():
-        return rmat_edge_batches(
-            scale,
-            edge_factor=edge_factor,
-            a=a,
-            b=b,
-            c=c,
-            seed=seed,
-            batch_edges=batch_edges,
-        )
-
-    return build_csr_on_disk(
-        batches,
-        num_vertices=1 << scale,
-        directory=directory,
-        name=name or f"rmat-stream-{scale}",
-        mmap=mmap,
-    )

@@ -2,8 +2,7 @@
 
 * **Metrics** (:mod:`repro.obs.metrics`) — a registry of named
   counters, gauges and bucketed histograms with labeled series per
-  tenant / configuration / strategy, rendered as Prometheus text;
-  :func:`repro.obs.export.parse_prometheus` reads that text back.
+  tenant / configuration / strategy, rendered as Prometheus text.
 * **Live operations** — on the simulated clock: a run's outcome
   records in a :class:`RecordLog`, windows as folds over them
   (:mod:`repro.obs.window`), declarative burn-rate SLOs evaluated at
@@ -22,7 +21,6 @@ the time each layer takes is measured from outside by
 ``python3 -m bench --trace 1``.
 """
 
-from repro.obs import export
 from repro.obs.attribution import CostLedger, TenantUsage
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -57,5 +55,4 @@ __all__ = [
     "SloObjective",
     "TenantUsage",
     "default_slos",
-    "export",
 ]

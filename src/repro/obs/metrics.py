@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` owns every metric by name; each metric holds
 one series per label set (``counter.inc(1, tenant="a", config="spot4")``
 and ``tenant="b"`` are independent series).  The renderer speaks the
-Prometheus text exposition format, so the output scrapes directly and
-round-trips through :func:`repro.obs.export.parse_prometheus`.
+Prometheus text exposition format, so the output scrapes directly; the
+checks parse it back with ``tools/prometheus.py``.
 
 Only the load harness's layers (harness, ledger, SLO monitor, planner
 pool) write metrics; the engine, checkpoints, datastore and planning
@@ -248,8 +248,8 @@ class MetricsRegistry:
             if isinstance(metric, Histogram):
                 # The _sum/_count series are cumulative like counters;
                 # typing them explicitly keeps scrapers that treat each
-                # sample family independently in agreement with
-                # parse_prometheus.
+                # sample family independently from seeing an untyped
+                # sample.
                 lines.append(f"# TYPE {metric.name}_sum counter")
                 lines.append(f"# TYPE {metric.name}_count counter")
             lines.extend(metric.render())

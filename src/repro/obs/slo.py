@@ -17,7 +17,7 @@ window proves the problem is sustained, the short one that it is still
 happening (the SRE multi-window pattern, at the workbook's 1 h / 6 h
 horizons because the clock is the simulated one).  Which rules fire at
 ``t`` is a pure function of the records and ``t`` (:func:`statuses`),
-so the alert sequence over a run's ticks is too (:func:`alerts`).
+so the alert sequence over a run's ticks is too.
 :class:`SloMonitor` is that function advanced by the log's clock: at
 each tick it publishes ``slo_burn_rate`` and counts transitions in
 ``slo_alerts_total``.
@@ -193,18 +193,6 @@ def _transitions(previous, current, t: float) -> list[SloAlert]:
                         t=t,
                     )
                 )
-    return out
-
-
-def alerts(objectives, records, ticks) -> list[SloAlert]:
-    """Every rule transition over *ticks*: a pure function of the records."""
-    frame = Frame(records)
-    previous: tuple[SloStatus, ...] = ()
-    out: list[SloAlert] = []
-    for t in ticks:
-        current = statuses(objectives, frame, t)
-        out.extend(_transitions(previous, current, t))
-        previous = current
     return out
 
 

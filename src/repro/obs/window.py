@@ -162,14 +162,6 @@ class RecordLog:
                 self._frame = Frame(self._records)
             return self._frame
 
-    def ticks(self) -> list[float]:
-        """Every ``origin + k * tick_s`` (k >= 1) at or before the clock."""
-        ticks, k = [], 1
-        while self.origin + k * self.tick_s <= self.clock:
-            ticks.append(self.origin + k * self.tick_s)
-            k += 1
-        return ticks
-
     def every(self, period: float | None, callback) -> None:
         """Call ``callback(tick)`` for each *period* tick the clock crosses.
 

@@ -9,10 +9,13 @@ per-destination :class:`ListInbox` (in source-vertex order, as the
 engine's store combines a batch) and combines with :data:`COMBINE`.
 It is also the full Pregel model the engine dropped: programs without a
 combiner, arbitrary ``send(dst, message)`` calls, the
-:class:`MaxCombiner` and :class:`SumAggregator`.  Every built-in program
+:class:`MaxCombiner` and :class:`SumAggregator`.  Every dense program
 has a scalar twin (``ScalarPageRank`` ..., held to it bit for bit by
-``tests/test_scalar_twins.py``), and :class:`GraphColoring`,
-whose messages are tuples, runs only here.
+``tests/test_scalar_twins.py``): the shipped SSSP and PageRank, and the
+two dense test programs kept here, :class:`ConnectedComponents` (a
+min-combined label propagation that halts data-dependently) and
+:class:`InDegree` (the simplest sum-combined program).
+:class:`GraphColoring`, whose messages are tuples, runs only here.
 
 It also keeps what only tests use as a fixture or a cross-check: the
 engine-free :class:`SuperstepWorkModel`, :class:`ExponentialEvictionModel`
@@ -29,16 +32,11 @@ import numpy as np
 
 from repro.cloud.configuration import Configuration
 from repro.cloud.eviction import EvictionModel
-from repro.engine.algorithms import (
-    SSSP,
-    ConnectedComponents,
-    InDegree,
-    PageRank,
-)
+from repro.engine.algorithms import SSSP, PageRank
 from repro.engine.algorithms.pagerank import DAMPING
 from repro.engine.engine import PregelEngine
 from repro.engine.messages import Combiner, MinCombiner, SumCombiner
-from repro.engine.vertex import VertexProgram
+from repro.engine.vertex import DenseComputeContext, VertexProgram
 from repro.exec.workmodel import SegmentPlan, WorkModel
 from repro.graph.graph import Graph, from_edges
 from repro.utils.rng import derive_rng
@@ -347,7 +345,58 @@ class ScalarEngine(PregelEngine):
 
 
 # ----------------------------------------------------------------------
-# Scalar twins of the built-in programs
+# Dense test programs: WCC and in-degree
+# ----------------------------------------------------------------------
+class ConnectedComponents(VertexProgram):
+    """Weakly connected components via HashMin label propagation: each
+    vertex converges to the minimum vertex id in its component.
+
+    Run on the symmetrised graph (``graph.undirected()``) for *weakly*
+    connected components of a directed input.
+    """
+
+    combiner = MinCombiner
+    message_bytes = 8
+    value_dtype = np.int64
+
+    def initial_values(self, num_vertices: int) -> np.ndarray:
+        return np.arange(num_vertices, dtype=np.int64)
+
+    def compute_dense(self, ctx: DenseComputeContext) -> None:
+        values = ctx.values
+        if ctx.superstep == 0:
+            # Every vertex's label starts as its own id; broadcast it.
+            ctx.send_to_all_neighbors(ctx.active, values)
+        else:
+            candidate = np.where(ctx.has_message, ctx.messages, np.inf)
+            improved = ctx.active & (candidate < values)
+            values[improved] = candidate[improved]
+            ctx.send_to_all_neighbors(improved, values)
+        ctx.vote_to_halt(ctx.active)
+
+
+class InDegree(VertexProgram):
+    """Vertex value = its in-degree; two supersteps via counting messages."""
+
+    combiner = SumCombiner
+    message_bytes = 8
+    value_dtype = np.int64
+
+    def initial_values(self, num_vertices: int) -> np.ndarray:
+        return np.zeros(num_vertices, dtype=np.int64)
+
+    def compute_dense(self, ctx: DenseComputeContext) -> None:
+        if ctx.superstep == 0:
+            ones = np.ones(ctx.num_vertices, dtype=np.int64)
+            ctx.send_to_all_neighbors(ctx.active, ones)
+        else:
+            woken = ctx.active & ctx.has_message
+            ctx.values[woken] = ctx.messages[woken]
+        ctx.vote_to_halt(ctx.active)
+
+
+# ----------------------------------------------------------------------
+# Scalar twins of the dense programs
 # ----------------------------------------------------------------------
 class ScalarPageRank(PageRank):
     def compute(self, ctx: ComputeContext, messages: list) -> None:

@@ -9,17 +9,14 @@ import numpy as np
 import pytest
 
 from repro.engine import PregelEngine
-from repro.engine.algorithms import (
-    ConnectedComponents,
-    InDegree,
-    PageRank,
-    SSSP,
-)
+from repro.engine.algorithms import SSSP, PageRank
 from repro.graph import from_edges, generators
 from repro.partitioning import HashPartitioner
 from tests import scalar_oracle
 from tests.scalar_oracle import (
+    ConnectedComponents,
     GraphColoring,
+    InDegree,
     ScalarEngine,
     count_colors,
     is_proper_coloring,

@@ -197,7 +197,6 @@ class TestEvictionModels:
         assert model.cdf(0) == 0.0
         assert model.cdf(100) == pytest.approx(1 - np.exp(-1))
         assert model.mttf == 100.0
-        assert model.survival(50) == pytest.approx(1 - model.cdf(50))
 
     def test_empirical_cdf_monotone(self):
         model = EmpiricalEvictionModel(np.array([10.0, 20.0, 30.0, 40.0]))
@@ -215,12 +214,6 @@ class TestEvictionModels:
         assert model.quantile(0.5) == 20.0
         with pytest.raises(ValueError):
             model.quantile(1.5)
-
-    def test_deployment_cdf_at_least_single(self):
-        model = ExponentialEvictionModel(mttf=1000.0)
-        single = model.cdf(100)
-        deployment = model.deployment_cdf(100, 8)
-        assert deployment >= single
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 
 The `.npy`-directory store must round-trip exactly, the two-pass on-disk
 builder must agree with the in-RAM ``from_edges`` construction, the
-streaming RMAT generator must be re-iterable (identical batches on every
+streaming RMAT generator of the ``engine-scale`` smoke row
+(``tools/smoke.py``) must be re-iterable (identical batches on every
 pass — the property the two-pass builder relies on), and the engine must
 produce the same results over a memory-mapped graph as over its in-RAM
 copy.
@@ -20,12 +21,10 @@ from repro.engine.algorithms import SSSP, PageRank
 from repro.engine import loader as loading
 from repro.engine.loader import MicroLoader
 from repro.graph import generators
-from repro.graph.generators import rmat_edge_batches
 from repro.graph.graph import from_edges
 from repro.graph.io import (
     CSR_META_FILENAME,
     build_csr_on_disk,
-    build_rmat_csr,
     csr_nbytes,
     is_memmap_backed,
     load_csr,
@@ -33,6 +32,7 @@ from repro.graph.io import (
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.micro import MicroPartitioner
 from tests import scalar_oracle
+from tools.smoke import build_rmat_csr, rmat_edge_batches
 
 
 @pytest.fixture(scope="module")
@@ -268,85 +268,19 @@ class TestEngineOverMemmap:
         engine = PregelEngine(mapped, PageRank(iterations=6), partitioning)
         got = engine.run()
         engine.close()
-        mapped.release()
         assert np.array_equal(ref.values_array(), got.values_array())
         assert ref.stats == got.stats
 
-
-class TestEdgeSourceSpill:
-    """Per-edge source ids of a memory-mapped graph are spilled to disk
-    once per *graph* (not per engine) and released explicitly."""
-
-    @pytest.fixture()
-    def spill_root(self, tmp_path, monkeypatch):
-        import tempfile
-
-        root = tmp_path / "tmp"
-        root.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(root))
-        return root
-
-    @staticmethod
-    def spills(root):
-        return sorted(root.glob("repro-edge-src-*"))
-
-    def test_one_spill_for_three_engines_none_after_release(self, tmp_path, spill_root):
-        import warnings
-
-        in_ram = generators.community_graph(2000, num_communities=8, seed=3)
-        write_store(in_ram, tmp_path / "store")
-        mapped = load_csr(tmp_path / "store", mmap=True)
-        partitioning = HashPartitioner().partition(in_ram, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            for _ in range(3):
-                engine = PregelEngine(mapped, PageRank(iterations=4), partitioning)
-                engine.step()
-                engine.step()
-                engine.close()
-                assert len(self.spills(spill_root)) == 1
-                del engine
-            spill = self.spills(spill_root)[0]
-            assert (spill / "edge_src.npy").stat().st_size >= 8 * mapped.num_edges
-            assert is_memmap_backed(mapped.edge_sources())
-            assert mapped.edge_sources() is mapped.edge_sources()
-            mapped.release()
-            assert self.spills(spill_root) == []
-            mapped.release()  # idempotent
-            import gc
-
-            gc.collect()  # anything implicitly cleaned up would warn here
-
-    def test_released_graph_derives_again_on_demand(self, tmp_path, spill_root):
+    def test_edge_sources_stay_in_ram(self, tmp_path):
+        """A memory-mapped graph derives its edge sources into RAM once
+        and shares them, like an in-RAM graph."""
         in_ram = scalar_oracle.grid_graph(8, 8)
         write_store(in_ram, tmp_path / "store")
         mapped = load_csr(tmp_path / "store", mmap=True)
-        first = np.array(mapped.edge_sources())
-        mapped.release()
-        assert np.array_equal(mapped.edge_sources(), first)
-        assert np.array_equal(first, in_ram.edge_sources())
-        assert len(self.spills(spill_root)) == 1
-        mapped.release()
-
-    def test_garbage_collection_is_the_backstop(self, tmp_path, spill_root):
-        import gc
-
-        write_store(scalar_oracle.grid_graph(8, 8), tmp_path / "store")
-        mapped = load_csr(tmp_path / "store", mmap=True)
-        mapped.edge_sources()
-        assert len(self.spills(spill_root)) == 1
-        del mapped
-        gc.collect()
-        assert self.spills(spill_root) == []
-
-    def test_in_ram_graph_never_touches_disk(self, spill_root):
-        graph = scalar_oracle.grid_graph(8, 8)
-        sources = graph.edge_sources()
+        sources = mapped.edge_sources()
         assert not is_memmap_backed(sources)
-        assert np.array_equal(sources, scalar_oracle.edge_sources(graph))
-        assert self.spills(spill_root) == []
-        graph.release()
-        assert graph.edge_sources() is not sources
+        assert np.array_equal(sources, scalar_oracle.edge_sources(in_ram))
+        assert mapped.edge_sources() is sources
 
 
 class TestMemmapLoaderPricing:

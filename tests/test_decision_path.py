@@ -1,9 +1,7 @@
 """Vectorized decision-path primitives and the parallel sweep driver.
 
 Covers the batched trace/eviction/market queries against their scalar
-counterparts, the ``PriceTrace.slice`` contract (exact coverage, no
-zero-width segments, instance-name propagation) and serial/parallel
-bit-identity of the sweep driver.
+counterparts and serial/parallel bit-identity of ``run_sweep_tasks``.
 """
 
 from __future__ import annotations
@@ -34,27 +32,11 @@ def trace() -> PriceTrace:
 
 
 class TestBatchedTraceQueries:
-    def test_price_at_many_matches_scalar(self, trace):
-        ts = np.linspace(trace.start, trace.end, 257)
-        batched = trace.price_at_many(ts)
-        assert batched.tolist() == [trace.price_at(float(t)) for t in ts]
-
-    def test_price_at_many_rejects_beyond_end(self, trace):
-        with pytest.raises(ValueError, match="beyond trace end"):
-            trace.price_at_many(np.array([trace.start, trace.end + 1.0]))
-
-    def test_integrate_many_matches_scalar(self, trace):
-        rng = np.random.default_rng(11)
-        t0s = rng.uniform(trace.start, trace.end, size=64)
-        t1s = t0s + rng.uniform(0.0, trace.end - t0s)
-        batched = trace.integrate_many(t0s, t1s)
-        scalar = [trace.integrate(float(a), float(b)) for a, b in zip(t0s, t1s)]
-        np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=1e-15)
-
     def test_integrate_prefix_sums_match_riemann(self, trace):
         t0, t1 = trace.start + 100.0, trace.end - 100.0
         xs = np.linspace(t0, t1, 200_001)
-        riemann = float(np.sum(trace.price_at_many(xs[:-1]) * np.diff(xs))) / HOURS
+        prices = np.array([trace.price_at(float(x)) for x in xs[:-1]])
+        riemann = float(np.sum(prices * np.diff(xs))) / HOURS
         assert trace.integrate(t0, t1) == pytest.approx(riemann, rel=1e-4)
 
     def test_next_crossing_matches_linear_scan(self, trace):
@@ -78,35 +60,6 @@ class TestBatchedTraceQueries:
             crossing = trace.next_crossing_above(float(start), bid)
             expected.append((crossing if crossing is not None else trace.end) - start)
         np.testing.assert_allclose(samples, expected)
-
-
-class TestSlice:
-    def test_slice_spans_exactly_and_keeps_name(self, trace):
-        t0 = trace.start + 5_000.0
-        t1 = trace.end - 5_000.0
-        sub = trace.slice(t0, t1)
-        assert sub.instance_name == trace.instance_name
-        assert sub.start == t0
-        assert sub.end == t1
-        assert not np.any(np.diff(sub.times) <= 0)
-
-    def test_slice_t1_on_change_point_has_no_zero_width_segment(self, trace):
-        t0 = float(trace.times[3]) + 1.0
-        t1 = float(trace.times[10])  # exactly a change-point
-        sub = trace.slice(t0, t1)
-        assert sub.end == t1
-        assert not np.any(np.diff(sub.times) <= 0)
-        # Right-continuity: the final price is the parent's price AT t1.
-        assert sub.price_at(t1) == trace.price_at(t1)
-
-    def test_slice_preserves_prices_and_integrals(self, trace):
-        t0, t1 = trace.start + 123.0, trace.start + 50_000.0
-        sub = trace.slice(t0, t1)
-        ts = np.linspace(t0, t1, 501)
-        np.testing.assert_array_equal(sub.price_at_many(ts), trace.price_at_many(ts))
-        assert sub.integrate(t0, t1) == pytest.approx(
-            trace.integrate(t0, t1), rel=1e-12
-        )
 
 
 class TestBatchedEvictionCdf:

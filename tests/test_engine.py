@@ -19,11 +19,12 @@ from repro.engine import (
     PregelEngine,
     SumCombiner,
 )
-from repro.engine.algorithms import InDegree, PageRank
+from repro.engine.algorithms import PageRank
 from repro.graph import from_edges, generators
 from repro.partitioning import HashPartitioner
 from tests import scalar_oracle
 from tests.scalar_oracle import (
+    InDegree,
     ListInbox,
     MaxCombiner,
     ScalarEngine,

@@ -24,12 +24,13 @@ import pytest
 from repro.cloud import default_catalog
 from repro.core import HourglassProvisioner
 from repro.engine import PregelEngine
-from repro.engine.algorithms import SSSP, ConnectedComponents, PageRank
+from repro.engine.algorithms import SSSP, PageRank
 from repro.graph import generators
 from repro.partitioning.micro import MicroPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
 from repro.runtime import HourglassRuntime
 from repro.utils.units import HOURS
+from tests.scalar_oracle import ConnectedComponents
 
 
 def sha(array, dtype=np.int64) -> str:

@@ -203,7 +203,6 @@ class TestFigElastic:
         results = fig_elastic.run(
             ExperimentSetup(seed=42), slacks=(0.3, 0.8), num_simulations=4
         )
-        assert fig_elastic.check_invariants(results) == []
         time_rows = [r for r in results if r.strategy == "hourglass/time"]
         raw_rows = [r for r in results if r.strategy == "hourglass/raw"]
         assert len(time_rows) == len(raw_rows) == 2

@@ -33,14 +33,19 @@ from repro.engine import (
     PregelEngine,
 )
 from repro.engine import engine as engine_module
-from repro.engine.algorithms import SSSP, ConnectedComponents, InDegree, PageRank
+from repro.engine.algorithms import SSSP, PageRank
 from repro.engine.engine import _SlotCounter
 from repro.engine.messages import SumCombiner
 from repro.engine.vertex import VertexProgram
 from repro.graph import generators
 from repro.graph.graph import from_edges
 from repro.partitioning.hashing import HashPartitioner
-from tests.scalar_oracle import destination_mask, messages_for
+from tests.scalar_oracle import (
+    ConnectedComponents,
+    InDegree,
+    destination_mask,
+    messages_for,
+)
 from tests.test_traffic_accounting import sorted_count
 
 

@@ -7,10 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cloud import (
-    PriceTrace,
-    default_catalog,
-)
+from repro.cloud import default_catalog
 from repro.core import (
     COLORING_PROFILE,
     PAGERANK_PROFILE,
@@ -61,37 +58,6 @@ class TestComputeContext:
         engine = ScalarEngine(from_edges([0], [1], num_vertices=2), Probe())
         assert not engine._halted.any()  # every vertex starts active
         assert Probe().aggregators() == {}
-
-
-class TestPriceTraceSlice:
-    def test_slice_preserves_prices(self):
-        trace = PriceTrace(
-            times=np.array([0.0, 10.0, 20.0, 30.0]),
-            prices=np.array([1.0, 2.0, 3.0, 4.0]),
-            instance_name="x",
-        )
-        sub = trace.slice(5.0, 25.0)
-        assert sub.start == 5.0
-        assert sub.price_at(5.0) == 1.0
-        assert sub.price_at(12.0) == 2.0
-        assert sub.instance_name == "x"
-
-    def test_slice_bad_bounds(self):
-        trace = PriceTrace(times=np.array([0.0, 10.0]), prices=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            trace.slice(5.0, 5.0)
-        with pytest.raises(ValueError):
-            trace.slice(-1.0, 5.0)
-
-
-class TestDeploymentCdf:
-    def test_more_machines_riskier(self):
-        model = scalar_oracle.ExponentialEvictionModel(mttf=3600.0)
-        one = model.deployment_cdf(600, 1)
-        many = model.deployment_cdf(600, 16)
-        assert many > one
-        with pytest.raises(ValueError):
-            model.deployment_cdf(600, 0)
 
 
 class TestHourglassSegmentLimit:

@@ -1,12 +1,13 @@
 """The metrics primitives of :mod:`repro.obs`: labeled counter, gauge
 and histogram series, and the Prometheus text the registry renders,
-read back by :func:`repro.obs.export.parse_prometheus`."""
+read back by :func:`tools.prometheus.parse_prometheus`."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import MetricsRegistry, export
+from repro.obs import MetricsRegistry
+from tools import prometheus
 
 
 class TestMetrics:
@@ -48,7 +49,7 @@ class TestMetrics:
         registry.counter("runs_total", "Runs").inc(3, tenant="a b")
         registry.gauge("depth", "Depth").set(1.5)
         registry.histogram("lat", "Latency", buckets=(1.0,)).observe(0.5, op="put")
-        samples = export.parse_prometheus(registry.to_prometheus())
+        samples = prometheus.parse_prometheus(registry.to_prometheus())
         assert samples[("runs_total", (("tenant", "a b"),))] == 3
         assert samples[("depth", ())] == 1.5
         assert samples[("lat_bucket", (("le", "1"), ("op", "put")))] == 1
@@ -58,8 +59,8 @@ class TestMetrics:
 
     def test_parse_prometheus_rejects_malformed(self):
         with pytest.raises(ValueError, match="no # TYPE"):
-            export.parse_prometheus("orphan_metric 1\n")
+            prometheus.parse_prometheus("orphan_metric 1\n")
         with pytest.raises(ValueError, match="malformed value"):
-            export.parse_prometheus("# TYPE m counter\nm not-a-number\n")
+            prometheus.parse_prometheus("# TYPE m counter\nm not-a-number\n")
         with pytest.raises(ValueError, match="unquoted label"):
-            export.parse_prometheus('# TYPE m counter\nm{k=v} 1\n')
+            prometheus.parse_prometheus('# TYPE m counter\nm{k=v} 1\n')

@@ -38,19 +38,18 @@ from repro.load.harness import HarnessConfig, LoadHarness
 from repro.load.trace import LoadTraceConfig, generate_trace
 from repro.load.watch import render_panel
 from repro.obs.attribution import CostLedger
-from repro.obs.export import parse_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     BurnRateRule,
     SloMonitor,
     SloObjective,
-    alerts,
     default_slos,
     statuses,
 )
 from repro.obs.window import DEFAULT_WINDOWS, Frame, Record, RecordLog, percentile
 from tests import window_oracle as oracle
 from tests.test_observer_dispatch import run_pinned
+from tools.prometheus import parse_prometheus
 
 
 def _run(t, outcome="met", dollars=0.0):
@@ -305,7 +304,7 @@ class TestWindowedAggregator:
         log.advance(100.0)  # never back, never a tick twice
         log.advance(240.0)
         assert seen[5:] == [(240.0, "a")]
-        assert log.ticks() == [60.0, 120.0, 180.0, 240.0]
+        assert oracle.ticks(log) == [60.0, 120.0, 180.0, 240.0]
 
 
 _times = st.integers(0, 40).map(lambda k: 600.0 * k)
@@ -354,7 +353,7 @@ class TestFoldProperties:
         log = _log(shuffled, tick_s=600.0)
         monitor = SloMonitor(log, objectives, metrics=MetricsRegistry())
         log.advance(log.end + 600.0)
-        assert list(monitor.alerts()) == alerts(objectives, records, log.ticks())
+        assert list(monitor.alerts()) == oracle.alerts(objectives, records, oracle.ticks(log))
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +438,7 @@ class TestSloMonitor:
         assert monitor.as_dict()["firing"] == []
         assert monitor.evaluations == 4
         # The live sequence is the pure one over the same ticks.
-        assert list(transitions) == alerts(monitor.objectives, log.records(), log.ticks())
+        assert list(transitions) == oracle.alerts(monitor.objectives, log.records(), oracle.ticks(log))
 
     def test_monitor_exports_its_own_series(self):
         registry, log, monitor = self._setup()
@@ -711,7 +710,7 @@ class TestHarnessPublication:
         harness.service.add_decision_hook(lambda request, result: time.sleep(0.002))
         harness.run()
         log = harness.log
-        assert _seed_part(alerts(default_slos(), log.records(), log.ticks()), log) == (
+        assert _seed_part(oracle.alerts(default_slos(), log.records(), oracle.ticks(log)), log) == (
             SEED42_ALERTS
         )
 
@@ -724,10 +723,10 @@ class TestHarnessPublication:
         )
         log, monitor = run.harness.log, run.monitor
         assert monitor.alerts()
-        assert list(monitor.alerts()) == alerts(monitor.objectives, log.records(), log.ticks())
+        assert list(monitor.alerts()) == oracle.alerts(monitor.objectives, log.records(), oracle.ticks(log))
         # Every live /slo payload is the fold at its t over the final log.
         frame = log.frame()
-        assert len(run.payloads) == len(log.ticks()) == monitor.evaluations
+        assert len(run.payloads) == len(oracle.ticks(log)) == monitor.evaluations
         for payload in run.payloads:
             pure = statuses(monitor.objectives, frame, payload["t"])
             assert payload["objectives"] == [s.as_dict() for s in pure]

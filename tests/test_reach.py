@@ -1,4 +1,4 @@
-"""The reachability guard (``python -m repro.smoke reach``) on a toy package.
+"""The reachability guard (``python -m tools.smoke reach``) on a toy package.
 
 One traced entry point calls ``used`` (which calls ``helper``); the
 differ must exempt declaration stubs, fail an unreached function that
@@ -8,11 +8,15 @@ differ must exempt declaration stubs, fail an unreached function that
 
 from __future__ import annotations
 
+import ast
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro import reach
+import repro
+from tools import reach
 
 TOY = '''\
 def used():
@@ -108,3 +112,22 @@ def test_a_failing_entry_point_fails(toy, tmp_path):
 
     failures, _, _ = reach.run(entry_points, tmp_path, toy, tmp_path / "trace", LISTED)
     assert "exited 3" in failures[0]
+
+
+def test_checks_live_outside_the_package():
+    """The smoke rows and the guard are checks, not library code: neither
+    ships in ``repro``, and nothing in ``repro`` imports them."""
+    assert importlib.util.find_spec("repro.smoke") is None
+    assert importlib.util.find_spec("repro.reach") is None
+    importers = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "tools" or name.startswith("tools.") for name in names):
+                importers.append(path.name)
+    assert importers == []

@@ -13,12 +13,13 @@ from repro.core import (
     SpotOnProvisioner,
 )
 from repro.engine import PregelEngine
-from repro.engine.algorithms import ConnectedComponents, PageRank
+from repro.engine.algorithms import PageRank
 from repro.exec import ExecutionError
 from repro.graph import generators
 from repro.runtime import HourglassRuntime, MechanisticPerformanceModel
 from repro.utils.units import HOURS
 from tests import scalar_oracle
+from tests.scalar_oracle import ConnectedComponents
 
 
 @pytest.fixture(scope="module")

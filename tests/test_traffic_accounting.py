@@ -16,14 +16,13 @@ import pytest
 
 from repro.engine import PregelEngine
 from repro.engine import engine as engine_module
-from repro.engine.algorithms import ConnectedComponents
 from repro.engine.engine import _SlotCounter
 from repro.engine.vertex import VertexProgram
 from repro.graph import generators
 from repro.graph.graph import from_edges
 from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
-from tests.scalar_oracle import ScalarEngine
+from tests.scalar_oracle import ConnectedComponents, ScalarEngine
 
 
 class Shout(VertexProgram):

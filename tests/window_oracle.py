@@ -3,11 +3,16 @@
 Every read filters the whole record list by kind, outcome and the
 half-open window ``[t - w, t)`` — no sorting, no ``searchsorted`` — and
 reduces what is left with the same :func:`percentile` rule.
+
+:func:`alerts` over :func:`ticks` is the reference for
+:meth:`repro.obs.slo.SloMonitor.alerts`: the same transitions, folded
+once over a finished log instead of tick by tick as the clock advances.
 """
 
 from __future__ import annotations
 
-from repro.obs.window import percentile
+from repro.obs.slo import _transitions, statuses
+from repro.obs.window import Frame, percentile
 
 
 def window_values(records, t, window_s, kind, outcome=None) -> list[float]:
@@ -31,3 +36,25 @@ def ratio(records, t, window_s, kind, bad) -> float:
 
 def quantile(records, t, window_s, q, kind, outcome=None) -> float:
     return percentile(window_values(records, t, window_s, kind, outcome), q)
+
+
+def ticks(log) -> list[float]:
+    """Every ``log.origin + k * log.tick_s`` (k >= 1) at or before its clock."""
+    out, k = [], 1
+    while log.origin + k * log.tick_s <= log.clock:
+        out.append(log.origin + k * log.tick_s)
+        k += 1
+    return out
+
+
+def alerts(objectives, records, instants) -> list:
+    """Every rule transition over *instants*: a pure function of
+    the records."""
+    frame = Frame(records)
+    previous: tuple = ()
+    out: list = []
+    for t in instants:
+        current = statuses(objectives, frame, t)
+        out.extend(_transitions(previous, current, t))
+        previous = current
+    return out
