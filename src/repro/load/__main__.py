@@ -6,16 +6,6 @@ print the report::
     python -m repro.load --jobs 1000 --seed 42
     python -m repro.load --jobs 100 --capacity 16 --queue-limit 32 \\
         --out load-artifacts
-    python -m repro.load --jobs 100 --frontend --workers 1:6 \\
-        --time-scale 3600 --require-scaling
-
-``--frontend`` plans through the async :class:`PlanFrontend` (request
-coalescing, eager batching, an autoscaled planner pool, backpressure)
-instead of the windowed admission path; ``--workers MIN:MAX`` bounds the
-pool and ``--require-scaling`` makes the run degenerate unless the
-autoscaler both powered up and powered down.  In frontend mode the
-process also verifies the no-silent-drop invariant: every offered job
-must resolve to exactly one outcome.
 
 ``--watch SECONDS`` turns the run into an observable one.  Every
 one-shot outcome is a record in the harness's log, stamped with its
@@ -48,23 +38,6 @@ from repro.load.harness import HarnessConfig, LoadHarness
 from repro.load.trace import LoadTraceConfig, generate_trace
 from repro.obs.attribution import CostLedger
 from repro.obs.metrics import MetricsRegistry
-
-
-def _parse_workers(value: str) -> tuple[int, int]:
-    """Parse a ``MIN:MAX`` pool band (a bare integer pins both)."""
-    lo, sep, hi = value.partition(":")
-    try:
-        low = int(lo)
-        high = int(hi) if sep else low
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected MIN:MAX worker counts, got {value!r}"
-        ) from exc
-    if low < 1 or high < low:
-        raise argparse.ArgumentTypeError(
-            f"need 1 <= MIN <= MAX, got {value!r}"
-        )
-    return low, high
 
 
 def _parse_scales(value: str) -> tuple[float, ...]:
@@ -119,13 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="uniform per-job slack-fraction range (default 0.1:1.0)",
     )
     parser.add_argument(
-        "--slack-quantum",
-        type=float,
-        default=0.0,
-        help="round slack fractions to this step (0 = continuous; round "
-        "numbers make duplicate requests the frontend can coalesce)",
-    )
-    parser.add_argument(
         "--window", type=float, default=60.0, help="planning window seconds"
     )
     parser.add_argument(
@@ -144,30 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan-only",
         action="store_true",
         help="skip execution (latency/admission sections only)",
-    )
-    parser.add_argument(
-        "--frontend",
-        action="store_true",
-        help="plan through the async frontend + autoscaled planner pool",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=(1, 4),
-        metavar="MIN:MAX",
-        help="planner-pool size band in frontend mode (default 1:4)",
-    )
-    parser.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.0,
-        help="simulated seconds per wall second when pacing frontend "
-        "submissions (0 = saturation, no pacing)",
-    )
-    parser.add_argument(
-        "--require-scaling",
-        action="store_true",
-        help="frontend mode: fail unless the pool scaled up AND back down",
     )
     parser.add_argument(
         "--watch",
@@ -196,7 +138,6 @@ def main(argv=None) -> int:
         num_jobs=args.jobs,
         num_tenants=args.tenants,
         arrivals_per_hour=args.arrivals_per_hour,
-        slack_quantum=args.slack_quantum,
         **trace_kwargs,
     )
     config = HarnessConfig(
@@ -209,10 +150,6 @@ def main(argv=None) -> int:
         trace_days=args.trace_days,
         recurring_tenants=args.recurring_tenants,
         recurring_periods=args.recurring_periods,
-        frontend=args.frontend,
-        frontend_min_workers=args.workers[0],
-        frontend_max_workers=args.workers[1],
-        time_scale=args.time_scale,
     )
     metrics = MetricsRegistry()
     trace = generate_trace(trace_config)
@@ -263,23 +200,6 @@ def main(argv=None) -> int:
         problems.append("no jobs planned")
     if config.execute and report.executed == 0:
         problems.append("no jobs executed")
-    if args.frontend:
-        resolved = (
-            report.planned
-            + report.rejected_overload
-            + report.rejected_invalid
-            + report.deadline_lost
-        )
-        if resolved != report.offered:
-            problems.append(
-                f"lost requests: {report.offered} offered but only "
-                f"{resolved} resolved to an outcome"
-            )
-        if args.require_scaling:
-            if report.pool_scale_ups == 0:
-                problems.append("autoscaler never scaled up")
-            if report.pool_scale_downs == 0:
-                problems.append("autoscaler never scaled down")
     if problems:
         print(f"DEGENERATE RUN: {'; '.join(problems)}", file=sys.stderr)
         return 1

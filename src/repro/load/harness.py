@@ -6,15 +6,14 @@ one pipeline of four stages:
 1. **Windows.**  :func:`~repro.load.trace.generate_trace` samples the
    seeded multi-tenant workload; one window iterator chops it into
    fixed planning windows, passes each window through the
-   :class:`~repro.load.admission.AdmissionController` when there is one
-   (bounded queue, tail-drop) and drops jobs whose whole deadline has
-   already passed at the window's close.
-2. **Planner.**  Either one
+   :class:`~repro.load.admission.AdmissionController` (bounded queue,
+   tail-drop) and drops jobs whose whole deadline has already passed at
+   the window's close.
+2. **Planner.**  One
    :meth:`~repro.service.planning.PlanningService.plan_many` batch per
    window with per-slot errors — a saturating trace degrades job-by-job,
-   never as a whole-batch :class:`~repro.service.planning.PlanError` —
-   or the async :class:`~repro.service.frontend.PlanFrontend`.  Both
-   yield ``(job, t_plan)``.
+   never as a whole-batch :class:`~repro.service.planning.PlanError`.
+   It yields ``(job, t_plan)`` for every planned job.
 3. **Executor.**  Planned jobs run through :class:`ExecutionSimulator`
    against the same market, sharing the service's warm caches; queueing
    delay is charged in *simulated* time (a job admitted two windows late
@@ -35,9 +34,8 @@ No record lands earlier than the clock, so the SLO monitor and the
 a fold over the finished log sees at the same instant.
 
 The order of service calls is part of the contract: a DP memo bucket
-keeps its first visitor's cost, so the windowed path plans window *w*,
-executes window *w*'s jobs in slot order, then plans window *w+1*, and
-the frontend path executes in ``job_id`` order after all planning.
+keeps its first visitor's cost, so the harness plans window *w*,
+executes window *w*'s jobs in slot order, then plans window *w+1*.
 Everything simulated is then deterministic in the seed
 (:meth:`LoadReport.fingerprint` pins it); only the wall-clock latency
 percentiles vary run to run.
@@ -45,9 +43,7 @@ percentiles vary run to run.
 
 from __future__ import annotations
 
-import asyncio
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -72,13 +68,7 @@ from repro.load.trace import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.window import Record, RecordLog, percentile
-from repro.service.frontend import (
-    FrontendConfig,
-    FrontendOverloadError,
-    PlanFrontend,
-)
-from repro.service.planning import PlanError, PlanningService, PlanRequest, PlanResult
-from repro.service.pool import PoolConfig
+from repro.service.planning import PlanningService, PlanRequest, PlanResult
 from repro.service.strategies import SERVICE_STRATEGIES
 from repro.utils.rng import derive_rng
 from repro.utils.units import HOURS
@@ -104,7 +94,6 @@ class _OutcomeSink:
         mx = metrics
         self.ledger = ledger
         self.log = log
-        self.frontend_stats = None  # set by the frontend planner
         self.offered = 0
         self.jobs = dict.fromkeys(self.JOB_OUTCOMES, 0)
         self.queued = 0
@@ -240,19 +229,6 @@ class _OutcomeSink:
         plans = [r for r in self.log.records() if r.outcome == "planned"]
         latencies = [r.value for r in plans]
         queue_waits = [r.wait for r in plans]
-        frontend = {}
-        if self.frontend_stats is not None:
-            pool = self.frontend_stats.pool
-            frontend = dict(
-                frontend=True,
-                coalesce_hits=self.frontend_stats.coalesced,
-                pool_size_peak=pool.size_peak,
-                pool_size_low=pool.size_low,
-                pool_scale_ups=pool.scale_ups,
-                pool_scale_downs=pool.scale_downs,
-                dispatch_batches=pool.batches,
-                dispatch_batch_max=pool.batch_max,
-            )
         return LoadReport(
             # The trace that ran, which a replayed trace makes different
             # from the configured one.
@@ -294,7 +270,6 @@ class _OutcomeSink:
             provider_idle_machine_s=self.provider_idle,
             user_cost_dollars=self.user_cost,
             service_time_s=self.service_time,
-            **frontend,
         )
 
 
@@ -315,19 +290,6 @@ class HarnessConfig:
         trace_days: market-trace length backing the run.
         recurring_tenants / recurring_periods: size of the interleaved
             recurring phase (0 tenants disables it).
-        frontend: plan through the async :class:`PlanFrontend` (request
-            coalescing + autoscaled planner pool + backpressure)
-            instead of the windowed admission + ``plan_many`` path.
-            Decision time is still quantized to the arrival's window
-            close, so the simulated-slack bookkeeping matches the
-            windowed path; the backlog/tail-drop guardrail is replaced
-            by the frontend's own ``max_inflight`` bound.
-        frontend_min_workers / frontend_max_workers: planner-pool size
-            band in frontend mode.
-        time_scale: simulated seconds per wall-clock second when pacing
-            frontend submissions (0 = no pacing, saturation mode).
-            Pacing lets the pool see the trace's bursts and troughs as
-            genuine load swings instead of one continuous flood.
     """
 
     trace: LoadTraceConfig = field(default_factory=LoadTraceConfig)
@@ -339,10 +301,6 @@ class HarnessConfig:
     trace_days: int = 14
     recurring_tenants: int = 4
     recurring_periods: int = 6
-    frontend: bool = False
-    frontend_min_workers: int = 1
-    frontend_max_workers: int = 4
-    time_scale: float = 0.0
 
     def __post_init__(self):
         if self.window_s <= 0:
@@ -353,12 +311,6 @@ class HarnessConfig:
             raise ValueError("queue_limit must be >= 0")
         if self.recurring_tenants < 0 or self.recurring_periods < 1:
             raise ValueError("recurring_tenants >= 0, recurring_periods >= 1")
-        if self.frontend_min_workers < 1:
-            raise ValueError("frontend_min_workers must be >= 1")
-        if self.frontend_max_workers < self.frontend_min_workers:
-            raise ValueError("frontend_max_workers must be >= frontend_min_workers")
-        if self.time_scale < 0:
-            raise ValueError("time_scale must be >= 0 (0 disables pacing)")
         if self.strategy not in SERVICE_STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; known: {sorted(SERVICE_STRATEGIES)}"
@@ -504,10 +456,9 @@ class LoadHarness:
             )
 
         sink = _OutcomeSink(self.metrics, self.ledger, self.log)
-        planner = self._plan_frontend if cfg.frontend else self._plan_windowed
-        # Executor.  The planners are lazy, so on the windowed path a
-        # window's jobs execute before the next window is planned.
-        for job, t_plan in planner(trace, sink):
+        # Executor.  The planner is lazy, so a window's jobs execute
+        # before the next window is planned.
+        for job, t_plan in self._plan_windowed(trace, sink):
             if cfg.execute:
                 self.log.advance(t_plan)
                 sink.run(
@@ -524,38 +475,36 @@ class LoadHarness:
         return sink.report(trace, self.service)
 
     # ------------------------------------------------------------------
-    # Windows
+    # Windows and the planner
     # ------------------------------------------------------------------
-    def _windows(self, trace: ArrivalTrace, sink: _OutcomeSink, controller=None):
+    def _windows(self, trace: ArrivalTrace, sink: _OutcomeSink):
         """Yield ``(window_end, jobs)``: the jobs to plan at each close.
 
-        Without a *controller* those are the window's arrivals; with an
-        admission controller, what it releases of its backlog and the
-        arrivals (the rest waits or is tail-dropped).  Runs until the
-        trace is exhausted and the controller holds nothing back.
+        Those are what the admission controller releases of its backlog
+        and the window's arrivals (the rest waits or is tail-dropped).
+        Runs until the trace is exhausted and the controller holds
+        nothing back.
         """
         cfg = self.config
         market = self.setup.market
+        controller = AdmissionController(
+            capacity_per_window=cfg.capacity_per_window, queue_limit=cfg.queue_limit
+        )
         num_windows = max(1, math.ceil(trace.span_s / cfg.window_s) + 1)
         arrivals = deque(trace.jobs)
         window = 0
-        while (
-            window < num_windows
-            or arrivals
-            or (controller is not None and controller.backlog)
-        ):
+        while window < num_windows or arrivals or controller.backlog:
             window_end = market.start + (window + 1) * cfg.window_s
             jobs: list[TraceJob] = []
             while arrivals and market.start + arrivals[0].arrival_s < window_end:
                 jobs.append(arrivals.popleft())
             sink.offered += len(jobs)
-            if controller is not None:
-                admitted, rejected = controller.offer(jobs)
-                sink.job("rejected_overload", window_end, len(rejected))
-                sink.backlog(controller.stats)
-                jobs = [entry.item for entry in admitted]
+            admitted, rejected = controller.offer(jobs)
+            sink.job("rejected_overload", window_end, len(rejected))
+            sink.backlog(controller.stats)
             servable = []
-            for job in jobs:
+            for entry in admitted:
+                job = entry.item
                 if self._deadline_for(job) <= window_end:
                     # Its whole deadline has passed (queued too long, or
                     # shorter than one window): unservable — an SLO
@@ -566,16 +515,9 @@ class LoadHarness:
             yield window_end, servable
             window += 1
 
-    # ------------------------------------------------------------------
-    # Planners: both yield (job, t_plan) for every planned job
-    # ------------------------------------------------------------------
     def _plan_windowed(self, trace: ArrivalTrace, sink: _OutcomeSink):
-        """Bounded admission, then one ``plan_many`` batch per window."""
-        cfg = self.config
-        controller = AdmissionController(
-            capacity_per_window=cfg.capacity_per_window, queue_limit=cfg.queue_limit
-        )
-        for window_end, jobs in self._windows(trace, sink, controller):
+        """One ``plan_many`` batch per window; yields ``(job, t_plan)``."""
+        for window_end, jobs in self._windows(trace, sink):
             if not jobs:
                 continue
             slots = self.service.plan_many(
@@ -589,86 +531,6 @@ class LoadHarness:
                     yield job, window_end
                 else:
                     sink.job("rejected_invalid", window_end)
-
-    def _plan_frontend(self, trace: ArrivalTrace, sink: _OutcomeSink):
-        """The async frontend over the autoscaled pool.
-
-        Submissions are grouped by planning window (each job's decision
-        time is its arrival window's close, the same simulated-time
-        bookkeeping as the windowed path) but dispatched concurrently —
-        coalescing, batching and scaling happen inside the frontend.
-        Planned jobs are yielded afterwards in arrival order, so the
-        simulated phase is independent of wall-clock completion order.
-        """
-        cfg = self.config
-        frontend = PlanFrontend(
-            self.service,
-            FrontendConfig(
-                max_inflight=cfg.queue_limit + cfg.capacity_per_window,
-                max_batch=cfg.capacity_per_window,
-                pool=PoolConfig(
-                    min_workers=cfg.frontend_min_workers,
-                    max_workers=cfg.frontend_max_workers,
-                ),
-            ),
-            metrics=self.metrics,
-        )
-        planned = asyncio.run(self._drive_frontend(frontend, trace, sink))
-        sink.frontend_stats = frontend.stats()
-        yield from sorted(planned, key=lambda pair: pair[0].job_id)
-
-    async def _drive_frontend(
-        self, frontend: PlanFrontend, trace: ArrivalTrace, sink: _OutcomeSink
-    ) -> list[tuple[TraceJob, float]]:
-        """Submit the trace through the frontend; returns planned jobs."""
-        cfg = self.config
-        planned: list[tuple[TraceJob, float]] = []
-
-        async def submit(job: TraceJob, t_plan: float) -> None:
-            started = time.perf_counter()
-            try:
-                result = await frontend.plan(self._request_for(job, t_plan))
-            except FrontendOverloadError:
-                sink.job("rejected_overload", t_plan)
-                return
-            except PlanError:
-                sink.job("rejected_invalid", t_plan)
-                return
-            sink.plan(
-                t_plan, time.perf_counter() - started, result.telemetry.queue_wait_s
-            )
-            planned.append((job, t_plan))
-
-        async with frontend:
-            tasks: list[asyncio.Task] = []
-            for window_end, jobs in self._windows(trace, sink):
-                for job in jobs:
-                    tasks.append(asyncio.create_task(submit(job, window_end)))
-                if cfg.time_scale > 0:
-                    await asyncio.sleep(cfg.window_s / cfg.time_scale)
-                elif jobs:
-                    # Yield so the dispatcher and resolvers interleave
-                    # with submission even in saturation mode.
-                    await asyncio.sleep(0)
-            if tasks:
-                await asyncio.gather(*tasks)
-            # Trough ticks: with no traffic left, let the autoscaler
-            # observe the empty system until its EWMA decays and it
-            # powers the pool back down to min_workers (the same ticks a
-            # deployment's idle timer would deliver).  Gather returns
-            # when the asyncio futures resolve, which is *before* the
-            # worker threads record their completions — yield until the
-            # in-system count drains or the ticks would decay a stale
-            # load sample instead of the empty system.
-            for _ in range(200):
-                stats = frontend.pool.stats()
-                if stats.size <= cfg.frontend_min_workers:
-                    break
-                if stats.in_system:
-                    await asyncio.sleep(0.001)
-                    continue
-                frontend.pool.idle_tick()
-        return planned
 
     # ------------------------------------------------------------------
     # Executor

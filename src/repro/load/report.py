@@ -57,8 +57,8 @@ class LoadReport:
     queued: int
     queue_peak: int
 
-    # Service cache behaviour (deterministic on the windowed path; see
-    # FRONTEND_ORDER_FIELDS for the frontend)
+    # Service cache behaviour (deterministic: one thread plans in
+    # arrival order)
     cache_hit_rate: float
     snapshot_hit_rate: float
 
@@ -89,60 +89,17 @@ class LoadReport:
     user_cost_dollars: float
     service_time_s: float
 
-    # Frontend / planner-pool behaviour (wall-clock-dependent: how many
-    # requests coalesced and how the pool scaled depend on real-time
-    # interleaving, so none of these join the fingerprint).
-    frontend: bool = False
-    coalesce_hits: int = 0
-    pool_size_peak: int = 0
-    pool_size_low: int = 0
-    pool_scale_ups: int = 0
-    pool_scale_downs: int = 0
-    dispatch_batches: int = 0
-    dispatch_batch_max: int = 0
-
-    #: Fields excluded from :meth:`fingerprint` on top of the ``*_ms``
-    #: wall-clock percentiles: everything measuring the serving layer's
-    #: real-time behaviour rather than a simulated outcome.
-    WALL_CLOCK_FIELDS = frozenset(
-        {
-            "coalesce_hits",
-            "pool_size_peak",
-            "pool_size_low",
-            "pool_scale_ups",
-            "pool_scale_downs",
-            "dispatch_batches",
-            "dispatch_batch_max",
-        }
-    )
-
-    #: Fields excluded from :meth:`fingerprint` in frontend mode only.
-    #: The frontend's planner threads reach the shared estimator memo in
-    #: an order the OS scheduler picks, and a memo bucket keeps the
-    #: states of its first visitor, so the count of hits and misses
-    #: (and of rate-snapshot reuses) moves with thread timing even when
-    #: every decision is the same.  On the windowed path one thread
-    #: plans in arrival order and both rates stay in the fingerprint.
-    FRONTEND_ORDER_FIELDS = frozenset({"cache_hit_rate", "snapshot_hit_rate"})
-
     def fingerprint(self) -> str:
         """SHA-256 over the deterministic (simulated) fields only.
 
-        Wall-clock percentiles (``*_ms``), the serving-layer fields in
-        :data:`WALL_CLOCK_FIELDS` and, in frontend mode, the memo rates
-        in :data:`FRONTEND_ORDER_FIELDS` are excluded; two runs of one
-        seed must produce identical fingerprints.  (Frontend-mode
-        simulated outcomes are reproducible unless backpressure overflow
-        — a real-time effect — sheds different jobs.)
+        Wall-clock percentiles (``*_ms``) are excluded; two runs of one
+        seed must produce identical fingerprints.
         """
-        excluded = self.WALL_CLOCK_FIELDS
-        if self.frontend:
-            excluded = excluded | self.FRONTEND_ORDER_FIELDS
-        payload = {
-            k: v
-            for k, v in asdict(self).items()
-            if not k.endswith("_ms") and k not in excluded
-        }
+        payload = {k: v for k, v in asdict(self).items() if not k.endswith("_ms")}
+        # The flag of the deleted frontend mode, kept as a literal: bench's
+        # PINNED in bench/workloads/serve_mixed.py and the fingerprint
+        # literals in tests/test_load_harness.py hash a payload with it.
+        payload["frontend"] = False
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -221,22 +178,6 @@ class LoadReport:
             format_table(
                 [
                     {
-                        "coalesce_hits": self.coalesce_hits,
-                        "pool_peak": self.pool_size_peak,
-                        "pool_low": self.pool_size_low,
-                        "scale_ups": self.pool_scale_ups,
-                        "scale_downs": self.pool_scale_downs,
-                        "batches": self.dispatch_batches,
-                        "batch_max": self.dispatch_batch_max,
-                    }
-                ],
-                title="Frontend + planner pool",
-            )
-            if self.frontend
-            else None,
-            format_table(
-                [
-                    {
                         "provider_idle_machine_s": round(self.provider_idle_machine_s, 1),
                         "user_cost_$": round(self.user_cost_dollars, 2),
                         "service_time_s": round(self.service_time_s, 1),
@@ -250,7 +191,7 @@ class LoadReport:
                 title="Granny-style costs (provider / user / service time)",
             ),
         ]
-        return "\n\n".join(section for section in sections if section is not None)
+        return "\n\n".join(sections)
 
 
 # ----------------------------------------------------------------------

@@ -77,11 +77,6 @@ class LoadTraceConfig:
         scales: graph-size scale factors applied to the profile's
             execution time (mixed dataset sizes).
         slack_range: uniform range of the per-job slack fraction.
-        slack_quantum: round each drawn slack fraction to the nearest
-            multiple of this step (0 = continuous).  Real tenants pick
-            round numbers; a nonzero quantum makes same-window arrivals
-            of one (app, scale) cell genuinely identical requests — the
-            duplicate-heavy regime the frontend's coalescing serves.
     """
 
     seed: int = 42
@@ -93,7 +88,6 @@ class LoadTraceConfig:
     app_mix: tuple[tuple[str, float], ...] = DEFAULT_APP_MIX
     scales: tuple[float, ...] = (0.25, 0.5, 1.0)
     slack_range: tuple[float, float] = (0.1, 1.0)
-    slack_quantum: float = 0.0
 
     def __post_init__(self):
         if self.num_jobs < 1:
@@ -117,8 +111,6 @@ class LoadTraceConfig:
         lo, hi = self.slack_range
         if not 0.0 <= lo <= hi < math.inf:
             raise ValueError("slack_range must satisfy 0 <= lo <= hi < inf")
-        if not 0.0 <= self.slack_quantum < math.inf:
-            raise ValueError("slack_quantum must be finite and >= 0 (0 = continuous)")
 
 
 @dataclass(frozen=True)
@@ -300,10 +292,6 @@ def generate_trace(config: LoadTraceConfig) -> ArrivalTrace:
             continue
         lo, hi = config.slack_range
         slack = float(rng.uniform(lo, hi))
-        if config.slack_quantum > 0.0:
-            slack = min(
-                hi, max(lo, config.slack_quantum * round(slack / config.slack_quantum))
-            )
         jobs.append(
             TraceJob(
                 job_id=len(jobs),

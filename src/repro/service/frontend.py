@@ -21,10 +21,10 @@ layer that fixes both:
   idles while work is waiting.
 * **Backpressure** — at most ``max_inflight`` requests may be admitted
   and unresolved; a submission beyond that fails fast with
-  :class:`PlanError` instead of queueing unboundedly.  This is the
-  bounded-queue guarantee the load harness previously had to bolt on
-  externally (tail-drop in :class:`~repro.load.admission`), now owned
-  by the serving layer itself.
+  :class:`PlanError` instead of queueing unboundedly.  The load
+  harness, which plans in windows and not through the frontend, keeps
+  its own bounded queue: the tail-dropping
+  :class:`~repro.load.admission.AdmissionController`.
 
 Behind the frontend a :class:`~repro.service.pool.PlannerPool` drives
 the sync service from N worker threads, autoscaled with offered load —

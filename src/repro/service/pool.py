@@ -29,8 +29,8 @@ under-capacity evaluations (troughs must prove themselves, the
 haproxy-ec2 threshold rule).
 
 Everything observable is exported as ``svc_pool_*`` metrics through
-:mod:`repro.obs` and mirrored in :meth:`PlannerPool.stats` /
-:meth:`PlannerPool.timeline` for in-process assertions.
+:mod:`repro.obs` and mirrored in :meth:`PlannerPool.stats` for
+in-process assertions.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import queue
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -134,9 +133,6 @@ class PoolStats:
     Attributes:
         size: current target pool size.
         size_peak: largest size the autoscaler reached.
-        size_low: smallest size any power-down reached (0 until the
-            first scale-down — it measures scaling back down, not the
-            starting size).
         scale_ups / scale_downs: resize events per direction.
         batches: dispatch batches serviced.
         requests: plan requests serviced across all batches.
@@ -146,7 +142,6 @@ class PoolStats:
 
     size: int
     size_peak: int
-    size_low: int
     scale_ups: int
     scale_downs: int
     batches: int
@@ -184,7 +179,6 @@ class PlannerPool:
         self._threads: list[threading.Thread] = []
         self._size = 0
         self._size_peak = 0
-        self._size_low = 0
         self._scale_ups = 0
         self._scale_downs = 0
         self._batches = 0
@@ -192,7 +186,6 @@ class PlannerPool:
         self._batch_max = 0
         self._in_system = 0
         self._closed = False
-        self._timeline: list[tuple[float, int]] = []
         with self._lock:
             self._resize_locked(self.config.min_workers, record=False)
 
@@ -228,14 +221,11 @@ class PlannerPool:
                 self._scale_ups += 1
             else:
                 self._scale_downs += 1
-                low = self._size_low if self._size_low else target
-                self._size_low = min(low, target)
             self.metrics.counter(
                 "svc_pool_resizes_total", "Planner-pool resize events by direction"
             ).inc(1, direction=direction)
         self._size = target
         self._size_peak = max(self._size_peak, target)
-        self._timeline.append((time.perf_counter(), target))
         self._gauge("svc_pool_size", "Current planner-pool worker count", target)
         self._publish_saturation_locked()
 
@@ -244,16 +234,6 @@ class PlannerPool:
             return
         target = self.autoscaler.observe(self._in_system, self._size)
         self._resize_locked(target)
-
-    def idle_tick(self) -> None:
-        """Feed the autoscaler one explicit load sample.
-
-        Dispatches and completions already evaluate the policy; a
-        long-lived deployment additionally ticks this from a timer so a
-        pool with *no* traffic still decays back to ``min_workers``.
-        """
-        with self._lock:
-            self._autoscale_locked()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -325,7 +305,6 @@ class PlannerPool:
             return PoolStats(
                 size=self._size,
                 size_peak=self._size_peak,
-                size_low=self._size_low,
                 scale_ups=self._scale_ups,
                 scale_downs=self._scale_downs,
                 batches=self._batches,
@@ -333,11 +312,6 @@ class PlannerPool:
                 batch_max=self._batch_max,
                 in_system=self._in_system,
             )
-
-    def timeline(self) -> tuple[tuple[float, int], ...]:
-        """``(perf_counter, size)`` resize history, start size included."""
-        with self._lock:
-            return tuple(self._timeline)
 
     def close(self) -> None:
         """Drain queued batches, stop every worker, reject new work.

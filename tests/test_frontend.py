@@ -26,8 +26,6 @@ import pytest
 from repro.core.job import PAGERANK_PROFILE, SSSP_PROFILE, job_with_slack
 from repro.core.slack import SlackModel
 from repro.experiments.common import ExperimentSetup
-from repro.load import HarnessConfig, LoadHarness, LoadTraceConfig, generate_trace
-from repro.load.__main__ import _parse_workers, main as load_main
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     Autoscaler,
@@ -158,17 +156,6 @@ class TestPlannerPool:
             future.result(timeout=30)
         assert pool.stats().size_peak > 1
         assert pool.stats().scale_ups >= 1
-        for _ in range(200):
-            if pool.stats().in_system:
-                time.sleep(0.001)
-                continue
-            if pool.stats().size <= 1:
-                break
-            pool.idle_tick()
-        stats = pool.stats()
-        assert stats.size == 1
-        assert stats.scale_downs >= 1
-        assert stats.size_low == 1
         pool.close()
 
     def test_close_drains_queued_batches(self):
@@ -191,21 +178,6 @@ class TestPlannerPool:
             assert future.result(timeout=1) == [("planned", i)]
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit_batch(["late"])
-
-    def test_timeline_records_resizes(self):
-        service = _StubService(delay=0.005)
-        with PlannerPool(
-            service, PoolConfig(min_workers=1, max_workers=4), metrics=MetricsRegistry()
-        ) as pool:
-            futures = [pool.submit_batch(["x"] * 4) for _ in range(20)]
-            for future in futures:
-                future.result(timeout=30)
-            timeline = pool.timeline()
-        sizes = [size for _, size in timeline]
-        assert sizes[0] == 1  # starts at min_workers
-        assert max(sizes) == pool.stats().size_peak
-        times = [t for t, _ in timeline]
-        assert times == sorted(times)
 
 
 # ----------------------------------------------------------------------
@@ -522,121 +494,3 @@ class TestCacheStatsSnapshot:
                 future.result(timeout=120)
         final = service.cache_stats()
         assert final.hits + final.misses > 0
-
-
-# ----------------------------------------------------------------------
-# Harness frontend mode + trace quantisation + CLI
-# ----------------------------------------------------------------------
-class TestHarnessFrontendMode:
-    @pytest.fixture(scope="class")
-    def report(self):
-        config = HarnessConfig(
-            trace=LoadTraceConfig(seed=11, num_jobs=40, num_tenants=6),
-            trace_days=8,
-            recurring_tenants=1,
-            recurring_periods=2,
-            frontend=True,
-            frontend_min_workers=1,
-            frontend_max_workers=4,
-        )
-        return LoadHarness(config, metrics=MetricsRegistry()).run()
-
-    def test_every_offer_resolves(self, report):
-        resolved = (
-            report.planned
-            + report.rejected_overload
-            + report.rejected_invalid
-            + report.deadline_lost
-        )
-        assert resolved == report.offered == 40
-
-    def test_report_carries_pool_story(self, report):
-        assert report.frontend
-        assert report.dispatch_batches > 0
-        assert report.pool_size_peak >= 1
-        assert "Frontend + planner pool" in report.render()
-
-    def test_fingerprint_ignores_serving_layer_fields(self, report):
-        perturbed = replace(
-            report,
-            coalesce_hits=report.coalesce_hits + 5,
-            pool_size_peak=99,
-            pool_scale_ups=77,
-            dispatch_batches=123,
-        )
-        assert perturbed.fingerprint() == report.fingerprint()
-        assert replace(report, planned=report.planned + 1).fingerprint() != (
-            report.fingerprint()
-        )
-
-    def test_fingerprint_ignores_frontend_memo_rates(self, report):
-        # Which planner thread reaches the shared memo first decides the
-        # hit counts, so in frontend mode the rates stay out of the hash;
-        # on the windowed path they stay in.
-        moved = dict(cache_hit_rate=0.123, snapshot_hit_rate=0.456)
-        assert replace(report, **moved).fingerprint() == report.fingerprint()
-        windowed = replace(report, frontend=False)
-        assert replace(windowed, **moved).fingerprint() != windowed.fingerprint()
-
-    def test_windowed_report_omits_pool_section(self):
-        config = HarnessConfig(
-            trace=LoadTraceConfig(seed=11, num_jobs=10),
-            trace_days=8,
-            recurring_tenants=0,
-            execute=False,
-        )
-        report = LoadHarness(config, metrics=MetricsRegistry()).run()
-        assert not report.frontend
-        assert "Frontend + planner pool" not in report.render()
-
-
-class TestSlackQuantum:
-    def test_quantised_slacks_land_on_the_grid(self):
-        config = LoadTraceConfig(seed=3, num_jobs=200, slack_quantum=0.25)
-        trace = generate_trace(config)
-        lo, hi = config.slack_range
-        for job in trace.jobs:
-            if lo < job.slack_fraction < hi:  # interior points sit on the grid
-                assert job.slack_fraction % 0.25 == pytest.approx(0.0, abs=1e-9)
-            assert lo <= job.slack_fraction <= hi
-
-    def test_quantum_is_deterministic_and_distinct(self):
-        config = LoadTraceConfig(seed=3, num_jobs=50, slack_quantum=0.25)
-        assert generate_trace(config).checksum() == generate_trace(config).checksum()
-        continuous = LoadTraceConfig(seed=3, num_jobs=50)
-        assert generate_trace(config).checksum() != generate_trace(continuous).checksum()
-
-    def test_negative_quantum_rejected(self):
-        with pytest.raises(ValueError, match="slack_quantum"):
-            LoadTraceConfig(slack_quantum=-0.1)
-
-
-class TestLoadCli:
-    def test_parse_workers(self):
-        assert _parse_workers("2:6") == (2, 6)
-        assert _parse_workers("3") == (3, 3)
-        with pytest.raises(Exception, match="MIN"):
-            _parse_workers("4:2")
-        with pytest.raises(Exception, match="MIN"):
-            _parse_workers("a:b")
-
-    def test_frontend_run_exits_clean(self, capsys):
-        code = load_main(
-            [
-                "--jobs",
-                "20",
-                "--seed",
-                "11",
-                "--trace-days",
-                "8",
-                "--recurring-tenants",
-                "0",
-                "--plan-only",
-                "--frontend",
-                "--workers",
-                "1:3",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Frontend + planner pool" in out

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -55,19 +56,10 @@ PLAIN_FAMILIES = (
     "load_service_time_seconds_total",
     "load_user_cost_dollars_total",
 )
-#: What ``--watch 600 --frontend`` adds: SLO, tenant and pool series.
-WATCH_FRONTEND_FAMILIES = (
+#: What ``--watch 600`` adds: SLO and tenant series.
+WATCH_FAMILIES = (
     "slo_alerts_total",
     "slo_burn_rate",
-    "svc_pool_batches_total",
-    "svc_pool_dispatch_batch_size",
-    "svc_pool_dispatch_batch_size_sum",
-    "svc_pool_dispatch_batch_size_count",
-    "svc_pool_queue_depth",
-    "svc_pool_requests_total",
-    "svc_pool_resizes_total",
-    "svc_pool_saturation",
-    "svc_pool_size",
     "tenant_cost_dollars_total",
     "tenant_idle_machine_seconds_total",
     "tenant_machine_seconds_total",
@@ -417,7 +409,6 @@ class TestTraceDeterminism:
         ("burst_rate_multiplier", math.nan),
         ("burst_probability_per_hour", -0.5),
         ("burst_probability_per_hour", 3.0),
-        ("slack_quantum", math.nan),
         ("scales", (-1.0,)),
         ("scales", ()),
         ("slack_range", (0.1, math.inf)),
@@ -557,6 +548,13 @@ class TestLoadHarness:
 
         jittered = replace(report, plan_p99_ms=report.plan_p99_ms + 123.0)
         assert jittered.fingerprint() == report.fingerprint()
+        # Simulated outcomes and both memo rates are hashed.
+        for moved in (
+            dict(planned=report.planned + 1),
+            dict(cache_hit_rate=0.123),
+            dict(snapshot_hit_rate=0.456),
+        ):
+            assert replace(report, **moved).fingerprint() != report.fingerprint()
 
     def test_saturation_degrades_gracefully(self):
         config = _small_config(
@@ -620,49 +618,16 @@ class TestHarnessConfigValidation:
         [
             (dict(window_s=0.0), "window_s"),
             (dict(capacity_per_window=0), "capacity_per_window must be >= 1"),
-            # Used to surface inside run() as FrontendConfig's "max_batch".
-            (dict(frontend=True, capacity_per_window=0), "capacity_per_window"),
+            (dict(capacity_per_window=-1), "capacity_per_window"),
             (dict(queue_limit=-1), "queue_limit must be >= 0"),
             (dict(recurring_tenants=-1), "recurring_tenants"),
             (dict(recurring_periods=0), "recurring_periods"),
-            (dict(frontend_min_workers=0), "frontend_min_workers"),
-            (dict(frontend_min_workers=3, frontend_max_workers=2), "frontend_max_workers"),
-            (dict(time_scale=-1.0), "time_scale"),
             (dict(strategy="bogus"), "unknown strategy 'bogus'"),
         ],
     )
     def test_rejected_at_construction(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             HarnessConfig(**overrides)
-
-
-# ----------------------------------------------------------------------
-# Behaviour contract: fingerprints frozen before the one-pipeline
-# refactor (with the bench pin (42, 600) in bench/workloads/serve_mixed.py)
-# ----------------------------------------------------------------------
-class TestFrozenFingerprints:
-    """The windowed and saturation literals ride on
-    ``TestLoadHarness.test_end_to_end_counts_and_report`` and
-    ``test_saturation_degrades_gracefully``, which already run those
-    configs."""
-
-    def test_frontend_without_overload(self):
-        config = HarnessConfig(
-            trace=LoadTraceConfig(seed=11, num_jobs=40, num_tenants=6),
-            trace_days=8,
-            recurring_tenants=1,
-            recurring_periods=2,
-            frontend=True,
-            frontend_min_workers=1,
-            frontend_max_workers=4,
-        )
-        report = LoadHarness(config, metrics=MetricsRegistry()).run()
-        assert report.rejected_overload == 0
-        # The memo rates are not hashed in frontend mode: they vary with
-        # thread timing (LoadReport.FRONTEND_ORDER_FIELDS).
-        assert report.fingerprint() == (
-            "9d3044178b47c53dddb33c7a0286217ca03d3f3d64b12755d0f8a70cb681aed0"
-        )
 
 
 class TestLoadCli:
@@ -690,7 +655,7 @@ class TestLoadCli:
 
     def test_metric_families_are_frozen(self, tmp_path):
         """Every ``# TYPE`` family ``metrics.prom`` carries, plain and with
-        ``--watch --frontend``: no shipped artifact loses a series."""
+        ``--watch``: no shipped artifact loses a series."""
         from repro.load.__main__ import main
 
         argv = [
@@ -701,7 +666,7 @@ class TestLoadCli:
             "--recurring-periods", "2",
         ]
         families = {}
-        for mode, extra in (("plain", []), ("watch-frontend", ["--watch", "600", "--frontend"])):
+        for mode, extra in (("plain", []), ("watch", ["--watch", "600"])):
             out = tmp_path / mode
             assert main([*argv, *extra, "--out", str(out)]) == 0
             families[mode] = {
@@ -710,4 +675,47 @@ class TestLoadCli:
                 if line.startswith("# TYPE ")
             }
         assert families["plain"] == set(PLAIN_FAMILIES)
-        assert families["watch-frontend"] == set(PLAIN_FAMILIES + WATCH_FRONTEND_FAMILIES)
+        assert families["watch"] == set(PLAIN_FAMILIES + WATCH_FAMILIES)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--frontend"],
+            ["--workers", "1:6"],
+            ["--time-scale", "3600"],
+            ["--require-scaling"],
+            ["--slack-quantum", "0.1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_removed_flags_are_refused(self, argv):
+        from repro.load.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
+    def test_config_fields(self):
+        """One planner path: no mode, pool band, pacing or slack quantum."""
+        assert tuple(f.name for f in fields(HarnessConfig)) == (
+            "trace",
+            "window_s",
+            "capacity_per_window",
+            "queue_limit",
+            "strategy",
+            "execute",
+            "trace_days",
+            "recurring_tenants",
+            "recurring_periods",
+        )
+        assert tuple(f.name for f in fields(LoadTraceConfig)) == (
+            "seed",
+            "num_jobs",
+            "num_tenants",
+            "arrivals_per_hour",
+            "burst_rate_multiplier",
+            "burst_probability_per_hour",
+            "app_mix",
+            "scales",
+            "slack_range",
+        )

@@ -607,7 +607,7 @@ class TestWatchPanel:
 # ----------------------------------------------------------------------
 # Harness publication: one path, at event time
 # ----------------------------------------------------------------------
-def _harness_config(seed=17, num_jobs=40, **overrides):
+def _harness_config(seed=17, num_jobs=40):
     return HarnessConfig(
         trace=LoadTraceConfig(
             seed=seed, num_jobs=num_jobs, num_tenants=6, arrivals_per_hour=240.0
@@ -618,17 +618,13 @@ def _harness_config(seed=17, num_jobs=40, **overrides):
         trace_days=8,
         recurring_tenants=2,
         recurring_periods=3,
-        **overrides,
     )
 
 
 class TestHarnessPublication:
-    @pytest.mark.parametrize("frontend", [False, True], ids=["windowed", "frontend"])
-    def test_every_series_equals_its_report_field(self, frontend):
+    def test_every_series_equals_its_report_field(self):
         registry = MetricsRegistry()
-        report = LoadHarness(
-            _harness_config(frontend=frontend), metrics=registry
-        ).run()
+        report = LoadHarness(_harness_config(), metrics=registry).run()
         assert report.planned > 0 and report.executed > 0
         assert report.recurring_runs > 0
 
@@ -714,25 +710,19 @@ class TestHarnessPublication:
             SEED42_ALERTS
         )
 
-    @pytest.mark.parametrize("frontend", [False, True], ids=["windowed", "frontend"])
-    def test_live_alerts_equal_the_fold(self, frontend, seed42):
-        run = (
-            _observed_run(_harness_config(seed=42, num_jobs=100, frontend=True))
-            if frontend
-            else seed42
-        )
-        log, monitor = run.harness.log, run.monitor
+    def test_live_alerts_equal_the_fold(self, seed42):
+        log, monitor = seed42.harness.log, seed42.monitor
         assert monitor.alerts()
         assert list(monitor.alerts()) == oracle.alerts(monitor.objectives, log.records(), oracle.ticks(log))
         # Every live /slo payload is the fold at its t over the final log.
         frame = log.frame()
-        assert len(run.payloads) == len(oracle.ticks(log)) == monitor.evaluations
-        for payload in run.payloads:
+        assert len(seed42.payloads) == len(oracle.ticks(log)) == monitor.evaluations
+        for payload in seed42.payloads:
             pure = statuses(monitor.objectives, frame, payload["t"])
             assert payload["objectives"] == [s.as_dict() for s in pure]
         # The log holds one run; a second would land records before the clock.
         with pytest.raises(RuntimeError):
-            run.harness.run()
+            seed42.harness.run()
 
     def test_whole_run_window_reproduces_the_report(self, seed42):
         log, report = seed42.harness.log, seed42.report

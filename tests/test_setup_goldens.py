@@ -166,14 +166,12 @@ def test_spike_overlay_matches_per_spike_linspace(case):
 # ----------------------------------------------------------------------
 LOAD_CONFIGS = {
     "default": LoadTraceConfig(),
-    "quantised": LoadTraceConfig(seed=3, num_jobs=600, slack_quantum=0.05),
     "bursty": LoadTraceConfig(
         seed=17, num_jobs=800, burst_probability_per_hour=0.9, burst_rate_multiplier=6.0
     ),
 }
 LOAD_GOLDENS = {
     "default": "26b95c1ba498b0a0fa5b7b8df6bca7cfc93adff057e99074c014d9f73ad5afd2",
-    "quantised": "d7739450b41adb2ae6516f2e1dd3c19244650c45a091d519e1e3a9714304a3c4",
     "bursty": "3bfbe2ec93cc3a1e57ca46a639ca48faf527266849a43278ae2d007952bf2ccc",
 }
 

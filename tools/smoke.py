@@ -38,7 +38,7 @@ not empty.
     Runs every user command from the checkout, two at a time, under a
     ``sys.setprofile`` tracer installed in each Python process
     (:mod:`tools.reach`): the seven examples, ``repro.experiments
-    --quick`` over every figure, the two CI ``repro.load`` rows, a
+    --quick`` over every figure, the CI ``repro.load`` row, a
     baseline-strategy run of large-scale jobs (the ``--scales`` and
     ``--slack-range`` options, baseline planning through the service), a
     ``--watch 600`` run, and the four bench workloads at ``--seconds 4
@@ -336,7 +336,6 @@ def _entry_points(tmp: Path) -> list[list[list[str]]]:
         ],
         [
             [*load, "--out", str(tmp / "load")],
-            [*load, "--frontend", "--workers", "1:6", "--require-scaling", "--out", str(tmp / "fe")],
             ["-m", "repro.load", "--strategy", "spoton+dp", "--jobs", "40", "--seed", "42",
              "--scales", "16", "--slack-range", "0.6:1.0", "--recurring-tenants", "0",
              "--trace-days", "30", "--out", str(tmp / "baseline")],
