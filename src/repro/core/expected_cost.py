@@ -64,6 +64,11 @@ PRICE_TOLERANCE = 0.05
 #: already a tail event.
 MAX_FAIL_DEPTH = 2
 
+#: Largest remaining work a decision may carry: one whole job, plus
+#: headroom for time-accounted work, which rounding can put a few ulps
+#: past 1.  It bounds the memo key's work field.
+MAX_WORK_LEFT = 1.0 + 1e-9
+
 
 class DecisionBudgetExceeded(RuntimeError):
     """Raised when the exact estimator exceeds its state budget."""
@@ -115,23 +120,6 @@ class CacheStats:
     invalidations: int
     entries: int
     epoch: int
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the memo."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        """Plain-dict view for reports."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 3),
-            "invalidations": self.invalidations,
-            "entries": self.entries,
-            "epoch": self.epoch,
-        }
 
 
 def adaptive_grids(
@@ -307,12 +295,14 @@ class ApproximateCostEstimator(_EstimatorBase):
     counters are bit-identical to it, while recursion is spent only on
     fail depth (at most ``MAX_FAIL_DEPTH + 1`` kernel frames).
 
-    The memo is one flat dict keyed by the state tuple (nesting it per
-    configuration measured no faster); per-configuration constants
-    (timings, Daly interval, MTTF, the failure probability of a full
-    interval) are tabled at construction and deployment rates at
-    snapshot time, so a state costs float arithmetic, its follow-ups'
-    memo lookups and — for a truncated interval only — one CDF lookup.
+    The memo is one flat dict keyed by each state packed into one int
+    (the layout is in :meth:`_tune_grids`).  When the grids are tuned,
+    each configuration's constants (timings, Daly interval, the
+    failure probability of a full interval, the failure instant's
+    floor) are tabled into one tuple, and everything else a kernel call
+    reads into one environment tuple; rates are written into it at each
+    snapshot.  A state costs float arithmetic, its follow-ups' memo
+    lookups and — for a truncated interval only — one CDF lookup.
 
     Args:
         slack_grid: memoisation granularity for slack, seconds (None =
@@ -342,52 +332,72 @@ class ApproximateCostEstimator(_EstimatorBase):
         self._memo_misses = 0
         self._memo_invalidations = 0
         self.price_epoch = 0
-        self._lrc_exec = self.slack.lrc_exec_time
-        self._lrc_fixed = self.slack.lrc_fixed_time
-        self._warning_lead = self.warning.lead_seconds
+        # The tabled configurations, by name: the catalogue, then the
+        # last resort if the catalogue does not list it.  The key's
+        # config field is sized by this count, so the table never grows.
         self._table_cfgs: list[Configuration] = []
         self._cfg_index: dict[str, int] = {}
-        self._timings: list[tuple] = []  # per config: (exec, save, setup, fixed)
-        self._spot: list = []  # per-config chain constants, None = on-demand
-        self._rate_arr: list[float] = []
-        self._catalog_idx = [self._ensure_cfg(config) for config in self.catalog]
-        self._lrc_only = [self._ensure_cfg(self._lrc)]
-        self._followers: dict[int, list[int]] = {}  # per evicted config, lazily
+        for config in self.catalog + self._off_catalog:
+            if config.name not in self._cfg_index:
+                self._cfg_index[config.name] = len(self._table_cfgs)
+                self._table_cfgs.append(config)
+        self._rate_arr = [math.nan] * len(self._table_cfgs)
 
     def _tune_grids(self, slack: float) -> None:
-        """Resolve grids left adaptive from the first decision's slack."""
+        """Resolve grids left adaptive from the first decision's slack.
+
+        Then table what every kernel call reads.  A state's memo key is
+        ``((((slack_b * W + work_b) * 2 + running) * D + depth) * N + ci``
+        for ``N`` tabled configurations, ``D = MAX_FAIL_DEPTH + 1`` and
+        ``W`` work buckets, those up to :data:`MAX_WORK_LEFT` (the root
+        bound :meth:`_cost_at_slack` enforces).  Every field but
+        the slack bucket lies in ``[0, radix)``, so floor division
+        recovers each field, a negative slack bucket included: no two
+        states share a key.
+        """
         self.slack_grid, self.work_grid = adaptive_grids(
             slack, self.slack_grid, self.work_grid
         )
         self._grids_tuned = True
-
-    def _ensure_cfg(self, config: Configuration) -> int:
-        """Index of *config* in the precomputed tables (appending it if new)."""
-        idx = self._cfg_index.get(config.name)
-        if idx is not None:
-            return idx
+        n = len(self._table_cfgs)
+        run_stride = n * (MAX_FAIL_DEPTH + 1)
+        work_buckets = int(MAX_WORK_LEFT / self.work_grid) + 1
+        self._strides = (work_buckets * 2 * run_stride, 2 * run_stride, run_stride)
         perf = self.slack.perf
-        idx = len(self._table_cfgs)
-        self._cfg_index[config.name] = idx
-        self._table_cfgs.append(config)
-        exec_t, save = perf.exec_time(config), perf.save_time(config)
-        setup, fixed = perf.setup_time(config), perf.fixed_time(config)
-        self._timings.append((exec_t, save, setup, fixed))
-        spot = None
-        if config.is_transient:
-            model = self.market.eviction_model(config)
-            daly, cdf = daly_interval(save, model.mttf), model.cdf
-            # Exposure and failure probability of a full Daly interval,
-            # warm (already running) and cold (setup first): every chain
-            # node not truncated by the work or slack left reads these.
-            full = (daly + save, setup + daly + save)
-            p_full = (min(1.0, max(0.0, cdf(x))) for x in full)
-            spot = (daly, model.mttf, self.warning.can_save(save), cdf, *full, *p_full)
-        self._spot.append(spot)
-        self._rate_arr.append(self._rates.get(config.name, math.nan))
-        if config not in self.catalog and config not in self._off_catalog:
-            self._off_catalog.append(config)  # priced by the next snapshot
-        return idx
+        timings = [
+            (perf.exec_time(c), perf.save_time(c), perf.setup_time(c), perf.fixed_time(c))
+            for c in self._table_cfgs
+        ]
+        self._consts = [
+            self._chain_constants(c, *timing) if c.is_transient else None
+            for c, timing in zip(self._table_cfgs, timings)
+        ]
+        # Post-eviction follow-ups of each configuration: every
+        # catalogue entry but the evicted market (right after an
+        # eviction its price exceeds the bid).
+        catalog_idx = [self._cfg_index[c.name] for c in self.catalog]
+        followers = [[cj for cj in catalog_idx if cj != ci] for ci in range(n)]
+        lrc_only = [self._cfg_index[self._lrc.name]]
+        self._env = (
+            self._memo, self.slack_grid, self.work_grid, *self._strides, n,
+            self._consts, timings, self._rate_arr, followers, lrc_only,
+            self.slack.lrc_exec_time, self.slack.lrc_fixed_time,
+            self.warning.lead_seconds,
+        )  # fmt: skip
+
+    def _chain_constants(self, config, exec_t, save, setup, fixed) -> tuple:
+        """A spot configuration's constants, in :meth:`_chain`'s order."""
+        model = self.market.eviction_model(config)
+        daly, cdf = daly_interval(save, model.mttf), model.cdf
+        # Exposure and failure probability of a full Daly interval,
+        # warm (already running) and cold (setup first): every chain
+        # node not truncated by the work or slack left reads these.
+        full = (daly + save, setup + daly + save)
+        p_full = (min(1.0, max(0.0, cdf(x))) for x in full)
+        can_salvage = self.warning.can_save(save)
+        fail_floor = max(model.mttf, self.slack_grid)
+        timings = (exec_t, save, setup, fixed)
+        return (*timings, daly, can_salvage, cdf, *full, *p_full, fail_floor)
 
     def snapshot(self, t: float, rates=None) -> None:
         """Freeze market prices at decision time *t*.
@@ -399,7 +409,8 @@ class ApproximateCostEstimator(_EstimatorBase):
         old = dict(self._rates)
         super().snapshot(t, rates)
         table_rates = self._rates
-        self._rate_arr = [table_rates[c.name] for c in self._table_cfgs]
+        # In place: the kernel's environment tuple holds this list.
+        self._rate_arr[:] = [table_rates[c.name] for c in self._table_cfgs]
         if old:
             drift = max(
                 abs(table_rates[name] / was - 1.0) if was > 0 else 1.0
@@ -440,20 +451,37 @@ class ApproximateCostEstimator(_EstimatorBase):
     # across jobs with *different deadlines*: each job converts
     # (t, work) to slack with its own slack model and queries here.
     def _cost_at_slack(self, config, slack, work_left, running) -> float:
-        """EC at an explicit slack (the service-shared query path)."""
+        """EC at an explicit slack (the service-shared query path).
+
+        Raises:
+            ValueError: *config* is neither in the catalogue nor the last
+                resort, or *work_left* exceeds :data:`MAX_WORK_LEFT`.
+        """
         if not self._grids_tuned:
             self._tune_grids(slack)
         if work_left <= _WORK_EPS:
             return 0.0
-        ci = self._ensure_cfg(config)
-        buckets = int(slack / self.slack_grid), int(work_left / self.work_grid)
-        key = (ci, *buckets, running, 0)
+        ci = self._cfg_index.get(config.name)
+        if ci is None or not work_left <= MAX_WORK_LEFT:
+            raise ValueError(
+                f"cannot key {config.name} at work_left={work_left}: the DP "
+                "plans catalogue and last-resort configurations for at most "
+                "one whole job"
+            )
+        slack_stride, work_stride, run_stride = self._strides
+        key = (
+            int(slack / self.slack_grid) * slack_stride
+            + int(work_left / self.work_grid) * work_stride
+            + ci
+        )
+        if running:
+            key += run_stride
         cost = self._memo.get(key)
         if cost is not None:
             self._memo_hits += 1
             return cost
         self._memo_misses += 1
-        if self._spot[ci] is not None:
+        if self._consts[ci] is not None:
             self._memo[key] = math.inf  # cycle guard
             return self._chain(key, ci, slack, work_left, running, 0)
         cost = math.inf
@@ -508,20 +536,20 @@ class ApproximateCostEstimator(_EstimatorBase):
         one (slack, work) bucket pair; on-demand ones come from the
         closed form, spot ones from this kernel one fail-depth deeper.
         """
-        memo = self._memo
-        slack_grid = self.slack_grid
-        work_grid = self.work_grid
+        (memo, slack_grid, work_grid, slack_stride, work_stride, run_stride,
+         depth_stride, consts, timings, rate_of, followers_of, lrc_only,
+         lrc_exec, lrc_fixed, lead) = self._env  # fmt: skip
+        (exec_t, save, setup_t, fixed_t, daly, can_salvage, cdf,
+         warm_x, cold_x, warm_p, cold_p, fail_floor) = consts[ci]  # fmt: skip
+        rate = rate_of[ci]
         inf = math.inf
-        spot_of = self._spot
-        timings = self._timings
-        exec_t, save, setup_t, fixed_t = timings[ci]
-        daly, mttf, can_salvage, cdf, warm_x, cold_x, warm_p, cold_p = spot_of[ci]
-        rate = self._rate_arr[ci]
-        lrc_exec = self._lrc_exec
         hits = misses = 0
 
         switch = save if running else fixed_t
         setup = 0.0 if running else setup_t
+        # Every success continuation is running at this depth: its key
+        # is its two buckets' offsets plus this call's constant.
+        chain_off = run_stride + depth * depth_stride + ci
         nodes = []
         while True:
             # useful interval = min(time to finish, slack left, Daly)
@@ -547,7 +575,11 @@ class ApproximateCostEstimator(_EstimatorBase):
             if work_left <= _WORK_EPS:
                 value = 0.0
                 break
-            key = (ci, int(slack / slack_grid), int(work_left / work_grid), True, depth)
+            key = (
+                int(slack / slack_grid) * slack_stride
+                + int(work_left / work_grid) * work_stride
+                + chain_off
+            )
             value = memo.get(key)
             if value is not None:
                 hits += 1
@@ -558,25 +590,22 @@ class ApproximateCostEstimator(_EstimatorBase):
             setup = 0.0
 
         if depth >= MAX_FAIL_DEPTH:
-            followers, fdepth = self._lrc_only, depth
+            followers, fdepth = lrc_only, depth
         else:
-            # Every catalogue entry but the evicted market: right after
-            # an eviction its price exceeds the bid.
-            followers, fdepth = self._followers.get(ci), depth + 1
-            if followers is None:
-                followers = [cj for cj in self._catalog_idx if cj != ci]
-                self._followers[ci] = followers
-        fail_floor = max(mttf, slack_grid)
-        lead = self._warning_lead
-        rate_of = self._rate_arr
-        lrc_fixed = self._lrc_fixed
+            followers, fdepth = followers_of[ci], depth + 1
+        follow_off = fdepth * depth_stride  # not running, one depth deeper
         for key, slack, work_left, setup, exposure in reversed(nodes):
             if exposure == warm_x:
                 p_fail = warm_p
             elif exposure == cold_x:
                 p_fail = cold_p
             else:
-                p_fail = min(1.0, max(0.0, cdf(exposure)))
+                # min(1.0, max(0.0, p)) as comparisons: NaN and -0.0 give +0.0
+                p_fail = cdf(exposure)
+                if not p_fail > 0.0:
+                    p_fail = 0.0
+                elif p_fail > 1.0:
+                    p_fail = 1.0
             success_cost = rate * exposure / HOURS + value
             # Failure (§5.3 #2): evaluated at the MTTF (clamped into the
             # exposure window).  Without an eviction warning no work
@@ -593,15 +622,18 @@ class ApproximateCostEstimator(_EstimatorBase):
             follow = 0.0
             if work_left > _WORK_EPS:
                 follow = inf
-                slack_b = int(slack / slack_grid)
-                work_b = int(work_left / work_grid)
+                base = (
+                    int(slack / slack_grid) * slack_stride
+                    + int(work_left / work_grid) * work_stride
+                    + follow_off
+                )
                 lrc_finish = slack + lrc_fixed + work_left * lrc_exec
                 for cj in followers:
-                    fkey = (cj, slack_b, work_b, False, fdepth)
+                    fkey = base + cj
                     cost = memo.get(fkey)
                     if cost is not None:
                         hits += 1
-                    elif spot_of[cj] is not None:
+                    elif consts[cj] is not None:
                         misses += 1
                         memo[fkey] = inf  # cycle guard
                         cost = self._chain(fkey, cj, slack, work_left, False, fdepth)

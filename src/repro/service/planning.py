@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from repro.cloud.configuration import Configuration
 from repro.cloud.market import SpotMarket
 from repro.core.expected_cost import (
+    MAX_WORK_LEFT,
     ApproximateCostEstimator,
     CacheStats,
     Decision,
@@ -208,15 +209,15 @@ class PlanningService:
 
         Raises:
             PlanError: the decision time lies outside the market's priced
-                range, or ``work_left`` is not a finite non-negative
-                fraction.
+                range, or ``work_left`` is not a non-negative fraction of
+                a job (at most :data:`MAX_WORK_LEFT`).
         """
         t, work_left = request.t, request.work_left
         lo, hi = self._priced
         if not lo <= t <= hi:
             raise PlanError(f"decision time t={t} outside the priced market [{lo}, {hi}]")
-        if not 0.0 <= work_left < math.inf:
-            raise PlanError(f"work_left={work_left} is not a finite non-negative fraction")
+        if not 0.0 <= work_left <= MAX_WORK_LEFT:
+            raise PlanError(f"work_left={work_left} is not a non-negative fraction of a job")
 
     @staticmethod
     def admit(catalog) -> tuple[Configuration, ...]:

@@ -146,7 +146,7 @@ class TestPlannerPool:
         stats = pool.stats()
         assert stats.batches == 5 and stats.requests == 10 and stats.batch_max == 2
 
-    def test_scales_up_under_load_and_decays_idle(self):
+    def test_scales_up_under_load(self):
         service = _StubService(delay=0.005)
         pool = PlannerPool(
             service, PoolConfig(min_workers=1, max_workers=6), metrics=MetricsRegistry()

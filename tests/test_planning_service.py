@@ -104,6 +104,7 @@ class TestAdmission:
             ("work_left", lambda market: math.nan, "work_left", "hourglass"),
             ("work_left", lambda market: math.inf, "work_left", "hourglass"),
             ("work_left", lambda market: -0.5, "work_left", "hourglass"),
+            ("work_left", lambda market: 1.5, "work_left", "hourglass"),
             ("t", lambda market: market.horizon + 5.0, "decision time", "spoton"),
             ("t", lambda market: math.nan, "decision time", "proteus+dp"),
             ("t", lambda market: market.start - 60.0, "decision time", "on-demand"),
@@ -113,7 +114,7 @@ class TestAdmission:
         ],
         ids=[
             "t-nan", "t-inf", "t-neg-inf", "t-before", "t-after",
-            "w-nan", "w-inf", "w-neg",
+            "w-nan", "w-inf", "w-neg", "w-past-job",
             "spoton-t-after", "proteus+dp-t-nan", "on-demand-t-before",
             "spoton-w-nan", "proteus-w-neg", "hourglass-naive-w-inf",
         ],
@@ -300,14 +301,9 @@ class TestCacheStats:
     def test_estimator_counters(self, setup):
         sm = _slack_model(setup, PAGERANK_PROFILE, 0.5)
         estimator = ApproximateCostEstimator(sm, setup.market, setup.catalog)
-        assert estimator.cache_stats().as_dict() == {
-            "hits": 0,
-            "misses": 0,
-            "hit_rate": 0.0,
-            "invalidations": 0,
-            "entries": 0,
-            "epoch": 0,
-        }
+        fresh = estimator.cache_stats()
+        assert (fresh.hits, fresh.misses, fresh.invalidations) == (0, 0, 0)
+        assert (fresh.entries, fresh.epoch) == (0, 0)
         cold = estimator.best(0.0, 1.0)
         stats = estimator.cache_stats()
         assert stats.misses > 0
