@@ -19,6 +19,7 @@ Run:  python examples/fast_reload.py
 from __future__ import annotations
 
 from repro import MicroPartitioner, get_dataset
+from repro.partitioning import micro_partition_count
 from repro.engine import (
     CheckpointManager,
     DataStore,
@@ -35,7 +36,10 @@ def main() -> None:
     print(f"graph: {graph}")
 
     # --- offline phase: micro-partition once --------------------------
-    artefact = MicroPartitioner(num_micro_parts=64).build(graph, seed=1)
+    # A multiple of every worker count the job deploys on (8, then 4),
+    # over-sharded to the 64 micro-partitions of the paper's Fig 8.
+    num_micro_parts = micro_partition_count((8, 4), minimum=64)
+    artefact = MicroPartitioner(num_micro_parts=num_micro_parts).build(graph, seed=1)
     print(f"micro-partitions: {artefact.num_micro_parts}, "
           f"quotient graph {artefact.quotient.num_vertices} vertices / "
           f"{artefact.quotient.num_edges} edges")

@@ -82,7 +82,7 @@ from repro.service import (
     PlanRequest,
     PlanResult,
 )
-from repro.graph import Graph, from_edges, get_dataset
+from repro.graph import Graph, get_dataset
 from repro.partitioning import (
     FennelPartitioner,
     HashPartitioner,
@@ -135,7 +135,6 @@ __all__ = [
     "SpotMarket",
     "SpotOnProvisioner",
     "default_catalog",
-    "from_edges",
     "full_grid_catalog",
     "get_dataset",
     "job_with_slack",

@@ -87,14 +87,3 @@ class EmpiricalEvictionModel(EvictionModel):
     def mttf(self) -> float:
         """Mean time to failure in seconds."""
         return self._mttf
-
-    @property
-    def num_samples(self) -> int:
-        """Number of uptime observations behind the ECDF."""
-        return len(self._uptimes)
-
-    def quantile(self, q: float) -> float:
-        """Uptime below which a fraction *q* of evictions happen."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        return float(np.quantile(self._uptimes, q))

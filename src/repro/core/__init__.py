@@ -53,7 +53,6 @@ from repro.core.warning import (
     EC2_TWO_MINUTE_WARNING,
     NO_WARNING,
     WarningPolicy,
-    salvageable_progress,
 )
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "EC2_TWO_MINUTE_WARNING",
     "NO_WARNING",
     "WarningPolicy",
-    "salvageable_progress",
     "ACCOUNT_RAW",
     "ACCOUNT_TIME",
     "Phase",

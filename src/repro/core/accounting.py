@@ -43,12 +43,6 @@ class CostBreakdown:
     evictions: int
     deployments: int
 
-    def dominant_config(self) -> str | None:
-        """Configuration that received the most spend."""
-        if not self.by_config:
-            return None
-        return max(self.by_config, key=self.by_config.get)
-
 
 def breakdown(
     result: RunResult, setup_seconds: dict | None = None

@@ -7,8 +7,10 @@ every deployment configuration ``c``:
 * ``t_boot`` — machine request-to-ready time;
 * ``t_load(c)`` — time to load the graph (depends on the reload mode:
   Hourglass's micro-partition fast reload vs a full shuffle load);
-* ``t_save(c)`` — time to checkpoint the job state to external storage;
-* ``omega(c)`` — normalized capacity w.r.t. the last-resort config.
+* ``t_save(c)`` — time to checkpoint the job state to external storage.
+
+The paper's normalized capacity ``omega(c) = t_exec(lrc) / t_exec(c)``
+is not a method: the DP divides by ``t_exec(c)`` directly.
 
 How such a model is built is orthogonal to the paper (they calibrate
 from real deployments; we calibrate from the published numbers).  The
@@ -53,8 +55,7 @@ PARTITION_SECONDS_PER_EDGE = 2.5e-6
 
 
 class FixedPhaseModel(abc.ABC):
-    """The fixed phases of §5.1 and the capacity ratio, shared by both
-    performance models.
+    """The fixed phases of §5.1, shared by both performance models.
 
     A model supplies ``exec_time``, ``dataset_size`` (the edge and vertex
     counts a load reads), ``state_bytes`` (one checkpoint) and its
@@ -78,10 +79,6 @@ class FixedPhaseModel(abc.ABC):
     @abc.abstractmethod
     def state_bytes(self) -> float:
         """Bytes of one checkpoint of the job state."""
-
-    def capacity(self, config: Configuration) -> float:
-        """omega_c = t_exec(reference) / t_exec(config)."""
-        return self.exec_time(self.reference) / self.exec_time(config)
 
     def load_time(self, config: Configuration) -> float:
         """t_load under the model's reload mode."""

@@ -109,13 +109,3 @@ class PhaseModel:
                 budget -= step / phase.speed
             position = end
         return max(0.0, 1.0 - work_done)
-
-    def speed_at(self, work_left: float) -> float:
-        """Instantaneous relative speed at the current progress point."""
-        work_done = 1.0 - min(max(work_left, 0.0), 1.0)
-        position = 0.0
-        for phase in self.phases:
-            position += phase.work
-            if work_done < position - 1e-15:
-                return phase.speed
-        return self.phases[-1].speed

@@ -36,8 +36,6 @@ class ProvisioningContext:
         slack_model: deadline/performance binding for this job.
         market: price and eviction statistics (decision-time snapshot).
         catalog: candidate configurations.
-        frontier: active-vertex fraction at the decision point (1.0 for
-            work models without a frontier notion).
     """
 
     t: float
@@ -47,7 +45,6 @@ class ProvisioningContext:
     slack_model: SlackModel
     market: SpotMarket
     catalog: tuple[Configuration, ...]
-    frontier: float = 1.0
 
     @property
     def slack(self) -> float:

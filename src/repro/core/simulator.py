@@ -63,11 +63,6 @@ class ExecutionSimulator:
             the uniform model consistent, the default) or ``"raw"``
             (naive work fraction; exposes the model-mismatch failure
             mode of footnote 2).
-        frontier_curve: optional
-            :class:`~repro.exec.frontier.FrontierCurve` the work model
-            replays (non-stationary algorithms).  When no explicit
-            *phase_model* is given the curve also supplies the phase
-            profile, keeping frontier and progress-rate consistent.
         observers: :class:`~repro.exec.observers.LifecycleObserver`
             plug-ins (fault injection).
     """
@@ -85,7 +80,6 @@ class ExecutionSimulator:
         work_accounting: str = ACCOUNT_TIME,
         observers=(),
         service=None,
-        frontier_curve=None,
     ):
         if ckpt_interval_scale <= 0:
             raise ValueError("ckpt_interval_scale must be positive")
@@ -103,9 +97,6 @@ class ExecutionSimulator:
         self.record_events = record_events
         self.warning = warning
         self.ckpt_interval_scale = ckpt_interval_scale
-        self.frontier_curve = frontier_curve
-        if phase_model is None and frontier_curve is not None:
-            phase_model = frontier_curve.to_phases()
         self.phases = phase_model or PhaseModel.uniform()
         self.work_accounting = work_accounting
         self.observers = tuple(observers)
@@ -125,7 +116,6 @@ class ExecutionSimulator:
             work_accounting=self.work_accounting,
             warning=self.warning,
             initial_work=job.work,
-            frontier_curve=self.frontier_curve,
         )
         lifecycle = ExecutionLifecycle(
             market=self.market,

@@ -4,7 +4,9 @@ All functions are pure and implement the paper's formulae verbatim:
 
 * ``slack(t) = horizon(t) - t_lrc_fixed - w(t) * t_lrc_exec``
 * ``useful(c, t) = min(w * t_exec(c), slack(t) - t_switch(c), t_ckpt(c))``
-* ``expected_progress(c, t) = omega_c * useful(c, t) / t_lrc_exec``
+
+The paper's ``expected_progress(c, t) = omega_c * useful(c, t) / t_lrc_exec``
+is ``useful(c, t) / t_exec(c)``; the DP's success branch applies it.
 
 where ``t_switch`` is the full ``t_fixed(c)`` when configuration ``c``
 must be (re)deployed and just ``t_save(c)`` when ``c`` is already
@@ -133,20 +135,6 @@ class SlackModel:
         return self.useful_from_slack(
             config, self.slack(t, work_left), work_left, mttf, already_running
         )
-
-    def expected_progress(
-        self,
-        config: Configuration,
-        t: float,
-        work_left: float,
-        mttf: float | None = None,
-        already_running: bool = False,
-    ) -> float:
-        """Work fraction completed over the next useful interval."""
-        interval = self.useful(config, t, work_left, mttf, already_running)
-        if interval <= 0:
-            return 0.0
-        return min(work_left, interval / self.perf.exec_time(config))
 
     def feasible(
         self,

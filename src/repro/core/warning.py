@@ -8,8 +8,6 @@ time.  This module provides:
 
 * :class:`WarningPolicy` — the warning contract (lead seconds) and the
   decision of whether a save fits inside it;
-* :func:`salvageable_progress` — how much of a doomed interval survives
-  under a given warning;
 * an expected-cost hook used by
   :class:`~repro.core.expected_cost.ApproximateCostEstimator` when
   constructed with a warning policy, implementing the §9 refinement of
@@ -54,36 +52,3 @@ class WarningPolicy:
 #: EC2's spot interruption notice.
 EC2_TWO_MINUTE_WARNING = WarningPolicy(lead_seconds=120.0)
 NO_WARNING = WarningPolicy(lead_seconds=0.0)
-
-
-def salvageable_progress(
-    policy: WarningPolicy,
-    eviction_offset: float,
-    segment_start_offset: float,
-    exec_time: float,
-    save_time: float,
-) -> float:
-    """Work fraction rescued from a doomed interval by the warning.
-
-    Args:
-        policy: the warning contract.
-        eviction_offset: seconds from deployment start to the revocation.
-        segment_start_offset: seconds from deployment start to the
-            beginning of useful computation (after boot + load).
-        exec_time: full-job execution time on this configuration.
-        save_time: checkpoint cost on this configuration.
-
-    Returns:
-        The fraction of the *whole job* whose completion is persisted by
-        the warning-triggered checkpoint (0.0 when the warning is absent
-        or too short to cover the save).
-    """
-    if not policy.can_save(save_time):
-        return 0.0
-    # The warning fires lead_seconds before the revocation; computation
-    # stops there and the save must still fit before the revocation.
-    warning_at = eviction_offset - policy.lead_seconds
-    computed = warning_at - segment_start_offset
-    if computed <= 0:
-        return 0.0
-    return computed / exec_time

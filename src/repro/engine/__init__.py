@@ -10,7 +10,7 @@ from repro.engine.checkpoint import (
     CheckpointInfo,
     CheckpointManager,
 )
-from repro.engine.datastore import DataStore, TransferStats
+from repro.engine.datastore import DataStore
 from repro.engine.engine import ExecutionResult, PregelEngine, SuperstepStats
 from repro.engine.loader import HashLoader, LoadResult, MicroLoader
 from repro.engine.metrics import ClusterTimingModel
@@ -39,6 +39,5 @@ __all__ = [
     "PregelEngine",
     "SumCombiner",
     "SuperstepStats",
-    "TransferStats",
     "VertexProgram",
 ]

@@ -323,10 +323,6 @@ class CheckpointManager:
                 f"delta checkpoint {key} undecodable: {exc!r}"
             ) from exc
 
-    def history(self) -> list[CheckpointInfo]:
-        """All stored checkpoint metadata, oldest first."""
-        return list(self._history)
-
     def _prune(self) -> None:
         """Delete checkpoints beyond ``keep_last``, chain-aware.
 

@@ -3,9 +3,7 @@
 An in-memory object store with a simple performance model: reads and
 writes of ``n`` bytes by ``p`` machines in parallel take
 ``latency + n / (p * bandwidth)`` simulated seconds (the store itself is
-assumed not to be the bottleneck, matching S3's scalability).  The store
-keeps transfer counters so tests and experiments can assert on data
-movement.
+assumed not to be the bottleneck, matching S3's scalability).
 
 All *simulated* durations are returned to the caller; nothing here
 sleeps.  Wall-clock cost is just the in-memory copy.
@@ -14,20 +12,9 @@ sleeps.  Wall-clock cost is just the in-memory copy.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
 
 from repro.utils.units import MiB
 from repro.utils.validation import check_non_negative
-
-
-@dataclass(frozen=True)
-class TransferStats:
-    """Cumulative datastore traffic."""
-
-    bytes_read: int
-    bytes_written: int
-    objects_read: int
-    objects_written: int
 
 
 #: Per-machine sustained external-store throughput (bytes/s): a typical
@@ -45,10 +32,6 @@ class DataStore:
 
     def __init__(self):
         self._objects: dict[str, bytes] = {}
-        self._bytes_read = 0
-        self._bytes_written = 0
-        self._objects_read = 0
-        self._objects_written = 0
 
     # ------------------------------------------------------------------
     # Object operations
@@ -58,16 +41,11 @@ class DataStore:
         if not isinstance(data, (bytes, bytearray)):
             raise TypeError(f"data must be bytes, got {type(data).__name__}")
         self._objects[key] = bytes(data)
-        self._bytes_written += len(data)
-        self._objects_written += 1
         return self.transfer_time(len(data))
 
     def get(self, key: str) -> bytes:
         """Fetch the object stored under *key* (KeyError when missing)."""
-        data = self._objects[key]
-        self._bytes_read += len(data)
-        self._objects_read += 1
-        return data
+        return self._objects[key]
 
     def get_timed(self, key: str) -> tuple[bytes, float]:
         """Fetch an object plus its simulated read time."""
@@ -77,14 +55,6 @@ class DataStore:
     def delete(self, key: str) -> None:
         """Remove an object; missing keys are ignored (idempotent)."""
         self._objects.pop(key, None)
-
-    def exists(self, key: str) -> bool:
-        """Whether *key* is stored."""
-        return key in self._objects
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        """All stored keys with the given prefix, sorted."""
-        return sorted(k for k in self._objects if k.startswith(prefix))
 
     def size_of(self, key: str) -> int:
         """Stored size of *key* in bytes."""
@@ -117,16 +87,6 @@ class DataStore:
         if parallel_machines < 1:
             raise ValueError("parallel_machines must be >= 1")
         return STORE_LATENCY + nbytes / (parallel_machines * STORE_BANDWIDTH)
-
-    @property
-    def stats(self) -> TransferStats:
-        """Cumulative transfer counters."""
-        return TransferStats(
-            bytes_read=self._bytes_read,
-            bytes_written=self._bytes_written,
-            objects_read=self._objects_read,
-            objects_written=self._objects_written,
-        )
 
     def total_stored_bytes(self) -> int:
         """Sum of all stored object sizes."""

@@ -46,12 +46,6 @@ class SuperstepStats:
     remote_messages: int
     remote_bytes: int
 
-    @property
-    def remote_fraction(self) -> float:
-        """Fraction of message traffic that crossed workers."""
-        total = self.local_messages + self.remote_messages
-        return self.remote_messages / total if total else 0.0
-
 
 @dataclass(frozen=True)
 class ExecutionResult:
@@ -61,16 +55,6 @@ class ExecutionResult:
     supersteps_run: int
     halted_normally: bool
     stats: list[SuperstepStats]
-
-    @property
-    def total_messages(self) -> int:
-        """Messages sent across all supersteps."""
-        return sum(s.messages_sent for s in self.stats)
-
-    @property
-    def total_remote_messages(self) -> int:
-        """Cross-worker messages across all supersteps."""
-        return sum(s.remote_messages for s in self.stats)
 
     def values_array(self, dtype=np.float64) -> np.ndarray:
         """Vertex values as a dense array indexed by vertex id.

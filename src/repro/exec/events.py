@@ -71,9 +71,3 @@ class RunResult:
     def missed_deadline(self) -> bool:
         """Whether the run finished after its deadline."""
         return self.finish_time > self.deadline + 1e-6
-
-    def normalized_cost(self, baseline_cost: float) -> float:
-        """Cost relative to the on-demand last-resort run."""
-        if baseline_cost <= 0:
-            raise ValueError("baseline_cost must be positive")
-        return self.cost / baseline_cost

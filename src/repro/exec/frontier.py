@@ -1,25 +1,19 @@
-"""Frontier curves: the active-vertex signal as a first-class object.
+"""Frontier curves: the active-vertex collapse as a phase profile.
 
-Non-stationary vertex programs (SSSP/BFS/WCC) do not keep every vertex
-busy: the *frontier* — the fraction of vertices active in a superstep —
+Non-stationary vertex programs (SSSP) do not keep every vertex busy:
+the *frontier* — the fraction of vertices active in a superstep —
 starts near 1 and collapses in the late supersteps, so most provisioned
 workers idle through the tail (Dindokar & Simmhan).  A
 :class:`FrontierCurve` describes that collapse as a function of raw work
-progress, and is consumed in two places:
+progress, and :meth:`FrontierCurve.to_phases` compiles it into a
+:class:`~repro.core.phases.PhaseModel`: a superstep whose frontier is
+10% of the vertices takes ~10% of a full superstep's time, so the
+per-unit-work *speed* of late work is the reciprocal of the frontier.
+Under time accounting the reported work-left then tightens exactly as
+the frontier shrinks, which is what lets the planner discover that a
+smaller configuration finishes the tail in time.
 
-* :meth:`~repro.exec.workmodel.WorkModel.frontier` reports the current
-  frontier fraction at every decision point (measured from live engine
-  statistics in the runtime, replayed from a curve in the simulator);
-* :meth:`FrontierCurve.to_phases` compiles the curve into a
-  :class:`~repro.core.phases.PhaseModel` — a superstep whose frontier is
-  10% of the vertices takes ~10% of a full superstep's time, so the
-  per-unit-work *speed* of late work is the reciprocal of the frontier.
-  Under time accounting the reported work-left then tightens exactly as
-  the frontier shrinks, which is what lets the planner discover that a
-  smaller configuration finishes the tail in time.
-
-Curves are pure value objects: deterministic, hashable-by-content and
-safe to share between the simulator and the planner.
+Curves are pure value objects: deterministic and hashable-by-content.
 """
 
 from __future__ import annotations
@@ -89,33 +83,6 @@ class FrontierCurve:
             pts.append((p, min(1.0, f)))
         return cls(points=tuple(pts))
 
-    @classmethod
-    def from_series(cls, active_counts, num_vertices: int | None = None) -> "FrontierCurve":
-        """Fit a curve to a measured per-superstep active-vertex series.
-
-        Raw work progress is superstep-index fraction (superstep *i* of
-        *n* sits at progress ``(i + 0.5) / n``), so compiling the fitted
-        curve with :meth:`to_phases` replays the measured dynamics: each
-        superstep-sized work slice costs time proportional to its
-        measured frontier.
-
-        Args:
-            active_counts: ``active_vertices`` per superstep, in order.
-            num_vertices: normaliser (default: the series' maximum).
-        """
-        counts = [float(c) for c in active_counts]
-        if not counts:
-            raise ValueError("need at least one superstep of frontier data")
-        denom = float(num_vertices) if num_vertices else max(counts)
-        if denom <= 0:
-            raise ValueError("num_vertices must be positive")
-        n = len(counts)
-        points = tuple(
-            ((i + 0.5) / n, min(1.0, max(MIN_FRONTIER, c / denom)))
-            for i, c in enumerate(counts)
-        )
-        return cls(points=points)
-
     # ------------------------------------------------------------------
     def value_at(self, progress: float) -> float:
         """Frontier fraction at raw work progress *progress* (clamped)."""
@@ -149,12 +116,10 @@ class FrontierCurve:
 
 
 #: Curve shapes per paper application, for harnesses that only know the
-#: application name: sssp/wcc collapse (traversal frontiers), pagerank
+#: application name: sssp collapses (a traversal frontier), pagerank
 #: and coloring are stationary (every vertex active every superstep).
 APP_FRONTIERS: dict[str, FrontierCurve] = {
     "sssp": FrontierCurve.exponential(half_life=0.18, floor=0.01),
-    "bfs": FrontierCurve.exponential(half_life=0.18, floor=0.01),
-    "wcc": FrontierCurve.exponential(half_life=0.3, floor=0.02),
     "pagerank": FrontierCurve.flat(),
     "coloring": FrontierCurve.flat(),
 }

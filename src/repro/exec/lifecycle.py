@@ -116,7 +116,6 @@ class ExecutionLifecycle:
                 slack_model=slack_model,
                 market=self.market,
                 catalog=self.catalog,
-                frontier=model.frontier(),
             )
 
         self._dispatch("on_run_start", t)

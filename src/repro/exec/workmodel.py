@@ -105,17 +105,6 @@ class WorkModel(abc.ABC):
         """Engine superstep counter (0 for analytic models)."""
         return 0
 
-    def frontier(self) -> float:
-        """Active-vertex fraction in (0, 1] at the current progress.
-
-        Engine-backed models measure it from live superstep statistics,
-        analytic models replay a :class:`~repro.exec.frontier.FrontierCurve`;
-        it reaches the provisioner as ``ProvisioningContext.frontier``.
-        Models without a frontier notion report 1.0 (every vertex
-        active), which keeps all frontier-aware machinery inert.
-        """
-        return 1.0
-
     def final_values(self) -> dict | None:
         """Computed vertex values (engine-backed models only)."""
         return None
@@ -133,11 +122,6 @@ class AnalyticWorkModel(WorkModel):
             covering ``t_save``, evictions keep the progress made up to
             the warning instant.
         initial_work: outstanding fraction at release (JobSpec.work).
-        frontier_curve: active-vertex decay curve to replay
-            (:class:`~repro.exec.frontier.FrontierCurve`).  When given
-            and no explicit *phases*, the curve also compiles into the
-            phase profile, so frontier collapse and the tightening of
-            time-accounted work-left stay consistent by construction.
     """
 
     def __init__(
@@ -147,16 +131,12 @@ class AnalyticWorkModel(WorkModel):
         work_accounting: str = ACCOUNT_TIME,
         warning: WarningPolicy = NO_WARNING,
         initial_work: float = 1.0,
-        frontier_curve=None,
     ):
         if work_accounting not in (ACCOUNT_TIME, ACCOUNT_RAW):
             raise ValueError(
                 f"work_accounting must be '{ACCOUNT_TIME}' or '{ACCOUNT_RAW}'"
             )
         self.perf = perf
-        self.frontier_curve = frontier_curve
-        if phases is None and frontier_curve is not None:
-            phases = frontier_curve.to_phases()
         self.phases = phases or PhaseModel.uniform()
         self.work_accounting = work_accounting
         self.warning = warning
@@ -184,13 +164,6 @@ class AnalyticWorkModel(WorkModel):
         if self.work_accounting == ACCOUNT_TIME:
             return self.phases.time_remaining(self._work)
         return self._work
-
-    def frontier(self) -> float:
-        """Replayed frontier fraction at the current raw progress."""
-        if self.frontier_curve is None:
-            return 1.0
-        progress = 1.0 - self._work / self.initial_work if self.initial_work else 1.0
-        return self.frontier_curve.value_at(progress)
 
     def run_segment(self, config: Configuration, budget: float) -> SegmentPlan:
         """Plan an analytic segment: min(remaining run, budget)."""

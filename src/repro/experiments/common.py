@@ -41,7 +41,6 @@ from repro.core.perfmodel import (
 from repro.core.phases import ACCOUNT_TIME, PhaseModel
 from repro.core.simulator import ExecutionSimulator, on_demand_baseline_cost
 from repro.core.warning import NO_WARNING, WarningPolicy
-from repro.exec.frontier import FrontierCurve
 from repro.service.planning import PlanningService
 from repro.utils.rng import derive_rng
 from repro.utils.units import HOURS
@@ -161,7 +160,6 @@ class SweepTask:
     ckpt_interval_scale: float = 1.0
     phase_model: PhaseModel | None = None
     work_accounting: str = ACCOUNT_TIME
-    frontier_curve: FrontierCurve | None = None
 
     def __post_init__(self):
         n = self.num_simulations
@@ -274,7 +272,6 @@ def _sweep_cell(setup: ExperimentSetup, task: SweepTask) -> CellResult:
         ckpt_interval_scale=task.ckpt_interval_scale,
         phase_model=task.phase_model,
         work_accounting=task.work_accounting,
-        frontier_curve=task.frontier_curve,
     )
     # Generous per-run budget: worst case is many evictions on slow shapes.
     budget = task.budget or 8 * (

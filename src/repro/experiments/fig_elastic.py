@@ -16,7 +16,7 @@ under two work-accounting regimes of the stock ``hourglass`` strategy:
 
 Both arms execute the identical phase model and share start times
 (common random numbers), so the cost difference is attributable to the
-frontier signal alone.  Expected shape: the time arm never misses a
+work accounting alone.  Expected shape: the time arm never misses a
 deadline and costs no more than the raw arm at every slack.
 """
 
@@ -58,14 +58,14 @@ def run(
     """
     setup = setup or ExperimentSetup()
     profile = SSSP_PROFILE.scaled(scale)
-    curve = frontier_for_app(SSSP_PROFILE.name)
+    phases = frontier_for_app(SSSP_PROFILE.name).to_phases()
     tasks = [
         SweepTask(
             profile, slack, "hourglass", num_simulations,
             label=label,
             seed_key=f"elastic-{profile.name}-{slack}",
             work_accounting=accounting,
-            frontier_curve=curve,
+            phase_model=phases,
         )
         for slack in slacks
         for label, accounting in ARMS

@@ -43,11 +43,6 @@ class DatasetSpec:
             name=self.name,
         )
 
-    @property
-    def paper_avg_degree(self) -> float:
-        """Average degree of the paper-scale dataset."""
-        return self.paper_edges / self.paper_vertices
-
 
 def _social(num_vertices: int, seed=None) -> Graph:
     return generators.power_law_social(num_vertices, avg_degree=24.0, seed=seed)

@@ -86,12 +86,6 @@ class Graph:
         """Destinations of the out-edges of ``v`` (a CSR slice, zero-copy)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def edge_weights(self, v: int) -> np.ndarray:
-        """Weights of the out-edges of ``v`` (all 1.0 when unweighted)."""
-        if self.weights is None:
-            return np.ones(len(self.neighbors(v)), dtype=np.float64)
-        return self.weights[self.indptr[v] : self.indptr[v + 1]]
-
     def out_degrees(self) -> np.ndarray:
         """Array of out-degrees for all vertices."""
         return np.diff(self.indptr)
@@ -318,8 +312,9 @@ def merge_parallel_edges(keys, weights, num_vertices: int):
 
 
 def _unique_edges(keys, num_vertices: int, name: str = "", weights=None) -> Graph:
-    """``from_edges(keys // n, keys % n, num_vertices=n, weights=weights,
-    name=name, dedup=True)`` for ``keys = src * n + dst``.
+    """The CSR of the distinct edges ``keys = src * n + dst``, each kept at
+    its first occurrence (with its weight), rows in ascending source
+    order and each row's edges in input order.
 
     The build owns ``keys``: callers pass the array they build inline in
     the call, and it is freed as soon as the distinct edges are out.
@@ -340,54 +335,6 @@ def _unique_edges(keys, num_vertices: int, name: str = "", weights=None) -> Grap
     if weights is not None:
         weights = weights[order]
     return Graph(indptr=indptr, indices=indices, weights=weights, name=name)
-
-
-def from_edges(
-    src,
-    dst,
-    *,
-    num_vertices: int | None = None,
-    weights=None,
-    name: str = "",
-    dedup: bool = False,
-) -> Graph:
-    """Build a :class:`Graph` from parallel source/destination arrays.
-
-    Args:
-        src, dst: integer array-likes of equal length.
-        num_vertices: total vertex count; inferred as ``max(id) + 1`` when
-            omitted.
-        weights: optional per-edge weights, parallel to ``src``.
-        name: dataset label.
-        dedup: drop exact duplicate ``(src, dst)`` pairs (keeping the first
-            weight) before building.
-    """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if src.shape != dst.shape:
-        raise ValueError(f"src shape {src.shape} != dst shape {dst.shape}")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != src.shape:
-            raise ValueError("weights must be parallel to src/dst")
-    if num_vertices is None:
-        num_vertices = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
-    if len(src) and (src.min() < 0 or dst.min() < 0):
-        raise ValueError("vertex ids must be non-negative")
-    if len(src) and (src.max() >= num_vertices or dst.max() >= num_vertices):
-        raise ValueError("vertex id exceeds num_vertices")
-
-    if dedup:
-        return _unique_edges(src * num_vertices + dst, num_vertices, name, weights)
-    order = stable_argsort(src, num_vertices)
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
-    return Graph(
-        indptr=indptr,
-        indices=dst[order],
-        weights=None if weights is None else weights[order],
-        name=name,
-    )
 
 
 def empty_graph(num_vertices: int, name: str = "") -> Graph:

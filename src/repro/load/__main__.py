@@ -20,7 +20,7 @@ outside :class:`LoadReport`, so the report fingerprint is bit-identical
 with watching on or off.
 
 ``--out DIR`` additionally writes ``report.txt``, the arrival trace as
-``trace.jsonl`` (replayable via :meth:`ArrivalTrace.from_jsonl`) and the
+``trace.jsonl`` (:meth:`ArrivalTrace.to_jsonl`) and the
 ``load_*`` metrics in Prometheus text format as ``metrics.prom`` (plus
 ``slo.json`` / ``tenants.json`` with ``--watch``).
 

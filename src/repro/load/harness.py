@@ -230,8 +230,8 @@ class _OutcomeSink:
         latencies = [r.value for r in plans]
         queue_waits = [r.wait for r in plans]
         return LoadReport(
-            # The trace that ran, which a replayed trace makes different
-            # from the configured one.
+            # The trace that ran, which a trace passed to run() makes
+            # different from the configured one.
             seed=trace.config.seed,
             num_jobs=len(trace.jobs),
             num_tenants=trace.config.num_tenants,

@@ -16,8 +16,8 @@ Generation is fully deterministic: every draw comes from one
 :func:`repro.utils.rng.derive_rng` stream keyed off the config seed, so
 the same :class:`LoadTraceConfig` always produces a bit-identical
 :class:`ArrivalTrace` (pinned by :meth:`ArrivalTrace.checksum`), across
-processes and platforms.  Traces round-trip through JSONL so a generated
-workload can be archived and replayed.
+processes and platforms.  Traces are written as JSONL (a config header,
+then one line per job) so a generated workload can be archived.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.core.job import PAPER_PROFILES
@@ -47,14 +47,6 @@ BURST_DURATION_S = 900.0
 #: Recurrence periods jobs are tagged with (they drive the
 #: recurring-tenant phase of the harness).
 PERIODS_S = (2 * HOURS, 4 * HOURS, 6 * HOURS)
-
-#: Header keys that traces written before these values became constants
-#: still carry: read back only at the constant's value.
-_FOLDED_KEYS = {
-    "diurnal_amplitude": DIURNAL_AMPLITUDE,
-    "burst_duration_s": BURST_DURATION_S,
-    "periods_s": PERIODS_S,
-}
 
 
 @dataclass(frozen=True)
@@ -160,62 +152,13 @@ class ArrivalTrace:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     # ------------------------------------------------------------------
-    # JSONL round-trip (the archival trace format)
+    # JSONL (the archival trace format)
     # ------------------------------------------------------------------
     def to_jsonl(self, path) -> None:
         """Write one header line (the config) then one line per job."""
         lines = [json.dumps({"trace_config": asdict(self.config)}, sort_keys=True)]
         lines.extend(json.dumps(asdict(job), sort_keys=True) for job in self.jobs)
         Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_jsonl(cls, path) -> "ArrivalTrace":
-        """Reload a trace written by :meth:`to_jsonl`.
-
-        Every config and job field must be present and no other key may
-        be: anything else raises ``ValueError`` naming the key, so a
-        replayed trace is the one that was written.  A header from
-        before the diurnal amplitude, burst-window length and periods
-        became constants carries them too, each accepted only at its
-        constant's value.
-        """
-        lines = Path(path).read_text().splitlines()
-        if not lines:
-            raise ValueError(f"empty trace file: {path}")
-        header = json.loads(lines[0])
-        if not isinstance(header, dict) or "trace_config" not in header:
-            raise ValueError(f"missing trace_config header in {path}")
-        records = [(LoadTraceConfig, header["trace_config"], "header", _FOLDED_KEYS)]
-        records += [
-            (TraceJob, json.loads(line), f"line {number}", {})
-            for number, line in enumerate(lines[1:], start=2)
-            if line
-        ]
-        built = []
-        for kind, raw, where, folded in records:
-            if not isinstance(raw, dict):
-                raise ValueError(f"{path} {where}: expected a JSON object")
-            # JSON arrays back to the (nested) tuples the dataclasses hold.
-            raw = {
-                key: tuple(tuple(v) if isinstance(v, list) else v for v in value)
-                if isinstance(value, list)
-                else value
-                for key, value in raw.items()
-            }
-            names = {field.name for field in fields(kind)}
-            for key in sorted(raw.keys() - names):
-                if key not in folded:
-                    raise ValueError(f"{path} {where}: unknown key {key!r}")
-                if raw.pop(key) != folded[key]:
-                    raise ValueError(
-                        f"{path} {where}: {key} must be {folded[key]!r}, "
-                        "the value traces are generated with"
-                    )
-            missing = sorted(names - raw.keys())
-            if missing:
-                raise ValueError(f"{path} {where}: missing {', '.join(missing)}")
-            built.append(kind(**raw))
-        return cls(config=built[0], jobs=tuple(built[1:]))
 
 
 def _burst_window(config: LoadTraceConfig, hour: int) -> tuple[float, float] | None:

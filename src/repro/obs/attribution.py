@@ -54,11 +54,6 @@ class TenantUsage:
     evictions: int = 0
 
     @property
-    def machine_seconds(self) -> float:
-        """Total billed machine-seconds (both market segments)."""
-        return self.spot_seconds + self.on_demand_seconds
-
-    @property
     def slo_compliance(self) -> float:
         """Fraction of executed runs that met their deadline (1.0 idle)."""
         return 1.0 - (self.missed / self.runs) if self.runs else 1.0

@@ -56,11 +56,6 @@ class Metric:
         self._lock = threading.Lock()
         self._series: dict = {}
 
-    def series(self) -> dict:
-        """Label-key -> value snapshot (value shape is per metric type)."""
-        with self._lock:
-            return dict(self._series)
-
 
 class Counter(Metric):
     """Monotonically increasing sum per label set."""
@@ -74,11 +69,6 @@ class Counter(Metric):
         key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + value
-
-    def value(self, **labels) -> float:
-        """Current total of the labeled series (0.0 when unseen)."""
-        with self._lock:
-            return self._series.get(_label_key(labels), 0.0)
 
     def render(self) -> list[str]:
         with self._lock:
@@ -97,17 +87,6 @@ class Gauge(Metric):
         """Overwrite the labeled series with *value*."""
         with self._lock:
             self._series[_label_key(labels)] = float(value)
-
-    def inc(self, value: float = 1.0, **labels) -> None:
-        """Adjust the labeled series by *value* (may be negative)."""
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + value
-
-    def value(self, **labels) -> float:
-        """Current value of the labeled series (0.0 when unseen)."""
-        with self._lock:
-            return self._series.get(_label_key(labels), 0.0)
 
     def render(self) -> list[str]:
         with self._lock:
@@ -157,18 +136,6 @@ class Histogram(Metric):
                 series.counts[i] += 1
             series.sum += value
             series.count += 1
-
-    def snapshot(self, **labels) -> dict:
-        """``{"buckets": {le: n}, "sum": s, "count": n}`` for one series."""
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            if series is None:
-                return {"buckets": {b: 0 for b in self.bounds}, "sum": 0.0, "count": 0}
-            return {
-                "buckets": dict(zip(self.bounds, series.counts)),
-                "sum": series.sum,
-                "count": series.count,
-            }
 
     def render(self) -> list[str]:
         lines = []
@@ -221,16 +188,6 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS) -> Histogram:
         """Get or create the named histogram."""
         return self._get_or_create(Histogram, name, help, buckets=buckets)
-
-    def get(self, name: str) -> Metric | None:
-        """The named metric, or None."""
-        with self._lock:
-            return self._metrics.get(name)
-
-    def reset(self) -> None:
-        """Drop every metric (names and series)."""
-        with self._lock:
-            self._metrics.clear()
 
     # ------------------------------------------------------------------
     def to_prometheus(self) -> str:

@@ -243,21 +243,10 @@ class SloMonitor:
             ).inc(1, slo=alert.objective, severity=alert.severity, firing=alert.firing)
         return current
 
-    def statuses(self) -> tuple[SloStatus, ...]:
-        """The most recent evaluation's statuses (empty before any)."""
-        with self._lock:
-            return self._statuses
-
     def alerts(self) -> tuple[SloAlert, ...]:
         """Every rule transition observed so far, in order."""
         with self._lock:
             return tuple(self._alerts)
-
-    @property
-    def evaluations(self) -> int:
-        """Ticks evaluated."""
-        with self._lock:
-            return self._evaluations
 
     def as_dict(self) -> dict:
         """The payload ``slo.json`` holds: the latest tick's fold."""

@@ -42,16 +42,6 @@ class Partitioning:
         """Number of vertices."""
         return len(self.assignment)
 
-    def part_sizes(self) -> np.ndarray:
-        """Vertex count of each partition."""
-        return np.bincount(self.assignment, minlength=self.num_parts)
-
-    def part_vertices(self, part: int) -> np.ndarray:
-        """Vertex ids assigned to partition ``part``."""
-        if not 0 <= part < self.num_parts:
-            raise ValueError(f"part {part} out of range [0, {self.num_parts})")
-        return np.flatnonzero(self.assignment == part)
-
     def relabel(self, mapping: np.ndarray, num_parts: int) -> "Partitioning":
         """Compose with a part-level mapping (micro -> macro clustering).
 

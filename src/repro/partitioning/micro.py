@@ -89,23 +89,6 @@ class MicroPartitioning:
         )
         return self.micro.relabel(macro_of_micro.assignment, num_parts)
 
-    def worker_micro_parts(self, clustering: Partitioning) -> list[np.ndarray]:
-        """Micro-partition ids owned by each worker under *clustering*.
-
-        ``clustering`` must be a partitioning over the original vertices
-        produced by :meth:`cluster`; ownership is derived by mapping each
-        micro-partition through it.
-        """
-        micro_part_owner = np.full(self.num_micro_parts, -1, dtype=np.int64)
-        # Every vertex of a micro-partition maps to the same macro part by
-        # construction; read one representative per micro-partition.
-        # Empty micro-partitions keep owner -1 (assigned to no worker).
-        present, first_vertex = np.unique(self.micro.assignment, return_index=True)
-        micro_part_owner[present] = clustering.assignment[first_vertex]
-        return [
-            np.flatnonzero(micro_part_owner == w) for w in range(clustering.num_parts)
-        ]
-
 
 class MicroPartitioner:
     """Builds the offline micro-partitioning artefact.

@@ -51,15 +51,11 @@ class EngineWorkModel(WorkModel):
         self.seed = seed
         self._engine: PregelEngine | None = None
         self._supersteps = 0
-        self._frontier = 1.0
-        self._persisted_frontier = 1.0
 
     def start(self) -> None:
         """Reset per-run progress state."""
         self._engine = None
         self._supersteps = 0
-        self._frontier = 1.0
-        self._persisted_frontier = 1.0
 
     def finished(self) -> bool:
         """Whether the deployed engine has no work left."""
@@ -78,7 +74,6 @@ class EngineWorkModel(WorkModel):
         if self.checkpoints.latest() is not None:
             self.checkpoints.load_into(self._engine)
         self._supersteps = self._engine.superstep
-        self._frontier = self._frontier_from_stats(self._engine.stats)
 
     def on_deploy_evicted(self) -> None:
         """The deployment died during setup; no engine was built."""
@@ -98,37 +93,23 @@ class EngineWorkModel(WorkModel):
             ran_any = True
             if elapsed >= budget:
                 break
-        self._frontier = self._frontier_from_stats(self._engine.stats)
         return SegmentPlan(elapsed=elapsed, finishing=not self._engine.has_work())
 
     def commit(self, config: Configuration, plan: SegmentPlan, persisted: bool) -> None:
         """Capture the engine state when the checkpoint write landed."""
         if persisted and not plan.finishing:
             self.checkpoints.save(self._engine, num_writers=config.num_workers)
-            self._persisted_frontier = self._frontier
 
     def on_evicted(self, config: Configuration, t_start: float, t_evict: float) -> None:
         """Discard the deployment; roll back to the last real checkpoint."""
         self._engine = None
         latest = self.checkpoints.latest()
         self._supersteps = latest.superstep if latest is not None else 0
-        self._frontier = self._persisted_frontier if latest is not None else 1.0
 
     @property
     def superstep(self) -> int:
         """Supersteps completed on the current state."""
         return self._supersteps
-
-    def frontier(self) -> float:
-        """Measured active-vertex fraction of the last superstep run."""
-        return self._frontier
-
-    def _frontier_from_stats(self, stats) -> float:
-        """Active fraction of the last recorded superstep (1.0 if none)."""
-        if not stats or not self.graph.num_vertices:
-            return 1.0
-        fraction = stats[-1].active_vertices / self.graph.num_vertices
-        return min(1.0, max(0.0, fraction))
 
     def final_values(self) -> dict | None:
         """The computed vertex values (None before completion)."""

@@ -143,11 +143,6 @@ class PlanTelemetry:
     estimator_reused: bool = False
     queue_wait_s: float = 0.0
 
-    @property
-    def total_s(self) -> float:
-        """Admission-to-decision wall clock (queue wait + service)."""
-        return self.queue_wait_s + self.latency_s
-
 
 @dataclass(frozen=True)
 class PlanResult:

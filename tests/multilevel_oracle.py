@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.graph import Graph, from_edges
+from repro.graph.graph import Graph
+from tests.scalar_oracle import from_edges
 
 
 def neighbors(wg, v: int) -> np.ndarray:

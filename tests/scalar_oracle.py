@@ -18,9 +18,11 @@ min-combined label propagation that halts data-dependently) and
 :class:`GraphColoring`, whose messages are tuples, runs only here.
 
 It also keeps what only tests use as a fixture or a cross-check: the
-engine-free :class:`SuperstepWorkModel`, :class:`ExponentialEvictionModel`
-and four small deterministic graph generators.  None of it may be used
-on a shipped path.
+engine-free :class:`SuperstepWorkModel`, :class:`ExponentialEvictionModel`,
+the per-vertex graph and partition views (:func:`from_edges`,
+:func:`edge_weights`, :func:`part_vertices`) and four small
+deterministic graph generators.  None of it may be used on a shipped
+path.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.engine.engine import PregelEngine
 from repro.engine.messages import Combiner, MinCombiner, SumCombiner
 from repro.engine.vertex import DenseComputeContext, VertexProgram
 from repro.exec.workmodel import SegmentPlan, WorkModel
-from repro.graph.graph import Graph, from_edges
+from repro.graph.graph import Graph, _unique_edges, stable_argsort
 from repro.utils.rng import derive_rng
 
 
@@ -299,7 +301,7 @@ class ScalarEngine(PregelEngine):
             # A worker combines what it sends to one destination, so one
             # network message per destination it reaches.
             reached: set[int] = set()
-            own = self.partitioning.part_vertices(wid)
+            own = part_vertices(self.partitioning, wid)
             run_ids = own[runnable[own]]
             for v, has_messages in zip(run_ids.tolist(), inc_mask[run_ids].tolist()):
                 halted[v] = False
@@ -307,7 +309,7 @@ class ScalarEngine(PregelEngine):
                 ctx.vertex_id = v
                 ctx.value = values[v]
                 ctx._out_edges = graph.neighbors(v)
-                ctx._out_weights = graph.edge_weights(v)
+                ctx._out_weights = edge_weights(graph, v)
                 ctx._outbox = []
                 ctx._halted = False
                 program.compute(ctx, messages_for(incoming, v) if has_messages else [])
@@ -533,6 +535,71 @@ def is_proper_coloring(graph, values: dict) -> bool:
 
 
 # ----------------------------------------------------------------------
+# Per-vertex graph and partition views
+# ----------------------------------------------------------------------
+def from_edges(
+    src,
+    dst,
+    *,
+    num_vertices: int | None = None,
+    weights=None,
+    name: str = "",
+    dedup: bool = False,
+) -> Graph:
+    """Build a :class:`Graph` from parallel source/destination arrays.
+
+    Args:
+        src, dst: integer array-likes of equal length.
+        num_vertices: total vertex count; inferred as ``max(id) + 1`` when
+            omitted.
+        weights: optional per-edge weights, parallel to ``src``.
+        name: dataset label.
+        dedup: drop exact duplicate ``(src, dst)`` pairs (keeping the first
+            weight) before building.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if src.shape != dst.shape:
+        raise ValueError(f"src shape {src.shape} != dst shape {dst.shape}")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != src.shape:
+            raise ValueError("weights must be parallel to src/dst")
+    if num_vertices is None:
+        num_vertices = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
+    if len(src) and (src.min() < 0 or dst.min() < 0):
+        raise ValueError("vertex ids must be non-negative")
+    if len(src) and (src.max() >= num_vertices or dst.max() >= num_vertices):
+        raise ValueError("vertex id exceeds num_vertices")
+
+    if dedup:
+        return _unique_edges(src * num_vertices + dst, num_vertices, name, weights)
+    order = stable_argsort(src, num_vertices)
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
+    return Graph(
+        indptr=indptr,
+        indices=dst[order],
+        weights=None if weights is None else weights[order],
+        name=name,
+    )
+
+
+def edge_weights(graph, v: int) -> np.ndarray:
+    """Weights of the out-edges of ``v`` (all 1.0 when unweighted)."""
+    if graph.weights is None:
+        return np.ones(len(graph.neighbors(v)), dtype=np.float64)
+    return graph.weights[graph.indptr[v] : graph.indptr[v + 1]]
+
+
+def part_vertices(partitioning, part: int) -> np.ndarray:
+    """Vertex ids assigned to partition ``part``."""
+    if not 0 <= part < partitioning.num_parts:
+        raise ValueError(f"part {part} out of range [0, {partitioning.num_parts})")
+    return np.flatnonzero(partitioning.assignment == part)
+
+
+# ----------------------------------------------------------------------
 # Engine-free work model and the memoryless eviction model
 # ----------------------------------------------------------------------
 class SuperstepWorkModel(WorkModel):
@@ -554,12 +621,6 @@ class SuperstepWorkModel(WorkModel):
         self.total_supersteps = len(perf.calibration.stats)
         self._done = 0
         self._persisted = 0
-        graph = getattr(perf, "graph", None)
-        if graph is not None and getattr(graph, "num_vertices", 0):
-            self._frontier_denom = float(graph.num_vertices)
-        else:
-            actives = [s.active_vertices for s in perf.calibration.stats]
-            self._frontier_denom = float(max(actives)) if actives else 1.0
 
     def start(self) -> None:
         self._done = 0
@@ -600,16 +661,6 @@ class SuperstepWorkModel(WorkModel):
     @property
     def superstep(self) -> int:
         return self._done
-
-    def frontier(self) -> float:
-        """Active fraction of the last completed calibrated superstep —
-        the signal ``EngineWorkModel`` measures from its live engine."""
-        if self._done <= 0 or self._frontier_denom <= 0:
-            return 1.0
-        stats = self.perf.calibration.stats
-        index = min(self._done, len(stats)) - 1
-        fraction = stats[index].active_vertices / self._frontier_denom
-        return min(1.0, max(0.0, fraction))
 
 
 class ExponentialEvictionModel(EvictionModel):

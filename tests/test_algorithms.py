@@ -10,8 +10,9 @@ import pytest
 
 from repro.engine import PregelEngine
 from repro.engine.algorithms import SSSP, PageRank
-from repro.graph import from_edges, generators
+from repro.graph import generators
 from repro.partitioning import HashPartitioner
+from tests.scalar_oracle import from_edges
 from tests import scalar_oracle
 from tests.scalar_oracle import (
     ConnectedComponents,

@@ -68,6 +68,35 @@ def info_for(store, key, superstep) -> CheckpointInfo:
     )
 
 
+def held(store, keys) -> list:
+    """The keys among *keys* that *store* still holds, first-seen order."""
+    present = []
+    for key in dict.fromkeys(keys):
+        try:
+            store.size_of(key)
+        except KeyError:
+            continue
+        present.append(key)
+    return present
+
+
+def holds_only(store, keys) -> bool:
+    """Whether *store* holds nothing but (some of) *keys*."""
+    return store.total_stored_bytes() == sum(store.size_of(k) for k in held(store, keys))
+
+
+class KeyLog(DataStore):
+    """A datastore that remembers every key written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = []
+
+    def put(self, key: str, data: bytes) -> float:
+        self.written.append(key)
+        return super().put(key, data)
+
+
 def assert_state_equal(a: PregelEngine, b: PregelEngine):
     assert a.superstep == b.superstep
     assert np.array_equal(a._values, b._values)
@@ -407,12 +436,12 @@ class TestDeltaChains:
         assert [i.kind for i in infos] == [
             "full", "delta", "delta", "delta", "full", "delta",
         ]
-        keys = set(store.list_keys("checkpoints/"))
+        keys = held(store, [i.key for i in infos])
         # ...but once the second full landed and its delta is the only
         # retained chain, the first full (and its deltas) are gone.
         assert infos[0].key not in keys
-        assert keys == {infos[4].key, infos[5].key}
-        assert [i.key for i in manager.history()] == [infos[4].key, infos[5].key]
+        assert keys == [infos[4].key, infos[5].key]
+        assert holds_only(store, keys)
 
         restored = make_engine(graph, partitioning)
         manager.load_into(restored)
@@ -424,7 +453,7 @@ class TestDeltaChains:
             store, "job", keep_last=2, delta=True, full_interval=8
         )
         _, infos = self.save_sequence(manager, graph, partitioning, 4)
-        keys = set(store.list_keys("checkpoints/"))
+        keys = held(store, [i.key for i in infos])
         assert infos[0].key in keys  # full base survives the keep window
         assert infos[1].key not in keys  # plain old delta rotated out
         restored = make_engine(graph, partitioning)
@@ -460,20 +489,20 @@ class TestRepeatedSave:
         manager = CheckpointManager(store, "job", keep_last=10, delta=delta)
         engine = pagerank()
         engine.step()
-        manager.save(engine)
-        manager.save(engine)
+        saves = [manager.save(engine), manager.save(engine)]
         engine.step()
-        manager.save(engine)
-        manager.save(engine)
-        keys = [info.key for info in manager.history()]
-        assert len(keys) == len(set(keys)) == 2
-        assert set(store.list_keys("checkpoints/")) == set(keys)
+        saves += [manager.save(engine), manager.save(engine)]
+        keys = [info.key for info in saves]
+        assert len(set(keys)) == 2
+        assert held(store, keys) == list(dict.fromkeys(keys))
+        assert holds_only(store, keys)
 
     def test_replay_after_rollback_keeps_chain_restorable(self, pagerank):
         # Full at 2, delta at 4; roll back to the full and replay: the
         # saves at 2 and 4 land on the same keys again.
+        store = DataStore()
         manager = CheckpointManager(
-            DataStore(), "job", keep_last=10, delta=True, full_interval=4
+            store, "job", keep_last=10, delta=True, full_interval=4
         )
         engine = pagerank()
         engine.step()
@@ -481,14 +510,18 @@ class TestRepeatedSave:
         full = manager.save(engine)
         engine.step()
         engine.step()
-        manager.save(engine)
+        first_delta = manager.save(engine)
         manager.load_into(engine, full)
         resaved = manager.save(engine)
         assert resaved.kind == "full"
         engine.step()
         engine.step()
-        assert manager.save(engine).kind == "delta"
-        assert [info.superstep for info in manager.history()] == [2, 4]
+        delta = manager.save(engine)
+        assert delta.kind == "delta"
+        assert (resaved.superstep, delta.superstep) == (2, 4)
+        keys = [full.key, first_delta.key, resaved.key, delta.key]
+        assert held(store, keys) == [resaved.key, delta.key]
+        assert holds_only(store, keys)
         restored = pagerank()
         manager.load_into(restored)
         assert_state_equal(engine, restored)
@@ -526,13 +559,14 @@ class TestRuntimeDeltaRecovery:
         uptime = 1.5 * rt.perf.setup_time(config)
         faults = DatastoreWriteFaults({1}, retries=0)
         rt.observers = (faults, EvictionStormFaults(uptime, max_evictions=1))
+        rt.datastore = KeyLog()
         result = rt.execute(0.0, budget)
 
         assert result.events[-1].kind == "finish"
         assert result.evictions >= 1
         kinds = {
             obj.get("kind")
-            for key in rt.datastore.list_keys("checkpoints/")
+            for key in held(rt.datastore, rt.datastore.written)
             for obj in [rt.datastore.get_object_timed(key)[0]]
             if isinstance(obj, dict)
         }

@@ -21,7 +21,6 @@ from repro.engine.algorithms import SSSP, PageRank
 from repro.engine import loader as loading
 from repro.engine.loader import MicroLoader
 from repro.graph import generators
-from repro.graph.graph import from_edges
 from repro.graph.io import (
     CSR_META_FILENAME,
     build_csr_on_disk,
@@ -31,6 +30,7 @@ from repro.graph.io import (
 )
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.micro import MicroPartitioner
+from tests.scalar_oracle import from_edges
 from tests import scalar_oracle
 from tools.smoke import build_rmat_csr, rmat_edge_batches
 

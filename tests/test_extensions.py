@@ -39,7 +39,7 @@ class TestAccounting:
     def test_fractions(self, long_market):
         bd = breakdown(self.make_result(long_market))
         assert 0 <= bd.phases.fraction("productive") <= 1
-        assert bd.dominant_config() is not None
+        assert max(bd.by_config.values()) > 0
 
     def test_requires_events(self, long_market):
         result = self.make_result(long_market)

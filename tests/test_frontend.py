@@ -39,6 +39,7 @@ from repro.service import (
     PlanResult,
     PoolConfig,
 )
+from tools.prometheus import sample
 
 
 @pytest.fixture(scope="module")
@@ -236,11 +237,8 @@ class TestFrontendCoalescing:
         first = results[0]
         assert all(r.decision == first.decision for r in results)
         # Telemetry separates the leader from the coalesced waiters.
-        counter = metrics.counter(
-            "svc_pool_requests_total", "Frontend submissions by outcome"
-        )
-        assert counter.value(outcome="planned") == 1
-        assert counter.value(outcome="coalesced") == n - 1
+        assert sample(metrics, "svc_pool_requests_total", outcome="planned") == 1
+        assert sample(metrics, "svc_pool_requests_total", outcome="coalesced") == n - 1
 
     def test_matches_sequential_plan_bit_for_bit(self, setup):
         request = _request(setup)

@@ -38,8 +38,8 @@ from repro.engine.engine import _SlotCounter
 from repro.engine.messages import SumCombiner
 from repro.engine.vertex import VertexProgram
 from repro.graph import generators
-from repro.graph.graph import from_edges
 from repro.partitioning.hashing import HashPartitioner
+from tests.scalar_oracle import from_edges
 from tests.scalar_oracle import (
     ConnectedComponents,
     InDegree,

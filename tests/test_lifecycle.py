@@ -84,10 +84,6 @@ class TestUnifiedTypes:
         assert result.on_demand_seconds > 0.0
         assert result.release_time == 0.0
         assert result.provisioner_name == "on-demand"
-        baseline = 2.0 * result.cost
-        assert result.normalized_cost(baseline) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            result.normalized_cost(0.0)
 
     def test_machine_seconds_split_by_market(self, long_market, catalog):
         lrc = last_resort(
@@ -266,4 +262,4 @@ class TestMetricsObserver:
         job = job_with_slack(PAGERANK_PROFILE, 0.0, 0.5, perf.fixed_time(lrc))
         result = sim.run(job)
         baseline = on_demand_baseline_cost(perf, lrc)
-        assert result.normalized_cost(baseline) == pytest.approx(result.cost / baseline)
+        assert 0.0 < result.cost / baseline < 1.0

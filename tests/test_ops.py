@@ -49,7 +49,7 @@ from repro.obs.slo import (
 from repro.obs.window import DEFAULT_WINDOWS, Frame, Record, RecordLog, percentile
 from tests import window_oracle as oracle
 from tests.test_observer_dispatch import run_pinned
-from tools.prometheus import parse_prometheus
+from tools.prometheus import parse_prometheus, sample
 
 
 def _run(t, outcome="met", dollars=0.0):
@@ -179,37 +179,13 @@ class TestConcurrentRegistry:
         for t in threads:
             t.join()
 
-        counter = registry.counter("hits_total")
-        assert counter.value(worker="shared") == self.THREADS * self.INCS
-        for n in range(self.THREADS):
-            assert counter.value(worker=f"w{n}") == self.INCS
         parsed = parse_prometheus(registry.to_prometheus())
         assert parsed[("hits_total", (("worker", "shared"),))] == (
             self.THREADS * self.INCS
         )
+        for n in range(self.THREADS):
+            assert parsed[("hits_total", (("worker", f"w{n}"),))] == self.INCS
         assert parsed[("lat_seconds_count", (("worker", "w0"),))] == self.INCS
-
-    def test_reset_mid_scrape_never_tears(self):
-        registry = MetricsRegistry()
-        stop = threading.Event()
-
-        def hammer():
-            while not stop.is_set():
-                # Re-fetch each pass so the get-or-create path races the
-                # resets below, like a live harness would.
-                registry.counter("hits_total").inc(1, worker="w")
-                registry.histogram("lat_seconds").observe(0.01)
-
-        thread = threading.Thread(target=hammer, daemon=True)
-        thread.start()
-        try:
-            for _ in range(200):
-                parse_prometheus(registry.to_prometheus())
-                registry.reset()
-        finally:
-            stop.set()
-            thread.join()
-        parse_prometheus(registry.to_prometheus())
 
 
 # ----------------------------------------------------------------------
@@ -257,11 +233,13 @@ class TestWindowedAggregator:
         assert frame.count(7.0, 1.0, "run") == 1
 
     def test_registry_reset_reads_as_idle_not_negative(self):
-        # The fold never reads the registry: resetting it mid-run leaves
-        # every window exactly as the records say.
+        # The fold never reads the registry: a registry whose series
+        # disagree with the records mid-run leaves every window exactly
+        # as the records say.
         registry = MetricsRegistry()
         harness = LoadHarness(_harness_config(), metrics=registry)
-        harness.log.every(None, lambda t: registry.reset())
+        jobs = registry.counter("load_jobs_total")
+        harness.log.every(None, lambda t: jobs.inc(1000, outcome="planned"))
         report = harness.run()
         frame = harness.log.frame()
         t = harness.log.end + 1.0
@@ -415,8 +393,8 @@ class TestSloMonitor:
             log.append(_run(200.0))
         log.advance(60.0)
         # 100% miss rate vs a 5% budget: burn 20 trips both rules.
-        (status,) = monitor.statuses()
-        assert status.firing == ("page", "ticket")
+        (status,) = monitor.as_dict()["objectives"]
+        assert status["firing"] == ["page", "ticket"]
         fired = monitor.alerts()
         assert [(a.t, a.firing) for a in fired] == [(60.0, True), (60.0, True)]
         assert monitor.as_dict()["firing"] == [
@@ -430,13 +408,13 @@ class TestSloMonitor:
 
         # Recovery: a flood of met runs dilutes the miss ratio.
         log.advance(240.0)
-        (status,) = monitor.statuses()
-        assert status.firing == ()
+        (status,) = monitor.as_dict()["objectives"]
+        assert status["firing"] == []
         transitions = monitor.alerts()
         assert len(transitions) == 4
         assert [(a.t, a.firing) for a in transitions[2:]] == [(240.0, False)] * 2
         assert monitor.as_dict()["firing"] == []
-        assert monitor.evaluations == 4
+        assert monitor.as_dict()["evaluations"] == 4
         # The live sequence is the pure one over the same ticks.
         assert list(transitions) == oracle.alerts(monitor.objectives, log.records(), oracle.ticks(log))
 
@@ -445,12 +423,10 @@ class TestSloMonitor:
         for _ in range(4):
             log.append(_run(10.0, "missed"))
         log.advance(60.0)
-        burn = registry.gauge("slo_burn_rate").value(
-            slo="deadline_miss_rate", window="300s"
-        )
+        burn = sample(registry, "slo_burn_rate", slo="deadline_miss_rate", window="300s")
         assert burn == pytest.approx(20.0)
-        fired = registry.counter("slo_alerts_total").value(
-            slo="deadline_miss_rate", severity="page", firing="True"
+        fired = sample(
+            registry, "slo_alerts_total", slo="deadline_miss_rate", severity="page", firing="True"
         )
         assert fired == 1.0
         # The monitor's payload is JSON-serialisable as the /slo body.
@@ -493,7 +469,7 @@ class TestCostLedger:
         assert usage.dollars == pytest.approx(4.0)
         assert usage.spot_seconds == pytest.approx(200.0)
         assert usage.on_demand_seconds == 0.0
-        assert usage.machine_seconds == pytest.approx(200.0)
+        assert usage.spot_seconds + usage.on_demand_seconds == pytest.approx(200.0)
         # Idle and service time are the caller's numbers, taken as given.
         assert usage.idle_seconds == pytest.approx(20.0)
         assert usage.service_time_s == pytest.approx(400.0)
@@ -523,17 +499,13 @@ class TestCostLedger:
         registry = MetricsRegistry()
         ledger = CostLedger(metrics=registry)
         ledger.record_run("acme", _result(missed=True), idle_s=60.0, service_s=0.0)
-        assert registry.counter("tenant_cost_dollars_total").value(
-            tenant="acme"
-        ) == pytest.approx(2.0)
-        assert registry.counter("tenant_machine_seconds_total").value(
-            tenant="acme", segment="spot"
+        assert sample(registry, "tenant_cost_dollars_total", tenant="acme") == pytest.approx(2.0)
+        assert sample(
+            registry, "tenant_machine_seconds_total", tenant="acme", segment="spot"
         ) == pytest.approx(100.0)
-        assert registry.counter("tenant_runs_total").value(
-            tenant="acme", outcome="missed"
-        ) == 1.0
-        assert registry.counter("tenant_idle_machine_seconds_total").value(
-            tenant="acme"
+        assert sample(registry, "tenant_runs_total", tenant="acme", outcome="missed") == 1.0
+        assert sample(
+            registry, "tenant_idle_machine_seconds_total", tenant="acme"
         ) == pytest.approx(60.0)
 
     def test_snapshot_is_immutable_view(self):
@@ -628,43 +600,47 @@ class TestHarnessPublication:
         assert report.planned > 0 and report.executed > 0
         assert report.recurring_runs > 0
 
-        jobs = registry.counter("load_jobs_total")
+        parsed = parse_prometheus(registry.to_prometheus())
+
+        def value(name, **labels):
+            return parsed.get((name, tuple(sorted(labels.items()))), 0.0)
+
         for outcome in (
             "planned", "rejected_overload", "rejected_invalid", "deadline_lost"
         ):
-            assert jobs.value(outcome=outcome) == getattr(report, outcome), outcome
-        runs = registry.counter("load_runs_total")
-        assert runs.value(outcome="missed") == report.missed
-        assert runs.value(outcome="met") == report.executed - report.missed
-        windows = registry.counter("load_recurring_windows_total")
-        assert windows.value(outcome="missed") == report.recurring_missed
-        assert windows.value(outcome="met") == (
+            assert value("load_jobs_total", outcome=outcome) == getattr(report, outcome), outcome
+        assert value("load_runs_total", outcome="missed") == report.missed
+        assert value("load_runs_total", outcome="met") == report.executed - report.missed
+        windows = "load_recurring_windows_total"
+        assert value(windows, outcome="missed") == report.recurring_missed
+        assert value(windows, outcome="met") == (
             report.recurring_runs - report.recurring_missed
         )
-        assert windows.value(outcome="skipped") == report.recurring_skipped
+        assert value(windows, outcome="skipped") == report.recurring_skipped
         # The float totals accumulate in the same order on both sides.
         for name, field in (
             ("load_provider_idle_machine_seconds_total", "provider_idle_machine_s"),
             ("load_user_cost_dollars_total", "user_cost_dollars"),
             ("load_service_time_seconds_total", "service_time_s"),
         ):
-            assert registry.counter(name).value() == getattr(report, field), name
-        assert registry.gauge("load_queue_peak").value() == report.queue_peak
+            assert value(name) == getattr(report, field), name
+        assert value("load_queue_peak") == report.queue_peak
         for name in ("load_plan_latency_seconds", "load_plan_queue_wait_seconds"):
-            assert registry.histogram(name).snapshot()["count"] == report.planned
+            assert value(f"{name}_count") == report.planned
 
     def test_publication_is_event_time_by_default(self):
         registry = MetricsRegistry()
         harness = LoadHarness(_harness_config(), metrics=registry)
-        planned = registry.counter("load_jobs_total")
         seen = []
         harness.service.add_decision_hook(
-            lambda request, result: seen.append(planned.value(outcome="planned"))
+            lambda request, result: seen.append(
+                sample(registry, "load_jobs_total", outcome="planned")
+            )
         )
         report = harness.run()
         # Some decision was taken while the planned count was partway up.
         assert any(0 < value < report.planned for value in seen)
-        assert planned.value(outcome="planned") == report.planned
+        assert sample(registry, "load_jobs_total", outcome="planned") == report.planned
 
     def test_ledger_matches_report(self):
         config = _harness_config()
@@ -716,7 +692,7 @@ class TestHarnessPublication:
         assert list(monitor.alerts()) == oracle.alerts(monitor.objectives, log.records(), oracle.ticks(log))
         # Every live /slo payload is the fold at its t over the final log.
         frame = log.frame()
-        assert len(seed42.payloads) == len(oracle.ticks(log)) == monitor.evaluations
+        assert len(seed42.payloads) == len(oracle.ticks(log)) == monitor.as_dict()["evaluations"]
         for payload in seed42.payloads:
             pure = statuses(monitor.objectives, frame, payload["t"])
             assert payload["objectives"] == [s.as_dict() for s in pure]

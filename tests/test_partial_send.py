@@ -26,10 +26,10 @@ from repro.engine import engine as engine_module
 from repro.engine.algorithms import SSSP
 from repro.engine.messages import MinCombiner, SumCombiner
 from repro.engine.vertex import VertexProgram
-from repro.graph.graph import from_edges
 from repro.graph.io import build_csr_on_disk, is_memmap_backed, load_csr
 from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
+from tests.scalar_oracle import from_edges
 from tests import scalar_oracle
 from tests.test_traffic_accounting import sorted_count
 

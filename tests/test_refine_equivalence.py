@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import generators
-from repro.graph.graph import from_edges
 from repro.partitioning import multilevel
 from repro.partitioning.base import BALANCE_SLACK
 from repro.partitioning.multilevel import MultilevelPartitioner, _refine
+from tests.scalar_oracle import from_edges
 from tests import scalar_oracle
 from tests.refine_oracle import refine_reference
 

@@ -56,8 +56,10 @@ class TestMechanisticModel:
         for config in catalog:
             assert model.exec_time(model.reference) <= model.exec_time(config) + 1e-9
 
-    def test_capacity_normalised(self, model):
-        assert model.capacity(model.reference) == pytest.approx(1.0)
+    def test_capacity_normalised(self, model, catalog):
+        # omega_c = t_exec(reference) / t_exec(c) peaks at 1, on the reference.
+        omegas = [model.exec_time(model.reference) / model.exec_time(c) for c in catalog]
+        assert max(omegas) == pytest.approx(1.0)
 
     def test_time_scale_applied(self, graph, long_market, catalog):
         fast = make_runtime(graph, long_market, catalog, OnDemandProvisioner(), time_scale=1.0)

@@ -18,8 +18,8 @@ import pytest
 from repro.engine import CheckpointManager, DataStore, PregelEngine
 from repro.engine.algorithms import SSSP, PageRank
 from repro.graph import generators
-from repro.graph.graph import from_edges
 from repro.partitioning.hashing import HashPartitioner
+from tests.scalar_oracle import from_edges
 from tests.scalar_oracle import (
     ConnectedComponents,
     InDegree,

@@ -31,12 +31,13 @@ from repro.cloud.instance import R4_FAMILY
 from repro.cloud.market import SpotMarket
 from repro.cloud.trace_gen import _overlay_spikes, generate_market_traces
 from repro.graph import generators
-from repro.graph.graph import from_edges, merge_parallel_edges, stable_argsort
+from repro.graph.graph import merge_parallel_edges, stable_argsort
 from repro.graph.io import build_csr_on_disk
 from repro.load.trace import LoadTraceConfig, generate_trace
 from repro.partitioning.micro import MicroPartitioner
 from repro.utils.rng import derive_rng
 from repro.utils.units import HOURS
+from tests.scalar_oracle import from_edges
 from tests import scalar_oracle
 from tools.smoke import build_rmat_csr
 

@@ -2,7 +2,8 @@
 
 Every number the provisioner reads about a configuration's fixed phases
 (``load_time``, ``save_time``, ``setup_time``, ``fixed_time``), its
-speed (``exec_time``, ``capacity``) and its progress curve
+speed (``exec_time``, and the capacity ratio the DP divides by) and
+its progress curve
 (``work_fraction_done``) is hashed here as ``float.hex`` text, so a
 refactor of the timing code can only pass by producing the same floats,
 operation for operation.  Families:
@@ -45,7 +46,7 @@ from repro.graph.io import build_csr_on_disk
 from repro.runtime import HourglassRuntime
 from repro.utils.units import HOURS
 
-PHASES = ("exec_time", "load_time", "save_time", "setup_time", "fixed_time", "capacity")
+PHASES = ("exec_time", "load_time", "save_time", "setup_time", "fixed_time")
 
 
 def digest(values) -> str:
@@ -58,8 +59,17 @@ def catalog():
     return [shapes[name] for name in sorted(shapes)]
 
 
+def capacity(perf, config) -> float:
+    """omega_c = t_exec(reference) / t_exec(c)."""
+    return perf.exec_time(perf.reference) / perf.exec_time(config)
+
+
 def phase_values(perf, configs):
-    return [getattr(perf, phase)(c) for c in configs for phase in PHASES]
+    return [
+        value
+        for c in configs
+        for value in (*(getattr(perf, phase)(c) for phase in PHASES), capacity(perf, c))
+    ]
 
 
 @pytest.fixture(scope="module")

@@ -19,9 +19,9 @@ from repro.engine import engine as engine_module
 from repro.engine.engine import _SlotCounter
 from repro.engine.vertex import VertexProgram
 from repro.graph import generators
-from repro.graph.graph import from_edges
 from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
+from tests.scalar_oracle import from_edges
 from tests.scalar_oracle import ConnectedComponents, ScalarEngine
 
 

@@ -17,8 +17,8 @@ from repro.core import (
     WarningPolicy,
     job_with_slack,
     last_resort,
-    salvageable_progress,
 )
+from repro.exec import AnalyticWorkModel
 from repro.utils.units import HOURS
 
 
@@ -42,23 +42,46 @@ class TestWarningPolicy:
             WarningPolicy(lead_seconds=-1)
 
 
+class _FixedPerf:
+    """Every configuration runs the job in *exec_time* and saves in *save_time*."""
+
+    def __init__(self, exec_time, save_time):
+        self._exec_time, self._save_time = exec_time, save_time
+
+    def exec_time(self, config):
+        return self._exec_time
+
+    def save_time(self, config):
+        return self._save_time
+
+
+def salvaged(policy, eviction_offset, compute_start, exec_time, save_time):
+    """Work fraction the analytic work model keeps when the interval
+    computing from *compute_start* is evicted at *eviction_offset*."""
+    model = AnalyticWorkModel(_FixedPerf(exec_time, save_time), warning=policy)
+    model.start()
+    model.run_segment(None, budget=float("inf"))
+    model.on_evicted(None, compute_start, eviction_offset)
+    return 1.0 - model.work_left()
+
+
 class TestSalvageableProgress:
     def test_no_warning_saves_nothing(self):
-        assert salvageable_progress(NO_WARNING, 1000, 100, 3600, 10) == 0.0
+        assert salvaged(NO_WARNING, 1000, 100, 3600, 10) == 0.0
 
     def test_short_lead_saves_nothing(self):
         policy = WarningPolicy(lead_seconds=5)
-        assert salvageable_progress(policy, 1000, 100, 3600, 10) == 0.0
+        assert salvaged(policy, 1000, 100, 3600, 10) == 0.0
 
     def test_progress_up_to_warning(self):
         policy = WarningPolicy(lead_seconds=120)
         # Eviction at 1000s; warning at 880s; compute started at 100s.
-        progress = salvageable_progress(policy, 1000, 100, exec_time=3600, save_time=30)
+        progress = salvaged(policy, 1000, 100, exec_time=3600, save_time=30)
         assert progress == pytest.approx(780 / 3600)
 
     def test_eviction_during_setup_saves_nothing(self):
         policy = WarningPolicy(lead_seconds=120)
-        assert salvageable_progress(policy, 150, 100, 3600, 30) == 0.0
+        assert salvaged(policy, 150, 100, 3600, 30) == 0.0
 
 
 class TestWarningInSimulation:

@@ -1,7 +1,7 @@
 """Prometheus text-format parser: the validation counterpart of
 :meth:`~repro.obs.metrics.MetricsRegistry.to_prometheus`, used by the
 ``ops`` smoke row (:mod:`tools.smoke`) and the tests to check the
-exposition the registry renders.
+exposition the registry renders and to read series values back from it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,13 @@ def parse_prometheus(text: str) -> dict:
         if base not in types:
             raise ValueError(f"sample {name!r} has no # TYPE line")
     return samples
+
+
+def sample(registry, name: str, **labels) -> float:
+    """One series of *registry*'s rendered exposition, read back through
+    :func:`parse_prometheus`; 0.0 when the series is absent."""
+    key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+    return parse_prometheus(registry.to_prometheus()).get(key, 0.0)
 
 
 def _parse_sample(line: str, lineno: int) -> tuple[str, tuple, float]:
