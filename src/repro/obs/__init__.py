@@ -11,9 +11,11 @@
   (:mod:`repro.obs.attribution`).  The same records give the same
   alerts on any box; no thread samples anything.
 
-There is no process-wide registry: a harness, planner pool, frontend or
-SLO monitor writes to the registry it is given, or to one of its own; a
-ledger mirrors its rows only into a registry it is given.  A run's
+There is no process-wide registry: a harness, the planning frontend
+(whose one series is ``svc_pool_requests_total{outcome}``; it plans on
+the event-loop thread, so there is no pool to gauge) or an SLO monitor
+writes to the registry it is given, or to one of its own; a ledger
+mirrors its rows only into a registry it is given.  A run's
 timeline is its ``RunResult.events``; per-decision telemetry reaches
 :meth:`PlanningService.add_decision_hook
 <repro.service.planning.PlanningService.add_decision_hook>` hooks; and

@@ -6,8 +6,8 @@ and ``tenant="b"`` are independent series).  The renderer speaks the
 Prometheus text exposition format, so the output scrapes directly; the
 checks parse it back with ``tools/prometheus.py``.
 
-Only the load harness's layers (harness, ledger, SLO monitor, planner
-pool) write metrics; the engine, checkpoints, datastore and planning
+Only the load harness's layers (harness, ledger, SLO monitor) and the
+planning frontend write metrics; the engine, checkpoints, datastore and planning
 service record none.
 """
 

@@ -4,16 +4,17 @@ One long-lived :class:`PlanningService` answers provisioning questions
 for many concurrent jobs, sharing warm estimator memo tables, market
 snapshots and batched decisions across tenants (see
 :mod:`repro.service.planning`).  :class:`PlanFrontend`
-(:mod:`repro.service.frontend`) is the async serving layer over it —
-request coalescing, eager batching, backpressure — backed by the
-autoscaled :class:`PlannerPool` (:mod:`repro.service.pool`).
+(:mod:`repro.service.frontend`) is the async serving layer over it: it
+plans inline on the event-loop thread, the one planner there is, and
+shares one result per request key per loop tick.
 """
 
 from repro.service.frontend import (
     FrontendConfig,
-    FrontendOverloadError,
     FrontendStats,
     PlanFrontend,
+    PoolConfig,
+    PoolStats,
 )
 from repro.service.planning import (
     PlanError,
@@ -22,17 +23,13 @@ from repro.service.planning import (
     PlanResult,
     PlanTelemetry,
 )
-from repro.service.pool import Autoscaler, PlannerPool, PoolConfig, PoolStats
 from repro.service.strategies import SERVICE_STRATEGIES
 
 __all__ = [
-    "Autoscaler",
     "FrontendConfig",
-    "FrontendOverloadError",
     "FrontendStats",
     "PlanError",
     "PlanFrontend",
-    "PlannerPool",
     "PlanningService",
     "PlanRequest",
     "PlanResult",

@@ -395,9 +395,10 @@ class PlanningService:
 
         Two hourglass requests with equal keys are guaranteed to produce
         bit-identical :class:`Decision`\\ s when planned back-to-back on
-        this service, so an in-flight result can be shared between them
-        (the frontend's coalescing rule).  The guarantee comes from the
-        estimator's own memoisation: the DP memoises root states on
+        this service, so one result can answer both: the frontend shares
+        a result with every equal-key request of the same event-loop
+        tick.  The guarantee comes from the estimator's own
+        memoisation: the DP memoises root states on
         ``(config, slack-cell, work-cell, running, depth)`` buckets, so
         any two requests agreeing on the estimator key, decision time
         (exact — it selects the rate snapshot and spot usability), slack

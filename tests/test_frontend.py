@@ -1,23 +1,24 @@
-"""Async frontend + planner pool: coalescing, batching, backpressure, scaling.
+"""Async frontend: inline planning and per-tick coalescing.
 
 The serving-layer contract under test:
 
-* **Coalescing is invisible** — N concurrent identical requests cost one
-  estimator evaluation, and every waiter receives the bit-identical
-  :class:`PlanResult` the sequential path would have produced.
-* **Nothing is silently dropped** — every admitted submission resolves
-  to a result or an error; overflow fails fast with
-  :class:`FrontendOverloadError` before anything is queued.
-* **The pool follows the load** — the square-root staffing rule powers
-  workers up inside one burst sample and back down only after the
-  trough proves itself (asymmetric hysteresis).
+* **Coalescing is invisible** — N identical requests in one event-loop
+  tick cost one ``service.plan`` call, and every caller receives the
+  identical :class:`PlanResult` the sequential path would have produced.
+  The same key in a later tick is planned again.
+* **Failures are never shared** — a plan that raises gives each caller
+  its own :class:`PlanError`, and nothing is kept for its key.
+* **Every submission is accounted** — ``submitted = planned + coalesced
+  + rejected + overflowed`` after any mix of outcomes.
+* **No thread** — planning runs on the event-loop thread; the frontend
+  starts none.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -28,18 +29,41 @@ from repro.core.slack import SlackModel
 from repro.experiments.common import ExperimentSetup
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
-    Autoscaler,
     FrontendConfig,
-    FrontendOverloadError,
     PlanError,
     PlanFrontend,
-    PlannerPool,
     PlanningService,
     PlanRequest,
     PlanResult,
     PoolConfig,
 )
 from tools.prometheus import sample
+
+
+@contextlib.asynccontextmanager
+async def _running(service, config=None, metrics=None):
+    """A frontend bound to the running loop for the block's length."""
+    frontend = await PlanFrontend(service, config, metrics=metrics).start()
+    try:
+        yield frontend
+    finally:
+        await frontend.aclose()
+
+
+class _CountingService(PlanningService):
+    """A planning service that counts ``plan`` calls and can be made to
+    raise a fresh error on each of them."""
+
+    def __init__(self, market):
+        super().__init__(market)
+        self.plan_calls = 0
+        self.failing = False
+
+    def plan(self, request):
+        self.plan_calls += 1
+        if self.failing:
+            raise RuntimeError(f"planner crashed on call {self.plan_calls}")
+        return super().plan(request)
 
 
 @pytest.fixture(scope="module")
@@ -60,125 +84,6 @@ def _request(setup, profile=PAGERANK_PROFILE, slack=0.5, **kwargs):
         catalog=setup.catalog,
         **kwargs,
     )
-
-
-# ----------------------------------------------------------------------
-# Autoscaler policy
-# ----------------------------------------------------------------------
-class TestAutoscaler:
-    def test_compute_n_clamps_and_grows(self):
-        scaler = Autoscaler(PoolConfig(min_workers=1, max_workers=8))
-        assert scaler.compute_n(0.0) == 1
-        sizes = [scaler.compute_n(rho) for rho in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 100.0)]
-        assert sizes == sorted(sizes)  # monotone in offered load
-        assert sizes[-1] == 8  # clamped at max_workers
-        assert scaler.compute_n(-3.0) == 1  # negative load treated as idle
-
-    def test_square_root_safety_margin(self):
-        # The staffing equation keeps n* strictly above rho (headroom
-        # grows like sqrt(rho) — the M/M/N-style margin).
-        scaler = Autoscaler(PoolConfig(min_workers=1, max_workers=1000))
-        for rho in (1.0, 4.0, 16.0, 64.0):
-            n = scaler.compute_n(rho)
-            assert rho < n <= rho + 1 + 2 * (rho**0.5)
-
-    def test_scale_up_is_immediate(self):
-        scaler = Autoscaler(PoolConfig(min_workers=1, max_workers=8))
-        assert scaler.observe(12, current_size=1) > 1  # one burst sample
-
-    def test_scale_down_needs_consecutive_votes(self):
-        scaler = Autoscaler(PoolConfig(min_workers=1, max_workers=8))
-        size = scaler.observe(12, 1)
-        assert size > 1
-        # Two idle votes: not enough.
-        assert scaler.observe(0, size) == size
-        assert scaler.observe(0, size) == size
-        # An interleaved burst resets the down votes.
-        assert scaler.observe(12, size) == size
-        assert scaler.observe(0, size) == size
-        assert scaler.observe(0, size) == size
-        # The third consecutive idle vote powers down.
-        assert scaler.observe(0, size) < size
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="min_workers"):
-            PoolConfig(min_workers=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            PoolConfig(min_workers=4, max_workers=2)
-        with pytest.raises(ValueError, match="max_inflight"):
-            FrontendConfig(max_inflight=0)
-        with pytest.raises(ValueError, match="max_batch"):
-            FrontendConfig(max_batch=0)
-
-
-# ----------------------------------------------------------------------
-# PlannerPool mechanics (stub service: no estimator cost)
-# ----------------------------------------------------------------------
-class _StubService:
-    """plan_many echoes its inputs; optionally gated on an event."""
-
-    def __init__(self, gate: threading.Event | None = None, delay: float = 0.0):
-        self.gate = gate
-        self.delay = delay
-        self.calls: list[int] = []
-
-    def request_key(self, request):
-        return None
-
-    def plan_many(self, requests):
-        if self.gate is not None:
-            self.gate.wait(timeout=30)
-        if self.delay:
-            time.sleep(self.delay)
-        self.calls.append(len(requests))
-        return [("planned", req) for req in requests]
-
-
-class TestPlannerPool:
-    def test_batches_resolve_in_request_order(self):
-        service = _StubService()
-        with PlannerPool(service, PoolConfig(), metrics=MetricsRegistry()) as pool:
-            futures = [pool.submit_batch([f"r{i}a", f"r{i}b"]) for i in range(5)]
-            for i, future in enumerate(futures):
-                assert future.result(timeout=30) == [
-                    ("planned", f"r{i}a"),
-                    ("planned", f"r{i}b"),
-                ]
-        stats = pool.stats()
-        assert stats.batches == 5 and stats.requests == 10 and stats.batch_max == 2
-
-    def test_scales_up_under_load(self):
-        service = _StubService(delay=0.005)
-        pool = PlannerPool(
-            service, PoolConfig(min_workers=1, max_workers=6), metrics=MetricsRegistry()
-        )
-        futures = [pool.submit_batch(["x"] * 4) for _ in range(30)]
-        for future in futures:
-            future.result(timeout=30)
-        assert pool.stats().size_peak > 1
-        assert pool.stats().scale_ups >= 1
-        pool.close()
-
-    def test_close_drains_queued_batches(self):
-        # One worker, gated: queue several batches behind the gate, then
-        # close concurrently — FIFO drain means every batch still
-        # resolves (the no-silent-drop guarantee).
-        gate = threading.Event()
-        service = _StubService(gate=gate)
-        pool = PlannerPool(
-            service,
-            PoolConfig(min_workers=1, max_workers=1),
-            metrics=MetricsRegistry(),
-        )
-        futures = [pool.submit_batch([i]) for i in range(4)]
-        with ThreadPoolExecutor(1) as ex:
-            closer = ex.submit(pool.close)
-            gate.set()
-            closer.result(timeout=30)
-        for i, future in enumerate(futures):
-            assert future.result(timeout=1) == [("planned", i)]
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.submit_batch(["late"])
 
 
 # ----------------------------------------------------------------------
@@ -215,28 +120,27 @@ class TestRequestKey:
 # ----------------------------------------------------------------------
 class TestFrontendCoalescing:
     def test_concurrent_identical_requests_plan_once(self, setup):
-        service = PlanningService(setup.market)
+        """N equal-key requests gathered in one tick: one ``service.plan``
+        call, and every caller gets that call's very result."""
+        service = _CountingService(setup.market)
         metrics = MetricsRegistry()
         request = _request(setup)
         n = 8
 
         async def drive():
-            async with PlanFrontend(service, metrics=metrics) as frontend:
+            async with _running(service, metrics=metrics) as frontend:
                 results = await asyncio.gather(
                     *(frontend.plan(request) for _ in range(n))
                 )
                 return results, frontend.stats()
 
         results, stats = asyncio.run(drive())
-        # One estimator evaluation answered all of them...
-        assert service.service_stats()["plans"] == 1
-        assert stats.planned == 1 and stats.coalesced == n - 1
-        assert stats.submitted == n
-        # ...and every waiter got the identical decision.
-        assert all(isinstance(r, PlanResult) for r in results)
-        first = results[0]
-        assert all(r.decision == first.decision for r in results)
-        # Telemetry separates the leader from the coalesced waiters.
+        assert service.plan_calls == 1
+        assert isinstance(results[0], PlanResult)
+        assert all(r is results[0] for r in results)
+        assert (stats.planned, stats.coalesced, stats.submitted) == (1, n - 1, n)
+        assert (stats.pool.batches, stats.pool.size_peak) == (1, 1)
+        # Telemetry separates the planned request from the shared ones.
         assert sample(metrics, "svc_pool_requests_total", outcome="planned") == 1
         assert sample(metrics, "svc_pool_requests_total", outcome="coalesced") == n - 1
 
@@ -246,7 +150,7 @@ class TestFrontendCoalescing:
 
         async def drive():
             service = PlanningService(setup.market)
-            async with PlanFrontend(service) as frontend:
+            async with _running(service) as frontend:
                 return await frontend.plan(request)
 
         via_frontend = asyncio.run(drive())
@@ -256,7 +160,7 @@ class TestFrontendCoalescing:
         service = PlanningService(setup.market)
 
         async def drive():
-            async with PlanFrontend(service) as frontend:
+            async with _running(service) as frontend:
                 results = await asyncio.gather(
                     frontend.plan(_request(setup, slack=0.2)),
                     frontend.plan(_request(setup, slack=0.9)),
@@ -272,58 +176,13 @@ class TestFrontendCoalescing:
         service = PlanningService(setup.market)
 
         async def drive():
-            async with PlanFrontend(service) as frontend:
+            async with _running(service) as frontend:
                 with pytest.raises(PlanError, match="empty catalogue"):
                     await frontend.plan(replace(_request(setup), catalog=()))
                 return frontend.stats()
 
         stats = asyncio.run(drive())
         assert stats.rejected == 1 and stats.planned == 0
-
-    def test_unpriced_request_spares_its_dispatch_batch(self, setup):
-        """A decision time past the market trace is rejected at keying,
-        so the valid requests dispatched beside it still plan."""
-        service = PlanningService(setup.market)
-        good = [_request(setup, SSSP_PROFILE, slack=0.1 + 0.05 * i) for i in range(15)]
-        bad = _request(setup, SSSP_PROFILE, t=setup.market.horizon + 10.0)
-        burst = [*good[:7], bad, *good[7:]]
-
-        async def drive():
-            async with PlanFrontend(service) as frontend:
-                outcomes = await asyncio.gather(
-                    *(frontend.plan(r) for r in burst), return_exceptions=True
-                )
-                return outcomes, frontend.stats()
-
-        outcomes, stats = asyncio.run(drive())
-        assert isinstance(outcomes[7], PlanError)
-        assert "decision time" in str(outcomes[7])
-        assert all(isinstance(o, PlanResult) for o in outcomes[:7] + outcomes[8:])
-        assert stats.rejected == 1 and stats.planned + stats.coalesced == 15
-        assert stats.submitted == 16
-
-    def test_unpriced_baseline_spares_its_dispatch_batch(self, setup):
-        """A baseline request passes the same state check: past the
-        market trace it is rejected at keying, so the hourglass request
-        it would have shared a dispatch with still plans."""
-        service = PlanningService(setup.market)
-        good = _request(setup, SSSP_PROFILE)
-        bad = _request(
-            setup, SSSP_PROFILE, strategy="spoton", t=setup.market.horizon + 5.0
-        )
-
-        async def drive():
-            async with PlanFrontend(service) as frontend:
-                outcomes = await asyncio.gather(
-                    frontend.plan(good), frontend.plan(bad), return_exceptions=True
-                )
-                return outcomes, frontend.stats()
-
-        (planned, rejected), stats = asyncio.run(drive())
-        assert planned.decision == PlanningService(setup.market).plan(good).decision
-        assert isinstance(rejected, PlanError)
-        assert "decision time" in str(rejected)
-        assert stats.rejected == 1 and stats.planned == 1
 
     def test_keying_crash_is_counted_and_chained(self, setup):
         """Any keying failure is a rejection: the accounting identity
@@ -332,7 +191,7 @@ class TestFrontendCoalescing:
         broken = PlanRequest(slack_model=None, catalog=setup.catalog)
 
         async def drive():
-            async with PlanFrontend(service) as frontend:
+            async with _running(service) as frontend:
                 await frontend.plan(_request(setup, SSSP_PROFILE))
                 with pytest.raises(PlanError, match="keying") as info:
                     await frontend.plan(broken)
@@ -345,18 +204,125 @@ class TestFrontendCoalescing:
             stats.planned + stats.coalesced + stats.rejected + stats.overflowed
         )
 
-    def test_stats_read_one_pool_snapshot(self):
-        frontend = PlanFrontend(_StubService(), metrics=MetricsRegistry())
-        calls = []
-        snapshot = frontend.pool.stats
-        frontend.pool.stats = lambda: calls.append(1) or snapshot()
-        stats = frontend.stats()
-        frontend.pool.close()
-        assert len(calls) == 1
-        assert (stats.batches, stats.batch_max) == (
-            stats.pool.batches,
-            stats.pool.batch_max,
+
+class TestTickCoalescing:
+    def test_same_key_in_a_later_tick_is_planned_again(self, setup):
+        service = _CountingService(setup.market)
+        request = _request(setup)
+
+        async def drive():
+            async with _running(service) as frontend:
+                first = await frontend.plan(request)
+                await asyncio.sleep(0)  # the loop moves on to its next tick
+                second = await frontend.plan(request)
+                return first, second, frontend.stats()
+
+        first, second, stats = asyncio.run(drive())
+        assert service.plan_calls == 2
+        assert first is not second
+        assert first.decision == second.decision
+        assert (stats.planned, stats.coalesced) == (2, 0)
+
+    def test_raising_plan_is_never_shared(self, setup):
+        """Each caller of a failing key plans, and fails, on its own; the
+        failure leaves nothing behind for the next caller of the tick."""
+        service = _CountingService(setup.market)
+        request = _request(setup)
+        n = 4
+
+        async def drive():
+            async with _running(service) as frontend:
+                service.failing = True
+                errors = await asyncio.gather(
+                    *(frontend.plan(request) for _ in range(n)),
+                    return_exceptions=True,
+                )
+                service.failing = False
+                # Same tick as the failures: nothing was kept for the key.
+                result = await frontend.plan(request)
+                return errors, result, frontend.stats()
+
+        errors, result, stats = asyncio.run(drive())
+        assert all(isinstance(e, PlanError) for e in errors)
+        assert len({id(e) for e in errors}) == n
+        assert all(isinstance(e.__cause__, RuntimeError) for e in errors)
+        assert len({str(e.__cause__) for e in errors}) == n  # one plan each
+        assert isinstance(result, PlanResult)
+        assert service.plan_calls == n + 1
+        assert (stats.planned, stats.coalesced) == (n + 1, 0)
+
+    def test_accounting_identity_after_mixed_burst(self, setup):
+        """Duplicates, distinct requests, baselines, an unpriced request,
+        an unpriced baseline and a request that crashes keying in one
+        burst: each submission lands in exactly one outcome, and the
+        rejected ones spare the rest."""
+        service = PlanningService(setup.market)
+        metrics = MetricsRegistry()
+        duplicate = _request(setup, SSSP_PROFILE)
+        distinct = [_request(setup, SSSP_PROFILE, slack=0.1 + 0.1 * i) for i in range(3)]
+        baseline = _request(setup, SSSP_PROFILE, strategy="spoton")
+        unpriced = _request(setup, SSSP_PROFILE, t=setup.market.horizon + 10.0)
+        unpriced_baseline = replace(unpriced, strategy="spoton")
+        broken = PlanRequest(slack_model=None, catalog=setup.catalog)
+        burst = [
+            duplicate, *distinct, unpriced, duplicate, baseline,
+            unpriced_baseline, duplicate, broken, baseline,
+        ]
+
+        async def drive():
+            async with _running(service, metrics=metrics) as frontend:
+                outcomes = await asyncio.gather(
+                    *(frontend.plan(r) for r in burst), return_exceptions=True
+                )
+                return outcomes, frontend.stats()
+
+        outcomes, stats = asyncio.run(drive())
+        rejected = [i for i, o in enumerate(outcomes) if isinstance(o, PlanError)]
+        assert rejected == [4, 7, 9]
+        assert "decision time" in str(outcomes[4]) and "decision time" in str(outcomes[7])
+        assert all(isinstance(o, PlanResult) for o in outcomes if not isinstance(o, PlanError))
+        # 1 duplicate + 3 distinct + 2 baselines (never coalesced) planned.
+        assert (stats.planned, stats.coalesced, stats.rejected, stats.overflowed) == (
+            6, 2, 3, 0,
         )
+        assert stats.submitted == len(burst) == (
+            stats.planned + stats.coalesced + stats.rejected + stats.overflowed
+        )
+        for outcome in ("planned", "coalesced", "rejected"):
+            assert sample(metrics, "svc_pool_requests_total", outcome=outcome) == getattr(
+                stats, outcome
+            )
+
+    def test_no_thread_is_started(self, setup):
+        service = PlanningService(setup.market)
+        burst = [_request(setup, SSSP_PROFILE, slack=0.1 * (i % 5 + 1)) for i in range(40)]
+
+        async def drive():
+            counts = [threading.active_count()]
+            frontend = await PlanFrontend(service).start()
+            counts.append(threading.active_count())
+            await asyncio.gather(*(frontend.plan(r) for r in burst))
+            counts.append(threading.active_count())
+            await frontend.aclose()
+            counts.append(threading.active_count())
+            return counts
+
+        counts = asyncio.run(drive())
+        assert counts == [counts[0]] * 4
+
+    def test_plan_outside_start_and_aclose_raises(self, setup):
+        service = PlanningService(setup.market)
+
+        async def drive():
+            frontend = PlanFrontend(service)
+            with pytest.raises(PlanError, match="not running"):
+                await frontend.plan(_request(setup))
+            await frontend.start()
+            await frontend.aclose()
+            with pytest.raises(PlanError, match="not running"):
+                await frontend.plan(_request(setup))
+
+        asyncio.run(drive())
 
 
 class TestServingPathsAgree:
@@ -407,7 +373,7 @@ class TestServingPathsAgree:
         )
 
         async def drive():
-            async with PlanFrontend(service, config, metrics=MetricsRegistry()) as frontend:
+            async with _running(service, config, MetricsRegistry()) as frontend:
                 results = await asyncio.gather(*(frontend.plan(r) for r in burst))
                 return [r.decision for r in results], frontend.stats()
 
@@ -419,51 +385,6 @@ class TestServingPathsAgree:
         assert windowed == expected
         assert fronted == expected
         assert stats.coalesced >= 0.8 * (len(burst) - len(templates))
-
-
-class TestFrontendBackpressure:
-    def test_overflow_fails_fast_and_nothing_is_lost(self):
-        gate = threading.Event()
-        service = _StubService(gate=gate)
-        config = FrontendConfig(
-            max_inflight=2,
-            max_batch=1,
-            pool=PoolConfig(min_workers=1, max_workers=1),
-        )
-
-        async def drive():
-            async with PlanFrontend(service, config) as frontend:
-                first = asyncio.ensure_future(frontend.plan("req-a"))
-                second = asyncio.ensure_future(frontend.plan("req-b"))
-                await asyncio.sleep(0.01)  # both admitted, pool gated
-                with pytest.raises(FrontendOverloadError, match="overloaded"):
-                    await frontend.plan("req-c")
-                stats_mid = frontend.stats()
-                gate.set()
-                outcomes = await asyncio.gather(
-                    first, second, return_exceptions=True
-                )
-                return stats_mid, outcomes, frontend.stats()
-
-        stats_mid, outcomes, stats = asyncio.run(drive())
-        assert stats_mid.overflowed == 1
-        # The admitted pair still resolved (stub outcomes surface as
-        # PlanError — resolved-with-error, never lost).
-        assert len(outcomes) == 2
-        assert all(isinstance(o, PlanError) for o in outcomes)
-        assert stats.submitted == stats.planned + stats.coalesced + stats.rejected + stats.overflowed
-
-    def test_plan_after_close_raises(self, setup):
-        service = PlanningService(setup.market)
-
-        async def drive():
-            frontend = PlanFrontend(service)
-            await frontend.start()
-            await frontend.aclose()
-            with pytest.raises(PlanError, match="not running"):
-                await frontend.plan(_request(setup))
-
-        asyncio.run(drive())
 
 
 # ----------------------------------------------------------------------

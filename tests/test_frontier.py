@@ -109,7 +109,9 @@ class TestFrontierReplayEquivalence:
         )
         return lifecycle.run(release, deadline), recorder.seen
 
-    def test_same_frontier_at_same_decision_points(self, graph, long_market, catalog):
+    def test_same_cost_and_t_work_left_at_each_decision_point(
+        self, graph, long_market, catalog
+    ):
         rt = self.build_runtime(graph, long_market, catalog)
         deadline = rt.perf.fixed_time(rt.lrc) + 2.0 * rt.perf.exec_time(rt.lrc)
         engine_model = EngineWorkModel(

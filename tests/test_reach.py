@@ -134,9 +134,9 @@ def test_checks_live_outside_the_package():
 
 
 #: The most lines ``.github/expected/test-only.txt`` may list: 14 kept for
-#: open ROADMAP items, 4 context-manager forms, 2 protocol defaults and 5
-#: reached only by a user value, an input or a named test.
-MAX_TEST_ONLY = 25
+#: open ROADMAP items, 2 protocol defaults and 5 reached only by a user
+#: value, an input or a named test.
+MAX_TEST_ONLY = 21
 
 
 def test_the_test_only_list_does_not_grow():
